@@ -48,7 +48,7 @@
 
 use crate::catalog::{Catalog, ColumnStats, SessionVars, TableStats};
 use crate::error::{Error, Result};
-use crate::exec::{build_instrumented, run_to_vec, ExecCtx, ExecPool, ExecStats, MAX_ROWS_VAR};
+use crate::exec::{build_instrumented, drain_to_vec, run_to_vec, ExecCtx, ExecPool, ExecStats};
 use crate::expr::EvalCtx;
 use crate::obs::{self, QueryTrace, Stage, WaitClass, WaitProfile};
 use crate::opt;
@@ -78,8 +78,8 @@ pub struct RunStats {
     pub index_node_visits: u64,
     /// Extension-operator (ψ/Ω) evaluations during the statement.
     pub ext_op_calls: u64,
-    /// Batches emitted by the plan root (0 when the statement ran
-    /// row-at-a-time, e.g. DML or `SET enable_batch = 0`).
+    /// Batches emitted by the plan root (0 for statements that run no
+    /// plan, e.g. DML; equals the row count at `batch_size = 1`).
     pub batches: u64,
     /// Wall-clock execution time (excludes parse/plan).
     pub exec_time: Duration,
@@ -1665,30 +1665,7 @@ impl Session {
                     vis: self.statement_visibility(),
                 };
                 let (mut exec, instr) = build_instrumented(&phys, &ctx)?;
-                // Same guard as `run_to_vec`: EXPLAIN ANALYZE executes the
-                // query for real, so it must honor `max_rows` too.
-                let max_rows = self.vars.get_int(MAX_ROWS_VAR, 0).max(0) as u64;
-                let mut rows = Vec::new();
-                if crate::exec::batch_enabled(&self.vars) {
-                    let batch_rows = crate::exec::effective_batch_size(&self.vars);
-                    let mut batches = 0u64;
-                    while let Some(batch) = exec.next_batch(&ctx, batch_rows)? {
-                        if max_rows > 0 && (rows.len() + batch.len()) as u64 > max_rows {
-                            return Err(Error::MaxRows { limit: max_rows });
-                        }
-                        batches += 1;
-                        rows.extend(batch.into_rows());
-                    }
-                    stats.batches_out.set(batches);
-                } else {
-                    while let Some(row) = exec.next(&ctx)? {
-                        if max_rows > 0 && rows.len() as u64 >= max_rows {
-                            return Err(Error::MaxRows { limit: max_rows });
-                        }
-                        rows.push(row);
-                    }
-                }
-                stats.rows_out.set(rows.len() as u64);
+                let rows = drain_to_vec(exec.as_mut(), &ctx)?;
                 let elapsed = start.elapsed();
                 metrics
                     .stage_execute_ns_total

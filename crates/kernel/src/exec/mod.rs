@@ -1,19 +1,14 @@
-//! Volcano-style executors with a batch-at-a-time spine.
+//! Batch-pull executors.
 //!
-//! Every operator is a pull-based iterator ([`Executor::next`]); rescans
-//! (`rescan`) support non-materialized nested-loops joins, whose repeated
-//! inner-side page traffic is exactly what makes the paper's Plan 2 of
-//! Example 5 expensive.
-//!
-//! On top of the row ABI sits [`Executor::next_batch`]: operators exchange
-//! [`Batch`]es of up to `batch_size` rows (default 1024, `SET batch_size`,
-//! max [`MAX_BATCH_ROWS`]).  A default adapter loops `next`, so every
-//! operator keeps working unmodified; the hot spine — seq scan → filter →
-//! project → limit, plus the gather node of a parallel scan — overrides it
-//! natively and evaluates predicates through [`Expr::eval_batch`], which
-//! dispatches ψ/Ω once per batch instead of once per row.  `SET
-//! enable_batch = 0` falls back to pure row-at-a-time pulls (the A/B
-//! baseline for the `batch_exec` bench).
+//! Every operator is a pull-based iterator with one method,
+//! [`Executor::next_batch`]: operators exchange [`Batch`]es of up to
+//! `batch_size` rows (default 1024, `SET batch_size`, max
+//! [`MAX_BATCH_ROWS`]), and row-at-a-time execution is simply the
+//! degenerate `batch_size = 1`.  Scans and filters evaluate predicates
+//! through [`Expr::eval_batch`], which dispatches ψ/Ω once per batch
+//! instead of once per row.  Rescans (`rescan`) support non-materialized
+//! nested-loops joins, whose repeated inner-side page traffic is exactly
+//! what makes the paper's Plan 2 of Example 5 expensive.
 
 use crate::catalog::{Catalog, SessionVars, TableMeta};
 use crate::error::{Error, Result};
@@ -69,8 +64,8 @@ pub struct ExecStats {
     pub ext_op_calls: StatCell,
     /// Rows produced by the plan root.
     pub rows_out: StatCell,
-    /// Batches produced by the plan root (0 when the statement was driven
-    /// row-at-a-time, e.g. `SET enable_batch = 0`).
+    /// Batches produced by the plan root (equals `rows_out` at
+    /// `batch_size = 1`).
     pub batches_out: StatCell,
 }
 
@@ -125,8 +120,7 @@ pub struct OpStats {
     pub index_node_visits: StatCell,
     /// Extension-operator (ψ/Ω) evaluations in this subtree.
     pub ext_op_calls: StatCell,
-    /// Batches this node produced via `next_batch` (0 when the node was
-    /// only ever pulled row-at-a-time).
+    /// Batches this node produced.
     pub batches: StatCell,
 }
 
@@ -177,10 +171,6 @@ impl ParallelScanActuals {
 /// row-at-a-time pulls through the batch ABI).
 pub const BATCH_SIZE_VAR: &str = "batch_size";
 
-/// Session variable switching the drivers between the batch spine
-/// (default) and pure row-at-a-time Volcano pulls (`SET enable_batch = 0`).
-pub const ENABLE_BATCH_VAR: &str = "enable_batch";
-
 /// Hard upper bound on rows per batch: batches stay cache-friendly slabs
 /// of a few thousand rows, never unbounded materializations.
 pub const MAX_BATCH_ROWS: usize = 4096;
@@ -207,18 +197,12 @@ pub fn effective_batch_size(session: &SessionVars) -> usize {
         .min(MAX_BATCH_ROWS)
 }
 
-/// Is the batch spine enabled for this session?
-pub fn batch_enabled(session: &SessionVars) -> bool {
-    session.get_int(ENABLE_BATCH_VAR, 1) != 0
-}
-
 /// A slab of rows flowing between operators.
 ///
-/// Rows are stored in producer order; [`Batch::column`] gives columnar
-/// access for vectorized consumers.  Producers never emit empty batches —
-/// end-of-stream is `None` from [`Executor::next_batch`] — and never more
-/// than the `max` the consumer asked for, so LIMIT and `max_rows` keep
-/// exact semantics on the batch path.
+/// Rows are stored in producer order.  Producers never emit empty batches
+/// — end-of-stream is `None` from [`Executor::next_batch`] — and never
+/// more than the `max` the consumer asked for, so LIMIT and `max_rows`
+/// keep exact semantics.
 #[derive(Debug, Default)]
 pub struct Batch {
     /// The rows, in producer order.
@@ -240,26 +224,14 @@ impl Batch {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
-
-    /// Borrow every row as a slice (the shape `Expr::eval_batch` takes).
-    pub fn row_refs(&self) -> Vec<&[Datum]> {
-        self.rows.iter().map(|r| r.as_slice()).collect()
-    }
-
-    /// Columnar view of one attribute across the batch.
-    pub fn column(&self, index: usize) -> impl Iterator<Item = &Datum> {
-        self.rows.iter().filter_map(move |r| r.get(index))
-    }
-
-    /// Take the rows back out.
-    pub fn into_rows(self) -> Vec<Row> {
-        self.rows
-    }
 }
 
 /// Evaluate `filter` over `rows` via [`Expr::eval_batch`], keeping only
 /// the passing rows (order preserved).
 fn filter_rows_batch(filter: &Expr, rows: Vec<Row>, eval: &EvalCtx<'_>) -> Result<Vec<Row>> {
+    if rows.is_empty() {
+        return Ok(rows);
+    }
     let refs: Vec<&[Datum]> = rows.iter().map(|r| r.as_slice()).collect();
     let mask = filter.eval_batch(&refs, eval)?;
     Ok(rows
@@ -269,69 +241,70 @@ fn filter_rows_batch(filter: &Expr, rows: Vec<Row>, eval: &EvalCtx<'_>) -> Resul
         .collect())
 }
 
-/// Drain `input` to exhaustion, feeding every row to `sink` — through the
-/// batch ABI when the session has it enabled, else row-at-a-time.  The
-/// bulk drains (aggregate/sort input, hash-join build, materialized
-/// nested-loops inner) all funnel through here so a scan feeding them
-/// gets vectorized predicate evaluation.
+/// Drain `input` to exhaustion, feeding every row to `sink`.  The bulk
+/// drains (aggregate/sort input, hash-join build, materialized
+/// nested-loops inner) all funnel through here.
 fn drain_input(
     input: &mut dyn Executor,
     ctx: &ExecCtx<'_>,
     mut sink: impl FnMut(Row) -> Result<()>,
 ) -> Result<()> {
-    if batch_enabled(ctx.session) {
-        let max = effective_batch_size(ctx.session);
-        while let Some(batch) = input.next_batch(ctx, max)? {
-            for row in batch.rows {
-                sink(row)?;
-            }
-        }
-    } else {
-        while let Some(row) = input.next(ctx)? {
+    let max = effective_batch_size(ctx.session);
+    while let Some(batch) = input.next_batch(ctx, max)? {
+        for row in batch.rows {
             sink(row)?;
         }
     }
     Ok(())
 }
 
-/// Wraps an executor, attributing per-`next` deltas of the shared
+/// Emit up to `max` rows of a materialized result, advancing `pos`
+/// (aggregate and sort output; the buffer survives rescans, hence clones).
+fn emit_buffered(buf: &[Row], pos: &mut usize, max: usize) -> Option<Batch> {
+    let end = (*pos + max).min(buf.len());
+    let rows = buf[*pos..end].to_vec();
+    *pos = end;
+    (!rows.is_empty()).then(|| Batch::new(rows))
+}
+
+/// Append `outer ++ inner` for every inner row to `out`, keeping only the
+/// pairs that pass the join predicate.  The predicate is evaluated pair
+/// by pair: both its sides vary, so `eval_batch` has nothing to hoist,
+/// and a failing pair's row is freed before the next one is built.
+fn join_rows(
+    outer: &Row,
+    inners: impl Iterator<Item = Row>,
+    predicate: &Option<Expr>,
+    eval: &EvalCtx<'_>,
+    out: &mut Vec<Row>,
+) -> Result<()> {
+    for inner in inners {
+        let mut joined = Row::with_capacity(outer.len() + inner.len());
+        joined.extend(outer.iter().cloned());
+        joined.extend(inner);
+        // ext_op_calls is counted inside `Expr::eval`.
+        if let Some(p) = predicate {
+            if !p.eval(&joined, eval)?.is_true() {
+                continue;
+            }
+        }
+        out.push(joined);
+    }
+    Ok(())
+}
+
+/// Wraps an executor, attributing per-`next_batch` deltas of the shared
 /// query counters (pool I/O, index visits, ext-op calls) to this node.
 struct InstrumentedExec {
     inner: Box<dyn Executor>,
     stats: Arc<OpStats>,
-    /// True before the first `next` of each loop (start or post-rescan).
+    /// True before the first pull of each loop (start or post-rescan).
     fresh: bool,
 }
 
 impl Executor for InstrumentedExec {
     fn schema(&self) -> &Schema {
         self.inner.schema()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        if self.fresh {
-            self.fresh = false;
-            self.stats.loops.add(1);
-        }
-        let io_before = ctx.pool.stats();
-        let inv_before = ctx.stats.index_node_visits.get();
-        let ext_before = ctx.stats.ext_op_calls.get();
-        let start = Instant::now();
-        let out = self.inner.next(ctx);
-        let elapsed = start.elapsed().as_nanos() as u64;
-        let io = ctx.pool.stats().since(&io_before);
-        let s = &self.stats;
-        s.time_ns.add(elapsed);
-        s.logical_reads.add(io.logical_reads);
-        s.physical_reads.add(io.physical_reads);
-        s.index_node_visits
-            .add(ctx.stats.index_node_visits.get() - inv_before);
-        s.ext_op_calls
-            .add(ctx.stats.ext_op_calls.get() - ext_before);
-        if let Ok(Some(_)) = &out {
-            s.rows.add(1);
-        }
-        out
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
@@ -374,27 +347,15 @@ impl Executor for InstrumentedExec {
 pub trait Executor: Send {
     /// Output schema.
     fn schema(&self) -> &Schema;
-    /// Produce the next row, or `None` at end of stream.
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>>;
-    /// Produce the next batch of up to `max` rows, or `None` at end of
-    /// stream.
+    /// Produce the next batch of up to `max` rows (`max ≥ 1`), or `None`
+    /// at end of stream.
     ///
     /// Contract: a returned batch is never empty and never longer than
-    /// `max`; rows arrive in the same order `next` would produce them.
-    /// This default is the row-compatibility adapter — it loops `next`,
-    /// so operators without a native batch path interoperate freely with
-    /// batch-native parents and children.
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
-        let max = max.max(1);
-        let mut rows = Vec::new();
-        while rows.len() < max {
-            match self.next(ctx)? {
-                Some(row) => rows.push(row),
-                None => break,
-            }
-        }
-        Ok((!rows.is_empty()).then(|| Batch::new(rows)))
-    }
+    /// `max`, and rows arrive in the operator's one production order
+    /// whatever sequence of `max` values the consumer asks with — which
+    /// is what lets LIMIT and `max_rows` stay exact.  Once `None` is
+    /// returned, further calls keep returning `None` until `rescan`.
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>>;
     /// Reset to the start of the stream (for nested-loops rescans).
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()>;
 }
@@ -500,10 +461,10 @@ fn build_executor_impl(
             predicate: predicate.clone(),
             materialize: *materialize_inner,
             schema: node.schema.clone(),
-            outer_row: None,
+            outer_rows: Vec::new(),
+            outer_pos: 0,
             inner_buf: None,
             inner_pos: 0,
-            started: false,
         }),
         PhysOp::HashJoin {
             left,
@@ -519,8 +480,8 @@ fn build_executor_impl(
             residual: residual.clone(),
             schema: node.schema.clone(),
             table: None,
-            probe_row: None,
-            matches: Vec::new(),
+            probe_rows: Vec::new(),
+            probe_pos: 0,
             match_pos: 0,
         }),
         PhysOp::Aggregate {
@@ -565,42 +526,37 @@ fn build_executor_impl(
 pub const MAX_ROWS_VAR: &str = "max_rows";
 
 /// Run a plan to completion, collecting all rows.
+pub fn run_to_vec(node: &PhysNode, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+    drain_to_vec(build_executor(node, ctx)?.as_mut(), ctx)
+}
+
+/// Pull a built executor tree to exhaustion — the one root driver, shared
+/// by plain execution and `EXPLAIN ANALYZE` (which builds an instrumented
+/// tree first).
 ///
 /// Honors the `max_rows` session variable (0 or unset = unlimited): a
 /// runaway SELECT fails with [`Error::MaxRows`] instead of materializing
 /// an unbounded `Vec<Row>`.
-pub fn run_to_vec(node: &PhysNode, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+pub fn drain_to_vec(exec: &mut dyn Executor, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
     let max_rows = ctx.session.get_int(MAX_ROWS_VAR, 0).max(0) as u64;
-    // Resolve the activity slot once; the per-row cost is then a single
+    // Resolve the activity slot once; the per-batch cost is then a single
     // relaxed fetch_add on the owning session's slot.
     let slot = crate::obs::current().and_then(|c| c.slot.clone());
-    let mut exec = build_executor(node, ctx)?;
+    let max = effective_batch_size(ctx.session);
     let mut out = Vec::new();
-    if batch_enabled(ctx.session) {
-        let max = effective_batch_size(ctx.session);
-        let mut batches = 0u64;
-        while let Some(batch) = exec.next_batch(ctx, max)? {
-            batches += 1;
-            if max_rows > 0 && (out.len() + batch.len()) as u64 > max_rows {
-                return Err(Error::MaxRows { limit: max_rows });
-            }
-            if let Some(slot) = &slot {
-                slot.add_rows(batch.len() as u64);
-            }
-            out.extend(batch.rows);
+    let mut batches = 0u64;
+    while let Some(batch) = exec.next_batch(ctx, max)? {
+        debug_assert!(!batch.is_empty() && batch.len() <= max);
+        batches += 1;
+        if max_rows > 0 && (out.len() + batch.len()) as u64 > max_rows {
+            return Err(Error::MaxRows { limit: max_rows });
         }
-        ctx.stats.batches_out.set(batches);
-    } else {
-        while let Some(row) = exec.next(ctx)? {
-            if max_rows > 0 && out.len() as u64 >= max_rows {
-                return Err(Error::MaxRows { limit: max_rows });
-            }
-            out.push(row);
-            if let Some(slot) = &slot {
-                slot.add_rows(1);
-            }
+        if let Some(slot) = &slot {
+            slot.add_rows(batch.len() as u64);
         }
+        out.extend(batch.rows);
     }
+    ctx.stats.batches_out.set(batches);
     ctx.stats.rows_out.set(out.len() as u64);
     Ok(out)
 }
@@ -665,33 +621,11 @@ impl Executor for SeqScanExec {
         &self.meta.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        let eval = ctx.eval_ctx();
-        loop {
-            if self.row_pos < self.page_rows.len() {
-                let row = std::mem::take(&mut self.page_rows[self.row_pos]);
-                self.row_pos += 1;
-                if let Some(f) = &self.filter {
-                    // ext_op_calls is counted inside `Expr::eval` (only
-                    // when the predicate actually contains an ExtOp).
-                    if !f.eval(&row, &eval)?.is_true() {
-                        continue;
-                    }
-                }
-                return Ok(Some(row));
-            }
-            if !self.load_page(ctx)? {
-                return Ok(None);
-            }
-        }
-    }
-
-    /// Native batch path: take whole page-sized runs of decoded rows and
-    /// evaluate the pushed-down filter once per run via `eval_batch` —
-    /// this is where ψ's per-batch memoization (constant phoneme
-    /// conversion, Myers mask) kicks in.
+    /// Take whole page-sized runs of decoded rows and evaluate the
+    /// pushed-down filter once per run via `eval_batch` — this is where
+    /// ψ's per-batch memoization (constant phoneme conversion, Myers
+    /// mask) kicks in.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
-        let max = max.max(1);
         let eval = ctx.eval_ctx();
         let mut out: Vec<Row> = Vec::new();
         loop {
@@ -780,7 +714,7 @@ impl ScanShared {
 /// Sound only under the gather node's protocol: the pointers come from an
 /// `ExecCtx` that the query thread keeps alive for the whole execution
 /// (the catalog read guard is held across it), and the gather node never
-/// lets its own lifetime end — `next`/`rescan`/`Drop` all funnel through
+/// lets its own lifetime end — `next_batch`/`rescan`/`Drop` all funnel through
 /// [`ParallelSeqScanExec::shutdown`], which blocks until every dispatched
 /// task has finished — while workers could still dereference them.
 struct ErasedCtx {
@@ -942,20 +876,14 @@ impl Executor for ParallelSeqScanExec {
         &self.meta.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        self.fill_buffer(ctx)?;
-        Ok(self.buffer.pop_front())
-    }
-
-    /// Native batch path: morsels already arrive as row batches from the
-    /// workers; hand them over wholesale (split only to honor `max`)
-    /// instead of re-serializing through per-row pops.
+    /// Morsels already arrive as row batches from the workers; hand them
+    /// over wholesale, split only to honor `max`.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         self.fill_buffer(ctx)?;
         if self.buffer.is_empty() {
             return Ok(None);
         }
-        let take = self.buffer.len().min(max.max(1));
+        let take = self.buffer.len().min(max);
         Ok(Some(Batch::new(self.buffer.drain(..take).collect())))
     }
 
@@ -1058,10 +986,9 @@ fn scan_worker(
 /// Decode one heap page and append the rows passing `filter` to `out`
 /// (the same copy-out-then-decode pattern as [`SeqScanExec::load_page`]).
 ///
-/// With the batch spine enabled, the page's decoded rows are filtered in
-/// one `eval_batch` call — each worker's morsel loop thereby reuses its
-/// thread's `DistanceBuffer` and the per-batch ψ memoization instead of
-/// paying per-row dispatch.
+/// The page's decoded rows are filtered in one `eval_batch` call — each
+/// worker's morsel loop thereby reuses its thread's `DistanceBuffer` and
+/// the per-batch ψ memoization instead of paying per-row dispatch.
 #[allow(clippy::too_many_arguments)]
 fn scan_page_into(
     pool: &BufferPool,
@@ -1074,33 +1001,16 @@ fn scan_page_into(
     out: &mut Vec<Row>,
 ) -> Result<()> {
     let img: Vec<u8> = pool.with_page(file, page, |buf| buf.to_vec())?;
+    let mut candidates = Vec::new();
+    for (_, tuple) in HeapFile::page_tuples(&img) {
+        let (xmin, xmax, rest) = split_version(tuple)?;
+        if vis.sees(xmin, xmax) {
+            candidates.push(decode_row(rest, arity)?);
+        }
+    }
     match filter {
-        Some(f) if batch_enabled(eval.session) => {
-            let mut candidates = Vec::new();
-            for (_, tuple) in HeapFile::page_tuples(&img) {
-                let (xmin, xmax, rest) = split_version(tuple)?;
-                if !vis.sees(xmin, xmax) {
-                    continue;
-                }
-                candidates.push(decode_row(rest, arity)?);
-            }
-            out.extend(filter_rows_batch(f, candidates, eval)?);
-        }
-        _ => {
-            for (_, tuple) in HeapFile::page_tuples(&img) {
-                let (xmin, xmax, rest) = split_version(tuple)?;
-                if !vis.sees(xmin, xmax) {
-                    continue;
-                }
-                let row = decode_row(rest, arity)?;
-                if let Some(f) = filter {
-                    if !f.eval(&row, eval)?.is_true() {
-                        continue;
-                    }
-                }
-                out.push(row);
-            }
-        }
+        Some(f) => out.extend(filter_rows_batch(f, candidates, eval)?),
+        None => out.extend(candidates),
     }
     Ok(())
 }
@@ -1146,7 +1056,7 @@ impl Executor for IndexScanExec {
         &self.meta.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.tids.is_none() {
             // Partitionable access methods (the M-tree) fan subtree probes
             // across the worker pool when the session allows ≥ 2 workers;
@@ -1182,29 +1092,32 @@ impl Executor for IndexScanExec {
         }
         let eval = ctx.eval_ctx();
         let arity = self.meta.schema.len();
-        loop {
-            let tids = self.tids.as_ref().expect("probed above");
-            let Some(&tid) = tids.get(self.pos) else {
-                return Ok(None);
-            };
-            self.pos += 1;
-            let Some(bytes) = self.meta.heap.get(ctx.pool, tid)? else {
-                continue; // vacuumed since the index entry was made
-            };
-            // Index entries outlive their versions: the heap tuple decides
-            // visibility, the index only locates it.
-            let (xmin, xmax, rest) = split_version(&bytes)?;
-            if !ctx.vis.sees(xmin, xmax) {
-                continue;
-            }
-            let row = decode_row(rest, arity)?;
-            if let Some(f) = &self.residual {
-                if !f.eval(&row, &eval)?.is_true() {
-                    continue;
+        let tids = self.tids.as_ref().expect("probed above");
+        let mut out: Vec<Row> = Vec::new();
+        while out.len() < max && self.pos < tids.len() {
+            // Fetch no more candidates than the batch still has room for,
+            // so a LIMIT above never pays the residual for rows it will
+            // not return.
+            let mut candidates = Vec::new();
+            while candidates.len() < max - out.len() && self.pos < tids.len() {
+                let tid = tids[self.pos];
+                self.pos += 1;
+                let Some(bytes) = self.meta.heap.get(ctx.pool, tid)? else {
+                    continue; // vacuumed since the index entry was made
+                };
+                // Index entries outlive their versions: the heap tuple
+                // decides visibility, the index only locates it.
+                let (xmin, xmax, rest) = split_version(&bytes)?;
+                if ctx.vis.sees(xmin, xmax) {
+                    candidates.push(decode_row(rest, arity)?);
                 }
             }
-            return Ok(Some(row));
+            match &self.residual {
+                Some(f) => out.extend(filter_rows_batch(f, candidates, &eval)?),
+                None => out.extend(candidates),
+            }
         }
+        Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
@@ -1223,16 +1136,6 @@ struct FilterExec {
 impl Executor for FilterExec {
     fn schema(&self) -> &Schema {
         self.input.schema()
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        let eval = ctx.eval_ctx();
-        while let Some(row) = self.input.next(ctx)? {
-            if self.predicate.eval(&row, &eval)?.is_true() {
-                return Ok(Some(row));
-            }
-        }
-        Ok(None)
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
@@ -1264,20 +1167,6 @@ struct ProjectExec {
 impl Executor for ProjectExec {
     fn schema(&self) -> &Schema {
         &self.schema
-    }
-
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        let eval = ctx.eval_ctx();
-        match self.input.next(ctx)? {
-            Some(row) => {
-                let mut out = Row::with_capacity(self.exprs.len());
-                for e in &self.exprs {
-                    out.push(e.eval(&row, &eval)?);
-                }
-                Ok(Some(out))
-            }
-            None => Ok(None),
-        }
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
@@ -1318,44 +1207,23 @@ struct NlJoinExec {
     predicate: Option<Expr>,
     materialize: bool,
     schema: Schema,
-    outer_row: Option<Row>,
+    /// The outer batch being joined and the row within it the inner side
+    /// is currently positioned under.
+    outer_rows: Vec<Row>,
+    outer_pos: usize,
     /// Materialized inner rows (when `materialize`).
     inner_buf: Option<Vec<Row>>,
     inner_pos: usize,
-    started: bool,
 }
 
 impl NlJoinExec {
-    fn advance_outer(&mut self, ctx: &ExecCtx<'_>) -> Result<bool> {
-        match self.outer.next(ctx)? {
-            Some(row) => {
-                self.outer_row = Some(row);
-                if self.materialize {
-                    self.inner_pos = 0;
-                } else {
-                    self.inner.rescan(ctx)?;
-                }
-                Ok(true)
-            }
-            None => {
-                self.outer_row = None;
-                Ok(false)
-            }
-        }
-    }
-
-    fn next_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    /// Position the inner side at its first row for a new outer row.
+    fn restart_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         if self.materialize {
-            let buf = self.inner_buf.as_ref().expect("materialized at start");
-            if self.inner_pos < buf.len() {
-                let row = buf[self.inner_pos].clone();
-                self.inner_pos += 1;
-                Ok(Some(row))
-            } else {
-                Ok(None)
-            }
+            self.inner_pos = 0;
+            Ok(())
         } else {
-            self.inner.next(ctx)
+            self.inner.rescan(ctx)
         }
     }
 }
@@ -1365,59 +1233,72 @@ impl Executor for NlJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    /// The outer side is pulled a batch at a time (so a ψ-filtered outer
+    /// scan runs the vectorized kernel); under each outer row the inner
+    /// side yields at most as many rows as the output batch has room for.
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
-        if !self.started {
-            self.started = true;
-            // Materialize once; the buffer survives rescans.
-            if self.materialize && self.inner_buf.is_none() {
-                let mut buf = Vec::new();
-                drain_input(self.inner.as_mut(), ctx, |r| {
-                    buf.push(r);
-                    Ok(())
-                })?;
-                self.inner_buf = Some(buf);
-            }
-            if !self.advance_outer(ctx)? {
-                return Ok(None);
-            }
+        // Materialize once; the buffer survives rescans.
+        if self.materialize && self.inner_buf.is_none() {
+            let mut buf = Vec::new();
+            drain_input(self.inner.as_mut(), ctx, |r| {
+                buf.push(r);
+                Ok(())
+            })?;
+            self.inner_buf = Some(buf);
         }
-        loop {
-            if self.outer_row.is_none() {
-                return Ok(None);
-            }
-            match self.next_inner(ctx)? {
-                Some(inner_row) => {
-                    let outer_row = self.outer_row.as_ref().expect("checked above");
-                    let mut joined = Row::with_capacity(outer_row.len() + inner_row.len());
-                    joined.extend(outer_row.iter().cloned());
-                    joined.extend(inner_row);
-                    if let Some(p) = &self.predicate {
-                        // ext_op_calls is counted inside `Expr::eval`.
-                        if !p.eval(&joined, &eval)?.is_true() {
-                            continue;
-                        }
+        let mut out = Vec::new();
+        while out.len() < max {
+            if self.outer_pos == self.outer_rows.len() {
+                match self.outer.next_batch(ctx, max)? {
+                    Some(batch) => {
+                        self.outer_rows = batch.rows;
+                        self.outer_pos = 0;
+                        self.restart_inner(ctx)?;
                     }
-                    return Ok(Some(joined));
-                }
-                None => {
-                    if !self.advance_outer(ctx)? {
-                        return Ok(None);
-                    }
+                    None => break,
                 }
             }
+            let outer = &self.outer_rows[self.outer_pos];
+            let want = max - out.len();
+            let inner_exhausted = match &self.inner_buf {
+                Some(buf) => {
+                    let end = (self.inner_pos + want).min(buf.len());
+                    let inners = buf[self.inner_pos..end].iter().cloned();
+                    join_rows(outer, inners, &self.predicate, &eval, &mut out)?;
+                    self.inner_pos = end;
+                    end == buf.len()
+                }
+                None => match self.inner.next_batch(ctx, want)? {
+                    Some(batch) => {
+                        join_rows(
+                            outer,
+                            batch.rows.into_iter(),
+                            &self.predicate,
+                            &eval,
+                            &mut out,
+                        )?;
+                        false
+                    }
+                    None => true,
+                },
+            };
+            if inner_exhausted {
+                self.outer_pos += 1;
+                if self.outer_pos < self.outer_rows.len() {
+                    self.restart_inner(ctx)?;
+                }
+            }
         }
+        Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
 
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.outer.rescan(ctx)?;
-        if !self.materialize {
-            self.inner.rescan(ctx)?;
-        }
-        // The materialized buffer (if any) stays valid across rescans.
-        self.started = false;
-        self.outer_row = None;
-        self.inner_pos = 0;
+        // The materialized buffer (if any) stays valid across rescans; a
+        // rescanning inner is repositioned with the first outer row.
+        self.outer_rows.clear();
+        self.outer_pos = 0;
         Ok(())
     }
 }
@@ -1433,8 +1314,10 @@ struct HashJoinExec {
     schema: Schema,
     /// Build table over the RIGHT input.
     table: Option<HashMap<Datum, Vec<Row>>>,
-    probe_row: Option<Row>,
-    matches: Vec<Row>,
+    /// The probe (LEFT) batch, the row within it being joined, and how
+    /// many entries of that row's bucket are already emitted.
+    probe_rows: Vec<Row>,
+    probe_pos: usize,
     match_pos: usize,
 }
 
@@ -1443,7 +1326,7 @@ impl Executor for HashJoinExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
         if self.table.is_none() {
             let mut table: HashMap<Datum, Vec<Row>> = HashMap::new();
@@ -1456,46 +1339,41 @@ impl Executor for HashJoinExec {
             })?;
             self.table = Some(table);
         }
-        loop {
-            if self.match_pos < self.matches.len() {
-                let inner = self.matches[self.match_pos].clone();
-                self.match_pos += 1;
-                let outer = self.probe_row.as_ref().expect("probe row set");
-                let mut joined = Row::with_capacity(outer.len() + inner.len());
-                joined.extend(outer.iter().cloned());
-                joined.extend(inner);
-                if let Some(r) = &self.residual {
-                    if !r.eval(&joined, &eval)?.is_true() {
-                        continue;
+        let table = self.table.as_ref().expect("built above");
+        let mut out = Vec::new();
+        while out.len() < max {
+            if self.probe_pos == self.probe_rows.len() {
+                match self.left.next_batch(ctx, max)? {
+                    Some(batch) => {
+                        self.probe_rows = batch.rows;
+                        self.probe_pos = 0;
                     }
+                    None => break,
                 }
-                return Ok(Some(joined));
             }
-            match self.left.next(ctx)? {
-                Some(row) => {
-                    let key = self.left_key.eval(&row, &eval)?;
-                    self.matches = if key.is_null() {
-                        Vec::new()
-                    } else {
-                        self.table
-                            .as_ref()
-                            .expect("built above")
-                            .get(&key)
-                            .cloned()
-                            .unwrap_or_default()
-                    };
-                    self.match_pos = 0;
-                    self.probe_row = Some(row);
-                }
-                None => return Ok(None),
+            let probe = &self.probe_rows[self.probe_pos];
+            let key = self.left_key.eval(probe, &eval)?;
+            let bucket: &[Row] = match table.get(&key) {
+                Some(rows) if !key.is_null() => rows,
+                _ => &[],
+            };
+            let end = (self.match_pos + max - out.len()).min(bucket.len());
+            let inners = bucket[self.match_pos..end].iter().cloned();
+            join_rows(probe, inners, &self.residual, &eval, &mut out)?;
+            if end == bucket.len() {
+                self.probe_pos += 1;
+                self.match_pos = 0;
+            } else {
+                self.match_pos = end;
             }
         }
+        Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
 
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
         self.left.rescan(ctx)?;
-        self.probe_row = None;
-        self.matches.clear();
+        self.probe_rows.clear();
+        self.probe_pos = 0;
         self.match_pos = 0;
         // Build table is kept.
         Ok(())
@@ -1588,7 +1466,7 @@ impl Executor for AggregateExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.output.is_none() {
             let eval = ctx.eval_ctx();
             // group key -> (row count, one state per aggregate)
@@ -1632,13 +1510,7 @@ impl Executor for AggregateExec {
             self.pos = 0;
         }
         let out = self.output.as_ref().expect("computed above");
-        if self.pos < out.len() {
-            let row = out[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
+        Ok(emit_buffered(out, &mut self.pos, max))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
@@ -1661,7 +1533,7 @@ impl Executor for SortExec {
         self.input.schema()
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.buffered.is_none() {
             let eval = ctx.eval_ctx();
             let mut rows = Vec::new();
@@ -1705,13 +1577,7 @@ impl Executor for SortExec {
             self.pos = 0;
         }
         let buf = self.buffered.as_ref().expect("sorted above");
-        if self.pos < buf.len() {
-            let row = buf[self.pos].clone();
-            self.pos += 1;
-            Ok(Some(row))
-        } else {
-            Ok(None)
-        }
+        Ok(emit_buffered(buf, &mut self.pos, max))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
@@ -1732,26 +1598,13 @@ impl Executor for LimitExec {
         self.input.schema()
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        if self.remaining == 0 {
-            return Ok(None);
-        }
-        match self.input.next(ctx)? {
-            Some(r) => {
-                self.remaining -= 1;
-                Ok(Some(r))
-            }
-            None => Ok(None),
-        }
-    }
-
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.remaining == 0 {
             return Ok(None);
         }
         // Never ask the input for more rows than the limit still allows;
         // batches are capped at `max`, so the input cannot overshoot.
-        let cap = (self.remaining as usize).min(max.max(1));
+        let cap = (self.remaining as usize).min(max);
         match self.input.next_batch(ctx, cap)? {
             Some(batch) => {
                 self.remaining -= batch.len() as u64;
@@ -1779,22 +1632,110 @@ impl Executor for ValuesExec {
         &self.schema
     }
 
-    fn next(&mut self, ctx: &ExecCtx<'_>) -> Result<Option<Row>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
+    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
-        let exprs = &self.rows[self.pos];
-        self.pos += 1;
-        let mut row = Row::with_capacity(exprs.len());
-        for e in exprs {
-            row.push(e.eval(&[], &eval)?);
+        let end = (self.pos + max).min(self.rows.len());
+        let mut out = Vec::with_capacity(end - self.pos);
+        for exprs in &self.rows[self.pos..end] {
+            let mut row = Row::with_capacity(exprs.len());
+            for e in exprs {
+                row.push(e.eval(&[], &eval)?);
+            }
+            out.push(row);
         }
-        Ok(Some(row))
+        self.pos = end;
+        Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
         self.pos = 0;
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::storage::MemBackend;
+    use crate::txn::TransactionManager;
+    use crate::{Column, DataType};
+
+    fn node(op: PhysOp, schema: Schema) -> PhysNode {
+        PhysNode {
+            op,
+            est_rows: 0.0,
+            est_cost: 0.0,
+            schema,
+        }
+    }
+
+    /// `n` one-column rows `0..n` — a leaf that touches no storage.
+    fn values(n: i64) -> PhysNode {
+        let rows = (0..n).map(|i| vec![Expr::Literal(Datum::Int(i))]).collect();
+        let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
+        node(PhysOp::Values { rows }, schema)
+    }
+
+    /// Run `f` under a context with an empty catalog and `batch_size`.
+    fn with_ctx<T>(batch_size: i64, f: impl FnOnce(&ExecCtx<'_>) -> T) -> T {
+        let catalog = Catalog::new();
+        let pool = BufferPool::new(Box::new(MemBackend::new()), 4);
+        let mut session = SessionVars::new();
+        session.set(BATCH_SIZE_VAR, Datum::Int(batch_size));
+        let stats = ExecStats::default();
+        f(&ExecCtx {
+            catalog: &catalog,
+            pool: &pool,
+            session: &session,
+            stats: &stats,
+            exec_pool: None,
+            vis: TxnVisibility {
+                txn: 0,
+                snap: TransactionManager::new().snapshot(),
+            },
+        })
+    }
+
+    #[test]
+    fn limit_over_values_is_a_prefix_at_every_batch_size() {
+        let all = with_ctx(1024, |ctx| run_to_vec(&values(7), ctx)).unwrap();
+        assert_eq!(all.len(), 7);
+        for batch_size in [1, 3, 1024] {
+            for n in [1usize, 3, 50] {
+                let input = Box::new(values(7));
+                let schema = input.schema.clone();
+                let plan = node(PhysOp::Limit { input, n: n as u64 }, schema);
+                let got = with_ctx(batch_size, |ctx| run_to_vec(&plan, ctx)).unwrap();
+                assert_eq!(got, all[..n.min(7)], "batch_size={batch_size} LIMIT {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn nl_join_rescan_after_partially_consumed_outer_batch() {
+        for materialize_inner in [false, true] {
+            let (outer, inner) = (values(5), values(2));
+            let schema = outer.schema.join(&inner.schema);
+            let join = node(
+                PhysOp::NlJoin {
+                    outer: Box::new(outer),
+                    inner: Box::new(inner),
+                    predicate: None,
+                    materialize_inner,
+                },
+                schema,
+            );
+            with_ctx(1024, |ctx| {
+                let all = run_to_vec(&join, ctx).unwrap();
+                assert_eq!(all.len(), 10);
+                let mut exec = build_executor(&join, ctx).unwrap();
+                // Three of the ten pairs: the join now holds a three-row
+                // outer batch and sits in the middle of its second row.
+                let head = exec.next_batch(ctx, 3).unwrap().expect("rows");
+                assert_eq!(head.rows, all[..3]);
+                exec.rescan(ctx).unwrap();
+                assert_eq!(drain_to_vec(exec.as_mut(), ctx).unwrap(), all);
+            });
+        }
     }
 }

@@ -46,8 +46,8 @@ pub struct FlightRecord {
     pub elapsed: Duration,
     /// Rows produced.
     pub rows: u64,
-    /// Batches the plan root emitted (0 when the statement ran
-    /// row-at-a-time — DML, or `SET enable_batch = 0`).
+    /// Batches the plan root emitted (0 for statements that run no plan,
+    /// e.g. DML).
     pub batches: u64,
     /// Stage span tree.
     pub trace: QueryTrace,

@@ -89,28 +89,16 @@ impl CostParams {
     /// Effective per-tuple CPU cost when the scan spine emits batches of
     /// `batch_size` rows: the dispatch share collapses to one payment
     /// per batch.  `batch_size == 1` reproduces the row-at-a-time cost
-    /// exactly, so `SET enable_batch = 0` / `batch_size = 1` plans cost
-    /// the same as before the batch spine existed.
+    /// exactly.
     pub fn batch_tuple_cost(&self, batch_size: usize) -> f64 {
         let dispatch = self.cpu_tuple_cost * Self::DISPATCH_FRACTION;
         (self.cpu_tuple_cost - dispatch) + dispatch / (batch_size.max(1) as f64)
     }
 
-    /// Sequential scan: `pages · seq_page_cost + rows · cpu_tuple_cost`
-    /// plus per-row predicate cost.
-    pub fn seq_scan(&self, pages: f64, rows: f64, per_row_pred: f64) -> f64 {
-        pages * self.seq_page_cost + rows * (self.cpu_tuple_cost + per_row_pred)
-    }
-
-    /// [`Self::seq_scan`] with the per-tuple term amortized for a
-    /// batch-at-a-time spine emitting `batch_size`-row batches.
-    pub fn seq_scan_batched(
-        &self,
-        pages: f64,
-        rows: f64,
-        per_row_pred: f64,
-        batch_size: usize,
-    ) -> f64 {
+    /// Sequential scan emitting `batch_size`-row batches:
+    /// `pages · seq_page_cost + rows · batch_tuple_cost` plus per-row
+    /// predicate cost.
+    pub fn seq_scan(&self, pages: f64, rows: f64, per_row_pred: f64, batch_size: usize) -> f64 {
         pages * self.seq_page_cost + rows * (self.batch_tuple_cost(batch_size) + per_row_pred)
     }
 
@@ -128,24 +116,10 @@ impl CostParams {
     /// [`Self::PARALLEL_EFFICIENCY`], and a flat startup charge covers
     /// dispatch + gather.  With the ψ predicate's large `per_row_pred`
     /// (Table 3's edit-distance work) the CPU term dominates, which is
-    /// exactly when parallelism wins.
-    pub fn parallel_seq_scan(
-        &self,
-        pages: f64,
-        rows: f64,
-        per_row_pred: f64,
-        workers: usize,
-    ) -> f64 {
-        let effective = (workers.max(1) as f64) * Self::PARALLEL_EFFICIENCY;
-        pages * self.seq_page_cost
-            + rows * (self.cpu_tuple_cost + per_row_pred) / effective
-            + Self::PARALLEL_STARTUP_COST
-    }
-
-    /// [`Self::parallel_seq_scan`] with the per-tuple term amortized for
-    /// batch-at-a-time morsels (workers filter whole pages per
+    /// exactly when parallelism wins.  The per-tuple term is amortized
+    /// like [`Self::seq_scan`]'s (workers filter whole pages per
     /// `eval_batch` call, the gather drains batches).
-    pub fn parallel_seq_scan_batched(
+    pub fn parallel_seq_scan(
         &self,
         pages: f64,
         rows: f64,
@@ -246,8 +220,8 @@ mod tests {
     #[test]
     fn seq_scan_scales_with_pages_and_rows() {
         let p = CostParams::default();
-        assert!(p.seq_scan(100.0, 1000.0, 0.0) > p.seq_scan(10.0, 100.0, 0.0));
-        assert_eq!(p.seq_scan(1.0, 0.0, 0.0), 1.0);
+        assert!(p.seq_scan(100.0, 1000.0, 0.0, 1) > p.seq_scan(10.0, 100.0, 0.0, 1));
+        assert_eq!(p.seq_scan(1.0, 0.0, 0.0, 1), 1.0);
     }
 
     #[test]
@@ -263,23 +237,14 @@ mod tests {
         assert!(p.batch_tuple_cost(1024) < p.batch_tuple_cost(64));
         let floor = p.cpu_tuple_cost * (1.0 - CostParams::DISPATCH_FRACTION);
         assert!(p.batch_tuple_cost(4096) > floor);
-        // Scan formulas agree at batch_size = 1.
-        assert!(close(
-            p.seq_scan_batched(100.0, 1000.0, 0.02, 1),
-            p.seq_scan(100.0, 1000.0, 0.02)
-        ));
-        assert!(close(
-            p.parallel_seq_scan_batched(100.0, 1000.0, 0.02, 4, 1),
-            p.parallel_seq_scan(100.0, 1000.0, 0.02, 4)
-        ));
-        assert!(p.seq_scan_batched(100.0, 1000.0, 0.02, 1024) < p.seq_scan(100.0, 1000.0, 0.02));
+        assert!(p.seq_scan(100.0, 1000.0, 0.02, 1024) < p.seq_scan(100.0, 1000.0, 0.02, 1));
     }
 
     #[test]
     fn index_scan_cheaper_than_seq_for_selective_probe() {
         let p = CostParams::default();
         // 1000-page table, 100k rows; index probe touching 3 pages, 10 rows.
-        let seq = p.seq_scan(1000.0, 100_000.0, p.cpu_operator_cost);
+        let seq = p.seq_scan(1000.0, 100_000.0, p.cpu_operator_cost, 1);
         let idx = p.index_scan(3.0, 0.1, 10.0, p.cpu_operator_cost);
         assert!(idx < seq / 10.0);
     }

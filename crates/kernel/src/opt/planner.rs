@@ -725,12 +725,12 @@ impl Planner<'_> {
         // vectorizes extension operators that registered a batch hook —
         // everything else falls back to scalar eval, so batch-size
         // costing applies only when the pushed-down filter contains such
-        // an operator.  `batch = 1` otherwise (and when batching is
-        // disabled), which collapses the batched formulas to the
-        // row-at-a-time ones and keeps plain-predicate plans unchanged.
+        // an operator.  `batch = 1` otherwise, which collapses the batched
+        // formulas to the row-at-a-time ones and keeps plain-predicate
+        // plans unchanged.
         let has_batch_kernel = local.iter().any(|e| self.expr_has_batch_kernel(e));
         let annotation = local.iter().find_map(|e| self.expr_strategy_label(e));
-        let batch = if has_batch_kernel && crate::exec::batch_enabled(self.session) {
+        let batch = if has_batch_kernel {
             crate::exec::effective_batch_size(self.session)
         } else {
             1
@@ -738,7 +738,7 @@ impl Planner<'_> {
 
         // Sequential scan.
         {
-            let mut cost = params.seq_scan_batched(rel.pages, rel.rows, per_row, batch);
+            let mut cost = params.seq_scan(rel.pages, rel.rows, per_row, batch);
             if !flag(self.session, "enable_seqscan") {
                 cost += DISABLED_COST;
             }
@@ -769,7 +769,7 @@ impl Planner<'_> {
                 && rel.rows >= PARALLEL_MIN_ROWS
             {
                 let mut cost =
-                    params.parallel_seq_scan_batched(rel.pages, rel.rows, per_row, workers, batch);
+                    params.parallel_seq_scan(rel.pages, rel.rows, per_row, workers, batch);
                 if !flag(self.session, "enable_seqscan") {
                     cost += DISABLED_COST;
                 }

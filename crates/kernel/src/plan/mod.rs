@@ -196,8 +196,7 @@ pub enum PhysOp {
 pub struct NodeActuals {
     /// Rows the node produced across all loops.
     pub rows: u64,
-    /// Batches the node produced across all loops (0 when the node was
-    /// driven row-at-a-time, e.g. under `SET enable_batch = 0`).
+    /// Batches the node produced across all loops.
     pub batches: u64,
     /// Times the node was started (1 + pulled rescans).
     pub loops: u64,

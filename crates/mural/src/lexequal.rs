@@ -26,16 +26,6 @@ pub const THRESHOLD_VAR: &str = "lexequal.threshold";
 /// example of the paper's Figure 2 uses 2).
 pub const DEFAULT_THRESHOLD: i64 = 2;
 
-/// Session variable gating the bit-parallel Myers kernel inside the ψ
-/// batch path (`SET lexequal.myers = 0` falls back to the banded DP —
-/// the A/B knob the `batch_exec` bench uses to isolate the kernel win).
-pub const MYERS_VAR: &str = "lexequal.myers";
-
-/// Is the Myers kernel enabled for batch ψ (default: yes)?
-pub fn myers_enabled(session: &SessionVars) -> bool {
-    session.get_int(MYERS_VAR, 1) != 0
-}
-
 thread_local! {
     /// Reused DP rows for the banded edit distance — ψ joins evaluate
     /// millions of pairs and must not allocate per pair.
@@ -113,6 +103,10 @@ pub fn psi_matches(
 ///   [`MyersMatcher`]), falling back to the banded DP above that — both
 ///   reuse one thread-local [`DistanceBuffer`], borrowed once per batch
 ///   instead of once per row.
+///
+/// The engine always passes `use_myers = true`; `false` forces the banded
+/// DP for every length and exists only as the reference the unit tests
+/// and the layer benchmark compare the kernel against.
 pub fn psi_matches_batch(
     lefts: &[&Datum],
     r: &Datum,
@@ -214,7 +208,7 @@ pub fn lexequal_operator(
         }),
         eval_batch: Some(Arc::new(move |lefts, r, session| {
             let k = threshold(session);
-            psi_matches_batch(lefts, r, k, &batch_convs, myers_enabled(session))
+            psi_matches_batch(lefts, r, k, &batch_convs, true)
         })),
         // Table 1: ψ commutes, associates, and distributes over ∪.
         kind: OperatorKind {
@@ -419,7 +413,7 @@ mod tests {
             }
         }
         // The registered hook agrees with the free function and honors
-        // the session knobs.
+        // the session threshold.
         let hook = op.eval_batch.as_ref().unwrap();
         let mut session = SessionVars::new();
         session.set(THRESHOLD_VAR, Datum::Int(2));
@@ -428,15 +422,6 @@ mod tests {
         let direct = psi_matches_batch(&lefts, &rhs, 2, &convs, true).unwrap();
         for (a, b) in via_hook.iter().zip(&direct) {
             assert!(a.is_true() == b.is_true());
-        }
-        session.set(MYERS_VAR, Datum::Int(0));
-        assert!(!myers_enabled(&session));
-        let banded = hook(&lefts, &rhs, &session).unwrap();
-        for (a, b) in banded.iter().zip(&direct) {
-            assert!(
-                a.is_true() == b.is_true(),
-                "myers knob must not change results"
-            );
         }
     }
 

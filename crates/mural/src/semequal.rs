@@ -151,19 +151,38 @@ impl SemState {
         Self::synsets_in(&self.taxonomy.read(), v)
     }
 
-    /// The Ω membership test of Figure 5, on the default (interval-first)
-    /// path.
-    pub fn omega_matches(&self, l: &UniText, r: &UniText) -> bool {
-        self.omega_matches_opt(l, r, true)
+    /// Interval verdict for one LHS value: whether some `(root, s)` pair
+    /// is an interval hit, and otherwise the positions in `rhs` of the
+    /// roots whose miss the index defers (dirty subtrees).  A miss with
+    /// nothing deferred is an exact negative.
+    fn probe_intervals(
+        idx: &IntervalIndex,
+        rhs: &[SynsetId],
+        lhs: &[SynsetId],
+    ) -> (bool, Vec<usize>) {
+        let mut undecided = Vec::new();
+        for (i, &root) in rhs.iter().enumerate() {
+            let mut deferred = false;
+            for &s in lhs {
+                match idx.contains(root, s) {
+                    Some(true) => return (true, Vec::new()),
+                    Some(false) => {}
+                    None => deferred = true,
+                }
+            }
+            if deferred {
+                undecided.push(i);
+            }
+        }
+        (false, undecided)
     }
 
-    /// Ω membership with an explicit strategy switch: when
-    /// `use_intervals` (the `enable_omega_intervals` session default) the
-    /// probe is decided by interval containment — one range comparison
-    /// per (RHS, LHS) synset pair, no shard lock — and only falls back to
-    /// the memoized hash closure when the index defers (interval miss
-    /// under an exception-edge subtree).
-    pub fn omega_matches_opt(&self, l: &UniText, r: &UniText, use_intervals: bool) -> bool {
+    /// The Ω membership test of Figure 5.  The probe is decided by
+    /// interval containment — one range comparison per (RHS, LHS) synset
+    /// pair, no shard lock — and falls back to the memoized hash closure
+    /// only for the roots the index defers (interval miss under an
+    /// exception-edge subtree).
+    pub fn omega_matches(&self, l: &UniText, r: &UniText) -> bool {
         let taxonomy = self.taxonomy.read();
         let rhs = Self::synsets_in(&taxonomy, r);
         if rhs.is_empty() {
@@ -173,37 +192,16 @@ impl SemState {
         if lhs.is_empty() {
             return false;
         }
-        let mut undecided: Vec<SynsetId> = Vec::new();
-        if use_intervals {
-            let idx = self.intervals.read();
-            let m = mlql_kernel::obs::metrics();
-            for &root in &rhs {
-                let mut deferred = false;
-                for &s in &lhs {
-                    match idx.contains(root, s) {
-                        Some(true) => {
-                            m.omega_interval_hits_total.add(1);
-                            return true;
-                        }
-                        Some(false) => {}
-                        None => deferred = true,
-                    }
-                }
-                if deferred {
-                    undecided.push(root);
-                }
-            }
-            if undecided.is_empty() {
-                m.omega_interval_hits_total.add(1);
-                return false;
-            }
-            m.omega_interval_fallbacks_total.add(1);
-        } else {
-            undecided = rhs;
+        let m = mlql_kernel::obs::metrics();
+        let (hit, undecided) = Self::probe_intervals(&self.intervals.read(), &rhs, &lhs);
+        if hit || undecided.is_empty() {
+            m.omega_interval_hits_total.add(1);
+            return hit;
         }
+        m.omega_interval_fallbacks_total.add(1);
         let (hits_before, misses_before) = self.cache.stats();
-        let matched = undecided.iter().any(|&root| {
-            let closure = self.cache.closure(&taxonomy, root);
+        let matched = undecided.iter().any(|&i| {
+            let closure = self.cache.closure(&taxonomy, rhs[i]);
             lhs.iter().any(|s| closure.contains(s))
         });
         self.publish_cache_delta(hits_before, misses_before);
@@ -214,40 +212,23 @@ impl SemState {
     ///
     /// Result-identical to [`Self::omega_matches`] on every element, but
     /// one taxonomy read guard covers the batch, the RHS synsets are
-    /// resolved once, each needed closure is fetched from the shared
-    /// cache **once** (instead of one shard acquisition per row), and
-    /// each distinct LHS value is probed once — repeated hierarchy
-    /// values, the common case in a scan, hit a batch-local memo.
+    /// resolved once and each distinct LHS value is probed once —
+    /// repeated hierarchy values, the common case in a scan, hit a
+    /// batch-local memo.  A distinct LHS value costs one range comparison
+    /// per RHS synset; the shared closure cache is touched only for
+    /// probes the index defers, each needed closure is fetched from it
+    /// **once** per batch, and interval hit/fallback counters are
+    /// accumulated locally and published once per batch.
     pub fn omega_matches_batch(
         &self,
         lefts: &[&Datum],
         r: &Datum,
     ) -> mlql_kernel::Result<Vec<Datum>> {
-        self.omega_matches_batch_opt(lefts, r, true)
-    }
-
-    /// Batch Ω with the explicit strategy switch of
-    /// [`Self::omega_matches_opt`].  On the interval path a distinct LHS
-    /// value costs one range comparison per RHS synset — the comparison
-    /// vectorizes trivially across the batch — and the shared closure
-    /// cache is touched only for probes the index defers; interval
-    /// hit/fallback counters are accumulated locally and published once
-    /// per batch.
-    pub fn omega_matches_batch_opt(
-        &self,
-        lefts: &[&Datum],
-        r: &Datum,
-        use_intervals: bool,
-    ) -> mlql_kernel::Result<Vec<Datum>> {
         use std::collections::{HashMap, HashSet};
         let rv = unitext_of_datum(r)?;
         let taxonomy = self.taxonomy.read();
         let rhs = Self::synsets_in(&taxonomy, &rv);
-        let idx = if use_intervals {
-            Some(Arc::clone(&self.intervals.read()))
-        } else {
-            None
-        };
+        let idx = Arc::clone(&self.intervals.read());
         let (hits_before, misses_before) = self.cache.stats();
         // Closures resolve lazily (scalar Ω short-circuits across RHS
         // synsets, so an always-matching first root never pays for the
@@ -269,28 +250,11 @@ impl SemState {
                     };
                     let v = if lhs.is_empty() {
                         false
-                    } else if let Some(idx) = idx.as_deref() {
-                        let mut decided_true = false;
-                        let mut undecided: Vec<usize> = Vec::new();
-                        'roots: for (i, &root) in rhs.iter().enumerate() {
-                            let mut deferred = false;
-                            for &s in &lhs {
-                                match idx.contains(root, s) {
-                                    Some(true) => {
-                                        decided_true = true;
-                                        break 'roots;
-                                    }
-                                    Some(false) => {}
-                                    None => deferred = true,
-                                }
-                            }
-                            if deferred {
-                                undecided.push(i);
-                            }
-                        }
-                        if decided_true || undecided.is_empty() {
+                    } else {
+                        let (hit, undecided) = Self::probe_intervals(&idx, &rhs, &lhs);
+                        if hit || undecided.is_empty() {
                             interval_hits += 1;
-                            decided_true
+                            hit
                         } else {
                             interval_fallbacks += 1;
                             undecided.iter().any(|&i| {
@@ -299,12 +263,6 @@ impl SemState {
                                 lhs.iter().any(|s| closure.contains(s))
                             })
                         }
-                    } else {
-                        rhs.iter().enumerate().any(|(i, &root)| {
-                            let closure = closures[i]
-                                .get_or_insert_with(|| self.cache.closure(&taxonomy, root));
-                            lhs.iter().any(|s| closure.contains(s))
-                        })
                     };
                     memo.insert(l, v);
                     v
@@ -361,27 +319,9 @@ impl SemState {
     }
 }
 
-/// Per-pair CPU cost of Ω on the memoized-closure path (Table 3 units).
-pub const OMEGA_CLOSURE_TUPLE_COST: f64 = 80.0;
-/// Per-pair CPU cost of Ω on the interval path: a UniText decode plus a
-/// single range comparison — the same order as a ψ band check.
+/// Per-pair CPU cost of Ω (Table 3 units): a UniText decode plus a single
+/// range comparison — the same order as a ψ band check.
 pub const OMEGA_INTERVAL_TUPLE_COST: f64 = 12.0;
-
-/// Is the interval fast path enabled for this session?  `SET
-/// enable_omega_intervals = 0` is the escape hatch back to the pure
-/// closure-walk implementation; the default is on, overridable
-/// process-wide via `MLQL_OMEGA_INTERVALS` (CI runs the equivalence
-/// suites under both strategies with it).
-pub fn omega_intervals_enabled(session: &mlql_kernel::catalog::SessionVars) -> bool {
-    static DEFAULT: std::sync::OnceLock<i64> = std::sync::OnceLock::new();
-    let default = *DEFAULT.get_or_init(|| {
-        std::env::var("MLQL_OMEGA_INTERVALS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(1)
-    });
-    session.get_int("enable_omega_intervals", default) != 0
-}
 
 /// Build the Ω [`ExtOperator`].
 pub fn semequal_operator(
@@ -395,17 +335,13 @@ pub fn semequal_operator(
     ExtOperator {
         name: "semequal".into(),
         operand_type: DataType::Ext(unitext_type),
-        eval: Arc::new(move |l, r, session| {
+        eval: Arc::new(move |l, r, _| {
             let lv = unitext_of_datum(l)?;
             let rv = unitext_of_datum(r)?;
-            Ok(Datum::Bool(eval_state.omega_matches_opt(
-                &lv,
-                &rv,
-                omega_intervals_enabled(session),
-            )))
+            Ok(Datum::Bool(eval_state.omega_matches(&lv, &rv)))
         }),
-        eval_batch: Some(Arc::new(move |lefts, r, session| {
-            batch_state.omega_matches_batch_opt(lefts, r, omega_intervals_enabled(session))
+        eval_batch: Some(Arc::new(move |lefts, r, _| {
+            batch_state.omega_matches_batch(lefts, r)
         })),
         // Table 1: Ω does NOT commute (subsumption is directional) but
         // distributes over ∪.
@@ -413,21 +349,9 @@ pub fn semequal_operator(
             commutative: false,
             distributes_over_union: true,
         },
-        // Per evaluated pair.  On the closure path: UniText decode, two
-        // word-index probes, a cache-mutex acquisition and a hash-set
-        // membership test — 80 units, calibrated against measurement (the
-        // Figure 6 Ω points sit on the same cost-vs-runtime line as ψ
-        // with this value).  On the interval path the shard lock and hash
-        // probe vanish: one range comparison per pair, costed like a
-        // cheap range predicate so the planner treats interval-Ω scans
-        // accordingly.
-        per_tuple_cost: Arc::new(|session, _| {
-            if omega_intervals_enabled(session) {
-                OMEGA_INTERVAL_TUPLE_COST
-            } else {
-                OMEGA_CLOSURE_TUPLE_COST
-            }
-        }),
+        // Per evaluated pair: no shard lock, no hash probe — one range
+        // comparison, costed like a cheap range predicate.
+        per_tuple_cost: Arc::new(|_, _| OMEGA_INTERVAL_TUPLE_COST),
         // §3.4.2.
         selectivity: Arc::new(move |input| {
             let exact = input
@@ -458,15 +382,8 @@ pub fn semequal_operator(
             })
         })),
         index_scan_fraction: None,
-        // EXPLAIN surfaces which containment implementation the session
-        // will run: the interval index or the memoized closure walk.
-        strategy_label: Some(Arc::new(|session| {
-            if omega_intervals_enabled(session) {
-                "intervals".to_string()
-            } else {
-                "closure-fallback".to_string()
-            }
-        })),
+        // EXPLAIN names the containment implementation on the scan node.
+        strategy_label: Some(Arc::new(|_| "intervals".to_string())),
     }
 }
 
@@ -536,27 +453,50 @@ mod tests {
         assert!(!(op.eval)(&history, &unknown, &session).unwrap().is_true());
     }
 
-    #[test]
-    fn closure_cache_amortizes_repeated_rhs() {
-        let (langs, state, op) = setup();
-        // Pin the legacy closure path: with intervals on, these probes
-        // never touch the cache at all.
-        let mut session = SessionVars::new();
-        session.set("enable_omega_intervals", Datum::Int(0));
-        let history = ut(&langs, "History", "English");
-        for cat in ["Historiography", "Biography", "Fiction", "Novel"] {
-            let lhs = ut(&langs, cat, "English");
-            let _ = (op.eval)(&lhs, &history, &session).unwrap();
-        }
-        let (hits, misses) = state.cache.stats();
-        assert_eq!(misses, 1, "one closure for the repeated RHS");
-        assert!(hits >= 3);
+    /// Give Autobiography a second parent (History, next to Biography):
+    /// History's closure is unchanged, but its subtree now emits an
+    /// exception edge, so interval misses under it defer to the closure
+    /// walk — the only way to reach that path.
+    fn make_history_dirty(langs: &LanguageRegistry, state: &SemState) {
+        let en = langs.id_of("English");
+        let h = state.synsets_of(&UniText::compose("History", en))[0];
+        let a = state.synsets_of(&UniText::compose("Autobiography", en))[0];
+        state.add_hyponym(h, a);
+        assert!(state.intervals().has_exceptions());
     }
 
     #[test]
-    fn interval_path_skips_closure_cache_entirely() {
+    fn closure_cache_amortizes_repeated_rhs() {
         let (langs, state, op) = setup();
-        let session = SessionVars::new(); // intervals default on
+        make_history_dirty(&langs, &state);
+        let session = SessionVars::new();
+        let history = ut(&langs, "History", "English");
+        let fallbacks = || {
+            mlql_kernel::obs::metrics()
+                .omega_interval_fallbacks_total
+                .get()
+        };
+        let fallbacks_before = fallbacks();
+        let verdicts: Vec<bool> = ["Historiography", "Autobiography", "Fiction", "Novel"]
+            .iter()
+            .map(|cat| {
+                let lhs = ut(&langs, cat, "English");
+                (op.eval)(&lhs, &history, &session).unwrap().is_true()
+            })
+            .collect();
+        assert_eq!(verdicts, [true, true, false, false]);
+        // The two members are interval hits; the two non-members miss
+        // under a dirty root and share one memoized closure.
+        assert!(fallbacks() - fallbacks_before >= 2);
+        let (hits, misses) = state.cache.stats();
+        assert_eq!(misses, 1, "one closure for the repeated RHS");
+        assert_eq!(hits, 1);
+    }
+
+    #[test]
+    fn tree_taxonomy_skips_closure_cache_entirely() {
+        let (langs, state, op) = setup();
+        let session = SessionVars::new();
         let history = ut(&langs, "History", "English");
         for cat in ["Historiography", "Biography", "Fiction", "Novel"] {
             let lhs = ut(&langs, cat, "English");
@@ -567,8 +507,11 @@ mod tests {
         assert!(state.cache.is_empty(), "no closure materialized");
     }
 
+    /// Ω against the independent oracle — `compute_closure` membership —
+    /// on the tree-shaped fixture and again once a multi-parent graft
+    /// forces part of the probes through the closure fallback.
     #[test]
-    fn interval_and_closure_paths_agree_everywhere() {
+    fn omega_agrees_with_closure_oracle_everywhere() {
         let (langs, state, _op) = setup();
         let cats = [
             ("History", "English"),
@@ -581,15 +524,25 @@ mod tests {
             ("சரித்திரம்", "Tamil"),
             ("Astrogation", "English"), // unknown
         ];
-        for (lt, ll) in cats {
-            for (rt, rl) in cats {
-                let l = UniText::compose(lt, langs.id_of(ll));
-                let r = UniText::compose(rt, langs.id_of(rl));
-                assert_eq!(
-                    state.omega_matches_opt(&l, &r, true),
-                    state.omega_matches_opt(&l, &r, false),
-                    "{lt}({ll}) Ω {rt}({rl}) diverged between strategies"
-                );
+        for graft in [false, true] {
+            if graft {
+                make_history_dirty(&langs, &state);
+            }
+            let taxonomy = state.taxonomy();
+            for (lt, ll) in cats {
+                for (rt, rl) in cats {
+                    let l = UniText::compose(lt, langs.id_of(ll));
+                    let r = UniText::compose(rt, langs.id_of(rl));
+                    let want = state.synsets_of(&r).iter().any(|&root| {
+                        let closure = mlql_taxonomy::closure::compute_closure(&taxonomy, root);
+                        state.synsets_of(&l).iter().any(|s| closure.contains(s))
+                    });
+                    assert_eq!(
+                        state.omega_matches(&l, &r),
+                        want,
+                        "{lt}({ll}) Ω {rt}({rl}) diverged from the closure oracle (graft={graft})"
+                    );
+                }
             }
         }
     }
@@ -597,10 +550,10 @@ mod tests {
     #[test]
     fn taxonomy_mutation_invalidates_memoized_closures() {
         let (langs, state, op) = setup();
-        // Exercise the closure path; interval-path mutation visibility is
-        // covered by `taxonomy_mutation_rebuilds_interval_index`.
-        let mut session = SessionVars::new();
-        session.set("enable_omega_intervals", Datum::Int(0));
+        // Exercise the closure fallback; interval-path mutation visibility
+        // is covered by `taxonomy_mutation_rebuilds_interval_index`.
+        make_history_dirty(&langs, &state);
+        let session = SessionVars::new();
         let history = ut(&langs, "History", "English");
         let fiction = ut(&langs, "Fiction", "English");
         // Fiction is not under History; the probe memoizes History's closure.
@@ -623,7 +576,7 @@ mod tests {
     #[test]
     fn taxonomy_mutation_rebuilds_interval_index() {
         let (langs, state, op) = setup();
-        let session = SessionVars::new(); // intervals default on
+        let session = SessionVars::new();
         let history = ut(&langs, "History", "English");
         let fiction = ut(&langs, "Fiction", "English");
         let v0 = state.interval_version();
@@ -672,11 +625,6 @@ mod tests {
                 let want = (op.eval)(l, &rhs, &session).unwrap().is_true();
                 assert!(got.is_true() == want, "mismatch for {l:?} Ω {rhs:?}");
             }
-            // Both batch strategies agree element-wise.
-            let closure_batch = state.omega_matches_batch_opt(&lefts, &rhs, false).unwrap();
-            for (a, b) in batch.iter().zip(&closure_batch) {
-                assert!(a.is_true() == b.is_true(), "strategy divergence on {rhs:?}");
-            }
         }
         // The registered hook routes to the same batch entry point.
         let hook = op.eval_batch.as_ref().unwrap();
@@ -691,16 +639,15 @@ mod tests {
     #[test]
     fn batch_eval_resolves_each_closure_once() {
         let (langs, state, _op) = setup();
+        // Dirty root: Fiction and Novel miss the interval and fall back.
+        make_history_dirty(&langs, &state);
         let history = ut(&langs, "History", "English");
         let lefts_owned: Vec<Datum> = ["Historiography", "Biography", "Fiction", "Novel"]
             .iter()
             .map(|c| ut(&langs, c, "English"))
             .collect();
         let lefts: Vec<&Datum> = lefts_owned.iter().collect();
-        // Closure path: the interval path would resolve zero closures.
-        state
-            .omega_matches_batch_opt(&lefts, &history, false)
-            .unwrap();
+        state.omega_matches_batch(&lefts, &history).unwrap();
         let (hits, misses) = state.cache.stats();
         assert_eq!(misses, 1, "one closure for the whole batch");
         assert_eq!(

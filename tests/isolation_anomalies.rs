@@ -14,11 +14,10 @@ use mlql::mural::types::unitext_datum;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
-/// Worker counts × batch modes every read-side assertion is re-checked
-/// at: snapshot semantics must be identical through the serial executor,
-/// the morsel-parallel gather, and the batch spine.
+/// Worker counts every read-side assertion is re-checked at: snapshot
+/// semantics must be identical through the serial executor and the
+/// morsel-parallel gather.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
-const BATCH_MODES: [&str; 2] = ["SET enable_batch = 0", "SET enable_batch = 1"];
 
 fn plain_db() -> Database {
     Database::new_in_memory()
@@ -317,14 +316,7 @@ fn psi_scan_snapshot_ignores_concurrent_lexicon_inserts() {
     // ...while A's snapshot stays pinned, whatever the executor shape.
     for &w in &WORKER_COUNTS {
         a.execute(&format!("SET parallel_workers = {w}")).unwrap();
-        for batch in BATCH_MODES {
-            a.execute(batch).unwrap();
-            assert_eq!(
-                int(&mut a, psi),
-                before,
-                "ψ snapshot leaked at workers={w} [{batch}]"
-            );
-        }
+        assert_eq!(int(&mut a, psi), before, "ψ snapshot leaked at workers={w}");
     }
     a.execute("COMMIT").unwrap();
     assert_eq!(int(&mut a, psi), before + EXTRA);
@@ -332,7 +324,7 @@ fn psi_scan_snapshot_ignores_concurrent_lexicon_inserts() {
 
 /// The same pin for Ω (SemEQUAL) closure probes: rows categorized under
 /// the probe's subtree that commit mid-transaction stay invisible to the
-/// open snapshot at every worker count and batch mode.
+/// open snapshot at every worker count.
 #[test]
 fn omega_scan_snapshot_ignores_concurrent_inserts() {
     let (mut db, mural) = mural_db();
@@ -380,14 +372,11 @@ fn omega_scan_snapshot_ignores_concurrent_inserts() {
     assert_eq!(int(&mut fresh, omega), before + 2);
     for &w in &WORKER_COUNTS {
         a.execute(&format!("SET parallel_workers = {w}")).unwrap();
-        for batch in BATCH_MODES {
-            a.execute(batch).unwrap();
-            assert_eq!(
-                int(&mut a, omega),
-                before,
-                "Ω snapshot leaked at workers={w} [{batch}]"
-            );
-        }
+        assert_eq!(
+            int(&mut a, omega),
+            before,
+            "Ω snapshot leaked at workers={w}"
+        );
     }
     a.execute("COMMIT").unwrap();
     assert_eq!(int(&mut a, omega), before + 2);
@@ -514,7 +503,7 @@ proptest! {
     /// Random interleavings of three transactional sessions over disjoint
     /// key partitions: after the dust settles, the table must equal a
     /// serial replay of exactly the committed transactions, in commit
-    /// order — checked at workers 1/2/4 × batch on/off.  Mid-run, every
+    /// order — checked at workers 1/2/4.  Mid-run, every
     /// fresh snapshot must equal the committed prefix.
     #[test]
     fn interleaved_transactions_match_serial_oracle(
@@ -562,14 +551,8 @@ proptest! {
         let expect = model_rows(&run.model);
         for &w in &WORKER_COUNTS {
             run.checker.execute(&format!("SET parallel_workers = {w}")).unwrap();
-            for batch in BATCH_MODES {
-                run.checker.execute(batch).unwrap();
-                let got = sorted_rows(&mut run.checker, "SELECT k, v FROM kv");
-                prop_assert_eq!(
-                    &got, &expect,
-                    "final state diverged at workers={} [{}]", w, batch
-                );
-            }
+            let got = sorted_rows(&mut run.checker, "SELECT k, v FROM kv");
+            prop_assert_eq!(&got, &expect, "final state diverged at workers={}", w);
         }
     }
 }

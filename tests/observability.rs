@@ -4,6 +4,7 @@
 
 use mlql::kernel::{obs, Database};
 use mlql::mural::install;
+use mlql::unitext::UniText;
 
 fn db() -> Database {
     let mut db = Database::new_in_memory();
@@ -93,20 +94,22 @@ fn explain_analyze_lexequal_index_scan_actuals() {
     assert!(text.contains("execute="), "{text}");
 }
 
-/// Golden test: a SemEQUAL closure plan attributes rows and ext-op calls
-/// to the scan node evaluating Ω.
+/// Golden test: a SemEQUAL plan over a DAG-shaped taxonomy attributes
+/// rows and ext-op calls to the scan node evaluating Ω, and the probes the
+/// interval index defers reach the memoized closure walk.
 #[test]
-fn explain_analyze_semequal_closure_actuals() {
-    let mut db = db();
+fn explain_analyze_semequal_closure_fallback_actuals() {
+    let mut db = Database::new_in_memory();
+    let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE book (id INT, category UNITEXT)")
         .unwrap();
-    // Four of five categories sit in History's closure (the fixture
-    // taxonomy of Figure 4); Novel does not.
+    // Three of five categories sit in History's closure (the fixture
+    // taxonomy of Figure 4); Fiction and Novel do not.
     for (id, cat, lang) in [
         (1, "History", "English"),
         (2, "Historiography", "English"),
-        (3, "Autobiography", "English"),
-        (4, "சரித்திரம்", "Tamil"),
+        (3, "சரித்திரம்", "Tamil"),
+        (4, "Fiction", "English"),
         (5, "Novel", "English"),
     ] {
         db.execute(&format!(
@@ -115,10 +118,14 @@ fn explain_analyze_semequal_closure_actuals() {
         .unwrap();
     }
     db.execute("ANALYZE book").unwrap();
-    // Pin the closure-walk strategy: the interval index (the default)
-    // decides containment without touching the closure cache, so the
-    // cache-hit assertions below only hold on the fallback path.
-    db.execute("SET enable_omega_intervals = 0").unwrap();
+    // The only way onto the closure walk: a second parent for
+    // Autobiography makes History's subtree emit an exception edge, so
+    // interval misses under History (Fiction, Novel) are undecidable.
+    let en = mural.langs.id_of("English");
+    let synset = |w: &str| mural.sem.synsets_of(&UniText::compose(w, en))[0];
+    mural
+        .sem
+        .add_hyponym(synset("History"), synset("Autobiography"));
     // Warm the shared closure cache (batch eval resolves each closure at
     // most once per query, so hits only show up on a repeated RHS root).
     db.execute(
@@ -128,6 +135,7 @@ fn explain_analyze_semequal_closure_actuals() {
     .unwrap();
 
     let hits_before = obs::metrics().taxonomy_closure_cache_hits_total.get();
+    let fallbacks_before = obs::metrics().omega_interval_fallbacks_total.get();
     let r = db
         .execute(
             "EXPLAIN ANALYZE SELECT count(*) FROM book \
@@ -139,18 +147,19 @@ fn explain_analyze_semequal_closure_actuals() {
     let nodes = node_actuals(&text);
     let (scan_rows, scan_line) = nodes.last().unwrap();
     assert!(scan_line.contains("Seq Scan on book"), "{text}");
-    assert!(
-        scan_line.contains("Containment: closure-fallback"),
-        "{text}"
-    );
-    assert_eq!(*scan_rows, 4, "closure members under History:\n{text}");
+    assert!(scan_line.contains("Containment: intervals"), "{text}");
+    assert_eq!(*scan_rows, 3, "closure members under History:\n{text}");
     // Ω evaluated once per scanned row — the reconciliation the cost
     // model's per-tuple charge assumes.
     assert!(text.contains("ext_op_calls=5"), "{text}");
-    // Repeated RHS roots hit the memoized closure.
-    let hits_after = obs::metrics().taxonomy_closure_cache_hits_total.get();
+    // The two non-members fell back, and the repeated RHS root hit the
+    // memoized closure.
     assert!(
-        hits_after > hits_before,
+        obs::metrics().omega_interval_fallbacks_total.get() >= fallbacks_before + 2,
+        "deferred probes must be counted"
+    );
+    assert!(
+        obs::metrics().taxonomy_closure_cache_hits_total.get() > hits_before,
         "closure cache hits must be counted"
     );
 }
@@ -725,8 +734,8 @@ fn flight_recorder_respects_slow_query_ms_threshold() {
 /// under the session batch size (ceil(rows/batch_size) ≤ batches ≤ rows,
 /// since producers never emit empty or oversized batches), the query-level
 /// trailer and RunStats carry the root batch count, flight-recorder
-/// records persist it, and `SET enable_batch = 0` pins every counter to
-/// zero without changing row counts.
+/// records persist it, and the degenerate `SET batch_size = 1` makes
+/// every node's batch count equal its row count.
 #[test]
 fn explain_analyze_batch_counters_reconcile_with_rows() {
     let mut db = db();
@@ -803,21 +812,21 @@ fn explain_analyze_batch_counters_reconcile_with_rows() {
         "{rec}"
     );
 
-    // Row mode zeroes every batch counter but leaves rows identical.
-    db.execute("SET enable_batch = 0").unwrap();
+    // One-row batches: every node emits exactly as many batches as rows,
+    // and the rows are the same.
+    db.execute("SET batch_size = 1").unwrap();
     let r2 = db.execute(sql).unwrap();
     let text2 = r2.explain.expect("explain text");
     let nodes2 = node_actuals(&text2);
-    for (_, line) in &nodes2 {
-        assert_eq!(batches_of(line), 0, "row mode: {line}");
+    for (rows, line) in &nodes2 {
+        assert_eq!(batches_of(line), *rows, "batch_size = 1: {line}");
     }
     let (scan_rows2, _) = nodes2
         .iter()
         .find(|(_, l)| l.contains("Seq Scan on names"))
         .expect("scan node");
-    assert_eq!(scan_rows2, scan_rows, "row/batch modes agree on rows");
-    assert!(text2.contains(" batches=0 "), "{text2}");
-    assert_eq!(r2.stats.batches, 0);
+    assert_eq!(scan_rows2, scan_rows, "batch sizes agree on rows");
+    assert_eq!(r2.stats.batches, *scan_rows);
 }
 
 /// Wait-event instrumentation: contended catalog acquisition surfaces in

@@ -9,6 +9,10 @@ use mlql::mural::types::unitext_datum;
 fn db() -> (Database, mlql::mural::Mural) {
     let mut db = Database::new_in_memory();
     let m = install(&mut db).unwrap();
+    // The default worker count is the host's core count, and a parallel
+    // scan's CPU term divides by it: pin it so the plan shapes asserted
+    // here are the same on every machine.
+    db.execute("SET parallel_workers = 1").unwrap();
     (db, m)
 }
 

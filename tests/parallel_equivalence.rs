@@ -1,13 +1,15 @@
 //! Serial-equivalence suite for morsel-driven parallel execution: every
-//! query shape the engine parallelizes (ψ threshold scans, Ω closure
+//! query shape the engine parallelizes (ψ threshold scans, Ω containment
 //! probes, index vs sequential plans, LIMIT / max_rows, scans racing DDL)
 //! must return the *identical* result set at `parallel_workers = 1` and
 //! `parallel_workers = N` — the gather node merges worker batches in
-//! nondeterministic order, so comparisons are over sorted row sets.  A
-//! property test then fuzzes random multilingual tables and thresholds
-//! across the serial/parallel planner boundary (the ≥ 1024-row gate).
+//! nondeterministic order, so comparisons are over sorted row sets.  ψ
+//! and Ω results are additionally pinned, at every worker count × batch
+//! size, to oracles computed outside the executor.  A property test then
+//! fuzzes random multilingual tables and thresholds across the
+//! serial/parallel planner boundary (the ≥ 1024-row gate).
 
-use mlql::kernel::{Database, Error};
+use mlql::kernel::{Database, Datum, Error};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use mlql::unitext::UniText;
@@ -24,10 +26,16 @@ fn db() -> (Database, mlql::mural::Mural) {
 }
 
 /// Load `n` multilingual name rows (the Table 4 generator: cross-script
-/// homophones plus noise) into `table`, then ANALYZE so the planner sees
-/// the real row count.
-fn load_names(db: &mut Database, mural: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
-    db.execute(&format!("CREATE TABLE {table} (name UNITEXT)"))
+/// homophones plus noise) into `table (id, name)`, then ANALYZE so the
+/// planner sees the real row count.  Returns the name datums in id order.
+fn load_names(
+    db: &mut Database,
+    mural: &mlql::mural::Mural,
+    table: &str,
+    n: usize,
+    seed: u64,
+) -> Vec<Datum> {
+    db.execute(&format!("CREATE TABLE {table} (id INT, name UNITEXT)"))
         .unwrap();
     let data = mlql::datagen::names_dataset(
         &mural.langs,
@@ -38,11 +46,44 @@ fn load_names(db: &mut Database, mural: &mlql::mural::Mural, table: &str, n: usi
             ..Default::default()
         },
     );
-    for rec in data {
-        db.insert_row(table, vec![unitext_datum(mural.unitext_type, &rec.name)])
+    let names: Vec<Datum> = data
+        .iter()
+        .map(|rec| unitext_datum(mural.unitext_type, &rec.name))
+        .collect();
+    for (id, name) in names.iter().enumerate() {
+        db.insert_row(table, vec![Datum::Int(id as i64), name.clone()])
             .unwrap();
     }
     db.execute(&format!("ANALYZE {table}")).unwrap();
+    names
+}
+
+/// Load `n` docs rows `(id, category)` cycling through category words of
+/// the installed Books taxonomy, then ANALYZE.  Returns each row's
+/// category in id order.
+fn load_docs(db: &mut Database, mural: &mlql::mural::Mural, n: usize) -> Vec<UniText> {
+    const CATS: [(&str, &str); 6] = [
+        ("History", "English"),
+        ("Biography", "English"),
+        ("Fiction", "English"),
+        ("Novel", "English"),
+        ("Histoire", "French"),
+        ("சரித்திரம்", "Tamil"),
+    ];
+    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
+        .unwrap();
+    let categories: Vec<UniText> = (0..n)
+        .map(|i| {
+            let (w, l) = CATS[i % CATS.len()];
+            UniText::compose(w, mural.langs.id_of(l))
+        })
+        .collect();
+    for (id, v) in categories.iter().enumerate() {
+        let row = vec![Datum::Int(id as i64), unitext_datum(mural.unitext_type, v)];
+        db.insert_row("docs", row).unwrap();
+    }
+    db.execute("ANALYZE docs").unwrap();
+    categories
 }
 
 /// Run `sql` in a fresh session pinned to `workers`, returning the result
@@ -134,43 +175,6 @@ fn psi_threshold_scans_equivalent() {
     );
 }
 
-#[test]
-fn omega_closure_probes_equivalent() {
-    let (mut db, mural) = db();
-    // A docs table big enough to cross the parallel gate, categorized by
-    // words drawn from the installed Books taxonomy.
-    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
-        .unwrap();
-    let cats = [
-        ("History", "English"),
-        ("Biography", "English"),
-        ("Fiction", "English"),
-        ("Novel", "English"),
-        ("Histoire", "French"),
-        ("சரித்திரம்", "Tamil"),
-    ];
-    for i in 0..1400i64 {
-        let (w, l) = cats[i as usize % cats.len()];
-        let v = UniText::compose(w, mural.langs.id_of(l));
-        db.insert_row(
-            "docs",
-            vec![
-                mlql::kernel::Datum::Int(i),
-                unitext_datum(mural.unitext_type, &v),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("ANALYZE docs").unwrap();
-    for rhs in ["History", "Biography", "Fiction"] {
-        assert_equivalent(
-            &db,
-            &[],
-            &format!("SELECT id FROM docs WHERE category SEMEQUAL unitext('{rhs}','English')"),
-        );
-    }
-}
-
 /// Forced index plans and forced (parallel) sequential plans agree with
 /// each other at every worker count — the M-tree's fanned-out subtree
 /// probes included.
@@ -227,81 +231,115 @@ fn limit_and_max_rows_semantics_preserved() {
     }
 }
 
-/// Batch sizes every batch-mode query shape is checked at: the
-/// degenerate one-row batch, a small batch, the default, and the cap.
+/// Batch sizes every query shape is checked at: the degenerate one-row
+/// batch, a small batch, the default, and the cap.
 const BATCH_SIZES: [usize; 4] = [1, 64, 1024, 4096];
 
-/// The batch spine must be invisible in the results: for ψ scans, Ω
-/// probes, projections and aggregates, every (workers × batch_size)
-/// combination returns exactly the serial *row-mode* result set
-/// (`enable_batch = 0` is the pre-batch executor, our reference).
+/// Stringified sorted ids, the shape [`sorted_rows`] returns for
+/// `SELECT id ...`.
+fn sorted_ids(ids: impl Iterator<Item = usize>) -> Vec<String> {
+    let mut out: Vec<String> = ids.map(|i| i.to_string()).collect();
+    out.sort();
+    out
+}
+
+/// Batch and worker boundaries must be invisible in the results: for ψ
+/// scans, aggregates and plain projections, every (workers × batch_size)
+/// combination returns exactly what scalar `psi_matches` — evaluated here,
+/// outside the executor, over the rows as loaded — says it should.
 #[test]
-fn batch_mode_results_pinned_to_row_mode() {
+fn psi_results_pinned_to_scalar_oracle() {
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1500, 11);
-    let queries = [
-        "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru','English')".to_string(),
-        "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Gandhi','English')".to_string(),
-        "SELECT name FROM names".to_string(),
+    let names = load_names(&mut db, &mural, "names", 1500, 11);
+    let oracle = |probe: &str| -> Vec<usize> {
+        let probe = mural.unitext(probe, "English").unwrap();
+        let hit = |l: &Datum| mlql::mural::lexequal::psi_matches(l, &probe, 2, &mural.converters);
+        (0..names.len())
+            .filter(|&i| hit(&names[i]).unwrap())
+            .collect()
+    };
+    let nehru = sorted_ids(oracle("Nehru").into_iter());
+    assert!(!nehru.is_empty(), "probe must select something");
+    let cases = [
+        (
+            "SELECT id FROM names WHERE name LEXEQUAL unitext('Nehru','English')",
+            nehru,
+        ),
+        (
+            "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Gandhi','English')",
+            vec![oracle("Gandhi").len().to_string()],
+        ),
+        ("SELECT id FROM names", sorted_ids(0..names.len())),
     ];
-    for sql in &queries {
-        let threshold = "SET lexequal.threshold = 2";
-        let reference = sorted_rows(&db, 1, &[threshold, "SET enable_batch = 0"], sql);
+    for (sql, want) in &cases {
         for &w in &WORKER_COUNTS {
-            // Row mode at every worker count agrees with serial row mode.
-            let row_mode = sorted_rows(&db, w, &[threshold, "SET enable_batch = 0"], sql);
-            assert_eq!(
-                row_mode, reference,
-                "row mode diverged at workers={w}: {sql}"
-            );
             for &b in &BATCH_SIZES {
                 let setup = format!("SET batch_size = {b}");
-                let got = sorted_rows(&db, w, &[threshold, &setup], sql);
-                assert_eq!(
-                    got, reference,
-                    "batch mode diverged at workers={w} batch_size={b}: {sql}"
-                );
+                let got = sorted_rows(&db, w, &["SET lexequal.threshold = 2", &setup], sql);
+                assert_eq!(&got, want, "workers={w} batch_size={b}: {sql}");
             }
         }
     }
 }
 
-/// Ω probes through the batch entry point (distinct-value memo, shared
-/// closure resolved once per batch) match row-mode results too.
+/// Ω containment against an oracle computed outside the executor —
+/// `compute_closure` membership over the rows as loaded — at every
+/// (workers × batch_size), on the tree-shaped taxonomy (all interval
+/// hits) and again after a taxonomy mutation grafts a multi-parent
+/// (exception) edge, the shape that sends part of the probes down the
+/// closure-walk fallback.
 #[test]
-fn omega_batch_results_pinned_to_row_mode() {
+fn omega_results_pinned_to_closure_oracle() {
     let (mut db, mural) = db();
-    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
-        .unwrap();
-    let cats = [
-        ("History", "English"),
-        ("Biography", "English"),
-        ("Fiction", "English"),
-        ("Histoire", "French"),
-    ];
-    for i in 0..1200i64 {
-        let (w, l) = cats[i as usize % cats.len()];
-        let v = UniText::compose(w, mural.langs.id_of(l));
-        db.insert_row(
-            "docs",
-            vec![
-                mlql::kernel::Datum::Int(i),
-                unitext_datum(mural.unitext_type, &v),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("ANALYZE docs").unwrap();
-    let sql = "SELECT id FROM docs WHERE category SEMEQUAL unitext('History','English')";
-    let reference = sorted_rows(&db, 1, &["SET enable_batch = 0"], sql);
-    assert!(!reference.is_empty(), "probe must select something");
-    for &w in &WORKER_COUNTS {
-        for &b in &BATCH_SIZES {
-            let setup = format!("SET batch_size = {b}");
-            let got = sorted_rows(&db, w, &[&setup], sql);
-            assert_eq!(got, reference, "Ω diverged at workers={w} batch_size={b}");
+    let categories = load_docs(&mut db, &mural, 1400);
+    let en = mural.langs.id_of("English");
+
+    let check_all = |db: &Database| {
+        let taxonomy = mural.sem.taxonomy();
+        for rhs in ["History", "Biography", "Fiction"] {
+            let closure: std::collections::HashSet<_> = mural
+                .sem
+                .synsets_of(&UniText::compose(rhs, en))
+                .into_iter()
+                .flat_map(|root| mlql::taxonomy::closure::compute_closure(&taxonomy, root))
+                .collect();
+            let want = sorted_ids((0..categories.len()).filter(|&i| {
+                let synsets = mural.sem.synsets_of(&categories[i]);
+                synsets.iter().any(|s| closure.contains(s))
+            }));
+            assert!(!want.is_empty(), "probe must select something");
+            let sql =
+                format!("SELECT id FROM docs WHERE category SEMEQUAL unitext('{rhs}','English')");
+            for &w in &WORKER_COUNTS {
+                for &b in &BATCH_SIZES {
+                    let setup = format!("SET batch_size = {b}");
+                    let got = sorted_rows(db, w, &[&setup], &sql);
+                    assert_eq!(got, want, "Ω diverged at workers={w} batch_size={b}: {sql}");
+                }
+            }
         }
-    }
+    };
+    check_all(&db);
+    assert!(mural.sem.cache.is_empty(), "tree taxonomy: no closure walk");
+
+    // Graft Fiction under both Literature (its tree parent) and History:
+    // the new multi-parent edge dirties the subtree of whichever parent
+    // does not own Fiction in the tree skeleton, so the interval index
+    // must defer probes there to the closure walk — and still agree.
+    let fallbacks = || {
+        mlql::kernel::obs::metrics()
+            .omega_interval_fallbacks_total
+            .get()
+    };
+    let fallbacks_before = fallbacks();
+    let history = mural.sem.synsets_of(&UniText::compose("History", en))[0];
+    let fiction = mural.sem.synsets_of(&UniText::compose("Fiction", en))[0];
+    mural.sem.add_hyponym(history, fiction);
+    check_all(&db);
+    assert!(
+        fallbacks() > fallbacks_before,
+        "graft must reach the fallback"
+    );
 }
 
 /// The `batch_size` session knob: settable, visible through SHOW, and
@@ -387,7 +425,7 @@ fn parallel_scans_race_concurrent_ddl() {
         }
         // Writer: inserts + DDL from the owning session.
         for i in 0..20 {
-            db.execute("INSERT INTO names VALUES (unitext('Nehru','English'))")
+            db.execute("INSERT INTO names VALUES (-1, unitext('Nehru','English'))")
                 .unwrap();
             match i {
                 5 => {
@@ -433,76 +471,6 @@ proptest! {
     }
 }
 
-/// The interval-labeled Ω containment index is invisible in the results:
-/// every (workers × batch on/off) combination returns byte-identical row
-/// sets with `enable_omega_intervals` on and off — including after a
-/// taxonomy mutation grafts a multi-parent (exception) edge, the shape
-/// that forces the index onto its closure-fallback path.
-#[test]
-fn omega_interval_strategy_equivalent() {
-    let (mut db, mural) = db();
-    db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
-        .unwrap();
-    let cats = [
-        ("History", "English"),
-        ("Biography", "English"),
-        ("Fiction", "English"),
-        ("Novel", "English"),
-        ("Histoire", "French"),
-        ("சரித்திரம்", "Tamil"),
-    ];
-    for i in 0..1400i64 {
-        let (w, l) = cats[i as usize % cats.len()];
-        let v = UniText::compose(w, mural.langs.id_of(l));
-        db.insert_row(
-            "docs",
-            vec![
-                mlql::kernel::Datum::Int(i),
-                unitext_datum(mural.unitext_type, &v),
-            ],
-        )
-        .unwrap();
-    }
-    db.execute("ANALYZE docs").unwrap();
-
-    let check_all = |db: &Database| {
-        for rhs in ["History", "Biography", "Fiction"] {
-            let sql =
-                format!("SELECT id FROM docs WHERE category SEMEQUAL unitext('{rhs}','English')");
-            let reference = sorted_rows(
-                db,
-                1,
-                &["SET enable_omega_intervals = 0", "SET enable_batch = 0"],
-                &sql,
-            );
-            for &w in &WORKER_COUNTS {
-                for batch in ["SET enable_batch = 0", "SET enable_batch = 1"] {
-                    for intervals in [
-                        "SET enable_omega_intervals = 0",
-                        "SET enable_omega_intervals = 1",
-                    ] {
-                        let got = sorted_rows(db, w, &[intervals, batch], &sql);
-                        assert_eq!(
-                            got, reference,
-                            "Ω diverged at workers={w} [{batch}; {intervals}]: {sql}"
-                        );
-                    }
-                }
-            }
-        }
-    };
-    check_all(&db);
-
-    // Graft Fiction under both Literature (its tree parent) and History:
-    // the new multi-parent edge dirties History's subtree, so the interval
-    // index must defer those probes to the closure walk — and still agree.
-    let en = mural.langs.id_of("English");
-    let history = mural.sem.synsets_of(&UniText::compose("History", en))[0];
-    let fiction = mural.sem.synsets_of(&UniText::compose("Fiction", en))[0];
-    mural.sem.add_hyponym(history, fiction);
-    check_all(&db);
-}
-
 /// MVCC pin under parallel execution: a snapshot taken before a parallel
 /// ψ scan starts must return the identical row set on every re-scan while
 /// another session commits matching rows mid-flight.  The worker threads
@@ -542,7 +510,7 @@ fn snapshot_pins_parallel_scan_against_concurrent_commits() {
             let mut w = db.connect();
             scope.spawn(move || {
                 for i in 0..EXTRA {
-                    w.execute("INSERT INTO names VALUES (unitext('Nehru','English'))")
+                    w.execute("INSERT INTO names VALUES (-1, unitext('Nehru','English'))")
                         .unwrap();
                     if i % 3 == 0 {
                         std::thread::sleep(std::time::Duration::from_millis(1));

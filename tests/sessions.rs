@@ -2,8 +2,10 @@
 //! DDL and INSERTs interleaved with LexEQUAL/SemEQUAL reads, and
 //! plan-cache invalidation across sessions.
 
-use mlql::kernel::{Database, Error};
+use mlql::kernel::{obs, Database, Error};
 use mlql::mural::install;
+use mlql::taxonomy::SynsetId;
+use mlql::unitext::UniText;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 fn db() -> Database {
@@ -257,6 +259,20 @@ fn failed_index_backfill_unregisters_index() {
     );
 }
 
+/// Give Autobiography a second parent (History, next to Biography):
+/// History's closure is unchanged but its subtree now emits an exception
+/// edge, so interval misses under History (e.g. Fiction) defer to the
+/// memoized closure walk — the only way to reach it.  Returns the
+/// (History, Fiction) synsets for further grafting.
+fn make_history_dirty(mural: &mlql::mural::Mural) -> (SynsetId, SynsetId) {
+    let en = mural.langs.id_of("English");
+    let synset = |w: &str| mural.sem.synsets_of(&UniText::compose(w, en))[0];
+    mural
+        .sem
+        .add_hyponym(synset("History"), synset("Autobiography"));
+    (synset("History"), synset("Fiction"))
+}
+
 /// Ω closure-cache invalidation is engine-wide: a taxonomy edit made
 /// through one session's view of the shared [`SemState`] must be visible
 /// to every other session immediately — no session may keep matching
@@ -275,25 +291,22 @@ fn omega_cache_invalidation_crosses_sessions() {
     let omega = "SELECT count(*) FROM docs WHERE category SEMEQUAL unitext('History','English')";
     let mut s1 = db.connect();
     let mut s2 = db.connect();
-    // Pin both sessions to the closure-walk fallback: the interval index
-    // (the default) never memoizes closures, and this test is about the
-    // shared *closure cache* invalidation protocol.
-    s1.execute("SET enable_omega_intervals = 0").unwrap();
-    s2.execute("SET enable_omega_intervals = 0").unwrap();
+    // On the tree-shaped fixture every probe is an interval compare: no
+    // closure is ever materialized.
+    assert_eq!(s1.query(omega).unwrap()[0][0].as_int(), Some(1));
+    assert!(mural.sem.cache.is_empty(), "tree taxonomy: no closure walk");
+    // This test is about the shared *closure cache* invalidation
+    // protocol, reachable only under an exception-edge root.
+    let (history, fiction) = make_history_dirty(&mural);
+    let fallbacks_before = obs::metrics().omega_interval_fallbacks_total.get();
     // Both sessions warm the shared cache: only Biography is under History.
     assert_eq!(s1.query(omega).unwrap()[0][0].as_int(), Some(1));
     assert_eq!(s2.query(omega).unwrap()[0][0].as_int(), Some(1));
     assert!(!mural.sem.cache.is_empty(), "closure memoized");
+    assert!(obs::metrics().omega_interval_fallbacks_total.get() >= fallbacks_before + 2);
 
     // Taxonomy INSERT (graft Fiction under History), conceptually issued
     // by session 1: the shared cache is invalidated...
-    let en = mural.langs.id_of("English");
-    let history = mural
-        .sem
-        .synsets_of(&mlql::unitext::UniText::compose("History", en))[0];
-    let fiction = mural
-        .sem
-        .synsets_of(&mlql::unitext::UniText::compose("Fiction", en))[0];
     mural.sem.add_hyponym(history, fiction);
     assert!(mural.sem.cache.is_empty(), "mutation must clear the cache");
     // ...and *both* sessions see the new edge at once.
@@ -321,18 +334,13 @@ fn omega_cache_never_serves_stale_closure_after_ddl() {
     let omega = "SELECT count(*) FROM docs WHERE category SEMEQUAL unitext('History','English')";
     let mut s = db.connect();
     // Closure-walk fallback: this regression is about the *closure cache*
-    // revalidating across taxonomy versions, which the interval index
-    // (the default path) bypasses entirely.
-    s.execute("SET enable_omega_intervals = 0").unwrap();
+    // revalidating across taxonomy versions, which interval-decided
+    // probes bypass entirely.
+    let (history, fiction) = make_history_dirty(&mural);
+    let fallbacks_before = obs::metrics().omega_interval_fallbacks_total.get();
     assert_eq!(s.query(omega).unwrap()[0][0].as_int(), Some(0));
+    assert!(obs::metrics().omega_interval_fallbacks_total.get() > fallbacks_before);
 
-    let en = mural.langs.id_of("English");
-    let history = mural
-        .sem
-        .synsets_of(&mlql::unitext::UniText::compose("History", en))[0];
-    let fiction = mural
-        .sem
-        .synsets_of(&mlql::unitext::UniText::compose("Fiction", en))[0];
     mural.sem.add_hyponym(history, fiction);
     // DDL from another session: flushes plans, replans everything.
     db.execute("CREATE TABLE scratch (id INT)").unwrap();
