@@ -16,8 +16,15 @@ use crate::storage::{
     StorageBackend, SyncMode, Wal, WalReader, WalRecord,
 };
 use parking_lot::{RwLockReadGuard, RwLockWriteGuard};
+use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
+
+/// Delete images pooled during WAL replay, per table id: the `(lsn,
+/// offset)` of the table's first pooled record — what a failure of the
+/// heap pass is reported against — and row image (version header
+/// excluded) → how many versions with that image to delete.
+type PooledDeletes = HashMap<u32, ((u64, u64), HashMap<Vec<u8>, usize>)>;
 
 /// A single-node database instance: a shared [`Engine`] plus one default
 /// [`Session`].  Open more sessions with [`Database::connect`].
@@ -140,6 +147,13 @@ impl Database {
         // which the snapshot's dead slots preserve).  `txn == 0` marks a
         // record committed at append time (pre-MVCC logs and synthetic
         // test records); anything else needs its Commit from pass 1.
+        //
+        // Between two DDL records a table's inserts and deletes commute
+        // (a Delete names its victim by row image, and equal images are
+        // interchangeable), so Delete images are pooled per table and
+        // applied in one heap pass — before the next DDL record, and at
+        // the end of the tail — instead of one heap scan per record.
+        let mut deletes = PooledDeletes::new();
         if let Some(mut reader) = WalReader::open(&wal_path)? {
             loop {
                 let offset = reader.offset();
@@ -162,14 +176,22 @@ impl Database {
                 if skip {
                     continue;
                 }
-                Self::apply_record(&mut db, rec).map_err(|e| Error::Replay {
-                    lsn,
-                    offset,
-                    source: Box::new(e),
+                if matches!(rec, WalRecord::Ddl { .. }) {
+                    // DDL may drop, create or index the tables the pooled
+                    // deletes address: settle them first.
+                    Self::apply_deletes(&mut db, &mut deletes)?;
+                }
+                Self::apply_record(&mut db, rec, (lsn, offset), &mut deletes).map_err(|e| {
+                    Error::Replay {
+                        lsn,
+                        offset,
+                        source: Box::new(e),
+                    }
                 })?;
                 crate::obs::metrics().recovery_replayed_records_total.inc();
             }
         }
+        Self::apply_deletes(&mut db, &mut deletes)?;
         if snap.is_some() {
             // Snapshot restore registered the index *definitions* only;
             // build the structures from the recovered heaps.  (The full-
@@ -184,7 +206,29 @@ impl Database {
         Ok(db)
     }
 
-    fn apply_record(db: &mut Database, rec: WalRecord) -> Result<()> {
+    /// Apply the pooled Delete images of the replayed tail, one heap pass
+    /// per table.
+    fn apply_deletes(db: &mut Database, deletes: &mut PooledDeletes) -> Result<()> {
+        for (table_id, ((lsn, offset), images)) in deletes.drain() {
+            let table = db.catalog().table_by_id(TableId(table_id));
+            table
+                .and_then(|meta| db.session.delete_matching_tuples(&meta.name, images))
+                .map_err(|e| Error::Replay {
+                    lsn,
+                    offset,
+                    source: Box::new(e),
+                })?;
+        }
+        Ok(())
+    }
+
+    /// Apply one committed record; `at` is its `(lsn, offset)`.
+    fn apply_record(
+        db: &mut Database,
+        rec: WalRecord,
+        at: (u64, u64),
+        deletes: &mut PooledDeletes,
+    ) -> Result<()> {
         match rec {
             WalRecord::Ddl { sql } => {
                 db.execute(&sql)?;
@@ -203,8 +247,8 @@ impl Database {
             WalRecord::Delete {
                 table_id, tuple, ..
             } => {
-                let name = db.catalog().table_by_id(TableId(table_id))?.name.clone();
-                db.session.delete_matching_tuple(&name, &tuple)?;
+                let (_, images) = deletes.entry(table_id).or_insert((at, HashMap::new()));
+                *images.entry(tuple).or_default() += 1;
             }
             // Pass 2 filters these out before `apply_record`; they carry
             // no heap effects of their own.

@@ -48,7 +48,10 @@
 
 use crate::catalog::{Catalog, ColumnStats, SessionVars, TableStats};
 use crate::error::{Error, Result};
-use crate::exec::{build_instrumented, drain_to_vec, run_to_vec, ExecCtx, ExecPool, ExecStats};
+use crate::exec::{
+    build_instrumented, drain_to_vec, run_to_vec, scan_target, ExecCtx, ExecPool, ExecStats,
+    HeapVersion,
+};
 use crate::expr::EvalCtx;
 use crate::obs::{self, QueryTrace, Stage, WaitClass, WaitProfile};
 use crate::opt;
@@ -58,7 +61,8 @@ use crate::snapshot::{self, Snapshot};
 use crate::sql::{self, Statement};
 use crate::storage::{
     decode_row, encode_row, encode_version, split_version, BufferPool, HeapFile, IoStats,
-    MemBackend, SharedWal, StorageBackend, SyncMode, WalRecord, FROZEN_TXN_ID, VERSION_HEADER_LEN,
+    MemBackend, SharedWal, StorageBackend, SyncMode, TupleId, WalRecord, FROZEN_TXN_ID,
+    VERSION_HEADER_LEN,
 };
 use crate::txn::{TransactionManager, TxnSnapshot, TxnVisibility, INVALID_TXN_ID};
 use crate::value::{DataType, Datum};
@@ -78,12 +82,13 @@ pub struct RunStats {
     pub index_node_visits: u64,
     /// Extension-operator (ψ/Ω) evaluations during the statement.
     pub ext_op_calls: u64,
-    /// Batches emitted by the plan root (0 for statements that run no
-    /// plan, e.g. DML; equals the row count at `batch_size = 1`).
+    /// Batches emitted by the plan root (0 for statements that pull no
+    /// batches, e.g. DML; equals the row count at `batch_size = 1`).
     pub batches: u64,
     /// Wall-clock execution time (excludes parse/plan).
     pub exec_time: Duration,
-    /// Optimizer-predicted total cost of the executed plan (queries only).
+    /// Optimizer-predicted total cost of the executed plan (queries, and
+    /// the victim scan of UPDATE/DELETE).
     pub est_cost: Option<f64>,
     /// Optimizer-predicted output rows.
     pub est_rows: Option<f64>,
@@ -92,8 +97,8 @@ pub struct RunStats {
     /// Engine-wide statement id (0 for statements run outside
     /// `Session::execute`, e.g. `query_ref`).
     pub query_id: u64,
-    /// FNV-1a digest of the executed physical plan (queries only, and
-    /// only while observability is enabled).
+    /// FNV-1a digest of the executed physical plan (queries and
+    /// UPDATE/DELETE victim scans, only while observability is enabled).
     pub plan_digest: Option<u64>,
     /// Waits suffered by the statement across every thread that worked
     /// on it (session thread, scan workers, WAL rendezvous).
@@ -107,7 +112,7 @@ pub struct QueryResult {
     pub schema: Schema,
     /// Result rows (empty for DDL/DML).
     pub rows: Vec<Row>,
-    /// `EXPLAIN` text, when requested.
+    /// Plan text: of the query, or of an UPDATE/DELETE's victim scan.
     pub explain: Option<String>,
     /// Rows affected by DML.
     pub affected: u64,
@@ -513,35 +518,36 @@ impl Engine {
     }
 
     /// Checkpoint vacuum: physically delete heap versions invisible to a
-    /// fresh snapshot and freeze the survivors.  Caller holds the DML
-    /// lock and the catalog write guard, and has verified no transaction
-    /// is in flight.  Index entries for deleted versions are left behind
-    /// on purpose — heap slots are never reused, so a stale entry just
-    /// resolves to a missing tuple and is skipped by the scan.
+    /// fresh snapshot — and their index entries, or every later probe of
+    /// a much-updated key would fetch each of its dead versions — and
+    /// freeze the survivors.  Caller holds the DML lock and the catalog
+    /// write guard, and has verified no transaction is in flight.
     fn vacuum_in(&self, catalog: &Catalog) -> Result<()> {
         let vis = self.fresh_visibility();
         let frozen_header = encode_version(FROZEN_TXN_ID, INVALID_TXN_ID, &[]);
         for meta in catalog.tables() {
-            let mut dead = Vec::new();
+            let indexes = catalog.indexes_of(meta.id);
+            let arity = meta.schema.len();
+            // Dead versions with their decoded rows (the index keys);
+            // rows stay empty when there is no index to prune.
+            let mut dead: Vec<(TupleId, Row)> = Vec::new();
             let mut freeze = Vec::new();
             let mut scan_err = None;
             meta.heap.scan(&self.pool, |tid, bytes| {
-                match split_version(bytes) {
-                    Ok((xmin, xmax, _)) => {
-                        if vis.sees(xmin, xmax) {
-                            if xmin != FROZEN_TXN_ID || xmax != INVALID_TXN_ID {
-                                freeze.push(tid);
-                            }
-                        } else {
-                            dead.push(tid);
+                let step = split_version(bytes).and_then(|(xmin, xmax, rest)| {
+                    if vis.sees(xmin, xmax) {
+                        if xmin != FROZEN_TXN_ID || xmax != INVALID_TXN_ID {
+                            freeze.push(tid);
                         }
+                    } else if indexes.is_empty() {
+                        dead.push((tid, Row::new()));
+                    } else {
+                        dead.push((tid, decode_row(rest, arity)?));
                     }
-                    Err(e) => {
-                        scan_err = Some(e);
-                        return false;
-                    }
-                }
-                true
+                    Ok(())
+                });
+                scan_err = step.err();
+                scan_err.is_none()
             })?;
             if let Some(e) = scan_err {
                 return Err(e);
@@ -549,8 +555,13 @@ impl Engine {
             for tid in freeze {
                 meta.heap.patch(&self.pool, tid, 0, &frozen_header)?;
             }
-            for tid in dead {
+            for (tid, row) in dead {
                 meta.heap.delete(&self.pool, tid)?;
+                // Every index accepted this key when the version went in
+                // (`insert_version` undoes a version an index rejects).
+                for idx in &indexes {
+                    idx.instance.write().delete(&row[idx.column], tid)?;
+                }
             }
         }
         Ok(())
@@ -1271,43 +1282,8 @@ impl Session {
                 table,
                 sets,
                 filter,
-            } => {
-                let _writer = self.engine.dml_lock.lock();
-                let catalog = self.engine.catalog();
-                let meta = catalog.table(&table)?;
-                let filter = filter
-                    .map(|f| sql::bind_single_table(&f, &meta.name, &meta.schema, &catalog))
-                    .transpose()?;
-                let mut bound_sets = Vec::with_capacity(sets.len());
-                for (col, e) in &sets {
-                    let idx = meta
-                        .schema
-                        .index_of(col)
-                        .ok_or_else(|| Error::Binder(format!("no column {col:?} in {table:?}")))?;
-                    let bound = sql::bind_single_table(e, &meta.name, &meta.schema, &catalog)?;
-                    bound_sets.push((idx, bound));
-                }
-                let vis = self.statement_visibility();
-                let n = self.update_where(&catalog, &table, &bound_sets, filter.as_ref(), &vis)?;
-                Ok(QueryResult {
-                    affected: n,
-                    ..QueryResult::default()
-                })
-            }
-            Statement::Delete { table, filter } => {
-                let _writer = self.engine.dml_lock.lock();
-                let catalog = self.engine.catalog();
-                let meta = catalog.table(&table)?;
-                let filter = filter
-                    .map(|f| sql::bind_single_table(&f, &meta.name, &meta.schema, &catalog))
-                    .transpose()?;
-                let vis = self.statement_visibility();
-                let n = self.delete_where(&catalog, &table, filter.as_ref(), &vis)?;
-                Ok(QueryResult {
-                    affected: n,
-                    ..QueryResult::default()
-                })
-            }
+            } => self.write_where(&table, Some(&sets), filter),
+            Statement::Delete { table, filter } => self.write_where(&table, None, filter),
             Statement::Select(sel) => {
                 let catalog = self.engine.catalog();
                 self.run_select_in(&catalog, &sel, ExplainMode::Off, Some(sql_text))
@@ -1844,78 +1820,49 @@ impl Session {
         }
     }
 
-    /// Insert under an already-held catalog guard (and DML lock).  The
-    /// heap tuple is stamped `xmin = txn, xmax = 0`; the WAL record
-    /// carries the plain row bytes plus the transaction id, so replay can
-    /// gate it on the transaction's Commit record.
+    /// Insert under an already-held catalog guard (and DML lock).
     fn insert_row_in(&self, catalog: &Catalog, table: &str, row: Row, txn: u64) -> Result<()> {
         let meta = catalog.table(table)?;
         let row = prepare_row(catalog, &meta, row)?;
-        let bytes = encode_row(&row);
+        self.insert_version(catalog, &meta, &row, txn)
+    }
+
+    /// Store a prepared row as a new version.  The heap tuple is stamped
+    /// `xmin = txn, xmax = 0`; the WAL record carries the plain row bytes
+    /// plus the transaction id, so replay can gate it on the
+    /// transaction's Commit record.
+    fn insert_version(
+        &self,
+        catalog: &Catalog,
+        meta: &crate::catalog::TableMeta,
+        row: &Row,
+        txn: u64,
+    ) -> Result<()> {
+        let bytes = encode_row(row);
         let tid = meta.heap.insert(
             &self.engine.pool,
             &encode_version(txn, INVALID_TXN_ID, &bytes),
         )?;
-        for idx in catalog.indexes_of(meta.id) {
-            idx.instance.write().insert(&row[idx.column], tid)?;
+        let indexes = catalog.indexes_of(meta.id);
+        for (n, idx) in indexes.iter().enumerate() {
+            if let Err(e) = idx.instance.write().insert(&row[idx.column], tid) {
+                // The access method rejected the key (NULL under an
+                // M-tree, say).  Take the version back out, with the
+                // entries already made: left in the heap it would have
+                // checkpoint vacuum ask the same index to delete a key it
+                // cannot form, and fail every checkpoint from then on.
+                for done in &indexes[..n] {
+                    done.instance.write().delete(&row[done.column], tid)?;
+                }
+                meta.heap.delete(&self.engine.pool, tid)?;
+                return Err(e);
+            }
         }
         self.engine.log(WalRecord::Insert {
             table_id: meta.id.0,
             txn,
             tuple: bytes,
-        })?;
-        Ok(())
-    }
-
-    /// Collect the visible rows of `table` matching `filter`, with the
-    /// tuple id, current `xmax`, decoded row and plain row bytes of each —
-    /// the victim-selection pass shared by UPDATE and DELETE.
-    #[allow(clippy::type_complexity)]
-    fn collect_victims(
-        &self,
-        catalog: &Catalog,
-        meta: &crate::catalog::TableMeta,
-        filter: Option<&crate::expr::Expr>,
-        vis: &TxnVisibility,
-    ) -> Result<Vec<(crate::storage::TupleId, u64, Row, Vec<u8>)>> {
-        let arity = meta.schema.len();
-        let ctx = EvalCtx::new(catalog, &self.vars);
-        let mut victims = Vec::new();
-        let mut scan_err = None;
-        meta.heap.scan(&self.engine.pool, |tid, bytes| {
-            let parsed = split_version(bytes).and_then(|(xmin, xmax, rest)| {
-                if !vis.sees(xmin, xmax) {
-                    return Ok(None);
-                }
-                decode_row(rest, arity).map(|row| Some((xmax, row, rest.to_vec())))
-            });
-            match parsed {
-                Ok(None) => {}
-                Ok(Some((xmax, row, plain))) => {
-                    let hit = match filter {
-                        Some(f) => f.eval(&row, &ctx).map(|d| d.is_true()),
-                        None => Ok(true),
-                    };
-                    match hit {
-                        Ok(true) => victims.push((tid, xmax, row, plain)),
-                        Ok(false) => {}
-                        Err(e) => {
-                            scan_err = Some(e);
-                            return false;
-                        }
-                    }
-                }
-                Err(e) => {
-                    scan_err = Some(e);
-                    return false;
-                }
-            }
-            true
-        })?;
-        if let Some(e) = scan_err {
-            return Err(e);
-        }
-        Ok(victims)
+        })
     }
 
     /// First-updater-wins: a visible victim whose `xmax` carries another
@@ -1923,12 +1870,8 @@ impl Session {
     /// concurrent transaction after our snapshot — we lose.  Under the
     /// DML lock no `xmax` can change beneath us, so the check is a plain
     /// read.  An aborted `xmax` is reclaimable and re-stamped freely.
-    fn check_write_conflicts(
-        &self,
-        table: &str,
-        victims: &[(crate::storage::TupleId, u64, Row, Vec<u8>)],
-    ) -> Result<()> {
-        for (_, xmax, ..) in victims {
+    fn check_write_conflicts(&self, table: &str, victims: &[HeapVersion]) -> Result<()> {
+        for HeapVersion { xmax, .. } in victims {
             if *xmax != INVALID_TXN_ID && !self.engine.txns.is_aborted(*xmax) {
                 obs::metrics().txn_conflicts_total.inc();
                 return Err(Error::Serialization(format!(
@@ -1939,119 +1882,168 @@ impl Session {
         Ok(())
     }
 
-    /// UPDATE, MVCC-style: the old version is `xmax`-stamped in place and
-    /// a new version is inserted with `xmin = us`, re-running the
-    /// extension hooks (a changed UniText gets a fresh phoneme cache).
-    /// The old version's index entries stay — concurrent snapshots still
-    /// reach it through them, and visibility filters it for everyone
-    /// else.
-    fn update_where(
+    /// UPDATE (`sets` given) and DELETE (`sets` absent), MVCC-style, in
+    /// two phases.  First the victim scan: the `WHERE` goes to the
+    /// optimizer like a SELECT's (`opt::plan_target_scan`; the
+    /// `enable_seqscan`/`enable_indexscan` flags steer it) and the chosen
+    /// Seq Scan or Index Scan collects every visible matching version.
+    /// Only then the writes: each victim is `xmax`-stamped in place — it
+    /// stays readable for snapshots that predate us, keeps its index
+    /// entries so they still reach it, and is reclaimed by checkpoint
+    /// vacuum — and an UPDATE inserts the new version with `xmin = us`,
+    /// re-running the extension hooks (a changed UniText gets a fresh
+    /// phoneme cache).  Collecting before writing is what lets a `SET`
+    /// move the key the scan runs on.
+    fn write_where(
         &self,
-        catalog: &Catalog,
         table: &str,
-        sets: &[(usize, crate::expr::Expr)],
-        filter: Option<&crate::expr::Expr>,
-        vis: &TxnVisibility,
-    ) -> Result<u64> {
-        let meta = catalog.table(table)?;
-        let ctx = EvalCtx::new(catalog, &self.vars);
-        let me = vis.txn;
-        let victims = self.collect_victims(catalog, &meta, filter, vis)?;
-        self.check_write_conflicts(table, &victims)?;
-        let n = victims.len() as u64;
-        for (tid, _, old_row, old_plain) in victims {
-            let mut new_row = old_row.clone();
-            for (idx, e) in sets {
-                new_row[*idx] = e.eval(&old_row, &ctx)?;
-            }
-            // The new image must be valid before touching the old one.
-            let new_row = prepare_row(catalog, &meta, new_row)?;
-            if !meta
-                .heap
-                .patch(&self.engine.pool, tid, 8, &me.to_le_bytes())?
-            {
-                return Err(Error::Execution(format!(
-                    "update victim {tid:?} vanished mid-statement"
-                )));
-            }
-            self.engine.log(WalRecord::Delete {
-                table_id: meta.id.0,
-                txn: me,
-                tuple: old_plain,
-            })?;
-            let bytes = encode_row(&new_row);
-            let new_tid = meta.heap.insert(
-                &self.engine.pool,
-                &encode_version(me, INVALID_TXN_ID, &bytes),
-            )?;
-            for idx in catalog.indexes_of(meta.id) {
-                idx.instance.write().insert(&new_row[idx.column], new_tid)?;
-            }
-            self.engine.log(WalRecord::Insert {
-                table_id: meta.id.0,
-                txn: me,
-                tuple: bytes,
-            })?;
-        }
-        Ok(n)
-    }
-
-    /// DELETE, MVCC-style: victims are `xmax`-stamped, not removed — the
-    /// version stays readable for snapshots that predate us and is
-    /// physically reclaimed by checkpoint vacuum.
-    fn delete_where(
-        &self,
-        catalog: &Catalog,
-        table: &str,
-        filter: Option<&crate::expr::Expr>,
-        vis: &TxnVisibility,
-    ) -> Result<u64> {
-        let meta = catalog.table(table)?;
-        let me = vis.txn;
-        let victims = self.collect_victims(catalog, &meta, filter, vis)?;
-        self.check_write_conflicts(table, &victims)?;
-        let n = victims.len() as u64;
-        for (tid, _, _, plain) in victims {
-            if !meta
-                .heap
-                .patch(&self.engine.pool, tid, 8, &me.to_le_bytes())?
-            {
-                return Err(Error::Execution(format!(
-                    "delete victim {tid:?} vanished mid-statement"
-                )));
-            }
-            self.engine.log(WalRecord::Delete {
-                table_id: meta.id.0,
-                txn: me,
-                tuple: plain,
-            })?;
-        }
-        Ok(n)
-    }
-
-    /// Recovery helper: physically delete one version whose *row bytes*
-    /// (version header excluded) match exactly.  Replay applies only
-    /// committed work in log order on a single thread, so the physical
-    /// delete is safe — there is no concurrent snapshot to preserve the
-    /// version for.
-    pub(crate) fn delete_matching_tuple(&mut self, table: &str, tuple: &[u8]) -> Result<()> {
+        sets: Option<&[(String, sql::AstExpr)]>,
+        filter: Option<sql::AstExpr>,
+    ) -> Result<QueryResult> {
+        let metrics = obs::metrics();
+        let mut trace = QueryTrace::new();
         let _writer = self.engine.dml_lock.lock();
         let catalog = self.engine.catalog();
         let meta = catalog.table(table)?;
-        let mut victim = None;
-        meta.heap.scan(&self.engine.pool, |tid, bytes| {
-            if bytes.len() >= VERSION_HEADER_LEN && &bytes[VERSION_HEADER_LEN..] == tuple {
-                victim = Some(tid);
-                false
-            } else {
-                true
+
+        self.set_stage(Stage::Bind);
+        let bind_start = Instant::now();
+        let bind = |e: &sql::AstExpr| sql::bind_single_table(e, &meta.name, &meta.schema, &catalog);
+        let filter = filter.as_ref().map(bind).transpose()?;
+        let mut bound_sets = Vec::new();
+        for (col, e) in sets.unwrap_or_default() {
+            let idx = meta
+                .schema
+                .index_of(col)
+                .ok_or_else(|| Error::Binder(format!("no column {col:?} in {table:?}")))?;
+            bound_sets.push((idx, bind(e)?));
+        }
+        let bind_time = bind_start.elapsed();
+        trace.record("bind", bind_time);
+        metrics.stage_bind_ns_total.add(bind_time.as_nanos() as u64);
+
+        self.set_stage(Stage::Plan);
+        let plan_start = Instant::now();
+        let plan = opt::plan_target_scan(
+            &meta.name,
+            filter.as_ref(),
+            &catalog,
+            &self.engine.pool,
+            &self.vars,
+        )?;
+        let plan_time = plan_start.elapsed();
+        trace.record("plan", plan_time);
+        metrics.stage_plan_ns_total.add(plan_time.as_nanos() as u64);
+        let plan_digest = obs::enabled().then(|| plan.digest());
+
+        self.set_stage(Stage::Execute);
+        let stats = ExecStats::default();
+        let io_before = self.engine.pool.stats();
+        let start = Instant::now();
+        let ctx = ExecCtx {
+            catalog: &catalog,
+            pool: &self.engine.pool,
+            session: &self.vars,
+            stats: &stats,
+            // The victim scan runs on this thread, under the DML lock.
+            exec_pool: None,
+            vis: self.statement_visibility(),
+        };
+        let victims = scan_target(&plan, &ctx)?;
+        let affected = victims.len() as u64;
+        // The plan store learns the scan alone: its time is what the
+        // scan's cost estimate predicts.
+        self.record_plan_observation(&plan, plan_digest, affected, start.elapsed(), None);
+        self.check_write_conflicts(table, &victims)?;
+        let me = ctx.vis.txn;
+        let eval = EvalCtx::new(&catalog, &self.vars);
+        for victim in victims {
+            // An UPDATE's new image must be valid before touching the old.
+            let new_row = match sets {
+                Some(_) => {
+                    let mut new_row = victim.row.clone();
+                    for (idx, e) in &bound_sets {
+                        new_row[*idx] = e.eval(&victim.row, &eval)?;
+                    }
+                    Some(prepare_row(&catalog, &meta, new_row)?)
+                }
+                None => None,
+            };
+            if !meta
+                .heap
+                .patch(&self.engine.pool, victim.tid, 8, &me.to_le_bytes())?
+            {
+                return Err(Error::Execution(format!(
+                    "victim {:?} vanished mid-statement",
+                    victim.tid
+                )));
             }
+            self.engine.log(WalRecord::Delete {
+                table_id: meta.id.0,
+                txn: me,
+                tuple: victim.plain().to_vec(),
+            })?;
+            if let Some(new_row) = new_row {
+                self.insert_version(&catalog, &meta, &new_row, me)?;
+            }
+        }
+        let exec_time = start.elapsed();
+        trace.record("execute", exec_time);
+        metrics
+            .stage_execute_ns_total
+            .add(exec_time.as_nanos() as u64);
+        Ok(QueryResult {
+            explain: Some(plan.explain()),
+            affected,
+            stats: RunStats {
+                io: self.engine.pool.stats().since(&io_before),
+                index_node_visits: stats.index_node_visits.get(),
+                ext_op_calls: stats.ext_op_calls.get(),
+                exec_time,
+                est_cost: Some(plan.est_cost),
+                est_rows: Some(plan.est_rows),
+                trace: Some(trace),
+                plan_digest,
+                ..RunStats::default()
+            },
+            ..QueryResult::default()
+        })
+    }
+
+    /// Recovery helper: physically delete, in one pass over the heap,
+    /// one version per entry of the multiset `images` (row bytes, version
+    /// header excluded → how many to delete), with its index entries.
+    /// Replay applies only committed work on a single thread, so the
+    /// physical delete is safe — there is no concurrent snapshot to
+    /// preserve a version for — and between two DDL records the order of
+    /// a table's inserts and deletes does not matter, only their counts.
+    pub(crate) fn delete_matching_tuples(
+        &mut self,
+        table: &str,
+        mut images: HashMap<Vec<u8>, usize>,
+    ) -> Result<()> {
+        let _writer = self.engine.dml_lock.lock();
+        let catalog = self.engine.catalog();
+        let meta = catalog.table(table)?;
+        let mut wanted: usize = images.values().sum();
+        let mut victims = Vec::new();
+        meta.heap.scan(&self.engine.pool, |tid, bytes| {
+            let plain = bytes.get(VERSION_HEADER_LEN..).unwrap_or_default();
+            if let Some(left) = images.get_mut(plain).filter(|left| **left > 0) {
+                *left -= 1;
+                wanted -= 1;
+                victims.push((tid, plain.to_vec()));
+            }
+            wanted > 0
         })?;
-        if let Some(tid) = victim {
+        let indexes = catalog.indexes_of(meta.id);
+        for (tid, plain) in victims {
             meta.heap.delete(&self.engine.pool, tid)?;
-            let row = decode_row(tuple, meta.schema.len())?;
-            for idx in catalog.indexes_of(meta.id) {
-                idx.instance.write().delete(&row[idx.column], tid)?;
+            if !indexes.is_empty() {
+                let row = decode_row(&plain, meta.schema.len())?;
+                for idx in &indexes {
+                    idx.instance.write().delete(&row[idx.column], tid)?;
+                }
             }
         }
         Ok(())

@@ -15,7 +15,9 @@ use crate::error::{Error, Result};
 use crate::expr::{EvalCtx, Expr};
 use crate::plan::{AggFunc, PhysNode, PhysOp};
 use crate::schema::{Row, Schema};
-use crate::storage::{decode_row, split_version, BufferPool, FileId, HeapFile, TupleId};
+use crate::storage::{
+    decode_row, split_version, BufferPool, FileId, HeapFile, TupleId, VERSION_HEADER_LEN,
+};
 use crate::txn::TxnVisibility;
 use crate::value::Datum;
 use parking_lot::{Condvar, Mutex};
@@ -62,9 +64,7 @@ pub struct ExecStats {
     /// model's per-tuple charge no matter which operator evaluates the
     /// predicate.
     pub ext_op_calls: StatCell,
-    /// Rows produced by the plan root.
-    pub rows_out: StatCell,
-    /// Batches produced by the plan root (equals `rows_out` at
+    /// Batches produced by the plan root (equals the row count at
     /// `batch_size = 1`).
     pub batches_out: StatCell,
 }
@@ -226,19 +226,29 @@ impl Batch {
     }
 }
 
-/// Evaluate `filter` over `rows` via [`Expr::eval_batch`], keeping only
-/// the passing rows (order preserved).
-fn filter_rows_batch(filter: &Expr, rows: Vec<Row>, eval: &EvalCtx<'_>) -> Result<Vec<Row>> {
-    if rows.is_empty() {
-        return Ok(rows);
+/// Evaluate `filter` over the rows of `items` via [`Expr::eval_batch`],
+/// keeping only the passing items (order preserved).
+fn filter_batch<T>(
+    filter: &Expr,
+    items: Vec<T>,
+    row_of: impl Fn(&T) -> &[Datum],
+    eval: &EvalCtx<'_>,
+) -> Result<Vec<T>> {
+    if items.is_empty() {
+        return Ok(items);
     }
-    let refs: Vec<&[Datum]> = rows.iter().map(|r| r.as_slice()).collect();
+    let refs: Vec<&[Datum]> = items.iter().map(row_of).collect();
     let mask = filter.eval_batch(&refs, eval)?;
-    Ok(rows
+    Ok(items
         .into_iter()
         .zip(mask)
-        .filter_map(|(row, v)| v.is_true().then_some(row))
+        .filter_map(|(item, v)| v.is_true().then_some(item))
         .collect())
+}
+
+/// [`filter_batch`] over plain rows.
+fn filter_rows_batch(filter: &Expr, rows: Vec<Row>, eval: &EvalCtx<'_>) -> Result<Vec<Row>> {
+    filter_batch(filter, rows, |r| r.as_slice(), eval)
 }
 
 /// Drain `input` to exhaustion, feeding every row to `sink`.  The bulk
@@ -426,12 +436,7 @@ fn build_executor_impl(
             residual,
         } => {
             let meta = ctx.catalog.table(table)?;
-            let idx = ctx
-                .catalog
-                .indexes_of(meta.id)
-                .into_iter()
-                .find(|i| &i.name == index)
-                .ok_or_else(|| Error::Execution(format!("no index {index:?}")))?;
+            let idx = index_of(ctx.catalog, &meta, index)?;
             Box::new(IndexScanExec::new(
                 meta,
                 idx,
@@ -504,6 +509,7 @@ fn build_executor_impl(
         }),
         PhysOp::Limit { input, n } => Box::new(LimitExec {
             input: build_executor_impl(input, ctx, instr)?,
+            n: *n,
             remaining: *n,
         }),
         PhysOp::Values { rows } => Box::new(ValuesExec {
@@ -520,6 +526,19 @@ fn build_executor_impl(
         }),
         None => exec,
     })
+}
+
+/// The index `name` of `meta`'s table.
+fn index_of(
+    catalog: &Catalog,
+    meta: &TableMeta,
+    name: &str,
+) -> Result<Arc<crate::catalog::IndexMeta>> {
+    catalog
+        .indexes_of(meta.id)
+        .into_iter()
+        .find(|i| i.name == name)
+        .ok_or_else(|| Error::Execution(format!("no index {name:?}")))
 }
 
 /// Session variable bounding how many rows a statement may materialize.
@@ -557,7 +576,6 @@ pub fn drain_to_vec(exec: &mut dyn Executor, ctx: &ExecCtx<'_>) -> Result<Vec<Ro
         out.extend(batch.rows);
     }
     ctx.stats.batches_out.set(batches);
-    ctx.stats.rows_out.set(out.len() as u64);
     Ok(out)
 }
 
@@ -596,20 +614,9 @@ impl SeqScanExec {
         if self.page >= n_pages {
             return Ok(false);
         }
-        let arity = self.meta.schema.len();
-        let file = self.meta.heap.file_id();
         self.page_rows.clear();
-        // Copy the page image out under the pool mutex and decode outside
-        // it: row decoding is the CPU-heavy part of a scan, and holding the
-        // (pool-wide) lock through it would serialize concurrent sessions.
-        let img: Vec<u8> = ctx.pool.with_page(file, self.page, |buf| buf.to_vec())?;
-        let rows: Result<Vec<Row>> = HeapFile::page_tuples(&img)
-            .filter_map(|(_, t)| match split_version(t) {
-                Ok((xmin, xmax, rest)) => ctx.vis.sees(xmin, xmax).then(|| decode_row(rest, arity)),
-                Err(e) => Some(Err(e)),
-            })
-            .collect();
-        self.page_rows = rows?;
+        let rows = &mut self.page_rows;
+        visible_page_tuples(&self.meta, self.page, ctx, |_, _, row, _| rows.push(row))?;
         self.page += 1;
         self.row_pos = 0;
         Ok(true)
@@ -1058,64 +1065,30 @@ impl Executor for IndexScanExec {
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.tids.is_none() {
-            // Partitionable access methods (the M-tree) fan subtree probes
-            // across the worker pool when the session allows ≥ 2 workers;
-            // the per-index read guard is held across the whole parallel
-            // search, exactly as in the serial path.
-            let search = {
-                // Uncontended case: one failed try_read branch.  Contended
-                // (a writer holds the index): time the block as an
-                // IndexRead wait charged to this query.
-                let guard = match self.index.instance.try_read() {
-                    Some(g) => g,
-                    None => crate::obs::waits::time_wait(crate::obs::WaitClass::IndexRead, || {
-                        self.index.instance.read()
-                    }),
-                };
-                match ctx.exec_pool {
-                    Some(pool)
-                        if effective_workers(ctx.session) >= 2
-                            && ctx.session.get_int("enable_parallel", 1) != 0 =>
-                    {
-                        pool.ensure_workers(effective_workers(ctx.session));
-                        guard.search_parallel(&self.strategy, &self.probe, &self.extra, pool)?
-                    }
-                    _ => guard.search(&self.strategy, &self.probe, &self.extra)?,
-                }
-            };
-            ctx.stats.index_node_visits.add(search.node_visits);
-            crate::obs::metrics()
-                .index_node_visits_total
-                .add(search.node_visits);
-            self.tids = Some(search.tids);
+            self.tids = Some(probe_index(
+                &self.index,
+                &self.strategy,
+                &self.probe,
+                &self.extra,
+                ctx,
+            )?);
             self.pos = 0;
         }
-        let eval = ctx.eval_ctx();
-        let arity = self.meta.schema.len();
         let tids = self.tids.as_ref().expect("probed above");
         let mut out: Vec<Row> = Vec::new();
         while out.len() < max && self.pos < tids.len() {
             // Fetch no more candidates than the batch still has room for,
             // so a LIMIT above never pays the residual for rows it will
             // not return.
-            let mut candidates = Vec::new();
-            while candidates.len() < max - out.len() && self.pos < tids.len() {
-                let tid = tids[self.pos];
-                self.pos += 1;
-                let Some(bytes) = self.meta.heap.get(ctx.pool, tid)? else {
-                    continue; // vacuumed since the index entry was made
-                };
-                // Index entries outlive their versions: the heap tuple
-                // decides visibility, the index only locates it.
-                let (xmin, xmax, rest) = split_version(&bytes)?;
-                if ctx.vis.sees(xmin, xmax) {
-                    candidates.push(decode_row(rest, arity)?);
-                }
-            }
-            match &self.residual {
-                Some(f) => out.extend(filter_rows_batch(f, candidates, &eval)?),
-                None => out.extend(candidates),
-            }
+            let hits = fetch_index_hits(
+                &self.meta,
+                tids,
+                &mut self.pos,
+                max - out.len(),
+                self.residual.as_ref(),
+                ctx,
+            )?;
+            out.extend(hits.into_iter().map(|v| v.row));
         }
         Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
@@ -1123,6 +1096,186 @@ impl Executor for IndexScanExec {
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
         self.pos = 0;
         Ok(())
+    }
+}
+
+/// A visible heap version as a scan located it: what DML needs to
+/// stamp, log and re-index a victim.
+#[derive(Debug)]
+pub struct HeapVersion {
+    /// Where the version lives.
+    pub tid: TupleId,
+    /// Its `xmax`: 0 when live, else a deleter the statement's snapshot
+    /// does not see (first-updater-wins decides on it).
+    pub xmax: u64,
+    /// The decoded row.
+    pub row: Row,
+    /// The stored tuple, version header included.
+    bytes: Vec<u8>,
+}
+
+impl HeapVersion {
+    /// The row image without its version header — the form WAL records
+    /// carry.
+    pub fn plain(&self) -> &[u8] {
+        &self.bytes[VERSION_HEADER_LEN..]
+    }
+}
+
+/// `(xmax, decoded row)` of the stored tuple `bytes` if `vis` sees it.
+fn visible_row(bytes: &[u8], arity: usize, vis: &TxnVisibility) -> Result<Option<(u64, Row)>> {
+    let (xmin, xmax, rest) = split_version(bytes)?;
+    if !vis.sees(xmin, xmax) {
+        return Ok(None);
+    }
+    Ok(Some((xmax, decode_row(rest, arity)?)))
+}
+
+/// Hand `each` the `(slot, xmax, decoded row, stored bytes)` of every
+/// tuple on heap page `page` that the context's snapshot sees.  The page
+/// image is copied out under the pool mutex and decoded outside it: row
+/// decoding is the CPU-heavy part of a scan, and holding the (pool-wide)
+/// lock through it would serialize concurrent sessions.
+fn visible_page_tuples(
+    meta: &TableMeta,
+    page: u32,
+    ctx: &ExecCtx<'_>,
+    mut each: impl FnMut(u16, u64, Row, &[u8]),
+) -> Result<()> {
+    let img: Vec<u8> = ctx
+        .pool
+        .with_page(meta.heap.file_id(), page, |buf| buf.to_vec())?;
+    for (slot, tuple) in HeapFile::page_tuples(&img) {
+        if let Some((xmax, row)) = visible_row(tuple, meta.schema.len(), &ctx.vis)? {
+            each(slot, xmax, row, tuple);
+        }
+    }
+    Ok(())
+}
+
+/// Search `index` once under its read guard and return the matching
+/// tuple ids; the guard is gone when this returns.
+fn probe_index(
+    index: &crate::catalog::IndexMeta,
+    strategy: &str,
+    probe: &Datum,
+    extra: &Datum,
+    ctx: &ExecCtx<'_>,
+) -> Result<Vec<TupleId>> {
+    // Uncontended case: one failed try_read branch.  Contended (a writer
+    // holds the index): time the block as an IndexRead wait charged to
+    // this query.
+    let guard = match index.instance.try_read() {
+        Some(g) => g,
+        None => {
+            crate::obs::waits::time_wait(crate::obs::WaitClass::IndexRead, || index.instance.read())
+        }
+    };
+    // Partitionable access methods (the M-tree) fan subtree probes across
+    // the worker pool when the context has one and the session allows
+    // ≥ 2 workers; the read guard is held across the whole parallel
+    // search, exactly as in the serial path.
+    let search = match ctx.exec_pool {
+        Some(pool)
+            if effective_workers(ctx.session) >= 2
+                && ctx.session.get_int("enable_parallel", 1) != 0 =>
+        {
+            pool.ensure_workers(effective_workers(ctx.session));
+            guard.search_parallel(strategy, probe, extra, pool)?
+        }
+        _ => guard.search(strategy, probe, extra)?,
+    };
+    drop(guard);
+    ctx.stats.index_node_visits.add(search.node_visits);
+    crate::obs::metrics()
+        .index_node_visits_total
+        .add(search.node_visits);
+    Ok(search.tids)
+}
+
+/// Resolve the index hits `tids[*pos..]`, advancing `pos`, until `room`
+/// visible candidates are fetched or the hits run out; returns the
+/// candidates that pass `residual`.  Index entries outlive their
+/// versions: the heap tuple decides visibility, the index only locates
+/// it.
+fn fetch_index_hits(
+    meta: &TableMeta,
+    tids: &[TupleId],
+    pos: &mut usize,
+    room: usize,
+    residual: Option<&Expr>,
+    ctx: &ExecCtx<'_>,
+) -> Result<Vec<HeapVersion>> {
+    let arity = meta.schema.len();
+    let mut candidates = Vec::new();
+    while candidates.len() < room && *pos < tids.len() {
+        let tid = tids[*pos];
+        *pos += 1;
+        let Some(bytes) = meta.heap.get(ctx.pool, tid)? else {
+            continue; // vacuumed since the index entry was made
+        };
+        if let Some((xmax, row)) = visible_row(&bytes, arity, &ctx.vis)? {
+            candidates.push(HeapVersion {
+                tid,
+                xmax,
+                row,
+                bytes,
+            });
+        }
+    }
+    match residual {
+        Some(f) => filter_batch(f, candidates, |v| &v.row, &ctx.eval_ctx()),
+        None => Ok(candidates),
+    }
+}
+
+// ------------------------------------------------------------- TargetScan
+
+/// Run the victim scan of an UPDATE/DELETE — a `Seq Scan` or `Index Scan`
+/// node from [`crate::opt::plan_target_scan`] — on the calling thread and
+/// return every visible matching version with its address.  The scan is
+/// complete (and any index guard released) before the caller writes, so
+/// a statement never meets its own new versions.
+pub fn scan_target(node: &PhysNode, ctx: &ExecCtx<'_>) -> Result<Vec<HeapVersion>> {
+    match &node.op {
+        PhysOp::SeqScan { table, filter, .. } => {
+            let meta = ctx.catalog.table(table)?;
+            let eval = ctx.eval_ctx();
+            let mut out = Vec::new();
+            for page in 0..meta.heap.pages(ctx.pool)? {
+                let mut candidates = Vec::new();
+                visible_page_tuples(&meta, page, ctx, |slot, xmax, row, tuple| {
+                    candidates.push(HeapVersion {
+                        tid: TupleId { page, slot },
+                        xmax,
+                        row,
+                        bytes: tuple.to_vec(),
+                    })
+                })?;
+                match filter {
+                    Some(f) => out.extend(filter_batch(f, candidates, |v| &v.row, &eval)?),
+                    None => out.extend(candidates),
+                }
+            }
+            Ok(out)
+        }
+        PhysOp::IndexScan {
+            table,
+            index,
+            strategy,
+            probe,
+            extra,
+            residual,
+        } => {
+            let meta = ctx.catalog.table(table)?;
+            let idx = index_of(ctx.catalog, &meta, index)?;
+            let tids = probe_index(&idx, strategy, probe, extra, ctx)?;
+            fetch_index_hits(&meta, &tids, &mut 0, usize::MAX, residual.as_ref(), ctx)
+        }
+        _ => Err(Error::Execution(format!(
+            "target scan over a {} node",
+            node.op_name()
+        ))),
     }
 }
 
@@ -1590,6 +1743,7 @@ impl Executor for SortExec {
 
 struct LimitExec {
     input: Box<dyn Executor>,
+    n: u64,
     remaining: u64,
 }
 
@@ -1615,6 +1769,7 @@ impl Executor for LimitExec {
     }
 
     fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+        self.remaining = self.n;
         self.input.rescan(ctx)
     }
 }
@@ -1709,6 +1864,25 @@ mod tests {
                 assert_eq!(got, all[..n.min(7)], "batch_size={batch_size} LIMIT {n}");
             }
         }
+    }
+
+    #[test]
+    fn limit_rescan_restores_the_full_quota() {
+        let input = Box::new(values(7));
+        let schema = input.schema.clone();
+        let plan = node(PhysOp::Limit { input, n: 3 }, schema);
+        with_ctx(2, |ctx| {
+            let mut exec = build_executor(&plan, ctx).unwrap();
+            let first = drain_to_vec(exec.as_mut(), ctx).unwrap();
+            assert_eq!(first.len(), 3);
+            exec.rescan(ctx).unwrap();
+            assert_eq!(drain_to_vec(exec.as_mut(), ctx).unwrap(), first);
+            // Also from the middle of the quota.
+            exec.rescan(ctx).unwrap();
+            assert_eq!(exec.next_batch(ctx, 2).unwrap().unwrap().len(), 2);
+            exec.rescan(ctx).unwrap();
+            assert_eq!(drain_to_vec(exec.as_mut(), ctx).unwrap(), first);
+        });
     }
 
     #[test]

@@ -21,4 +21,4 @@ pub mod planner;
 pub mod selectivity;
 
 pub use cost::CostParams;
-pub use planner::plan;
+pub use planner::{plan, plan_target_scan};

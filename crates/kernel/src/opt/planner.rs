@@ -54,14 +54,47 @@ pub fn plan(
     pool: &BufferPool,
     session: &SessionVars,
 ) -> Result<PhysNode> {
-    let params = CostParams::default();
     let p = Planner {
         catalog,
         pool,
         session,
-        params,
+        params: CostParams::default(),
+        serial: false,
     };
     p.plan_node(logical)
+}
+
+/// Plan the victim scan of an UPDATE/DELETE: the access paths `SELECT`
+/// would weigh for `FROM table WHERE filter` — Seq Scan against one
+/// Index Scan per conjunct × index, residual recheck included — minus
+/// the parallel scan, because the statement applies its writes to what
+/// the scan returns on its own thread.  `filter` is bound to the table's
+/// own columns.
+pub fn plan_target_scan(
+    table: &str,
+    filter: Option<&Expr>,
+    catalog: &Catalog,
+    pool: &BufferPool,
+    session: &SessionVars,
+) -> Result<PhysNode> {
+    let p = Planner {
+        catalog,
+        pool,
+        session,
+        params: CostParams::default(),
+        serial: true,
+    };
+    let rel = p.rel_of(table, 0)?;
+    let conjuncts: Vec<Expr> = filter
+        .map(|f| {
+            split_conjuncts(f)
+                .iter()
+                .map(|c| p.fold_constants(c))
+                .collect()
+        })
+        .unwrap_or_default();
+    let origins: Vec<_> = rel.stats.columns.iter().map(Option::as_ref).collect();
+    p.best_scan(&rel, &conjuncts, &origins, 0)
 }
 
 struct Planner<'a> {
@@ -69,6 +102,8 @@ struct Planner<'a> {
     pool: &'a BufferPool,
     session: &'a SessionVars,
     params: CostParams,
+    /// Plan for a single thread: no parallel scan candidates.
+    serial: bool,
 }
 
 impl Planner<'_> {
@@ -206,6 +241,27 @@ impl Planner<'_> {
         Ok(Some((rels, conjuncts)))
     }
 
+    /// The base relation `table` with its statistics, at column `offset`
+    /// of the bind-order schema.
+    fn rel_of(&self, table: &str, offset: usize) -> Result<Rel> {
+        let meta = self.catalog.table(table)?;
+        let stats = meta.stats.lock().clone();
+        let pages = self.pool.page_count(meta.heap.file_id())? as f64;
+        let rows = if stats.rows > 0 {
+            stats.rows as f64
+        } else {
+            // Not analyzed: PostgreSQL-style guess from pages.
+            (pages * 70.0).max(1.0)
+        };
+        Ok(Rel {
+            meta,
+            offset,
+            stats,
+            rows,
+            pages: pages.max(1.0),
+        })
+    }
+
     /// Returns `Some(total_width)` on success.
     fn walk(
         &self,
@@ -216,23 +272,9 @@ impl Planner<'_> {
     ) -> Result<Option<usize>> {
         match plan {
             LogicalPlan::Scan { table, .. } => {
-                let meta = self.catalog.table(table)?;
-                let stats = meta.stats.lock().clone();
-                let pages = self.pool.page_count(meta.heap.file_id())? as f64;
-                let rows = if stats.rows > 0 {
-                    stats.rows as f64
-                } else {
-                    // Not analyzed: PostgreSQL-style guess from pages.
-                    (pages * 70.0).max(1.0)
-                };
-                let width = meta.schema.len();
-                rels.push(Rel {
-                    meta,
-                    offset,
-                    stats,
-                    rows,
-                    pages: pages.max(1.0),
-                });
+                let rel = self.rel_of(table, offset)?;
+                let width = rel.width();
+                rels.push(rel);
                 Ok(Some(width))
             }
             LogicalPlan::Filter { input, predicate } => {
@@ -764,7 +806,8 @@ impl Planner<'_> {
         // therefore the pre-existing EXPLAIN goldens) keep serial plans.
         {
             let workers = crate::exec::effective_workers(self.session);
-            if flag(self.session, "enable_parallel")
+            if !self.serial
+                && flag(self.session, "enable_parallel")
                 && workers >= 2
                 && rel.rows >= PARALLEL_MIN_ROWS
             {
@@ -793,9 +836,8 @@ impl Planner<'_> {
 
         // Index scans: one candidate per (conjunct, matching index).
         for idx in self.catalog.indexes_of(rel.meta.id) {
-            let idx_pages = idx.instance.read().pages() as f64;
             for (ci, c) in local.iter().enumerate() {
-                let candidate = self.index_candidate(c, rel, &idx, idx_pages, sel_of(c), avg_w);
+                let candidate = self.index_candidate(c, rel, &idx, sel_of(c), avg_w);
                 if let Some((strategy, probe, extra, probe_pages, matched, traversal_cpu)) =
                     candidate
                 {
@@ -846,11 +888,13 @@ impl Planner<'_> {
         conjunct: &Expr,
         rel: &Rel,
         idx: &crate::catalog::IndexMeta,
-        idx_pages: f64,
         sel: f64,
         avg_width: f64,
     ) -> Option<(String, Datum, Datum, f64, f64, f64)> {
         let matched = (rel.rows * sel).max(0.0);
+        // Asked only once the access method and column match: sizing an
+        // index takes its lock, and most (conjunct, index) pairs do not.
+        let idx_pages = || idx.instance.read().pages() as f64;
         match conjunct {
             Expr::Cmp { op, left, right } if idx.am == "btree" => {
                 // Normalize col-vs-const (flip if needed).
@@ -876,7 +920,7 @@ impl Planner<'_> {
                 let probe = self.fold(other)?;
                 let strategy = op.btree_strategy()?;
                 // Pages: tree height + leaf pages holding the matches.
-                let height = (idx_pages.max(2.0)).log2().ceil().max(1.0);
+                let height = (idx_pages().max(2.0)).log2().ceil().max(1.0);
                 let leaf = (matched / 128.0).ceil();
                 let traversal_cpu = (height * 7.0 + matched) * self.params.cpu_operator_cost;
                 Some((
@@ -930,7 +974,7 @@ impl Planner<'_> {
                     strategy.clone(),
                     probe,
                     extra,
-                    (idx_pages * frac).max(1.0),
+                    (idx_pages() * frac).max(1.0),
                     matched,
                     traversal_cpu,
                 ))

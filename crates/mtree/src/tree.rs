@@ -102,6 +102,9 @@ pub struct MTree<K, V, M: Metric<K>> {
     node_capacity: usize,
     policy: SplitPolicy,
     len: usize,
+    /// Nodes in the tree, kept current by the split paths so the
+    /// optimizer can ask for the index size without walking it.
+    nodes: usize,
     rng: StdRng,
     /// Distance computations spent on inserts (build cost; ablation
     /// bench).  Atomic (not `Cell`) so a built tree is `Sync` and
@@ -130,6 +133,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
             node_capacity,
             policy,
             len: 0,
+            nodes: 1,
             rng: StdRng::seed_from_u64(seed),
             build_distances: AtomicU64::new(0),
         }
@@ -163,13 +167,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
 
     /// Number of nodes (≈ pages) in the tree.
     pub fn node_count(&self) -> usize {
-        fn count<K, V>(n: &Node<K, V>) -> usize {
-            match n {
-                Node::Leaf(_) => 1,
-                Node::Internal(es) => 1 + es.iter().map(|e| count(&e.child)).sum::<usize>(),
-            }
-        }
-        count(&self.root)
+        self.nodes
     }
 
     #[inline]
@@ -189,6 +187,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
                 Node::Internal(entries) => self.split_internal(entries, &k1, &k2),
             };
             *self.root = Node::Internal(vec![left, right]);
+            self.nodes += 1;
         }
         self.len += 1;
     }
@@ -216,6 +215,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
         k1: &K,
         k2: &K,
     ) -> (RoutingEntry<K, V>, RoutingEntry<K, V>) {
+        self.nodes += 1; // one node becomes two
         let mut left: Vec<LeafEntry<K, V>> = Vec::new();
         let mut right: Vec<LeafEntry<K, V>> = Vec::new();
         // Ties alternate sides so duplicate-heavy data (or equal promoted
@@ -280,6 +280,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
         k1: &K,
         k2: &K,
     ) -> (RoutingEntry<K, V>, RoutingEntry<K, V>) {
+        self.nodes += 1; // one node becomes two
         let mut left: Vec<RoutingEntry<K, V>> = Vec::new();
         let mut right: Vec<RoutingEntry<K, V>> = Vec::new();
         let mut tie_left = true;
@@ -825,6 +826,40 @@ mod tests {
         depths(&t.root, 1, &mut ds);
         let first = ds[0];
         assert!(ds.iter().all(|&d| d == first), "leaf depths differ: {ds:?}");
+    }
+
+    /// `node_count` is a counter kept by the split paths; it must equal
+    /// what a walk of the tree finds, at every policy and capacity.
+    #[test]
+    fn node_counter_equals_recursive_count() {
+        fn walk<K, V>(n: &Node<K, V>) -> usize {
+            match n {
+                Node::Leaf(_) => 1,
+                Node::Internal(es) => 1 + es.iter().map(|e| walk(&e.child)).sum::<usize>(),
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(7);
+        for (capacity, policy) in [
+            (4, SplitPolicy::Random),
+            (8, SplitPolicy::MinMaxRadius),
+            (64, SplitPolicy::Random),
+        ] {
+            let mut t: MTree<i64, usize, fn(&i64, &i64) -> f64> =
+                MTree::with_options(abs_metric, capacity, policy, 42);
+            assert_eq!(t.node_count(), 1);
+            for i in 0..10_000 {
+                // A narrow key range keeps duplicates (tie splits) frequent.
+                t.insert(rng.gen_range(0..3_000), i);
+                if i % 997 == 0 {
+                    assert_eq!(t.node_count(), walk(&t.root), "after {i} inserts");
+                }
+            }
+            assert_eq!(t.node_count(), walk(&t.root));
+            assert!(
+                t.height() >= 3,
+                "capacity {capacity}: the root must have split"
+            );
+        }
     }
 
     #[test]

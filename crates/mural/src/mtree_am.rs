@@ -5,7 +5,9 @@
 //! being created on the materialized phoneme strings", §3.3); the metric is
 //! the Levenshtein edit distance.  Deletion uses tombstones — the
 //! underlying M-Tree, like PostgreSQL-era GiST, does not reclaim entries
-//! online.
+//! online.  Checkpoint vacuum tombstones one entry per dead version and
+//! nothing compacts the set before the index is rebuilt, so a `nearest`
+//! probe's over-fetch grows with the table's lifetime updates.
 
 use crate::types::unitext_of_datum;
 use mlql_kernel::index::{AccessMethod, IndexInstance, IndexSearch, TaskRunner};
@@ -274,6 +276,31 @@ mod tests {
         idx.insert(&key, tid(1)).unwrap();
         let r = idx.search("within", &key, &Datum::Int(0)).unwrap();
         assert_eq!(r.tids.len(), 2);
+    }
+
+    /// Tombstones never touch the tree: `pages()` (the tree's node
+    /// counter) is what the same inserts give a fresh index, through
+    /// deletes and resurrecting re-inserts alike.
+    #[test]
+    fn pages_unmoved_by_tombstones() {
+        let (langs, mut idx) = setup();
+        let (_, mut twin) = setup();
+        let key = |i: u32| ut(&langs, &format!("name{}", i % 700), "English");
+        for i in 0..2_000 {
+            idx.insert(&key(i), tid(i)).unwrap();
+            twin.insert(&key(i), tid(i)).unwrap();
+        }
+        let pages = idx.pages();
+        assert!(pages > 1 && pages == twin.pages());
+        for i in (0..2_000).step_by(3) {
+            idx.delete(&key(i), tid(i)).unwrap();
+        }
+        assert_eq!(idx.pages(), pages);
+        assert_eq!(idx.len(), 2_000 - 667);
+        for i in (0..2_000).step_by(6) {
+            idx.insert(&key(i), tid(i)).unwrap();
+        }
+        assert_eq!(idx.pages(), pages);
     }
 
     #[test]

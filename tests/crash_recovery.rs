@@ -241,3 +241,153 @@ fn aborted_txn_in_wal_tail_is_dropped_on_recovery() {
     assert_eq!(ids, vec![1, 2], "only committed work may survive");
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A long un-checkpointed tail of single-row UPDATEs and DELETEs over a
+/// checkpointed 20k-row table: replay pools the tail's Delete images and
+/// settles them in one heap pass (per DDL-free stretch), so reopening
+/// reads the table a handful of times, not once per record — and rows
+/// that are byte-for-byte equal keep their *count* through
+/// delete-then-reinsert and delete-one-of-two.
+#[test]
+fn long_dml_tail_replays_in_one_pass_per_table() {
+    use mlql::kernel::Datum;
+    use std::collections::BTreeMap;
+
+    let dir = tmpdir("long-tail");
+    // id → (rev, how many identical copies of the row exist)
+    let mut model: BTreeMap<i64, (i64, usize)> = BTreeMap::new();
+    let pad = "p".repeat(500);
+    let heap_pages;
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("SET wal_sync_mode = 'flush'").unwrap();
+        db.execute("CREATE TABLE t (id INT, rev INT, pad TEXT)")
+            .unwrap();
+        db.execute("CREATE INDEX t_id ON t (id) USING btree")
+            .unwrap();
+        db.execute("BEGIN").unwrap();
+        for id in 0..20_000i64 {
+            db.insert_row("t", vec![Datum::Int(id), Datum::Int(0), Datum::text(&pad)])
+                .unwrap();
+            model.insert(id, (0, 1));
+        }
+        // Two identical rows, of which the tail deletes one (below, by
+        // deleting both and re-inserting one).
+        db.insert_row("t", vec![Datum::Int(5), Datum::Int(0), Datum::text(&pad)])
+            .unwrap();
+        model.insert(5, (0, 2));
+        db.execute("COMMIT").unwrap();
+        db.checkpoint().unwrap();
+        heap_pages = {
+            let heap = db.catalog().table("t").unwrap().heap;
+            heap.pages(db.pool()).unwrap() as u64
+        };
+
+        for i in 0..1_000i64 {
+            let id = 100 + (i * 7919) % 19_000;
+            let rev = model[&id].0 + 1;
+            let r = db
+                .execute(&format!("UPDATE t SET rev = {rev} WHERE id = {id}"))
+                .unwrap();
+            assert_eq!(r.affected, 1);
+            model.get_mut(&id).unwrap().0 = rev;
+        }
+        for i in 0..100i64 {
+            let id = 19_500 + i;
+            let r = db
+                .execute(&format!("DELETE FROM t WHERE id = {id}"))
+                .unwrap();
+            assert_eq!(r.affected, 1);
+            if i % 10 == 0 {
+                // Delete-then-reinsert of identical bytes.
+                db.execute(&format!("INSERT INTO t VALUES ({id}, 0, '{pad}')"))
+                    .unwrap();
+            } else {
+                model.remove(&id);
+            }
+        }
+        assert_eq!(
+            db.execute("DELETE FROM t WHERE id = 5").unwrap().affected,
+            2
+        );
+        db.execute(&format!("INSERT INTO t VALUES (5, 0, '{pad}')"))
+            .unwrap();
+        model.insert(5, (0, 1));
+        // Dropped without a checkpoint: everything above is WAL tail.
+    }
+    let mut db = Database::open(&dir).unwrap();
+    let replay_io = db.pool().stats();
+    assert!(
+        replay_io.logical_reads < 5 * heap_pages,
+        "replay made {} page requests over a {heap_pages}-page table",
+        replay_io.logical_reads
+    );
+    let state = |db: &mut Database| {
+        let mut got: BTreeMap<i64, (i64, usize)> = BTreeMap::new();
+        for row in db.query("SELECT id, rev FROM t").unwrap() {
+            let e = got
+                .entry(row[0].as_int().unwrap())
+                .or_insert((row[1].as_int().unwrap(), 0));
+            assert_eq!(e.0, row[1].as_int().unwrap(), "two revisions of one id");
+            e.1 += 1;
+        }
+        got
+    };
+    assert_eq!(state(&mut db), model);
+    // The rebuilt indexes agree with the heap.
+    db.execute("SET enable_seqscan = 0").unwrap();
+    for id in [5i64, 100, 19_500, 19_501] {
+        let r = db
+            .execute(&format!("SELECT rev FROM t WHERE id = {id}"))
+            .unwrap();
+        assert!(r.explain.unwrap().contains("Index Scan using t_id"));
+        let want = model.get(&id).map_or(0, |m| m.1);
+        assert_eq!(r.rows.len(), want, "id {id}");
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// DDL records in the tail bound the stretches over which replay may
+/// pool deletes: a `CREATE INDEX` back-fills from the heap and a `DROP
+/// TABLE` takes the heap away, so the images pooled before either must
+/// be settled first.  No checkpoint here — the whole history replays.
+#[test]
+fn ddl_in_tail_settles_pooled_deletes() {
+    let dir = tmpdir("ddl-tail");
+    {
+        let mut db = Database::open(&dir).unwrap();
+        db.execute("SET wal_sync_mode = 'flush'").unwrap();
+        db.execute("CREATE TABLE a (id INT, tag TEXT)").unwrap();
+        db.execute("CREATE TABLE b (id INT)").unwrap();
+        for id in 0..200 {
+            db.execute(&format!("INSERT INTO a VALUES ({id}, 'x')"))
+                .unwrap();
+            db.execute(&format!("INSERT INTO b VALUES ({id})")).unwrap();
+        }
+        db.execute("DELETE FROM a WHERE id >= 150").unwrap();
+        db.execute("DELETE FROM b WHERE id < 100").unwrap();
+        db.execute("CREATE INDEX a_id ON a (id) USING btree")
+            .unwrap();
+        db.execute("UPDATE a SET tag = 'y' WHERE id < 10").unwrap();
+        db.execute("DROP TABLE b").unwrap();
+        db.execute("CREATE TABLE b (id INT)").unwrap();
+        db.execute("INSERT INTO b VALUES (1), (1), (2)").unwrap();
+        db.execute("DELETE FROM b WHERE id = 1").unwrap();
+        db.execute("INSERT INTO b VALUES (1)").unwrap();
+        db.execute("DELETE FROM a WHERE id = 149").unwrap();
+    }
+    let mut db = Database::open(&dir).unwrap();
+    let count = |db: &mut Database, sql: &str| db.query(sql).unwrap()[0][0].as_int().unwrap();
+    assert_eq!(count(&mut db, "SELECT count(*) FROM a"), 149);
+    assert_eq!(count(&mut db, "SELECT count(*) FROM a WHERE tag = 'y'"), 10);
+    assert_eq!(count(&mut db, "SELECT count(*) FROM b"), 2);
+    assert_eq!(count(&mut db, "SELECT count(*) FROM b WHERE id = 1"), 1);
+    // The index replay built holds exactly the surviving versions.
+    db.execute("SET enable_seqscan = 0").unwrap();
+    let r = db.execute("SELECT id FROM a WHERE id >= 140").unwrap();
+    assert!(r.explain.unwrap().contains("Index Scan using a_id"));
+    assert_eq!(r.rows.len(), 9);
+    let a_id = db.catalog().all_indexes()[0].instance.read().len();
+    assert_eq!(a_id, 149);
+    std::fs::remove_dir_all(&dir).unwrap();
+}

@@ -361,6 +361,52 @@ fn duplicate_row_delete_replays_exactly_one_removal() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Replay pools Delete records and settles them later, but a failure is
+/// still reported against the Delete that caused it — not against the
+/// DDL record that triggered the pass, nor without a position at the end
+/// of the tail.
+#[test]
+fn pooled_delete_failure_names_the_delete_record() {
+    let _guard = serial();
+    let tuple = mlql::kernel::storage::encode_row(&vec![Datum::Int(1)]);
+    for ddl_after in [false, true] {
+        let dir = tmpdir("delpos");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut wal = Wal::open(snapshot::wal_path(&dir), 0).unwrap();
+        let mut append = |rec| wal.append(&rec).unwrap();
+        append(WalRecord::Ddl {
+            sql: "CREATE TABLE t (a INT)".to_string(),
+        });
+        let insert = WalRecord::Insert {
+            table_id: 0,
+            txn: 0,
+            tuple: tuple.clone(),
+        };
+        append(insert.clone());
+        // Table id 9 never existed.
+        let bad = append(WalRecord::Delete {
+            table_id: 9,
+            txn: 0,
+            tuple: tuple.clone(),
+        });
+        append(insert);
+        if ddl_after {
+            append(WalRecord::Ddl {
+                sql: "CREATE TABLE u (a INT)".to_string(),
+            });
+        }
+        wal.flush().unwrap();
+        wal.sync().unwrap();
+        drop(wal);
+        match Database::open(&dir) {
+            Err(mlql::kernel::Error::Replay { lsn, .. }) => assert_eq!(lsn, bad),
+            Err(e) => panic!("expected a replay error at lsn {bad}, got: {e}"),
+            Ok(_) => panic!("a Delete for an unknown table must fail replay"),
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
 /// Indexes are not WAL-logged (§4.2.1): after a snapshot-based recovery
 /// they are rebuilt from the heaps, and must still serve LEXEQUAL index
 /// scans.
