@@ -20,7 +20,7 @@ const QUERIES: [&str; 3] = [
     "SELECT count(*) FROM concepts WHERE c SEMEQUAL unitext('History','English')",
 ];
 
-fn run_config(db: &mlql_kernel::Database, sessions: usize, secs: f64) -> (u64, f64) {
+fn run_config(db: &mlql_kernel::Session, sessions: usize, secs: f64) -> (u64, f64) {
     let stop = AtomicBool::new(false);
     let workers: Vec<_> = (0..sessions).map(|_| db.connect()).collect();
     let start = Instant::now();
@@ -54,7 +54,7 @@ fn run_config(db: &mlql_kernel::Database, sessions: usize, secs: f64) -> (u64, f
 /// even on a single-CPU host where thread scaling is capped.  Uses a
 /// B+Tree point lookup so execution is a few microseconds and the planning
 /// fraction is visible.
-fn plan_cache_speedup(db: &mut mlql_kernel::Database, iters: usize) -> (f64, f64) {
+fn plan_cache_speedup(db: &mut mlql_kernel::Session, iters: usize) -> (f64, f64) {
     use mlql_kernel::Datum;
     db.execute("CREATE TABLE ids (id INT)").unwrap();
     for i in 0..10_000 {

@@ -42,7 +42,7 @@ fn main() {
         db.execute(&format!("CREATE TABLE r (name UNITEXT{filler_ddl})"))
             .unwrap();
         let pad = "x".repeat(q.filler_width);
-        let load = |db: &mut mlql_kernel::Database, table: &str, rows: usize, seed: u64| {
+        let load = |db: &mut mlql_kernel::Session, table: &str, rows: usize, seed: u64| {
             let data = names_dataset(
                 &mural.langs,
                 &NamesConfig {
@@ -112,7 +112,7 @@ fn main() {
         .iter()
         .enumerate()
     {
-        let mut db = mlql_kernel::Database::new_in_memory();
+        let mut db = mlql_kernel::Session::new_in_memory();
         let synsets = 5000 * scale();
         let langs = mlql_unitext::LanguageRegistry::new();
         let taxonomy = mlql_taxonomy::generate(

@@ -19,13 +19,13 @@
 use mlql_bench::report::Report;
 use mlql_bench::{mural_db, scale, timed};
 use mlql_datagen::{names_dataset, NamesConfig};
-use mlql_kernel::{Database, Datum};
+use mlql_kernel::{Datum, Session};
 use mlql_mural::types::unitext_datum;
 use mlql_mural::Mural;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-fn load(db: &mut Database, mural: &Mural) {
+fn load(db: &mut Session, mural: &Mural) {
     let n_auth = 1200 * scale();
     let n_pub = 300 * scale();
     let n_book = 3000 * scale();
@@ -91,7 +91,7 @@ fn load(db: &mut Database, mural: &Mural) {
     db.execute("SET lexequal.threshold = 3").unwrap();
 }
 
-fn run(db: &mut Database, label: &str, sql: &str, forced: bool) -> (f64, f64) {
+fn run(db: &mut Session, label: &str, sql: &str, forced: bool) -> (f64, f64) {
     db.execute(&format!(
         "SET force_join_order = {}",
         if forced { 1 } else { 0 }

@@ -21,7 +21,7 @@
 
 use mlql_bench::report::Report;
 use mlql_bench::{load_names_table, mural_db, scale, timed};
-use mlql_kernel::{obs, Database};
+use mlql_kernel::{obs, Session};
 
 /// Interleaved A/B rounds; each arm keeps its per-round minimum.
 const ROUNDS: usize = 7;
@@ -34,7 +34,7 @@ const PROBES: &[(&str, &str)] = &[
     ("Krishnan", "English"),
 ];
 
-fn scan_secs(db: &mut Database) -> f64 {
+fn scan_secs(db: &mut Session) -> f64 {
     let (_, secs) = timed(|| {
         for (name, lang) in PROBES {
             db.execute(&format!(

@@ -16,7 +16,7 @@
 
 use mlql_bench::report::Report;
 use mlql_bench::{load_names_table, mural_db, scale, timed};
-use mlql_kernel::Database;
+use mlql_kernel::Session;
 
 /// Probe names of the Table 4 scan measurements (averaged).
 const PROBES: &[(&str, &str)] = &[
@@ -30,7 +30,7 @@ const PROBES: &[(&str, &str)] = &[
 /// scheduler noise).
 const REPS: usize = 3;
 
-fn psi_scan_secs(db: &mut Database, workers: usize) -> f64 {
+fn psi_scan_secs(db: &mut Session, workers: usize) -> f64 {
     db.execute(&format!("SET parallel_workers = {workers}"))
         .unwrap();
     let mut best = f64::INFINITY;
@@ -48,7 +48,7 @@ fn psi_scan_secs(db: &mut Database, workers: usize) -> f64 {
     best
 }
 
-fn omega_scan_secs(db: &mut Database, workers: usize) -> f64 {
+fn omega_scan_secs(db: &mut Session, workers: usize) -> f64 {
     db.execute(&format!("SET parallel_workers = {workers}"))
         .unwrap();
     let mut best = f64::INFINITY;

@@ -9,7 +9,7 @@
 
 use mlql_bench::report::{obj, Report, Value};
 use mlql_bench::{scale, timed};
-use mlql_kernel::{obs, snapshot, Database};
+use mlql_kernel::{obs, snapshot, Session};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -30,7 +30,7 @@ fn wal_bytes(dir: &Path) -> u64 {
 fn replay_cost(records: usize) -> (u64, f64) {
     let dir = tmpdir(&format!("replay-{records}"));
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Session::open_with_extensions(&dir, |_| Ok(())).unwrap();
         db.execute("SET wal_sync_mode = 'off'").unwrap();
         db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
         for i in 0..records {
@@ -39,7 +39,7 @@ fn replay_cost(records: usize) -> (u64, f64) {
         }
     }
     let bytes = wal_bytes(&dir);
-    let (db, secs) = timed(|| Database::open(&dir).unwrap());
+    let (db, secs) = timed(|| Session::open_with_extensions(&dir, |_| Ok(())).unwrap());
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
     (bytes, secs)
@@ -50,20 +50,20 @@ fn replay_cost(records: usize) -> (u64, f64) {
 fn checkpointed_reopen(history: usize, tail: usize) -> f64 {
     let dir = tmpdir(&format!("ckpt-{history}"));
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = Session::open_with_extensions(&dir, |_| Ok(())).unwrap();
         db.execute("SET wal_sync_mode = 'off'").unwrap();
         db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
         for i in 0..history {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'value-{i}')"))
                 .unwrap();
         }
-        db.checkpoint().unwrap();
+        db.engine().checkpoint().unwrap();
         for i in 0..tail {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'tail')"))
                 .unwrap();
         }
     }
-    let (db, secs) = timed(|| Database::open(&dir).unwrap());
+    let (db, secs) = timed(|| Session::open_with_extensions(&dir, |_| Ok(())).unwrap());
     drop(db);
     std::fs::remove_dir_all(&dir).unwrap();
     secs
@@ -74,7 +74,7 @@ fn checkpointed_reopen(history: usize, tail: usize) -> f64 {
 /// statements; group commit shows up as fewer fsyncs than rows.
 fn insert_throughput(mode: &str, sessions: usize, per_session: usize) -> (f64, u64) {
     let dir = tmpdir(&format!("ins-{mode}-{sessions}"));
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = Session::open_with_extensions(&dir, |_| Ok(())).unwrap();
     db.execute("CREATE TABLE t (id INT)").unwrap();
     db.execute(&format!("SET wal_sync_mode = '{mode}'"))
         .unwrap();

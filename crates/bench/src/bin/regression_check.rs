@@ -16,10 +16,10 @@
 
 use mlql_bench::report::{json_num_field, Report};
 use mlql_bench::{scale, timed};
-use mlql_kernel::Database;
+use mlql_kernel::Session;
 use mlql_mural::install;
 
-fn workload(db: &mut Database, rows: usize) -> Vec<String> {
+fn workload(db: &mut Session, rows: usize) -> Vec<String> {
     let mut outputs = Vec::new();
     db.execute("CREATE TABLE orders (id INT, customer TEXT, amount FLOAT, region INT)")
         .unwrap();
@@ -95,9 +95,9 @@ fn main() {
     let mut plain_out = Vec::new();
     let mut ext_out = Vec::new();
     for t in 0..=trials {
-        let mut plain = Database::new_in_memory();
+        let mut plain = Session::new_in_memory();
         let (out_a, secs_a) = timed(|| workload(&mut plain, rows));
-        let mut extended = Database::new_in_memory();
+        let mut extended = Session::new_in_memory();
         let _mural = install(&mut extended).unwrap();
         let (out_b, secs_b) = timed(|| workload(&mut extended, rows));
         assert_eq!(out_a, out_b, "results must be identical");

@@ -22,7 +22,7 @@
 use mlql_bench::report::Report;
 use mlql_bench::{load_names_outside, load_names_table, mural_db, scale, timed};
 use mlql_kernel::pl::PlRuntime;
-use mlql_kernel::{Database, Datum};
+use mlql_kernel::{Datum, Session};
 use mlql_mural::{mdi, outside};
 
 /// Probe names used for the scan measurements (averaged).
@@ -33,7 +33,7 @@ const PROBES: &[(&str, &str)] = &[
     ("Krishnan", "English"),
 ];
 
-fn core_scan(db: &mut Database, use_index: bool) -> f64 {
+fn core_scan(db: &mut Session, use_index: bool) -> f64 {
     db.execute(&format!(
         "SET enable_seqscan = {}",
         if use_index { 0 } else { 1 }
@@ -57,7 +57,7 @@ fn core_scan(db: &mut Database, use_index: bool) -> f64 {
     secs / PROBES.len() as f64
 }
 
-fn core_join(db: &mut Database, use_index: bool) -> f64 {
+fn core_join(db: &mut Session, use_index: bool) -> f64 {
     // Index-assisted join: probe the M-Tree per outer row is not a plan our
     // executor builds (index nested-loops over ext-ops); like the paper we
     // report the best core join the engine runs, with the index available
@@ -75,7 +75,7 @@ fn core_join(db: &mut Database, use_index: bool) -> f64 {
     secs
 }
 
-fn outside_scan(db: &mut Database, with_mdi: bool, mural: &mlql_mural::Mural) -> f64 {
+fn outside_scan(db: &mut Session, with_mdi: bool, mural: &mlql_mural::Mural) -> f64 {
     let full = outside::lexequal_scan_fn("names_out", "name", "ph");
     let mdi_fn = outside::lexequal_scan_mdi_fn("names_out", "name", "ph", "mdi");
     let (_, secs) = timed(|| {
@@ -101,7 +101,7 @@ fn outside_scan(db: &mut Database, with_mdi: bool, mural: &mlql_mural::Mural) ->
     secs / PROBES.len() as f64
 }
 
-fn outside_join(db: &mut Database, with_mdi: bool) -> f64 {
+fn outside_join(db: &mut Session, with_mdi: bool) -> f64 {
     let plain = outside::lexequal_join_fn("probes_out", "name", "ph", "names_out", "name", "ph");
     let with_idx = outside::lexequal_join_mdi_fn(
         "probes_out",
@@ -170,8 +170,9 @@ fn main() {
     // Pruning efficiency: fraction of stored keys the M-Tree compared per
     // probe (§5.3 attributes the marginal gains to poor pruning).
     let pruning_frac = {
-        let meta = db.catalog().table("names").unwrap();
+        let meta = db.engine().catalog().table("names").unwrap();
         let idx = db
+            .engine()
             .catalog()
             .indexes_of(meta.id)
             .into_iter()

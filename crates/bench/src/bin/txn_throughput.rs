@@ -9,13 +9,13 @@
 use mlql_bench::report::{obj, Report, Value};
 use mlql_bench::{load_names_table, mural_db, scale, timed};
 use mlql_kernel::obs;
-use mlql_kernel::{Database, Error};
+use mlql_kernel::{Error, Session};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 /// Commit-only loop: each session owns a private key range, so every
 /// transaction commits.  Returns (committed txns, txns/s).
-fn run_commit_config(db: &Database, sessions: usize, secs: f64) -> (u64, f64) {
+fn run_commit_config(db: &Session, sessions: usize, secs: f64) -> (u64, f64) {
     let stop = AtomicBool::new(false);
     let workers: Vec<_> = (0..sessions).map(|_| db.connect()).collect();
     let start = Instant::now();
@@ -53,7 +53,7 @@ fn run_commit_config(db: &Database, sessions: usize, secs: f64) -> (u64, f64) {
 
 /// Contention loop: every session updates the same `hot` keys, so
 /// first-updater-wins aborts the laggards.  Returns (commits, aborts).
-fn run_conflict_config(db: &Database, sessions: usize, hot: u64, secs: f64) -> (u64, u64) {
+fn run_conflict_config(db: &Session, sessions: usize, hot: u64, secs: f64) -> (u64, u64) {
     let stop = AtomicBool::new(false);
     let workers: Vec<_> = (0..sessions).map(|_| db.connect()).collect();
     std::thread::scope(|scope| {
@@ -95,7 +95,7 @@ fn run_conflict_config(db: &Database, sessions: usize, hot: u64, secs: f64) -> (
 }
 
 /// Mean latency (seconds) of `iters` back-to-back ψ scans from one session.
-fn psi_scan_latency(db: &Database, sql: &str, iters: usize) -> f64 {
+fn psi_scan_latency(db: &Session, sql: &str, iters: usize) -> f64 {
     let mut s = db.connect();
     s.execute("SET lexequal.threshold = 2").unwrap();
     s.query(sql).unwrap(); // warm plan cache + buffers

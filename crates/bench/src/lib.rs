@@ -4,7 +4,7 @@
 pub mod report;
 
 use mlql_datagen::{names_dataset, NamesConfig};
-use mlql_kernel::{Database, Datum, Result};
+use mlql_kernel::{Datum, Result, Session};
 use mlql_mural::{install, mdi, Mural};
 use std::time::Instant;
 
@@ -51,8 +51,8 @@ pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
 }
 
 /// Create a fresh in-memory database with the Mural extension installed.
-pub fn mural_db() -> (Database, Mural) {
-    let mut db = Database::new_in_memory();
+pub fn mural_db() -> (Session, Mural) {
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).expect("install mural");
     (db, mural)
 }
@@ -60,7 +60,7 @@ pub fn mural_db() -> (Database, Mural) {
 /// Load a names table `name(n UNITEXT)` with `records` rows of the
 /// multilingual names dataset.  Uses the bulk `insert_row` path.
 pub fn load_names_table(
-    db: &mut Database,
+    db: &mut Session,
     mural: &Mural,
     table: &str,
     records: usize,
@@ -90,7 +90,7 @@ pub fn load_names_table(
 /// performance experiments were run after the phoneme strings ... had been
 /// materialized and stored explicitly in the table").
 pub fn load_names_outside(
-    db: &mut Database,
+    db: &mut Session,
     mural: &Mural,
     table: &str,
     records: usize,
@@ -131,7 +131,7 @@ pub fn load_names_outside(
 /// implementation did before pinning.  `index_name = Some(..)` uses the
 /// B+Tree on the `parent` attribute (§5.4); `None` seq-scans per node.
 pub fn core_closure_via_tables(
-    db: &Database,
+    db: &Session,
     edges_table: &str,
     index_name: Option<&str>,
     root: i64,
@@ -139,10 +139,11 @@ pub fn core_closure_via_tables(
     use mlql_kernel::storage::{decode_row, split_version};
     use std::collections::HashSet;
 
-    let meta = db.catalog().table(edges_table)?;
+    let meta = db.engine().catalog().table(edges_table)?;
     let arity = meta.schema.len();
     let index = index_name.and_then(|n| {
-        db.catalog()
+        db.engine()
+            .catalog()
             .indexes_of(meta.id)
             .into_iter()
             .find(|i| i.name == n)
@@ -160,7 +161,7 @@ pub fn core_closure_via_tables(
                     .read()
                     .search("eq", &Datum::Int(node), &Datum::Null)?;
                 for tid in hits.tids {
-                    if let Some(bytes) = meta.heap.get(db.pool(), tid)? {
+                    if let Some(bytes) = meta.heap.get(db.engine().pool(), tid)? {
                         let (xmin, xmax, rest) = split_version(&bytes)?;
                         if !vis.sees(xmin, xmax) {
                             continue;
@@ -176,7 +177,7 @@ pub fn core_closure_via_tables(
             }
             None => {
                 let mut children = Vec::new();
-                meta.heap.scan(db.pool(), |_, bytes| {
+                meta.heap.scan(db.engine().pool(), |_, bytes| {
                     let Ok((xmin, xmax, rest)) = split_version(bytes) else {
                         return true;
                     };

@@ -200,13 +200,11 @@ pub struct ExtOperator {
     /// falls back to the estimated selectivity.
     #[allow(clippy::type_complexity)]
     pub index_scan_fraction: Option<Arc<dyn Fn(&SessionVars) -> f64 + Send + Sync>>,
-    /// Optional EXPLAIN annotation: names the evaluation strategy the
-    /// operator will use under this session's settings (e.g. Ω's
-    /// `intervals` vs `closure-fallback` containment).  The planner
-    /// stamps it onto scan nodes whose pushed-down filter contains the
-    /// operator, so EXPLAIN / EXPLAIN ANALYZE surface the strategy.
-    #[allow(clippy::type_complexity)]
-    pub strategy_label: Option<Arc<dyn Fn(&SessionVars) -> String + Send + Sync>>,
+    /// Optional EXPLAIN annotation naming the operator's evaluation
+    /// strategy (e.g. Ω's `intervals` containment).  The planner stamps
+    /// it onto scan nodes whose pushed-down filter contains the operator,
+    /// so EXPLAIN / EXPLAIN ANALYZE surface the strategy.
+    pub strategy_label: Option<&'static str>,
 }
 
 impl std::fmt::Debug for ExtOperator {

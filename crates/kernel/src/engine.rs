@@ -2,8 +2,8 @@
 //!
 //! The paper's argument is that multilingual operators belong *inside* the
 //! engine so they run at relational speeds; an engine that serves one
-//! client at a time undercuts that claim.  This module splits the old
-//! `Database` monolith in two:
+//! client at a time undercuts that claim.  This module holds the engine
+//! in two parts:
 //!
 //! * [`Engine`] — everything shared between connections: the catalog
 //!   (behind an `RwLock` so DDL excludes readers but readers run in
@@ -68,7 +68,7 @@ use crate::txn::{TransactionManager, TxnSnapshot, TxnVisibility, INVALID_TXN_ID}
 use crate::value::{DataType, Datum};
 use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::collections::HashMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -287,7 +287,7 @@ impl Engine {
 
     /// An engine over an arbitrary storage backend, WAL-less until
     /// [`Engine::attach_durability`].
-    pub fn with_backend(backend: Box<dyn StorageBackend>) -> Arc<Engine> {
+    pub(crate) fn with_backend(backend: Box<dyn StorageBackend>) -> Arc<Engine> {
         static NEXT_ENGINE_ID: AtomicU64 = AtomicU64::new(1);
         Arc::new(Engine {
             catalog: RwLock::new(Catalog::new()),
@@ -326,9 +326,8 @@ impl Engine {
     }
 
     /// Open a new session against this engine.  `vars` seeds the session's
-    /// variables (extensions may have installed defaults on a template
-    /// session).
-    pub fn connect_with_vars(self: &Arc<Self>, vars: SessionVars) -> Session {
+    /// variables (see [`Session::connect`]).
+    fn connect_with_vars(self: &Arc<Self>, vars: SessionVars) -> Session {
         obs::metrics().sessions_opened_total.inc();
         let session_id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(obs::ActivitySlot::new(self.engine_id, session_id));
@@ -408,7 +407,7 @@ impl Engine {
     /// attaches — so replayed statements are not re-logged.  `root` is the
     /// database directory (checkpoints write their snapshots there; `None`
     /// for WAL-only setups such as unit tests).
-    pub fn attach_durability(&self, wal: Arc<SharedWal>, root: Option<PathBuf>) {
+    pub(crate) fn attach_durability(&self, wal: Arc<SharedWal>, root: Option<PathBuf>) {
         // A `SET wal_sync_mode` that ran while the engine was still
         // WAL-less (extension install scripts, statements replayed before
         // attach) wins over the opener's default mode.
@@ -433,9 +432,11 @@ impl Engine {
     /// Change the WAL durability mode (the `SET wal_sync_mode` knob).
     /// Engine-wide: the WAL is one shared stream, so the knob cannot be
     /// per-session.  Before durability is attached the mode is parked and
-    /// applied by [`Engine::attach_durability`] — a `SET` issued during
-    /// bootstrap must not be silently dropped (engines that stay
+    /// applied when [`recovery::open`] attaches the WAL — a `SET` issued
+    /// during bootstrap must not be silently dropped (engines that stay
     /// in-memory simply never consume it).
+    ///
+    /// [`recovery::open`]: crate::recovery::open
     pub fn set_wal_sync_mode(&self, mode: SyncMode) {
         match self.durability.get() {
             Some(d) => d.wal.set_mode(mode),
@@ -571,7 +572,7 @@ impl Engine {
 /// Durability attachments of an engine (absent for in-memory engines).
 struct Durability {
     wal: Arc<SharedWal>,
-    /// Database root directory for checkpoints (`None` = WAL-only).
+    /// Data directory root for checkpoints (`None` = WAL-only).
     root: Option<PathBuf>,
 }
 
@@ -611,6 +612,30 @@ const _: fn() = || {
 };
 
 impl Session {
+    /// A session on a fresh in-memory engine (no durability).
+    pub fn new_in_memory() -> Session {
+        Engine::in_memory().connect()
+    }
+
+    /// Open (or create) a durable database under `dir` and return its
+    /// first session; `install` registers extensions before WAL replay
+    /// (see [`recovery::open`]).
+    ///
+    /// [`recovery::open`]: crate::recovery::open
+    pub fn open_with_extensions(
+        dir: impl AsRef<Path>,
+        install: impl FnOnce(&mut Session) -> Result<()>,
+    ) -> Result<Session> {
+        crate::recovery::open(dir, install, |b| b)
+    }
+
+    /// Open a sibling session on the same engine, starting from a copy of
+    /// this session's variables — extension defaults installed here (e.g.
+    /// `lexequal.threshold`) carry over; [`Engine::connect`] starts empty.
+    pub fn connect(&self) -> Session {
+        self.engine.connect_with_vars(self.vars.clone())
+    }
+
     /// The engine this session is connected to.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
@@ -2239,7 +2264,7 @@ mod tests {
             std::env::temp_dir().join(format!("mlql-wal-pending-mode-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let wal = crate::storage::Wal::open(&path, 0).unwrap();
-        // Database::open attaches with its Fsync default; the earlier SET
+        // recovery::open attaches with its Fsync default; the earlier SET
         // must win.
         engine.attach_durability(Arc::new(SharedWal::new(wal, SyncMode::Fsync)), None);
         assert_eq!(engine.wal_sync_mode(), Some(SyncMode::Off));

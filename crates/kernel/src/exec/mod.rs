@@ -1176,10 +1176,7 @@ fn probe_index(
     // ≥ 2 workers; the read guard is held across the whole parallel
     // search, exactly as in the serial path.
     let search = match ctx.exec_pool {
-        Some(pool)
-            if effective_workers(ctx.session) >= 2
-                && ctx.session.get_int("enable_parallel", 1) != 0 =>
-        {
+        Some(pool) if effective_workers(ctx.session) >= 2 => {
             pool.ensure_workers(effective_workers(ctx.session));
             guard.search_parallel(strategy, probe, extra, pool)?
         }

@@ -421,7 +421,7 @@ pub fn global() -> &'static Registry {
 
 /// Handles onto every engine metric, registered once per process.
 pub struct EngineMetrics {
-    /// Queries executed through `Database::execute`.
+    /// Queries executed through `Session::execute`.
     pub queries_total: Arc<Counter>,
     /// End-to-end statement latency (seconds).
     pub query_latency_seconds: Arc<Histogram>,

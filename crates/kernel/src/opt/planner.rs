@@ -705,16 +705,16 @@ impl Planner<'_> {
 
     /// First operator-supplied strategy label found in the expression
     /// tree (e.g. SemEQUAL's containment strategy): extension operators
-    /// may register a `strategy_label` hook that renders a short,
-    /// session-dependent note EXPLAIN attaches to the scan node.
-    fn expr_strategy_label(&self, e: &Expr) -> Option<String> {
+    /// may register a `strategy_label`, a short note EXPLAIN attaches to
+    /// the scan node.
+    fn expr_strategy_label(&self, e: &Expr) -> Option<&'static str> {
         match e {
             Expr::ExtOp {
                 name, left, right, ..
             } => self
                 .catalog
                 .operator(name)
-                .and_then(|op| op.strategy_label.as_ref().map(|f| f(self.session)))
+                .and_then(|op| op.strategy_label)
                 .or_else(|| self.expr_strategy_label(left))
                 .or_else(|| self.expr_strategy_label(right)),
             Expr::And(l, r) | Expr::Or(l, r) => self
@@ -792,7 +792,7 @@ impl Planner<'_> {
                     } else {
                         Some(and_all(local.to_vec()))
                     },
-                    annotation: annotation.clone(),
+                    annotation,
                 },
                 est_rows: out_rows,
                 est_cost: cost,
@@ -806,11 +806,7 @@ impl Planner<'_> {
         // therefore the pre-existing EXPLAIN goldens) keep serial plans.
         {
             let workers = crate::exec::effective_workers(self.session);
-            if !self.serial
-                && flag(self.session, "enable_parallel")
-                && workers >= 2
-                && rel.rows >= PARALLEL_MIN_ROWS
-            {
+            if !self.serial && workers >= 2 && rel.rows >= PARALLEL_MIN_ROWS {
                 let mut cost =
                     params.parallel_seq_scan(rel.pages, rel.rows, per_row, workers, batch);
                 if !flag(self.session, "enable_seqscan") {
@@ -825,7 +821,7 @@ impl Planner<'_> {
                             Some(and_all(local.to_vec()))
                         },
                         workers,
-                        annotation: annotation.clone(),
+                        annotation,
                     },
                     est_rows: out_rows,
                     est_cost: cost,

@@ -17,7 +17,7 @@ pub mod parser;
 
 pub use parser::parse_function;
 
-use crate::db::Database;
+use crate::engine::Session;
 use crate::error::{Error, Result};
 use crate::expr::{ArithOp, CmpOp};
 use crate::schema::Row;
@@ -131,10 +131,10 @@ enum Flow {
     Returned,
 }
 
-/// The PL interpreter.  Borrows the database mutably: SPI statements are
-/// real statements against the same engine.
+/// The PL interpreter.  Borrows a session mutably: SPI statements are
+/// real statements on that session.
 pub struct PlRuntime<'a> {
-    db: &'a mut Database,
+    session: &'a mut Session,
     stats: PlStats,
     /// Locally-registered PL functions, callable from [`PlExpr::Call`].
     /// Local names shadow the catalog's native functions — how a pure
@@ -144,10 +144,10 @@ pub struct PlRuntime<'a> {
 }
 
 impl<'a> PlRuntime<'a> {
-    /// New runtime over a database.
-    pub fn new(db: &'a mut Database) -> Self {
+    /// New runtime over a session.
+    pub fn new(session: &'a mut Session) -> Self {
         PlRuntime {
-            db,
+            session,
             stats: PlStats::default(),
             functions: HashMap::new(),
         }
@@ -236,7 +236,7 @@ impl<'a> PlRuntime<'a> {
                     };
                     self.stats.spi_statements += 1;
                     crate::obs::metrics().pl_spi_statements_total.inc();
-                    let result = self.db.execute(&sql_text)?;
+                    let result = self.session.execute(&sql_text)?;
                     let names: Vec<String> = result
                         .schema
                         .columns()
@@ -272,7 +272,7 @@ impl<'a> PlRuntime<'a> {
                     };
                     self.stats.spi_statements += 1;
                     crate::obs::metrics().pl_spi_statements_total.inc();
-                    self.db.execute(&sql_text)?;
+                    self.session.execute(&sql_text)?;
                 }
                 PlStmt::ListNew(name) => {
                     env.insert(name.clone(), PlValue::List(Vec::new()));
@@ -357,7 +357,8 @@ impl<'a> PlRuntime<'a> {
                 // the catalog's function registry.
                 let vals = self.fmgr_roundtrip(&vals)?;
                 let f = self
-                    .db
+                    .session
+                    .engine()
                     .catalog()
                     .function(name)
                     .ok_or_else(|| Error::Pl(format!("unknown function {name:?}")))?
@@ -369,7 +370,7 @@ impl<'a> PlRuntime<'a> {
                         vals.len()
                     )));
                 }
-                let result = (f.eval)(&vals, self.db.session())?;
+                let result = (f.eval)(&vals, self.session.vars())?;
                 // Result marshals back out.
                 let back = self.fmgr_roundtrip(std::slice::from_ref(&result))?;
                 Ok(back.into_iter().next().expect("one value"))
@@ -532,12 +533,12 @@ mod tests {
     use crate::catalog::FuncDef;
     use std::sync::Arc;
 
-    fn setup() -> Database {
-        let mut db = Database::new_in_memory();
+    fn setup() -> Session {
+        let mut db = Session::new_in_memory();
         db.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two'), (3, 'three')")
             .unwrap();
-        db.catalog_mut().register_function(FuncDef {
+        db.engine().catalog_mut().register_function(FuncDef {
             name: "strlen".into(),
             arity: 1,
             ret: Some(crate::value::DataType::Int),

@@ -419,16 +419,16 @@ fn args_into_var(args: Vec<PlExpr>) -> Option<String> {
 mod tests {
     use super::*;
     use crate::catalog::FuncDef;
-    use crate::db::Database;
+    use crate::engine::Session;
     use crate::pl::PlRuntime;
     use std::sync::Arc;
 
-    fn db_with_strlen() -> Database {
-        let mut db = Database::new_in_memory();
+    fn db_with_strlen() -> Session {
+        let mut db = Session::new_in_memory();
         db.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
         db.execute("INSERT INTO t VALUES (1,'one'), (2,'two'), (3,'three')")
             .unwrap();
-        db.catalog_mut().register_function(FuncDef {
+        db.engine().catalog_mut().register_function(FuncDef {
             name: "editdistance".into(),
             arity: 2,
             ret: Some(crate::value::DataType::Int),

@@ -126,7 +126,7 @@ pub enum PhysOp {
     SeqScan {
         table: String,
         filter: Option<Expr>,
-        annotation: Option<String>,
+        annotation: Option<&'static str>,
     },
     /// Morsel-driven parallel heap scan: `workers` threads claim
     /// fixed-size page ranges, evaluate `filter` independently, and a
@@ -135,7 +135,7 @@ pub enum PhysOp {
         table: String,
         filter: Option<Expr>,
         workers: usize,
-        annotation: Option<String>,
+        annotation: Option<&'static str>,
     },
     /// Index scan: probe `index` with `strategy`, re-check `residual`.
     IndexScan {

@@ -1,12 +1,12 @@
 //! Shared-reference read concurrency: the engine's internal locking
 //! (buffer-pool mutex, per-index mutexes) must let many threads run
-//! SELECTs against one `Database` simultaneously with consistent results.
+//! SELECTs against one `Session` simultaneously with consistent results.
 
-use mlql_kernel::Database;
+use mlql_kernel::Session;
 
 #[test]
 fn parallel_selects_are_consistent() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     db.execute("CREATE TABLE t (id INT, grp INT)").unwrap();
     for i in 0..5000 {
         db.execute(&format!("INSERT INTO t VALUES ({i}, {})", i % 7))
@@ -114,7 +114,7 @@ fn metrics_registry_survives_concurrent_hammering() {
 fn query_metrics_accumulate_across_threads() {
     use mlql_kernel::obs;
 
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     db.execute("CREATE TABLE t (id INT)").unwrap();
     for i in 0..100 {
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
@@ -140,7 +140,7 @@ fn query_metrics_accumulate_across_threads() {
 
 #[test]
 fn query_ref_rejects_writes() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     db.execute("CREATE TABLE t (id INT)").unwrap();
     assert!(db.query_ref("INSERT INTO t VALUES (1)").is_err());
     assert!(db.query_ref("DELETE FROM t").is_err());

@@ -13,7 +13,7 @@ use crate::lexequal::{lexequal_operator, DEFAULT_THRESHOLD, THRESHOLD_VAR};
 use crate::mtree_am::MTreeAm;
 use crate::semequal::{semequal_operator, SemState};
 use crate::types::unitext_type_def;
-use mlql_kernel::{Database, Datum, ExtTypeId, Result};
+use mlql_kernel::{Datum, ExtTypeId, Result, Session};
 use mlql_phonetics::ConverterRegistry;
 use mlql_taxonomy::{books_fragment, Taxonomy};
 use mlql_unitext::LanguageRegistry;
@@ -37,14 +37,15 @@ impl Mural {
     /// ascending phonemic distance.
     pub fn nearest(
         &self,
-        db: &Database,
+        session: &Session,
         table: &str,
         index: &str,
         probe: &Datum,
         k: usize,
     ) -> Result<Vec<Vec<Datum>>> {
-        let meta = db.catalog().table(table)?;
-        let idx = db
+        let meta = session.engine().catalog().table(table)?;
+        let idx = session
+            .engine()
             .catalog()
             .indexes_of(meta.id)
             .into_iter()
@@ -56,10 +57,10 @@ impl Mural {
             .search("nearest", probe, &Datum::Int(k as i64))?;
         // Index entries address versions; a fresh snapshot filters the
         // dead and in-flight ones (same policy as the kernel's IndexScan).
-        let vis = db.engine().fresh_visibility();
+        let vis = session.engine().fresh_visibility();
         let mut out = Vec::with_capacity(search.tids.len());
         for tid in search.tids {
-            if let Some(bytes) = meta.heap.get(db.pool(), tid)? {
+            if let Some(bytes) = meta.heap.get(session.engine().pool(), tid)? {
                 let (xmin, xmax, rest) = mlql_kernel::storage::split_version(&bytes)?;
                 if !vis.sees(xmin, xmax) {
                     continue;
@@ -85,26 +86,26 @@ impl Mural {
 
 /// Install with the default worked-example taxonomy (the Books fragment of
 /// Figures 1 and 4).
-pub fn install(db: &mut Database) -> Result<Mural> {
+pub fn install(session: &mut Session) -> Result<Mural> {
     let langs = Arc::new(LanguageRegistry::new());
     let (taxonomy, _) = books_fragment(&langs);
-    install_inner(db, langs, taxonomy)
+    install_inner(session, langs, taxonomy)
 }
 
 /// Install with a caller-provided taxonomy (benches load the WordNet-scale
 /// synthetic hierarchy).
-pub fn install_with_taxonomy(db: &mut Database, taxonomy: Taxonomy) -> Result<Mural> {
+pub fn install_with_taxonomy(session: &mut Session, taxonomy: Taxonomy) -> Result<Mural> {
     let langs = Arc::new(LanguageRegistry::new());
-    install_inner(db, langs, taxonomy)
+    install_inner(session, langs, taxonomy)
 }
 
 fn install_inner(
-    db: &mut Database,
+    session: &mut Session,
     langs: Arc<LanguageRegistry>,
     taxonomy: Taxonomy,
 ) -> Result<Mural> {
     let converters = Arc::new(ConverterRegistry::with_builtins(&langs));
-    let mut catalog = db.catalog_mut();
+    let mut catalog = session.engine().catalog_mut();
 
     // 1. The UniText datatype (§3.1) with insertion-time phoneme
     //    materialization (§4.2).
@@ -164,7 +165,8 @@ fn install_inner(
 
     // 6. Session defaults (the paper's system-table threshold, §4.2).
     drop(catalog); // release the catalog write lock before touching session state
-    db.session_mut()
+    session
+        .vars_mut()
         .set(THRESHOLD_VAR, Datum::Int(DEFAULT_THRESHOLD));
 
     Ok(Mural {
@@ -179,8 +181,8 @@ fn install_inner(
 mod tests {
     use super::*;
 
-    fn setup() -> (Database, Mural) {
-        let mut db = Database::new_in_memory();
+    fn setup() -> (Session, Mural) {
+        let mut db = Session::new_in_memory();
         let mural = install(&mut db).unwrap();
         (db, mural)
     }
@@ -375,8 +377,8 @@ mod tests {
     fn existing_functionality_unaffected() {
         // The §5.1 sanity claim at unit scale: a plain relational workload
         // runs identically with the extension installed.
-        let mut plain = Database::new_in_memory();
-        let mut extended = Database::new_in_memory();
+        let mut plain = Session::new_in_memory();
+        let mut extended = Session::new_in_memory();
         let _ = install(&mut extended).unwrap();
         for db in [&mut plain, &mut extended] {
             db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();

@@ -10,10 +10,10 @@
 //! ## Quick start
 //!
 //! ```
-//! use mlql_kernel::Database;
+//! use mlql_kernel::Session;
 //! use mlql_mural::install;
 //!
-//! let mut db = Database::new_in_memory();
+//! let mut db = Session::new_in_memory();
 //! let mural = install(&mut db).unwrap();
 //! db.execute("CREATE TABLE book (author UNITEXT, title TEXT)").unwrap();
 //! db.execute("INSERT INTO book VALUES (unitext('Nehru', 'English'), 'Letters')").unwrap();

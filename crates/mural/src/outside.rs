@@ -446,12 +446,12 @@ mod tests {
     use super::*;
     use crate::install::install;
     use mlql_kernel::pl::PlRuntime;
-    use mlql_kernel::{Database, Datum};
+    use mlql_kernel::{Datum, Session};
 
     /// Build a small names table with materialized phoneme and MDI columns,
     /// the way an outside-the-server deployment would.
-    fn names_db() -> Database {
-        let mut db = Database::new_in_memory();
+    fn names_db() -> Session {
+        let mut db = Session::new_in_memory();
         let _ = install(&mut db).unwrap();
         db.execute("CREATE TABLE names (name TEXT, ph TEXT, mdi INT)")
             .unwrap();
@@ -531,7 +531,7 @@ mod tests {
 
     #[test]
     fn setsql_closure_matches_per_node_closure() {
-        let mut db = Database::new_in_memory();
+        let mut db = Session::new_in_memory();
         let mural = install(&mut db).unwrap();
         db.execute("CREATE TABLE edges (child INT, parent INT)")
             .unwrap();
@@ -566,7 +566,7 @@ mod tests {
 
     #[test]
     fn interpreted_editdistance_matches_native() {
-        let mut db = Database::new_in_memory();
+        let mut db = Session::new_in_memory();
         let _ = install(&mut db).unwrap();
         let ed = editdistance_pl_fn();
         let mut rt = PlRuntime::new(&mut db);
@@ -602,7 +602,7 @@ mod tests {
 
     #[test]
     fn outside_closure_matches_pinned_closure() {
-        let mut db = Database::new_in_memory();
+        let mut db = Session::new_in_memory();
         let mural = install(&mut db).unwrap();
         // Store the taxonomy's edges relationally.
         db.execute("CREATE TABLE edges (child INT, parent INT)")

@@ -383,7 +383,7 @@ pub fn semequal_operator(
         })),
         index_scan_fraction: None,
         // EXPLAIN names the containment implementation on the scan node.
-        strategy_label: Some(Arc::new(|_| "intervals".to_string())),
+        strategy_label: Some("intervals"),
     }
 }
 

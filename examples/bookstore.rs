@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example bookstore [rows]`
 
 use mlql::datagen::{books_catalog, names_dataset, NamesConfig};
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use std::time::Instant;
@@ -19,7 +19,7 @@ fn main() {
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(5000);
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).expect("install mural");
 
     println!("loading {rows}-row catalog ...");

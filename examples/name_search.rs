@@ -9,7 +9,7 @@
 //! Run: `cargo run --release --example name_search -- Nehru Miller`
 //! (defaults to a demo probe set; env `ROWS` overrides the corpus size).
 
-use mlql::kernel::Database;
+use mlql::kernel::Session;
 use mlql::mural::{install, unitext_from_bytes};
 use std::time::Instant;
 
@@ -27,7 +27,7 @@ fn main() {
         }
     };
 
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).expect("install mural");
     println!("loading {rows} multilingual names ...");
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();

@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run --release --example quickstart`
 
-use mlql::kernel::Database;
+use mlql::kernel::Session;
 use mlql::mural::install;
 
-fn show(db: &mut Database, sql: &str) {
+fn show(db: &mut Session, sql: &str) {
     println!("mlql> {sql}");
     match db.execute(sql) {
         Ok(result) => {
@@ -51,7 +51,7 @@ fn show(db: &mut Database, sql: &str) {
 }
 
 fn main() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let _mural = install(&mut db).expect("install the Mural extension");
 
     println!("=== The Books.com catalog (paper, Figure 1) ===\n");

@@ -12,7 +12,7 @@
 //! `\timing` to toggle timings, `\q` to quit.  A small demo catalog is
 //! preloaded.
 
-use mlql::kernel::Database;
+use mlql::kernel::Session;
 use mlql::mural::{install, unitext_from_bytes};
 use std::io::{BufRead, Write};
 
@@ -26,7 +26,7 @@ fn render(d: &mlql::kernel::Datum) -> String {
 }
 
 fn main() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let _mural = install(&mut db).expect("install mural");
     // Demo data so SELECTs work immediately.
     db.execute("CREATE TABLE book (author UNITEXT, title TEXT, category UNITEXT)")
@@ -81,7 +81,7 @@ fn main() {
                 continue;
             }
             "\\d" => {
-                for t in db.catalog().tables() {
+                for t in db.engine().catalog().tables() {
                     println!("{} {}", t.name, t.schema);
                 }
                 continue;

@@ -7,7 +7,7 @@
 //!
 //! Run: `cargo run --release --example taxonomy_browser [synsets]`
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Session};
 use mlql::mural::install_with_taxonomy;
 use mlql::mural::types::unitext_datum;
 use mlql::taxonomy::{generate, synsets_near_closure_sizes, GeneratorConfig};
@@ -47,7 +47,7 @@ fn main() {
         .map(|&(_, synset, approx)| (taxonomy.words(synset)[0].clone(), approx))
         .collect();
 
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let mural = install_with_taxonomy(&mut db, taxonomy).expect("install mural");
 
     // A documents table categorized by random synset word forms.

@@ -6,10 +6,10 @@
 //! architecture overview and `examples/` for runnable entry points.
 //!
 //! ```
-//! use mlql::kernel::Database;
+//! use mlql::kernel::Session;
 //! use mlql::mural::install;
 //!
-//! let mut db = Database::new_in_memory();
+//! let mut db = Session::new_in_memory();
 //! let _mural = install(&mut db).unwrap();
 //! db.execute("CREATE TABLE book (author UNITEXT)").unwrap();
 //! db.execute("INSERT INTO book VALUES (unitext('Nehru', 'English'))").unwrap();

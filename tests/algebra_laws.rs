@@ -124,9 +124,9 @@ fn omega_is_not_commutative_witness() {
 fn sql_respects_psi_commutativity() {
     // The optimizer may swap ψ operands (it normalizes const-vs-column
     // using Table 1); both spellings must return identical rows.
-    use mlql::kernel::Database;
+    use mlql::kernel::Session;
     use mlql::mural::install;
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     install(&mut db).unwrap();
     db.execute("CREATE TABLE t (v UNITEXT)").unwrap();
     for n in ["Nehru", "Neru", "Gandhi"] {

@@ -6,7 +6,7 @@
 //! another.  (`VALUES` has no SQL surface; it and the NL-join rescan are
 //! covered by the unit tests next to the operators.)
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use std::collections::HashMap;
@@ -16,8 +16,8 @@ const LIMITS: [usize; 3] = [1, 3, 50];
 
 /// `a (id, grp, name)` with an M-tree on `name`, and a smaller
 /// `b (id, name)`; serial plans, threshold 2.
-fn fixture() -> Database {
-    let mut db = Database::new_in_memory();
+fn fixture() -> Session {
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE a (id INT, grp INT, name UNITEXT)")
         .unwrap();

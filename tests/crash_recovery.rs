@@ -2,7 +2,7 @@
 //! PostgreSQL-7.4 GiST (paper §4.2.1), are *not* WAL-logged — are rebuilt
 //! from the recovered heaps and must serve queries correctly afterwards.
 
-use mlql::kernel::{db::rebuild_indexes, Database};
+use mlql::kernel::{recovery::rebuild_indexes, Session};
 use mlql::mural::install;
 use std::path::PathBuf;
 
@@ -12,9 +12,13 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
-fn open_mural(dir: &PathBuf) -> (Database, mlql::mural::Mural) {
+fn open(dir: &std::path::Path) -> mlql::kernel::Result<Session> {
+    Session::open_with_extensions(dir, |_| Ok(()))
+}
+
+fn open_mural(dir: &PathBuf) -> (Session, mlql::mural::Mural) {
     let mut slot = None;
-    let db = Database::open_with_extensions(dir, |db| {
+    let db = Session::open_with_extensions(dir, |db| {
         slot = Some(install(db)?);
         Ok(())
     })
@@ -60,7 +64,7 @@ fn multilingual_data_survives_crash() {
 fn deletes_replay_correctly() {
     let dir = tmpdir("deletes");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (id INT, tag TEXT)").unwrap();
         for i in 0..20 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'keep')"))
@@ -69,7 +73,7 @@ fn deletes_replay_correctly() {
         db.execute("DELETE FROM t WHERE id < 5").unwrap();
         db.execute("INSERT INTO t VALUES (100, 'late')").unwrap();
     }
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     let n = db.query("SELECT count(*) FROM t").unwrap();
     assert_eq!(n[0][0].as_int(), Some(16));
     let late = db.query("SELECT count(*) FROM t WHERE id = 100").unwrap();
@@ -83,12 +87,12 @@ fn deletes_replay_correctly() {
 fn repeated_reopen_is_idempotent() {
     let dir = tmpdir("reopen");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (id INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
     }
     for _ in 0..3 {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         let n = db.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(n[0][0].as_int(), Some(2), "reopen must not duplicate rows");
     }
@@ -98,7 +102,7 @@ fn repeated_reopen_is_idempotent() {
 #[test]
 fn manual_index_rebuild_matches_fresh_build() {
     // The recovery path for non-WAL-logged indexes, exercised directly.
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     install(&mut db).unwrap();
     db.execute("CREATE TABLE t (v UNITEXT)").unwrap();
     db.execute("CREATE INDEX t_mt ON t (v) USING mtree")
@@ -114,7 +118,7 @@ fn manual_index_rebuild_matches_fresh_build() {
     let before = db
         .query("SELECT count(*) FROM t WHERE v LEXEQUAL unitext('name5','English')")
         .unwrap();
-    rebuild_indexes(&mut db).unwrap();
+    rebuild_indexes(db.engine()).unwrap();
     let after = db
         .query("SELECT count(*) FROM t WHERE v LEXEQUAL unitext('name5','English')")
         .unwrap();
@@ -217,7 +221,7 @@ fn committed_txn_survives_crash_uncommitted_is_dropped() {
 fn aborted_txn_in_wal_tail_is_dropped_on_recovery() {
     let dir = tmpdir("txn-abort-tail");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (id INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
         let db = db; // sessions below borrow the engine
@@ -230,7 +234,7 @@ fn aborted_txn_in_wal_tail_is_dropped_on_recovery() {
         b.execute("INSERT INTO t VALUES (3)").unwrap();
         drop(b); // logs Abort, crash before any checkpoint
     }
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     let mut ids: Vec<i64> = db
         .query("SELECT id FROM t")
         .unwrap()
@@ -259,7 +263,7 @@ fn long_dml_tail_replays_in_one_pass_per_table() {
     let pad = "p".repeat(500);
     let heap_pages;
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("SET wal_sync_mode = 'flush'").unwrap();
         db.execute("CREATE TABLE t (id INT, rev INT, pad TEXT)")
             .unwrap();
@@ -277,10 +281,10 @@ fn long_dml_tail_replays_in_one_pass_per_table() {
             .unwrap();
         model.insert(5, (0, 2));
         db.execute("COMMIT").unwrap();
-        db.checkpoint().unwrap();
+        db.engine().checkpoint().unwrap();
         heap_pages = {
-            let heap = db.catalog().table("t").unwrap().heap;
-            heap.pages(db.pool()).unwrap() as u64
+            let heap = db.engine().catalog().table("t").unwrap().heap;
+            heap.pages(db.engine().pool()).unwrap() as u64
         };
 
         for i in 0..1_000i64 {
@@ -315,14 +319,14 @@ fn long_dml_tail_replays_in_one_pass_per_table() {
         model.insert(5, (0, 1));
         // Dropped without a checkpoint: everything above is WAL tail.
     }
-    let mut db = Database::open(&dir).unwrap();
-    let replay_io = db.pool().stats();
+    let mut db = open(&dir).unwrap();
+    let replay_io = db.engine().pool().stats();
     assert!(
         replay_io.logical_reads < 5 * heap_pages,
         "replay made {} page requests over a {heap_pages}-page table",
         replay_io.logical_reads
     );
-    let state = |db: &mut Database| {
+    let state = |db: &mut Session| {
         let mut got: BTreeMap<i64, (i64, usize)> = BTreeMap::new();
         for row in db.query("SELECT id, rev FROM t").unwrap() {
             let e = got
@@ -355,7 +359,7 @@ fn long_dml_tail_replays_in_one_pass_per_table() {
 fn ddl_in_tail_settles_pooled_deletes() {
     let dir = tmpdir("ddl-tail");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("SET wal_sync_mode = 'flush'").unwrap();
         db.execute("CREATE TABLE a (id INT, tag TEXT)").unwrap();
         db.execute("CREATE TABLE b (id INT)").unwrap();
@@ -376,8 +380,8 @@ fn ddl_in_tail_settles_pooled_deletes() {
         db.execute("INSERT INTO b VALUES (1)").unwrap();
         db.execute("DELETE FROM a WHERE id = 149").unwrap();
     }
-    let mut db = Database::open(&dir).unwrap();
-    let count = |db: &mut Database, sql: &str| db.query(sql).unwrap()[0][0].as_int().unwrap();
+    let mut db = open(&dir).unwrap();
+    let count = |db: &mut Session, sql: &str| db.query(sql).unwrap()[0][0].as_int().unwrap();
     assert_eq!(count(&mut db, "SELECT count(*) FROM a"), 149);
     assert_eq!(count(&mut db, "SELECT count(*) FROM a WHERE tag = 'y'"), 10);
     assert_eq!(count(&mut db, "SELECT count(*) FROM b"), 2);
@@ -387,7 +391,7 @@ fn ddl_in_tail_settles_pooled_deletes() {
     let r = db.execute("SELECT id FROM a WHERE id >= 140").unwrap();
     assert!(r.explain.unwrap().contains("Index Scan using a_id"));
     assert_eq!(r.rows.len(), 9);
-    let a_id = db.catalog().all_indexes()[0].instance.read().len();
+    let a_id = db.engine().catalog().all_indexes()[0].instance.read().len();
     assert_eq!(a_id, 149);
     std::fs::remove_dir_all(&dir).unwrap();
 }

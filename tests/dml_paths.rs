@@ -5,15 +5,15 @@
 //! *other* access path, and the MVCC cases re-run the write-write
 //! conflicts with the victims reached through index entries.
 
-use mlql::kernel::{Database, Datum, Error, QueryResult, Session};
+use mlql::kernel::{Datum, Error, QueryResult, Session};
 use mlql::mural::install;
 use mlql::mural::lexequal::psi_matches;
 use mlql::mural::types::unitext_of_datum;
 use mlql::mural::Mural;
 use std::path::PathBuf;
 
-fn mural_db() -> (Database, Mural) {
-    let mut db = Database::new_in_memory();
+fn mural_db() -> (Session, Mural) {
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     (db, mural)
 }
@@ -33,8 +33,8 @@ fn plan_head(r: &QueryResult) -> &str {
 }
 
 /// Entries the index `index` of `table` holds under `key`.
-fn index_entries(db: &Database, table: &str, index: &str, key: i64) -> usize {
-    let catalog = db.catalog();
+fn index_entries(db: &Session, table: &str, index: &str, key: i64) -> usize {
+    let catalog = db.engine().catalog();
     let meta = catalog.table(table).unwrap();
     let idx = catalog
         .indexes_of(meta.id)
@@ -244,7 +244,7 @@ fn table_contents(s: &mut Session, mural: &Mural) -> Vec<Entry> {
 
 /// Load the same 600 rows and four indexes into a fresh database; the
 /// session runs with `setup` applied.
-fn differential_db(setup: &[&str]) -> (Database, Mural, Session, Vec<Entry>) {
+fn differential_db(setup: &[&str]) -> (Session, Mural, Session, Vec<Entry>) {
     let (mut db, mural) = mural_db();
     db.execute("CREATE TABLE t (id INT, grp INT, name UNITEXT, note TEXT)")
         .unwrap();
@@ -383,8 +383,8 @@ fn random_dml_streams_agree_across_access_paths_and_with_model() {
 /// `kv(k INT, v INT)` with a B-tree on `k`; every session it hands out
 /// has the Seq Scan priced out, so on these tiny tables the victims are
 /// still reached through index entries.
-fn kv_db(rows: &[(i64, i64)]) -> Database {
-    let mut db = Database::new_in_memory();
+fn kv_db(rows: &[(i64, i64)]) -> Session {
+    let mut db = Session::new_in_memory();
     db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
     for (k, v) in rows {
         db.execute(&format!("INSERT INTO kv VALUES ({k}, {v})"))
@@ -395,7 +395,7 @@ fn kv_db(rows: &[(i64, i64)]) -> Database {
     db
 }
 
-fn index_session(db: &Database) -> Session {
+fn index_session(db: &Session) -> Session {
     let mut s = db.connect();
     s.execute("SET enable_seqscan = 0").unwrap();
     s
@@ -556,7 +556,7 @@ fn rollback_leaves_only_invisible_entries() {
 
 // ---------------------------------------------------------------- (iii) cost
 
-fn big_table(db: &mut Database, name: &str, rows: i64) {
+fn big_table(db: &mut Session, name: &str, rows: i64) {
     db.execute(&format!("CREATE TABLE {name} (id INT, pad TEXT)"))
         .unwrap();
     db.execute("BEGIN").unwrap();
@@ -577,15 +577,15 @@ fn big_table(db: &mut Database, name: &str, rows: i64) {
 /// depend on the session's worker count (the victim scan is serial).
 #[test]
 fn keyed_update_costs_a_probe_not_a_table() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     big_table(&mut db, "big", 20_000);
     big_table(&mut db, "bare", 20_000);
     db.execute("CREATE INDEX big_id ON big (id) USING btree")
         .unwrap();
     db.execute("ANALYZE").unwrap();
     let pages = |table: &str| {
-        let heap = db.catalog().table(table).unwrap().heap;
-        heap.pages(db.pool()).unwrap() as u64
+        let heap = db.engine().catalog().table(table).unwrap().heap;
+        heap.pages(db.engine().pool()).unwrap() as u64
     };
     let (big_pages, bare_pages) = (pages("big"), pages("bare"));
     assert!(big_pages > 100);
@@ -676,8 +676,8 @@ fn tmpdir(tag: &str) -> PathBuf {
 #[test]
 fn vacuum_prunes_index_entries_of_dead_versions() {
     let dir = tmpdir("vacuum");
-    let mut durable = Database::open(&dir).unwrap();
-    let mut unpruned = Database::new_in_memory();
+    let mut durable = Session::open_with_extensions(&dir, |_| Ok(())).unwrap();
+    let mut unpruned = Session::new_in_memory();
     for db in [&mut durable, &mut unpruned] {
         db.execute("SET wal_sync_mode = 'flush'").unwrap();
         db.execute("CREATE TABLE kv (k INT, v INT)").unwrap();
@@ -702,7 +702,7 @@ fn vacuum_prunes_index_entries_of_dead_versions() {
             for db in [&mut durable, &mut unpruned] {
                 db.execute(&format!("DELETE FROM kv WHERE k = {}", 20 + i / 20))
                     .unwrap();
-                db.checkpoint().unwrap();
+                db.engine().checkpoint().unwrap();
             }
             assert_eq!(index_entries(&durable, "kv", "kv_k", 7), 1);
             assert_eq!(index_entries(&durable, "kv", "kv_k", 20 + i / 20), 0);
@@ -732,7 +732,7 @@ fn vacuum_prunes_index_entries_of_dead_versions() {
 #[test]
 fn rejected_index_key_does_not_wedge_the_checkpoint() {
     let dir = tmpdir("reject");
-    let mut db = Database::open_with_extensions(&dir, |db| install(db).map(|_| ())).unwrap();
+    let mut db = Session::open_with_extensions(&dir, |db| install(db).map(|_| ())).unwrap();
     db.execute("CREATE TABLE t (id INT, name UNITEXT)").unwrap();
     db.execute("CREATE INDEX t_id ON t (id) USING btree")
         .unwrap();
@@ -744,10 +744,10 @@ fn rejected_index_key_does_not_wedge_the_checkpoint() {
     assert!(db.execute("UPDATE t SET name = NULL WHERE id = 1").is_err());
     assert_eq!(index_entries(&db, "t", "t_id", 2), 0);
     assert_eq!(index_entries(&db, "t", "t_id", 1), 1);
-    db.checkpoint().unwrap();
+    db.engine().checkpoint().unwrap();
     db.execute("INSERT INTO t VALUES (3, unitext('Neru','English'))")
         .unwrap();
-    db.checkpoint().unwrap();
+    db.engine().checkpoint().unwrap();
     db.execute("SET enable_seqscan = 0").unwrap();
     db.execute("SET lexequal.threshold = 1").unwrap();
     let q = "SELECT id FROM t WHERE name LEXEQUAL unitext('Nehru','English')";

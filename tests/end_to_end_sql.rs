@@ -1,11 +1,11 @@
 //! End-to-end SQL tests through the umbrella crate: the full pipeline
 //! (parse → bind → optimize → execute) over multilingual data.
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Session};
 use mlql::mural::install;
 
-fn db() -> Database {
-    let mut db = Database::new_in_memory();
+fn db() -> Session {
+    let mut db = Session::new_in_memory();
     install(&mut db).unwrap();
     db
 }
@@ -312,4 +312,370 @@ fn unitext_compares_with_text_literals() {
         .query("SELECT count(*) FROM t WHERE 'banana' <= u")
         .unwrap();
     assert_eq!(ge[0][0].as_int(), Some(2)); // banana, cherry
+}
+
+// ------------------------------------ plain SQL on a bare engine (no Mural)
+
+#[test]
+fn create_insert_select_roundtrip() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT, name TEXT, price FLOAT)")
+        .unwrap();
+    db.execute("INSERT INTO t VALUES (1, 'one', 1.5), (2, 'two', 2.5)")
+        .unwrap();
+    let r = db.execute("SELECT name FROM t WHERE id = 2").unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.rows[0][0].as_text(), Some("two"));
+}
+
+#[test]
+fn count_star_and_where() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    for i in 0..25 {
+        db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    let r = db.execute("SELECT count(*) FROM t WHERE id >= 20").unwrap();
+    assert!(r.rows[0][0].eq_sql(&Datum::Int(5)));
+}
+
+#[test]
+fn join_query() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE a (id INT, x TEXT)").unwrap();
+    db.execute("CREATE TABLE b (id INT, y TEXT)").unwrap();
+    db.execute("INSERT INTO a VALUES (1, 'a1'), (2, 'a2')")
+        .unwrap();
+    db.execute("INSERT INTO b VALUES (2, 'b2'), (3, 'b3')")
+        .unwrap();
+    let r = db
+        .execute("SELECT a.x, b.y FROM a, b WHERE a.id = b.id")
+        .unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.rows[0][0].as_text(), Some("a2"));
+    assert_eq!(r.rows[0][1].as_text(), Some("b2"));
+}
+
+#[test]
+fn explicit_join_syntax() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE a (id INT)").unwrap();
+    db.execute("CREATE TABLE b (id INT)").unwrap();
+    db.execute("INSERT INTO a VALUES (1), (2), (3)").unwrap();
+    db.execute("INSERT INTO b VALUES (2), (3), (4)").unwrap();
+    let r = db
+        .execute("SELECT count(*) FROM a JOIN b ON a.id = b.id")
+        .unwrap();
+    assert!(r.rows[0][0].eq_sql(&Datum::Int(2)));
+}
+
+#[test]
+fn group_by_and_order_by() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (k TEXT, v INT)").unwrap();
+    db.execute("INSERT INTO t VALUES ('a', 1), ('a', 2), ('b', 5)")
+        .unwrap();
+    let r = db
+        .execute("SELECT k, count(*), sum(v) FROM t GROUP BY k")
+        .unwrap();
+    assert_eq!(r.rows.len(), 2);
+    let r2 = db
+        .execute("SELECT v FROM t ORDER BY v DESC LIMIT 2")
+        .unwrap();
+    assert!(r2.rows[0][0].eq_sql(&Datum::Int(5)));
+    assert_eq!(r2.rows.len(), 2);
+}
+
+#[test]
+fn delete_and_recount() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
+    let r = db.execute("DELETE FROM t WHERE id < 3").unwrap();
+    assert_eq!(r.affected, 2);
+    let r = db.execute("SELECT count(*) FROM t").unwrap();
+    assert!(r.rows[0][0].eq_sql(&Datum::Int(1)));
+}
+
+#[test]
+fn btree_index_used_for_point_query() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
+    for i in 0..2000 {
+        db.execute(&format!("INSERT INTO t VALUES ({i}, 'v{i}')"))
+            .unwrap();
+    }
+    db.execute("CREATE INDEX t_id ON t (id) USING btree")
+        .unwrap();
+    db.execute("ANALYZE t").unwrap();
+    let plan = db.execute("EXPLAIN SELECT v FROM t WHERE id = 77").unwrap();
+    let text = plan.explain.unwrap();
+    assert!(text.contains("Index Scan"), "plan was:\n{text}");
+    let r = db.execute("SELECT v FROM t WHERE id = 77").unwrap();
+    assert_eq!(r.rows.len(), 1);
+    assert_eq!(r.rows[0][0].as_text(), Some("v77"));
+}
+
+#[test]
+fn set_and_show() {
+    let mut db = Session::new_in_memory();
+    db.execute("SET lexequal.threshold = 3").unwrap();
+    let r = db.execute("SHOW lexequal.threshold").unwrap();
+    assert_eq!(r.rows[0][0].as_text(), Some("3"));
+}
+
+#[test]
+fn analyze_populates_stats() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    for i in 0..500 {
+        db.execute(&format!("INSERT INTO t VALUES ({})", i % 50))
+            .unwrap();
+    }
+    db.execute("ANALYZE t").unwrap();
+    let catalog = db.engine().catalog();
+    let meta = catalog.table("t").unwrap();
+    let stats = meta.stats.lock().clone();
+    assert_eq!(stats.rows, 500);
+    assert!(stats.pages >= 1);
+    let col = stats.column(0).unwrap();
+    assert!((col.n_distinct - 50.0).abs() < 1e-9);
+}
+
+#[test]
+fn explain_returns_plan_text() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    let r = db
+        .execute("EXPLAIN SELECT count(*) FROM t WHERE id = 1")
+        .unwrap();
+    let text = r.explain.unwrap();
+    assert!(text.contains("Aggregate"));
+    assert!(text.contains("Seq Scan"));
+}
+
+#[test]
+fn runtime_stats_reported() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    for i in 0..100 {
+        db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    let r = db.execute("SELECT count(*) FROM t").unwrap();
+    assert!(r.stats.io.logical_reads > 0);
+    assert!(r.stats.est_cost.unwrap() > 0.0);
+}
+
+#[test]
+fn insert_type_checks() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT, name TEXT)").unwrap();
+    assert!(db.execute("INSERT INTO t VALUES ('oops', 3)").is_err());
+    assert!(db.execute("INSERT INTO t VALUES (1)").is_err());
+    // Int widens into float columns.
+    db.execute("CREATE TABLE f (x FLOAT)").unwrap();
+    db.execute("INSERT INTO f VALUES (3)").unwrap();
+}
+
+#[test]
+fn update_basic_and_filtered() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1,'a'), (2,'b'), (3,'c')")
+        .unwrap();
+    let r = db.execute("UPDATE t SET v = 'X' WHERE id >= 2").unwrap();
+    assert_eq!(r.affected, 2);
+    let rows = db.query("SELECT v FROM t ORDER BY id").unwrap();
+    let vals: Vec<&str> = rows.iter().map(|r| r[0].as_text().unwrap()).collect();
+    assert_eq!(vals, vec!["a", "X", "X"]);
+    // Expression referencing the old row value.
+    db.execute("UPDATE t SET id = id + 10").unwrap();
+    let ids = db.query("SELECT id FROM t ORDER BY id").unwrap();
+    assert_eq!(ids[0][0].as_int(), Some(11));
+}
+
+#[test]
+fn update_maintains_indexes() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    db.execute("CREATE INDEX t_id ON t (id) USING btree")
+        .unwrap();
+    for i in 0..500 {
+        db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    db.execute("ANALYZE t").unwrap();
+    db.execute("UPDATE t SET id = 9999 WHERE id = 7").unwrap();
+    db.execute("SET enable_seqscan = 0").unwrap();
+    let gone = db.query("SELECT count(*) FROM t WHERE id = 7").unwrap();
+    assert_eq!(gone[0][0].as_int(), Some(0));
+    let there = db.query("SELECT count(*) FROM t WHERE id = 9999").unwrap();
+    assert_eq!(there[0][0].as_int(), Some(1));
+}
+
+#[test]
+fn update_type_checks() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1)").unwrap();
+    assert!(db.execute("UPDATE t SET id = 'nope'").is_err());
+    // Row unchanged after the failed update.
+    let r = db.query("SELECT id FROM t").unwrap();
+    assert_eq!(r[0][0].as_int(), Some(1));
+}
+
+#[test]
+fn insert_select_copies_with_transform() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE src (id INT, v TEXT)").unwrap();
+    db.execute("CREATE TABLE dst (id INT, v TEXT)").unwrap();
+    db.execute("INSERT INTO src VALUES (1,'a'), (2,'b'), (3,'c')")
+        .unwrap();
+    let r = db
+        .execute("INSERT INTO dst SELECT id + 100, v FROM src WHERE id < 3")
+        .unwrap();
+    assert_eq!(r.affected, 2);
+    let rows = db.query("SELECT id FROM dst ORDER BY id").unwrap();
+    assert_eq!(rows[0][0].as_int(), Some(101));
+    assert_eq!(rows[1][0].as_int(), Some(102));
+}
+
+#[test]
+fn insert_select_self_referencing_snapshot() {
+    // INSERT INTO t SELECT FROM t must read a snapshot, not loop.
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    let r = db.execute("INSERT INTO t SELECT id + 10 FROM t").unwrap();
+    assert_eq!(r.affected, 2);
+    let n = db.query("SELECT count(*) FROM t").unwrap();
+    assert_eq!(n[0][0].as_int(), Some(4));
+}
+
+#[test]
+fn select_distinct_deduplicates() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (v TEXT, n INT)").unwrap();
+    db.execute("INSERT INTO t VALUES ('a',1), ('a',1), ('a',2), ('b',1)")
+        .unwrap();
+    let r = db.query("SELECT DISTINCT v FROM t").unwrap();
+    assert_eq!(r.len(), 2);
+    let r = db.query("SELECT DISTINCT v, n FROM t").unwrap();
+    assert_eq!(r.len(), 3);
+    // Plain select keeps duplicates.
+    let r = db.query("SELECT v FROM t").unwrap();
+    assert_eq!(r.len(), 4);
+    // DISTINCT with WHERE composes.
+    let r = db.query("SELECT DISTINCT v FROM t WHERE n = 1").unwrap();
+    assert_eq!(r.len(), 2);
+}
+
+#[test]
+fn distinct_star_and_limit() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (v INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (1), (2), (2), (3)")
+        .unwrap();
+    let r = db.query("SELECT DISTINCT * FROM t").unwrap();
+    assert_eq!(r.len(), 3);
+    let r = db.query("SELECT DISTINCT v FROM t LIMIT 2").unwrap();
+    assert_eq!(r.len(), 2);
+}
+
+#[test]
+fn explain_analyze_reports_actuals() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    for i in 0..500 {
+        db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
+    }
+    let r = db
+        .execute("EXPLAIN ANALYZE SELECT count(*) FROM t WHERE id < 100")
+        .unwrap();
+    let text = r.explain.unwrap();
+    assert!(text.contains("Seq Scan"), "{text}");
+    assert!(text.contains("Actual: rows=1"), "{text}");
+    assert!(text.contains("logical_reads="), "{text}");
+}
+
+#[test]
+fn execute_script_runs_statements_in_order() {
+    let mut db = Session::new_in_memory();
+    let last = db
+        .execute_script(
+            "CREATE TABLE t (v TEXT); \
+             INSERT INTO t VALUES ('a;b'); -- semicolon inside a string\n \
+             INSERT INTO t VALUES ('c'); \
+             SELECT count(*) FROM t",
+        )
+        .unwrap();
+    assert_eq!(last.rows[0][0].as_int(), Some(2));
+    let v = db.query("SELECT v FROM t ORDER BY v LIMIT 1").unwrap();
+    assert_eq!(v[0][0].as_text(), Some("a;b"));
+}
+
+/// All join strategies (hash, NL materialized, NL rescanning) must
+/// return identical results; force each with the enable flags.
+#[test]
+fn join_strategies_agree() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE a (id INT, v TEXT)").unwrap();
+    db.execute("CREATE TABLE b (id INT, w TEXT)").unwrap();
+    for i in 0..200 {
+        db.execute(&format!("INSERT INTO a VALUES ({}, 'a{i}')", i % 50))
+            .unwrap();
+    }
+    for i in 0..80 {
+        db.execute(&format!("INSERT INTO b VALUES ({}, 'b{i}')", i % 50))
+            .unwrap();
+    }
+    db.execute("ANALYZE a").unwrap();
+    db.execute("ANALYZE b").unwrap();
+    let q = "SELECT count(*) FROM a, b WHERE a.id = b.id";
+
+    let hash = db.query(q).unwrap()[0][0].clone();
+    db.execute("SET enable_hashjoin = 0").unwrap();
+    let plan = db.plan_select(q).unwrap().explain();
+    assert!(plan.contains("Nested Loop"), "{plan}");
+    let nl_mat = db.query(q).unwrap()[0][0].clone();
+    db.execute("SET enable_material = 0").unwrap();
+    let plan = db.plan_select(q).unwrap().explain();
+    assert!(!plan.contains("materialized"), "{plan}");
+    let nl_rescan = db.query(q).unwrap()[0][0].clone();
+    assert!(hash.eq_sql(&nl_mat), "{hash} vs {nl_mat}");
+    assert!(hash.eq_sql(&nl_rescan), "{hash} vs {nl_rescan}");
+    // Sanity: the count is the expected 200*80/50 ≈ join on mod-50 keys.
+    assert!(hash.eq_sql(&Datum::Int(320)));
+}
+
+/// Residual predicates on hash joins are re-checked per match.
+#[test]
+fn hash_join_residual_filter() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE a (id INT, x INT)").unwrap();
+    db.execute("CREATE TABLE b (id INT, y INT)").unwrap();
+    for i in 0..100 {
+        db.execute(&format!("INSERT INTO a VALUES ({i}, {})", i * 2))
+            .unwrap();
+        db.execute(&format!("INSERT INTO b VALUES ({i}, {})", i * 3))
+            .unwrap();
+    }
+    db.execute("ANALYZE a").unwrap();
+    db.execute("ANALYZE b").unwrap();
+    let q = "SELECT count(*) FROM a, b WHERE a.id = b.id AND a.x < b.y";
+    let plan = db.plan_select(q).unwrap().explain();
+    assert!(plan.contains("Hash Join"), "{plan}");
+    // x < y ⇔ 2i < 3i ⇔ i > 0 → 99 matches.
+    let n = db.query(q).unwrap();
+    assert!(n[0][0].eq_sql(&Datum::Int(99)));
+}
+
+#[test]
+fn comments_with_semicolons_do_not_split() {
+    let mut db = Session::new_in_memory();
+    let last = db
+        .execute_script(
+            "CREATE TABLE t (v INT); -- not a statement; really not\nINSERT INTO t VALUES (1); SELECT count(*) FROM t",
+        )
+        .unwrap();
+    assert_eq!(last.rows[0][0].as_int(), Some(1));
 }

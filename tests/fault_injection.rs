@@ -15,11 +15,11 @@
 //! Tests share the process-global metrics registry, so everything that
 //! asserts exact metric deltas runs under one static mutex.
 
-use mlql::kernel::snapshot;
 use mlql::kernel::storage::{
     FaultInjector, FaultyBackend, Wal, WalReader, WalRecord, WAL_HEADER_LEN,
 };
-use mlql::kernel::{Database, Datum, Error};
+use mlql::kernel::{recovery, snapshot};
+use mlql::kernel::{Datum, Error, Result, Session};
 use mlql::mural::install;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
@@ -39,11 +39,15 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
+fn open(dir: &Path) -> Result<Session> {
+    Session::open_with_extensions(dir, |_| Ok(()))
+}
+
 fn wal_len(root: &Path) -> u64 {
     std::fs::metadata(snapshot::wal_path(root)).unwrap().len()
 }
 
-fn count(db: &mut Database, table: &str) -> i64 {
+fn count(db: &mut Session, table: &str) -> i64 {
     db.query(&format!("SELECT count(*) FROM {table}")).unwrap()[0][0]
         .as_int()
         .unwrap()
@@ -59,13 +63,13 @@ fn checkpoint_truncates_wal_and_reopen_replays_only_the_tail() {
     let _guard = serial();
     let dir = tmpdir("ckpt");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
         for i in 0..50 {
             db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
         }
         assert!(wal_len(&dir) > WAL_HEADER_LEN, "history should be logged");
-        db.checkpoint().unwrap();
+        db.engine().checkpoint().unwrap();
         assert_eq!(
             wal_len(&dir),
             WAL_HEADER_LEN,
@@ -79,7 +83,7 @@ fn checkpoint_truncates_wal_and_reopen_replays_only_the_tail() {
     let m = mlql::kernel::obs::metrics();
     let replayed_before = m.recovery_replayed_records_total.get();
     let restores_before = m.recovery_snapshot_restores_total.get();
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     assert_eq!(count(&mut db, "t"), 53);
     assert_eq!(
         m.recovery_replayed_records_total.get() - replayed_before,
@@ -101,14 +105,14 @@ fn checkpoint_cycles_keep_one_snapshot_and_stay_consistent() {
     let _guard = serial();
     let dir = tmpdir("ckpt-cycle");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
         for round in 0..3 {
             for i in 0..4 {
                 db.execute(&format!("INSERT INTO t VALUES ({})", round * 4 + i))
                     .unwrap();
             }
-            db.checkpoint().unwrap();
+            db.engine().checkpoint().unwrap();
         }
     }
     let snapshots: Vec<_> = std::fs::read_dir(&dir)
@@ -117,7 +121,7 @@ fn checkpoint_cycles_keep_one_snapshot_and_stay_consistent() {
         .filter(|e| e.file_name().to_string_lossy().starts_with("chk-"))
         .collect();
     assert_eq!(snapshots.len(), 1, "old checkpoint dirs must be GCed");
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     assert_eq!(count(&mut db, "t"), 12);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -134,7 +138,7 @@ fn torn_tail_recovers_committed_prefix_at_every_byte() {
     // Statement boundaries: WAL length after each single-row statement.
     let mut boundaries = Vec::new();
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
         boundaries.push(wal_len(&dir)); // after CREATE TABLE, 0 rows
         for i in 0..4 {
@@ -151,7 +155,7 @@ fn torn_tail_recovers_committed_prefix_at_every_byte() {
     let final_start = boundaries[boundaries.len() - 2];
     for cut in final_start..=*boundaries.last().unwrap() {
         std::fs::write(&wal_path, &full[..cut as usize]).unwrap();
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         let expect = if cut == *boundaries.last().unwrap() {
             4
         } else {
@@ -180,7 +184,7 @@ fn mid_log_bit_flip_is_reported_with_lsn_and_offset() {
     let _guard = serial();
     let dir = tmpdir("flip");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
         for i in 0..8 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'row-{i}')"))
@@ -203,7 +207,7 @@ fn mid_log_bit_flip_is_reported_with_lsn_and_offset() {
     bytes[flip_at] ^= 0x40;
     std::fs::write(&wal_path, &bytes).unwrap();
 
-    let err = match Database::open(&dir) {
+    let err = match open(&dir) {
         Ok(_) => panic!("open must refuse a mid-log bit flip"),
         Err(e) => e,
     };
@@ -227,10 +231,10 @@ fn damaged_snapshot_is_detected() {
     let _guard = serial();
     let dir = tmpdir("snap");
     {
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         db.execute("CREATE TABLE t (a INT)").unwrap();
         db.execute("INSERT INTO t VALUES (1)").unwrap();
-        db.checkpoint().unwrap();
+        db.engine().checkpoint().unwrap();
     }
     let chk = snapshot::read_pointer(&dir)
         .unwrap()
@@ -241,7 +245,7 @@ fn damaged_snapshot_is_detected() {
     // Truncation.
     std::fs::write(&cat, &good[..good.len() - 3]).unwrap();
     assert!(
-        matches!(Database::open(&dir), Err(Error::SnapshotCorrupt { .. })),
+        matches!(open(&dir), Err(Error::SnapshotCorrupt { .. })),
         "truncated snapshot must be rejected"
     );
 
@@ -251,13 +255,13 @@ fn damaged_snapshot_is_detected() {
     flipped[mid] ^= 0x01;
     std::fs::write(&cat, &flipped).unwrap();
     assert!(
-        matches!(Database::open(&dir), Err(Error::SnapshotCorrupt { .. })),
+        matches!(open(&dir), Err(Error::SnapshotCorrupt { .. })),
         "bit-flipped snapshot must be rejected"
     );
 
     // Restore: the database opens again.
     std::fs::write(&cat, &good).unwrap();
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     assert_eq!(count(&mut db, "t"), 1);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -274,7 +278,7 @@ fn failed_checkpoint_preserves_the_wal() {
     let injector = FaultInjector::new();
     {
         let inj = std::sync::Arc::clone(&injector);
-        let mut db = Database::open_with_extensions_and_backend(
+        let mut db = recovery::open(
             &dir,
             |_| Ok(()),
             move |inner| Box::new(FaultyBackend::new(inner, inj)),
@@ -288,7 +292,7 @@ fn failed_checkpoint_preserves_the_wal() {
 
         injector.fail_page_writes_after(0);
         assert!(
-            db.checkpoint().is_err(),
+            db.engine().checkpoint().is_err(),
             "checkpoint must surface the I/O error"
         );
         assert!(injector.writes_failed() > 0);
@@ -303,10 +307,10 @@ fn failed_checkpoint_preserves_the_wal() {
         );
 
         injector.heal();
-        db.checkpoint().unwrap();
+        db.engine().checkpoint().unwrap();
         assert_eq!(wal_len(&dir), WAL_HEADER_LEN);
     }
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     assert_eq!(count(&mut db, "t"), 20);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -350,7 +354,7 @@ fn duplicate_row_delete_replays_exactly_one_removal() {
         wal.flush().unwrap();
         wal.sync().unwrap();
     }
-    let mut db = Database::open(&dir).unwrap();
+    let mut db = open(&dir).unwrap();
     assert_eq!(
         count(&mut db, "twins"),
         1,
@@ -398,7 +402,7 @@ fn pooled_delete_failure_names_the_delete_record() {
         wal.flush().unwrap();
         wal.sync().unwrap();
         drop(wal);
-        match Database::open(&dir) {
+        match open(&dir) {
             Err(mlql::kernel::Error::Replay { lsn, .. }) => assert_eq!(lsn, bad),
             Err(e) => panic!("expected a replay error at lsn {bad}, got: {e}"),
             Ok(_) => panic!("a Delete for an unknown table must fail replay"),
@@ -416,7 +420,7 @@ fn recovered_indexes_serve_lexequal_scans_after_checkpoint() {
     let dir = tmpdir("lexeq");
     {
         let mut slot = None;
-        let mut db = Database::open_with_extensions(&dir, |db| {
+        let mut db = Session::open_with_extensions(&dir, |db| {
             slot = Some(install(db)?);
             Ok(())
         })
@@ -429,14 +433,14 @@ fn recovered_indexes_serve_lexequal_scans_after_checkpoint() {
             db.execute(&format!("INSERT INTO book VALUES (unitext('{n}','{l}'))"))
                 .unwrap();
         }
-        db.checkpoint().unwrap();
+        db.engine().checkpoint().unwrap();
         // Post-checkpoint tail row: recovery must merge snapshot + tail
         // before rebuilding the M-Tree.
         db.execute("INSERT INTO book VALUES (unitext('நேரு','Tamil'))")
             .unwrap();
     }
     let mut slot = None;
-    let mut db = Database::open_with_extensions(&dir, |db| {
+    let mut db = Session::open_with_extensions(&dir, |db| {
         slot = Some(install(db)?);
         Ok(())
     })
@@ -481,7 +485,7 @@ fn random_kill_crash_torture_recovers_committed_prefix() {
         let mut trace: Vec<(u64, Vec<i64>)> = Vec::new();
         let mut next_value = 0i64;
         {
-            let mut db = Database::open(&dir).unwrap();
+            let mut db = open(&dir).unwrap();
             // Flush-per-statement is enough here: the "crash" is an explicit
             // byte-level cut, so statement boundaries just need to be real
             // file offsets, which flush guarantees.
@@ -501,7 +505,7 @@ fn random_kill_crash_torture_recovers_committed_prefix() {
                         trace.push((wal_len(&dir), model.clone()));
                     }
                     1 => {
-                        db.checkpoint().unwrap();
+                        db.engine().checkpoint().unwrap();
                         trace.clear();
                         trace.push((wal_len(&dir), model.clone()));
                     }
@@ -529,7 +533,7 @@ fn random_kill_crash_torture_recovers_committed_prefix() {
             .map(|(_, rows)| rows.clone())
             .expect("the post-checkpoint floor is always <= cut");
 
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         let mut got: Vec<i64> = db
             .query("SELECT a FROM t")
             .unwrap()
@@ -571,7 +575,7 @@ fn torn_tail_with_committed_and_uncommitted_txns_at_every_byte() {
     let setup_end;
     let committed_end;
     {
-        let db = Database::open(&dir).unwrap();
+        let db = open(&dir).unwrap();
         let mut s = db.connect();
         s.execute("CREATE TABLE t (id INT, tag TEXT)").unwrap();
         for i in 0..3 {
@@ -614,7 +618,7 @@ fn torn_tail_with_committed_and_uncommitted_txns_at_every_byte() {
 
     for cut in setup_end..=full.len() as u64 {
         std::fs::write(&wal_path, &full[..cut as usize]).unwrap();
-        let mut db = Database::open(&dir).unwrap();
+        let mut db = open(&dir).unwrap();
         let base = count(&mut db, "t");
         let committed = db
             .query("SELECT count(*) FROM t WHERE tag = 'committed'")

@@ -8,7 +8,7 @@
 //! SemEQUAL scan inside a snapshot must not see a concurrent lexicon
 //! INSERT until its own transaction ends.
 
-use mlql::kernel::{Database, Error, Session};
+use mlql::kernel::{Error, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use proptest::prelude::*;
@@ -19,12 +19,12 @@ use std::collections::BTreeMap;
 /// morsel-parallel gather.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn plain_db() -> Database {
-    Database::new_in_memory()
+fn plain_db() -> Session {
+    Session::new_in_memory()
 }
 
-fn mural_db() -> (Database, mlql::mural::Mural) {
-    let mut db = Database::new_in_memory();
+fn mural_db() -> (Session, mlql::mural::Mural) {
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     (db, mural)
 }

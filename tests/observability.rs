@@ -2,12 +2,12 @@
 //! actuals for the paper's ψ and Ω plans, the SHOW STATS / mlql_stats()
 //! SQL surface, and the engine metric counters behind Figures 6–8.
 
-use mlql::kernel::{obs, Database};
+use mlql::kernel::{obs, Session};
 use mlql::mural::install;
 use mlql::unitext::UniText;
 
-fn db() -> Database {
-    let mut db = Database::new_in_memory();
+fn db() -> Session {
+    let mut db = Session::new_in_memory();
     install(&mut db).unwrap();
     db
 }
@@ -99,7 +99,7 @@ fn explain_analyze_lexequal_index_scan_actuals() {
 /// interval index defers reach the memoized closure walk.
 #[test]
 fn explain_analyze_semequal_closure_fallback_actuals() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE book (id INT, category UNITEXT)")
         .unwrap();
@@ -1080,7 +1080,7 @@ fn stale_statistics_advisory_raises_and_analyze_clears_it() {
     }
     db.execute("SET qerror_warn = 4").unwrap();
 
-    let advisories_shown = |db: &mut Database| {
+    let advisories_shown = |db: &mut Session| {
         let r = db.execute("SHOW ADVISORIES").unwrap();
         r.rows
             .iter()

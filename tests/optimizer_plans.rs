@@ -2,12 +2,12 @@
 //! pushdown (the §5.2.1 plan-choice story), and the `enable_*` force
 //! flags the experiments rely on.
 
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 
-fn db() -> (Database, mlql::mural::Mural) {
-    let mut db = Database::new_in_memory();
+fn db() -> (Session, mlql::mural::Mural) {
+    let mut db = Session::new_in_memory();
     let m = install(&mut db).unwrap();
     // The default worker count is the host's core count, and a parallel
     // scan's CPU term divides by it: pin it so the plan shapes asserted
@@ -16,7 +16,7 @@ fn db() -> (Database, mlql::mural::Mural) {
     (db, m)
 }
 
-fn load_names(db: &mut Database, m: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
+fn load_names(db: &mut Session, m: &mlql::mural::Mural, table: &str, n: usize, seed: u64) {
     db.execute(&format!("CREATE TABLE {table} (name UNITEXT, id INT)"))
         .unwrap();
     let data = mlql::datagen::names_dataset(

@@ -5,12 +5,12 @@
 
 use mlql::datagen::{names_dataset, NamesConfig};
 use mlql::kernel::pl::PlRuntime;
-use mlql::kernel::{Database, Datum};
+use mlql::kernel::{Datum, Session};
 use mlql::mural::types::unitext_datum;
 use mlql::mural::{install, mdi, outside, Mural};
 
-fn corpus(records: usize) -> (Database, Mural) {
-    let mut db = Database::new_in_memory();
+fn corpus(records: usize) -> (Session, Mural) {
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
     db.execute("CREATE TABLE names_out (name TEXT, ph TEXT, mdi INT)")
@@ -160,7 +160,7 @@ fn join_results_identical_across_implementations() {
 #[test]
 fn closure_identical_between_sql_expansion_and_pinned() {
     use mlql::taxonomy::{generate, synsets_near_closure_sizes, GeneratorConfig};
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let langs = mlql::unitext::LanguageRegistry::new();
     let taxonomy = generate(
         langs.id_of("English"),

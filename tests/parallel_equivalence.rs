@@ -9,7 +9,7 @@
 //! fuzzes random multilingual tables and thresholds across the
 //! serial/parallel planner boundary (the ≥ 1024-row gate).
 
-use mlql::kernel::{Database, Datum, Error};
+use mlql::kernel::{Datum, Error, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use mlql::unitext::UniText;
@@ -19,8 +19,8 @@ use proptest::prelude::*;
 /// reference; 2 and 4 exercise real fan-out.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-fn db() -> (Database, mlql::mural::Mural) {
-    let mut db = Database::new_in_memory();
+fn db() -> (Session, mlql::mural::Mural) {
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     (db, mural)
 }
@@ -29,7 +29,7 @@ fn db() -> (Database, mlql::mural::Mural) {
 /// homophones plus noise) into `table (id, name)`, then ANALYZE so the
 /// planner sees the real row count.  Returns the name datums in id order.
 fn load_names(
-    db: &mut Database,
+    db: &mut Session,
     mural: &mlql::mural::Mural,
     table: &str,
     n: usize,
@@ -61,7 +61,7 @@ fn load_names(
 /// Load `n` docs rows `(id, category)` cycling through category words of
 /// the installed Books taxonomy, then ANALYZE.  Returns each row's
 /// category in id order.
-fn load_docs(db: &mut Database, mural: &mlql::mural::Mural, n: usize) -> Vec<UniText> {
+fn load_docs(db: &mut Session, mural: &mlql::mural::Mural, n: usize) -> Vec<UniText> {
     const CATS: [(&str, &str); 6] = [
         ("History", "English"),
         ("Biography", "English"),
@@ -88,7 +88,7 @@ fn load_docs(db: &mut Database, mural: &mlql::mural::Mural, n: usize) -> Vec<Uni
 
 /// Run `sql` in a fresh session pinned to `workers`, returning the result
 /// rows stringified and sorted (parallel row order is nondeterministic).
-fn sorted_rows(db: &Database, workers: usize, setup: &[&str], sql: &str) -> Vec<String> {
+fn sorted_rows(db: &Session, workers: usize, setup: &[&str], sql: &str) -> Vec<String> {
     let mut s = db.connect();
     s.execute(&format!("SET parallel_workers = {workers}"))
         .unwrap();
@@ -111,7 +111,7 @@ fn sorted_rows(db: &Database, workers: usize, setup: &[&str], sql: &str) -> Vec<
 }
 
 /// Assert `sql` yields identical sorted results at every worker count.
-fn assert_equivalent(db: &Database, setup: &[&str], sql: &str) {
+fn assert_equivalent(db: &Session, setup: &[&str], sql: &str) {
     let reference = sorted_rows(db, 1, setup, sql);
     for &w in &WORKER_COUNTS[1..] {
         let got = sorted_rows(db, w, setup, sql);
@@ -150,6 +150,18 @@ fn planner_picks_parallel_scan_above_the_row_threshold() {
     assert!(
         !text.contains("Parallel Seq Scan"),
         "one worker must not parallelize:\n{text}"
+    );
+
+    // `parallel_workers = 1` is the off switch even where the ÷ workers
+    // cost term would win by the most: a 50k-row ψ scan stays serial.
+    load_names(&mut db, &mural, "big", 50_000, 2);
+    let r = db
+        .execute("EXPLAIN SELECT count(*) FROM big WHERE name LEXEQUAL unitext('Nehru','English')")
+        .unwrap();
+    let text = r.explain.expect("explain text");
+    assert!(
+        text.contains("Seq Scan on big") && !text.contains("Parallel"),
+        "one worker must plan a serial scan:\n{text}"
     );
 }
 
@@ -294,7 +306,7 @@ fn omega_results_pinned_to_closure_oracle() {
     let categories = load_docs(&mut db, &mural, 1400);
     let en = mural.langs.id_of("English");
 
-    let check_all = |db: &Database| {
+    let check_all = |db: &Session| {
         let taxonomy = mural.sem.taxonomy();
         for rhs in ["History", "Biography", "Fiction"] {
             let closure: std::collections::HashSet<_> = mural

@@ -3,14 +3,14 @@
 //! extension installed ("the UniText datatype and operators were added ...
 //! without affecting the existing datatypes and features").
 
-use mlql::kernel::Database;
+use mlql::kernel::Session;
 use mlql::mural::install;
 
 /// Run the same statement sequence on both engines and compare every
 /// result row-for-row.
 fn compare(statements: &[&str]) {
-    let mut plain = Database::new_in_memory();
-    let mut extended = Database::new_in_memory();
+    let mut plain = Session::new_in_memory();
+    let mut extended = Session::new_in_memory();
     install(&mut extended).unwrap();
     for stmt in statements {
         let a = plain.execute(stmt);
@@ -94,7 +94,7 @@ fn joins_and_errors_unchanged() {
 fn optimizer_costs_of_plain_queries_unchanged() {
     // The extension must not alter cost estimates of queries that never
     // touch it (same catalog stats → same plans → same costs).
-    let setup = |db: &mut Database| {
+    let setup = |db: &mut Session| {
         db.execute("CREATE TABLE t (id INT, v TEXT)").unwrap();
         for i in 0..500 {
             db.execute(&format!("INSERT INTO t VALUES ({i}, 'v{}')", i % 10))
@@ -102,9 +102,9 @@ fn optimizer_costs_of_plain_queries_unchanged() {
         }
         db.execute("ANALYZE t").unwrap();
     };
-    let mut plain = Database::new_in_memory();
+    let mut plain = Session::new_in_memory();
     setup(&mut plain);
-    let mut extended = Database::new_in_memory();
+    let mut extended = Session::new_in_memory();
     install(&mut extended).unwrap();
     setup(&mut extended);
     for q in [

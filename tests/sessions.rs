@@ -2,16 +2,45 @@
 //! DDL and INSERTs interleaved with LexEQUAL/SemEQUAL reads, and
 //! plan-cache invalidation across sessions.
 
-use mlql::kernel::{obs, Database, Error};
+use mlql::kernel::{obs, Error, Session};
 use mlql::mural::install;
 use mlql::taxonomy::SynsetId;
 use mlql::unitext::UniText;
 use std::sync::atomic::{AtomicBool, Ordering};
 
-fn db() -> Database {
-    let mut db = Database::new_in_memory();
+fn db() -> Session {
+    let mut db = Session::new_in_memory();
     install(&mut db).unwrap();
     db
+}
+
+/// `Session::connect` opens a sibling that starts from a copy of this
+/// session's variables — including the `lexequal.threshold` default
+/// Mural installs — and then diverges; `Engine::connect` starts empty.
+/// Both see the shared data.
+#[test]
+fn connect_inherits_vars_then_diverges() {
+    let mut db = db();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    db.execute("INSERT INTO t VALUES (1), (2)").unwrap();
+    db.execute("SET max_rows = 99").unwrap();
+
+    let mut sibling = db.connect();
+    assert_eq!(sibling.vars().get_int("lexequal.threshold", -1), 2);
+    assert_eq!(sibling.vars().get_int("max_rows", 0), 99);
+    sibling.execute("SET max_rows = 1").unwrap();
+    sibling.execute("SET lexequal.threshold = 0").unwrap();
+    assert_eq!(db.vars().get_int("max_rows", 0), 99);
+    assert_eq!(db.vars().get_int("lexequal.threshold", -1), 2);
+
+    let bare = db.engine().connect();
+    assert!(bare.vars().get("lexequal.threshold").is_none());
+    assert!(bare.vars().get("max_rows").is_none());
+
+    for s in [&sibling, &bare] {
+        let n = s.query_ref("SELECT count(*) FROM t").unwrap();
+        assert_eq!(n[0][0].as_int(), Some(2));
+    }
 }
 
 /// Readers run ψ/Ω selects from their own sessions while the writer
@@ -239,7 +268,7 @@ fn failed_index_backfill_unregisters_index() {
         .execute("CREATE INDEX t_bad ON t (id) USING mtree")
         .is_err());
     {
-        let catalog = db.catalog();
+        let catalog = db.engine().catalog();
         let meta = catalog.table("t").unwrap();
         assert!(
             catalog.indexes_of(meta.id).is_empty(),
@@ -279,7 +308,7 @@ fn make_history_dirty(mural: &mlql::mural::Mural) -> (SynsetId, SynsetId) {
 /// against a memoized closure of the old hierarchy.
 #[test]
 fn omega_cache_invalidation_crosses_sessions() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
         .unwrap();
@@ -325,7 +354,7 @@ fn omega_cache_invalidation_crosses_sessions() {
 /// would happily serve the pre-edit closure to the fresh plan.
 #[test]
 fn omega_cache_never_serves_stale_closure_after_ddl() {
-    let mut db = Database::new_in_memory();
+    let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE docs (id INT, category UNITEXT)")
         .unwrap();
