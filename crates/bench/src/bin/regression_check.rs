@@ -51,7 +51,9 @@ fn workload(db: &mut Session, rows: usize) -> Vec<String> {
         "SELECT count(*), sum(amount) FROM orders WHERE region = 3",
         "SELECT count(*) FROM orders o, customers c WHERE o.customer = c.name AND c.region = 5",
         "SELECT region, count(*) FROM orders GROUP BY region ORDER BY region",
-        "SELECT customer FROM orders ORDER BY amount DESC LIMIT 5",
+        // `id` breaks the ties in `amount`, so the answer does not
+        // depend on the order a parallel scan delivers rows in.
+        "SELECT customer FROM orders ORDER BY amount DESC, id LIMIT 5",
     ];
     for q in queries {
         let r = db.execute(q).unwrap();

@@ -49,8 +49,7 @@
 use crate::catalog::{Catalog, ColumnStats, SessionVars, TableStats};
 use crate::error::{Error, Result};
 use crate::exec::{
-    build_instrumented, drain_to_vec, run_to_vec, scan_target, ExecCtx, ExecPool, ExecStats,
-    HeapVersion,
+    build_instrumented, drain_to_vec, run_to_vec, scan_target, ExecCtx, ExecStats, HeapVersion,
 };
 use crate::expr::EvalCtx;
 use crate::obs::{self, QueryTrace, Stage, WaitClass, WaitProfile};
@@ -253,9 +252,6 @@ pub struct Engine {
     /// are never served.
     schema_epoch: AtomicU64,
     plan_cache: PlanCache,
-    /// Shared worker pool for morsel-driven parallel scans (threads are
-    /// spawned lazily on the first parallel plan).
-    exec_pool: ExecPool,
     /// `SET wal_sync_mode` issued before durability is attached (e.g.
     /// during extension install or WAL replay, when the engine is still
     /// WAL-less); applied by [`Engine::attach_durability`] so the setting
@@ -296,7 +292,6 @@ impl Engine {
             dml_lock: Mutex::new(()),
             schema_epoch: AtomicU64::new(0),
             plan_cache: PlanCache::new(256),
-            exec_pool: ExecPool::new(),
             pending_wal_mode: Mutex::new(None),
             engine_id: NEXT_ENGINE_ID.fetch_add(1, Ordering::Relaxed),
             next_session_id: AtomicU64::new(1),
@@ -372,11 +367,6 @@ impl Engine {
     /// The buffer pool (benches read I/O statistics from here).
     pub fn pool(&self) -> &BufferPool {
         &self.pool
-    }
-
-    /// The shared executor worker pool (parallel scans dispatch here).
-    pub fn exec_pool(&self) -> &ExecPool {
-        &self.exec_pool
     }
 
     /// Current schema epoch (bumped by DDL/ANALYZE).
@@ -917,7 +907,6 @@ impl Session {
             pool: &self.engine.pool,
             session: &self.vars,
             stats: &stats,
-            exec_pool: Some(&self.engine.exec_pool),
             vis: self.statement_visibility(),
         };
         let rows = run_to_vec(&phys, &ctx)?;
@@ -1568,7 +1557,6 @@ impl Session {
             pool: &self.engine.pool,
             session: &self.vars,
             stats: &stats,
-            exec_pool: Some(&self.engine.exec_pool),
             vis: self.statement_visibility(),
         };
         let rows = run_to_vec(&plan, &ctx)?;
@@ -1662,7 +1650,6 @@ impl Session {
                     pool: &self.engine.pool,
                     session: &self.vars,
                     stats: &stats,
-                    exec_pool: Some(&self.engine.exec_pool),
                     vis: self.statement_visibility(),
                 };
                 let (mut exec, instr) = build_instrumented(&phys, &ctx)?;
@@ -1780,7 +1767,6 @@ impl Session {
             pool: &self.engine.pool,
             session: &self.vars,
             stats: &stats,
-            exec_pool: Some(&self.engine.exec_pool),
             vis: self.statement_visibility(),
         };
         let rows = run_to_vec(&phys, &ctx)?;
@@ -1970,8 +1956,6 @@ impl Session {
             pool: &self.engine.pool,
             session: &self.vars,
             stats: &stats,
-            // The victim scan runs on this thread, under the DML lock.
-            exec_pool: None,
             vis: self.statement_visibility(),
         };
         let victims = scan_target(&plan, &ctx)?;

@@ -16,19 +16,14 @@ use crate::expr::{EvalCtx, Expr};
 use crate::plan::{AggFunc, PhysNode, PhysOp};
 use crate::schema::{Row, Schema};
 use crate::storage::{
-    decode_row, split_version, BufferPool, FileId, HeapFile, TupleId, VERSION_HEADER_LEN,
+    decode_row, split_version, BufferPool, HeapFile, TupleId, VERSION_HEADER_LEN,
 };
 use crate::txn::TxnVisibility;
 use crate::value::Datum;
-use parking_lot::{Condvar, Mutex};
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
-
-pub mod pool;
-
-pub use pool::ExecPool;
 
 /// A relaxed atomic counter: the statistics cells are written from
 /// whichever thread runs the executor tree, so plans stay `Send` and many
@@ -69,7 +64,8 @@ pub struct ExecStats {
     pub batches_out: StatCell,
 }
 
-/// Execution context shared by all executors of one query.
+/// Execution context shared by all executors of one query, and by the
+/// worker threads of its parallel scans (hence `Sync`).
 pub struct ExecCtx<'a> {
     /// The catalog.
     pub catalog: &'a Catalog,
@@ -79,12 +75,7 @@ pub struct ExecCtx<'a> {
     pub session: &'a SessionVars,
     /// Runtime counters.
     pub stats: &'a ExecStats,
-    /// The engine's worker pool for parallel operators (`None` in
-    /// contexts that must stay serial, e.g. recovery replay).
-    pub exec_pool: Option<&'a ExecPool>,
     /// MVCC visibility: which heap tuple versions this statement sees.
-    /// Owned (the snapshot is a couple of `Arc`s), so worker threads can
-    /// clone it without borrowing the session.
     pub vis: TxnVisibility,
 }
 
@@ -144,7 +135,7 @@ pub struct ParallelScanActuals {
     pub workers: usize,
     /// Morsels (fixed-size page ranges) claimed across all workers.
     pub morsels: StatCell,
-    /// Nanoseconds the gather node spent blocked waiting on batches.
+    /// Nanoseconds the query thread spent joining its workers.
     pub gather_wait_ns: StatCell,
     /// Rows each worker emitted (post-filter).
     pub worker_rows: Vec<StatCell>,
@@ -669,97 +660,62 @@ impl Executor for SeqScanExec {
 /// Session variable naming the worker count for parallel plans.
 pub const PARALLEL_WORKERS_VAR: &str = "parallel_workers";
 
+/// Hard ceiling on a parallel scan's worker count, whatever
+/// `parallel_workers` asks for.
+const MAX_WORKERS: usize = 64;
+
 /// Pages per morsel.  Small enough that a 4-worker scan of a few dozen
-/// pages still load-balances, large enough that the per-morsel channel
-/// round-trip is amortized over hundreds of rows.
+/// pages still load-balances, large enough that a claim on the shared
+/// cursor is amortized over hundreds of rows.
 const MORSEL_PAGES: u32 = 4;
 
+/// Default worker count for sessions that never `SET parallel_workers`:
+/// the `MLQL_PARALLEL_WORKERS` environment variable if set (CI pins it
+/// to surface scheduling-dependent flakes), else the machine's CPU
+/// parallelism.
+fn default_workers() -> usize {
+    if let Ok(v) = std::env::var("MLQL_PARALLEL_WORKERS") {
+        if let Ok(n) = v.trim().parse::<usize>() {
+            return n.clamp(1, MAX_WORKERS);
+        }
+    }
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(1)
+        .min(MAX_WORKERS)
+}
+
 /// The worker count a session's parallel plans run with: the
-/// `parallel_workers` variable if set, else [`ExecPool::default_workers`],
-/// clamped to `[1, ExecPool::MAX_WORKERS]`.
+/// `parallel_workers` variable if set, else [`default_workers`],
+/// clamped to `[1, MAX_WORKERS]`.
 pub fn effective_workers(session: &SessionVars) -> usize {
-    let dflt = ExecPool::default_workers();
-    let n = session.get_int(PARALLEL_WORKERS_VAR, dflt as i64).max(1) as usize;
-    n.min(ExecPool::MAX_WORKERS)
+    let n = session
+        .get_int(PARALLEL_WORKERS_VAR, default_workers() as i64)
+        .max(1) as usize;
+    n.min(MAX_WORKERS)
 }
 
-/// State shared between the gather node and its scan workers.
-struct ScanShared {
-    /// Next unclaimed page; workers `fetch_add` [`MORSEL_PAGES`] to claim
-    /// a morsel, so distribution is dynamic (fast workers take more).
-    cursor: AtomicU32,
-    n_pages: u32,
-    /// Set by the gather node to stop workers early (LIMIT, drop, error).
-    cancelled: AtomicBool,
-    /// Dispatched-but-unfinished worker tasks; the gather node blocks on
-    /// this reaching zero before its borrowed context goes away.
-    outstanding: Mutex<usize>,
-    done: Condvar,
-}
-
-impl ScanShared {
-    fn task_finished(&self) {
-        let mut left = self.outstanding.lock();
-        *left -= 1;
-        if *left == 0 {
-            self.done.notify_all();
-        }
-    }
-
-    fn wait_all_finished(&self) {
-        let mut left = self.outstanding.lock();
-        while *left > 0 {
-            self.done.wait(&mut left);
-        }
-    }
-}
-
-/// The query context, lifetime-erased so worker tasks (which must be
-/// `'static` for the shared pool) can borrow it.
+/// Morsel-driven parallel heap scan.
 ///
-/// # Safety
-/// Sound only under the gather node's protocol: the pointers come from an
-/// `ExecCtx` that the query thread keeps alive for the whole execution
-/// (the catalog read guard is held across it), and the gather node never
-/// lets its own lifetime end — `next_batch`/`rescan`/`Drop` all funnel through
-/// [`ParallelSeqScanExec::shutdown`], which blocks until every dispatched
-/// task has finished — while workers could still dereference them.
-struct ErasedCtx {
-    catalog: *const Catalog,
-    pool: *const BufferPool,
-    session: *const SessionVars,
-    stats: *const ExecStats,
-    /// Owned clone (not a pointer): visibility is cheap to clone and the
-    /// workers need it past any one borrow of the originating `ExecCtx`.
-    vis: TxnVisibility,
-}
-
-unsafe impl Send for ErasedCtx {}
-unsafe impl Sync for ErasedCtx {}
-
-/// Morsel-driven parallel heap scan plus its gather node.
-///
-/// Workers claim page-range morsels off a shared cursor, evaluate the
-/// pushed-down filter independently (ψ phoneme conversion + edit
-/// distance run fully inside the worker), and send row *batches* over an
-/// mpmc channel.  The gather node re-serializes them — batch order is
-/// whatever the scheduler produced, which is why parallel plans are only
-/// equivalent to serial ones up to row order.  LIMIT / `max_rows` keep
-/// their semantics because they apply above the gather node, which
-/// cancels and joins outstanding workers when dropped early.
+/// A pull that finds the buffer empty runs one round of `workers` scoped
+/// threads that borrow the query's [`ExecCtx`].  Workers claim
+/// [`MORSEL_PAGES`] pages at a time off the shared cursor, walk and
+/// filter each page exactly as [`SeqScanExec`] does, and stop claiming
+/// once together they hold the `max` rows the consumer asked for or the
+/// pages run out; the query thread only joins them, then hands the rows
+/// out `max` at a time.  Row order depends on scheduling, which is why
+/// parallel plans equal serial ones only up to row order.  Sizing each
+/// round by `max` keeps `LIMIT` and `max_rows` cheap: a `LIMIT 1` above
+/// reads at most `workers × MORSEL_PAGES` pages.
 struct ParallelSeqScanExec {
     meta: Arc<TableMeta>,
     filter: Option<Expr>,
     workers: usize,
     actuals: Option<Arc<ParallelScanActuals>>,
-    running: Option<RunningScan>,
+    /// Next unclaimed page: survives pulls, reset by `rescan`.
+    cursor: AtomicU32,
+    n_pages: Option<u32>,
     buffer: VecDeque<Row>,
-    done: bool,
-}
-
-struct RunningScan {
-    rx: crossbeam::channel::Receiver<Result<Vec<Row>>>,
-    shared: Arc<ScanShared>,
 }
 
 impl ParallelSeqScanExec {
@@ -774,107 +730,80 @@ impl ParallelSeqScanExec {
             filter,
             workers: workers.max(1),
             actuals,
-            running: None,
+            cursor: AtomicU32::new(0),
+            n_pages: None,
             buffer: VecDeque::new(),
-            done: false,
         }
     }
 
-    /// Dispatch one task per worker.  Every task holds a `Sender` clone;
-    /// end-of-scan is the channel disconnecting once all of them finish.
-    fn start(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        let pool = ctx.exec_pool.ok_or_else(|| {
-            Error::Execution("parallel plan executed without a worker pool".into())
-        })?;
-        let n_pages = self.meta.heap.pages(ctx.pool)?;
-        pool.ensure_workers(self.workers);
-        let shared = Arc::new(ScanShared {
-            cursor: AtomicU32::new(0),
-            n_pages,
-            cancelled: AtomicBool::new(false),
-            outstanding: Mutex::new(self.workers),
-            done: Condvar::new(),
-        });
-        let (tx, rx) = crossbeam::channel::unbounded();
-        let erased = Arc::new(ErasedCtx {
-            catalog: ctx.catalog,
-            pool: ctx.pool,
-            session: ctx.session,
-            stats: ctx.stats,
-            vis: ctx.vis.clone(),
-        });
-        // Propagate the session's query context into every worker task so
-        // waits and progress charged on pool threads land on this query.
+    /// Run one round of workers, appending what they find to `buffer`:
+    /// at least `max` rows, or every remaining one when the pages run out
+    /// first.  A worker's error or panic fails the scan.
+    fn pull(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<()> {
+        let n_pages = match self.n_pages {
+            Some(n) => n,
+            None => *self.n_pages.insert(self.meta.heap.pages(ctx.pool)?),
+        };
+        if self.cursor.load(Ordering::Relaxed) >= n_pages {
+            return Ok(());
+        }
+        // Workers enter the session's query context, so waits and
+        // progress charged on their threads land on this query.
         let qctx = crate::obs::current();
         if let Some(slot) = qctx.as_ref().and_then(|c| c.slot.as_ref()) {
             slot.set_workers(self.workers as u64);
         }
-        for worker_idx in 0..self.workers {
-            let erased = Arc::clone(&erased);
-            let meta = Arc::clone(&self.meta);
-            let filter = self.filter.clone();
-            let shared_w = Arc::clone(&shared);
-            let tx = tx.clone();
-            let actuals = self.actuals.clone();
-            let qctx_w = qctx.clone();
-            pool.submit(Box::new(move || {
-                let _guard = qctx_w.map(crate::obs::enter_query);
-                scan_worker(erased, meta, filter, shared_w, tx, actuals, worker_idx)
-            }));
-        }
-        // Workers own the remaining Sender clones.
-        drop(tx);
-        self.running = Some(RunningScan { rx, shared });
-        Ok(())
-    }
-
-    /// Cancel outstanding work and block until every dispatched task has
-    /// finished — after this returns no worker holds the erased context.
-    fn shutdown(&mut self) {
-        if let Some(run) = self.running.take() {
-            run.shared.cancelled.store(true, Ordering::Release);
-            run.shared.wait_all_finished();
-        }
-    }
-
-    /// Block until the gather buffer holds at least one worker batch or
-    /// the scan is exhausted (`self.done`).
-    fn fill_buffer(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        while self.buffer.is_empty() && !self.done {
-            if self.running.is_none() {
-                self.start(ctx)?;
-            }
-            let rx = &self.running.as_ref().expect("started above").rx;
+        let round = ScanRound {
+            meta: &self.meta,
+            filter: self.filter.as_ref(),
+            cursor: &self.cursor,
+            n_pages,
+            max,
+            held: AtomicUsize::new(0),
+            stop: AtomicBool::new(false),
+            actuals: self.actuals.as_deref(),
+        };
+        let (results, waited) = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..self.workers)
+                .map(|idx| {
+                    let (round, qctx) = (&round, qctx.clone());
+                    std::thread::Builder::new()
+                        .name(format!("mlql-scan-{idx}"))
+                        .spawn_scoped(s, move || {
+                            let _query = qctx.map(crate::obs::enter_query);
+                            round.work(ctx, idx)
+                        })
+                        .inspect_err(|_| round.stop.store(true, Ordering::Relaxed))
+                })
+                .collect();
             let wait = Instant::now();
-            let received = rx.recv();
-            let waited = wait.elapsed().as_nanos() as u64;
-            crate::obs::metrics()
-                .parallel_gather_wait_ns_total
-                .add(waited);
-            if let Some(a) = &self.actuals {
-                a.gather_wait_ns.add(waited);
-            }
-            match received {
-                Ok(Ok(batch)) => self.buffer.extend(batch),
-                Ok(Err(e)) => {
-                    self.shutdown();
-                    self.done = true;
-                    return Err(e);
-                }
-                // All senders dropped: every worker ran out of morsels.
-                Err(_) => {
-                    self.shutdown();
-                    self.done = true;
-                }
-            }
+            let results: Vec<Result<Vec<Row>>> = handles
+                .into_iter()
+                .enumerate()
+                .map(|(idx, handle)| match handle {
+                    Ok(h) => h.join().unwrap_or_else(|panic| {
+                        Err(Error::Execution(format!(
+                            "parallel scan worker {idx} panicked: {}",
+                            panic_message(&*panic)
+                        )))
+                    }),
+                    Err(e) => Err(Error::Execution(format!(
+                        "cannot start parallel scan worker {idx}: {e}"
+                    ))),
+                })
+                .collect();
+            (results, wait.elapsed().as_nanos() as u64)
+        });
+        crate::obs::metrics()
+            .parallel_gather_wait_ns_total
+            .add(waited);
+        if let Some(a) = &self.actuals {
+            a.gather_wait_ns.add(waited);
+        }
+        for rows in results {
+            self.buffer.extend(rows?);
         }
         Ok(())
-    }
-}
-
-impl Drop for ParallelSeqScanExec {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
@@ -883,143 +812,110 @@ impl Executor for ParallelSeqScanExec {
         &self.meta.schema
     }
 
-    /// Morsels already arrive as row batches from the workers; hand them
-    /// over wholesale, split only to honor `max`.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
-        self.fill_buffer(ctx)?;
         if self.buffer.is_empty() {
-            return Ok(None);
+            self.pull(ctx, max)?;
         }
         let take = self.buffer.len().min(max);
-        Ok(Some(Batch::new(self.buffer.drain(..take).collect())))
+        Ok((take > 0).then(|| Batch::new(self.buffer.drain(..take).collect())))
     }
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.shutdown();
+        self.cursor.store(0, Ordering::Relaxed);
+        self.n_pages = None;
         self.buffer.clear();
-        self.done = false;
         Ok(())
     }
 }
 
-/// One worker's share of a parallel scan (runs on an [`ExecPool`] thread).
-fn scan_worker(
-    erased: Arc<ErasedCtx>,
-    meta: Arc<TableMeta>,
-    filter: Option<Expr>,
-    shared: Arc<ScanShared>,
-    tx: crossbeam::channel::Sender<Result<Vec<Row>>>,
-    actuals: Option<Arc<ParallelScanActuals>>,
-    worker_idx: usize,
-) {
-    // Completion accounting must survive panics in predicate evaluation
-    // (the pool catches the unwind; this guard runs during it) — the
-    // gather node's shutdown would otherwise wait forever.
-    struct FinishGuard(Arc<ScanShared>);
-    impl Drop for FinishGuard {
-        fn drop(&mut self) {
-            self.0.task_finished();
-        }
-    }
-    let _finish = FinishGuard(Arc::clone(&shared));
+/// What the workers of one [`ParallelSeqScanExec`] pull share.  The
+/// atomics publish no data — rows travel back through `join`, which
+/// synchronizes — so every access is `Relaxed`.
+struct ScanRound<'s> {
+    meta: &'s TableMeta,
+    filter: Option<&'s Expr>,
+    cursor: &'s AtomicU32,
+    n_pages: u32,
+    /// Stop claiming once the workers together hold this many rows.
+    max: usize,
+    held: AtomicUsize,
+    /// Set when a worker fails or panics: the others stop at their next
+    /// morsel.
+    stop: AtomicBool,
+    actuals: Option<&'s ParallelScanActuals>,
+}
 
-    // SAFETY: see `ErasedCtx` — the gather node keeps these alive until
-    // after `task_finished` runs.
-    let (catalog, pool, session, stats) = unsafe {
-        (
-            &*erased.catalog,
-            &*erased.pool,
-            &*erased.session,
-            &*erased.stats,
-        )
-    };
-    let eval = EvalCtx {
-        catalog,
-        session,
-        stats: Some(stats),
-    };
-    let metrics = crate::obs::metrics();
-    let arity = meta.schema.len();
-    let file = meta.heap.file_id();
-    let start = Instant::now();
-    let mut rows_emitted = 0u64;
-    loop {
-        if shared.cancelled.load(Ordering::Acquire) {
-            break;
-        }
-        let first = shared.cursor.fetch_add(MORSEL_PAGES, Ordering::AcqRel);
-        if first >= shared.n_pages {
-            break;
-        }
-        let last = first.saturating_add(MORSEL_PAGES).min(shared.n_pages);
-        metrics.parallel_morsels_dispatched_total.inc();
-        if let Some(a) = &actuals {
-            a.morsels.add(1);
-        }
-        let mut batch = Vec::new();
-        let mut err = None;
-        for page in first..last {
-            if let Err(e) = scan_page_into(
-                pool,
-                file,
-                page,
-                arity,
-                &filter,
-                &eval,
-                &erased.vis,
-                &mut batch,
-            ) {
-                err = Some(e);
-                break;
+impl ScanRound<'_> {
+    /// Worker `idx`'s share of the round, with its busy time and rows
+    /// recorded.
+    fn work(&self, ctx: &ExecCtx<'_>, idx: usize) -> Result<Vec<Row>> {
+        struct StopOnPanic<'a>(&'a AtomicBool);
+        impl Drop for StopOnPanic<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.store(true, Ordering::Relaxed);
+                }
             }
         }
-        if let Some(e) = err {
-            let _ = tx.send(Err(e));
-            break;
+        let _stop_on_panic = StopOnPanic(&self.stop);
+        let start = Instant::now();
+        let out = self.claim_morsels(ctx);
+        if out.is_err() {
+            self.stop.store(true, Ordering::Relaxed);
         }
-        rows_emitted += batch.len() as u64;
-        if tx.send(Ok(batch)).is_err() {
-            break; // gather node gone
+        let busy = start.elapsed().as_nanos() as u64;
+        crate::obs::metrics()
+            .parallel_worker_busy_ns_total
+            .add(busy);
+        if let Some(a) = self.actuals {
+            a.worker_busy_ns[idx].add(busy);
+            if let Ok(rows) = &out {
+                a.worker_rows[idx].add(rows.len() as u64);
+            }
         }
+        out
     }
-    let busy = start.elapsed().as_nanos() as u64;
-    metrics.parallel_worker_busy_ns_total.add(busy);
-    if let Some(a) = &actuals {
-        a.worker_rows[worker_idx].add(rows_emitted);
-        a.worker_busy_ns[worker_idx].add(busy);
+
+    fn claim_morsels(&self, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
+        let eval = ctx.eval_ctx();
+        let mut out = Vec::new();
+        while !self.stop.load(Ordering::Relaxed) && self.held.load(Ordering::Relaxed) < self.max {
+            let first = self.cursor.fetch_add(MORSEL_PAGES, Ordering::Relaxed);
+            if first >= self.n_pages {
+                break;
+            }
+            crate::obs::metrics()
+                .parallel_morsels_dispatched_total
+                .inc();
+            if let Some(a) = self.actuals {
+                a.morsels.add(1);
+            }
+            let before = out.len();
+            for page in first..first.saturating_add(MORSEL_PAGES).min(self.n_pages) {
+                let mut rows = Vec::new();
+                visible_page_tuples(self.meta, page, ctx, |_, _, row, _| rows.push(row))?;
+                if let Some(f) = self.filter {
+                    rows = filter_rows_batch(f, rows, &eval)?;
+                }
+                out.extend(rows);
+            }
+            // Once per morsel, and only when it found rows: a selective
+            // ψ scan then never writes the line its sibling reads.
+            if out.len() > before {
+                self.held.fetch_add(out.len() - before, Ordering::Relaxed);
+            }
+        }
+        Ok(out)
     }
 }
 
-/// Decode one heap page and append the rows passing `filter` to `out`
-/// (the same copy-out-then-decode pattern as [`SeqScanExec::load_page`]).
-///
-/// The page's decoded rows are filtered in one `eval_batch` call — each
-/// worker's morsel loop thereby reuses its thread's `DistanceBuffer` and
-/// the per-batch ψ memoization instead of paying per-row dispatch.
-#[allow(clippy::too_many_arguments)]
-fn scan_page_into(
-    pool: &BufferPool,
-    file: FileId,
-    page: u32,
-    arity: usize,
-    filter: &Option<Expr>,
-    eval: &EvalCtx<'_>,
-    vis: &TxnVisibility,
-    out: &mut Vec<Row>,
-) -> Result<()> {
-    let img: Vec<u8> = pool.with_page(file, page, |buf| buf.to_vec())?;
-    let mut candidates = Vec::new();
-    for (_, tuple) in HeapFile::page_tuples(&img) {
-        let (xmin, xmax, rest) = split_version(tuple)?;
-        if vis.sees(xmin, xmax) {
-            candidates.push(decode_row(rest, arity)?);
-        }
-    }
-    match filter {
-        Some(f) => out.extend(filter_rows_batch(f, candidates, eval)?),
-        None => out.extend(candidates),
-    }
-    Ok(())
+/// The message a panic was raised with, for the error that reports it.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
 }
 
 // -------------------------------------------------------------- IndexScan
@@ -1171,17 +1067,7 @@ fn probe_index(
             crate::obs::waits::time_wait(crate::obs::WaitClass::IndexRead, || index.instance.read())
         }
     };
-    // Partitionable access methods (the M-tree) fan subtree probes across
-    // the worker pool when the context has one and the session allows
-    // ≥ 2 workers; the read guard is held across the whole parallel
-    // search, exactly as in the serial path.
-    let search = match ctx.exec_pool {
-        Some(pool) if effective_workers(ctx.session) >= 2 => {
-            pool.ensure_workers(effective_workers(ctx.session));
-            guard.search_parallel(strategy, probe, extra, pool)?
-        }
-        _ => guard.search(strategy, probe, extra)?,
-    };
+    let search = guard.search(strategy, probe, extra)?;
     drop(guard);
     ctx.stats.index_node_visits.add(search.node_visits);
     crate::obs::metrics()
@@ -1840,7 +1726,6 @@ mod tests {
             pool: &pool,
             session: &session,
             stats: &stats,
-            exec_pool: None,
             vis: TxnVisibility {
                 txn: 0,
                 snap: TransactionManager::new().snapshot(),

@@ -33,21 +33,6 @@ pub struct IndexSearch {
     pub comparisons: u64,
 }
 
-/// Runs a batch of independent borrowed tasks, possibly on worker
-/// threads, returning only when **every** task has finished — the
-/// blocking guarantee is what lets tasks borrow from the caller's stack
-/// (the index read guard, local accumulators).  Implemented by the
-/// engine's `ExecPool`; a serial implementation that runs tasks inline is
-/// equally valid.
-///
-/// Tasks must not take any engine lock (they already run under the
-/// caller's per-index read guard, the bottom of the lock hierarchy for
-/// index work) and must not assume which thread runs them.
-pub trait TaskRunner {
-    /// Run all tasks to completion, in unspecified order and threads.
-    fn run_all(&self, tasks: Vec<Box<dyn FnOnce() + Send + '_>>);
-}
-
 /// A live index over one column of one table.
 ///
 /// `Sync` is required so a built instance can sit behind a `RwLock` in the
@@ -69,23 +54,6 @@ pub trait IndexInstance: Send + Sync {
     /// the planner only pairs an index with strategies its access method
     /// advertised.
     fn search(&self, strategy: &str, probe: &Datum, extra: &Datum) -> Result<IndexSearch>;
-
-    /// Parallel variant of [`IndexInstance::search`]: access methods that
-    /// can partition a probe (the M-tree fans root subtrees out) run the
-    /// partitions through `runner` and merge.  The default ignores the
-    /// runner and searches serially, so parallelism is strictly opt-in
-    /// per access method and results must be identical either way (the
-    /// executor treats the two as interchangeable).
-    fn search_parallel(
-        &self,
-        strategy: &str,
-        probe: &Datum,
-        extra: &Datum,
-        runner: &dyn TaskRunner,
-    ) -> Result<IndexSearch> {
-        let _ = runner;
-        self.search(strategy, probe, extra)
-    }
 
     /// Size in page units, for the optimizer's cost model.
     fn pages(&self) -> u64;

@@ -40,6 +40,8 @@
 //!   replay, and index rebuild from the recovered heaps; [`snapshot`]
 //!   writes the checkpoints it restores.
 
+#![forbid(unsafe_code)]
+
 pub mod catalog;
 pub mod engine;
 pub mod error;

@@ -28,7 +28,7 @@
 //!
 //! The glue between layers is the [`QueryContext`]: one per running
 //! statement, installed in a thread-local on the session thread and on
-//! every `ExecPool` worker executing the statement's morsels, so waits
+//! every parallel-scan worker executing the statement's morsels, so waits
 //! and progress recorded anywhere land on the right query.
 //!
 //! Everything here is dependency-free (std atomics + `parking_lot`).
@@ -90,7 +90,8 @@ pub struct QueryGuard {
 
 /// Install `ctx` as this thread's current query context until the
 /// returned guard drops.  Sessions install it for the statement's
-/// lifetime; `ExecPool` workers install a clone around each task.
+/// lifetime; parallel-scan workers install a clone for their share of a
+/// pull.
 pub fn enter_query(ctx: Arc<QueryContext>) -> QueryGuard {
     let prev = CURRENT.with(|c| c.borrow_mut().replace(ctx));
     QueryGuard { prev }

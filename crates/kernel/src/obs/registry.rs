@@ -499,7 +499,7 @@ pub struct EngineMetrics {
     pub parallel_morsels_dispatched_total: Arc<Counter>,
     /// Nanoseconds parallel-scan workers spent executing morsels.
     pub parallel_worker_busy_ns_total: Arc<Counter>,
-    /// Nanoseconds gather nodes spent blocked waiting for worker batches.
+    /// Nanoseconds query threads spent joining parallel-scan workers.
     pub parallel_gather_wait_ns_total: Arc<Counter>,
     /// q-error of sequential-scan row estimates (plan store feedback).
     pub qerror_seqscan: Arc<Histogram>,

@@ -10,8 +10,8 @@
 //! 2. to the [`WaitProfile`] of the query currently installed on this
 //!    thread (see [`crate::obs::current`]), so EXPLAIN ANALYZE, the
 //!    flight recorder and `SHOW ACTIVITY` can attribute blocked time to
-//!    the statement that suffered it — including waits taken inside
-//!    `ExecPool` worker tasks and the group-commit WAL rendezvous.
+//!    the statement that suffered it — including waits taken on
+//!    parallel-scan worker threads and in the group-commit WAL rendezvous.
 //!
 //! Uncontended acquisitions cost one failed-try branch and record
 //! nothing, which is what keeps the instrumented ψ-scan path within

@@ -102,23 +102,23 @@ impl CostParams {
         pages * self.seq_page_cost + rows * (self.batch_tuple_cost(batch_size) + per_row_pred)
     }
 
-    /// Startup charge of a parallel scan (worker dispatch + gather), in
+    /// Startup charge of a parallel scan (worker spawn + join), in
     /// cost units.  Roughly a thousand tuples' worth of CPU — enough that
     /// point lookups never go parallel on cost grounds alone.
     pub const PARALLEL_STARTUP_COST: f64 = 10.0;
 
-    /// Fraction of linear speedup a worker actually delivers (channel
-    /// traffic, morsel-claim contention, skewed tails).
+    /// Fraction of linear speedup a worker actually delivers (thread
+    /// start-up, morsel-claim contention, skewed tails).
     pub const PARALLEL_EFFICIENCY: f64 = 0.85;
 
     /// Morsel-driven parallel scan: the I/O term is unchanged (one buffer
     /// pool), the CPU term divides across `workers` at
     /// [`Self::PARALLEL_EFFICIENCY`], and a flat startup charge covers
-    /// dispatch + gather.  With the ψ predicate's large `per_row_pred`
+    /// spawn + join.  With the ψ predicate's large `per_row_pred`
     /// (Table 3's edit-distance work) the CPU term dominates, which is
     /// exactly when parallelism wins.  The per-tuple term is amortized
     /// like [`Self::seq_scan`]'s (workers filter whole pages per
-    /// `eval_batch` call, the gather drains batches).
+    /// `eval_batch` call).
     pub fn parallel_seq_scan(
         &self,
         pages: f64,

@@ -129,8 +129,8 @@ pub enum PhysOp {
         annotation: Option<&'static str>,
     },
     /// Morsel-driven parallel heap scan: `workers` threads claim
-    /// fixed-size page ranges, evaluate `filter` independently, and a
-    /// gather node merges their batches (order-insensitive).
+    /// fixed-size page ranges and evaluate `filter` independently; their
+    /// rows come back in no fixed order.
     ParallelSeqScan {
         table: String,
         filter: Option<Expr>,

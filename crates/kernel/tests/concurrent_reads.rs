@@ -17,10 +17,10 @@ fn parallel_selects_are_consistent() {
     db.execute("ANALYZE t").unwrap();
     let db = &db;
 
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..8 {
-            handles.push(scope.spawn(move |_| {
+            handles.push(scope.spawn(move || {
                 for round in 0..20 {
                     let probe = (w * 131 + round * 17) % 5000;
                     let point = db
@@ -38,8 +38,7 @@ fn parallel_selects_are_consistent() {
         for h in handles {
             h.join().unwrap();
         }
-    })
-    .unwrap();
+    });
 }
 
 /// The metrics registry is updated from every engine thread: hammer one
@@ -64,12 +63,12 @@ fn metrics_registry_survives_concurrent_hammering() {
 
     const THREADS: u64 = 8;
     const ROUNDS: u64 = 10_000;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for w in 0..THREADS {
             let counter = &counter;
             let gauge = &gauge;
             let histo = &histo;
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for i in 0..ROUNDS {
                     counter.inc();
                     gauge.set(w as f64);
@@ -84,8 +83,7 @@ fn metrics_registry_survives_concurrent_hammering() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     assert_eq!(
         counter.get(),
@@ -123,16 +121,15 @@ fn query_metrics_accumulate_across_threads() {
     let db = &db;
     const THREADS: u64 = 4;
     const QUERIES: u64 = 50;
-    crossbeam::scope(|scope| {
+    std::thread::scope(|scope| {
         for _ in 0..THREADS {
-            scope.spawn(move |_| {
+            scope.spawn(move || {
                 for _ in 0..QUERIES {
                     db.query_ref("SELECT count(*) FROM t").unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let delta = obs::metrics().queries_total.get() - before;
     // ≥: other tests in this binary may run queries concurrently.
     assert!(delta >= THREADS * QUERIES, "counted {delta} queries");

@@ -22,9 +22,11 @@
 //! is only marginally effective on short discrete-metric strings (§5.3:
 //! "poor pruning efficiency").
 
+#![forbid(unsafe_code)]
+
 mod tree;
 
-pub use tree::{MTree, Metric, PartitionedRange, QueryStats, RangeSubtree, SplitPolicy};
+pub use tree::{MTree, Metric, QueryStats, SplitPolicy};
 
 /// Default maximum number of entries per node.  Chosen so a node of phoneme
 /// strings (~16 bytes each plus radii) is roughly one 8 KiB disk page — the

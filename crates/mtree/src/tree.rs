@@ -45,15 +45,6 @@ pub struct QueryStats {
     pub subtrees_pruned: u64,
 }
 
-impl QueryStats {
-    /// Merge another stats record into this one.
-    pub fn absorb(&mut self, other: QueryStats) {
-        self.dist_computations += other.dist_computations;
-        self.nodes_visited += other.nodes_visited;
-        self.subtrees_pruned += other.subtrees_pruned;
-    }
-}
-
 /// Entry in a leaf node: a key plus its distance to the parent routing key.
 #[derive(Debug, Clone)]
 struct LeafEntry<K, V> {
@@ -77,22 +68,6 @@ enum Node<K, V> {
     Leaf(Vec<LeafEntry<K, V>>),
     Internal(Vec<RoutingEntry<K, V>>),
 }
-
-/// One unexplored partition of a range query, produced by
-/// [`MTree::range_partitioned`]: a root-level child that survived pruning,
-/// together with the already-computed distance from the query to its
-/// routing key.  Opaque (node layout stays private) and `Send`, so callers
-/// can resolve partitions on worker threads via [`MTree::range_subtree`]
-/// while the tree sits behind a shared reference.
-pub struct RangeSubtree<'t, K, V> {
-    node: &'t Node<K, V>,
-    dist_to_query: f64,
-}
-
-/// Result of [`MTree::range_partitioned`]: matches already resolved at the
-/// root (non-empty only for a leaf root), the surviving subtree
-/// partitions, and the stats accrued so far.
-pub type PartitionedRange<'t, K, V> = (Vec<(K, V, f64)>, Vec<RangeSubtree<'t, K, V>>, QueryStats);
 
 /// The M-Tree.  `K` is the key type, `V` an opaque payload (the engine
 /// stores heap tuple ids).
@@ -344,62 +319,6 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
         self.range_node(&self.root, query, radius, None, &mut out, &mut stats);
-        (out, stats)
-    }
-
-    /// Split a range query at the root for parallel execution: prune the
-    /// root's routing entries as [`MTree::range`] would, but instead of
-    /// descending, hand back one [`RangeSubtree`] per surviving child.
-    /// Each subtree is independent — callers fan them out across threads
-    /// via [`MTree::range_subtree`] and merge.  The union of the returned
-    /// matches (non-empty only for a leaf root) and every subtree's
-    /// matches equals `range(query, radius)` exactly, as does the sum of
-    /// the stats.
-    pub fn range_partitioned(&self, query: &K, radius: f64) -> PartitionedRange<'_, K, V> {
-        let mut stats = QueryStats::default();
-        let mut out = Vec::new();
-        let mut subtrees = Vec::new();
-        match &*self.root {
-            Node::Leaf(_) => {
-                self.range_node(&self.root, query, radius, None, &mut out, &mut stats);
-            }
-            Node::Internal(entries) => {
-                stats.nodes_visited += 1;
-                for e in entries {
-                    stats.dist_computations += 1;
-                    let d = self.metric.distance(query, &e.key);
-                    if d > radius + e.radius {
-                        stats.subtrees_pruned += 1;
-                        continue;
-                    }
-                    subtrees.push(RangeSubtree {
-                        node: &e.child,
-                        dist_to_query: d,
-                    });
-                }
-            }
-        }
-        (out, subtrees, stats)
-    }
-
-    /// Execute one partition produced by [`MTree::range_partitioned`].
-    /// `&self` only — safe to call from many threads behind a read guard.
-    pub fn range_subtree(
-        &self,
-        query: &K,
-        radius: f64,
-        subtree: &RangeSubtree<'_, K, V>,
-    ) -> (Vec<(K, V, f64)>, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut out = Vec::new();
-        self.range_node(
-            subtree.node,
-            query,
-            radius,
-            Some(subtree.dist_to_query),
-            &mut out,
-            &mut stats,
-        );
         (out, stats)
     }
 
@@ -765,34 +684,6 @@ mod tests {
                 expect.sort();
                 let got: Vec<(i64, usize)> = hits.iter().map(|&(k, v, _)| (k, v)).collect();
                 assert_eq!(got, expect, "q={q} r={r}");
-            }
-        }
-    }
-
-    #[test]
-    fn partitioned_range_equals_serial_range() {
-        // Leaf-only root and multi-level trees, several probes and radii:
-        // root matches ∪ subtree matches must equal range(), stats included.
-        for n in [3usize, 500] {
-            let values: Vec<i64> = (0..n as i64).map(|i| (i * 37) % 1000).collect();
-            let t = build(&values, SplitPolicy::Random);
-            for q in [0i64, 123, 999] {
-                for r in [0.0, 10.0, 50.0] {
-                    let (serial_hits, serial_stats) = t.range(&q, r);
-                    let (mut hits, subtrees, mut stats) = t.range_partitioned(&q, r);
-                    for sub in &subtrees {
-                        let (h, s) = t.range_subtree(&q, r, sub);
-                        hits.extend(h);
-                        stats.absorb(s);
-                    }
-                    let key = |x: &(i64, usize, f64)| (x.0, x.1);
-                    let mut a: Vec<_> = serial_hits.iter().map(key).collect();
-                    let mut b: Vec<_> = hits.iter().map(key).collect();
-                    a.sort();
-                    b.sort();
-                    assert_eq!(a, b, "n={n} q={q} r={r}");
-                    assert_eq!(stats, serial_stats, "n={n} q={q} r={r}");
-                }
             }
         }
     }

@@ -26,6 +26,8 @@
 //! # let _ = mural;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod algebra;
 pub mod cost;
 pub mod functions;

@@ -10,13 +10,12 @@
 //! probe's over-fetch grows with the table's lifetime updates.
 
 use crate::types::unitext_of_datum;
-use mlql_kernel::index::{AccessMethod, IndexInstance, IndexSearch, TaskRunner};
+use mlql_kernel::index::{AccessMethod, IndexInstance, IndexSearch};
 use mlql_kernel::storage::TupleId;
 use mlql_kernel::{Datum, Error, Result};
-use mlql_mtree::{MTree, QueryStats, SplitPolicy};
+use mlql_mtree::{MTree, SplitPolicy};
 use mlql_phonetics::distance::edit_distance;
 use mlql_phonetics::ConverterRegistry;
-use parking_lot::Mutex;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -55,26 +54,6 @@ impl MTreeIndex {
         let v = unitext_of_datum(d)?;
         Ok(self.converters.phonemes_of(&v).as_bytes().to_vec())
     }
-
-    /// Publish metrics, drop tombstoned hits, and package a `"within"`
-    /// result — shared by the serial and parallel paths so both report
-    /// identically.
-    fn finish_within(&self, hits: Vec<(Vec<u8>, TupleId, f64)>, stats: QueryStats) -> IndexSearch {
-        let m = mlql_kernel::obs::metrics();
-        m.mtree_node_visits_total.add(stats.nodes_visited);
-        m.mtree_distance_computations_total
-            .add(stats.dist_computations);
-        let tids = hits
-            .into_iter()
-            .filter(|(k, tid, _)| !self.deleted.contains(&(k.clone(), *tid)))
-            .map(|(_, tid, _)| tid)
-            .collect();
-        IndexSearch {
-            tids,
-            node_visits: stats.nodes_visited,
-            comparisons: stats.dist_computations,
-        }
-    }
 }
 
 impl IndexInstance for MTreeIndex {
@@ -100,11 +79,11 @@ impl IndexInstance for MTreeIndex {
 
     fn search(&self, strategy: &str, probe: &Datum, extra: &Datum) -> Result<IndexSearch> {
         let key = self.key_of(probe)?;
-        match strategy {
+        let (hits, stats, limit) = match strategy {
             "within" => {
                 let radius = extra.as_int().unwrap_or(0).max(0) as f64;
                 let (hits, stats) = self.tree.range(&key, radius);
-                Ok(self.finish_within(hits, stats))
+                (hits, stats, usize::MAX)
             }
             // k-nearest phonemic neighbours — the "best match" LexEQUAL
             // variation the companion papers describe; over-fetch to absorb
@@ -112,69 +91,29 @@ impl IndexInstance for MTreeIndex {
             "nearest" => {
                 let k = extra.as_int().unwrap_or(1).max(1) as usize;
                 let (hits, stats) = self.tree.nearest(&key, k + self.deleted.len());
-                let m = mlql_kernel::obs::metrics();
-                m.mtree_node_visits_total.add(stats.nodes_visited);
-                m.mtree_distance_computations_total
-                    .add(stats.dist_computations);
-                let tids: Vec<_> = hits
-                    .into_iter()
-                    .filter(|(kk, tid, _)| !self.deleted.contains(&(kk.clone(), *tid)))
-                    .take(k)
-                    .map(|(_, tid, _)| tid)
-                    .collect();
-                Ok(IndexSearch {
-                    tids,
-                    node_visits: stats.nodes_visited,
-                    comparisons: stats.dist_computations,
-                })
+                (hits, stats, k)
             }
-            other => Err(Error::Execution(format!(
-                "mtree does not support strategy {other:?}"
-            ))),
-        }
-    }
-
-    /// `"within"` probes partition at the root: each surviving root
-    /// subtree becomes one task on the engine's worker pool, accumulating
-    /// hits and [`QueryStats`] under a local mutex.  `run_all` blocks
-    /// until every task finishes, so borrowing `self.tree` (behind the
-    /// caller's per-index read guard) is sound.  Results and reported
-    /// stats are bit-identical to the serial path (`tests` prove it).
-    fn search_parallel(
-        &self,
-        strategy: &str,
-        probe: &Datum,
-        extra: &Datum,
-        runner: &dyn TaskRunner,
-    ) -> Result<IndexSearch> {
-        if strategy != "within" {
-            return self.search(strategy, probe, extra);
-        }
-        let key = self.key_of(probe)?;
-        let radius = extra.as_int().unwrap_or(0).max(0) as f64;
-        let (root_hits, subtrees, root_stats) = self.tree.range_partitioned(&key, radius);
-        if subtrees.is_empty() {
-            // Leaf root or everything pruned — nothing to fan out.
-            return Ok(self.finish_within(root_hits, root_stats));
-        }
-        let acc = Mutex::new((root_hits, root_stats));
-        let tree = &self.tree;
-        let key_ref = &key;
-        let tasks: Vec<Box<dyn FnOnce() + Send + '_>> = subtrees
-            .iter()
-            .map(|sub| {
-                let acc = &acc;
-                Box::new(move || {
-                    let (h, s) = tree.range_subtree(key_ref, radius, sub);
-                    let mut g = acc.lock();
-                    g.0.extend(h);
-                    g.1.absorb(s);
-                }) as Box<dyn FnOnce() + Send + '_>
-            })
+            other => {
+                return Err(Error::Execution(format!(
+                    "mtree does not support strategy {other:?}"
+                )))
+            }
+        };
+        let m = mlql_kernel::obs::metrics();
+        m.mtree_node_visits_total.add(stats.nodes_visited);
+        m.mtree_distance_computations_total
+            .add(stats.dist_computations);
+        let tids = hits
+            .into_iter()
+            .filter(|(k, tid, _)| !self.deleted.contains(&(k.clone(), *tid)))
+            .take(limit)
+            .map(|(_, tid, _)| tid)
             .collect();
-        runner.run_all(tasks);
-        let (hits, stats) = acc.into_inner();
-        Ok(self.finish_within(hits, stats))
+        Ok(IndexSearch {
+            tids,
+            node_visits: stats.nodes_visited,
+            comparisons: stats.dist_computations,
+        })
     }
 
     fn pages(&self) -> u64 {
@@ -327,59 +266,6 @@ mod tests {
         let r2 = idx.search("nearest", &probe, &Datum::Int(3)).unwrap();
         assert_eq!(r2.tids.len(), 3);
         assert!(!r2.tids.iter().any(|t| t.page == 1));
-    }
-
-    /// A runner that executes tasks inline — the serial reference
-    /// implementation of the `TaskRunner` contract.
-    struct InlineRunner;
-    impl TaskRunner for InlineRunner {
-        fn run_all(&self, tasks: Vec<Box<dyn FnOnce() + Send + '_>>) {
-            for t in tasks {
-                t();
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_within_matches_serial_exactly() {
-        let (langs, mut idx) = setup();
-        for i in 0..800 {
-            idx.insert(&ut(&langs, &format!("name{i}"), "English"), tid(i))
-                .unwrap();
-        }
-        // Tombstone a few so the parallel path also exercises filtering.
-        idx.delete(&ut(&langs, "name10", "English"), tid(10))
-            .unwrap();
-        idx.delete(&ut(&langs, "name20", "English"), tid(20))
-            .unwrap();
-        for radius in [0i64, 1, 2, 4] {
-            let probe = ut(&langs, "name250", "English");
-            let serial = idx.search("within", &probe, &Datum::Int(radius)).unwrap();
-            let par = idx
-                .search_parallel("within", &probe, &Datum::Int(radius), &InlineRunner)
-                .unwrap();
-            let mut a: Vec<_> = serial.tids.iter().map(|t| (t.page, t.slot)).collect();
-            let mut b: Vec<_> = par.tids.iter().map(|t| (t.page, t.slot)).collect();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b, "radius={radius}");
-            assert_eq!(serial.node_visits, par.node_visits, "radius={radius}");
-            assert_eq!(serial.comparisons, par.comparisons, "radius={radius}");
-        }
-    }
-
-    #[test]
-    fn parallel_falls_back_to_serial_for_other_strategies() {
-        let (langs, mut idx) = setup();
-        for (i, n) in ["Nehru", "Neru", "Gandhi"].iter().enumerate() {
-            idx.insert(&ut(&langs, n, "English"), tid(i as u32))
-                .unwrap();
-        }
-        let probe = ut(&langs, "Nehru", "English");
-        let r = idx
-            .search_parallel("nearest", &probe, &Datum::Int(2), &InlineRunner)
-            .unwrap();
-        assert_eq!(r.tids.len(), 2);
     }
 
     #[test]

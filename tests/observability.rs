@@ -481,7 +481,7 @@ fn show_activity_observes_live_parallel_scan_from_second_session() {
     db.execute("SET lexequal.threshold = 2").unwrap();
     db.execute("SET parallel_workers = 4").unwrap();
     // Returning rows (not an aggregate) so the activity row counter moves
-    // while the gather drains worker batches.
+    // while the scan hands out worker rows batch by batch.
     let sql = "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru1','English')";
 
     // The observer is a *different* session on the same engine.

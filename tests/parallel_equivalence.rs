@@ -2,8 +2,8 @@
 //! query shape the engine parallelizes (ψ threshold scans, Ω containment
 //! probes, index vs sequential plans, LIMIT / max_rows, scans racing DDL)
 //! must return the *identical* result set at `parallel_workers = 1` and
-//! `parallel_workers = N` — the gather node merges worker batches in
-//! nondeterministic order, so comparisons are over sorted row sets.  ψ
+//! `parallel_workers = N` — workers hand back rows in nondeterministic
+//! order, so comparisons are over sorted row sets.  ψ
 //! and Ω results are additionally pinned, at every worker count × batch
 //! size, to oracles computed outside the executor.  A property test then
 //! fuzzes random multilingual tables and thresholds across the
@@ -188,8 +188,7 @@ fn psi_threshold_scans_equivalent() {
 }
 
 /// Forced index plans and forced (parallel) sequential plans agree with
-/// each other at every worker count — the M-tree's fanned-out subtree
-/// probes included.
+/// each other at every worker count.
 #[test]
 fn index_and_seq_plans_equivalent() {
     let (mut db, mural) = db();
@@ -240,6 +239,110 @@ fn limit_and_max_rows_semantics_preserved() {
             s.query("SELECT count(*) FROM names").unwrap()[0][0].as_int(),
             Some(1500)
         );
+    }
+}
+
+/// The integer after `key` on the first line of `text` containing
+/// `line` (an `EXPLAIN ANALYZE` node or trailer line).
+fn explain_field(text: &str, line: &str, key: &str) -> u64 {
+    let found = text
+        .lines()
+        .find(|l| l.contains(line))
+        .unwrap_or_else(|| panic!("no {line:?} line:\n{text}"));
+    let tail = found.split(key).nth(1).unwrap();
+    let digits: String = tail.chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap()
+}
+
+/// Each pull of a parallel scan is sized by the rows its consumer still
+/// wants, so `LIMIT 1` reads at most one morsel (4 pages) per worker
+/// instead of the table — the same bound keeps `max_rows` a memory
+/// guard.  `heap.pages()` asks the storage backend for the page count and
+/// charges no page read, so the bound has no extra term.
+#[test]
+fn limit_stops_a_parallel_scan_early() {
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT, pad TEXT)").unwrap();
+    let pad = "x".repeat(200);
+    for id in 0..3000 {
+        db.insert_row("t", vec![Datum::Int(id), Datum::text(&pad)])
+            .unwrap();
+    }
+    db.execute("ANALYZE t").unwrap();
+    db.execute("SET parallel_workers = 1").unwrap();
+    let serial = db
+        .execute("EXPLAIN ANALYZE SELECT count(*) FROM t")
+        .unwrap();
+    let table_pages = explain_field(&serial.explain.unwrap(), "Seq Scan on t", "pages=");
+    assert!(table_pages >= 60, "table spans {table_pages} pages");
+
+    db.execute("SET parallel_workers = 4").unwrap();
+    let text = db
+        .execute("EXPLAIN ANALYZE SELECT id FROM t LIMIT 1")
+        .unwrap()
+        .explain
+        .unwrap();
+    // The scan node's reads, and the statement's: no worker reads on
+    // after the query thread has its row.
+    for pages in [
+        explain_field(&text, "Parallel Seq Scan on t", "pages="),
+        explain_field(&text, "Actual: ", "logical_reads="),
+    ] {
+        assert!(pages <= 4 * 4, "LIMIT 1 read {pages} pages:\n{text}");
+        assert!(pages < table_pages, "{text}");
+    }
+}
+
+/// A worker panic fails the query with a typed error instead of ending
+/// the scan early with a short answer, and leaves the session usable.
+#[test]
+fn worker_panic_is_an_error_not_a_short_answer() {
+    use mlql::kernel::catalog::{ExtOperator, OperatorKind};
+    use mlql::kernel::DataType;
+    use std::sync::Arc;
+
+    let mut db = Session::new_in_memory();
+    db.execute("CREATE TABLE t (id INT)").unwrap();
+    for id in 0..6000 {
+        db.insert_row("t", vec![Datum::Int(id)]).unwrap();
+    }
+    db.execute("ANALYZE t").unwrap();
+    db.engine().catalog_mut().register_operator(ExtOperator {
+        name: "boom".into(),
+        operand_type: DataType::Int,
+        eval: Arc::new(|l, _, _| {
+            assert_ne!(l.as_int(), Some(4321), "test operator hit its trap row");
+            Ok(Datum::Bool(true))
+        }),
+        eval_batch: None,
+        kind: OperatorKind {
+            commutative: false,
+            distributes_over_union: true,
+        },
+        per_tuple_cost: Arc::new(|_, _| 1.0),
+        selectivity: Arc::new(|_| 1.0),
+        index_strategy: None,
+        index_extra: None,
+        modifier_filter: None,
+        index_scan_fraction: None,
+        strategy_label: None,
+    });
+    let sql = "SELECT id FROM t WHERE id BOOM 0";
+    for workers in [2, 4] {
+        let mut s = db.connect();
+        s.execute(&format!("SET parallel_workers = {workers}"))
+            .unwrap();
+        let plan = s.execute(&format!("EXPLAIN {sql}")).unwrap().explain;
+        assert!(plan.unwrap().contains("Parallel Seq Scan on t"));
+        match s.query(sql) {
+            Err(Error::Execution(_)) => {}
+            other => panic!(
+                "workers={workers}: want Error::Execution, got {:?}",
+                other.map(|rows| rows.len())
+            ),
+        }
+        let n = s.query("SELECT count(*) FROM t").unwrap()[0][0].as_int();
+        assert_eq!(n, Some(6000), "workers={workers}");
     }
 }
 
