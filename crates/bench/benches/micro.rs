@@ -145,7 +145,7 @@ fn bench_psi_selectivity(c: &mut Criterion) {
     c.bench_with_input(
         BenchmarkId::new("psi_selectivity", "10mcv"),
         &mcvs,
-        |bench, mcvs| bench.iter(|| psi_scan_selectivity(black_box(mcvs), b"phoneme4x", 2)),
+        |bench, mcvs| bench.iter(|| psi_scan_selectivity(black_box(mcvs), &[], b"phoneme4x", 2)),
     );
 }
 

@@ -1718,8 +1718,9 @@ impl Session {
                 // of `explain_with_actuals` undisturbed).
                 for p in &instr.parallel {
                     text.push_str(&format!(
-                        "Parallel: workers={} morsels={} gather_wait={:.3}ms\n",
+                        "Parallel: workers={} rounds={} morsels={} gather_wait={:.3}ms\n",
                         p.workers,
+                        p.rounds.get(),
                         p.morsels.get(),
                         p.gather_wait_ns.get() as f64 / 1e6,
                     ));

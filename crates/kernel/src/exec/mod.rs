@@ -133,6 +133,9 @@ pub struct Instrumentation {
 pub struct ParallelScanActuals {
     /// Worker count the scan was planned with.
     pub workers: usize,
+    /// Rounds of workers spawned and joined: one per pull that found the
+    /// buffer empty and pages left.
+    pub rounds: StatCell,
     /// Morsels (fixed-size page ranges) claimed across all workers.
     pub morsels: StatCell,
     /// Nanoseconds the query thread spent joining its workers.
@@ -147,6 +150,7 @@ impl ParallelScanActuals {
     fn new(workers: usize) -> Self {
         ParallelScanActuals {
             workers,
+            rounds: StatCell::default(),
             morsels: StatCell::default(),
             gather_wait_ns: StatCell::default(),
             worker_rows: (0..workers).map(|_| StatCell::default()).collect(),
@@ -667,7 +671,7 @@ const MAX_WORKERS: usize = 64;
 /// Pages per morsel.  Small enough that a 4-worker scan of a few dozen
 /// pages still load-balances, large enough that a claim on the shared
 /// cursor is amortized over hundreds of rows.
-const MORSEL_PAGES: u32 = 4;
+pub(crate) const MORSEL_PAGES: u32 = 4;
 
 /// Default worker count for sessions that never `SET parallel_workers`:
 /// the `MLQL_PARALLEL_WORKERS` environment variable if set (CI pins it
@@ -752,6 +756,9 @@ impl ParallelSeqScanExec {
         let qctx = crate::obs::current();
         if let Some(slot) = qctx.as_ref().and_then(|c| c.slot.as_ref()) {
             slot.set_workers(self.workers as u64);
+        }
+        if let Some(a) = &self.actuals {
+            a.rounds.add(1);
         }
         let round = ScanRound {
             meta: &self.meta,

@@ -1,29 +1,71 @@
 //! Cost parameters and formulas.
 
 use crate::catalog::{Catalog, SessionVars};
+use crate::exec::MORSEL_PAGES;
 use crate::expr::Expr;
 
-/// Cost parameters (PostgreSQL defaults).  All costs are in abstract units
-/// where reading one sequential page costs 1.0.
+/// Cost parameters, in units where reading one sequential page costs 1.0.
+///
+/// Every constant but that anchor is measured: the `calibration` bench
+/// bin times each query class of its grid under every plan the `enable_*`
+/// flags and `parallel_workers` can force, fits nanoseconds per unit of
+/// work from the plans' `EXPLAIN ANALYZE` counts, and divides by the
+/// nanoseconds of reading one page.  Re-run it after changing a kernel
+/// and commit what it prints rather than editing a constant by hand.
 #[derive(Debug, Clone, Copy)]
 pub struct CostParams {
-    /// Sequential page read.
+    /// Sequential page read: the unit.
     pub seq_page_cost: f64,
-    /// Random page read.
-    pub random_page_cost: f64,
-    /// Per-tuple CPU processing.
+    /// Per row a join, projection or materialization builds.  Grid: pairs
+    /// of a nested-loop ψ join.
     pub cpu_tuple_cost: f64,
-    /// Per-operator/function CPU evaluation.
+    /// Per predicate cost unit: one built-in comparison, or one unit of
+    /// an extension operator's registered `per_tuple_cost`.  Grid:
+    /// operator units of serial ψ, Ω and range scans.
     pub cpu_operator_cost: f64,
+    /// Per row a scan decodes and hands on inside the scan, at the default
+    /// batch size.  Grid: rows of serial scans.
+    pub cpu_decode_cost: f64,
+    /// Per heap page a scan decodes, on top of reading it: the share of
+    /// decoding that grows with row width (a page holds a page's worth of
+    /// row bytes whatever the width).  Grid: pages of serial scans, less
+    /// what reading a page of deleted rows costs.
+    pub cpu_page_decode_cost: f64,
+    /// Per worker per round of a parallel scan: a round spawns and joins
+    /// `workers` scoped threads.  Grid: the rounds parallel scans ran,
+    /// times their workers.
+    pub parallel_spawn_cost: f64,
+    /// Per row a parallel scan gathers from its workers onto the query
+    /// thread.  Grid: rows out of parallel scans.
+    pub parallel_gather_cost: f64,
+    /// Per tuple an index scan fetches from the buffer pool by id,
+    /// decode included.  Grid: heap fetches of index scans.
+    pub heap_fetch_cost: f64,
 }
 
 impl Default for CostParams {
+    /// Fitted by the `calibration` grid on 2026-10-16 on a 2-vCPU Intel
+    /// Xeon host (`nproc` 2): each value is the median, in page units, of
+    /// five grid runs, whose page reads took 2.47–4.66 µs (median 3.84).
+    /// `benchmarks/baseline/BENCH_calibration.json` records a check run of
+    /// the grid under these values: its own fit and the plan regret.
     fn default() -> Self {
         CostParams {
             seq_page_cost: 1.0,
-            random_page_cost: 4.0,
-            cpu_tuple_cost: 0.01,
-            cpu_operator_cost: 0.0025,
+            // 407 ns per nested-loop pair.
+            cpu_tuple_cost: 0.106,
+            // 1.04 ns per operator unit.
+            cpu_operator_cost: 0.000270,
+            // 71 ns per row.
+            cpu_decode_cost: 0.0184,
+            // 24.2 µs per page.
+            cpu_page_decode_cost: 6.30,
+            // 70 µs per worker per round.
+            parallel_spawn_cost: 18.25,
+            // 56 ns per row gathered.
+            parallel_gather_cost: 0.0147,
+            // 703 ns per tuple fetched.
+            heap_fetch_cost: 0.183,
         }
     }
 }
@@ -75,80 +117,55 @@ impl CostParams {
         }
     }
 
-    /// Share of `cpu_tuple_cost` that models per-row Volcano pull
-    /// dispatch — the part batch execution amortizes across a batch.
-    /// The remainder (datum copies, predicate plumbing) is paid per row
-    /// regardless of the execution mode.  The planner only applies the
-    /// amortized formulas to scans whose filter actually has a
-    /// vectorized kernel (an extension operator with a batch hook) —
-    /// `Expr::eval_batch` falls back to scalar eval everywhere else, so
-    /// there is no saving to model and plain-predicate plan choices
-    /// stay exactly as they were.
-    pub const DISPATCH_FRACTION: f64 = 0.5;
-
-    /// Effective per-tuple CPU cost when the scan spine emits batches of
-    /// `batch_size` rows: the dispatch share collapses to one payment
-    /// per batch.  `batch_size == 1` reproduces the row-at-a-time cost
-    /// exactly.
-    pub fn batch_tuple_cost(&self, batch_size: usize) -> f64 {
-        let dispatch = self.cpu_tuple_cost * Self::DISPATCH_FRACTION;
-        (self.cpu_tuple_cost - dispatch) + dispatch / (batch_size.max(1) as f64)
+    /// Sequential scan: per page its read, and the decode and predicate
+    /// work of its rows.
+    pub fn seq_scan(&self, pages: f64, rows: f64, per_row_pred: f64) -> f64 {
+        pages * self.seq_page_cost + self.scan_work(pages, rows, per_row_pred)
     }
 
-    /// Sequential scan emitting `batch_size`-row batches:
-    /// `pages · seq_page_cost + rows · batch_tuple_cost` plus per-row
-    /// predicate cost.
-    pub fn seq_scan(&self, pages: f64, rows: f64, per_row_pred: f64, batch_size: usize) -> f64 {
-        pages * self.seq_page_cost + rows * (self.batch_tuple_cost(batch_size) + per_row_pred)
+    /// Decode and filter work of a heap scan: what parallel workers split.
+    fn scan_work(&self, pages: f64, rows: f64, per_row_pred: f64) -> f64 {
+        pages * self.cpu_page_decode_cost + rows * (self.cpu_decode_cost + per_row_pred)
     }
 
-    /// Startup charge of a parallel scan (worker spawn + join), in
-    /// cost units.  Roughly a thousand tuples' worth of CPU — enough that
-    /// point lookups never go parallel on cost grounds alone.
-    pub const PARALLEL_STARTUP_COST: f64 = 10.0;
-
-    /// Fraction of linear speedup a worker actually delivers (thread
-    /// start-up, morsel-claim contention, skewed tails).
-    pub const PARALLEL_EFFICIENCY: f64 = 0.85;
-
-    /// Morsel-driven parallel scan: the I/O term is unchanged (one buffer
-    /// pool), the CPU term divides across `workers` at
-    /// [`Self::PARALLEL_EFFICIENCY`], and a flat startup charge covers
-    /// spawn + join.  With the ψ predicate's large `per_row_pred`
-    /// (Table 3's edit-distance work) the CPU term dominates, which is
-    /// exactly when parallelism wins.  The per-tuple term is amortized
-    /// like [`Self::seq_scan`]'s (workers filter whole pages per
-    /// `eval_batch` call).
+    /// Morsel-driven parallel scan over one buffer pool: the page reads
+    /// (copied out under the pool's mutex) cost what they cost serially,
+    /// the decode and filter work divides across `workers`, every round
+    /// spawns and joins `workers` threads, and every output row is
+    /// gathered.  A round runs when a pull finds the buffer empty, claims
+    /// morsels until its workers hold `pull_rows` rows, and keeps every
+    /// row they found; each worker claims at least one morsel.  So there
+    /// is a round per `pull_rows` output rows, but never more than one
+    /// per `workers × MORSEL_PAGES` pages.
+    /// A selective ψ filter makes the divided term dominate; an
+    /// unfiltered scan pays a round per batch and gains little.
     pub fn parallel_seq_scan(
         &self,
         pages: f64,
         rows: f64,
+        out_rows: f64,
         per_row_pred: f64,
         workers: usize,
-        batch_size: usize,
+        pull_rows: usize,
     ) -> f64 {
-        let effective = (workers.max(1) as f64) * Self::PARALLEL_EFFICIENCY;
+        let workers = workers.max(1) as f64;
+        let rounds = (out_rows / pull_rows.max(1) as f64)
+            .ceil()
+            .min((pages / (workers * MORSEL_PAGES as f64)).ceil())
+            .max(1.0);
         pages * self.seq_page_cost
-            + rows * (self.batch_tuple_cost(batch_size) + per_row_pred) / effective
-            + Self::PARALLEL_STARTUP_COST
+            + self.scan_work(pages, rows, per_row_pred) / workers
+            + rounds * workers * self.parallel_spawn_cost
+            + out_rows * self.parallel_gather_cost
     }
 
-    /// Index scan: descend + traverse `index_pages` randomly (paying
-    /// `traversal_cpu` for the key/distance comparisons along the way —
-    /// for an approximate index at a saturating threshold this approaches
-    /// the sequential scan's full predicate work, which is the §5.3
-    /// "marginal effectiveness" regime), then fetch `matched` heap tuples
-    /// (random I/O each) and re-check.
-    pub fn index_scan(
-        &self,
-        index_pages: f64,
-        traversal_cpu: f64,
-        matched: f64,
-        per_row_pred: f64,
-    ) -> f64 {
-        index_pages * self.random_page_cost
-            + traversal_cpu
-            + matched * (self.random_page_cost + self.cpu_tuple_cost + per_row_pred)
+    /// Index scan: the probe's `traversal_cpu` (key or distance
+    /// comparisons — for an approximate index at a saturating threshold
+    /// this approaches the sequential scan's full predicate work, which is
+    /// the §5.3 "marginal effectiveness" regime), then fetch `matched`
+    /// heap tuples and re-check them.
+    pub fn index_scan(&self, traversal_cpu: f64, matched: f64, per_row_pred: f64) -> f64 {
+        traversal_cpu + matched * (self.heap_fetch_cost + per_row_pred)
     }
 
     /// Nested-loops join with a materialized inner.
@@ -220,33 +237,34 @@ mod tests {
     #[test]
     fn seq_scan_scales_with_pages_and_rows() {
         let p = CostParams::default();
-        assert!(p.seq_scan(100.0, 1000.0, 0.0, 1) > p.seq_scan(10.0, 100.0, 0.0, 1));
-        assert_eq!(p.seq_scan(1.0, 0.0, 0.0, 1), 1.0);
-    }
-
-    #[test]
-    fn batch_tuple_cost_amortizes_dispatch() {
-        let p = CostParams::default();
-        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
-        // batch_size = 1 reproduces the row-at-a-time cost.
-        assert!(close(p.batch_tuple_cost(1), p.cpu_tuple_cost));
-        assert!(close(p.batch_tuple_cost(0), p.cpu_tuple_cost));
-        // Larger batches amortize the dispatch share monotonically,
-        // bounded below by the non-dispatch share.
-        assert!(p.batch_tuple_cost(64) < p.batch_tuple_cost(1));
-        assert!(p.batch_tuple_cost(1024) < p.batch_tuple_cost(64));
-        let floor = p.cpu_tuple_cost * (1.0 - CostParams::DISPATCH_FRACTION);
-        assert!(p.batch_tuple_cost(4096) > floor);
-        assert!(p.seq_scan(100.0, 1000.0, 0.02, 1024) < p.seq_scan(100.0, 1000.0, 0.02, 1));
+        assert!(p.seq_scan(100.0, 1000.0, 0.0) > p.seq_scan(10.0, 100.0, 0.0));
+        assert_eq!(
+            p.seq_scan(1.0, 0.0, 0.0),
+            p.seq_page_cost + p.cpu_page_decode_cost
+        );
     }
 
     #[test]
     fn index_scan_cheaper_than_seq_for_selective_probe() {
         let p = CostParams::default();
         // 1000-page table, 100k rows; index probe touching 3 pages, 10 rows.
-        let seq = p.seq_scan(1000.0, 100_000.0, p.cpu_operator_cost, 1);
-        let idx = p.index_scan(3.0, 0.1, 10.0, p.cpu_operator_cost);
+        let seq = p.seq_scan(1000.0, 100_000.0, p.cpu_operator_cost);
+        let idx = p.index_scan(0.1, 10.0, p.cpu_operator_cost);
         assert!(idx < seq / 10.0);
+    }
+
+    #[test]
+    fn parallel_rounds_are_capped_by_morsels() {
+        let p = CostParams::default();
+        // 80 pages at 2 workers hold 10 rounds of one morsel per worker:
+        // a one-row batch cannot run more rounds than that.
+        let by_row = p.parallel_seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 1);
+        let by_morsel = p.parallel_seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 6_000);
+        assert_eq!(by_row, by_morsel);
+        // Fewer output rows than a batch: one round.
+        let one = p.parallel_seq_scan(80.0, 60_000.0, 10.0, 0.0, 2, 1024);
+        let base = p.parallel_seq_scan(80.0, 60_000.0, 0.0, 0.0, 2, 1024);
+        assert!((one - base - 10.0 * p.parallel_gather_cost).abs() < 1e-9);
     }
 
     #[test]

@@ -19,11 +19,6 @@ use std::sync::Arc;
 
 const DISABLED_COST: f64 = 1.0e10;
 
-/// Minimum estimated row count before a parallel scan is considered:
-/// below this, worker startup and gather overhead swamp the CPU savings
-/// (and small-table EXPLAIN output stays stable).
-const PARALLEL_MIN_ROWS: f64 = 1024.0;
-
 /// Penalized-cost flag reader: `enable_* = 0` disables a path.
 fn flag(session: &SessionVars, name: &str) -> bool {
     session.get_int(name, 1) != 0
@@ -677,32 +672,6 @@ impl Planner<'_> {
         Ok(best.expect("at least one join strategy"))
     }
 
-    /// Does `e` contain an extension operator with a registered batch
-    /// hook (a vectorized kernel the batch spine can actually exploit)?
-    fn expr_has_batch_kernel(&self, e: &Expr) -> bool {
-        match e {
-            Expr::ExtOp {
-                name, left, right, ..
-            } => {
-                self.catalog
-                    .operator(name)
-                    .map(|op| op.eval_batch.is_some())
-                    .unwrap_or(false)
-                    || self.expr_has_batch_kernel(left)
-                    || self.expr_has_batch_kernel(right)
-            }
-            Expr::And(l, r) | Expr::Or(l, r) => {
-                self.expr_has_batch_kernel(l) || self.expr_has_batch_kernel(r)
-            }
-            Expr::Not(x) | Expr::IsNull(x) => self.expr_has_batch_kernel(x),
-            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-                self.expr_has_batch_kernel(left) || self.expr_has_batch_kernel(right)
-            }
-            Expr::Func { args, .. } => args.iter().any(|a| self.expr_has_batch_kernel(a)),
-            Expr::ColRef { .. } | Expr::Literal(_) => false,
-        }
-    }
-
     /// First operator-supplied strategy label found in the expression
     /// tree (e.g. SemEQUAL's containment strategy): extension operators
     /// may register a `strategy_label`, a short note EXPLAIN attaches to
@@ -763,24 +732,11 @@ impl Planner<'_> {
             }
         };
 
-        // Heap scans run on the batch spine, but `Expr::eval_batch` only
-        // vectorizes extension operators that registered a batch hook —
-        // everything else falls back to scalar eval, so batch-size
-        // costing applies only when the pushed-down filter contains such
-        // an operator.  `batch = 1` otherwise, which collapses the batched
-        // formulas to the row-at-a-time ones and keeps plain-predicate
-        // plans unchanged.
-        let has_batch_kernel = local.iter().any(|e| self.expr_has_batch_kernel(e));
         let annotation = local.iter().find_map(|e| self.expr_strategy_label(e));
-        let batch = if has_batch_kernel {
-            crate::exec::effective_batch_size(self.session)
-        } else {
-            1
-        };
 
         // Sequential scan.
         {
-            let mut cost = params.seq_scan(rel.pages, rel.rows, per_row, batch);
+            let mut cost = params.seq_scan(rel.pages, rel.rows, per_row);
             if !flag(self.session, "enable_seqscan") {
                 cost += DISABLED_COST;
             }
@@ -800,15 +756,21 @@ impl Planner<'_> {
             });
         }
 
-        // Morsel-driven parallel scan: same I/O, CPU divided across
-        // workers.  Only worthwhile when the table is large enough that
-        // per-tuple work dominates worker startup — small tables (and
-        // therefore the pre-existing EXPLAIN goldens) keep serial plans.
+        // Morsel-driven parallel scan: same page reads, decode and filter
+        // work divided across workers, one round of thread spawns per
+        // pull.  The spawn term keeps small tables and unfiltered scans
+        // serial.
         {
             let workers = crate::exec::effective_workers(self.session);
-            if !self.serial && workers >= 2 && rel.rows >= PARALLEL_MIN_ROWS {
-                let mut cost =
-                    params.parallel_seq_scan(rel.pages, rel.rows, per_row, workers, batch);
+            if !self.serial && workers >= 2 {
+                let mut cost = params.parallel_seq_scan(
+                    rel.pages,
+                    rel.rows,
+                    out_rows,
+                    per_row,
+                    workers,
+                    crate::exec::effective_batch_size(self.session),
+                );
                 if !flag(self.session, "enable_seqscan") {
                     cost += DISABLED_COST;
                 }
@@ -834,9 +796,7 @@ impl Planner<'_> {
         for idx in self.catalog.indexes_of(rel.meta.id) {
             for (ci, c) in local.iter().enumerate() {
                 let candidate = self.index_candidate(c, rel, &idx, sel_of(c), avg_w);
-                if let Some((strategy, probe, extra, probe_pages, matched, traversal_cpu)) =
-                    candidate
-                {
+                if let Some((strategy, probe, extra, matched, traversal_cpu)) = candidate {
                     let residual: Vec<Expr> = local
                         .iter()
                         .enumerate()
@@ -847,8 +807,7 @@ impl Planner<'_> {
                         .iter()
                         .map(|e| params.predicate_cost(e, self.catalog, self.session, avg_w))
                         .sum();
-                    let mut cost =
-                        params.index_scan(probe_pages, traversal_cpu, matched, residual_cost);
+                    let mut cost = params.index_scan(traversal_cpu, matched, residual_cost);
                     if !flag(self.session, "enable_indexscan") {
                         cost += DISABLED_COST;
                     }
@@ -877,8 +836,7 @@ impl Planner<'_> {
     }
 
     /// Can `conjunct` be served by `idx`?  Returns
-    /// `(strategy, probe, extra, index_pages_touched, matched_rows,
-    /// traversal_cpu)`.
+    /// `(strategy, probe, extra, matched_rows, traversal_cpu)`.
     fn index_candidate(
         &self,
         conjunct: &Expr,
@@ -886,7 +844,7 @@ impl Planner<'_> {
         idx: &crate::catalog::IndexMeta,
         sel: f64,
         avg_width: f64,
-    ) -> Option<(String, Datum, Datum, f64, f64, f64)> {
+    ) -> Option<(String, Datum, Datum, f64, f64)> {
         let matched = (rel.rows * sel).max(0.0);
         // Asked only once the access method and column match: sizing an
         // index takes its lock, and most (conjunct, index) pairs do not.
@@ -915,15 +873,14 @@ impl Planner<'_> {
                 }
                 let probe = self.fold(other)?;
                 let strategy = op.btree_strategy()?;
-                // Pages: tree height + leaf pages holding the matches.
+                // Key comparisons: a binary search per level, then one per
+                // match.
                 let height = (idx_pages().max(2.0)).log2().ceil().max(1.0);
-                let leaf = (matched / 128.0).ceil();
                 let traversal_cpu = (height * 7.0 + matched) * self.params.cpu_operator_cost;
                 Some((
                     strategy.to_string(),
                     probe,
                     Datum::Null,
-                    height + leaf,
                     matched,
                     traversal_cpu,
                 ))
@@ -952,28 +909,20 @@ impl Planner<'_> {
                     .map(|f| f(self.session))
                     .unwrap_or(Datum::Null);
                 // Approximate-index traversal fraction: linear in the
-                // threshold (§3.3), falling back to selectivity.
+                // threshold (§3.3), falling back to selectivity.  Every
+                // visited key pays the operator's comparison (a distance
+                // computation — the dominant term for a metric index with
+                // weak pruning); the walk around it fits at no cost.
                 let frac = op
                     .index_scan_fraction
                     .as_ref()
                     .map(|f| f(self.session))
                     .unwrap_or(sel)
                     .clamp(0.0, 1.0);
-                // Every visited entry pays the operator's comparison cost
-                // (distance computations — the dominant term for a metric
-                // index with weak pruning).
-                let traversal_cpu = rel.rows
-                    * frac
-                    * (op.per_tuple_cost)(self.session, avg_width)
-                    * self.params.cpu_operator_cost;
-                Some((
-                    strategy.clone(),
-                    probe,
-                    extra,
-                    (idx_pages() * frac).max(1.0),
-                    matched,
-                    traversal_cpu,
-                ))
+                let per_key =
+                    (op.per_tuple_cost)(self.session, avg_width) * self.params.cpu_operator_cost;
+                let traversal_cpu = rel.rows * frac * per_key;
+                Some((strategy.clone(), probe, extra, matched, traversal_cpu))
             }
             _ => None,
         }

@@ -316,17 +316,37 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     /// Range query: every (key, value) within `radius` of `query`.
     /// Returns matches with their exact distances, plus the query stats.
     pub fn range(&self, query: &K, radius: f64) -> (Vec<(K, V, f64)>, QueryStats) {
+        self.range_with(|key, cap| self.capped(query, key, cap), radius)
+    }
+
+    /// [`Self::range`] with the query side supplied as `dq(key, cap)`: the
+    /// exact distance from the query to `key` when it is at most `cap`,
+    /// `None` otherwise.  The caps are the bounds the pruning tests use —
+    /// `radius` at leaf entries, `radius` plus the covering radius at
+    /// routing entries — so a caller that compiles its query once (a
+    /// bit-parallel matcher, say) visits, computes and prunes exactly what
+    /// the generic-metric search does.
+    pub fn range_with(
+        &self,
+        mut dq: impl FnMut(&K, f64) -> Option<f64>,
+        radius: f64,
+    ) -> (Vec<(K, V, f64)>, QueryStats) {
         let mut stats = QueryStats::default();
         let mut out = Vec::new();
-        self.range_node(&self.root, query, radius, None, &mut out, &mut stats);
+        self.range_node(&self.root, &mut dq, radius, None, &mut out, &mut stats);
         (out, stats)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn range_node(
+    /// The generic metric as a capped query-side distance.
+    fn capped(&self, query: &K, key: &K, cap: f64) -> Option<f64> {
+        let d = self.metric.distance(query, key);
+        (d <= cap).then_some(d)
+    }
+
+    fn range_node<F: FnMut(&K, f64) -> Option<f64>>(
         &self,
         node: &Node<K, V>,
-        query: &K,
+        dq: &mut F,
         radius: f64,
         dist_query_parent: Option<f64>,
         out: &mut Vec<(K, V, f64)>,
@@ -345,8 +365,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
                         }
                     }
                     stats.dist_computations += 1;
-                    let d = self.metric.distance(query, &e.key);
-                    if d <= radius {
+                    if let Some(d) = dq(&e.key, radius) {
                         out.push((e.key.clone(), e.value.clone(), d));
                     }
                 }
@@ -360,12 +379,11 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
                         }
                     }
                     stats.dist_computations += 1;
-                    let d = self.metric.distance(query, &e.key);
-                    if d > radius + e.radius {
+                    let Some(d) = dq(&e.key, radius + e.radius) else {
                         stats.subtrees_pruned += 1;
                         continue;
-                    }
-                    self.range_node(&e.child, query, radius, Some(d), out, stats);
+                    };
+                    self.range_node(&e.child, dq, radius, Some(d), out, stats);
                 }
             }
         }
@@ -379,6 +397,18 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     /// subtrees ordered by `d_min = max(0, d(q, routing) − radius)`, pruned
     /// against the current k-th best distance.
     pub fn nearest(&self, query: &K, k: usize) -> (Vec<(K, V, f64)>, QueryStats) {
+        self.nearest_with(|key, cap| self.capped(query, key, cap), k)
+    }
+
+    /// [`Self::nearest`] with the query side supplied as `dq(key, cap)`, as
+    /// in [`Self::range_with`].  The caps are the current k-th best
+    /// distance at leaf entries (infinite until k candidates are held) and
+    /// that distance plus the covering radius at routing entries.
+    pub fn nearest_with(
+        &self,
+        mut dq: impl FnMut(&K, f64) -> Option<f64>,
+        k: usize,
+    ) -> (Vec<(K, V, f64)>, QueryStats) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
@@ -430,7 +460,9 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
                 Node::Leaf(entries) => {
                     for e in entries {
                         stats.dist_computations += 1;
-                        let d = self.metric.distance(query, &e.key);
+                        let Some(d) = dq(&e.key, kth(&best)) else {
+                            continue;
+                        };
                         if d < kth(&best) || best.len() < k {
                             found.push((e.key.clone(), e.value.clone(), d));
                             best.push((Ord64(d), found.len() - 1));
@@ -443,13 +475,14 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
                 Node::Internal(entries) => {
                     for e in entries {
                         stats.dist_computations += 1;
-                        let d = self.metric.distance(query, &e.key);
-                        let child_min = (d - e.radius).max(0.0);
-                        if child_min <= kth(&best) {
-                            nodes.push(&e.child);
-                            pending.push((Reverse(Ord64(child_min)), nodes.len() - 1));
-                        } else {
-                            stats.subtrees_pruned += 1;
+                        // `max(0, d - radius) <= kth` ⇔ `d <= kth + radius`.
+                        match dq(&e.key, kth(&best) + e.radius) {
+                            Some(d) => {
+                                let child_min = (d - e.radius).max(0.0);
+                                nodes.push(&e.child);
+                                pending.push((Reverse(Ord64(child_min)), nodes.len() - 1));
+                            }
+                            None => stats.subtrees_pruned += 1,
                         }
                     }
                 }

@@ -31,9 +31,11 @@ impl OpCost {
 
 /// Fraction of an approximate (metric) index traversed at threshold `k` —
 /// "the fraction of the database scanned was approximated by a linear
-/// function on the error threshold" (§3.3).
+/// function on the error threshold" (§3.3).  Slope and intercept are the
+/// `calibration` grid's fit of M-tree distance computations per indexed
+/// row over thresholds 0–3 (the run `opt::CostParams` cites).
 pub fn approx_index_fraction(k: usize) -> f64 {
-    (0.25 * k as f64).clamp(0.05, 1.0)
+    (0.229 + 0.244 * k as f64).clamp(0.05, 1.0)
 }
 
 // ------------------------------------------------------------------ ψ

@@ -231,16 +231,19 @@ pub fn lexequal_operator(
                         Ok(v) => phonemes_of(&v, &sel_convs),
                         Err(_) => return psi_default_selectivity(k),
                     };
+                    let phonemes = |d: &Datum| {
+                        unitext_of_datum(d)
+                            .ok()
+                            .map(|v| phonemes_of(&v, &sel_convs).as_bytes().to_vec())
+                    };
                     let mcv_phonemes: Vec<(Vec<u8>, f64)> = stats
                         .mcvs
                         .iter()
-                        .filter_map(|(d, f)| {
-                            unitext_of_datum(d)
-                                .ok()
-                                .map(|v| (phonemes_of(&v, &sel_convs).as_bytes().to_vec(), *f))
-                        })
+                        .filter_map(|(d, f)| phonemes(d).map(|p| (p, *f)))
                         .collect();
-                    psi_scan_selectivity(&mcv_phonemes, query.as_bytes(), k)
+                    let remainder: Vec<Vec<u8>> =
+                        stats.bounds.iter().filter_map(phonemes).collect();
+                    psi_scan_selectivity(&mcv_phonemes, &remainder, query.as_bytes(), k)
                 }
                 (left, None) => psi_join_selectivity(left, input.other_column, k),
                 (None, Some(_)) => psi_default_selectivity(k),

@@ -13,17 +13,34 @@ pub const PSI_TAIL_MATCH_PER_K: f64 = 0.012;
 /// phonemic attribute against the query phoneme at the session threshold,
 /// then inflate by the threshold factor for the non-frequent remainder.
 ///
+/// The threshold factor is linear in `k`, which undercounts once `k`
+/// nears the strings' lengths: an edit distance never exceeds the longer
+/// string, so a row no longer than `k` matches a probe no longer than `k`.
+/// `remainder` — the phonemes of the histogram bounds — samples the
+/// remainder's lengths, and the share of it that short floors the
+/// remainder's match rate.
+///
 /// `mcv_phonemes` pairs each MCV's *phoneme bytes* with its frequency
 /// fraction; `query` is the probe's phoneme bytes.
-pub fn psi_scan_selectivity(mcv_phonemes: &[(Vec<u8>, f64)], query: &[u8], k: usize) -> f64 {
+pub fn psi_scan_selectivity(
+    mcv_phonemes: &[(Vec<u8>, f64)],
+    remainder: &[Vec<u8>],
+    query: &[u8],
+    k: usize,
+) -> f64 {
     let matched_mass: f64 = mcv_phonemes
         .iter()
         .filter(|(ph, _)| within_distance(ph, query, k))
         .map(|(_, f)| f)
         .sum();
     let mcv_mass: f64 = mcv_phonemes.iter().map(|(_, f)| f).sum();
-    let tail = (1.0 - mcv_mass).max(0.0) * (PSI_TAIL_MATCH_PER_K * k as f64).min(1.0);
-    (matched_mass + tail).clamp(0.0, 1.0)
+    let short = remainder
+        .iter()
+        .filter(|ph| ph.len().max(query.len()) <= k)
+        .count() as f64
+        / remainder.len().max(1) as f64;
+    let rate = (PSI_TAIL_MATCH_PER_K * k as f64).max(short).min(1.0);
+    (matched_mass + (1.0 - mcv_mass).max(0.0) * rate).clamp(0.0, 1.0)
 }
 
 /// ψ scan selectivity fallback when the column has no statistics.
@@ -102,27 +119,41 @@ mod tests {
             (b"gandhi".to_vec(), 0.20),
             (b"patel".to_vec(), 0.10),
         ];
-        let sel = psi_scan_selectivity(&mcvs, b"neru", 1);
+        let sel = psi_scan_selectivity(&mcvs, &[], b"neru", 1);
         assert!(sel >= 0.30, "got {sel}");
         assert!(sel < 0.35);
         // At threshold 0 nothing matches; only the tail remains (zero at k=0).
-        let sel0 = psi_scan_selectivity(&mcvs, b"neru", 0);
+        let sel0 = psi_scan_selectivity(&mcvs, &[], b"neru", 0);
         assert_eq!(sel0, 0.0);
     }
 
     #[test]
     fn psi_tail_inflation_grows_with_threshold() {
         let mcvs = vec![(b"aaaa".to_vec(), 0.05)];
-        let s1 = psi_scan_selectivity(&mcvs, b"zzzz", 1);
-        let s3 = psi_scan_selectivity(&mcvs, b"zzzz", 3);
+        let s1 = psi_scan_selectivity(&mcvs, &[], b"zzzz", 1);
+        let s3 = psi_scan_selectivity(&mcvs, &[], b"zzzz", 3);
         assert!(s3 > s1);
         assert!(s3 < 0.10, "tail inflation stays modest: {s3}");
+    }
+
+    /// Once the threshold covers the probe and a sampled string, the
+    /// remainder's rate follows the sample, not the linear factor.
+    #[test]
+    fn psi_tail_floored_by_short_strings() {
+        let sample = vec![b"abc".to_vec(), b"uvwxyzuv".to_vec()];
+        let linear = psi_scan_selectivity(&[], &sample, b"zzz", 2);
+        assert!((linear - 0.024).abs() < 1e-9, "{linear}");
+        let floored = psi_scan_selectivity(&[], &sample, b"zzz", 3);
+        assert!(
+            (floored - 0.5).abs() < 1e-9,
+            "half the sample is short: {floored}"
+        );
     }
 
     #[test]
     fn psi_selectivity_clamped() {
         let mcvs = vec![(b"x".to_vec(), 0.9), (b"y".to_vec(), 0.3)]; // corrupt mass > 1
-        let sel = psi_scan_selectivity(&mcvs, b"x", 0);
+        let sel = psi_scan_selectivity(&mcvs, &[], b"x", 0);
         assert!((0.0..=1.0).contains(&sel));
     }
 

@@ -15,7 +15,10 @@
 //!
 //! [`DistanceBuffer`] lets hot loops (joins, index probes) reuse the DP rows
 //! across millions of calls without re-allocating — per the Rust Performance
-//! Book guidance on buffer reuse.
+//! Book guidance on buffer reuse.  The one-shot functions borrow a
+//! thread-local buffer, so they do not allocate either.
+
+use std::cell::RefCell;
 
 /// Reusable dynamic-programming buffer.
 #[derive(Debug, Default)]
@@ -218,14 +221,20 @@ impl MyersMatcher {
     }
 }
 
-/// One-shot full Levenshtein distance (allocates a fresh buffer).
+thread_local! {
+    /// DP rows the one-shot functions reuse: M-tree inserts and splits,
+    /// plan-time selectivity over MCVs and the MDI call them per pair.
+    static ONE_SHOT: RefCell<DistanceBuffer> = RefCell::new(DistanceBuffer::new());
+}
+
+/// One-shot full Levenshtein distance.
 pub fn edit_distance(a: &[u8], b: &[u8]) -> usize {
-    DistanceBuffer::new().distance(a, b)
+    ONE_SHOT.with(|buf| buf.borrow_mut().distance(a, b))
 }
 
 /// One-shot banded distance; `None` when the distance exceeds `k`.
 pub fn edit_distance_banded(a: &[u8], b: &[u8], k: usize) -> Option<usize> {
-    DistanceBuffer::new().distance_within(a, b, k)
+    ONE_SHOT.with(|buf| buf.borrow_mut().distance_within(a, b, k))
 }
 
 /// The ψ predicate: are `a` and `b` within edit distance `k`?

@@ -10,6 +10,9 @@
 #     compare its normalized latency (extended/plain ratio) against the
 #     committed baseline; >20% regression fails (the threshold lives in
 #     crates/bench/src/bin/regression_check.rs).
+#  4. Plan-regret gate: run the cost-model calibration grid; a planner
+#     whose picks run more than MAX_PLAN_REGRET times slower than the
+#     fastest plan it could have picked fails.
 #
 # Extra cargo flags (e.g. an offline [patch] config) can be injected via
 # MLQL_CARGO_FLAGS / MLQL_BUILD_FLAGS:
@@ -23,6 +26,8 @@ cd "$(dirname "$0")/.."
 
 CARGO=${CARGO:-cargo}
 BASELINE=benchmarks/baseline/BENCH_regression_check.json
+# Worst tolerated ratio of the planner's pick to the fastest plan.
+MAX_PLAN_REGRET=1.5
 
 # Benchmarks whose committed baseline is load-bearing.  Each entry is
 # "<report>:<bin>" — the baseline file is benchmarks/baseline/BENCH_<report>.json
@@ -92,5 +97,20 @@ $CARGO ${MLQL_CARGO_FLAGS:-} run --release -p mlql-bench --bin regression_check 
 echo "== overhead gate: observability on vs off (hard limit 1.10 in-bin) =="
 $CARGO ${MLQL_CARGO_FLAGS:-} run --release -p mlql-bench --bin obs_overhead \
     ${MLQL_BUILD_FLAGS:-}
+
+echo "== plan-regret gate: calibration grid (limit $MAX_PLAN_REGRET) =="
+# The grid times every plan the planner could pick for each query class;
+# max_plan_regret is the worst ratio of the picked plan's time to the
+# fastest one's.  Timing-sensitive: re-run on a loaded machine before
+# trusting a failure.
+MLQL_BENCH_DIR=target/bench-check $CARGO ${MLQL_CARGO_FLAGS:-} run --release \
+    -p mlql-bench --bin calibration ${MLQL_BUILD_FLAGS:-}
+regret=$(sed -n 's/.*"max_plan_regret":\([0-9.eE+-]*\).*/\1/p' \
+    target/bench-check/BENCH_calibration.json | head -n1)
+if ! awk -v r="$regret" -v max="$MAX_PLAN_REGRET" 'BEGIN { exit !(r != "" && r <= max) }'; then
+    echo "bench_check: FAILED (max_plan_regret ${regret:-missing} > $MAX_PLAN_REGRET)" >&2
+    exit 1
+fi
+echo "max_plan_regret $regret <= $MAX_PLAN_REGRET"
 
 echo "bench_check: OK"

@@ -340,7 +340,7 @@ fn explain_analyze_parallel_worker_actuals_reconcile() {
     let mut db = db();
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
     // A table big enough to cross the planner's parallel gate.
-    for i in 0..1200 {
+    for i in 0..6000 {
         let n = match i % 4 {
             0 => "Nehru",
             1 => "Gandhi",
@@ -465,7 +465,7 @@ fn show_activity_observes_live_parallel_scan_from_second_session() {
 
     let mut db = db();
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
-    for i in 0..1500 {
+    for i in 0..6000 {
         let n = match i % 4 {
             0 => "Nehru",
             1 => "Gandhi",
@@ -557,7 +557,7 @@ fn show_activity_observes_live_parallel_scan_from_second_session() {
 fn explain_analyze_span_tree_reconciles_with_worker_actuals() {
     let mut db = db();
     db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
-    for i in 0..1200 {
+    for i in 0..6000 {
         db.execute(&format!(
             "INSERT INTO names VALUES (unitext('Nehru{i}','English'))"
         ))

@@ -9,10 +9,6 @@ use mlql::mural::types::unitext_datum;
 fn db() -> (Session, mlql::mural::Mural) {
     let mut db = Session::new_in_memory();
     let m = install(&mut db).unwrap();
-    // The default worker count is the host's core count, and a parallel
-    // scan's CPU term divides by it: pin it so the plan shapes asserted
-    // here are the same on every machine.
-    db.execute("SET parallel_workers = 1").unwrap();
     (db, m)
 }
 
@@ -62,30 +58,70 @@ fn selective_btree_probe_beats_seq_scan() {
     assert!(plan.explain().contains("Seq Scan"), "{}", plan.explain());
 }
 
+/// The plan is the same at every worker count: the parallel scan's
+/// spawn rounds are priced, so the default `parallel_workers` (the host's
+/// core count) moves no plan asserted here.
 #[test]
 fn mtree_chosen_only_when_it_wins() {
     let (mut db, m) = db();
     load_names(&mut db, &m, "t", 3000, 2);
     db.execute("CREATE INDEX t_mt ON t (name) USING mtree")
         .unwrap();
-    // Low threshold: the approximate index's traversal fraction is small →
-    // the optimizer should pick it.
-    db.execute("SET lexequal.threshold = 1").unwrap();
-    let plan = db
-        .plan_select("SELECT count(*) FROM t WHERE name LEXEQUAL unitext('Nehru','English')")
-        .unwrap();
-    assert!(
-        plan.explain().contains("Index Scan using t_mt"),
-        "{}",
-        plan.explain()
-    );
-    // Very high threshold: traversal fraction saturates → seq scan wins
-    // (the paper's "marginal effectiveness" regime).
-    db.execute("SET lexequal.threshold = 8").unwrap();
-    let plan = db
-        .plan_select("SELECT count(*) FROM t WHERE name LEXEQUAL unitext('Nehru','English')")
-        .unwrap();
-    assert!(plan.explain().contains("Seq Scan"), "{}", plan.explain());
+    let sql = "SELECT count(*) FROM t WHERE name LEXEQUAL unitext('Nehru','English')";
+    for workers in [1, 2, 4, 8] {
+        db.execute(&format!("SET parallel_workers = {workers}"))
+            .unwrap();
+        // Low threshold: the approximate index's traversal fraction is
+        // small → the optimizer should pick it.
+        db.execute("SET lexequal.threshold = 1").unwrap();
+        let plan = db.plan_select(sql).unwrap().explain();
+        assert!(
+            plan.contains("Index Scan using t_mt"),
+            "workers={workers}:\n{plan}"
+        );
+        // Very high threshold: traversal fraction saturates → a scan wins
+        // (the paper's "marginal effectiveness" regime).
+        db.execute("SET lexequal.threshold = 8").unwrap();
+        let plan = db.plan_select(sql).unwrap().explain();
+        assert!(plan.contains("Seq Scan"), "workers={workers}:\n{plan}");
+    }
+}
+
+/// An unfiltered scan gains nothing from workers — each pull pays a
+/// round of thread spawns — so it stays serial at any worker count,
+/// while a ψ scan whose filter rejects nearly every row goes parallel.
+#[test]
+fn unfiltered_scan_stays_serial() {
+    let (mut db, m) = db();
+    db.execute("CREATE TABLE ints (id INT)").unwrap();
+    for i in 0..60_000 {
+        db.insert_row("ints", vec![Datum::Int(i)]).unwrap();
+    }
+    db.execute("ANALYZE ints").unwrap();
+    load_names(&mut db, &m, "names", 20_000, 11);
+    db.execute("SET lexequal.threshold = 3").unwrap();
+    for workers in [2, 4] {
+        db.execute(&format!("SET parallel_workers = {workers}"))
+            .unwrap();
+        let plan = db
+            .plan_select("SELECT count(*) FROM ints")
+            .unwrap()
+            .explain();
+        assert!(
+            plan.contains("Seq Scan on ints") && !plan.contains("Parallel"),
+            "workers={workers}:\n{plan}"
+        );
+        let plan = db
+            .plan_select(
+                "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Nehru','English')",
+            )
+            .unwrap()
+            .explain();
+        assert!(
+            plan.contains("Parallel Seq Scan on names"),
+            "workers={workers}:\n{plan}"
+        );
+    }
 }
 
 #[test]

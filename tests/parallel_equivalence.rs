@@ -7,7 +7,7 @@
 //! and Ω results are additionally pinned, at every worker count × batch
 //! size, to oracles computed outside the executor.  A property test then
 //! fuzzes random multilingual tables and thresholds across the
-//! serial/parallel planner boundary (the ≥ 1024-row gate).
+//! serial/parallel planner boundary (the cost model's break-even).
 
 use mlql::kernel::{Datum, Error, Session};
 use mlql::mural::install;
@@ -18,6 +18,12 @@ use proptest::prelude::*;
 /// Worker counts every query shape is checked at.  1 is the serial
 /// reference; 2 and 4 exercise real fan-out.
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
+
+/// Rows of the ψ fixtures: well above the 1,000–2,000 names at which a
+/// parallel ψ scan starts to repay its rounds of thread spawns (see
+/// [`FUZZ_ROWS`]), so their plans are parallel at 2 and 4 workers and
+/// every batch size.
+const NAMES: usize = 6_000;
 
 fn db() -> (Session, mlql::mural::Mural) {
     let mut db = Session::new_in_memory();
@@ -124,7 +130,7 @@ fn assert_equivalent(db: &Session, setup: &[&str], sql: &str) {
 #[test]
 fn planner_picks_parallel_scan_above_the_row_threshold() {
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1500, 1);
+    load_names(&mut db, &mural, "names", NAMES, 1);
     db.execute("SET parallel_workers = 4").unwrap();
     db.execute("SET lexequal.threshold = 2").unwrap();
     let r = db
@@ -139,7 +145,7 @@ fn planner_picks_parallel_scan_above_the_row_threshold() {
     );
     assert!(text.contains("workers=4"), "{text}");
 
-    // Below the gate (or at one worker) the plan stays serial.
+    // At one worker the plan stays serial.
     db.execute("SET parallel_workers = 1").unwrap();
     let r = db
         .execute(
@@ -168,7 +174,7 @@ fn planner_picks_parallel_scan_above_the_row_threshold() {
 #[test]
 fn psi_threshold_scans_equivalent() {
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1500, 1);
+    load_names(&mut db, &mural, "names", NAMES, 1);
     for threshold in [0, 1, 2, 3] {
         let setup = format!("SET lexequal.threshold = {threshold}");
         for probe in ["Nehru", "Gandhi", "Miller", "Krishnan"] {
@@ -192,7 +198,7 @@ fn psi_threshold_scans_equivalent() {
 #[test]
 fn index_and_seq_plans_equivalent() {
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1200, 3);
+    load_names(&mut db, &mural, "names", NAMES, 3);
     db.execute("CREATE INDEX names_mt ON names (name) USING mtree")
         .unwrap();
     db.execute("ANALYZE names").unwrap();
@@ -263,6 +269,7 @@ fn explain_field(text: &str, line: &str, key: &str) -> u64 {
 fn limit_stops_a_parallel_scan_early() {
     let mut db = Session::new_in_memory();
     db.execute("CREATE TABLE t (id INT, pad TEXT)").unwrap();
+    register_pricey_operator(&db, "keep", 1.0, |_| true);
     let pad = "x".repeat(200);
     for id in 0..3000 {
         db.insert_row("t", vec![Datum::Int(id), Datum::text(&pad)])
@@ -278,7 +285,7 @@ fn limit_stops_a_parallel_scan_early() {
 
     db.execute("SET parallel_workers = 4").unwrap();
     let text = db
-        .execute("EXPLAIN ANALYZE SELECT id FROM t LIMIT 1")
+        .execute("EXPLAIN ANALYZE SELECT id FROM t WHERE id KEEP 0 LIMIT 1")
         .unwrap()
         .explain
         .unwrap();
@@ -293,39 +300,50 @@ fn limit_stops_a_parallel_scan_early() {
     }
 }
 
-/// A worker panic fails the query with a typed error instead of ending
-/// the scan early with a short answer, and leaves the session usable.
-#[test]
-fn worker_panic_is_an_error_not_a_short_answer() {
+/// Register `name` as an INT operator `id NAME 0` that is `eval(id)`,
+/// priced as an expensive predicate — what parallel scans are for.
+fn register_pricey_operator(
+    db: &Session,
+    name: &str,
+    selectivity: f64,
+    eval: impl Fn(Option<i64>) -> bool + Send + Sync + 'static,
+) {
     use mlql::kernel::catalog::{ExtOperator, OperatorKind};
     use mlql::kernel::DataType;
     use std::sync::Arc;
 
+    db.engine().catalog_mut().register_operator(ExtOperator {
+        name: name.into(),
+        operand_type: DataType::Int,
+        eval: Arc::new(move |l, _, _| Ok(Datum::Bool(eval(l.as_int())))),
+        eval_batch: None,
+        kind: OperatorKind {
+            commutative: false,
+            distributes_over_union: true,
+        },
+        per_tuple_cost: Arc::new(|_, _| 2000.0),
+        selectivity: Arc::new(move |_| selectivity),
+        index_strategy: None,
+        index_extra: None,
+        modifier_filter: None,
+        index_scan_fraction: None,
+        strategy_label: None,
+    });
+}
+
+/// A worker panic fails the query with a typed error instead of ending
+/// the scan early with a short answer, and leaves the session usable.
+#[test]
+fn worker_panic_is_an_error_not_a_short_answer() {
     let mut db = Session::new_in_memory();
     db.execute("CREATE TABLE t (id INT)").unwrap();
     for id in 0..6000 {
         db.insert_row("t", vec![Datum::Int(id)]).unwrap();
     }
     db.execute("ANALYZE t").unwrap();
-    db.engine().catalog_mut().register_operator(ExtOperator {
-        name: "boom".into(),
-        operand_type: DataType::Int,
-        eval: Arc::new(|l, _, _| {
-            assert_ne!(l.as_int(), Some(4321), "test operator hit its trap row");
-            Ok(Datum::Bool(true))
-        }),
-        eval_batch: None,
-        kind: OperatorKind {
-            commutative: false,
-            distributes_over_union: true,
-        },
-        per_tuple_cost: Arc::new(|_, _| 1.0),
-        selectivity: Arc::new(|_| 1.0),
-        index_strategy: None,
-        index_extra: None,
-        modifier_filter: None,
-        index_scan_fraction: None,
-        strategy_label: None,
+    register_pricey_operator(&db, "boom", 0.001, |id| {
+        assert_ne!(id, Some(4321), "test operator hit its trap row");
+        true
     });
     let sql = "SELECT id FROM t WHERE id BOOM 0";
     for workers in [2, 4] {
@@ -365,7 +383,7 @@ fn sorted_ids(ids: impl Iterator<Item = usize>) -> Vec<String> {
 #[test]
 fn psi_results_pinned_to_scalar_oracle() {
     let (mut db, mural) = db();
-    let names = load_names(&mut db, &mural, "names", 1500, 11);
+    let names = load_names(&mut db, &mural, "names", NAMES, 11);
     let oracle = |probe: &str| -> Vec<usize> {
         let probe = mural.unitext(probe, "English").unwrap();
         let hit = |l: &Datum| mlql::mural::lexequal::psi_matches(l, &probe, 2, &mural.converters);
@@ -463,7 +481,7 @@ fn omega_results_pinned_to_closure_oracle() {
 #[test]
 fn batch_size_session_knob() {
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1500, 13);
+    load_names(&mut db, &mural, "names", NAMES, 13);
     let mut s = db.connect();
     s.execute("SET batch_size = 1").unwrap();
     let shown = s.query("SHOW batch_size").unwrap();
@@ -472,7 +490,7 @@ fn batch_size_session_knob() {
     let n = s.query("SELECT count(*) FROM names").unwrap()[0][0]
         .as_int()
         .unwrap();
-    assert_eq!(n, 1500);
+    assert_eq!(n, NAMES as i64);
     let limited = s.query("SELECT name FROM names LIMIT 37").unwrap();
     assert_eq!(limited.len(), 37);
     // max_rows still raises the typed error mid-stream.
@@ -499,7 +517,7 @@ fn batch_size_session_knob() {
     s.execute("SET batch_size = 999999").unwrap();
     assert_eq!(
         s.query("SELECT count(*) FROM names").unwrap()[0][0].as_int(),
-        Some(1500)
+        Some(NAMES as i64)
     );
 }
 
@@ -510,7 +528,7 @@ fn batch_size_session_knob() {
 fn parallel_scans_race_concurrent_ddl() {
     use std::sync::atomic::{AtomicBool, Ordering};
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1200, 7);
+    load_names(&mut db, &mural, "names", NAMES, 7);
     let stop = AtomicBool::new(false);
     let readers: Vec<_> = (0..3).map(|_| db.connect()).collect();
     std::thread::scope(|scope| {
@@ -563,15 +581,46 @@ fn parallel_scans_race_concurrent_ddl() {
     });
 }
 
+/// Table sizes the boundary fuzz draws from: see
+/// [`fuzz_rows_straddle_the_parallel_break_even`].
+const FUZZ_ROWS: std::ops::Range<usize> = 500..2000;
+
+/// The fuzz below compares serial against parallel only if its tables
+/// fall on both sides of the planner's break-even: at 4 workers the
+/// smallest plans a serial ψ scan at the cheapest threshold, and the
+/// largest a parallel one at the dearest.
+#[test]
+fn fuzz_rows_straddle_the_parallel_break_even() {
+    for (n, threshold, want) in [
+        (FUZZ_ROWS.start, 0, "Seq Scan on names"),
+        (FUZZ_ROWS.end - 1, 3, "Parallel Seq Scan on names"),
+    ] {
+        let (mut db, mural) = db();
+        load_names(&mut db, &mural, "names", n, 17);
+        db.execute("SET parallel_workers = 4").unwrap();
+        db.execute(&format!("SET lexequal.threshold = {threshold}"))
+            .unwrap();
+        let text = db
+            .execute(
+                "EXPLAIN SELECT name FROM names WHERE name LEXEQUAL unitext('abcdef','English')",
+            )
+            .unwrap()
+            .explain
+            .unwrap();
+        let scan = text.lines().find(|l| l.contains("Scan on names")).unwrap();
+        assert!(scan.trim_start().starts_with(want), "{n} rows: {text}");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Random multilingual tables straddling the 1024-row parallel gate,
+    /// Random multilingual tables straddling the parallel break-even,
     /// random probe and threshold: serial and 4-worker execution must
     /// agree exactly, whichever side of the boundary the planner lands on.
     #[test]
     fn fuzz_serial_parallel_boundary(
-        n in 960usize..1300,
+        n in FUZZ_ROWS,
         seed in 0u64..1000,
         threshold in 0i64..4,
         probe in "[a-z]{3,8}",
@@ -597,7 +646,7 @@ proptest! {
 fn snapshot_pins_parallel_scan_against_concurrent_commits() {
     use std::sync::atomic::{AtomicBool, Ordering};
     let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", 1500, 9);
+    load_names(&mut db, &mural, "names", NAMES, 9);
 
     let sql = "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru','English')";
     let mut reader = db.connect();
