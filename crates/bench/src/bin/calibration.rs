@@ -8,8 +8,9 @@
 //! deleted rows, whose scan reads pages and produces nothing.  Query
 //! classes: ψ selects at thresholds 0–3, unfiltered `count(*)` (also at
 //! the largest batch size, for fewer rounds over the same rows), an
-//! 80 %-selective range, a B-tree point lookup, an Ω select, and a ψ
-//! join of 300 × 600 names, for what a join pays per pair.
+//! 80 %-selective range, a B-tree point lookup, an Ω select, a ψ join of
+//! 300 × 600 names, and the same two tables cross-joined, which builds a
+//! row for every pair and evaluates nothing.
 //!
 //! Each class is planned at `parallel_workers` 1 and 2 under every
 //! combination of `enable_seqscan` / `enable_indexscan`; the serial scan
@@ -18,9 +19,10 @@
 //! [`median_ns`]) and run once instrumented, as `EXPLAIN ANALYZE` runs
 //! it, for its work counts: pages, rows decoded, operator cost units,
 //! M-tree keys, heap fetches, worker rounds (as the scan counted them),
-//! rows gathered and join pairs.  Least-squares fits turn the counts into nanoseconds per unit;
-//! divided by the nanoseconds of reading one page (the deleted-rows
-//! scan) they are the constants `CostParams` commits.
+//! rows gathered and rows a join builds.  Least-squares fits turn the
+//! counts into nanoseconds per unit; divided by the nanoseconds of
+//! reading one page (the deleted-rows scan) they are the constants
+//! `CostParams` commits.
 //!
 //! `max_plan_regret` is the worst, over classes × worker counts, of the
 //! time of the plan the planner picks over the time of the fastest plan
@@ -65,7 +67,7 @@ const WORKERS: [usize; 2] = [1, 2];
 /// The ψ fixtures.
 const NAME_SIZES: [(&str, usize); 2] = [("names5k", 5_000), ("names50k", 50_000)];
 
-/// The ψ join's sides.
+/// The join classes' sides.
 const JOIN_SIZES: [(&str, usize); 2] = [("authors", 300), ("publishers", 600)];
 
 /// Rows of the INT fixture; the range class keeps 80 % of them.
@@ -101,6 +103,7 @@ struct Run {
     heap_fetches: f64,
     rounds: f64,
     out_rows: f64,
+    /// Predicate evaluations of a join.
     pairs: f64,
 }
 
@@ -178,6 +181,11 @@ fn main() {
         setup: vec!["SET lexequal.threshold = 1".into()],
         op_units: per_tuple_cost(&db, "lexequal")(&vars, avg_width(&db, "publishers")),
     });
+    classes.push(plain(
+        "cross join",
+        "SELECT count(*) FROM authors a, publishers p".into(),
+        0.0,
+    ));
     let omega = per_tuple_cost(&db, "semequal");
     classes.push(plain(
         "omega book",
@@ -567,13 +575,19 @@ fn count_work(db: &Session, vars: &SessionVars, plan: &PhysNode, op_units: f64) 
     let keys = (m.mtree_distance_computations_total.get() - keys_before) as f64;
     let table_rows = |table: &str| catalog.table(table).unwrap().stats.lock().rows as f64;
     if let PhysOp::NlJoin { .. } = scan_of(plan) {
-        // A ψ join evaluates its predicate once per pair; every scan
-        // under it decodes its table once per loop.
+        // A join evaluates its predicate once per pair and builds a row
+        // per pair that passes; every scan under it decodes its table once
+        // per loop.
         let root = &instr.per_node[0];
         let mut rows_decoded = 0.0;
+        let mut out_rows = 0.0;
         for (node, actuals) in preorder(plan).into_iter().zip(&instr.per_node) {
-            if let PhysOp::SeqScan { table, .. } = &node.op {
-                rows_decoded += table_rows(table) * actuals.loops.get() as f64;
+            match &node.op {
+                PhysOp::SeqScan { table, .. } => {
+                    rows_decoded += table_rows(table) * actuals.loops.get() as f64;
+                }
+                PhysOp::NlJoin { .. } => out_rows = actuals.rows.get() as f64,
+                _ => {}
             }
         }
         let pairs = root.ext_op_calls.get() as f64;
@@ -584,6 +598,7 @@ fn count_work(db: &Session, vars: &SessionVars, plan: &PhysNode, op_units: f64) 
             pages: root.logical_reads.get() as f64,
             rows_decoded,
             op_units: pairs * op_units,
+            out_rows,
             pairs,
             ..Run::default()
         };
@@ -668,6 +683,8 @@ struct Fit {
     gather_ns: f64,
     tuple_ns: f64,
     fetch_ns: f64,
+    /// The ψ join's time per pair beyond its scans, predicate and rows.
+    pair_ns: f64,
     /// M-tree keys compared per table row: `a + b·k` at threshold k.
     fraction: (f64, f64),
 }
@@ -723,9 +740,15 @@ impl Fit {
         });
         let fetch_ns = b[0];
 
-        // Joins: what their scans and predicate leave, over pairs.
-        let b = stage(|r| r.join, &|r| vec![r.pairs], &|r| r.ns - scan(r));
+        // Rows built: what the cross join's scans leave, over its rows.
+        let b = stage(|r| r.join && r.pairs == 0.0, &|r| vec![r.out_rows], &|r| {
+            r.ns - scan(r)
+        });
         let tuple_ns = b[0];
+        // What the ψ join's scans, predicate and rows leave, per pair: the
+        // price no constant charges.
+        let psi_join = runs.iter().find(|r| r.join && r.pairs > 0.0);
+        let pair_ns = psi_join.map_or(0.0, |r| (r.ns - scan(r) - tuple_ns * r.out_rows) / r.pairs);
 
         // The M-tree visit fraction, linear in the threshold (§3.3).
         let mut xs = Vec::new();
@@ -751,6 +774,7 @@ impl Fit {
             gather_ns,
             tuple_ns,
             fetch_ns,
+            pair_ns,
             fraction: (b[0], b[1]),
         }
     }
@@ -797,6 +821,10 @@ impl Fit {
             "mtree visit fraction = {:.3} + {:.3}·k",
             self.fraction.0, self.fraction.1
         );
+        println!(
+            "psi join: {:.1} ns per pair beyond its predicate (unpriced)",
+            self.pair_ns
+        );
     }
 
     fn json(&self) -> Value {
@@ -806,6 +834,7 @@ impl Fit {
         }
         pairs.push(("mtree_fraction_intercept", Value::Num(self.fraction.0)));
         pairs.push(("mtree_fraction_slope", Value::Num(self.fraction.1)));
+        pairs.push(("psi_join_pair_ns", Value::Num(self.pair_ns)));
         obj(pairs)
     }
 }

@@ -272,29 +272,42 @@ fn emit_buffered(buf: &[Row], pos: &mut usize, max: usize) -> Option<Batch> {
     (!rows.is_empty()).then(|| Batch::new(rows))
 }
 
-/// Append `outer ++ inner` for every inner row to `out`, keeping only the
-/// pairs that pass the join predicate.  The predicate is evaluated pair
-/// by pair: both its sides vary, so `eval_batch` has nothing to hoist,
-/// and a failing pair's row is freed before the next one is built.
+/// Append `outer ++ inner` to `out` for every inner row that passes the
+/// join predicate, `bound` being that predicate bound to `outer`
+/// ([`Expr::bind_outer`]).  The bound predicate runs once over the whole
+/// inner slice through [`Expr::eval_batch`], so the operator's per-batch
+/// setup is paid once per outer row — ψ converts the outer name's
+/// phonemes and compiles one Myers matcher, then runs it over every inner
+/// name — and a joined row is built only for a pair that passes.
 fn join_rows(
     outer: &Row,
-    inners: impl Iterator<Item = Row>,
-    predicate: &Option<Expr>,
+    inners: &[Row],
+    bound: Option<&Expr>,
     eval: &EvalCtx<'_>,
     out: &mut Vec<Row>,
 ) -> Result<()> {
-    for inner in inners {
-        let mut joined = Row::with_capacity(outer.len() + inner.len());
-        joined.extend(outer.iter().cloned());
-        joined.extend(inner);
-        // ext_op_calls is counted inside `Expr::eval`.
-        if let Some(p) = predicate {
-            if !p.eval(&joined, eval)?.is_true() {
-                continue;
-            }
-        }
-        out.push(joined);
+    let joined = |inner: &Row| {
+        let mut row = Row::with_capacity(outer.len() + inner.len());
+        row.extend_from_slice(outer);
+        row.extend_from_slice(inner);
+        row
+    };
+    let Some(p) = bound else {
+        out.extend(inners.iter().map(joined));
+        return Ok(());
+    };
+    if inners.is_empty() {
+        return Ok(());
     }
+    // ext_op_calls is counted inside `Expr::eval_batch`.
+    let refs: Vec<&[Datum]> = inners.iter().map(Vec::as_slice).collect();
+    let mask = p.eval_batch(&refs, eval)?;
+    out.extend(
+        inners
+            .iter()
+            .zip(mask)
+            .filter_map(|(inner, v)| v.is_true().then(|| joined(inner))),
+    );
     Ok(())
 }
 
@@ -463,6 +476,7 @@ fn build_executor_impl(
             schema: node.schema.clone(),
             outer_rows: Vec::new(),
             outer_pos: 0,
+            bound: None,
             inner_buf: None,
             inner_pos: 0,
         }),
@@ -482,6 +496,7 @@ fn build_executor_impl(
             table: None,
             probe_rows: Vec::new(),
             probe_pos: 0,
+            bound: None,
             match_pos: 0,
         }),
         PhysOp::Aggregate {
@@ -1250,18 +1265,23 @@ struct NlJoinExec {
     predicate: Option<Expr>,
     materialize: bool,
     schema: Schema,
-    /// The outer batch being joined and the row within it the inner side
-    /// is currently positioned under.
+    /// The outer batch being joined, the row within it the inner side is
+    /// currently positioned under, and the predicate bound to that row.
     outer_rows: Vec<Row>,
     outer_pos: usize,
+    bound: Option<Expr>,
     /// Materialized inner rows (when `materialize`).
     inner_buf: Option<Vec<Row>>,
     inner_pos: usize,
 }
 
 impl NlJoinExec {
-    /// Position the inner side at its first row for a new outer row.
+    /// Position the inner side at its first row for the outer row at
+    /// `outer_pos`, and bind the predicate to that row.
     fn restart_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+        if let Some(p) = &self.predicate {
+            p.bind_outer_into(&self.outer_rows[self.outer_pos], &mut self.bound);
+        }
         if self.materialize {
             self.inner_pos = 0;
             Ok(())
@@ -1278,7 +1298,9 @@ impl Executor for NlJoinExec {
 
     /// The outer side is pulled a batch at a time (so a ψ-filtered outer
     /// scan runs the vectorized kernel); under each outer row the inner
-    /// side yields at most as many rows as the output batch has room for.
+    /// side yields at most as many rows as the output batch has room for,
+    /// and the predicate, bound once per outer row, judges them as one
+    /// batch.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
         // Materialize once; the buffer survives rescans.
@@ -1303,24 +1325,18 @@ impl Executor for NlJoinExec {
                 }
             }
             let outer = &self.outer_rows[self.outer_pos];
+            let bound = self.bound.as_ref();
             let want = max - out.len();
             let inner_exhausted = match &self.inner_buf {
                 Some(buf) => {
                     let end = (self.inner_pos + want).min(buf.len());
-                    let inners = buf[self.inner_pos..end].iter().cloned();
-                    join_rows(outer, inners, &self.predicate, &eval, &mut out)?;
+                    join_rows(outer, &buf[self.inner_pos..end], bound, &eval, &mut out)?;
                     self.inner_pos = end;
                     end == buf.len()
                 }
                 None => match self.inner.next_batch(ctx, want)? {
                     Some(batch) => {
-                        join_rows(
-                            outer,
-                            batch.rows.into_iter(),
-                            &self.predicate,
-                            &eval,
-                            &mut out,
-                        )?;
+                        join_rows(outer, &batch.rows, bound, &eval, &mut out)?;
                         false
                     }
                     None => true,
@@ -1357,10 +1373,12 @@ struct HashJoinExec {
     schema: Schema,
     /// Build table over the RIGHT input.
     table: Option<HashMap<Datum, Vec<Row>>>,
-    /// The probe (LEFT) batch, the row within it being joined, and how
-    /// many entries of that row's bucket are already emitted.
+    /// The probe (LEFT) batch, the row within it being joined, the
+    /// residual bound to that row, and how many entries of its bucket are
+    /// already emitted.
     probe_rows: Vec<Row>,
     probe_pos: usize,
+    bound: Option<Expr>,
     match_pos: usize,
 }
 
@@ -1400,9 +1418,15 @@ impl Executor for HashJoinExec {
                 Some(rows) if !key.is_null() => rows,
                 _ => &[],
             };
+            // Bind on the probe row's first visit, if its bucket has rows.
+            if let (Some(r), 0) = (&self.residual, self.match_pos) {
+                if !bucket.is_empty() {
+                    r.bind_outer_into(probe, &mut self.bound);
+                }
+            }
             let end = (self.match_pos + max - out.len()).min(bucket.len());
-            let inners = bucket[self.match_pos..end].iter().cloned();
-            join_rows(probe, inners, &self.residual, &eval, &mut out)?;
+            let inners = &bucket[self.match_pos..end];
+            join_rows(probe, inners, self.bound.as_ref(), &eval, &mut out)?;
             if end == bucket.len() {
                 self.probe_pos += 1;
                 self.match_pos = 0;

@@ -216,13 +216,91 @@ impl Expr {
 
     /// Rewrite every column reference through `f` (join reordering).
     pub fn map_columns(&self, f: &impl Fn(usize) -> usize) -> Expr {
-        let map = |e: &Expr| e.map_columns(f);
-        match self {
-            Expr::ColRef { index, ty, name } => Expr::ColRef {
-                index: f(*index),
-                ty: *ty,
-                name: name.clone(),
+        self.rewrite_columns(&|index, ty, name| Expr::ColRef {
+            index: f(index),
+            ty,
+            name: name.to_string(),
+        })
+    }
+
+    /// A join predicate bound to one outer row: every column below
+    /// `outer.len()` becomes that outer value as a literal, and every other
+    /// column shifts down by `outer.len()`.  Evaluating the result over an
+    /// inner row equals evaluating `self` over `outer ++ inner` — so a join
+    /// can run it over a whole batch of inner rows with [`Expr::eval_batch`].
+    pub fn bind_outer(&self, outer: &[Datum]) -> Expr {
+        let n = outer.len();
+        self.rewrite_columns(&|index, ty, name| match outer.get(index) {
+            Some(d) => Expr::Literal(d.clone()),
+            None => Expr::ColRef {
+                index: index - n,
+                ty,
+                name: name.to_string(),
             },
+        })
+    }
+
+    /// [`Expr::bind_outer`] into `slot`.  When `slot` already holds this
+    /// predicate bound to another outer row of the same width, only the
+    /// literals that came from outer columns are overwritten, so a join
+    /// allocates its bound predicate once rather than once per outer row.
+    pub fn bind_outer_into(&self, outer: &[Datum], slot: &mut Option<Expr>) {
+        match slot {
+            Some(bound) => bound.rebind(self, outer),
+            None => *slot = Some(self.bind_outer(outer)),
+        }
+    }
+
+    /// Overwrite the outer-column literals of `self`, a binding of
+    /// `template`, with the values of `outer`.
+    fn rebind(&mut self, template: &Expr, outer: &[Datum]) {
+        match (self, template) {
+            (Expr::Literal(d), Expr::ColRef { index, .. }) => *d = outer[*index].clone(),
+            (
+                Expr::Cmp { left, right, .. },
+                Expr::Cmp {
+                    left: tl,
+                    right: tr,
+                    ..
+                },
+            )
+            | (
+                Expr::Arith { left, right, .. },
+                Expr::Arith {
+                    left: tl,
+                    right: tr,
+                    ..
+                },
+            )
+            | (
+                Expr::ExtOp { left, right, .. },
+                Expr::ExtOp {
+                    left: tl,
+                    right: tr,
+                    ..
+                },
+            )
+            | (Expr::And(left, right), Expr::And(tl, tr))
+            | (Expr::Or(left, right), Expr::Or(tl, tr)) => {
+                left.rebind(tl, outer);
+                right.rebind(tr, outer);
+            }
+            (Expr::Not(e), Expr::Not(t)) | (Expr::IsNull(e), Expr::IsNull(t)) => e.rebind(t, outer),
+            (Expr::Func { args, .. }, Expr::Func { args: targs, .. }) => {
+                for (a, t) in args.iter_mut().zip(targs) {
+                    a.rebind(t, outer);
+                }
+            }
+            // Inner columns and literals do not depend on the outer row.
+            _ => {}
+        }
+    }
+
+    /// Replace every column reference with `f(index, type, name)`.
+    fn rewrite_columns(&self, f: &impl Fn(usize, DataType, &str) -> Expr) -> Expr {
+        let map = |e: &Expr| e.rewrite_columns(f);
+        match self {
+            Expr::ColRef { index, ty, name } => f(*index, *ty, name),
             Expr::Literal(d) => Expr::Literal(d.clone()),
             Expr::Cmp { op, left, right } => Expr::Cmp {
                 op: *op,
@@ -461,7 +539,10 @@ impl Expr {
     /// operator registers an `eval_batch` hook dispatches once per batch
     /// instead of once per row, so the operator can hoist constant-side
     /// conversion and buffer setup out of the inner loop (ψ converts the
-    /// probe's phonemes and compiles its Myers mask once per batch).
+    /// probe's phonemes and compiles its Myers mask once per batch).  A
+    /// commutative operator takes the same path for `const OP col` — the
+    /// shape a join predicate bound to its outer row
+    /// ([`Expr::bind_outer`]) has when the outer column was on the left.
     pub fn eval_batch(&self, rows: &[&[Datum]], ctx: &EvalCtx<'_>) -> Result<Vec<Datum>> {
         match self {
             Expr::ExtOp {
@@ -469,55 +550,97 @@ impl Expr {
                 left,
                 right,
                 modifiers,
-            } if right.is_const() => {
+            } if right.is_const() || left.is_const() => {
                 let op = ctx
                     .catalog
                     .operator(name)
                     .ok_or_else(|| Error::Execution(format!("unknown operator {name:?}")))?;
-                let Some(batch_eval) = &op.eval_batch else {
-                    return rows.iter().map(|&row| self.eval(row, ctx)).collect();
+                // `const OP col` runs as `col OP const` when OP commutes.
+                let swapped = !right.is_const();
+                let batch_eval = match &op.eval_batch {
+                    Some(f) if !swapped || op.kind.commutative => f,
+                    _ => return rows.iter().map(|&row| self.eval(row, ctx)).collect(),
                 };
-                let rv = right.eval(&[], ctx)?;
-                if rv.is_null() {
+                let (varying, constant) = if swapped {
+                    (right, left)
+                } else {
+                    (left, right)
+                };
+                let cv = constant.eval(&[], ctx)?;
+                if cv.is_null() {
                     return Ok(vec![Datum::Null; rows.len()]);
                 }
-                // NULL left operands yield NULL without being dispatched
-                // (or counted), exactly like the scalar arm.
-                let mut out = vec![Datum::Null; rows.len()];
-                let mut lefts = Vec::with_capacity(rows.len());
-                let mut idxs = Vec::with_capacity(rows.len());
-                for (i, &row) in rows.iter().enumerate() {
-                    let lv = left.eval(row, ctx)?;
-                    if lv.is_null() {
-                        continue;
+                // A plain column operand is borrowed from the rows, not
+                // cloned; anything else is evaluated per row.
+                let owned: Vec<Datum>;
+                let vals: Vec<&Datum> = match &**varying {
+                    Expr::ColRef { index, .. } => rows
+                        .iter()
+                        .map(|row| {
+                            row.get(*index).ok_or_else(|| {
+                                Error::Execution(format!("column {index} out of range"))
+                            })
+                        })
+                        .collect::<Result<_>>()?,
+                    other => {
+                        owned = rows
+                            .iter()
+                            .map(|&row| other.eval(row, ctx))
+                            .collect::<Result<_>>()?;
+                        owned.iter().collect()
                     }
-                    idxs.push(i);
-                    lefts.push(lv);
-                }
+                };
+                // NULL operands yield NULL without being dispatched (or
+                // counted), exactly like the scalar arm.
+                let non_null: Vec<&Datum>;
+                let operands: &[&Datum] = if vals.iter().any(|v| v.is_null()) {
+                    non_null = vals.iter().copied().filter(|v| !v.is_null()).collect();
+                    &non_null
+                } else {
+                    &vals
+                };
                 if let Some(stats) = ctx.stats {
-                    stats.ext_op_calls.add(lefts.len() as u64);
+                    stats.ext_op_calls.add(operands.len() as u64);
                 }
                 crate::obs::metrics()
                     .ext_op_calls_total
-                    .add(lefts.len() as u64);
-                let refs: Vec<&Datum> = lefts.iter().collect();
-                let verdicts = batch_eval(&refs, &rv, ctx.session)?;
-                if verdicts.len() != lefts.len() {
+                    .add(operands.len() as u64);
+                let verdicts = batch_eval(operands, &cv, ctx.session)?;
+                if verdicts.len() != operands.len() {
                     return Err(Error::Execution(format!(
                         "operator {name:?} batch eval returned {} verdicts for {} inputs",
                         verdicts.len(),
-                        lefts.len()
+                        operands.len()
                     )));
                 }
-                for ((&i, lv), verdict) in idxs.iter().zip(&lefts).zip(verdicts) {
-                    out[i] = if !modifiers.is_empty() && verdict.is_true() {
-                        match &op.modifier_filter {
-                            Some(filter) => Datum::Bool(filter(lv, modifiers)),
-                            None => verdict,
+                // The language modifier filters the ORIGINAL left operand:
+                // per row, or once when the swap made it the constant.
+                let filter = op
+                    .modifier_filter
+                    .as_ref()
+                    .filter(|_| !modifiers.is_empty());
+                let const_passes = match filter {
+                    Some(f) if swapped => Some(f(&cv, modifiers)),
+                    _ => None,
+                };
+                // Scatter the verdicts back among the NULLs, in row order.
+                let mut out = if operands.len() == vals.len() {
+                    verdicts
+                } else {
+                    let mut verdicts = verdicts.into_iter();
+                    vals.iter()
+                        .map(|v| match v {
+                            Datum::Null => Datum::Null,
+                            _ => verdicts.next().expect("one verdict per operand"),
+                        })
+                        .collect()
+                };
+                if let Some(f) = filter {
+                    for (verdict, &v) in out.iter_mut().zip(&vals) {
+                        if verdict.is_true() {
+                            *verdict = Datum::Bool(const_passes.unwrap_or_else(|| f(v, modifiers)));
                         }
-                    } else {
-                        verdict
-                    };
+                    }
                 }
                 Ok(out)
             }
@@ -961,6 +1084,197 @@ mod tests {
                 format!("{want:?}"),
                 "row {row:?} diverged"
             );
+        }
+    }
+
+    /// A catalog with `near` (|l - r| ≤ 2, with a batch hook and an
+    /// `IN (even)` modifier over its left operand), `near` again as the
+    /// non-commutative `near_nc`, and the function `plus1`.
+    fn near_catalog() -> Catalog {
+        let mut cat = Catalog::new();
+        for (name, commutative) in [("near", true), ("near_nc", false)] {
+            cat.register_operator(ExtOperator {
+                name: name.into(),
+                operand_type: DataType::Int,
+                eval: Arc::new(|l, r, _| {
+                    Ok(Datum::Bool(
+                        (l.as_int().unwrap_or(0) - r.as_int().unwrap_or(0)).abs() <= 2,
+                    ))
+                }),
+                eval_batch: Some(Arc::new(|lefts, r, _| {
+                    let rv = r.as_int().unwrap_or(0);
+                    Ok(lefts
+                        .iter()
+                        .map(|l| Datum::Bool((l.as_int().unwrap_or(0) - rv).abs() <= 2))
+                        .collect())
+                })),
+                kind: OperatorKind {
+                    commutative,
+                    distributes_over_union: true,
+                },
+                per_tuple_cost: Arc::new(|_, _| 1.0),
+                selectivity: Arc::new(|_| 0.1),
+                index_strategy: None,
+                index_extra: None,
+                modifier_filter: Some(Arc::new(|l, mods| {
+                    mods.iter().any(|m| m == "even") && l.as_int().is_some_and(|v| v % 2 == 0)
+                })),
+                index_scan_fraction: None,
+                strategy_label: None,
+            });
+        }
+        cat.register_function(FuncDef {
+            name: "plus1".into(),
+            arity: 1,
+            ret: Some(DataType::Int),
+            eval: Arc::new(|args, _| {
+                Ok(match args[0].as_int() {
+                    Some(v) => Datum::Int(v + 1),
+                    None => Datum::Null,
+                })
+            }),
+        });
+        cat
+    }
+
+    fn random_datum(rng: &mut rand::rngs::StdRng) -> Datum {
+        use rand::Rng;
+        if rng.gen_bool(0.15) {
+            Datum::Null
+        } else {
+            Datum::Int(rng.gen_range(-3..4))
+        }
+    }
+
+    /// A random expression of at most `depth` levels over `width` columns,
+    /// reaching every variant `bind_outer` rewrites.
+    fn random_expr(rng: &mut rand::rngs::StdRng, width: usize, depth: u32) -> Expr {
+        use rand::Rng;
+        if depth == 0 || rng.gen_bool(0.25) {
+            return if rng.gen_bool(0.7) {
+                col(rng.gen_range(0..width))
+            } else {
+                Expr::Literal(random_datum(rng))
+            };
+        }
+        let mut sub = || Box::new(random_expr(rng, width, depth - 1));
+        let (l, r) = (sub(), sub());
+        match rng.gen_range(0..8) {
+            0 => Expr::Cmp {
+                op: [CmpOp::Eq, CmpOp::Ne, CmpOp::Lt, CmpOp::Ge][rng.gen_range(0..4)],
+                left: l,
+                right: r,
+            },
+            1 => Expr::Arith {
+                op: [ArithOp::Add, ArithOp::Sub, ArithOp::Mul, ArithOp::Div][rng.gen_range(0..4)],
+                left: l,
+                right: r,
+            },
+            2 => Expr::And(l, r),
+            3 => Expr::Or(l, r),
+            4 => Expr::Not(l),
+            5 => Expr::IsNull(l),
+            6 => Expr::ExtOp {
+                name: ["near", "near_nc"][rng.gen_range(0..2)].into(),
+                left: l,
+                right: r,
+                modifiers: if rng.gen_bool(0.5) {
+                    vec!["even".into()]
+                } else {
+                    vec![]
+                },
+            },
+            _ => Expr::Func {
+                name: "plus1".into(),
+                args: vec![*l],
+            },
+        }
+    }
+
+    #[test]
+    fn bind_outer_equals_eval_over_the_concatenated_row() {
+        use rand::{Rng, SeedableRng};
+        let cat = near_catalog();
+        let sess = SessionVars::new();
+        let c = EvalCtx::new(&cat, &sess);
+        for seed in 0..500 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let (n_outer, n_inner) = (rng.gen_range(0..3), rng.gen_range(1..3));
+            let e = random_expr(&mut rng, n_outer + n_inner, 3);
+            let row: Vec<Datum> = (0..n_outer + n_inner)
+                .map(|_| random_datum(&mut rng))
+                .collect();
+            let (outer, inner) = row.split_at(n_outer);
+            let bound = e.bind_outer(outer);
+            assert!(bound.columns().iter().all(|&i| i < n_inner), "seed {seed}");
+            // Errors (division by zero, NOT of an integer) must agree too.
+            let show = |r: Result<Datum>| format!("{:?}", r.map_err(|e| e.to_string()));
+            assert_eq!(
+                show(bound.eval(inner, &c)),
+                show(e.eval(&row, &c)),
+                "seed {seed}: {e} bound to {outer:?} over {inner:?}"
+            );
+            // Re-binding in place to another outer row equals a fresh bind.
+            let other: Vec<Datum> = (0..n_outer).map(|_| random_datum(&mut rng)).collect();
+            let mut slot = Some(bound);
+            e.bind_outer_into(&other, &mut slot);
+            let row: Vec<Datum> = other.iter().chain(inner).cloned().collect();
+            assert_eq!(
+                show(slot.expect("bound above").eval(inner, &c)),
+                show(e.eval(&row, &c)),
+                "seed {seed}: {e} re-bound to {other:?} over {inner:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn eval_batch_swaps_a_commutative_constant_left_operand() {
+        let cat = near_catalog();
+        let sess = SessionVars::new();
+        let data: Vec<Vec<Datum>> = [Some(9), Some(10), None, Some(12), Some(13), Some(50)]
+            .into_iter()
+            .map(|v| vec![v.map_or(Datum::Null, Datum::Int)])
+            .collect();
+        let refs: Vec<&[Datum]> = data.iter().map(Vec::as_slice).collect();
+        let plus1 = Expr::Func {
+            name: "plus1".into(),
+            args: vec![col(0)],
+        };
+        for name in ["near", "near_nc"] {
+            for constant in [Datum::Int(10), Datum::Int(11), Datum::Null] {
+                for modifiers in [vec![], vec!["even".to_string()]] {
+                    // A plain column (borrowed) and a computed operand.
+                    for varying in [col(0), plus1.clone()] {
+                        let e = Expr::ExtOp {
+                            name: name.into(),
+                            left: Box::new(Expr::Literal(constant.clone())),
+                            right: Box::new(varying),
+                            modifiers: modifiers.clone(),
+                        };
+                        let (batch_stats, row_stats) = (
+                            crate::exec::ExecStats::default(),
+                            crate::exec::ExecStats::default(),
+                        );
+                        let batch_ctx = EvalCtx {
+                            stats: Some(&batch_stats),
+                            ..EvalCtx::new(&cat, &sess)
+                        };
+                        let row_ctx = EvalCtx {
+                            stats: Some(&row_stats),
+                            ..EvalCtx::new(&cat, &sess)
+                        };
+                        let batched = e.eval_batch(&refs, &batch_ctx).unwrap();
+                        let scalar: Vec<Datum> =
+                            data.iter().map(|r| e.eval(r, &row_ctx).unwrap()).collect();
+                        assert_eq!(format!("{batched:?}"), format!("{scalar:?}"), "{e}");
+                        assert_eq!(
+                            batch_stats.ext_op_calls.get(),
+                            row_stats.ext_op_calls.get(),
+                            "{e}"
+                        );
+                    }
+                }
+            }
         }
     }
 

@@ -16,8 +16,8 @@ use crate::expr::Expr;
 pub struct CostParams {
     /// Sequential page read: the unit.
     pub seq_page_cost: f64,
-    /// Per row a join, projection or materialization builds.  Grid: pairs
-    /// of a nested-loop ψ join.
+    /// Per row a join, projection or materialization builds.  Grid: rows
+    /// of a cross join, which builds one per pair and evaluates nothing.
     pub cpu_tuple_cost: f64,
     /// Per predicate cost unit: one built-in comparison, or one unit of
     /// an extension operator's registered `per_tuple_cost`.  Grid:
@@ -47,13 +47,16 @@ impl Default for CostParams {
     /// Fitted by the `calibration` grid on 2026-10-16 on a 2-vCPU Intel
     /// Xeon host (`nproc` 2): each value is the median, in page units, of
     /// five grid runs, whose page reads took 2.47–4.66 µs (median 3.84).
+    /// `cpu_tuple_cost` was re-fitted on 2026-10-17 on the same host, when
+    /// joins stopped building a row per pair: the median of ten grid runs,
+    /// whose page reads took 3.18–6.08 µs (median 3.53).
     /// `benchmarks/baseline/BENCH_calibration.json` records a check run of
     /// the grid under these values: its own fit and the plan regret.
     fn default() -> Self {
         CostParams {
             seq_page_cost: 1.0,
-            // 407 ns per nested-loop pair.
-            cpu_tuple_cost: 0.106,
+            // 170 ns per row built.
+            cpu_tuple_cost: 0.0466,
             // 1.04 ns per operator unit.
             cpu_operator_cost: 0.000270,
             // 71 ns per row.
@@ -168,19 +171,23 @@ impl CostParams {
         traversal_cpu + matched * (self.heap_fetch_cost + per_row_pred)
     }
 
-    /// Nested-loops join with a materialized inner.
+    /// Nested-loops join with a materialized inner.  The predicate runs
+    /// over every pair (bound to the outer row, one batch of inner rows at
+    /// a time); a joined row is built only for a pair that passes.
     pub fn nl_join_materialized(
         &self,
         outer_cost: f64,
         inner_cost: f64,
         outer_rows: f64,
         inner_rows: f64,
+        out_rows: f64,
         per_pair_pred: f64,
     ) -> f64 {
         outer_cost
             + inner_cost
             + inner_rows * self.cpu_tuple_cost // materialization write
-            + outer_rows * inner_rows * (self.cpu_tuple_cost + per_pair_pred)
+            + outer_rows * inner_rows * per_pair_pred
+            + out_rows * self.cpu_tuple_cost
     }
 
     /// Nested-loops join re-scanning the inner plan per outer row.
@@ -190,28 +197,34 @@ impl CostParams {
         inner_cost: f64,
         outer_rows: f64,
         inner_rows: f64,
+        out_rows: f64,
         per_pair_pred: f64,
     ) -> f64 {
         outer_cost
             + outer_rows.max(1.0) * inner_cost
-            + outer_rows * inner_rows * (self.cpu_tuple_cost + per_pair_pred)
+            + outer_rows * inner_rows * per_pair_pred
+            + out_rows * self.cpu_tuple_cost
     }
 
-    /// Hash join (build right, probe left).
+    /// Hash join (build right, probe left): the residual runs over the
+    /// `eq_pairs` the keys match, and `out_rows` of them are built.
+    #[allow(clippy::too_many_arguments)]
     pub fn hash_join(
         &self,
         left_cost: f64,
         right_cost: f64,
         left_rows: f64,
         right_rows: f64,
+        eq_pairs: f64,
         out_rows: f64,
-        per_pair_pred: f64,
+        residual_per_pair: f64,
     ) -> f64 {
         left_cost
             + right_cost
             + right_rows * (self.cpu_tuple_cost + self.cpu_operator_cost) // build
             + left_rows * self.cpu_operator_cost // probe hashing
-            + out_rows * (self.cpu_tuple_cost + per_pair_pred)
+            + eq_pairs * residual_per_pair
+            + out_rows * self.cpu_tuple_cost
     }
 
     /// Sort cost: `n log n` comparisons.
@@ -270,9 +283,33 @@ mod tests {
     #[test]
     fn rescan_nl_join_dominates_materialized() {
         let p = CostParams::default();
-        let mat = p.nl_join_materialized(100.0, 100.0, 1000.0, 1000.0, 0.01);
-        let rescan = p.nl_join_rescan(100.0, 100.0, 1000.0, 1000.0, 0.01);
+        let mat = p.nl_join_materialized(100.0, 100.0, 1000.0, 1000.0, 50.0, 0.01);
+        let rescan = p.nl_join_rescan(100.0, 100.0, 1000.0, 1000.0, 50.0, 0.01);
         assert!(rescan > mat, "rescan {rescan} vs materialized {mat}");
+    }
+
+    #[test]
+    fn join_pairs_pay_the_predicate_and_built_rows_the_tuple_cost() {
+        let p = CostParams::default();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
+        for nl in [CostParams::nl_join_materialized, CostParams::nl_join_rescan] {
+            let base = nl(&p, 0.0, 0.0, 10.0, 20.0, 0.0, 0.0);
+            // 200 pairs pay the predicate; only the 5 built rows pay a tuple.
+            assert!(close(nl(&p, 0.0, 0.0, 10.0, 20.0, 0.0, 0.5), base + 100.0));
+            assert!(close(
+                nl(&p, 0.0, 0.0, 10.0, 20.0, 5.0, 0.0),
+                base + 5.0 * p.cpu_tuple_cost
+            ));
+        }
+        let base = p.hash_join(0.0, 0.0, 10.0, 20.0, 30.0, 0.0, 0.0);
+        assert!(close(
+            p.hash_join(0.0, 0.0, 10.0, 20.0, 30.0, 0.0, 0.5),
+            base + 15.0
+        ));
+        assert!(close(
+            p.hash_join(0.0, 0.0, 10.0, 20.0, 30.0, 5.0, 0.0),
+            base + 5.0 * p.cpu_tuple_cost
+        ));
     }
 
     #[test]

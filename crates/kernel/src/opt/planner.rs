@@ -585,6 +585,7 @@ impl Planner<'_> {
                 left.est_rows,
                 right.est_rows,
                 eq_pairs,
+                out_rows,
                 residual_per_pair,
             );
             if !flag(self.session, "enable_hashjoin") {
@@ -615,6 +616,7 @@ impl Planner<'_> {
                 right.est_cost,
                 left.est_rows,
                 right.est_rows,
+                out_rows,
                 per_pair,
             );
             if !flag(self.session, "enable_nestloop") {
@@ -647,6 +649,7 @@ impl Planner<'_> {
                 right.est_cost,
                 left.est_rows,
                 right.est_rows,
+                out_rows,
                 per_pair,
             );
             if !flag(self.session, "enable_nestloop") {

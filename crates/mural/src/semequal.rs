@@ -319,9 +319,12 @@ impl SemState {
     }
 }
 
-/// Per-pair CPU cost of Ω (Table 3 units): a UniText decode plus a single
-/// range comparison — the same order as a ψ band check.
-pub const OMEGA_INTERVAL_TUPLE_COST: f64 = 12.0;
+/// Per-pair CPU cost of Ω, in operator units (~1 ns each).  The interval
+/// compare itself is one range comparison; what a pair costs is decoding
+/// the UniText and resolving its word to synsets.  Measured as the
+/// `fig6_cost_prediction` Ω joins' time per pair (5k-synset taxonomy,
+/// 2-vCPU host, 2026-10-17): 720–810 ns.
+pub const OMEGA_INTERVAL_TUPLE_COST: f64 = 700.0;
 
 /// Build the Ω [`ExtOperator`].
 pub fn semequal_operator(
@@ -349,8 +352,8 @@ pub fn semequal_operator(
             commutative: false,
             distributes_over_union: true,
         },
-        // Per evaluated pair: no shard lock, no hash probe — one range
-        // comparison, costed like a cheap range predicate.
+        // Per evaluated pair: no shard lock; one synset lookup and one
+        // range comparison.
         per_tuple_cost: Arc::new(|_, _| OMEGA_INTERVAL_TUPLE_COST),
         // §3.4.2.
         selectivity: Arc::new(move |input| {

@@ -1,0 +1,306 @@
+//! Join-predicate equivalence: a ψ or Ω join returns exactly the pairs
+//! its predicate accepts, whatever the batch size and worker count.
+//!
+//! The executor binds a join predicate to each outer row and runs it over
+//! a whole batch of inner rows (`Expr::bind_outer` + `Expr::eval_batch`),
+//! swapping a commutative operator's operands when the outer side was on
+//! the left.  The oracle here is the definition instead: the scalar
+//! `Expr::eval` of the *unbound* predicate over every concatenated pair
+//! `a ++ b`.  Results must match as multisets, and so must the work
+//! counters — `ext_op_calls` per statement and the process-wide
+//! `mlql_psi_distance_calls_total` — since the batch path may hoist setup
+//! but never skip or repeat a pair.
+//!
+//! Tables are random per seed: UniText names across scripts (some NULL,
+//! some in no known language, so without a phoneme cache), INT keys (some
+//! NULL) and taxonomy categories.  The vendored proptest shim does not
+//! shrink, so this is a seeded loop and every failure names its seed.
+//!
+//! One `#[test]` only: the ψ distance counter is process-wide, and a
+//! second test running beside it would move it.
+
+use mlql::kernel::exec::ExecStats;
+use mlql::kernel::expr::{CmpOp, EvalCtx, Expr};
+use mlql::kernel::{DataType, Datum, Session};
+use mlql::mural::install;
+use mlql::mural::types::unitext_datum;
+use mlql::unitext::{LangId, UniText};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Seeds tried.
+const CASES: u64 = 32;
+
+/// Batch sizes every predicate runs at: one-row batches (every inner
+/// batch a single pair), a size that splits the inner side unevenly, and
+/// the default.
+const BATCH_SIZES: [usize; 3] = [1, 3, 1024];
+
+/// Worker counts every predicate runs at.
+const WORKERS: [usize; 2] = [1, 4];
+
+/// Names: cross-script homophones and near-misses, so ψ matches at small
+/// thresholds occur.  `None` is a language the engine has no converter
+/// for — its values carry no phoneme cache.
+const NAMES: [(&str, Option<&str>); 16] = [
+    ("Nehru", Some("English")),
+    ("Neru", Some("English")),
+    ("Nehrou", Some("French")),
+    ("नेहरू", Some("Hindi")),
+    ("நேரு", Some("Tamil")),
+    ("Gandhi", Some("English")),
+    ("Gandi", Some("Spanish")),
+    ("गांधी", Some("Hindi")),
+    ("Kumar", Some("English")),
+    ("Kumaran", Some("English")),
+    ("कुमार", Some("Hindi")),
+    ("Ravi", Some("German")),
+    ("रवि", Some("Hindi")),
+    ("Rao", Some("English")),
+    ("Nehru", None),
+    ("Zed", None),
+];
+
+/// Categories: words of the installed Books taxonomy in three languages,
+/// and one word it does not know.
+const CATEGORIES: [(&str, &str); 9] = [
+    ("History", "English"),
+    ("Historiography", "English"),
+    ("Autobiography", "English"),
+    ("Biography", "English"),
+    ("Novel", "English"),
+    ("Fiction", "English"),
+    ("Histoire", "French"),
+    ("சரித்திரம்", "Tamil"),
+    ("Gardening", "English"),
+];
+
+/// Columns of `a ++ b`: `a(k, name, cat)` then `b(k, name, cat)`.
+const A_K: usize = 0;
+const A_NAME: usize = 1;
+const A_CAT: usize = 2;
+const B_K: usize = 3;
+const B_NAME: usize = 4;
+const B_CAT: usize = 5;
+
+fn col(index: usize, ty: DataType) -> Box<Expr> {
+    Box::new(Expr::ColRef {
+        index,
+        ty,
+        name: format!("c{index}"),
+    })
+}
+
+fn ext(name: &str, l: usize, r: usize, ty: DataType, modifiers: &[&str]) -> Expr {
+    Expr::ExtOp {
+        name: name.into(),
+        left: col(l, ty),
+        right: col(r, ty),
+        modifiers: modifiers.iter().map(|m| m.to_string()).collect(),
+    }
+}
+
+/// A predicate under test: its SQL, the same predicate as an expression
+/// over `a ++ b`, and the equi-key conjunct a hash join may split off.
+struct Case {
+    sql: &'static str,
+    pred: Expr,
+    /// A hash join visits only the pairs whose keys are equal: a pair
+    /// with a NULL key is never a candidate, so its residual is never
+    /// evaluated (or counted), where the scalar `AND` would evaluate it.
+    hash_key: Option<Expr>,
+}
+
+/// The predicates under test.
+fn predicates(unitext: DataType) -> Vec<Case> {
+    let psi = || ext("lexequal", A_NAME, B_NAME, unitext, &[]);
+    let keys = |op| Expr::Cmp {
+        op,
+        left: col(A_K, DataType::Int),
+        right: col(B_K, DataType::Int),
+    };
+    let case = |sql, pred| Case {
+        sql,
+        pred,
+        hash_key: None,
+    };
+    vec![
+        case("a.name LEXEQUAL b.name", psi()),
+        case(
+            "a.cat SEMEQUAL b.cat",
+            ext("semequal", A_CAT, B_CAT, unitext, &[]),
+        ),
+        case(
+            "b.cat SEMEQUAL a.cat",
+            ext("semequal", B_CAT, A_CAT, unitext, &[]),
+        ),
+        case(
+            "a.name LEXEQUAL b.name IN (English, Hindi)",
+            ext("lexequal", A_NAME, B_NAME, unitext, &["English", "Hindi"]),
+        ),
+        Case {
+            sql: "a.k = b.k AND a.name LEXEQUAL b.name",
+            pred: Expr::And(Box::new(keys(CmpOp::Eq)), Box::new(psi())),
+            hash_key: Some(keys(CmpOp::Eq)),
+        },
+        case(
+            "a.name LEXEQUAL b.name OR a.k < b.k",
+            Expr::Or(Box::new(psi()), Box::new(keys(CmpOp::Lt))),
+        ),
+        case("NOT (a.name LEXEQUAL b.name)", Expr::Not(Box::new(psi()))),
+    ]
+}
+
+/// What the oracle found for one predicate: the accepted pairs, and the
+/// work counters of evaluating it pair by pair.
+struct Oracle {
+    rows: Vec<String>,
+    ext_op_calls: u64,
+    psi_distance_calls: u64,
+}
+
+/// Evaluate `pred` with the scalar evaluator over every pair of
+/// `a_rows × b_rows` for which `candidate` is true (every pair when it
+/// is `None`).
+fn oracle(
+    db: &Session,
+    a_rows: &[Vec<Datum>],
+    b_rows: &[Vec<Datum>],
+    pred: &Expr,
+    candidate: Option<&Expr>,
+) -> Oracle {
+    let catalog = db.engine().catalog();
+    let plain = EvalCtx::new(&catalog, db.vars());
+    let stats = ExecStats::default();
+    let ctx = EvalCtx {
+        stats: Some(&stats),
+        ..EvalCtx::new(&catalog, db.vars())
+    };
+    let psi_before = psi_distance_calls();
+    let mut rows = Vec::new();
+    for ra in a_rows {
+        for rb in b_rows {
+            let pair: Vec<Datum> = ra.iter().chain(rb).cloned().collect();
+            if let Some(c) = candidate {
+                if !c.eval(&pair, &plain).unwrap().is_true() {
+                    continue;
+                }
+            }
+            if pred.eval(&pair, &ctx).unwrap().is_true() {
+                rows.push(pair);
+            }
+        }
+    }
+    Oracle {
+        rows: sorted(rows),
+        ext_op_calls: stats.ext_op_calls.get(),
+        psi_distance_calls: psi_distance_calls() - psi_before,
+    }
+}
+
+/// Fill `table (k INT, name UNITEXT, cat UNITEXT)` with `rows` random rows.
+fn load(db: &mut Session, mural: &mlql::mural::Mural, table: &str, rows: usize, rng: &mut StdRng) {
+    db.execute(&format!(
+        "CREATE TABLE {table} (k INT, name UNITEXT, cat UNITEXT)"
+    ))
+    .unwrap();
+    let datum =
+        |text: &str, lang: LangId| unitext_datum(mural.unitext_type, &UniText::compose(text, lang));
+    for _ in 0..rows {
+        let k = if rng.gen_bool(0.1) {
+            Datum::Null
+        } else {
+            Datum::Int(rng.gen_range(0..4))
+        };
+        let name = if rng.gen_bool(0.1) {
+            Datum::Null
+        } else {
+            let (text, lang) = NAMES[rng.gen_range(0..NAMES.len())];
+            datum(text, lang.map_or(LangId::UNKNOWN, |l| mural.langs.id_of(l)))
+        };
+        let cat = if rng.gen_bool(0.1) {
+            Datum::Null
+        } else {
+            let (text, lang) = CATEGORIES[rng.gen_range(0..CATEGORIES.len())];
+            datum(text, mural.langs.id_of(lang))
+        };
+        db.insert_row(table, vec![k, name, cat]).unwrap();
+    }
+    db.execute(&format!("ANALYZE {table}")).unwrap();
+}
+
+/// Rows as sortable strings (`Debug` keeps extension payload bytes).
+fn sorted(rows: impl IntoIterator<Item = Vec<Datum>>) -> Vec<String> {
+    let mut out: Vec<String> = rows.into_iter().map(|r| format!("{r:?}")).collect();
+    out.sort();
+    out
+}
+
+fn psi_distance_calls() -> u64 {
+    mlql::kernel::obs::metrics().psi_distance_calls_total.get()
+}
+
+#[test]
+fn joins_equal_their_per_pair_definition() {
+    let mut plans_seen = Vec::new();
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut db = Session::new_in_memory();
+        let mural = install(&mut db).unwrap();
+        let unitext = DataType::Ext(mural.unitext_type);
+        let (na, nb) = (rng.gen_range(1..24), rng.gen_range(1..24));
+        load(&mut db, &mural, "a", na, &mut rng);
+        load(&mut db, &mural, "b", nb, &mut rng);
+        let threshold = rng.gen_range(0..4);
+        db.execute(&format!("SET lexequal.threshold = {threshold}"))
+            .unwrap();
+        let a_rows = db.query("SELECT * FROM a").unwrap();
+        let b_rows = db.query("SELECT * FROM b").unwrap();
+
+        for case in predicates(unitext) {
+            let nested = oracle(&db, &a_rows, &b_rows, &case.pred, None);
+            let hashed = case
+                .hash_key
+                .as_ref()
+                .map(|key| oracle(&db, &a_rows, &b_rows, &case.pred, Some(key)));
+            let sql = format!("SELECT * FROM a, b WHERE {}", case.sql);
+            for workers in WORKERS {
+                for batch in BATCH_SIZES {
+                    let at = format!(
+                        "seed {seed}, threshold {threshold}, {na}×{nb} rows, \
+                         workers {workers}, batch_size {batch}: {sql}"
+                    );
+                    let mut s = db.connect();
+                    s.execute(&format!("SET parallel_workers = {workers}"))
+                        .unwrap();
+                    s.execute(&format!("SET batch_size = {batch}")).unwrap();
+                    let psi_before = psi_distance_calls();
+                    let got = s.execute(&sql).unwrap();
+                    let got_psi = psi_distance_calls() - psi_before;
+                    let plan = got.explain.unwrap_or_default();
+                    let want = match &hashed {
+                        Some(h) if plan.contains("Hash Join") => h,
+                        _ => &nested,
+                    };
+                    assert_eq!(sorted(got.rows), want.rows, "rows differ at {at}");
+                    assert_eq!(
+                        got.stats.ext_op_calls, want.ext_op_calls,
+                        "ext_op_calls differ at {at}\n{plan}"
+                    );
+                    assert_eq!(
+                        got_psi, want.psi_distance_calls,
+                        "ψ distance calls differ at {at}\n{plan}"
+                    );
+                    plans_seen.push(plan);
+                }
+            }
+        }
+    }
+    // The suite must reach both join operators, or half of it is vacuous.
+    for op in ["Nested Loop", "Hash Join"] {
+        assert!(
+            plans_seen.iter().any(|p| p.contains(op)),
+            "no plan used {op}"
+        );
+    }
+}
