@@ -33,8 +33,8 @@
 //! Run: `cargo run --release -p mlql-bench --bin calibration`
 //! Pin output with `MLQL_BENCH_DIR`.
 
-use mlql_bench::mural_db;
 use mlql_bench::report::{obj, Report, Value};
+use mlql_bench::{loglog_fit, mural_db};
 use mlql_datagen::{names_dataset, NamesConfig};
 use mlql_kernel::catalog::{Catalog, SessionVars};
 use mlql_kernel::exec::{
@@ -290,10 +290,18 @@ fn main() {
         }
     }
     let snap = planstore::snapshot(Some(db.engine().engine_id()));
-    let store = planstore::calibration(&snap);
+    let points: Vec<(f64, f64)> = snap
+        .iter()
+        .filter(|e| e.calls > 0 && e.est_cost > 0.0)
+        .map(|e| (e.est_cost, e.mean().as_secs_f64() * 1e3))
+        .collect();
+    let store = loglog_fit(&points);
     println!(
         "plan store: {} plans, log10(ms) = {:.3} * log10(cost) + {:.3}, log-log Pearson {:.3}",
-        store.points, store.slope, store.intercept, store.pearson
+        points.len(),
+        store.slope,
+        store.intercept,
+        store.pearson
     );
 
     let mut rep = Report::new("calibration");

@@ -13,20 +13,8 @@
 //! Run: `cargo run --release -p mlql-bench --bin table3_cost_scaling`
 
 use mlql_bench::report::Report;
-use mlql_bench::{load_names_table, mural_db, scale, timed};
+use mlql_bench::{load_names_table, loglog_fit, mural_db, scale, timed};
 use mlql_taxonomy::{generate, synsets_near_closure_sizes, GeneratorConfig};
-
-/// Fitted log-log slope of (x, seconds) points.
-fn loglog_slope(points: &[(f64, f64)]) -> f64 {
-    let n = points.len() as f64;
-    let xs: Vec<f64> = points.iter().map(|(x, _)| x.ln()).collect();
-    let ys: Vec<f64> = points.iter().map(|(_, y)| y.max(1e-9).ln()).collect();
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let num: f64 = xs.iter().zip(&ys).map(|(x, y)| (x - mx) * (y - my)).sum();
-    let den: f64 = xs.iter().map(|x| (x - mx).powi(2)).sum();
-    num / den
-}
 
 fn main() {
     println!("# Table 3: measured scaling vs cost-model shape");
@@ -44,7 +32,7 @@ fn main() {
         });
         points.push((n as f64, secs));
     }
-    let slope = loglog_slope(&points);
+    let slope = loglog_fit(&points).slope;
     println!("psi scan vs n: measured exponent {slope:.2} (model: 1.0 — O(n·k·l))");
 
     // ---- ψ scan vs k ----
@@ -60,7 +48,7 @@ fn main() {
         });
         k_times.push((k as f64, secs));
     }
-    let k_slope = loglog_slope(&k_times);
+    let k_slope = loglog_fit(&k_times).slope;
     println!("psi scan vs k: measured exponent {k_slope:.2} (model: ≤1.0 — banded DP, saturates at full matrix)");
 
     // ---- ψ join ∝ n_l · n_r ----
@@ -76,7 +64,7 @@ fn main() {
         });
         join_points.push((n as f64, secs));
     }
-    let join_slope = loglog_slope(&join_points);
+    let join_slope = loglog_fit(&join_points).slope;
     println!("psi join vs n (both sides): measured exponent {join_slope:.2} (model: 2.0 — O(n_l·n_r·k·l))");
 
     // ---- Ω closure ∝ closure size (pinned) ----
@@ -99,7 +87,7 @@ fn main() {
         });
         closure_points.push((actual as f64, secs / 20.0));
     }
-    let closure_slope = loglog_slope(&closure_points);
+    let closure_slope = loglog_fit(&closure_points).slope;
     println!("omega closure vs |closure|: measured exponent {closure_slope:.2} (model: 1.0 — BFS over closure)");
 
     println!();

@@ -26,28 +26,68 @@ pub fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (out, start.elapsed().as_secs_f64())
 }
 
+/// A least-squares line `y ≈ slope·x + intercept`.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct LineFit {
+    /// Fitted slope (0 when x has no spread).
+    pub slope: f64,
+    /// Fitted intercept.
+    pub intercept: f64,
+    /// Standard deviation of the residuals around the line.
+    pub residual_stddev: f64,
+    /// Pearson correlation (0 when either axis has no spread).
+    pub pearson: f64,
+}
+
+/// Ordinary least squares over `(x, y)` points; fewer than two points
+/// fit nothing (all zeros).
+fn line_fit(points: &[(f64, f64)]) -> LineFit {
+    if points.len() < 2 {
+        return LineFit::default();
+    }
+    let n = points.len() as f64;
+    let mx = points.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = points.iter().map(|p| p.1).sum::<f64>() / n;
+    let (mut sxy, mut sxx, mut syy) = (0.0, 0.0, 0.0);
+    for (x, y) in points {
+        sxy += (x - mx) * (y - my);
+        sxx += (x - mx) * (x - mx);
+        syy += (y - my) * (y - my);
+    }
+    let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
+    let intercept = my - slope * mx;
+    let rss: f64 = points
+        .iter()
+        .map(|(x, y)| (y - (slope * x + intercept)).powi(2))
+        .sum();
+    let pearson = if sxx > 0.0 && syy > 0.0 {
+        sxy / (sxx * syy).sqrt()
+    } else {
+        0.0
+    };
+    LineFit {
+        slope,
+        intercept,
+        residual_stddev: (rss / n).sqrt(),
+        pearson,
+    }
+}
+
+/// [`line_fit`] in log10–log10 space (both axes floored at 1e-9): the
+/// slope is the exponent of a power law `y ∝ x^slope`.
+pub fn loglog_fit(points: &[(f64, f64)]) -> LineFit {
+    let logs: Vec<(f64, f64)> = points
+        .iter()
+        .map(|&(x, y)| (x.max(1e-9).log10(), y.max(1e-9).log10()))
+        .collect();
+    line_fit(&logs)
+}
+
 /// Pearson correlation coefficient.
 pub fn pearson(xs: &[f64], ys: &[f64]) -> f64 {
     assert_eq!(xs.len(), ys.len());
-    let n = xs.len() as f64;
-    if n < 2.0 {
-        return 0.0;
-    }
-    let mx = xs.iter().sum::<f64>() / n;
-    let my = ys.iter().sum::<f64>() / n;
-    let mut num = 0.0;
-    let mut dx = 0.0;
-    let mut dy = 0.0;
-    for (x, y) in xs.iter().zip(ys) {
-        num += (x - mx) * (y - my);
-        dx += (x - mx).powi(2);
-        dy += (y - my).powi(2);
-    }
-    if dx == 0.0 || dy == 0.0 {
-        0.0
-    } else {
-        num / (dx * dy).sqrt()
-    }
+    let points: Vec<(f64, f64)> = xs.iter().copied().zip(ys.iter().copied()).collect();
+    line_fit(&points).pearson
 }
 
 /// Create a fresh in-memory database with the Mural extension installed.
@@ -231,6 +271,19 @@ mod tests {
     fn pearson_degenerate_cases() {
         assert_eq!(pearson(&[1.0], &[2.0]), 0.0);
         assert_eq!(pearson(&[1.0, 1.0], &[1.0, 2.0]), 0.0);
+    }
+
+    #[test]
+    fn loglog_fit_of_a_perfect_power_law() {
+        // ms = cost / 100 → slope 1.0 in log-log space.
+        let fit = loglog_fit(&[(100.0, 1.0), (1000.0, 10.0), (10000.0, 100.0)]);
+        assert!((fit.slope - 1.0).abs() < 1e-9, "{fit:?}");
+        assert!((fit.intercept + 2.0).abs() < 1e-9, "{fit:?}");
+        assert!(fit.residual_stddev < 1e-9, "{fit:?}");
+        assert!((fit.pearson - 1.0).abs() < 1e-9, "{fit:?}");
+        // Degenerate inputs do not fit.
+        assert_eq!(loglog_fit(&[(100.0, 1.0)]), LineFit::default());
+        assert_eq!(loglog_fit(&[]), LineFit::default());
     }
 
     #[test]

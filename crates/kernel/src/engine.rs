@@ -49,7 +49,8 @@
 use crate::catalog::{Catalog, ColumnStats, SessionVars, TableStats};
 use crate::error::{Error, Result};
 use crate::exec::{
-    build_instrumented, drain_to_vec, run_to_vec, scan_target, ExecCtx, ExecStats, HeapVersion,
+    build_executor, build_instrumented, drain_to_vec, scan_target, ExecCtx, ExecStats, HeapVersion,
+    Instrumentation,
 };
 use crate::expr::EvalCtx;
 use crate::obs::{self, QueryTrace, Stage, WaitClass, WaitProfile};
@@ -93,8 +94,7 @@ pub struct RunStats {
     pub est_rows: Option<f64>,
     /// Stage span tree (parse/bind/plan/execute) for queries.
     pub trace: Option<QueryTrace>,
-    /// Engine-wide statement id (0 for statements run outside
-    /// `Session::execute`, e.g. `query_ref`).
+    /// Engine-wide statement id.
     pub query_id: u64,
     /// FNV-1a digest of the executed physical plan (queries and
     /// UPDATE/DELETE victim scans, only while observability is enabled).
@@ -141,6 +141,34 @@ enum ExplainMode {
     Off,
     PlanOnly,
     Analyze,
+}
+
+/// One run of a SELECT plan ([`Session::run_plan`]).
+struct PlanRun {
+    rows: Vec<Row>,
+    /// Everything but the trace, which the caller owns.
+    stats: RunStats,
+    /// Per-node actuals and the instrumentation they came from
+    /// (`EXPLAIN ANALYZE` only).
+    analyzed: Option<(Vec<NodeActuals>, Instrumentation)>,
+}
+
+impl PlanRun {
+    /// The statement result of a plain (non-EXPLAIN) SELECT; `trace`
+    /// gains the `execute` span.
+    fn into_result(self, phys: &PhysNode, mut trace: QueryTrace) -> QueryResult {
+        trace.record("execute", self.stats.exec_time);
+        QueryResult {
+            schema: phys.schema.clone(),
+            rows: self.rows,
+            explain: Some(phys.explain()),
+            affected: 0,
+            stats: RunStats {
+                trace: Some(trace),
+                ..self.stats
+            },
+        }
+    }
 }
 
 // ------------------------------------------------------------- plan cache
@@ -323,7 +351,6 @@ impl Engine {
     /// Open a new session against this engine.  `vars` seeds the session's
     /// variables (see [`Session::connect`]).
     fn connect_with_vars(self: &Arc<Self>, vars: SessionVars) -> Session {
-        obs::metrics().sessions_opened_total.inc();
         let session_id = self.next_session_id.fetch_add(1, Ordering::Relaxed);
         let slot = Arc::new(obs::ActivitySlot::new(self.engine_id, session_id));
         obs::activity::register(&slot);
@@ -494,18 +521,14 @@ impl Engine {
         let catalog = self.catalog.write();
         self.vacuum_in(&catalog)?;
         self.txns.clear_aborted();
-        let flushed = self.pool.flush_all()?;
+        self.pool.flush_all()?;
         let lsn = d.wal.sync_now()?;
         let snap = Snapshot::capture(&catalog, lsn)?;
         snapshot::write_checkpoint(root, &snap)?;
         // The pointer is durable: every record ≤ lsn is covered by the
         // snapshot and the log can be emptied.  (A crash right here leaves
         // the old log in place; recovery skips records ≤ the snapshot LSN.)
-        d.wal.truncate()?;
-        let m = obs::metrics();
-        m.checkpoints_total.inc();
-        m.checkpoint_pages_flushed_total.add(flushed);
-        Ok(())
+        d.wal.truncate()
     }
 
     /// Checkpoint vacuum: physically delete heap versions invisible to a
@@ -647,8 +670,7 @@ impl Session {
     }
 
     /// Advance this statement's activity stage — but only when a tracked
-    /// statement is installed on this thread (`query_ref` runs without a
-    /// slot because one session object may serve many threads at once).
+    /// statement is installed on this thread (observability enabled).
     fn set_stage(&self, stage: Stage) {
         if let Some(ctx) = obs::current() {
             if let Some(slot) = &ctx.slot {
@@ -662,8 +684,10 @@ impl Session {
     /// Wraps [`Session::execute_tracked`] with the query lifecycle: a
     /// fresh query id, the activity-slot begin/finish, a [`QueryContext`]
     /// installed on this thread (and propagated into scan workers and
-    /// the WAL rendezvous) so waits land on this statement, and — when
-    /// the statement meets `SET slow_query_ms` — a flight-recorder entry.
+    /// the WAL rendezvous) so waits land on this statement, the
+    /// statement count and latency (every call, failed ones included)
+    /// and — when the statement meets `SET slow_query_ms` — a
+    /// flight-recorder entry.
     ///
     /// [`QueryContext`]: obs::QueryContext
     pub fn execute(&mut self, sql_text: &str) -> Result<QueryResult> {
@@ -684,6 +708,10 @@ impl Session {
         let io_before = self.engine.pool.stats();
         let start = Instant::now();
         let result = self.execute_tracked(sql_text);
+        let elapsed = start.elapsed();
+        let metrics = obs::metrics();
+        metrics.queries_total.inc();
+        metrics.query_latency_seconds.observe_duration(elapsed);
         if tracking {
             self.slot.finish();
         }
@@ -694,14 +722,7 @@ impl Session {
             t.set_query_id(query_id);
         }
         if tracking {
-            self.record_flight(
-                query_id,
-                sql_text,
-                &result,
-                start.elapsed(),
-                &qctx,
-                &io_before,
-            );
+            self.record_flight(query_id, sql_text, &result, elapsed, &qctx, &io_before);
         }
         Ok(result)
     }
@@ -775,10 +796,9 @@ impl Session {
                     let per_loop = a.rows as f64 / a.loops.max(1) as f64;
                     let q = obs::planstore::q_error(node.est_rows, per_loop);
                     worst = worst.max(q);
-                    if let Some((table, class)) = node.leaf_scan_class() {
+                    if let Some(table) = node.leaf_scan_table() {
                         scans.push(obs::planstore::ScanObservation {
-                            table,
-                            class,
+                            table: table.to_string(),
                             qerror: q,
                         });
                     }
@@ -788,10 +808,9 @@ impl Session {
             None => {
                 let scans = phys
                     .scan_attribution()
-                    .map(|(table, class)| {
+                    .map(|table| {
                         vec![obs::planstore::ScanObservation {
-                            table,
-                            class,
+                            table: table.to_string(),
                             qerror: obs::planstore::q_error(phys.est_rows, actual_rows as f64),
                         }]
                     })
@@ -813,42 +832,23 @@ impl Session {
         });
     }
 
-    /// Statement pipeline behind [`Session::execute`] (plan-cache fast
-    /// path, parse, dispatch), with the per-statement metrics.
+    /// Statement pipeline behind [`Session::execute`]: plan-cache fast
+    /// path, parse, dispatch.
     fn execute_tracked(&mut self, sql_text: &str) -> Result<QueryResult> {
-        let metrics = obs::metrics();
-        let total_start = Instant::now();
         // Plan-cache fast path: a hit skips parse/bind/plan entirely.  A
         // failed transaction must not take it — the gate that rejects
         // statements until COMMIT/ROLLBACK lives in `dispatch`, and a
         // cached SELECT would otherwise happily read the dead snapshot.
         let in_failed_txn = self.txn.as_ref().is_some_and(|t| t.failed);
         if !in_failed_txn {
-            if let Some(mut result) = self.run_cached_select(sql_text)? {
-                metrics.queries_total.inc();
-                metrics.query_rows_total.add(result.rows.len() as u64);
-                metrics
-                    .query_latency_seconds
-                    .observe_duration(total_start.elapsed());
-                let mut t = QueryTrace::new();
-                t.record("execute", result.stats.exec_time);
-                result.stats.trace = Some(t);
+            if let Some(result) = self.run_cached_select(sql_text)? {
                 return Ok(result);
             }
         }
         let parse_start = Instant::now();
         let stmt = sql::parse(sql_text)?;
         let parse_time = parse_start.elapsed();
-        metrics
-            .stage_parse_ns_total
-            .add(parse_time.as_nanos() as u64);
-        let result = self.dispatch(stmt, sql_text);
-        metrics.queries_total.inc();
-        let mut result = result?;
-        metrics.query_rows_total.add(result.rows.len() as u64);
-        metrics
-            .query_latency_seconds
-            .observe_duration(total_start.elapsed());
+        let mut result = self.dispatch(stmt, sql_text)?;
         match result.stats.trace.as_mut() {
             Some(t) => t.prepend("parse", parse_time),
             None => {
@@ -863,59 +863,6 @@ impl Session {
     /// Convenience: execute and return rows.
     pub fn query(&mut self, sql_text: &str) -> Result<Vec<Row>> {
         Ok(self.execute(sql_text)?.rows)
-    }
-
-    /// Read-only query through a shared reference: safe to call while the
-    /// same session object is shared immutably across threads.  Only
-    /// `SELECT` is accepted; uses (and fills) the plan cache.
-    pub fn query_ref(&self, sql_text: &str) -> Result<Vec<Row>> {
-        if self.txn.as_ref().is_some_and(|t| t.failed) {
-            return Err(Error::Execution(
-                "current transaction is aborted, commands ignored until \
-                 COMMIT or ROLLBACK"
-                    .into(),
-            ));
-        }
-        let metrics = obs::metrics();
-        let start = Instant::now();
-        if let Some(result) = self.run_cached_select(sql_text)? {
-            metrics.queries_total.inc();
-            metrics.query_rows_total.add(result.rows.len() as u64);
-            metrics
-                .query_latency_seconds
-                .observe_duration(start.elapsed());
-            return Ok(result.rows);
-        }
-        let stmt = sql::parse(sql_text)?;
-        let sel = match stmt {
-            Statement::Select(s) => s,
-            _ => return Err(Error::Binder("query_ref only accepts SELECT".into())),
-        };
-        let catalog = self.engine.catalog();
-        let epoch = self.engine.schema_epoch();
-        let logical = sql::bind(&sel, &catalog)?;
-        let phys = Arc::new(opt::plan(
-            &logical,
-            &catalog,
-            &self.engine.pool,
-            &self.vars,
-        )?);
-        self.cache_plan(sql_text, Arc::clone(&phys), epoch);
-        let stats = ExecStats::default();
-        let ctx = ExecCtx {
-            catalog: &catalog,
-            pool: &self.engine.pool,
-            session: &self.vars,
-            stats: &stats,
-            vis: self.statement_visibility(),
-        };
-        let rows = run_to_vec(&phys, &ctx)?;
-        metrics.queries_total.inc();
-        metrics.query_rows_total.add(rows.len() as u64);
-        metrics
-            .query_latency_seconds
-            .observe_duration(start.elapsed());
-        Ok(rows)
     }
 
     /// Plan a SELECT without executing it (benches compare predicted cost
@@ -1548,43 +1495,8 @@ impl Session {
             return Ok(None);
         };
         metrics.plan_cache_hits_total.inc();
-        self.set_stage(Stage::Execute);
-        let stats = ExecStats::default();
-        let io_before = self.engine.pool.stats();
-        let start = Instant::now();
-        let ctx = ExecCtx {
-            catalog: &catalog,
-            pool: &self.engine.pool,
-            session: &self.vars,
-            stats: &stats,
-            vis: self.statement_visibility(),
-        };
-        let rows = run_to_vec(&plan, &ctx)?;
-        let exec_time = start.elapsed();
-        metrics
-            .stage_execute_ns_total
-            .add(exec_time.as_nanos() as u64);
-        let io = self.engine.pool.stats().since(&io_before);
-        let plan_digest = obs::enabled().then(|| plan.digest());
-        self.record_plan_observation(&plan, plan_digest, rows.len() as u64, exec_time, None);
-        Ok(Some(QueryResult {
-            schema: plan.schema.clone(),
-            rows,
-            explain: Some(plan.explain()),
-            affected: 0,
-            stats: RunStats {
-                io,
-                index_node_visits: stats.index_node_visits.get(),
-                ext_op_calls: stats.ext_op_calls.get(),
-                batches: stats.batches_out.get(),
-                exec_time,
-                est_cost: Some(plan.est_cost),
-                est_rows: Some(plan.est_rows),
-                trace: None,
-                plan_digest,
-                ..RunStats::default()
-            },
-        }))
+        let run = self.run_plan(&catalog, &plan, false)?;
+        Ok(Some(run.into_result(&plan, QueryTrace::new())))
     }
 
     fn cache_plan(&self, sql_text: &str, plan: Arc<PhysNode>, epoch: u64) {
@@ -1602,7 +1514,6 @@ impl Session {
         mode: ExplainMode,
         cache_sql: Option<&str>,
     ) -> Result<QueryResult> {
-        let metrics = obs::metrics();
         let mut trace = QueryTrace::new();
         // Epoch is read under the caller's catalog guard, *before*
         // planning: if a DDL bumps it after we release, the entry we
@@ -1611,16 +1522,11 @@ impl Session {
         self.set_stage(Stage::Bind);
         let bind_start = Instant::now();
         let logical = sql::bind(sel, catalog)?;
-        let bind_time = bind_start.elapsed();
-        trace.record("bind", bind_time);
-        metrics.stage_bind_ns_total.add(bind_time.as_nanos() as u64);
+        trace.record("bind", bind_start.elapsed());
         self.set_stage(Stage::Plan);
         let plan_start = Instant::now();
         let phys = Arc::new(opt::plan(&logical, catalog, &self.engine.pool, &self.vars)?);
-        let plan_time = plan_start.elapsed();
-        trace.record("plan", plan_time);
-        metrics.stage_plan_ns_total.add(plan_time.as_nanos() as u64);
-        let plan_digest = obs::enabled().then(|| phys.digest());
+        trace.record("plan", plan_start.elapsed());
         match mode {
             ExplainMode::PlanOnly => {
                 let text = phys.explain();
@@ -1630,135 +1536,30 @@ impl Session {
                     explain: Some(text),
                     stats: RunStats {
                         trace: Some(trace),
-                        plan_digest,
+                        plan_digest: obs::enabled().then(|| phys.digest()),
                         ..RunStats::default()
                     },
                     ..QueryResult::default()
                 });
             }
             ExplainMode::Analyze => {
-                // Execute through the instrumented tree, then annotate
-                // every plan node with its measured actuals — exactly how
-                // the Figure 6 experiment gathers its (predicted cost,
-                // actual runtime) pairs, now at per-operator granularity.
-                self.set_stage(Stage::Execute);
-                let stats = ExecStats::default();
-                let io_before = self.engine.pool.stats();
-                let start = Instant::now();
-                let ctx = ExecCtx {
-                    catalog,
-                    pool: &self.engine.pool,
-                    session: &self.vars,
-                    stats: &stats,
-                    vis: self.statement_visibility(),
-                };
-                let (mut exec, instr) = build_instrumented(&phys, &ctx)?;
-                let rows = drain_to_vec(exec.as_mut(), &ctx)?;
-                let elapsed = start.elapsed();
-                metrics
-                    .stage_execute_ns_total
-                    .add(elapsed.as_nanos() as u64);
-                let io = self.engine.pool.stats().since(&io_before);
-                let actuals: Vec<NodeActuals> = instr
-                    .per_node
-                    .iter()
-                    .map(|s| NodeActuals {
-                        rows: s.rows.get(),
-                        batches: s.batches.get(),
-                        loops: s.loops.get(),
-                        time: Duration::from_nanos(s.time_ns.get()),
-                        pages: s.logical_reads.get(),
-                        pages_read: s.physical_reads.get(),
-                        index_node_visits: s.index_node_visits.get(),
-                        ext_op_calls: s.ext_op_calls.get(),
-                    })
-                    .collect();
-                // The `execute` stage becomes a span *tree*: one child per
-                // plan operator (mirroring the plan pre-order, inclusive
-                // times) plus one subtree per parallel scan with a span per
-                // worker, so the trace reconciles with the printed actuals.
-                let mut exec_children = vec![phys.span_tree(&actuals)];
-                for (pi, p) in instr.parallel.iter().enumerate() {
-                    let worker_spans: Vec<obs::Span> = p
-                        .worker_busy_ns
-                        .iter()
-                        .enumerate()
-                        .map(|(i, busy)| {
-                            obs::Span::new(format!("worker {i}"), Duration::from_nanos(busy.get()))
-                        })
-                        .collect();
-                    let busy_total: u64 = p.worker_busy_ns.iter().map(|c| c.get()).sum();
-                    exec_children.push(obs::Span::with_children(
-                        format!("parallel scan {pi} (workers={})", p.workers),
-                        Duration::from_nanos(busy_total),
-                        worker_spans,
-                    ));
-                }
-                trace.record_span(obs::Span::with_children("execute", elapsed, exec_children));
-                self.record_plan_observation(
-                    &phys,
-                    plan_digest,
-                    rows.len() as u64,
-                    elapsed,
-                    Some(&actuals),
-                );
-                let mut text = phys.explain_with_actuals(&actuals, self.qerror_warn());
-                text.push_str(&format!(
-                    "Actual: rows={} batches={} time={:.3}ms logical_reads={} physical_reads={} index_node_visits={} ext_op_calls={}\n",
-                    rows.len(),
-                    stats.batches_out.get(),
-                    elapsed.as_secs_f64() * 1000.0,
-                    io.logical_reads,
-                    io.physical_reads,
-                    stats.index_node_visits.get(),
-                    stats.ext_op_calls.get(),
-                ));
-                // Per-worker actuals of each parallel scan ride along as
-                // trailer lines (keeping the one-entry-per-node pre-order
-                // of `explain_with_actuals` undisturbed).
-                for p in &instr.parallel {
-                    text.push_str(&format!(
-                        "Parallel: workers={} rounds={} morsels={} gather_wait={:.3}ms\n",
-                        p.workers,
-                        p.rounds.get(),
-                        p.morsels.get(),
-                        p.gather_wait_ns.get() as f64 / 1e6,
-                    ));
-                    for (i, (rows_c, busy_c)) in
-                        p.worker_rows.iter().zip(&p.worker_busy_ns).enumerate()
-                    {
-                        text.push_str(&format!(
-                            "  Worker {i}: rows={} time={:.3}ms\n",
-                            rows_c.get(),
-                            busy_c.get() as f64 / 1e6,
-                        ));
-                    }
-                }
-                text.push_str(&format!("Stages: {}\n", trace.render()));
-                return Ok(QueryResult {
-                    schema: Schema::new(vec![Column::new("query plan", DataType::Text)]),
-                    rows: text.lines().map(|l| vec![Datum::text(l)]).collect(),
-                    explain: Some(text),
-                    stats: RunStats {
-                        io,
-                        index_node_visits: stats.index_node_visits.get(),
-                        ext_op_calls: stats.ext_op_calls.get(),
-                        batches: stats.batches_out.get(),
-                        exec_time: elapsed,
-                        est_cost: Some(phys.est_cost),
-                        est_rows: Some(phys.est_rows),
-                        trace: Some(trace),
-                        plan_digest,
-                        ..RunStats::default()
-                    },
-                    ..QueryResult::default()
-                });
+                let run = self.run_plan(catalog, &phys, true)?;
+                return Ok(self.explain_analyze(&phys, run, trace));
             }
             ExplainMode::Off => {}
         }
         if let Some(sql_text) = cache_sql {
             self.cache_plan(sql_text, Arc::clone(&phys), epoch);
         }
+        let run = self.run_plan(catalog, &phys, false)?;
+        Ok(run.into_result(&phys, trace))
+    }
+
+    /// Run a SELECT plan under this statement's snapshot and deposit it
+    /// in the plan store: the one executor spine of the cached, planned
+    /// and `EXPLAIN ANALYZE` paths.  `analyze` builds the instrumented
+    /// tree and returns its per-node actuals.
+    fn run_plan(&self, catalog: &Catalog, phys: &PhysNode, analyze: bool) -> Result<PlanRun> {
         self.set_stage(Stage::Execute);
         let stats = ExecStats::default();
         let io_before = self.engine.pool.stats();
@@ -1770,19 +1571,26 @@ impl Session {
             stats: &stats,
             vis: self.statement_visibility(),
         };
-        let rows = run_to_vec(&phys, &ctx)?;
+        let (mut exec, instr) = if analyze {
+            let (exec, instr) = build_instrumented(phys, &ctx)?;
+            (exec, Some(instr))
+        } else {
+            (build_executor(phys, &ctx)?, None)
+        };
+        let rows = drain_to_vec(exec.as_mut(), &ctx)?;
         let exec_time = start.elapsed();
-        trace.record("execute", exec_time);
-        metrics
-            .stage_execute_ns_total
-            .add(exec_time.as_nanos() as u64);
         let io = self.engine.pool.stats().since(&io_before);
-        self.record_plan_observation(&phys, plan_digest, rows.len() as u64, exec_time, None);
-        Ok(QueryResult {
-            schema: phys.schema.clone(),
+        let analyzed = instr.map(|i| (i.actuals(), i));
+        let plan_digest = obs::enabled().then(|| phys.digest());
+        self.record_plan_observation(
+            phys,
+            plan_digest,
+            rows.len() as u64,
+            exec_time,
+            analyzed.as_ref().map(|(a, _)| a.as_slice()),
+        );
+        Ok(PlanRun {
             rows,
-            explain: Some(phys.explain()),
-            affected: 0,
             stats: RunStats {
                 io,
                 index_node_visits: stats.index_node_visits.get(),
@@ -1791,11 +1599,89 @@ impl Session {
                 exec_time,
                 est_cost: Some(phys.est_cost),
                 est_rows: Some(phys.est_rows),
-                trace: Some(trace),
                 plan_digest,
                 ..RunStats::default()
             },
+            analyzed,
         })
+    }
+
+    /// `EXPLAIN ANALYZE` output: every plan node annotated with its
+    /// measured actuals — exactly how the Figure 6 experiment gathers its
+    /// (predicted cost, actual runtime) pairs, at per-operator
+    /// granularity.
+    fn explain_analyze(&self, phys: &PhysNode, run: PlanRun, mut trace: QueryTrace) -> QueryResult {
+        let PlanRun {
+            rows,
+            mut stats,
+            analyzed,
+        } = run;
+        let (actuals, instr) = analyzed.expect("EXPLAIN ANALYZE runs the instrumented tree");
+        // The `execute` stage becomes a span *tree*: one child per plan
+        // operator (mirroring the plan pre-order, inclusive times) plus
+        // one subtree per parallel scan with a span per worker, so the
+        // trace reconciles with the printed actuals.
+        let mut exec_children = vec![phys.span_tree(&actuals)];
+        for (pi, p) in instr.parallel.iter().enumerate() {
+            let worker_spans: Vec<obs::Span> = p
+                .worker_busy_ns
+                .iter()
+                .enumerate()
+                .map(|(i, busy)| {
+                    obs::Span::new(format!("worker {i}"), Duration::from_nanos(busy.get()))
+                })
+                .collect();
+            let busy_total: u64 = p.worker_busy_ns.iter().map(|c| c.get()).sum();
+            exec_children.push(obs::Span::with_children(
+                format!("parallel scan {pi} (workers={})", p.workers),
+                Duration::from_nanos(busy_total),
+                worker_spans,
+            ));
+        }
+        trace.record_span(obs::Span::with_children(
+            "execute",
+            stats.exec_time,
+            exec_children,
+        ));
+        let mut text = phys.explain_with_actuals(&actuals, self.qerror_warn());
+        text.push_str(&format!(
+            "Actual: rows={} batches={} time={:.3}ms logical_reads={} physical_reads={} index_node_visits={} ext_op_calls={}\n",
+            rows.len(),
+            stats.batches,
+            stats.exec_time.as_secs_f64() * 1000.0,
+            stats.io.logical_reads,
+            stats.io.physical_reads,
+            stats.index_node_visits,
+            stats.ext_op_calls,
+        ));
+        // Per-worker actuals of each parallel scan ride along as trailer
+        // lines (keeping the one-entry-per-node pre-order of
+        // `explain_with_actuals` undisturbed).
+        for p in &instr.parallel {
+            text.push_str(&format!(
+                "Parallel: workers={} rounds={} morsels={} gather_wait={:.3}ms\n",
+                p.workers,
+                p.rounds.get(),
+                p.morsels.get(),
+                p.gather_wait_ns.get() as f64 / 1e6,
+            ));
+            for (i, (rows_c, busy_c)) in p.worker_rows.iter().zip(&p.worker_busy_ns).enumerate() {
+                text.push_str(&format!(
+                    "  Worker {i}: rows={} time={:.3}ms\n",
+                    rows_c.get(),
+                    busy_c.get() as f64 / 1e6,
+                ));
+            }
+        }
+        text.push_str(&format!("Stages: {}\n", trace.render()));
+        stats.trace = Some(trace);
+        QueryResult {
+            schema: Schema::new(vec![Column::new("query plan", DataType::Text)]),
+            rows: text.lines().map(|l| vec![Datum::text(l)]).collect(),
+            explain: Some(text),
+            stats,
+            ..QueryResult::default()
+        }
     }
 
     // --------------------------------------------------------------- DML
@@ -1912,7 +1798,6 @@ impl Session {
         sets: Option<&[(String, sql::AstExpr)]>,
         filter: Option<sql::AstExpr>,
     ) -> Result<QueryResult> {
-        let metrics = obs::metrics();
         let mut trace = QueryTrace::new();
         let _writer = self.engine.dml_lock.lock();
         let catalog = self.engine.catalog();
@@ -1930,9 +1815,7 @@ impl Session {
                 .ok_or_else(|| Error::Binder(format!("no column {col:?} in {table:?}")))?;
             bound_sets.push((idx, bind(e)?));
         }
-        let bind_time = bind_start.elapsed();
-        trace.record("bind", bind_time);
-        metrics.stage_bind_ns_total.add(bind_time.as_nanos() as u64);
+        trace.record("bind", bind_start.elapsed());
 
         self.set_stage(Stage::Plan);
         let plan_start = Instant::now();
@@ -1943,9 +1826,7 @@ impl Session {
             &self.engine.pool,
             &self.vars,
         )?;
-        let plan_time = plan_start.elapsed();
-        trace.record("plan", plan_time);
-        metrics.stage_plan_ns_total.add(plan_time.as_nanos() as u64);
+        trace.record("plan", plan_start.elapsed());
         let plan_digest = obs::enabled().then(|| plan.digest());
 
         self.set_stage(Stage::Execute);
@@ -1999,9 +1880,6 @@ impl Session {
         }
         let exec_time = start.elapsed();
         trace.record("execute", exec_time);
-        metrics
-            .stage_execute_ns_total
-            .add(exec_time.as_nanos() as u64);
         Ok(QueryResult {
             explain: Some(plan.explain()),
             affected,

@@ -13,7 +13,7 @@
 use crate::catalog::{Catalog, SessionVars, TableMeta};
 use crate::error::{Error, Result};
 use crate::expr::{EvalCtx, Expr};
-use crate::plan::{AggFunc, PhysNode, PhysOp};
+use crate::plan::{AggFunc, NodeActuals, PhysNode, PhysOp};
 use crate::schema::{Row, Schema};
 use crate::storage::{
     decode_row, split_version, BufferPool, HeapFile, TupleId, VERSION_HEADER_LEN,
@@ -23,7 +23,7 @@ use crate::value::Datum;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A relaxed atomic counter: the statistics cells are written from
 /// whichever thread runs the executor tree, so plans stay `Send` and many
@@ -124,6 +124,25 @@ pub struct Instrumentation {
     /// Per-worker actuals of each parallel scan in the tree, in the
     /// pre-order the scans appear in the plan.
     pub parallel: Vec<Arc<ParallelScanActuals>>,
+}
+
+impl Instrumentation {
+    /// Snapshot of every node's actuals, pre-order.
+    pub fn actuals(&self) -> Vec<NodeActuals> {
+        self.per_node
+            .iter()
+            .map(|s| NodeActuals {
+                rows: s.rows.get(),
+                batches: s.batches.get(),
+                loops: s.loops.get(),
+                time: Duration::from_nanos(s.time_ns.get()),
+                pages: s.logical_reads.get(),
+                pages_read: s.physical_reads.get(),
+                index_node_visits: s.index_node_visits.get(),
+                ext_op_calls: s.ext_op_calls.get(),
+            })
+            .collect()
+    }
 }
 
 /// Runtime actuals of one morsel-driven parallel scan, split per worker
@@ -1092,9 +1111,6 @@ fn probe_index(
     let search = guard.search(strategy, probe, extra)?;
     drop(guard);
     ctx.stats.index_node_visits.add(search.node_visits);
-    crate::obs::metrics()
-        .index_node_visits_total
-        .add(search.node_visits);
     Ok(search.tids)
 }
 

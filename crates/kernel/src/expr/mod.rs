@@ -150,32 +150,6 @@ impl Expr {
         }
     }
 
-    /// Does an extension operator named `name` (case-insensitive) appear
-    /// anywhere in this expression tree?  The plan store uses this to
-    /// attribute scan q-errors to the ψ/Ω operator class evaluating the
-    /// pushed-down predicate.
-    pub fn contains_ext_op(&self, name: &str) -> bool {
-        match self {
-            Expr::ColRef { .. } | Expr::Literal(_) => false,
-            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
-                left.contains_ext_op(name) || right.contains_ext_op(name)
-            }
-            Expr::ExtOp {
-                name: op,
-                left,
-                right,
-                ..
-            } => {
-                op.eq_ignore_ascii_case(name)
-                    || left.contains_ext_op(name)
-                    || right.contains_ext_op(name)
-            }
-            Expr::And(l, r) | Expr::Or(l, r) => l.contains_ext_op(name) || r.contains_ext_op(name),
-            Expr::Not(e) | Expr::IsNull(e) => e.contains_ext_op(name),
-            Expr::Func { args, .. } => args.iter().any(|a| a.contains_ext_op(name)),
-        }
-    }
-
     /// Column indexes referenced by this expression (sorted, deduplicated).
     pub fn columns(&self) -> Vec<usize> {
         let mut out = Vec::new();

@@ -21,10 +21,13 @@
 //!    plan node so EXPLAIN ANALYZE prints actual rows / loops / time /
 //!    pages per node (see `exec::OpStats`).
 //! 7. **Plan store** ([`planstore`]): per-plan-digest estimate-vs-actual
-//!    aggregates (calls, elapsed, q-error), the live est_cost→elapsed
-//!    calibration fit, and the stale-statistics advisor
-//!    (`SHOW PLAN STATS`, `SHOW ADVISORIES`, `mlql_plan_stats()`,
+//!    aggregates (calls, elapsed, q-error) and the stale-statistics
+//!    advisor (`SHOW PLAN STATS`, `SHOW ADVISORIES`, `mlql_plan_stats()`,
 //!    `mlql_advisories()`).
+//!
+//! Every exported signal has a named consumer; `docs/observability.md`
+//! §"Metric catalogue" lists them and `tests/obs_signals.rs` holds the
+//! list to the registry.
 //!
 //! The glue between layers is the [`QueryContext`]: one per running
 //! statement, installed in a thread-local on the session thread and on

@@ -10,13 +10,11 @@
 //! `max(est,act) / max(min(est,act), 1)` of the root (and, when the
 //! instrumented executor ran, of every node).
 //!
-//! Three consumers sit on top:
+//! Two consumers sit on top:
 //!
-//! * `SHOW PLAN STATS` / `mlql_plan_stats()` — per-digest aggregates
-//!   plus a cost-calibration summary (fitted log-log est_cost→elapsed
-//!   line and residual spread, Figure 6 recomputed over live traffic).
-//! * Per-operator-class q-error histograms (`mlql_qerror_seqscan`,
-//!   `_psi`, `_omega`, `_indexscan`) in the metrics registry.
+//! * `SHOW PLAN STATS` / `mlql_plan_stats()` — per-digest aggregates.
+//!   The `calibration` bench fits its est_cost→elapsed line over
+//!   [`snapshot`].
 //! * The stale-statistics advisor: when a table's scans exceed the
 //!   session's `qerror_warn` threshold over [`ADVISOR_WINDOW`]
 //!   consecutive executions, an advisory naming the table (and
@@ -59,28 +57,12 @@ pub fn q_error(est: f64, act: f64) -> f64 {
     (num / den).max(1.0)
 }
 
-/// Operator class a scan q-error is attributed to (one metrics
-/// histogram per class).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpClass {
-    /// Plain (or parallel) sequential scan.
-    SeqScan,
-    /// Scan evaluating a ψ (LexEQUAL) predicate.
-    Psi,
-    /// Scan evaluating an Ω (SemEQUAL) predicate.
-    Omega,
-    /// Index scan (B-tree or M-tree probe without ψ/Ω attribution).
-    IndexScan,
-}
-
 /// One scan node's estimate quality in one execution, attributed to the
 /// table it scanned.
 #[derive(Debug, Clone)]
 pub struct ScanObservation {
     /// Table the scan read.
     pub table: String,
-    /// Operator class (selects the q-error histogram).
-    pub class: OpClass,
     /// q-error of the scan's row estimate.
     pub qerror: f64,
 }
@@ -246,12 +228,6 @@ pub fn record(obs: Observation) {
     let m = super::registry::metrics();
     let mut tracks = tracker().lock();
     for scan in &obs.scans {
-        match scan.class {
-            OpClass::SeqScan => m.qerror_seqscan.observe(scan.qerror),
-            OpClass::Psi => m.qerror_psi.observe(scan.qerror),
-            OpClass::Omega => m.qerror_omega.observe(scan.qerror),
-            OpClass::IndexScan => m.qerror_indexscan.observe(scan.qerror),
-        }
         let t = tracks
             .entry((obs.engine_id, scan.table.clone()))
             .or_default();
@@ -321,78 +297,6 @@ pub fn clear_engine(engine_id: u64) {
     tracker().lock().retain(|(eid, _), _| *eid != engine_id);
 }
 
-// -------------------------------------------------------- calibration
-
-/// Least-squares fit of the optimizer cost model against measured
-/// runtimes, recomputed over the plan store — Figure 6 as a live gauge.
-/// Fit is in log10 space (`log10(mean_ms) ≈ slope·log10(est_cost) + b`)
-/// because both axes span orders of magnitude.
-#[derive(Debug, Clone, Default)]
-pub struct Calibration {
-    /// Plans that contributed a (cost, time) point.
-    pub points: usize,
-    /// Fitted slope (1.0 = cost units track runtime proportionally).
-    pub slope: f64,
-    /// Fitted intercept (log10 milliseconds at est_cost = 1).
-    pub intercept: f64,
-    /// Standard deviation of the fit residuals (log10 ms) — the spread
-    /// around the Figure 6 trend line.
-    pub residual_stddev: f64,
-    /// Log-log Pearson correlation (the paper reports "well over 0.9").
-    pub pearson: f64,
-}
-
-/// Fit the est_cost→elapsed calibration over `entries`.
-pub fn calibration(entries: &[PlanEntry]) -> Calibration {
-    let pts: Vec<(f64, f64)> = entries
-        .iter()
-        .filter(|e| e.calls > 0 && e.est_cost > 0.0)
-        .map(|e| {
-            let x = e.est_cost.max(1e-9).log10();
-            let y = (e.mean().as_secs_f64() * 1e3).max(1e-6).log10();
-            (x, y)
-        })
-        .collect();
-    let n = pts.len();
-    if n < 2 {
-        return Calibration {
-            points: n,
-            ..Calibration::default()
-        };
-    }
-    let nf = n as f64;
-    let mx = pts.iter().map(|p| p.0).sum::<f64>() / nf;
-    let my = pts.iter().map(|p| p.1).sum::<f64>() / nf;
-    let mut sxy = 0.0;
-    let mut sxx = 0.0;
-    let mut syy = 0.0;
-    for (x, y) in &pts {
-        sxy += (x - mx) * (y - my);
-        sxx += (x - mx) * (x - mx);
-        syy += (y - my) * (y - my);
-    }
-    let slope = if sxx > 0.0 { sxy / sxx } else { 0.0 };
-    let intercept = my - slope * mx;
-    let mut rss = 0.0;
-    for (x, y) in &pts {
-        let r = y - (slope * x + intercept);
-        rss += r * r;
-    }
-    let residual_stddev = (rss / nf).sqrt();
-    let pearson = if sxx > 0.0 && syy > 0.0 {
-        sxy / (sxx * syy).sqrt()
-    } else {
-        0.0
-    };
-    Calibration {
-        points: n,
-        slope,
-        intercept,
-        residual_stddev,
-        pearson,
-    }
-}
-
 // ---------------------------------------------------------- rendering
 
 fn push_num(out: &mut String, v: f64) {
@@ -403,11 +307,10 @@ fn push_num(out: &mut String, v: f64) {
     }
 }
 
-/// JSON object: `{"plans":[...],"calibration":{...}}`, optionally
-/// filtered to one engine (`mlql_plan_stats()` passes `None`).
+/// JSON object: `{"plans":[...]}`, optionally filtered to one engine
+/// (`mlql_plan_stats()` passes `None`).
 pub fn render_json(engine_id: Option<u64>) -> String {
     let entries = snapshot(engine_id);
-    let cal = calibration(&entries);
     let mut out = String::from("{\"plans\":[");
     for (i, e) in entries.iter().enumerate() {
         if i > 0 {
@@ -441,17 +344,7 @@ pub fn render_json(engine_id: Option<u64>) -> String {
         }
         out.push('}');
     }
-    out.push_str("],\"calibration\":{");
-    out.push_str(&format!("\"points\":{},", cal.points));
-    out.push_str("\"slope\":");
-    push_num(&mut out, cal.slope);
-    out.push_str(",\"intercept\":");
-    push_num(&mut out, cal.intercept);
-    out.push_str(",\"residual_stddev\":");
-    push_num(&mut out, cal.residual_stddev);
-    out.push_str(",\"loglog_pearson\":");
-    push_num(&mut out, cal.pearson);
-    out.push_str("}}");
+    out.push_str("]}");
     out
 }
 
@@ -557,7 +450,6 @@ mod tests {
             qerror_warn: 4.0,
             scans: vec![ScanObservation {
                 table: "names".into(),
-                class: OpClass::SeqScan,
                 qerror: q,
             }],
             ..ob(eng, 0xd3, 1.0, 1, 1)
@@ -625,37 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_fits_a_perfect_line() {
-        // mean_ms = est_cost / 100 → slope 1.0 in log-log space.
-        let entries: Vec<PlanEntry> = [(100.0, 1u64), (1000.0, 10), (10000.0, 100)]
-            .iter()
-            .map(|&(cost, ms)| PlanEntry {
-                engine_id: ENG + 3,
-                digest: ms,
-                root: "Aggregate".into(),
-                calls: 1,
-                total: Duration::from_millis(ms),
-                max: Duration::from_millis(ms),
-                est_rows: 1.0,
-                est_cost: cost,
-                last_actual_rows: 1,
-                qerror_last: 1.0,
-                qerror_max: 1.0,
-                node_qerror_max: None,
-                last_seq: 0,
-            })
-            .collect();
-        let cal = calibration(&entries);
-        assert_eq!(cal.points, 3);
-        assert!((cal.slope - 1.0).abs() < 1e-9, "{cal:?}");
-        assert!(cal.residual_stddev < 1e-9, "{cal:?}");
-        assert!((cal.pearson - 1.0).abs() < 1e-9, "{cal:?}");
-        // Degenerate inputs do not fit.
-        assert_eq!(calibration(&entries[..1]).points, 1);
-        assert_eq!(calibration(&[]).points, 0);
-    }
-
-    #[test]
     fn json_surfaces_render() {
         let _guard = test_lock();
         let eng = ENG + 4;
@@ -669,7 +530,6 @@ mod tests {
         );
         assert!(json.contains("\"calls\":1"), "{json}");
         assert!(json.contains("\"qerror_last\":10"), "{json}");
-        assert!(json.contains("\"calibration\":{"), "{json}");
         assert!(json.contains("\"node_qerror_max\":null"), "{json}");
         let adv = render_advisories_json(Some(eng));
         assert_eq!(adv, "[]");

@@ -421,102 +421,52 @@ pub fn global() -> &'static Registry {
 
 /// Handles onto every engine metric, registered once per process.
 pub struct EngineMetrics {
-    /// Queries executed through `Session::execute`.
+    /// Statements executed through `Session::execute`, failed ones
+    /// included.
     pub queries_total: Arc<Counter>,
-    /// End-to-end statement latency (seconds).
+    /// End-to-end statement latency (seconds), failed statements
+    /// included.
     pub query_latency_seconds: Arc<Histogram>,
-    /// Rows returned by query roots.
-    pub query_rows_total: Arc<Counter>,
-    /// Nanoseconds spent in the parse stage.
-    pub stage_parse_ns_total: Arc<Counter>,
-    /// Nanoseconds spent in the bind stage.
-    pub stage_bind_ns_total: Arc<Counter>,
-    /// Nanoseconds spent in the plan stage.
-    pub stage_plan_ns_total: Arc<Counter>,
-    /// Nanoseconds spent in the execute stage.
-    pub stage_execute_ns_total: Arc<Counter>,
     /// Buffer-pool page requests (hit or miss).
     pub bufferpool_logical_reads_total: Arc<Counter>,
     /// Buffer-pool misses fetched from the backend.
     pub bufferpool_physical_reads_total: Arc<Counter>,
-    /// Dirty pages written back.
-    pub bufferpool_physical_writes_total: Arc<Counter>,
     /// WAL records appended.
     pub wal_records_total: Arc<Counter>,
     /// WAL bytes appended.
     pub wal_bytes_total: Arc<Counter>,
     /// `sync_data` calls issued against the WAL file.
     pub wal_fsyncs_total: Arc<Counter>,
-    /// Records made durable per group-commit fsync (batch size).
-    pub wal_group_commit_batch: Arc<Histogram>,
-    /// Checkpoints completed.
-    pub checkpoints_total: Arc<Counter>,
-    /// Dirty pages flushed by checkpoints.
-    pub checkpoint_pages_flushed_total: Arc<Counter>,
     /// WAL records re-applied during recovery.
     pub recovery_replayed_records_total: Arc<Counter>,
     /// Recoveries that restored from a checkpoint snapshot (vs. full replay).
     pub recovery_snapshot_restores_total: Arc<Counter>,
-    /// Index nodes visited by index scans.
-    pub index_node_visits_total: Arc<Counter>,
     /// Extension-operator (ψ/Ω) evaluations.
     pub ext_op_calls_total: Arc<Counter>,
     /// ψ edit-distance computations (DP evaluations).
     pub psi_distance_calls_total: Arc<Counter>,
-    /// Grapheme→phoneme conversions performed.
-    pub phoneme_conversions_total: Arc<Counter>,
-    /// Nanoseconds spent converting graphemes to phonemes.
-    pub phoneme_conversion_ns_total: Arc<Counter>,
-    /// M-Tree nodes visited by probes.
-    pub mtree_node_visits_total: Arc<Counter>,
     /// M-Tree metric-distance computations.
     pub mtree_distance_computations_total: Arc<Counter>,
     /// Taxonomy closure-cache hits (Ω memoization, §4.3).
     pub taxonomy_closure_cache_hits_total: Arc<Counter>,
-    /// Taxonomy closure-cache misses.
-    pub taxonomy_closure_cache_misses_total: Arc<Counter>,
     /// Ω probes decided by the interval index alone (no closure, no lock).
     pub omega_interval_hits_total: Arc<Counter>,
     /// Ω probes the interval index deferred to the closure-cache path.
     pub omega_interval_fallbacks_total: Arc<Counter>,
-    /// Interval-index rebuilds triggered by taxonomy mutations.
-    pub omega_interval_rebuilds_total: Arc<Counter>,
-    /// PL function-manager crossings.
-    pub pl_udf_calls_total: Arc<Counter>,
-    /// PL SPI statements executed.
-    pub pl_spi_statements_total: Arc<Counter>,
-    /// PL rows fetched through SPI cursors.
-    pub pl_rows_fetched_total: Arc<Counter>,
     /// Plan-cache lookups that reused a cached physical plan.
     pub plan_cache_hits_total: Arc<Counter>,
     /// Plan-cache lookups that fell through to the planner.
     pub plan_cache_misses_total: Arc<Counter>,
     /// Plan-cache flushes caused by DDL / ANALYZE epoch bumps.
     pub plan_cache_invalidations_total: Arc<Counter>,
-    /// Sessions opened against an engine.
-    pub sessions_opened_total: Arc<Counter>,
     /// Morsels (page ranges) claimed by parallel-scan workers.
     pub parallel_morsels_dispatched_total: Arc<Counter>,
     /// Nanoseconds parallel-scan workers spent executing morsels.
     pub parallel_worker_busy_ns_total: Arc<Counter>,
     /// Nanoseconds query threads spent joining parallel-scan workers.
     pub parallel_gather_wait_ns_total: Arc<Counter>,
-    /// q-error of sequential-scan row estimates (plan store feedback).
-    pub qerror_seqscan: Arc<Histogram>,
-    /// q-error of ψ (LexEQUAL) scan row estimates.
-    pub qerror_psi: Arc<Histogram>,
-    /// q-error of Ω (SemEQUAL) scan row estimates.
-    pub qerror_omega: Arc<Histogram>,
-    /// q-error of index-scan row estimates.
-    pub qerror_indexscan: Arc<Histogram>,
     /// Stale-statistics advisories raised (edge-triggered per table).
     pub stats_advisories_total: Arc<Counter>,
-    /// Transactions begun (explicit BEGIN and autocommit wrappers).
-    pub txn_begins_total: Arc<Counter>,
-    /// Transactions committed.
-    pub txn_commits_total: Arc<Counter>,
-    /// Transactions aborted (ROLLBACK, statement failure, or conflict).
-    pub txn_aborts_total: Arc<Counter>,
     /// Write-write conflicts detected (first-updater-wins losers).
     pub txn_conflicts_total: Arc<Counter>,
 }
@@ -535,9 +485,6 @@ pub fn metrics() -> &'static EngineMetrics {
             50e-6, 100e-6, 250e-6, 500e-6, 1e-3, 2.5e-3, 5e-3, 10e-3, 25e-3, 50e-3, 100e-3, 250e-3,
             500e-3, 1.0, 2.5, 5.0, 10.0,
         ];
-        // q-error is ≥ 1 by construction; powers of two up to "three
-        // orders of magnitude off" cover everything worth bucketing.
-        const QERROR_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 64.0, 256.0, 1024.0];
         let m = EngineMetrics {
             queries_total: r.counter("mlql_queries_total", "Statements executed"),
             query_latency_seconds: r.histogram(
@@ -545,36 +492,15 @@ pub fn metrics() -> &'static EngineMetrics {
                 "End-to-end statement latency",
                 &latency_bounds,
             ),
-            query_rows_total: r.counter("mlql_query_rows_total", "Rows produced by query roots"),
-            stage_parse_ns_total: r
-                .counter("mlql_stage_parse_ns_total", "Time in parse stage (ns)"),
-            stage_bind_ns_total: r.counter("mlql_stage_bind_ns_total", "Time in bind stage (ns)"),
-            stage_plan_ns_total: r.counter("mlql_stage_plan_ns_total", "Time in plan stage (ns)"),
-            stage_execute_ns_total: r
-                .counter("mlql_stage_execute_ns_total", "Time in execute stage (ns)"),
             bufferpool_logical_reads_total: r.counter(
                 "mlql_bufferpool_logical_reads_total",
                 "Buffer-pool page requests",
             ),
             bufferpool_physical_reads_total: r
                 .counter("mlql_bufferpool_physical_reads_total", "Buffer-pool misses"),
-            bufferpool_physical_writes_total: r.counter(
-                "mlql_bufferpool_physical_writes_total",
-                "Dirty page writebacks",
-            ),
             wal_records_total: r.counter("mlql_wal_records_total", "WAL records appended"),
             wal_bytes_total: r.counter("mlql_wal_bytes_total", "WAL bytes appended"),
             wal_fsyncs_total: r.counter("mlql_wal_fsyncs_total", "WAL sync_data calls"),
-            wal_group_commit_batch: r.histogram(
-                "mlql_wal_group_commit_batch",
-                "Records made durable per group-commit fsync",
-                &[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
-            ),
-            checkpoints_total: r.counter("mlql_checkpoints_total", "Checkpoints completed"),
-            checkpoint_pages_flushed_total: r.counter(
-                "mlql_checkpoint_pages_flushed_total",
-                "Dirty pages flushed by checkpoints",
-            ),
             recovery_replayed_records_total: r.counter(
                 "mlql_recovery_replayed_records_total",
                 "WAL records re-applied during recovery",
@@ -583,24 +509,12 @@ pub fn metrics() -> &'static EngineMetrics {
                 "mlql_recovery_snapshot_restores_total",
                 "Recoveries restored from a checkpoint snapshot",
             ),
-            index_node_visits_total: r
-                .counter("mlql_index_node_visits_total", "Index nodes visited"),
             ext_op_calls_total: r
                 .counter("mlql_ext_op_calls_total", "Extension-operator evaluations"),
             psi_distance_calls_total: r.counter(
                 "mlql_psi_distance_calls_total",
                 "Psi edit-distance computations",
             ),
-            phoneme_conversions_total: r.counter(
-                "mlql_phoneme_conversions_total",
-                "Grapheme-to-phoneme conversions",
-            ),
-            phoneme_conversion_ns_total: r.counter(
-                "mlql_phoneme_conversion_ns_total",
-                "Time converting phonemes (ns)",
-            ),
-            mtree_node_visits_total: r
-                .counter("mlql_mtree_node_visits_total", "M-Tree nodes visited"),
             mtree_distance_computations_total: r.counter(
                 "mlql_mtree_distance_computations_total",
                 "M-Tree metric-distance computations",
@@ -617,29 +531,11 @@ pub fn metrics() -> &'static EngineMetrics {
                 "mlql_omega_interval_fallbacks_total",
                 "Omega probes deferred from intervals to the closure cache",
             ),
-            omega_interval_rebuilds_total: r.counter(
-                "mlql_omega_interval_rebuilds_total",
-                "Interval-index rebuilds after taxonomy mutations",
-            ),
-            taxonomy_closure_cache_misses_total: r.counter(
-                "mlql_taxonomy_closure_cache_misses_total",
-                "Omega closure-cache misses",
-            ),
-            pl_udf_calls_total: r
-                .counter("mlql_pl_udf_calls_total", "PL function-manager crossings"),
-            pl_spi_statements_total: r
-                .counter("mlql_pl_spi_statements_total", "PL SPI statements executed"),
-            pl_rows_fetched_total: r
-                .counter("mlql_pl_rows_fetched_total", "PL rows fetched through SPI"),
             plan_cache_hits_total: r.counter("mlql_plan_cache_hits_total", "Plan-cache hits"),
             plan_cache_misses_total: r.counter("mlql_plan_cache_misses_total", "Plan-cache misses"),
             plan_cache_invalidations_total: r.counter(
                 "mlql_plan_cache_invalidations_total",
                 "Plan-cache flushes from DDL/ANALYZE",
-            ),
-            sessions_opened_total: r.counter(
-                "mlql_sessions_opened_total",
-                "Sessions opened against an engine",
             ),
             parallel_morsels_dispatched_total: r.counter(
                 "mlql_parallel_morsels_dispatched_total",
@@ -653,33 +549,10 @@ pub fn metrics() -> &'static EngineMetrics {
                 "mlql_parallel_gather_wait_ns_total",
                 "Gather-node wait on worker batches (ns)",
             ),
-            qerror_seqscan: r.histogram(
-                "mlql_qerror_seqscan",
-                "q-error of seq-scan row estimates",
-                &QERROR_BOUNDS,
-            ),
-            qerror_psi: r.histogram(
-                "mlql_qerror_psi",
-                "q-error of psi (LexEQUAL) scan row estimates",
-                &QERROR_BOUNDS,
-            ),
-            qerror_omega: r.histogram(
-                "mlql_qerror_omega",
-                "q-error of omega (SemEQUAL) scan row estimates",
-                &QERROR_BOUNDS,
-            ),
-            qerror_indexscan: r.histogram(
-                "mlql_qerror_indexscan",
-                "q-error of index-scan row estimates",
-                &QERROR_BOUNDS,
-            ),
             stats_advisories_total: r.counter(
                 "mlql_stats_advisories_total",
                 "Stale-statistics advisories raised",
             ),
-            txn_begins_total: r.counter("mlql_txn_begins_total", "Transactions begun"),
-            txn_commits_total: r.counter("mlql_txn_commits_total", "Transactions committed"),
-            txn_aborts_total: r.counter("mlql_txn_aborts_total", "Transactions aborted"),
             txn_conflicts_total: r.counter(
                 "mlql_txn_conflicts_total",
                 "Write-write conflicts (first-updater-wins losers)",

@@ -191,7 +191,6 @@ impl<'a> PlRuntime<'a> {
     /// execution context would.
     fn fmgr_roundtrip(&mut self, vals: &[Datum]) -> Result<Vec<Datum>> {
         self.stats.udf_calls += 1;
-        crate::obs::metrics().pl_udf_calls_total.inc();
         let bytes = encode_row(&vals.to_vec());
         decode_row(&bytes, vals.len())
     }
@@ -235,7 +234,6 @@ impl<'a> PlRuntime<'a> {
                         other => return Err(Error::Pl(format!("EXECUTE needs text, got {other}"))),
                     };
                     self.stats.spi_statements += 1;
-                    crate::obs::metrics().pl_spi_statements_total.inc();
                     let result = self.session.execute(&sql_text)?;
                     let names: Vec<String> = result
                         .schema
@@ -245,7 +243,6 @@ impl<'a> PlRuntime<'a> {
                         .collect();
                     for row in result.rows {
                         self.stats.rows_fetched += 1;
-                        crate::obs::metrics().pl_rows_fetched_total.inc();
                         // Row values cross the fmgr boundary into PL space.
                         let row = self.fmgr_roundtrip(&row)?;
                         env.insert(
@@ -271,7 +268,6 @@ impl<'a> PlRuntime<'a> {
                         other => return Err(Error::Pl(format!("PERFORM needs text, got {other}"))),
                     };
                     self.stats.spi_statements += 1;
-                    crate::obs::metrics().pl_spi_statements_total.inc();
                     self.session.execute(&sql_text)?;
                 }
                 PlStmt::ListNew(name) => {

@@ -400,40 +400,12 @@ impl PhysNode {
         }
     }
 
-    /// If this node is a scan, the `(table, operator-class)` its row
-    /// estimate should be attributed to: ψ/Ω when the pushed predicate
-    /// (or index strategy) evaluates LexEQUAL/SemEQUAL, otherwise the
-    /// plain scan class.
-    pub fn leaf_scan_class(&self) -> Option<(String, crate::obs::planstore::OpClass)> {
-        use crate::obs::planstore::OpClass;
+    /// The table this node scans, if it is a scan.
+    pub fn leaf_scan_table(&self) -> Option<&str> {
         match &self.op {
-            PhysOp::SeqScan { table, filter, .. }
-            | PhysOp::ParallelSeqScan { table, filter, .. } => {
-                let class = match filter {
-                    Some(f) if f.contains_ext_op("lexequal") => OpClass::Psi,
-                    Some(f) if f.contains_ext_op("semequal") => OpClass::Omega,
-                    _ => OpClass::SeqScan,
-                };
-                Some((table.clone(), class))
-            }
-            PhysOp::IndexScan {
-                table,
-                strategy,
-                residual,
-                ..
-            } => {
-                let has = |name: &str| residual.as_ref().is_some_and(|r| r.contains_ext_op(name));
-                // The M-Tree `within` strategy is the ψ proximity probe
-                // (LexEQUAL's registered access path).
-                let class = if strategy.eq_ignore_ascii_case("within") || has("lexequal") {
-                    crate::obs::planstore::OpClass::Psi
-                } else if has("semequal") {
-                    crate::obs::planstore::OpClass::Omega
-                } else {
-                    crate::obs::planstore::OpClass::IndexScan
-                };
-                Some((table.clone(), class))
-            }
+            PhysOp::SeqScan { table, .. }
+            | PhysOp::ParallelSeqScan { table, .. }
+            | PhysOp::IndexScan { table, .. } => Some(table),
             _ => None,
         }
     }
@@ -445,13 +417,13 @@ impl PhysNode {
     /// estimate under test).  Aggregates, limits, joins and VALUES break
     /// the attribution, so plans containing them return `None` — their
     /// scans are only attributed when per-node actuals exist.
-    pub fn scan_attribution(&self) -> Option<(String, crate::obs::planstore::OpClass)> {
+    pub fn scan_attribution(&self) -> Option<&str> {
         match &self.op {
             PhysOp::Project { input, .. }
             | PhysOp::Sort { input, .. }
             | PhysOp::Filter { input, .. } => input.scan_attribution(),
             PhysOp::SeqScan { .. } | PhysOp::ParallelSeqScan { .. } | PhysOp::IndexScan { .. } => {
-                self.leaf_scan_class()
+                self.leaf_scan_table()
             }
             PhysOp::NlJoin { .. }
             | PhysOp::HashJoin { .. }

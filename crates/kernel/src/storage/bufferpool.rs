@@ -231,7 +231,6 @@ impl Inner {
 
     fn writeback(&mut self, idx: usize) -> Result<()> {
         self.stats.physical_writes += 1;
-        crate::obs::metrics().bufferpool_physical_writes_total.inc();
         let (file, page) = (self.frames[idx].file, self.frames[idx].page);
         let buf = std::mem::take(&mut self.frames[idx].data);
         let res = self.backend.write_page(file, page, &buf);

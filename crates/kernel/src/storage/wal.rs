@@ -644,9 +644,7 @@ impl SharedWal {
                 SyncMode::Flush => wal.flush()?,
                 SyncMode::FsyncPerRecord => {
                     wal.sync()?;
-                    let m = crate::obs::metrics();
-                    m.wal_fsyncs_total.inc();
-                    m.wal_group_commit_batch.observe(1.0);
+                    crate::obs::metrics().wal_fsyncs_total.inc();
                 }
             }
             self.written_lsn.store(lsn, Ordering::Release);
@@ -691,12 +689,7 @@ impl SharedWal {
             s.leader_running = false;
             match res {
                 Ok(synced) => {
-                    if synced > s.synced_lsn {
-                        crate::obs::metrics()
-                            .wal_group_commit_batch
-                            .observe((synced - s.synced_lsn) as f64);
-                        s.synced_lsn = synced;
-                    }
+                    s.synced_lsn = s.synced_lsn.max(synced);
                     self.cond.notify_all();
                 }
                 Err(e) => {

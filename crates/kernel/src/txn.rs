@@ -71,7 +71,6 @@ impl TransactionManager {
         let mut s = self.state.lock();
         let id = self.next.fetch_add(1, Ordering::Relaxed);
         s.active.insert(id);
-        crate::obs::metrics().txn_begins_total.inc();
         id
     }
 
@@ -80,7 +79,6 @@ impl TransactionManager {
     pub fn commit(&self, id: u64) {
         let mut s = self.state.lock();
         s.active.remove(&id);
-        crate::obs::metrics().txn_commits_total.inc();
     }
 
     /// Abort `id`: its versions stay dead for every snapshot, past and
@@ -91,7 +89,6 @@ impl TransactionManager {
         let mut aborted = (*s.aborted).clone();
         aborted.insert(id);
         s.aborted = Arc::new(aborted);
-        crate::obs::metrics().txn_aborts_total.inc();
     }
 
     /// Capture a consistent snapshot of the transaction state.

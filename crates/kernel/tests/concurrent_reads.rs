@@ -1,6 +1,6 @@
-//! Shared-reference read concurrency: the engine's internal locking
-//! (buffer-pool mutex, per-index mutexes) must let many threads run
-//! SELECTs against one `Session` simultaneously with consistent results.
+//! Read concurrency: the engine's internal locking (buffer-pool mutex,
+//! per-index mutexes) must let many sessions, one per thread, run SELECTs
+//! against one engine simultaneously with consistent results.
 
 use mlql_kernel::Session;
 
@@ -15,22 +15,20 @@ fn parallel_selects_are_consistent() {
     db.execute("CREATE INDEX t_id ON t (id) USING btree")
         .unwrap();
     db.execute("ANALYZE t").unwrap();
-    let db = &db;
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
         for w in 0..8 {
+            let mut s = db.connect();
             handles.push(scope.spawn(move || {
                 for round in 0..20 {
                     let probe = (w * 131 + round * 17) % 5000;
-                    let point = db
-                        .query_ref(&format!("SELECT grp FROM t WHERE id = {probe}"))
+                    let point = s
+                        .query(&format!("SELECT grp FROM t WHERE id = {probe}"))
                         .unwrap();
                     assert_eq!(point.len(), 1);
                     assert_eq!(point[0][0].as_int(), Some((probe % 7) as i64));
-                    let agg = db
-                        .query_ref("SELECT count(*) FROM t WHERE grp = 3")
-                        .unwrap();
+                    let agg = s.query("SELECT count(*) FROM t WHERE grp = 3").unwrap();
                     assert_eq!(agg[0][0].as_int(), Some(714));
                 }
             }));
@@ -118,14 +116,14 @@ fn query_metrics_accumulate_across_threads() {
         db.execute(&format!("INSERT INTO t VALUES ({i})")).unwrap();
     }
     let before = obs::metrics().queries_total.get();
-    let db = &db;
     const THREADS: u64 = 4;
     const QUERIES: u64 = 50;
     std::thread::scope(|scope| {
         for _ in 0..THREADS {
+            let mut s = db.connect();
             scope.spawn(move || {
                 for _ in 0..QUERIES {
-                    db.query_ref("SELECT count(*) FROM t").unwrap();
+                    s.query("SELECT count(*) FROM t").unwrap();
                 }
             });
         }
@@ -133,13 +131,4 @@ fn query_metrics_accumulate_across_threads() {
     let delta = obs::metrics().queries_total.get() - before;
     // ≥: other tests in this binary may run queries concurrently.
     assert!(delta >= THREADS * QUERIES, "counted {delta} queries");
-}
-
-#[test]
-fn query_ref_rejects_writes() {
-    let mut db = Session::new_in_memory();
-    db.execute("CREATE TABLE t (id INT)").unwrap();
-    assert!(db.query_ref("INSERT INTO t VALUES (1)").is_err());
-    assert!(db.query_ref("DELETE FROM t").is_err());
-    assert!(db.query_ref("SELECT count(*) FROM t").is_ok());
 }

@@ -14,7 +14,7 @@ use mlql_kernel::catalog::{ExtOperator, OperatorKind, SessionVars};
 use mlql_kernel::{DataType, Datum, ExtTypeId};
 use mlql_phonetics::distance::{DistanceBuffer, MyersMatcher};
 use mlql_phonetics::{ConverterRegistry, PhonemeString};
-use mlql_unitext::{LanguageRegistry, UniText};
+use mlql_unitext::LanguageRegistry;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -35,20 +35,6 @@ thread_local! {
 /// Read the threshold from the session.
 pub fn threshold(session: &SessionVars) -> usize {
     session.get_int(THRESHOLD_VAR, DEFAULT_THRESHOLD).max(0) as usize
-}
-
-/// Phoneme bytes of a value: the materialized cache when present,
-/// otherwise a fresh conversion (query constants constructed via
-/// `unitext(...)` are materialized by the constructor, so this path is
-/// warm in practice).
-pub fn phonemes_of(value: &UniText, converters: &ConverterRegistry) -> PhonemeString {
-    let m = mlql_kernel::obs::metrics();
-    let start = std::time::Instant::now();
-    let out = converters.phonemes_of(value);
-    m.phoneme_conversions_total.inc();
-    m.phoneme_conversion_ns_total
-        .add(start.elapsed().as_nanos() as u64);
-    out
 }
 
 /// The ψ predicate over two datums.
@@ -74,8 +60,8 @@ pub fn psi_matches(
     // Slow path: decode and convert on demand.
     let lv = unitext_of_datum(l)?;
     let rv = unitext_of_datum(r)?;
-    let lp = phonemes_of(&lv, converters);
-    let rp = phonemes_of(&rv, converters);
+    let lp = converters.phonemes_of(&lv);
+    let rp = converters.phonemes_of(&rv);
     if lp.is_empty() && rp.is_empty() {
         // No phonemic information on either side: fall back to exact text
         // equality so ψ degrades gracefully for unknown languages.
@@ -131,7 +117,7 @@ pub fn psi_matches_batch(
     let need_slow = rhs_slice.is_none() || lefts.iter().any(|l| !has_slice(l));
     let rhs_decoded: Option<(String, PhonemeString)> = if need_slow {
         let rv = unitext_of_datum(r)?;
-        let rp = phonemes_of(&rv, converters);
+        let rp = converters.phonemes_of(&rv);
         Some((rv.text().to_string(), rp))
     } else {
         None
@@ -172,7 +158,7 @@ pub fn psi_matches_batch(
             let (r_text, rp) = rhs_decoded.as_ref().expect("decoded above");
             if !memo.contains_key(l) {
                 let lv = unitext_of_datum(l)?;
-                let lp = phonemes_of(&lv, converters);
+                let lp = converters.phonemes_of(&lv);
                 memo.insert(l, (lv.text().to_string(), lp));
             }
             let (l_text, lp) = &memo[l];
@@ -228,13 +214,13 @@ pub fn lexequal_operator(
             match (input.column, input.constant) {
                 (Some(stats), Some(constant)) => {
                     let query = match unitext_of_datum(constant) {
-                        Ok(v) => phonemes_of(&v, &sel_convs),
+                        Ok(v) => sel_convs.phonemes_of(&v),
                         Err(_) => return psi_default_selectivity(k),
                     };
                     let phonemes = |d: &Datum| {
                         unitext_of_datum(d)
                             .ok()
-                            .map(|v| phonemes_of(&v, &sel_convs).as_bytes().to_vec())
+                            .map(|v| sel_convs.phonemes_of(&v).as_bytes().to_vec())
                     };
                     let mcv_phonemes: Vec<(Vec<u8>, f64)> = stats
                         .mcvs
@@ -277,6 +263,7 @@ pub fn lexequal_operator(
 mod tests {
     use super::*;
     use crate::types::{unitext_datum, unitext_to_bytes};
+    use mlql_unitext::UniText;
 
     fn setup() -> (Arc<LanguageRegistry>, Arc<ConverterRegistry>, ExtOperator) {
         let langs = Arc::new(LanguageRegistry::new());
@@ -319,7 +306,7 @@ mod tests {
     fn materialized_phonemes_short_circuit_conversion() {
         let (langs, convs, _) = setup();
         let v = UniText::compose("whatever", langs.id_of("English")).with_phoneme("nehru");
-        let ph = phonemes_of(&v, &convs);
+        let ph = convs.phonemes_of(&v);
         assert_eq!(ph.to_ipa(), "nehru", "cache wins over conversion");
         let bytes = unitext_to_bytes(&v);
         let back = crate::types::unitext_from_bytes(&bytes).unwrap();

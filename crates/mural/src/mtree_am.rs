@@ -145,9 +145,8 @@ impl IndexInstance for MTreeIndex {
 
     fn search(&self, strategy: &str, probe: &Datum, extra: &Datum) -> Result<IndexSearch> {
         let (tids, stats) = self.probe(&self.key_of(probe)?, strategy, extra)?;
-        let m = mlql_kernel::obs::metrics();
-        m.mtree_node_visits_total.add(stats.nodes_visited);
-        m.mtree_distance_computations_total
+        mlql_kernel::obs::metrics()
+            .mtree_distance_computations_total
             .add(stats.dist_computations);
         Ok(IndexSearch {
             tids,

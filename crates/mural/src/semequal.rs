@@ -94,9 +94,6 @@ impl SemState {
         *self.intervals.write() = Arc::new(IntervalIndex::build(t));
         self.interval_version
             .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        mlql_kernel::obs::metrics()
-            .omega_interval_rebuilds_total
-            .add(1);
     }
 
     /// Add a hyponym edge (clone-on-write), invalidate all memoized
@@ -199,12 +196,12 @@ impl SemState {
             return hit;
         }
         m.omega_interval_fallbacks_total.add(1);
-        let (hits_before, misses_before) = self.cache.stats();
+        let (hits_before, _) = self.cache.stats();
         let matched = undecided.iter().any(|&i| {
             let closure = self.cache.closure(&taxonomy, rhs[i]);
             lhs.iter().any(|s| closure.contains(s))
         });
-        self.publish_cache_delta(hits_before, misses_before);
+        self.publish_cache_hits(hits_before);
         matched
     }
 
@@ -229,7 +226,7 @@ impl SemState {
         let taxonomy = self.taxonomy.read();
         let rhs = Self::synsets_in(&taxonomy, &rv);
         let idx = Arc::clone(&self.intervals.read());
-        let (hits_before, misses_before) = self.cache.stats();
+        let (hits_before, _) = self.cache.stats();
         // Closures resolve lazily (scalar Ω short-circuits across RHS
         // synsets, so an always-matching first root never pays for the
         // second root's closure) but at most once per batch.
@@ -277,19 +274,17 @@ impl SemState {
         if interval_fallbacks > 0 {
             m.omega_interval_fallbacks_total.add(interval_fallbacks);
         }
-        self.publish_cache_delta(hits_before, misses_before);
+        self.publish_cache_hits(hits_before);
         Ok(out)
     }
 
-    /// Push the closure-cache hit/miss delta of one operation into the
-    /// engine metrics (the cache's own counters are cumulative).
-    fn publish_cache_delta(&self, hits_before: u64, misses_before: u64) {
-        let (hits, misses) = self.cache.stats();
-        let m = mlql_kernel::obs::metrics();
-        m.taxonomy_closure_cache_hits_total
+    /// Push the closure-cache hit delta of one operation into the engine
+    /// metrics (the cache's own counters are cumulative).
+    fn publish_cache_hits(&self, hits_before: u64) {
+        let (hits, _) = self.cache.stats();
+        mlql_kernel::obs::metrics()
+            .taxonomy_closure_cache_hits_total
             .add(hits.saturating_sub(hits_before));
-        m.taxonomy_closure_cache_misses_total
-            .add(misses.saturating_sub(misses_before));
     }
 
     /// Exact closure size of the concept a constant names, if resolvable —

@@ -33,12 +33,12 @@ fn connect_inherits_vars_then_diverges() {
     assert_eq!(db.vars().get_int("max_rows", 0), 99);
     assert_eq!(db.vars().get_int("lexequal.threshold", -1), 2);
 
-    let bare = db.engine().connect();
+    let mut bare = db.engine().connect();
     assert!(bare.vars().get("lexequal.threshold").is_none());
     assert!(bare.vars().get("max_rows").is_none());
 
-    for s in [&sibling, &bare] {
-        let n = s.query_ref("SELECT count(*) FROM t").unwrap();
+    for s in [&mut sibling, &mut bare] {
+        let n = s.query("SELECT count(*) FROM t").unwrap();
         assert_eq!(n[0][0].as_int(), Some(2));
     }
 }
