@@ -449,18 +449,7 @@ fn parallelized(plan: &PhysNode, workers: usize) -> PhysNode {
     let mut plan = plan.clone();
     fn walk(node: &mut PhysNode, workers: usize) {
         match &mut node.op {
-            PhysOp::SeqScan {
-                table,
-                filter,
-                annotation,
-            } => {
-                node.op = PhysOp::ParallelSeqScan {
-                    table: table.clone(),
-                    filter: filter.take(),
-                    workers,
-                    annotation: *annotation,
-                };
-            }
+            PhysOp::SeqScan { workers: w, .. } => *w = workers,
             PhysOp::Filter { input, .. }
             | PhysOp::Project { input, .. }
             | PhysOp::Aggregate { input, .. }
@@ -632,10 +621,10 @@ fn count_work(db: &Session, vars: &SessionVars, plan: &PhysNode, op_units: f64) 
             run.heap_fetches = if keys > 0.0 { ext_calls } else { rows_out };
             run.op_units = (run.heap_fetches + keys) * op_units;
         }
-        PhysOp::SeqScan { table, .. } | PhysOp::ParallelSeqScan { table, .. } => {
+        PhysOp::SeqScan { table, workers, .. } => {
             run.rows_decoded = table_rows(table);
             run.op_units = run.rows_decoded * op_units;
-            if let PhysOp::ParallelSeqScan { workers, .. } = scan_of(plan) {
+            if *workers > 1 {
                 run.parallel = true;
                 run.workers = *workers;
                 run.rounds = instr.parallel[0].rounds.get() as f64;

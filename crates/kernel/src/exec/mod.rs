@@ -16,7 +16,7 @@ use crate::expr::{EvalCtx, Expr};
 use crate::plan::{AggFunc, NodeActuals, PhysNode, PhysOp};
 use crate::schema::{Row, Schema};
 use crate::storage::{
-    decode_row, split_version, BufferPool, HeapFile, TupleId, VERSION_HEADER_LEN,
+    decode_row, read_tuple, split_version, BufferPool, HeapFile, TupleId, VERSION_HEADER_LEN,
 };
 use crate::txn::TxnVisibility;
 use crate::value::Datum;
@@ -260,11 +260,6 @@ fn filter_batch<T>(
         .collect())
 }
 
-/// [`filter_batch`] over plain rows.
-fn filter_rows_batch(filter: &Expr, rows: Vec<Row>, eval: &EvalCtx<'_>) -> Result<Vec<Row>> {
-    filter_batch(filter, rows, |r| r.as_slice(), eval)
-}
-
 /// Drain `input` to exhaustion, feeding every row to `sink`.  The bulk
 /// drains (aggregate/sort input, hash-join build, materialized
 /// nested-loops inner) all funnel through here.
@@ -431,28 +426,19 @@ fn build_executor_impl(
         s
     });
     let exec: Box<dyn Executor> = match &node.op {
-        PhysOp::SeqScan { table, filter, .. } => {
-            let meta = ctx.catalog.table(table)?;
-            Box::new(SeqScanExec::new(meta, filter.clone()))
-        }
-        PhysOp::ParallelSeqScan {
+        PhysOp::SeqScan {
             table,
             filter,
             workers,
             ..
         } => {
             let meta = ctx.catalog.table(table)?;
-            let actuals = instr.as_deref_mut().map(|i| {
+            let actuals = instr.as_deref_mut().filter(|_| *workers > 1).map(|i| {
                 let a = Arc::new(ParallelScanActuals::new(*workers));
                 i.parallel.push(Arc::clone(&a));
                 a
             });
-            Box::new(ParallelSeqScanExec::new(
-                meta,
-                filter.clone(),
-                *workers,
-                actuals,
-            ))
+            Box::new(SeqScanExec::new(meta, filter.clone(), *workers, actuals))
         }
         PhysOp::IndexScan {
             table,
@@ -610,91 +596,6 @@ pub fn drain_to_vec(exec: &mut dyn Executor, ctx: &ExecCtx<'_>) -> Result<Vec<Ro
 
 // ---------------------------------------------------------------- SeqScan
 
-struct SeqScanExec {
-    meta: Arc<TableMeta>,
-    filter: Option<Expr>,
-    page: u32,
-    page_rows: Vec<Row>,
-    row_pos: usize,
-    n_pages: Option<u32>,
-}
-
-impl SeqScanExec {
-    fn new(meta: Arc<TableMeta>, filter: Option<Expr>) -> Self {
-        SeqScanExec {
-            meta,
-            filter,
-            page: 0,
-            page_rows: Vec::new(),
-            row_pos: 0,
-            n_pages: None,
-        }
-    }
-
-    fn load_page(&mut self, ctx: &ExecCtx<'_>) -> Result<bool> {
-        let n_pages = match self.n_pages {
-            Some(n) => n,
-            None => {
-                let n = self.meta.heap.pages(ctx.pool)?;
-                self.n_pages = Some(n);
-                n
-            }
-        };
-        if self.page >= n_pages {
-            return Ok(false);
-        }
-        self.page_rows.clear();
-        let rows = &mut self.page_rows;
-        visible_page_tuples(&self.meta, self.page, ctx, |_, _, row, _| rows.push(row))?;
-        self.page += 1;
-        self.row_pos = 0;
-        Ok(true)
-    }
-}
-
-impl Executor for SeqScanExec {
-    fn schema(&self) -> &Schema {
-        &self.meta.schema
-    }
-
-    /// Take whole page-sized runs of decoded rows and evaluate the
-    /// pushed-down filter once per run via `eval_batch` — this is where
-    /// ψ's per-batch memoization (constant phoneme conversion, Myers
-    /// mask) kicks in.
-    fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
-        let eval = ctx.eval_ctx();
-        let mut out: Vec<Row> = Vec::new();
-        loop {
-            if self.row_pos < self.page_rows.len() {
-                let take = (self.page_rows.len() - self.row_pos).min(max - out.len());
-                let candidates: Vec<Row> = self.page_rows[self.row_pos..self.row_pos + take]
-                    .iter_mut()
-                    .map(std::mem::take)
-                    .collect();
-                self.row_pos += take;
-                match &self.filter {
-                    Some(f) => out.extend(filter_rows_batch(f, candidates, &eval)?),
-                    None => out.extend(candidates),
-                }
-                if out.len() >= max {
-                    return Ok(Some(Batch::new(out)));
-                }
-            } else if !self.load_page(ctx)? {
-                return Ok((!out.is_empty()).then(|| Batch::new(out)));
-            }
-        }
-    }
-
-    fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.page = 0;
-        self.page_rows.clear();
-        self.row_pos = 0;
-        Ok(())
-    }
-}
-
-// ------------------------------------------------------- ParallelSeqScan
-
 /// Session variable naming the worker count for parallel plans.
 pub const PARALLEL_WORKERS_VAR: &str = "parallel_workers";
 
@@ -733,19 +634,73 @@ pub fn effective_workers(session: &SessionVars) -> usize {
     n.min(MAX_WORKERS)
 }
 
-/// Morsel-driven parallel heap scan.
+/// The page step every heap scan runs: one heap page's image and the
+/// tuples on it that the snapshot sees, decoded and waiting for the
+/// filter.  The image stays so that a survivor's stored bytes can be
+/// handed on without copying every visible tuple first, and its buffer
+/// is reused page after page: a fresh page-sized allocation per page
+/// cost a 2-worker ψ scan of 50k rows ~20 % of its CPU (2-vCPU host).
+#[derive(Default)]
+struct HeapPage {
+    img: Vec<u8>,
+    /// `(slot, xmax, row)` of the decoded tuples not yet filtered.
+    pending: VecDeque<(u16, u64, Row)>,
+}
+
+impl HeapPage {
+    /// Read heap page `page` and decode the tuples on it the snapshot
+    /// sees.
+    fn load(&mut self, meta: &TableMeta, page: u32, ctx: &ExecCtx<'_>) -> Result<()> {
+        self.pending.clear();
+        let pending = &mut self.pending;
+        visible_page_tuples(meta, page, ctx, &mut self.img, |slot, xmax, row| {
+            pending.push_back((slot, xmax, row))
+        })
+    }
+
+    /// Run `filter` over the next `room` decoded tuples (at most) and
+    /// return the `(slot, xmax, row)` of each survivor.
+    fn filter(
+        &mut self,
+        filter: Option<&Expr>,
+        room: usize,
+        eval: &EvalCtx<'_>,
+    ) -> Result<Vec<(u16, u64, Row)>> {
+        let take = self.pending.len().min(room);
+        let candidates: Vec<_> = self.pending.drain(..take).collect();
+        match filter {
+            Some(f) => filter_batch(f, candidates, |t| &t.2, eval),
+            None => Ok(candidates),
+        }
+    }
+
+    /// The stored bytes, version header included, of the tuple at `slot`.
+    fn stored(&self, slot: u16) -> &[u8] {
+        read_tuple(&self.img, slot).expect("a slot decoded from this image")
+    }
+}
+
+/// Heap scan with a pushed-down filter, morsel-driven at two or more
+/// workers.
 ///
-/// A pull that finds the buffer empty runs one round of `workers` scoped
-/// threads that borrow the query's [`ExecCtx`].  Workers claim
-/// [`MORSEL_PAGES`] pages at a time off the shared cursor, walk and
-/// filter each page exactly as [`SeqScanExec`] does, and stop claiming
-/// once together they hold the `max` rows the consumer asked for or the
-/// pages run out; the query thread only joins them, then hands the rows
-/// out `max` at a time.  Row order depends on scheduling, which is why
+/// At one worker the scan runs on the calling thread.  It claims one
+/// page at a time off the cursor and filters only as many decoded rows
+/// as the batch still has room for, so every batch but the last is full
+/// and a `LIMIT` above pays the filter for no row it does not take.  The
+/// filter runs per batch via `eval_batch`: this is where ψ's per-batch
+/// memoization (constant phoneme conversion, Myers mask) kicks in.
+///
+/// At two or more, a pull that finds the buffer empty runs one round of
+/// `workers` scoped threads that borrow the query's [`ExecCtx`].
+/// Workers claim [`MORSEL_PAGES`] pages at a time off the shared cursor,
+/// run the same page step over whole pages, and stop claiming once
+/// together they hold the `max` rows the consumer asked for or the pages
+/// run out; the query thread only joins them, then hands the rows out
+/// `max` at a time.  Row order depends on scheduling, which is why
 /// parallel plans equal serial ones only up to row order.  Sizing each
 /// round by `max` keeps `LIMIT` and `max_rows` cheap: a `LIMIT 1` above
 /// reads at most `workers × MORSEL_PAGES` pages.
-struct ParallelSeqScanExec {
+struct SeqScanExec {
     meta: Arc<TableMeta>,
     filter: Option<Expr>,
     workers: usize,
@@ -753,35 +708,65 @@ struct ParallelSeqScanExec {
     /// Next unclaimed page: survives pulls, reset by `rescan`.
     cursor: AtomicU32,
     n_pages: Option<u32>,
+    /// The page a serial scan is filtering.
+    page: HeapPage,
+    /// Rows a parallel round found and has not handed out yet.
     buffer: VecDeque<Row>,
 }
 
-impl ParallelSeqScanExec {
+impl SeqScanExec {
     fn new(
         meta: Arc<TableMeta>,
         filter: Option<Expr>,
         workers: usize,
         actuals: Option<Arc<ParallelScanActuals>>,
     ) -> Self {
-        ParallelSeqScanExec {
+        SeqScanExec {
             meta,
             filter,
             workers: workers.max(1),
             actuals,
             cursor: AtomicU32::new(0),
             n_pages: None,
+            page: HeapPage::default(),
             buffer: VecDeque::new(),
         }
+    }
+
+    fn n_pages(&mut self, ctx: &ExecCtx<'_>) -> Result<u32> {
+        match self.n_pages {
+            Some(n) => Ok(n),
+            None => Ok(*self.n_pages.insert(self.meta.heap.pages(ctx.pool)?)),
+        }
+    }
+
+    /// The serial scan's next batch: up to `max` survivors, one page at
+    /// a time.
+    fn next_serial(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
+        let n_pages = self.n_pages(ctx)?;
+        let eval = ctx.eval_ctx();
+        let mut out = Vec::new();
+        while out.len() < max {
+            if self.page.pending.is_empty() {
+                let page = self.cursor.get_mut();
+                if *page >= n_pages {
+                    break;
+                }
+                self.page.load(&self.meta, *page, ctx)?;
+                *page += 1;
+            }
+            let room = max - out.len();
+            let survivors = self.page.filter(self.filter.as_ref(), room, &eval)?;
+            out.extend(survivors.into_iter().map(|t| t.2));
+        }
+        Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
 
     /// Run one round of workers, appending what they find to `buffer`:
     /// at least `max` rows, or every remaining one when the pages run out
     /// first.  A worker's error or panic fails the scan.
     fn pull(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<()> {
-        let n_pages = match self.n_pages {
-            Some(n) => n,
-            None => *self.n_pages.insert(self.meta.heap.pages(ctx.pool)?),
-        };
+        let n_pages = self.n_pages(ctx)?;
         if self.cursor.load(Ordering::Relaxed) >= n_pages {
             return Ok(());
         }
@@ -835,9 +820,6 @@ impl ParallelSeqScanExec {
                 .collect();
             (results, wait.elapsed().as_nanos() as u64)
         });
-        crate::obs::metrics()
-            .parallel_gather_wait_ns_total
-            .add(waited);
         if let Some(a) = &self.actuals {
             a.gather_wait_ns.add(waited);
         }
@@ -848,12 +830,15 @@ impl ParallelSeqScanExec {
     }
 }
 
-impl Executor for ParallelSeqScanExec {
+impl Executor for SeqScanExec {
     fn schema(&self) -> &Schema {
         &self.meta.schema
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
+        if self.workers == 1 {
+            return self.next_serial(ctx, max);
+        }
         if self.buffer.is_empty() {
             self.pull(ctx, max)?;
         }
@@ -863,13 +848,13 @@ impl Executor for ParallelSeqScanExec {
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
         self.cursor.store(0, Ordering::Relaxed);
-        self.n_pages = None;
+        self.page.pending.clear();
         self.buffer.clear();
         Ok(())
     }
 }
 
-/// What the workers of one [`ParallelSeqScanExec`] pull share.  The
+/// What the workers of one parallel [`SeqScanExec`] pull share.  The
 /// atomics publish no data — rows travel back through `join`, which
 /// synchronizes — so every access is `Relaxed`.
 struct ScanRound<'s> {
@@ -904,12 +889,8 @@ impl ScanRound<'_> {
         if out.is_err() {
             self.stop.store(true, Ordering::Relaxed);
         }
-        let busy = start.elapsed().as_nanos() as u64;
-        crate::obs::metrics()
-            .parallel_worker_busy_ns_total
-            .add(busy);
         if let Some(a) = self.actuals {
-            a.worker_busy_ns[idx].add(busy);
+            a.worker_busy_ns[idx].add(start.elapsed().as_nanos() as u64);
             if let Ok(rows) = &out {
                 a.worker_rows[idx].add(rows.len() as u64);
             }
@@ -919,26 +900,21 @@ impl ScanRound<'_> {
 
     fn claim_morsels(&self, ctx: &ExecCtx<'_>) -> Result<Vec<Row>> {
         let eval = ctx.eval_ctx();
+        let mut page = HeapPage::default();
         let mut out = Vec::new();
         while !self.stop.load(Ordering::Relaxed) && self.held.load(Ordering::Relaxed) < self.max {
             let first = self.cursor.fetch_add(MORSEL_PAGES, Ordering::Relaxed);
             if first >= self.n_pages {
                 break;
             }
-            crate::obs::metrics()
-                .parallel_morsels_dispatched_total
-                .inc();
             if let Some(a) = self.actuals {
                 a.morsels.add(1);
             }
             let before = out.len();
-            for page in first..first.saturating_add(MORSEL_PAGES).min(self.n_pages) {
-                let mut rows = Vec::new();
-                visible_page_tuples(self.meta, page, ctx, |_, _, row, _| rows.push(row))?;
-                if let Some(f) = self.filter {
-                    rows = filter_rows_batch(f, rows, &eval)?;
-                }
-                out.extend(rows);
+            for p in first..first.saturating_add(MORSEL_PAGES).min(self.n_pages) {
+                page.load(self.meta, p, ctx)?;
+                let survivors = page.filter(self.filter, usize::MAX, &eval)?;
+                out.extend(survivors.into_iter().map(|t| t.2));
             }
             // Once per morsel, and only when it found rows: a selective
             // ψ scan then never writes the line its sibling reads.
@@ -1068,23 +1044,25 @@ fn visible_row(bytes: &[u8], arity: usize, vis: &TxnVisibility) -> Result<Option
     Ok(Some((xmax, decode_row(rest, arity)?)))
 }
 
-/// Hand `each` the `(slot, xmax, decoded row, stored bytes)` of every
-/// tuple on heap page `page` that the context's snapshot sees.  The page
-/// image is copied out under the pool mutex and decoded outside it: row
-/// decoding is the CPU-heavy part of a scan, and holding the (pool-wide)
-/// lock through it would serialize concurrent sessions.
+/// Copy heap page `page` into `img` and hand `each` the `(slot, xmax,
+/// decoded row)` of every tuple on it that the context's snapshot sees.
+/// The image is copied out under the pool mutex and decoded outside it:
+/// row decoding is the CPU-heavy part of a scan, and holding the
+/// (pool-wide) lock through it would serialize concurrent sessions.
 fn visible_page_tuples(
     meta: &TableMeta,
     page: u32,
     ctx: &ExecCtx<'_>,
-    mut each: impl FnMut(u16, u64, Row, &[u8]),
+    img: &mut Vec<u8>,
+    mut each: impl FnMut(u16, u64, Row),
 ) -> Result<()> {
-    let img: Vec<u8> = ctx
-        .pool
-        .with_page(meta.heap.file_id(), page, |buf| buf.to_vec())?;
-    for (slot, tuple) in HeapFile::page_tuples(&img) {
+    ctx.pool.with_page(meta.heap.file_id(), page, |buf| {
+        img.clear();
+        img.extend_from_slice(buf);
+    })?;
+    for (slot, tuple) in HeapFile::page_tuples(img) {
         if let Some((xmax, row)) = visible_row(tuple, meta.schema.len(), &ctx.vis)? {
-            each(slot, xmax, row, tuple);
+            each(slot, xmax, row);
         }
     }
     Ok(())
@@ -1162,20 +1140,17 @@ pub fn scan_target(node: &PhysNode, ctx: &ExecCtx<'_>) -> Result<Vec<HeapVersion
         PhysOp::SeqScan { table, filter, .. } => {
             let meta = ctx.catalog.table(table)?;
             let eval = ctx.eval_ctx();
+            let mut page = HeapPage::default();
             let mut out = Vec::new();
-            for page in 0..meta.heap.pages(ctx.pool)? {
-                let mut candidates = Vec::new();
-                visible_page_tuples(&meta, page, ctx, |slot, xmax, row, tuple| {
-                    candidates.push(HeapVersion {
-                        tid: TupleId { page, slot },
+            for p in 0..meta.heap.pages(ctx.pool)? {
+                page.load(&meta, p, ctx)?;
+                for (slot, xmax, row) in page.filter(filter.as_ref(), usize::MAX, &eval)? {
+                    out.push(HeapVersion {
+                        tid: TupleId { page: p, slot },
                         xmax,
                         row,
-                        bytes: tuple.to_vec(),
-                    })
-                })?;
-                match filter {
-                    Some(f) => out.extend(filter_batch(f, candidates, |v| &v.row, &eval)?),
-                    None => out.extend(candidates),
+                        bytes: page.stored(slot).to_vec(),
+                    });
                 }
             }
             Ok(out)
@@ -1217,7 +1192,7 @@ impl Executor for FilterExec {
         // A fully-filtered input batch produces no output batch, so keep
         // pulling until some rows survive (or the input is exhausted).
         while let Some(batch) = self.input.next_batch(ctx, max)? {
-            let kept = filter_rows_batch(&self.predicate, batch.rows, &eval)?;
+            let kept = filter_batch(&self.predicate, batch.rows, |r| r.as_slice(), &eval)?;
             if !kept.is_empty() {
                 return Ok(Some(Batch::new(kept)));
             }

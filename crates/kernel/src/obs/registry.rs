@@ -459,12 +459,6 @@ pub struct EngineMetrics {
     pub plan_cache_misses_total: Arc<Counter>,
     /// Plan-cache flushes caused by DDL / ANALYZE epoch bumps.
     pub plan_cache_invalidations_total: Arc<Counter>,
-    /// Morsels (page ranges) claimed by parallel-scan workers.
-    pub parallel_morsels_dispatched_total: Arc<Counter>,
-    /// Nanoseconds parallel-scan workers spent executing morsels.
-    pub parallel_worker_busy_ns_total: Arc<Counter>,
-    /// Nanoseconds query threads spent joining parallel-scan workers.
-    pub parallel_gather_wait_ns_total: Arc<Counter>,
     /// Stale-statistics advisories raised (edge-triggered per table).
     pub stats_advisories_total: Arc<Counter>,
     /// Write-write conflicts detected (first-updater-wins losers).
@@ -536,18 +530,6 @@ pub fn metrics() -> &'static EngineMetrics {
             plan_cache_invalidations_total: r.counter(
                 "mlql_plan_cache_invalidations_total",
                 "Plan-cache flushes from DDL/ANALYZE",
-            ),
-            parallel_morsels_dispatched_total: r.counter(
-                "mlql_parallel_morsels_dispatched_total",
-                "Morsels claimed by parallel-scan workers",
-            ),
-            parallel_worker_busy_ns_total: r.counter(
-                "mlql_parallel_worker_busy_ns_total",
-                "Parallel-scan worker busy time (ns)",
-            ),
-            parallel_gather_wait_ns_total: r.counter(
-                "mlql_parallel_gather_wait_ns_total",
-                "Gather-node wait on worker batches (ns)",
             ),
             stats_advisories_total: r.counter(
                 "mlql_stats_advisories_total",

@@ -121,28 +121,20 @@ impl CostParams {
     }
 
     /// Sequential scan: per page its read, and the decode and predicate
-    /// work of its rows.
-    pub fn seq_scan(&self, pages: f64, rows: f64, per_row_pred: f64) -> f64 {
-        pages * self.seq_page_cost + self.scan_work(pages, rows, per_row_pred)
-    }
-
-    /// Decode and filter work of a heap scan: what parallel workers split.
-    fn scan_work(&self, pages: f64, rows: f64, per_row_pred: f64) -> f64 {
-        pages * self.cpu_page_decode_cost + rows * (self.cpu_decode_cost + per_row_pred)
-    }
-
-    /// Morsel-driven parallel scan over one buffer pool: the page reads
-    /// (copied out under the pool's mutex) cost what they cost serially,
-    /// the decode and filter work divides across `workers`, every round
-    /// spawns and joins `workers` threads, and every output row is
-    /// gathered.  A round runs when a pull finds the buffer empty, claims
-    /// morsels until its workers hold `pull_rows` rows, and keeps every
-    /// row they found; each worker claims at least one morsel.  So there
-    /// is a round per `pull_rows` output rows, but never more than one
-    /// per `workers × MORSEL_PAGES` pages.
-    /// A selective ψ filter makes the divided term dominate; an
-    /// unfiltered scan pays a round per batch and gains little.
-    pub fn parallel_seq_scan(
+    /// work of its rows.  At one worker that is all.
+    ///
+    /// At `workers` ≥ 2 the scan is morsel-driven over one buffer pool:
+    /// the page reads (copied out under the pool's mutex) cost what they
+    /// cost serially, the decode and filter work divides across
+    /// `workers`, every round spawns and joins `workers` threads, and
+    /// every output row is gathered.  A round runs when a pull finds the
+    /// buffer empty, claims morsels until its workers hold `pull_rows`
+    /// rows, and keeps every row they found; each worker claims at least
+    /// one morsel.  So there is a round per `pull_rows` output rows, but
+    /// never more than one per `workers × MORSEL_PAGES` pages.  A
+    /// selective ψ filter makes the divided term dominate; an unfiltered
+    /// scan pays a round per batch and gains little.
+    pub fn seq_scan(
         &self,
         pages: f64,
         rows: f64,
@@ -151,15 +143,24 @@ impl CostParams {
         workers: usize,
         pull_rows: usize,
     ) -> f64 {
-        let workers = workers.max(1) as f64;
+        let work = self.scan_work(pages, rows, per_row_pred);
+        if workers <= 1 {
+            return pages * self.seq_page_cost + work;
+        }
+        let workers = workers as f64;
         let rounds = (out_rows / pull_rows.max(1) as f64)
             .ceil()
             .min((pages / (workers * MORSEL_PAGES as f64)).ceil())
             .max(1.0);
         pages * self.seq_page_cost
-            + self.scan_work(pages, rows, per_row_pred) / workers
+            + work / workers
             + rounds * workers * self.parallel_spawn_cost
             + out_rows * self.parallel_gather_cost
+    }
+
+    /// Decode and filter work of a heap scan: what parallel workers split.
+    fn scan_work(&self, pages: f64, rows: f64, per_row_pred: f64) -> f64 {
+        pages * self.cpu_page_decode_cost + rows * (self.cpu_decode_cost + per_row_pred)
     }
 
     /// Index scan: the probe's `traversal_cpu` (key or distance
@@ -250,10 +251,13 @@ mod tests {
     #[test]
     fn seq_scan_scales_with_pages_and_rows() {
         let p = CostParams::default();
-        assert!(p.seq_scan(100.0, 1000.0, 0.0) > p.seq_scan(10.0, 100.0, 0.0));
+        let serial = |pages, rows| p.seq_scan(pages, rows, rows, 0.0, 1, 1024);
+        assert!(serial(100.0, 1000.0) > serial(10.0, 100.0));
+        assert_eq!(serial(1.0, 0.0), p.seq_page_cost + p.cpu_page_decode_cost);
+        // One worker pays no spawn or gather term, whatever its batch.
         assert_eq!(
-            p.seq_scan(1.0, 0.0, 0.0),
-            p.seq_page_cost + p.cpu_page_decode_cost
+            p.seq_scan(80.0, 60_000.0, 10.0, 0.25, 1, 1),
+            80.0 * p.seq_page_cost + p.scan_work(80.0, 60_000.0, 0.25)
         );
     }
 
@@ -261,7 +265,7 @@ mod tests {
     fn index_scan_cheaper_than_seq_for_selective_probe() {
         let p = CostParams::default();
         // 1000-page table, 100k rows; index probe touching 3 pages, 10 rows.
-        let seq = p.seq_scan(1000.0, 100_000.0, p.cpu_operator_cost);
+        let seq = p.seq_scan(1000.0, 100_000.0, 100_000.0, p.cpu_operator_cost, 1, 1024);
         let idx = p.index_scan(0.1, 10.0, p.cpu_operator_cost);
         assert!(idx < seq / 10.0);
     }
@@ -271,12 +275,12 @@ mod tests {
         let p = CostParams::default();
         // 80 pages at 2 workers hold 10 rounds of one morsel per worker:
         // a one-row batch cannot run more rounds than that.
-        let by_row = p.parallel_seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 1);
-        let by_morsel = p.parallel_seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 6_000);
+        let by_row = p.seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 1);
+        let by_morsel = p.seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 6_000);
         assert_eq!(by_row, by_morsel);
         // Fewer output rows than a batch: one round.
-        let one = p.parallel_seq_scan(80.0, 60_000.0, 10.0, 0.0, 2, 1024);
-        let base = p.parallel_seq_scan(80.0, 60_000.0, 0.0, 0.0, 2, 1024);
+        let one = p.seq_scan(80.0, 60_000.0, 10.0, 0.0, 2, 1024);
+        let base = p.seq_scan(80.0, 60_000.0, 0.0, 0.0, 2, 1024);
         assert!((one - base - 10.0 * p.parallel_gather_cost).abs() < 1e-9);
     }
 

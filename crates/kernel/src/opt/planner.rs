@@ -737,9 +737,22 @@ impl Planner<'_> {
 
         let annotation = local.iter().find_map(|e| self.expr_strategy_label(e));
 
-        // Sequential scan.
-        {
-            let mut cost = params.seq_scan(rel.pages, rel.rows, per_row);
+        // Sequential scan, serial and at the session's worker count: a
+        // morsel-driven scan reads the same pages, divides their decode
+        // and filter work across its workers, and runs one round of
+        // thread spawns per pull.  The spawn term keeps small tables and
+        // unfiltered scans serial.
+        let parallel =
+            Some(crate::exec::effective_workers(self.session)).filter(|&w| w >= 2 && !self.serial);
+        for workers in std::iter::once(1).chain(parallel) {
+            let mut cost = params.seq_scan(
+                rel.pages,
+                rel.rows,
+                out_rows,
+                per_row,
+                workers,
+                crate::exec::effective_batch_size(self.session),
+            );
             if !flag(self.session, "enable_seqscan") {
                 cost += DISABLED_COST;
             }
@@ -751,48 +764,13 @@ impl Planner<'_> {
                     } else {
                         Some(and_all(local.to_vec()))
                     },
+                    workers,
                     annotation,
                 },
                 est_rows: out_rows,
                 est_cost: cost,
                 schema: rel.meta.schema.clone(),
             });
-        }
-
-        // Morsel-driven parallel scan: same page reads, decode and filter
-        // work divided across workers, one round of thread spawns per
-        // pull.  The spawn term keeps small tables and unfiltered scans
-        // serial.
-        {
-            let workers = crate::exec::effective_workers(self.session);
-            if !self.serial && workers >= 2 {
-                let mut cost = params.parallel_seq_scan(
-                    rel.pages,
-                    rel.rows,
-                    out_rows,
-                    per_row,
-                    workers,
-                    crate::exec::effective_batch_size(self.session),
-                );
-                if !flag(self.session, "enable_seqscan") {
-                    cost += DISABLED_COST;
-                }
-                consider(PhysNode {
-                    op: PhysOp::ParallelSeqScan {
-                        table: rel.meta.name.clone(),
-                        filter: if local.is_empty() {
-                            None
-                        } else {
-                            Some(and_all(local.to_vec()))
-                        },
-                        workers,
-                        annotation,
-                    },
-                    est_rows: out_rows,
-                    est_cost: cost,
-                    schema: rel.meta.schema.clone(),
-                });
-            }
         }
 
         // Index scans: one candidate per (conjunct, matching index).

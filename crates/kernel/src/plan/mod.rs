@@ -120,18 +120,13 @@ pub struct PhysNode {
 /// Physical operators.
 #[derive(Debug, Clone)]
 pub enum PhysOp {
-    /// Sequential heap scan with optional pushed-down filter.
-    /// `annotation` carries an operator-supplied strategy note (e.g. the
-    /// Ω containment implementation) surfaced verbatim by EXPLAIN.
+    /// Sequential heap scan with optional pushed-down filter.  At
+    /// `workers` ≥ 2 it is morsel-driven: that many threads claim
+    /// fixed-size page ranges and evaluate `filter` independently, and
+    /// their rows come back in no fixed order.  `annotation` carries an
+    /// operator-supplied strategy note (e.g. the Ω containment
+    /// implementation) surfaced verbatim by EXPLAIN.
     SeqScan {
-        table: String,
-        filter: Option<Expr>,
-        annotation: Option<&'static str>,
-    },
-    /// Morsel-driven parallel heap scan: `workers` threads claim
-    /// fixed-size page ranges and evaluate `filter` independently; their
-    /// rows come back in no fixed order.
-    ParallelSeqScan {
         table: String,
         filter: Option<Expr>,
         workers: usize,
@@ -282,10 +277,7 @@ impl PhysNode {
                 left.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn);
                 right.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn);
             }
-            PhysOp::SeqScan { .. }
-            | PhysOp::ParallelSeqScan { .. }
-            | PhysOp::IndexScan { .. }
-            | PhysOp::Values { .. } => {}
+            PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => {}
         }
     }
 
@@ -312,10 +304,7 @@ impl PhysNode {
                 left.explain_into(out, depth + 1);
                 right.explain_into(out, depth + 1);
             }
-            PhysOp::SeqScan { .. }
-            | PhysOp::ParallelSeqScan { .. }
-            | PhysOp::IndexScan { .. }
-            | PhysOp::Values { .. } => {}
+            PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => {}
         }
     }
 
@@ -330,10 +319,7 @@ impl PhysNode {
             | PhysOp::Limit { input, .. } => vec![input],
             PhysOp::NlJoin { outer, inner, .. } => vec![outer, inner],
             PhysOp::HashJoin { left, right, .. } => vec![left, right],
-            PhysOp::SeqScan { .. }
-            | PhysOp::ParallelSeqScan { .. }
-            | PhysOp::IndexScan { .. }
-            | PhysOp::Values { .. } => vec![],
+            PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => vec![],
         }
     }
 
@@ -341,10 +327,10 @@ impl PhysNode {
     /// line head without predicates or cost annotations.
     pub fn op_name(&self) -> String {
         match &self.op {
-            PhysOp::SeqScan { table, .. } => format!("Seq Scan on {table}"),
-            PhysOp::ParallelSeqScan { table, workers, .. } => {
-                format!("Parallel Seq Scan on {table} (workers={workers})")
-            }
+            PhysOp::SeqScan { table, workers, .. } => match workers {
+                1 => format!("Seq Scan on {table}"),
+                _ => format!("Parallel Seq Scan on {table} (workers={workers})"),
+            },
             PhysOp::IndexScan { table, index, .. } => {
                 format!("Index Scan using {index} on {table}")
             }
@@ -403,9 +389,7 @@ impl PhysNode {
     /// The table this node scans, if it is a scan.
     pub fn leaf_scan_table(&self) -> Option<&str> {
         match &self.op {
-            PhysOp::SeqScan { table, .. }
-            | PhysOp::ParallelSeqScan { table, .. }
-            | PhysOp::IndexScan { table, .. } => Some(table),
+            PhysOp::SeqScan { table, .. } | PhysOp::IndexScan { table, .. } => Some(table),
             _ => None,
         }
     }
@@ -422,9 +406,7 @@ impl PhysNode {
             PhysOp::Project { input, .. }
             | PhysOp::Sort { input, .. }
             | PhysOp::Filter { input, .. } => input.scan_attribution(),
-            PhysOp::SeqScan { .. } | PhysOp::ParallelSeqScan { .. } | PhysOp::IndexScan { .. } => {
-                self.leaf_scan_table()
-            }
+            PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } => self.leaf_scan_table(),
             PhysOp::NlJoin { .. }
             | PhysOp::HashJoin { .. }
             | PhysOp::Aggregate { .. }
@@ -458,29 +440,16 @@ impl PhysNode {
             PhysOp::SeqScan {
                 table,
                 filter,
-                annotation,
-            } => {
-                let mut s = match filter {
-                    Some(f) => format!("Seq Scan on {table}  Filter: {f}"),
-                    None => format!("Seq Scan on {table}"),
-                };
-                if let Some(a) = annotation {
-                    let _ = write!(s, "  Containment: {a}");
-                }
-                s
-            }
-            PhysOp::ParallelSeqScan {
-                table,
-                filter,
                 workers,
                 annotation,
             } => {
-                let mut s = match filter {
-                    Some(f) => {
-                        format!("Parallel Seq Scan on {table}  (workers={workers})  Filter: {f}")
-                    }
-                    None => format!("Parallel Seq Scan on {table}  (workers={workers})"),
+                let mut s = match workers {
+                    1 => format!("Seq Scan on {table}"),
+                    _ => format!("Parallel Seq Scan on {table}  (workers={workers})"),
                 };
+                if let Some(f) = filter {
+                    let _ = write!(s, "  Filter: {f}");
+                }
                 if let Some(a) = annotation {
                     let _ = write!(s, "  Containment: {a}");
                 }
@@ -612,6 +581,7 @@ mod tests {
             op: PhysOp::SeqScan {
                 table: "book".into(),
                 filter: None,
+                workers: 1,
                 annotation: None,
             },
             est_rows: 100.0,
@@ -645,6 +615,7 @@ mod tests {
             op: PhysOp::SeqScan {
                 table: table.into(),
                 filter,
+                workers: 1,
                 annotation: None,
             },
             est_rows: 100.0,

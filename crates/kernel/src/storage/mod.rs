@@ -16,6 +16,7 @@ mod wal;
 
 pub use backend::{FaultInjector, FaultyBackend, FileBackend, MemBackend, StorageBackend};
 pub use bufferpool::{BufferPool, IoStats};
+pub(crate) use heapfile::read_tuple;
 pub use heapfile::{HeapFile, TupleId};
 pub use page::{Page, PAGE_SIZE};
 pub use tuple::{

@@ -95,5 +95,5 @@ fn catalogue_matches_registry() {
         documented, registered,
         "catalogue rows vs registered series"
     );
-    assert_eq!(registered.len(), 29, "{registered:?}");
+    assert_eq!(registered.len(), 26, "{registered:?}");
 }

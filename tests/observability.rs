@@ -436,22 +436,6 @@ fn explain_analyze_parallel_worker_actuals_reconcile() {
         workers.iter().all(|(_, t)| *t >= 0.0),
         "worker times must parse:\n{text}"
     );
-
-    // The parallel counters are visible through SHOW STATS.
-    let shown = db.execute("SHOW stats").unwrap();
-    let stats_text: Vec<String> = shown
-        .rows
-        .iter()
-        .map(|r| format!("{} {}", r[0], r[1]))
-        .collect();
-    let stats_text = stats_text.join("\n");
-    for metric in [
-        "mlql_parallel_morsels_dispatched_total",
-        "mlql_parallel_worker_busy_ns_total",
-        "mlql_parallel_gather_wait_ns_total",
-    ] {
-        assert!(stats_text.contains(metric), "SHOW STATS missing {metric}");
-    }
 }
 
 /// Golden test for the live activity view: while one session loops a
@@ -817,6 +801,20 @@ fn explain_analyze_batch_counters_reconcile_with_rows() {
         batches_of(&rec.replace("\"batches\":", "batches=")) >= 1,
         "{rec}"
     );
+
+    // Unfiltered, the serial scan hands out full batches: only the last
+    // one is short.
+    let text = db
+        .execute("EXPLAIN ANALYZE SELECT name FROM names")
+        .unwrap()
+        .explain
+        .expect("explain text");
+    let (rows, line) = node_actuals(&text)
+        .into_iter()
+        .find(|(_, l)| l.contains("Seq Scan on names"))
+        .expect("scan node");
+    assert_eq!(rows, 1000, "{text}");
+    assert_eq!(batches_of(&line), rows.div_ceil(128), "{line}");
 
     // One-row batches: every node emits exactly as many batches as rows,
     // and the rows are the same.

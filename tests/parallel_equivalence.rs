@@ -262,7 +262,7 @@ fn explain_field(text: &str, line: &str, key: &str) -> u64 {
 
 /// Each pull of a parallel scan is sized by the rows its consumer still
 /// wants, so `LIMIT 1` reads at most one morsel (4 pages) per worker
-/// instead of the table — the same bound keeps `max_rows` a memory
+/// instead of the table, and a one-worker scan reads one page — the same bound keeps `max_rows` a memory
 /// guard.  `heap.pages()` asks the storage backend for the page count and
 /// charges no page read, so the bound has no extra term.
 #[test]
@@ -282,13 +282,20 @@ fn limit_stops_a_parallel_scan_early() {
         .unwrap();
     let table_pages = explain_field(&serial.explain.unwrap(), "Seq Scan on t", "pages=");
     assert!(table_pages >= 60, "table spans {table_pages} pages");
+    let limit_1 = "EXPLAIN ANALYZE SELECT id FROM t WHERE id KEEP 0 LIMIT 1";
+
+    // One worker claims a page at a time, not a morsel, and filters only
+    // the row the limit still wants.
+    let text = db.execute(limit_1).unwrap().explain.unwrap();
+    assert_eq!(explain_field(&text, "Seq Scan on t", "pages="), 1, "{text}");
+    assert_eq!(
+        explain_field(&text, "Actual: ", "ext_op_calls="),
+        1,
+        "{text}"
+    );
 
     db.execute("SET parallel_workers = 4").unwrap();
-    let text = db
-        .execute("EXPLAIN ANALYZE SELECT id FROM t WHERE id KEEP 0 LIMIT 1")
-        .unwrap()
-        .explain
-        .unwrap();
+    let text = db.execute(limit_1).unwrap().explain.unwrap();
     // The scan node's reads, and the statement's: no worker reads on
     // after the query thread has its row.
     for pages in [
