@@ -2,7 +2,7 @@
 
 use crate::catalog::stats::ColumnStats;
 use crate::error::Result;
-use crate::value::{DataType, Datum, ExtTypeId};
+use crate::value::{DataType, Datum, DatumRef, ExtTypeId};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -164,15 +164,20 @@ pub struct ExtOperator {
     pub eval: Arc<dyn Fn(&Datum, &Datum, &SessionVars) -> Result<Datum> + Send + Sync>,
     /// Vectorized evaluation of `lefts[i] OP right` for a whole batch of
     /// left operands against one constant right operand, returning one
-    /// verdict per input in order.  The batch executor uses this to hoist
-    /// per-pair setup (phoneme conversion of the constant, closure-cache
-    /// probes, DP buffer borrows) out of the inner loop; `None` means the
-    /// operator only supports scalar evaluation and the executor falls
-    /// back to calling `eval` per row.  Implementations must be
-    /// result-identical to `eval` on every element.
+    /// verdict per input in order.  This is the operator's only batch
+    /// hook, and it sees borrowed operands: the batch executor passes
+    /// values of decoded rows, and a heap scan passes fields read straight
+    /// off the page image, before any row is decoded.  So per-pair setup
+    /// (phoneme conversion of the constant, closure-cache probes, DP
+    /// buffer borrows) is hoisted out of the inner loop, and rows the
+    /// operator rejects are never copied.  The executor never passes a
+    /// NULL operand.  `None` means the operator only supports scalar
+    /// evaluation and the executor calls `eval` per row.  Implementations
+    /// must be result-identical to `eval` on every element.
     #[allow(clippy::type_complexity)]
-    pub eval_batch:
-        Option<Arc<dyn Fn(&[&Datum], &Datum, &SessionVars) -> Result<Vec<Datum>> + Send + Sync>>,
+    pub eval_batch: Option<
+        Arc<dyn Fn(&[DatumRef<'_>], &Datum, &SessionVars) -> Result<Vec<Datum>> + Send + Sync>,
+    >,
     /// Algebraic properties (Table 1).
     pub kind: OperatorKind,
     /// CPU cost per evaluated pair, in units of `cpu_operator_cost` — ψ's
@@ -193,7 +198,7 @@ pub struct ExtOperator {
     /// modifier list (ψ/Ω's output-language restriction).  `None` means the
     /// operator takes no modifiers.
     #[allow(clippy::type_complexity)]
-    pub modifier_filter: Option<Arc<dyn Fn(&Datum, &[String]) -> bool + Send + Sync>>,
+    pub modifier_filter: Option<Arc<dyn Fn(DatumRef<'_>, &[String]) -> bool + Send + Sync>>,
     /// Fraction of an *approximate* index expected to be traversed by one
     /// probe, as a function of the session threshold.  The paper models
     /// this "by a linear function on the error threshold" (§3.3); `None`

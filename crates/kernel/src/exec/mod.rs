@@ -12,15 +12,17 @@
 
 use crate::catalog::{Catalog, SessionVars, TableMeta};
 use crate::error::{Error, Result};
-use crate::expr::{EvalCtx, Expr};
+use crate::expr::{and_batch, EvalCtx, Expr};
 use crate::plan::{AggFunc, NodeActuals, PhysNode, PhysOp};
 use crate::schema::{Row, Schema};
 use crate::storage::{
-    decode_row, read_tuple, split_version, BufferPool, HeapFile, TupleId, VERSION_HEADER_LEN,
+    decode_row, read_field, read_tuple, split_version, BufferPool, HeapFile, TupleId,
+    VERSION_HEADER_LEN,
 };
 use crate::txn::TxnVisibility;
 use crate::value::Datum;
 use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -635,30 +637,48 @@ pub fn effective_workers(session: &SessionVars) -> usize {
 }
 
 /// The page step every heap scan runs: one heap page's image and the
-/// tuples on it that the snapshot sees, decoded and waiting for the
-/// filter.  The image stays so that a survivor's stored bytes can be
-/// handed on without copying every visible tuple first, and its buffer
-/// is reused page after page: a fresh page-sized allocation per page
-/// cost a 2-worker ψ scan of 50k rows ~20 % of its CPU (2-vCPU host).
+/// tuples on it that the snapshot sees, waiting for the filter.  Nothing
+/// is decoded on load.  When the filter leads with an extension predicate
+/// `col OP const` whose operator has a batch hook, that conjunct runs on
+/// the column's fields borrowed from the image ([`read_field`]), and only
+/// the rows it passes are decoded; any other filter decodes first.  The
+/// image's buffer is reused page after page: a fresh page-sized
+/// allocation per page cost a 2-worker ψ scan of 50k rows ~20 % of its
+/// CPU (2-vCPU host).
 #[derive(Default)]
 struct HeapPage {
     img: Vec<u8>,
-    /// `(slot, xmax, row)` of the decoded tuples not yet filtered.
-    pending: VecDeque<(u16, u64, Row)>,
+    arity: usize,
+    /// `(slot, xmax, row bytes)` of the visible tuples, the row bytes as
+    /// a range of `img`; those from `next` on are not filtered yet.
+    visible: Vec<(u16, u64, Range<usize>)>,
+    next: usize,
 }
 
 impl HeapPage {
-    /// Read heap page `page` and decode the tuples on it the snapshot
-    /// sees.
+    /// Read heap page `page` and note the tuples on it the snapshot sees.
+    /// The image is copied out under the pool mutex and read outside it,
+    /// so a scan never holds the (pool-wide) lock while it filters.
     fn load(&mut self, meta: &TableMeta, page: u32, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pending.clear();
-        let pending = &mut self.pending;
-        visible_page_tuples(meta, page, ctx, &mut self.img, |slot, xmax, row| {
-            pending.push_back((slot, xmax, row))
-        })
+        self.visible.clear();
+        self.next = 0;
+        self.arity = meta.schema.len();
+        let img = &mut self.img;
+        ctx.pool.with_page(meta.heap.file_id(), page, |buf| {
+            img.clear();
+            img.extend_from_slice(buf);
+        })?;
+        for (slot, at) in HeapFile::page_tuple_ranges(img) {
+            let (xmin, xmax, _) = split_version(&img[at.clone()])?;
+            if ctx.vis.sees(xmin, xmax) {
+                let row = at.start + VERSION_HEADER_LEN..at.end;
+                self.visible.push((slot, xmax, row));
+            }
+        }
+        Ok(())
     }
 
-    /// Run `filter` over the next `room` decoded tuples (at most) and
+    /// Run `filter` over the next `room` visible tuples (at most) and
     /// return the `(slot, xmax, row)` of each survivor.
     fn filter(
         &mut self,
@@ -666,25 +686,85 @@ impl HeapPage {
         room: usize,
         eval: &EvalCtx<'_>,
     ) -> Result<Vec<(u16, u64, Row)>> {
-        let take = self.pending.len().min(room);
-        let candidates: Vec<_> = self.pending.drain(..take).collect();
-        match filter {
-            Some(f) => filter_batch(f, candidates, |t| &t.2, eval),
-            None => Ok(candidates),
+        let end = self.visible.len().min(self.next.saturating_add(room));
+        let candidates = &self.visible[self.next..end];
+        self.next = end;
+        let (img, arity) = (&self.img, self.arity);
+        let decode = |(slot, xmax, at): &(u16, u64, Range<usize>)| -> Result<(u16, u64, Row)> {
+            Ok((*slot, *xmax, decode_row(&img[at.clone()], arity)?))
+        };
+        let decode_all = || {
+            let mut rows = Vec::with_capacity(candidates.len());
+            for c in candidates {
+                rows.push(decode(c)?);
+            }
+            Ok(rows)
+        };
+        let Some(filter) = filter else {
+            return decode_all();
+        };
+        let (lead, rest) = leading_conjunct(filter);
+        let on_image = lead
+            .batch_ext_op(eval)?
+            .and_then(|p| Some((p.column()?, p)));
+        let Some((col, lead)) = on_image else {
+            return filter_batch(filter, decode_all()?, |t| &t.2, eval);
+        };
+        let mut fields = Vec::with_capacity(candidates.len());
+        for (_, _, at) in candidates {
+            fields.push(read_field(&img[at.clone()], arity, col)?);
         }
+        let verdicts = lead.verdicts(&fields, eval)?;
+        // Decode the rows the leading conjunct passes — and, when more
+        // conjuncts follow, those it leaves NULL: AND still evaluates the
+        // next conjunct on them.
+        let mut rows = Vec::new();
+        let mut acc = Vec::new();
+        for (c, v) in candidates.iter().zip(verdicts) {
+            if v.is_true() || (!rest.is_empty() && !matches!(v, Datum::Bool(false))) {
+                rows.push(decode(c)?);
+                acc.push(v);
+            }
+        }
+        if !rest.is_empty() {
+            let refs: Vec<&[Datum]> = rows.iter().map(|t| t.2.as_slice()).collect();
+            for conjunct in rest {
+                and_batch(&mut acc, &refs, conjunct, eval)?;
+            }
+        }
+        Ok(rows
+            .into_iter()
+            .zip(acc)
+            .filter_map(|(t, v)| v.is_true().then_some(t))
+            .collect())
     }
 
     /// The stored bytes, version header included, of the tuple at `slot`.
     fn stored(&self, slot: u16) -> &[u8] {
-        read_tuple(&self.img, slot).expect("a slot decoded from this image")
+        read_tuple(&self.img, slot).expect("a slot read from this image")
     }
+}
+
+/// A filter split at its first conjunct: `((a AND b) AND c)` is `a`, then
+/// `[b, c]` in evaluation order.  AND-ing the rest onto `a`'s verdicts one
+/// by one ([`and_batch`]) evaluates every conjunct on the same rows, and
+/// gives the same values, as `eval_batch` over the whole filter.
+fn leading_conjunct(filter: &Expr) -> (&Expr, Vec<&Expr>) {
+    let mut lead = filter;
+    let mut rest = Vec::new();
+    while let Expr::And(l, r) = lead {
+        rest.push(&**r);
+        lead = l;
+    }
+    rest.reverse();
+    (lead, rest)
 }
 
 /// Heap scan with a pushed-down filter, morsel-driven at two or more
 /// workers.
 ///
 /// At one worker the scan runs on the calling thread.  It claims one
-/// page at a time off the cursor and filters only as many decoded rows
+/// page at a time off the cursor and filters only as many visible tuples
 /// as the batch still has room for, so every batch but the last is full
 /// and a `LIMIT` above pays the filter for no row it does not take.  The
 /// filter runs per batch via `eval_batch`: this is where ψ's per-batch
@@ -747,7 +827,7 @@ impl SeqScanExec {
         let eval = ctx.eval_ctx();
         let mut out = Vec::new();
         while out.len() < max {
-            if self.page.pending.is_empty() {
+            if self.page.next == self.page.visible.len() {
                 let page = self.cursor.get_mut();
                 if *page >= n_pages {
                     break;
@@ -848,7 +928,8 @@ impl Executor for SeqScanExec {
 
     fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
         self.cursor.store(0, Ordering::Relaxed);
-        self.page.pending.clear();
+        self.page.visible.clear();
+        self.page.next = 0;
         self.buffer.clear();
         Ok(())
     }
@@ -1042,30 +1123,6 @@ fn visible_row(bytes: &[u8], arity: usize, vis: &TxnVisibility) -> Result<Option
         return Ok(None);
     }
     Ok(Some((xmax, decode_row(rest, arity)?)))
-}
-
-/// Copy heap page `page` into `img` and hand `each` the `(slot, xmax,
-/// decoded row)` of every tuple on it that the context's snapshot sees.
-/// The image is copied out under the pool mutex and decoded outside it:
-/// row decoding is the CPU-heavy part of a scan, and holding the
-/// (pool-wide) lock through it would serialize concurrent sessions.
-fn visible_page_tuples(
-    meta: &TableMeta,
-    page: u32,
-    ctx: &ExecCtx<'_>,
-    img: &mut Vec<u8>,
-    mut each: impl FnMut(u16, u64, Row),
-) -> Result<()> {
-    ctx.pool.with_page(meta.heap.file_id(), page, |buf| {
-        img.clear();
-        img.extend_from_slice(buf);
-    })?;
-    for (slot, tuple) in HeapFile::page_tuples(img) {
-        if let Some((xmax, row)) = visible_row(tuple, meta.schema.len(), &ctx.vis)? {
-            each(slot, xmax, row);
-        }
-    }
-    Ok(())
 }
 
 /// Search `index` once under its read guard and return the matching

@@ -63,7 +63,7 @@ pub mod value;
 pub use engine::{Engine, QueryResult, Session};
 pub use error::{Error, Result};
 pub use schema::{Column, Schema};
-pub use value::{DataType, Datum, ExtTypeId};
+pub use value::{DataType, Datum, DatumRef, ExtTypeId};
 
 /// Old name of [`Session`], kept only because the frozen benchmark crate
 /// `crates/workload` still spells it; the next benchmark change renames

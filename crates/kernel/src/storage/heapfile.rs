@@ -2,6 +2,7 @@
 
 use crate::error::Result;
 use crate::storage::{BufferPool, FileId, Page, PageNo};
+use std::ops::Range;
 
 /// Physical address of a tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -163,6 +164,12 @@ impl HeapFile {
 /// views; expose a read-only helper to avoid copying whole pages on the
 /// hot scan path.
 pub(crate) fn read_tuple(buf: &[u8], slot: u16) -> Option<&[u8]> {
+    tuple_range(buf, slot).map(|r| &buf[r])
+}
+
+/// Where the tuple at `slot` lies in the page buffer `buf`; `None` for a
+/// slot that is out of range or empty.
+fn tuple_range(buf: &[u8], slot: u16) -> Option<Range<usize>> {
     // Reimplements the slot lookup against an immutable buffer.
     let slot_count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
     if slot as usize >= slot_count {
@@ -174,7 +181,7 @@ pub(crate) fn read_tuple(buf: &[u8], slot: u16) -> Option<&[u8]> {
     if len == 0 {
         return None;
     }
-    Some(&buf[data_off..data_off + len])
+    Some(data_off..data_off + len)
 }
 
 impl HeapFile {
@@ -197,8 +204,14 @@ impl HeapFile {
 
     /// Enumerate live `(slot, tuple)` pairs of one page buffer.
     pub fn page_tuples(buf: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
+        Self::page_tuple_ranges(buf).map(move |(s, r)| (s, &buf[r]))
+    }
+
+    /// [`HeapFile::page_tuples`] as `(slot, range of buf)` pairs, for a
+    /// reader that keeps the page image and borrows from it later.
+    pub(crate) fn page_tuple_ranges(buf: &[u8]) -> impl Iterator<Item = (u16, Range<usize>)> + '_ {
         let slot_count = u16::from_le_bytes([buf[0], buf[1]]);
-        (0..slot_count).filter_map(move |s| read_tuple(buf, s).map(|t| (s, t)))
+        (0..slot_count).filter_map(move |s| tuple_range(buf, s).map(|r| (s, r)))
     }
 }
 

@@ -20,7 +20,8 @@ pub(crate) use heapfile::read_tuple;
 pub use heapfile::{HeapFile, TupleId};
 pub use page::{Page, PAGE_SIZE};
 pub use tuple::{
-    decode_row, encode_row, encode_version, split_version, FROZEN_TXN_ID, VERSION_HEADER_LEN,
+    decode_row, encode_row, encode_version, read_field, split_version, FROZEN_TXN_ID,
+    VERSION_HEADER_LEN,
 };
 pub use wal::{SharedWal, SyncMode, Wal, WalReader, WalRecord, WAL_HEADER_LEN};
 

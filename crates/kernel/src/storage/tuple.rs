@@ -12,7 +12,7 @@
 
 use crate::error::{Error, Result};
 use crate::schema::Row;
-use crate::value::{Datum, ExtTypeId};
+use crate::value::{Datum, DatumRef, ExtTypeId};
 
 /// Length of the MVCC version header that prefixes every heap tuple:
 /// `xmin:u64le ‖ xmax:u64le`.  WAL records and the wire carry plain row
@@ -83,69 +83,71 @@ pub fn encode_row(row: &Row) -> Vec<u8> {
 /// Decode a tuple produced by [`encode_row`].  `arity` fields are read.
 pub fn decode_row(mut bytes: &[u8], arity: usize) -> Result<Row> {
     let mut row = Row::with_capacity(arity);
-    let corrupt = || Error::Storage("corrupt tuple".into());
     for _ in 0..arity {
-        let (&tag, rest) = bytes.split_first().ok_or_else(corrupt)?;
-        bytes = rest;
-        let d = match tag {
-            0x00 => Datum::Null,
-            0x01 => {
-                let (&b, rest) = bytes.split_first().ok_or_else(corrupt)?;
-                bytes = rest;
-                Datum::Bool(b != 0)
-            }
-            0x02 => {
-                if bytes.len() < 8 {
-                    return Err(corrupt());
-                }
-                let (v, rest) = bytes.split_at(8);
-                bytes = rest;
-                Datum::Int(i64::from_le_bytes(v.try_into().expect("8 bytes")))
-            }
-            0x03 => {
-                if bytes.len() < 8 {
-                    return Err(corrupt());
-                }
-                let (v, rest) = bytes.split_at(8);
-                bytes = rest;
-                Datum::Float(f64::from_bits(u64::from_le_bytes(
-                    v.try_into().expect("8 bytes"),
-                )))
-            }
-            0x04 => {
-                if bytes.len() < 4 {
-                    return Err(corrupt());
-                }
-                let (l, rest) = bytes.split_at(4);
-                let len = u32::from_le_bytes(l.try_into().expect("4 bytes")) as usize;
-                if rest.len() < len {
-                    return Err(corrupt());
-                }
-                let (s, rest) = rest.split_at(len);
-                bytes = rest;
-                let text = std::str::from_utf8(s).map_err(|_| corrupt())?;
-                Datum::text(text)
-            }
-            0x05 => {
-                if bytes.len() < 8 {
-                    return Err(corrupt());
-                }
-                let (t, rest) = bytes.split_at(4);
-                let ty = ExtTypeId(u32::from_le_bytes(t.try_into().expect("4 bytes")));
-                let (l, rest) = rest.split_at(4);
-                let len = u32::from_le_bytes(l.try_into().expect("4 bytes")) as usize;
-                if rest.len() < len {
-                    return Err(corrupt());
-                }
-                let (v, rest) = rest.split_at(len);
-                bytes = rest;
-                Datum::ext(ty, v.to_vec())
-            }
-            _ => return Err(corrupt()),
-        };
-        row.push(d);
+        row.push(next_field(&mut bytes)?.to_datum());
     }
     Ok(row)
+}
+
+/// Field `i` of a tuple produced by [`encode_row`], borrowed from `bytes`
+/// with no allocation.  All `arity` fields are walked and checked as
+/// [`decode_row`] checks them, so it errors exactly where `decode_row`
+/// does, with the same error.
+pub fn read_field(mut bytes: &[u8], arity: usize, i: usize) -> Result<DatumRef<'_>> {
+    let mut field = None;
+    for at in 0..arity {
+        let d = next_field(&mut bytes)?;
+        if at == i {
+            field = Some(d);
+        }
+    }
+    field.ok_or_else(|| Error::Execution(format!("column {i} out of range")))
+}
+
+/// Read the field at the front of `bytes` and advance past it.  Inlined
+/// into its two callers: as a call it returns a 40-byte `Result` through
+/// memory, which made [`read_field`] ~5× slower (48 vs 10 ns for an
+/// `(INT, UNITEXT)` row, 2-vCPU host).
+#[inline(always)]
+fn next_field<'a>(bytes: &mut &'a [u8]) -> Result<DatumRef<'a>> {
+    let corrupt = || Error::Storage("corrupt tuple".into());
+    let b: &'a [u8] = bytes;
+    let tag = *b.first().ok_or_else(corrupt)?;
+    // The `n` bytes after the tag, and the `len` bytes after those.
+    let fixed = |n: usize| b.get(1..1 + n).ok_or_else(corrupt);
+    let body = |n: usize, len: usize| {
+        b.get(1 + n..)
+            .and_then(|r| r.get(..len))
+            .ok_or_else(corrupt)
+    };
+    let u32_of = |v: &[u8]| u32::from_le_bytes(v.try_into().expect("4 bytes")) as usize;
+    let u64_of = |v: &[u8]| u64::from_le_bytes(v.try_into().expect("8 bytes"));
+    let (d, used) = match tag {
+        0x00 => (DatumRef::Null, 1),
+        0x01 => (DatumRef::Bool(fixed(1)?[0] != 0), 2),
+        0x02 => (DatumRef::Int(u64_of(fixed(8)?) as i64), 9),
+        0x03 => (DatumRef::Float(f64::from_bits(u64_of(fixed(8)?))), 9),
+        0x04 => {
+            let len = u32_of(fixed(4)?);
+            let text = std::str::from_utf8(body(4, len)?).map_err(|_| corrupt())?;
+            (DatumRef::Text(text), 5 + len)
+        }
+        0x05 => {
+            let head = fixed(8)?;
+            let len = u32_of(&head[4..]);
+            let ty = ExtTypeId(u32_of(&head[..4]) as u32);
+            (
+                DatumRef::Ext {
+                    ty,
+                    bytes: body(8, len)?,
+                },
+                9 + len,
+            )
+        }
+        _ => return Err(corrupt()),
+    };
+    *bytes = &b[used..];
+    Ok(d)
 }
 
 #[cfg(test)]
@@ -277,9 +279,45 @@ mod proptests {
         }
 
         #[test]
+        fn read_field_borrows_the_decoded_column(row in proptest::collection::vec(arb_datum(), 1..8)) {
+            let bytes = encode_row(&row);
+            let arity = row.len();
+            let decoded = decode_row(&bytes, arity).unwrap();
+            for (i, want) in decoded.iter().enumerate() {
+                let got = read_field(&bytes, arity, i).unwrap().to_datum();
+                prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "column {}", i);
+                if let (Datum::Float(x), Datum::Float(y)) = (&got, want) {
+                    prop_assert_eq!(x.to_bits(), y.to_bits());
+                }
+            }
+            prop_assert!(read_field(&bytes, arity, arity).is_err());
+            // Every truncated prefix, and every byte overwritten with a
+            // bad tag (or a bad length or text byte, wherever it lands),
+            // errors exactly where decode_row errors, with its error.
+            let mut damaged: Vec<Vec<u8>> = (0..bytes.len()).map(|cut| bytes[..cut].to_vec()).collect();
+            for at in 0..bytes.len() {
+                for bad in [0x06, 0x80, 0xff] {
+                    let mut b = bytes.clone();
+                    b[at] = bad;
+                    damaged.push(b);
+                }
+            }
+            for b in &damaged {
+                let whole = decode_row(b, arity).map(|_| ()).map_err(|e| e.to_string());
+                for i in 0..arity {
+                    let one = read_field(b, arity, i).map(|_| ()).map_err(|e| e.to_string());
+                    prop_assert_eq!(&one, &whole, "column {} of {:?}", i, b);
+                }
+            }
+        }
+
+        #[test]
         fn garbage_never_panics(bytes in proptest::collection::vec(any::<u8>(), 0..128),
                                 arity in 0usize..6) {
             let _ = decode_row(&bytes, arity);
+            for i in 0..=arity {
+                let _ = read_field(&bytes, arity, i);
+            }
         }
     }
 }

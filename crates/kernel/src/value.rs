@@ -126,11 +126,24 @@ impl Datum {
         }
     }
 
-    /// SQL comparison for the built-in types.  Extension values compare by
-    /// raw bytes here; type-aware comparison goes through the catalog's
-    /// registered support function (the binder rewrites comparisons on
-    /// extension types accordingly).  NULL compares less than everything
-    /// (only used for sorting, not predicates).
+    /// A borrowed view of this value.
+    #[inline]
+    pub fn as_ref(&self) -> DatumRef<'_> {
+        match self {
+            Datum::Null => DatumRef::Null,
+            Datum::Bool(b) => DatumRef::Bool(*b),
+            Datum::Int(i) => DatumRef::Int(*i),
+            Datum::Float(f) => DatumRef::Float(*f),
+            Datum::Text(s) => DatumRef::Text(s),
+            Datum::Ext { ty, bytes } => DatumRef::Ext { ty: *ty, bytes },
+        }
+    }
+
+    /// SQL comparison for the built-in types; the same order as
+    /// [`DatumRef::cmp_sql`].  Not written as a call to it: sorts and
+    /// B-tree searches compare owned values, and going through two
+    /// `as_ref` conversions made sorting 1M ints ~40–50 % slower (2-vCPU
+    /// host).
     pub fn cmp_sql(&self, other: &Datum) -> Ordering {
         use Datum::*;
         match (self, other) {
@@ -144,10 +157,7 @@ impl Datum {
             (Float(a), Int(b)) => a.partial_cmp(&(*b as f64)).unwrap_or(Ordering::Equal),
             (Text(a), Text(b)) => a.as_ref().cmp(b.as_ref()),
             (Ext { bytes: a, .. }, Ext { bytes: b, .. }) => a.as_ref().cmp(b.as_ref()),
-            // Heterogeneous comparisons order by type discriminant; the
-            // binder rejects them before execution, this is sort-stability
-            // insurance only.
-            (a, b) => discr(a).cmp(&discr(b)),
+            (a, b) => discr(a.as_ref()).cmp(&discr(b.as_ref())),
         }
     }
 
@@ -160,26 +170,104 @@ impl Datum {
     }
 }
 
-fn discr(d: &Datum) -> u8 {
+/// A value borrowed from wherever it lives: a [`Datum`]
+/// ([`Datum::as_ref`]) or a field of a stored tuple
+/// ([`crate::storage::read_field`]), so a predicate can read a heap page
+/// image without copying any of it.  Equality, hashing, ordering and
+/// display are the owned value's.
+#[derive(Debug, Clone, Copy)]
+pub enum DatumRef<'a> {
+    Null,
+    Bool(bool),
+    Int(i64),
+    Float(f64),
+    Text(&'a str),
+    /// Extension value: opaque bytes + type tag.
+    Ext {
+        ty: ExtTypeId,
+        bytes: &'a [u8],
+    },
+}
+
+impl DatumRef<'_> {
+    /// Is this SQL NULL?
+    pub fn is_null(self) -> bool {
+        matches!(self, DatumRef::Null)
+    }
+
+    /// Copy the value out into an owned [`Datum`].
+    pub fn to_datum(self) -> Datum {
+        match self {
+            DatumRef::Null => Datum::Null,
+            DatumRef::Bool(b) => Datum::Bool(b),
+            DatumRef::Int(i) => Datum::Int(i),
+            DatumRef::Float(f) => Datum::Float(f),
+            DatumRef::Text(s) => Datum::text(s),
+            DatumRef::Ext { ty, bytes } => Datum::ext(ty, bytes),
+        }
+    }
+
+    /// SQL comparison for the built-in types.  Extension values compare by
+    /// raw bytes here; type-aware comparison goes through the catalog's
+    /// registered support function (the binder rewrites comparisons on
+    /// extension types accordingly).  NULL compares less than everything
+    /// (only used for sorting, not predicates).
+    pub fn cmp_sql(self, other: DatumRef<'_>) -> Ordering {
+        use DatumRef::*;
+        match (self, other) {
+            (Null, Null) => Ordering::Equal,
+            (Null, _) => Ordering::Less,
+            (_, Null) => Ordering::Greater,
+            (Bool(a), Bool(b)) => a.cmp(&b),
+            (Int(a), Int(b)) => a.cmp(&b),
+            (Float(a), Float(b)) => a.partial_cmp(&b).unwrap_or(Ordering::Equal),
+            (Int(a), Float(b)) => (a as f64).partial_cmp(&b).unwrap_or(Ordering::Equal),
+            (Float(a), Int(b)) => a.partial_cmp(&(b as f64)).unwrap_or(Ordering::Equal),
+            (Text(a), Text(b)) => a.cmp(b),
+            (Ext { bytes: a, .. }, Ext { bytes: b, .. }) => a.cmp(b),
+            // Heterogeneous comparisons order by type discriminant; the
+            // binder rejects them before execution, this is sort-stability
+            // insurance only.
+            (a, b) => discr(a).cmp(&discr(b)),
+        }
+    }
+}
+
+fn discr(d: DatumRef<'_>) -> u8 {
     match d {
-        Datum::Null => 0,
-        Datum::Bool(_) => 1,
-        Datum::Int(_) => 2,
-        Datum::Float(_) => 3,
-        Datum::Text(_) => 4,
-        Datum::Ext { .. } => 5,
+        DatumRef::Null => 0,
+        DatumRef::Bool(_) => 1,
+        DatumRef::Int(_) => 2,
+        DatumRef::Float(_) => 3,
+        DatumRef::Text(_) => 4,
+        DatumRef::Ext { .. } => 5,
+    }
+}
+
+impl fmt::Display for DatumRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            DatumRef::Null => write!(f, "NULL"),
+            DatumRef::Bool(b) => write!(f, "{b}"),
+            DatumRef::Int(i) => write!(f, "{i}"),
+            DatumRef::Float(x) => write!(f, "{x}"),
+            DatumRef::Text(s) => write!(f, "{s}"),
+            DatumRef::Ext { ty, bytes } => write!(f, "ext#{}({} bytes)", ty.0, bytes.len()),
+        }
     }
 }
 
 impl fmt::Display for Datum {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Datum::Null => write!(f, "NULL"),
-            Datum::Bool(b) => write!(f, "{b}"),
-            Datum::Int(i) => write!(f, "{i}"),
-            Datum::Float(x) => write!(f, "{x}"),
-            Datum::Text(s) => write!(f, "{s}"),
-            Datum::Ext { ty, bytes } => write!(f, "ext#{}({} bytes)", ty.0, bytes.len()),
+        self.as_ref().fmt(f)
+    }
+}
+
+impl PartialEq for DatumRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (DatumRef::Null, DatumRef::Null) => true,
+            _ => !self.is_null() && !other.is_null() && self.cmp_sql(*other) == Ordering::Equal,
         }
     }
 }
@@ -196,27 +284,27 @@ impl PartialEq for Datum {
 /// Hash consistent with `PartialEq` above (ints and equal floats hash via
 /// their f64 bits only when integral — we avoid cross-type joins on
 /// float/int in practice; the binder coerces join keys to one type).
-impl std::hash::Hash for Datum {
+impl std::hash::Hash for DatumRef<'_> {
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
-            Datum::Null => 0u8.hash(state),
-            Datum::Bool(b) => {
+            DatumRef::Null => 0u8.hash(state),
+            DatumRef::Bool(b) => {
                 1u8.hash(state);
                 b.hash(state);
             }
-            Datum::Int(i) => {
+            DatumRef::Int(i) => {
                 2u8.hash(state);
                 (*i as f64).to_bits().hash(state);
             }
-            Datum::Float(f) => {
+            DatumRef::Float(f) => {
                 2u8.hash(state);
                 f.to_bits().hash(state);
             }
-            Datum::Text(s) => {
+            DatumRef::Text(s) => {
                 4u8.hash(state);
                 s.hash(state);
             }
-            Datum::Ext { bytes, .. } => {
+            DatumRef::Ext { bytes, .. } => {
                 5u8.hash(state);
                 bytes.hash(state);
             }
@@ -224,6 +312,13 @@ impl std::hash::Hash for Datum {
     }
 }
 
+impl std::hash::Hash for Datum {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        self.as_ref().hash(state)
+    }
+}
+
+impl Eq for DatumRef<'_> {}
 impl Eq for Datum {}
 
 #[cfg(test)]

@@ -9,14 +9,14 @@
 //! variable store: `SET lexequal.threshold = 3`.
 
 use crate::selectivity::{psi_default_selectivity, psi_join_selectivity, psi_scan_selectivity};
-use crate::types::unitext_of_datum;
+use crate::types::{language_filter, unitext_of_datum, unitext_of_ref};
 use mlql_kernel::catalog::{ExtOperator, OperatorKind, SessionVars};
-use mlql_kernel::{DataType, Datum, ExtTypeId};
+use mlql_kernel::{DataType, Datum, DatumRef, ExtTypeId};
 use mlql_phonetics::distance::{DistanceBuffer, MyersMatcher};
 use mlql_phonetics::{ConverterRegistry, PhonemeString};
 use mlql_unitext::LanguageRegistry;
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::sync::Arc;
 
 /// Session variable holding ψ's error threshold.
@@ -75,7 +75,23 @@ pub fn psi_matches(
     }))
 }
 
-/// Batch ψ: `lefts[i] ψ r` for a whole batch against one constant RHS.
+/// [`psi_matches_refs`] over owned values, for callers that hold
+/// `Datum`s (the benchmark's layer replay).  The engine's batch hook calls
+/// `psi_matches_refs` directly.
+pub fn psi_matches_batch(
+    lefts: &[&Datum],
+    r: &Datum,
+    k: usize,
+    converters: &ConverterRegistry,
+    use_myers: bool,
+) -> mlql_kernel::Result<Vec<Datum>> {
+    let lefts: Vec<DatumRef<'_>> = lefts.iter().map(|d| d.as_ref()).collect();
+    psi_matches_refs(&lefts, r, k, converters, use_myers)
+}
+
+/// Batch ψ: `lefts[i] ψ r` for a whole batch against one constant RHS,
+/// over borrowed operands — values of decoded rows, or UniText fields
+/// read straight off a heap page image.
 ///
 /// Result-identical to [`psi_matches`] on every element, but the batch
 /// shape amortizes everything that does not depend on the LHS row:
@@ -93,8 +109,8 @@ pub fn psi_matches(
 /// The engine always passes `use_myers = true`; `false` forces the banded
 /// DP for every length and exists only as the reference the unit tests
 /// and the layer benchmark compare the kernel against.
-pub fn psi_matches_batch(
-    lefts: &[&Datum],
+pub fn psi_matches_refs(
+    lefts: &[DatumRef<'_>],
     r: &Datum,
     k: usize,
     converters: &ConverterRegistry,
@@ -104,17 +120,16 @@ pub fn psi_matches_batch(
         return Ok(Vec::new());
     }
     let m = mlql_kernel::obs::metrics();
-    let has_slice = |d: &Datum| match d {
-        Datum::Ext { bytes, .. } => crate::types::phoneme_slice(bytes).is_some(),
-        _ => false,
-    };
-    let rhs_slice: Option<&[u8]> = match r {
-        Datum::Ext { bytes, .. } => crate::types::phoneme_slice(bytes),
-        _ => None,
-    };
+    fn slice_of(d: DatumRef<'_>) -> Option<&[u8]> {
+        match d {
+            DatumRef::Ext { bytes, .. } => crate::types::phoneme_slice(bytes),
+            _ => None,
+        }
+    }
+    let rhs_slice: Option<&[u8]> = slice_of(r.as_ref());
     // Decode the RHS once iff some pair will take the slow path (exactly
     // the pairs where scalar `psi_matches` would convert it per row).
-    let need_slow = rhs_slice.is_none() || lefts.iter().any(|l| !has_slice(l));
+    let need_slow = rhs_slice.is_none() || lefts.iter().any(|&l| slice_of(l).is_none());
     let rhs_decoded: Option<(String, PhonemeString)> = if need_slow {
         let rv = unitext_of_datum(r)?;
         let rp = converters.phonemes_of(&rv);
@@ -124,7 +139,7 @@ pub fn psi_matches_batch(
     };
     // The materialized slice and a fresh conversion yield the same bytes
     // (the cache is authoritative), so one kernel serves both paths.
-    let rp_bytes: &[u8] = match (&rhs_slice, &rhs_decoded) {
+    let rp_bytes: &[u8] = match (rhs_slice, &rhs_decoded) {
         (Some(s), _) => s,
         (None, Some((_, p))) => p.as_bytes(),
         (None, None) => unreachable!("need_slow when no slice"),
@@ -134,7 +149,7 @@ pub fn psi_matches_batch(
     } else {
         None
     };
-    let mut memo: HashMap<&Datum, (String, PhonemeString)> = HashMap::new();
+    let mut memo: HashMap<DatumRef<'_>, (String, PhonemeString)> = HashMap::new();
     let mut dist_calls = 0u64;
     let mut out = Vec::with_capacity(lefts.len());
     DP.with(|dp| -> mlql_kernel::Result<()> {
@@ -146,22 +161,22 @@ pub fn psi_matches_batch(
         for &l in lefts {
             // Fast path: both sides carry materialized phonemes.
             if rhs_slice.is_some() {
-                if let Datum::Ext { bytes: lb, .. } = l {
-                    if let Some(lp) = crate::types::phoneme_slice(lb) {
-                        dist_calls += 1;
-                        out.push(Datum::Bool(within(lp, dp)));
-                        continue;
-                    }
+                if let Some(lp) = slice_of(l) {
+                    dist_calls += 1;
+                    out.push(Datum::Bool(within(lp, dp)));
+                    continue;
                 }
             }
             // Slow path: decode + convert, memoized per distinct value.
             let (r_text, rp) = rhs_decoded.as_ref().expect("decoded above");
-            if !memo.contains_key(l) {
-                let lv = unitext_of_datum(l)?;
-                let lp = converters.phonemes_of(&lv);
-                memo.insert(l, (lv.text().to_string(), lp));
-            }
-            let (l_text, lp) = &memo[l];
+            let (l_text, lp) = match memo.entry(l) {
+                Entry::Occupied(hit) => hit.into_mut(),
+                Entry::Vacant(slot) => {
+                    let lv = unitext_of_ref(l)?;
+                    let lp = converters.phonemes_of(&lv);
+                    slot.insert((lv.text().to_string(), lp))
+                }
+            };
             if lp.is_empty() && rp.is_empty() {
                 // Same graceful degradation as `psi_matches`.
                 out.push(Datum::Bool(l_text == r_text));
@@ -194,7 +209,7 @@ pub fn lexequal_operator(
         }),
         eval_batch: Some(Arc::new(move |lefts, r, session| {
             let k = threshold(session);
-            psi_matches_batch(lefts, r, k, &batch_convs, true)
+            psi_matches_refs(lefts, r, k, &batch_convs, true)
         })),
         // Table 1: ψ commutes, associates, and distributes over ∪.
         kind: OperatorKind {
@@ -240,17 +255,7 @@ pub fn lexequal_operator(
         index_extra: Some(Arc::new(|session| Datum::Int(threshold(session) as i64))),
         // `IN (English, Hindi, ...)`: the LHS row matches only when its
         // language is in the list.
-        modifier_filter: Some(Arc::new(move |l, mods| {
-            let Ok(v) = unitext_of_datum(l) else {
-                return false;
-            };
-            mods.iter().any(|m| {
-                langs
-                    .lookup(m)
-                    .map(|lang| lang.id == v.lang())
-                    .unwrap_or(false)
-            })
-        })),
+        modifier_filter: Some(language_filter(langs)),
         // §3.3: approximate-index traversal is linear in the threshold.
         index_scan_fraction: Some(Arc::new(|session| {
             crate::cost::approx_index_fraction(threshold(session))
@@ -318,11 +323,12 @@ mod tests {
         let (langs, _, op) = setup();
         let filter = op.modifier_filter.as_ref().unwrap();
         let ta = ut(&langs, "நேரு", "Tamil");
-        assert!(filter(&ta, &["Tamil".into(), "Hindi".into()]));
-        assert!(filter(&ta, &["tamil".into()]), "case-insensitive");
-        assert!(!filter(&ta, &["English".into()]));
+        let ta = ta.as_ref();
+        assert!(filter(ta, &["Tamil".into(), "Hindi".into()]));
+        assert!(filter(ta, &["tamil".into()]), "case-insensitive");
+        assert!(!filter(ta, &["English".into()]));
         assert!(
-            !filter(&ta, &["Klingon".into()]),
+            !filter(ta, &["Klingon".into()]),
             "unknown language never matches"
         );
     }
@@ -408,7 +414,8 @@ mod tests {
         let mut session = SessionVars::new();
         session.set(THRESHOLD_VAR, Datum::Int(2));
         let rhs = ut(&langs, "Neru", "English");
-        let via_hook = hook(&lefts, &rhs, &session).unwrap();
+        let refs: Vec<DatumRef<'_>> = lefts.iter().map(|d| d.as_ref()).collect();
+        let via_hook = hook(&refs, &rhs, &session).unwrap();
         let direct = psi_matches_batch(&lefts, &rhs, 2, &convs, true).unwrap();
         for (a, b) in via_hook.iter().zip(&direct) {
             assert!(a.is_true() == b.is_true());

@@ -9,9 +9,9 @@
 //! the paper's nested-loops-with-RHS-outer optimization.
 
 use crate::selectivity::{omega_join_selectivity, omega_scan_selectivity};
-use crate::types::unitext_of_datum;
+use crate::types::{language_filter, unitext_of_datum, unitext_of_ref};
 use mlql_kernel::catalog::{ExtOperator, OperatorKind};
-use mlql_kernel::{DataType, Datum, ExtTypeId};
+use mlql_kernel::{DataType, Datum, DatumRef, ExtTypeId};
 use mlql_taxonomy::{IntervalIndex, SharedClosureCache, SynsetId, Taxonomy};
 use mlql_unitext::{LangId, LanguageRegistry, UniText};
 use parking_lot::RwLock;
@@ -205,7 +205,19 @@ impl SemState {
         matched
     }
 
-    /// Batch Ω: `lefts[i] Ω r` for a whole batch against one constant RHS.
+    /// [`Self::omega_matches_refs`] over owned values, for callers that
+    /// hold `Datum`s (the benchmark's layer replay).
+    pub fn omega_matches_batch(
+        &self,
+        lefts: &[&Datum],
+        r: &Datum,
+    ) -> mlql_kernel::Result<Vec<Datum>> {
+        let lefts: Vec<DatumRef<'_>> = lefts.iter().map(|d| d.as_ref()).collect();
+        self.omega_matches_refs(&lefts, r)
+    }
+
+    /// Batch Ω: `lefts[i] Ω r` for a whole batch against one constant RHS,
+    /// over borrowed operands (the engine's batch hook).
     ///
     /// Result-identical to [`Self::omega_matches`] on every element, but
     /// one taxonomy read guard covers the batch, the RHS synsets are
@@ -216,9 +228,9 @@ impl SemState {
     /// probes the index defers, each needed closure is fetched from it
     /// **once** per batch, and interval hit/fallback counters are
     /// accumulated locally and published once per batch.
-    pub fn omega_matches_batch(
+    pub fn omega_matches_refs(
         &self,
-        lefts: &[&Datum],
+        lefts: &[DatumRef<'_>],
         r: &Datum,
     ) -> mlql_kernel::Result<Vec<Datum>> {
         use std::collections::{HashMap, HashSet};
@@ -231,15 +243,15 @@ impl SemState {
         // synsets, so an always-matching first root never pays for the
         // second root's closure) but at most once per batch.
         let mut closures: Vec<Option<Arc<HashSet<SynsetId>>>> = vec![None; rhs.len()];
-        let mut memo: HashMap<&Datum, bool> = HashMap::new();
+        let mut memo: HashMap<DatumRef<'_>, bool> = HashMap::new();
         let mut interval_hits = 0u64;
         let mut interval_fallbacks = 0u64;
         let mut out = Vec::with_capacity(lefts.len());
         for &l in lefts {
-            let verdict = match memo.get(l) {
+            let verdict = match memo.get(&l) {
                 Some(&v) => v,
                 None => {
-                    let lv = unitext_of_datum(l)?;
+                    let lv = unitext_of_ref(l)?;
                     let lhs = if rhs.is_empty() {
                         Vec::new()
                     } else {
@@ -339,7 +351,7 @@ pub fn semequal_operator(
             Ok(Datum::Bool(eval_state.omega_matches(&lv, &rv)))
         }),
         eval_batch: Some(Arc::new(move |lefts, r, _| {
-            batch_state.omega_matches_batch(lefts, r)
+            batch_state.omega_matches_refs(lefts, r)
         })),
         // Table 1: Ω does NOT commute (subsumption is directional) but
         // distributes over ∪.
@@ -368,17 +380,7 @@ pub fn semequal_operator(
         // (outside-the-server) path benchmarked in Figure 8.
         index_strategy: None,
         index_extra: None,
-        modifier_filter: Some(Arc::new(move |l, mods| {
-            let Ok(v) = unitext_of_datum(l) else {
-                return false;
-            };
-            mods.iter().any(|m| {
-                langs
-                    .lookup(m)
-                    .map(|lang| lang.id == v.lang())
-                    .unwrap_or(false)
-            })
-        })),
+        modifier_filter: Some(language_filter(langs)),
         index_scan_fraction: None,
         // EXPLAIN names the containment implementation on the scan node.
         strategy_label: Some("intervals"),
@@ -627,7 +629,8 @@ mod tests {
         // The registered hook routes to the same batch entry point.
         let hook = op.eval_batch.as_ref().unwrap();
         let rhs = ut(&langs, "History", "English");
-        let via_hook = hook(&lefts, &rhs, &session).unwrap();
+        let refs: Vec<DatumRef<'_>> = lefts.iter().map(|d| d.as_ref()).collect();
+        let via_hook = hook(&refs, &rhs, &session).unwrap();
         let direct = state.omega_matches_batch(&lefts, &rhs).unwrap();
         for (a, b) in via_hook.iter().zip(&direct) {
             assert!(a.is_true() == b.is_true());

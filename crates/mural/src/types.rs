@@ -14,9 +14,9 @@
 //! `on_insert` materializes the phonemic string at insertion time (§4.2).
 
 use mlql_kernel::catalog::ExtTypeDef;
-use mlql_kernel::{Datum, Error, ExtTypeId, Result};
+use mlql_kernel::{Datum, DatumRef, Error, ExtTypeId, Result};
 use mlql_phonetics::ConverterRegistry;
-use mlql_unitext::{LangId, UniText};
+use mlql_unitext::{LangId, LanguageRegistry, UniText};
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -93,11 +93,37 @@ pub fn phoneme_slice(bytes: &[u8]) -> Option<&[u8]> {
 /// coerced to an untagged UniText (convenience for string literals in
 /// queries; they carry no language and no phoneme cache).
 pub fn unitext_of_datum(d: &Datum) -> Result<UniText> {
+    unitext_of_ref(d.as_ref())
+}
+
+/// [`unitext_of_datum`] over a borrowed value (a decoded row's or a page
+/// image's).
+pub(crate) fn unitext_of_ref(d: DatumRef<'_>) -> Result<UniText> {
     match d {
-        Datum::Ext { bytes, .. } => unitext_from_bytes(bytes),
-        Datum::Text(s) => Ok(UniText::compose(s.as_ref(), LangId::UNKNOWN)),
+        DatumRef::Ext { bytes, .. } => unitext_from_bytes(bytes),
+        DatumRef::Text(s) => Ok(UniText::compose(s, LangId::UNKNOWN)),
         other => Err(Error::Execution(format!("expected unitext, got {other}"))),
     }
+}
+
+/// The `IN (English, Hindi, …)` modifier filter ψ and Ω share: the left
+/// operand passes when its language is one of `mods` (names looked up
+/// case-insensitively; an unknown name matches nothing).
+#[allow(clippy::type_complexity)]
+pub(crate) fn language_filter(
+    langs: Arc<LanguageRegistry>,
+) -> Arc<dyn Fn(DatumRef<'_>, &[String]) -> bool + Send + Sync> {
+    Arc::new(move |l, mods| {
+        let Ok(v) = unitext_of_ref(l) else {
+            return false;
+        };
+        mods.iter().any(|m| {
+            langs
+                .lookup(m)
+                .map(|lang| lang.id == v.lang())
+                .unwrap_or(false)
+        })
+    })
 }
 
 /// Compare two UniText payloads **by text component only** — §3.2.1: "all
@@ -139,7 +165,6 @@ pub fn unitext_type_def(converters: Arc<ConverterRegistry>) -> ExtTypeDef {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlql_unitext::LanguageRegistry;
 
     fn reg() -> LanguageRegistry {
         LanguageRegistry::new()
