@@ -18,7 +18,7 @@ use crate::error::{Error, Result};
 use crate::index::{AccessMethod, BTreeAm, IndexInstance};
 use crate::schema::Schema;
 use crate::storage::HeapFile;
-use crate::value::ExtTypeId;
+use crate::value::{Datum, ExtTypeId};
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -338,6 +338,17 @@ impl Catalog {
     /// Look up an extension type by id.
     pub fn type_by_id(&self, id: ExtTypeId) -> Option<&ExtTypeDef> {
         self.types.by_id(id)
+    }
+
+    /// `d` with the derived fields of its extension type stripped
+    /// ([`ExtTypeDef::identity`]), or `None` when it has none to strip.
+    pub fn identity_of(&self, d: &Datum) -> Option<Datum> {
+        let Datum::Ext { ty, bytes } = d else {
+            return None;
+        };
+        let identity = self.type_by_id(*ty)?.identity.as_ref()?;
+        let id = identity(bytes);
+        (id.len() < bytes.len()).then(|| Datum::ext(*ty, id))
     }
 
     /// Register an extension operator (e.g. LexEQUAL).

@@ -82,6 +82,13 @@ pub struct ExtTypeDef {
     /// `None` forbids mixed comparisons (the binder rejects them).
     #[allow(clippy::type_complexity)]
     pub compare_text: Option<Arc<dyn Fn(&[u8], &str) -> std::cmp::Ordering + Send + Sync>>,
+    /// The prefix of a stored payload that identifies the value, when
+    /// `on_insert` appends fields derived from it that may differ between
+    /// two stored copies of one value (UniText's synset ids, stamped with
+    /// the vocabulary they were resolved under).  Grouping (GROUP BY,
+    /// DISTINCT) and ANALYZE key values on it; `None` keys them on the
+    /// whole payload.
+    pub identity: Option<Arc<dyn Fn(&[u8]) -> &[u8] + Send + Sync>>,
 }
 
 impl std::fmt::Debug for ExtTypeDef {
@@ -310,6 +317,7 @@ mod tests {
             compare: Arc::new(|a, b| a.cmp(b)),
             on_insert: None,
             compare_text: None,
+            identity: None,
         };
         let id1 = r.register(def.clone());
         let id2 = r.register(def);

@@ -1718,6 +1718,28 @@ impl Session {
         }
     }
 
+    /// Recovery helper: store a logged row exactly as it was logged.  Its
+    /// values were prepared (type-checked, extension `on_insert` hooks
+    /// applied) when first written; a hook re-run at replay may produce
+    /// other bytes (UniText resolves its synset ids against whatever
+    /// taxonomy the reopening process installed), and the log's later
+    /// Delete images name rows by their logged bytes.
+    pub(crate) fn replay_insert(&mut self, table: &str, row: Row) -> Result<()> {
+        let id = self.engine.txns.begin();
+        let inserted = {
+            let _writer = self.engine.dml_lock.lock();
+            let catalog = self.engine.catalog();
+            catalog
+                .table(table)
+                .and_then(|meta| self.insert_version(&catalog, &meta, &row, id))
+        };
+        match inserted {
+            Ok(()) => self.engine.txns.commit(id),
+            Err(_) => self.engine.txns.abort(id),
+        }
+        inserted
+    }
+
     /// Insert under an already-held catalog guard (and DML lock).
     fn insert_row_in(&self, catalog: &Catalog, table: &str, row: Row, txn: u64) -> Result<()> {
         let meta = catalog.table(table)?;
@@ -1961,7 +1983,8 @@ impl Session {
                 Ok(Some(row)) => {
                     rows += 1;
                     for (i, d) in row.into_iter().enumerate() {
-                        columns[i].push(d);
+                        // Derived payload fields do not make a distinct value.
+                        columns[i].push(catalog.identity_of(&d).unwrap_or(d));
                     }
                 }
                 Err(e) => {

@@ -1584,9 +1584,12 @@ impl Executor for AggregateExec {
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         if self.output.is_none() {
             let eval = ctx.eval_ctx();
-            // group key -> (row count, one state per aggregate)
-            let mut groups: HashMap<Vec<Datum>, (u64, Vec<AggState>)> = HashMap::new();
-            let mut order: Vec<Vec<Datum>> = Vec::new();
+            // Groups are keyed on each value's identity, so derived payload
+            // fields (UniText's stored synset ids) never split one; a group
+            // shows the first key seen: (key, row count, one state per
+            // aggregate).
+            let mut groups: HashMap<Vec<Datum>, usize> = HashMap::new();
+            let mut entries: Vec<(Row, u64, Vec<AggState>)> = Vec::new();
             let group_by = &self.group_by;
             let aggs = &self.aggs;
             drain_input(self.input.as_mut(), ctx, |row| {
@@ -1594,12 +1597,24 @@ impl Executor for AggregateExec {
                 for g in group_by {
                     key.push(g.eval(&row, &eval)?);
                 }
-                let entry = groups.entry(key.clone()).or_insert_with(|| {
-                    order.push(key);
-                    (0, vec![AggState::new(); aggs.len()])
-                });
-                entry.0 += 1;
-                for (agg, state) in aggs.iter().zip(entry.1.iter_mut()) {
+                let mut identity: Option<Vec<Datum>> = None;
+                for (i, d) in key.iter().enumerate() {
+                    if let Some(id) = ctx.catalog.identity_of(d) {
+                        identity.get_or_insert_with(|| key.clone())[i] = id;
+                    }
+                }
+                let probe = identity.as_ref().unwrap_or(&key);
+                let n = match groups.get(probe) {
+                    Some(&n) => n,
+                    None => {
+                        groups.insert(identity.unwrap_or_else(|| key.clone()), entries.len());
+                        entries.push((key, 0, vec![AggState::new(); aggs.len()]));
+                        entries.len() - 1
+                    }
+                };
+                let (_, count, states) = &mut entries[n];
+                *count += 1;
+                for (agg, state) in aggs.iter().zip(states.iter_mut()) {
                     if let Some(input) = &agg.input {
                         let v = input.eval(&row, &eval)?;
                         state.update(&v);
@@ -1608,16 +1623,13 @@ impl Executor for AggregateExec {
                 Ok(())
             })?;
             // Global aggregate over empty input still yields one row.
-            if groups.is_empty() && self.group_by.is_empty() {
-                order.push(Vec::new());
-                groups.insert(Vec::new(), (0, vec![AggState::new(); self.aggs.len()]));
+            if entries.is_empty() && self.group_by.is_empty() {
+                entries.push((Vec::new(), 0, vec![AggState::new(); self.aggs.len()]));
             }
-            let mut out = Vec::with_capacity(order.len());
-            for key in order {
-                let (n, states) = &groups[&key];
-                let mut row: Row = key.clone();
-                for (agg, state) in self.aggs.iter().zip(states) {
-                    row.push(state.finish(agg.func, *n));
+            let mut out = Vec::with_capacity(entries.len());
+            for (mut row, n, states) in entries {
+                for (agg, state) in self.aggs.iter().zip(&states) {
+                    row.push(state.finish(agg.func, n));
                 }
                 out.push(row);
             }

@@ -205,7 +205,7 @@ fn apply_record(
                 (meta.name.clone(), meta.schema.len())
             };
             let row = decode_row(&tuple, arity)?;
-            session.insert_row(&name, row)?;
+            session.replay_insert(&name, row)?;
         }
         WalRecord::Delete {
             table_id, tuple, ..

@@ -107,9 +107,14 @@ fn install_inner(
     let converters = Arc::new(ConverterRegistry::with_builtins(&langs));
     let mut catalog = session.engine().catalog_mut();
 
-    // 1. The UniText datatype (§3.1) with insertion-time phoneme
-    //    materialization (§4.2).
-    let unitext_type = catalog.register_type(unitext_type_def(Arc::clone(&converters)));
+    // Ω's pinned taxonomy (§4.3), built first: UniText's insert hook
+    // stores the synset ids a value names.
+    let sem = SemState::new(Arc::new(taxonomy));
+
+    // 1. The UniText datatype (§3.1) with insertion-time phoneme and
+    //    concept materialization (§4.2).
+    let unitext_type =
+        catalog.register_type(unitext_type_def(Arc::clone(&converters), Arc::clone(&sem)));
 
     // 2. The M-Tree access method through the GiST-equivalent hook (§4.2.1).
     catalog.register_access_method(Arc::new(MTreeAm::new(Arc::clone(&converters))));
@@ -121,8 +126,7 @@ fn install_inner(
         Arc::clone(&langs),
     ));
 
-    // 4. Ω over the pinned taxonomy (§4.3).
-    let sem = SemState::new(Arc::new(taxonomy));
+    // 4. Ω over the pinned taxonomy.
     catalog.register_operator(semequal_operator(
         unitext_type,
         Arc::clone(&sem),

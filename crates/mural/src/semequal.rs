@@ -9,13 +9,51 @@
 //! the paper's nested-loops-with-RHS-outer optimization.
 
 use crate::selectivity::{omega_join_selectivity, omega_scan_selectivity};
-use crate::types::{language_filter, unitext_of_datum, unitext_of_ref};
+use crate::types::{language_filter, payload_fields, unitext_of_datum, StoredConcepts};
 use mlql_kernel::catalog::{ExtOperator, OperatorKind};
-use mlql_kernel::{DataType, Datum, DatumRef, ExtTypeId};
+use mlql_kernel::{DataType, Datum, DatumRef, Error, ExtTypeId};
 use mlql_taxonomy::{IntervalIndex, SharedClosureCache, SynsetId, Taxonomy};
 use mlql_unitext::{LangId, LanguageRegistry, UniText};
 use parking_lot::RwLock;
+use std::collections::HashSet;
 use std::sync::Arc;
+
+/// The synsets one Ω operand names, as [`SemState::resolve`] found them.
+enum Synsets<'a> {
+    /// Stored in the payload at insert, under the current vocabulary.
+    Stored(StoredConcepts<'a>),
+    /// Borrowed from the taxonomy's word index.
+    Indexed(&'a [SynsetId]),
+    /// An untagged value's any-language lookup.
+    AnyLang(Vec<SynsetId>),
+}
+
+impl Synsets<'_> {
+    fn is_empty(&self) -> bool {
+        match self {
+            Synsets::Stored(_) => false, // a stored field names ≥ 1 synset
+            Synsets::Indexed(ids) => ids.is_empty(),
+            Synsets::AnyLang(ids) => ids.is_empty(),
+        }
+    }
+
+    fn to_vec(&self) -> Vec<SynsetId> {
+        match self {
+            Synsets::Stored(c) => c.ids().collect(),
+            Synsets::Indexed(ids) => ids.to_vec(),
+            Synsets::AnyLang(ids) => ids.clone(),
+        }
+    }
+
+    /// Whether `f` holds for some synset, in stored/lookup order.
+    fn any(&self, mut f: impl FnMut(SynsetId) -> bool) -> bool {
+        match self {
+            Synsets::Stored(c) => c.ids().any(f),
+            Synsets::Indexed(ids) => ids.iter().any(|&s| f(s)),
+            Synsets::AnyLang(ids) => ids.iter().any(|&s| f(s)),
+        }
+    }
+}
 
 /// Shared Ω state: the pinned taxonomy and its closure cache.
 ///
@@ -48,6 +86,10 @@ pub struct SemState {
     /// parameters stay stable across small taxonomy edits, like ANALYZE
     /// statistics in a conventional engine.
     pub stats: mlql_taxonomy::TaxonomyStats,
+    /// The taxonomy's vocabulary fingerprint, the stamp a UniText
+    /// payload's stored synset ids carry.  The mutation API changes edges
+    /// only, never words, so it holds for the state's lifetime.
+    stamp: u64,
 }
 
 impl SemState {
@@ -60,6 +102,7 @@ impl SemState {
             mlql_kernel::obs::waits::observe(mlql_kernel::obs::WaitClass::OmegaCache, d)
         });
         let stats = taxonomy.stats();
+        let stamp = taxonomy.vocabulary_fingerprint();
         let intervals = Arc::new(IntervalIndex::build(&taxonomy));
         Arc::new(SemState {
             taxonomy: RwLock::new(taxonomy),
@@ -67,7 +110,13 @@ impl SemState {
             interval_version: std::sync::atomic::AtomicU64::new(0),
             cache: SharedClosureCache::new(),
             stats,
+            stamp,
         })
+    }
+
+    /// The vocabulary stamp stored synset ids are valid under.
+    pub fn vocabulary_stamp(&self) -> u64 {
+        self.stamp
     }
 
     /// Current taxonomy snapshot (an `Arc` clone; cheap).
@@ -133,45 +182,84 @@ impl SemState {
         self.cache.invalidate();
     }
 
-    /// Synsets a UniText value names within `taxonomy`: exact (word, lang)
+    /// Synsets `(lang, word)` names within `taxonomy`: exact (word, lang)
     /// entries, falling back to any-language lookup for untagged values.
-    fn synsets_in(taxonomy: &Taxonomy, v: &UniText) -> Vec<SynsetId> {
-        if v.lang() == LangId::UNKNOWN {
-            taxonomy.lookup_any_lang(v.text())
+    fn lookup<'a>(taxonomy: &'a Taxonomy, lang: LangId, word: &str) -> Synsets<'a> {
+        if lang == LangId::UNKNOWN {
+            Synsets::AnyLang(taxonomy.lookup_any_lang(word))
         } else {
-            taxonomy.lookup_unitext(v).to_vec()
+            Synsets::Indexed(taxonomy.lookup(word, lang))
         }
     }
 
-    /// Synsets a UniText value names in the current taxonomy.
-    pub fn synsets_of(&self, v: &UniText) -> Vec<SynsetId> {
-        Self::synsets_in(&self.taxonomy.read(), v)
-    }
-
-    /// Interval verdict for one LHS value: whether some `(root, s)` pair
-    /// is an interval hit, and otherwise the positions in `rhs` of the
-    /// roots whose miss the index defers (dirty subtrees).  A miss with
-    /// nothing deferred is an exact negative.
-    fn probe_intervals(
-        idx: &IntervalIndex,
-        rhs: &[SynsetId],
-        lhs: &[SynsetId],
-    ) -> (bool, Vec<usize>) {
-        let mut undecided = Vec::new();
-        for (i, &root) in rhs.iter().enumerate() {
-            let mut deferred = false;
-            for &s in lhs {
-                match idx.contains(root, s) {
-                    Some(true) => return (true, Vec::new()),
-                    Some(false) => {}
-                    None => deferred = true,
+    /// The one Ω resolver: the synsets an operand names.  A payload that
+    /// stores its ids under the current vocabulary stamp is read in place;
+    /// any other value (no field, another vocabulary's stamp, a plain text
+    /// literal) is looked up by its borrowed `(lang, text)`.
+    fn resolve<'a>(
+        &self,
+        taxonomy: &'a Taxonomy,
+        d: DatumRef<'a>,
+    ) -> mlql_kernel::Result<Synsets<'a>> {
+        match d {
+            DatumRef::Ext { bytes, .. } => {
+                let key = payload_fields(bytes)?;
+                match key.stored() {
+                    Some(c)
+                        if c.stamp == self.stamp
+                            && c.ids().all(|s| (s.raw() as usize) < taxonomy.len()) =>
+                    {
+                        Ok(Synsets::Stored(c))
+                    }
+                    _ => Ok(Self::lookup(taxonomy, key.lang, key.text()?)),
                 }
             }
-            if deferred {
-                undecided.push(i);
-            }
+            DatumRef::Text(s) => Ok(Self::lookup(taxonomy, LangId::UNKNOWN, s)),
+            other => Err(Error::Execution(format!("expected unitext, got {other}"))),
         }
-        (false, undecided)
+    }
+
+    /// Synsets a UniText value names in the current taxonomy, ascending
+    /// for untagged values and in word-index order otherwise.
+    pub fn synsets_of(&self, v: &UniText) -> Vec<SynsetId> {
+        Self::lookup(&self.taxonomy.read(), v.lang(), v.text()).to_vec()
+    }
+
+    /// Interval verdict for one LHS value against the RHS roots:
+    /// `Some(hit)` when the index decides every `(root, s)` pair, `None`
+    /// when no pair hits and some root's miss is deferred (a dirty
+    /// subtree).
+    fn probe_intervals(idx: &IntervalIndex, rhs: &Synsets<'_>, lhs: &Synsets<'_>) -> Option<bool> {
+        let mut deferred = false;
+        let hit = rhs.any(|root| {
+            lhs.any(|s| match idx.contains(root, s) {
+                Some(hit) => hit,
+                None => {
+                    deferred = true;
+                    false
+                }
+            })
+        });
+        (hit || !deferred).then_some(hit)
+    }
+
+    /// The closure fallback for a value [`Self::probe_intervals`] left
+    /// undecided: whether it lies in the closure of a root whose interval
+    /// miss was deferred.  Roots the index decided (exact negatives) fetch
+    /// no closure; `closure` fetches the others, in RHS order, until one
+    /// matches.
+    fn probe_closures(
+        idx: &IntervalIndex,
+        rhs: &Synsets<'_>,
+        lhs: &Synsets<'_>,
+        mut closure: impl FnMut(SynsetId) -> Arc<HashSet<SynsetId>>,
+    ) -> bool {
+        rhs.any(|root| {
+            lhs.any(|s| idx.contains(root, s).is_none()) && {
+                let closure = closure(root);
+                lhs.any(|s| closure.contains(&s))
+            }
+        })
     }
 
     /// The Ω membership test of Figure 5.  The probe is decided by
@@ -181,26 +269,34 @@ impl SemState {
     /// exception-edge subtree).
     pub fn omega_matches(&self, l: &UniText, r: &UniText) -> bool {
         let taxonomy = self.taxonomy.read();
-        let rhs = Self::synsets_in(&taxonomy, r);
-        if rhs.is_empty() {
+        let lhs = Self::lookup(&taxonomy, l.lang(), l.text());
+        let rhs = Self::lookup(&taxonomy, r.lang(), r.text());
+        self.omega_resolved(&taxonomy, &lhs, &rhs)
+    }
+
+    /// [`Self::omega_matches`] over borrowed operands (Ω's scalar hook):
+    /// each side's synsets come from [`Self::resolve`].
+    pub fn omega_matches_ref(&self, l: DatumRef<'_>, r: DatumRef<'_>) -> mlql_kernel::Result<bool> {
+        let taxonomy = self.taxonomy.read();
+        let lhs = self.resolve(&taxonomy, l)?;
+        let rhs = self.resolve(&taxonomy, r)?;
+        Ok(self.omega_resolved(&taxonomy, &lhs, &rhs))
+    }
+
+    fn omega_resolved(&self, taxonomy: &Taxonomy, lhs: &Synsets<'_>, rhs: &Synsets<'_>) -> bool {
+        if lhs.is_empty() || rhs.is_empty() {
             return false;
         }
-        let lhs = Self::synsets_in(&taxonomy, l);
-        if lhs.is_empty() {
-            return false;
-        }
+        let idx = self.intervals.read();
         let m = mlql_kernel::obs::metrics();
-        let (hit, undecided) = Self::probe_intervals(&self.intervals.read(), &rhs, &lhs);
-        if hit || undecided.is_empty() {
+        if let Some(hit) = Self::probe_intervals(&idx, rhs, lhs) {
             m.omega_interval_hits_total.add(1);
             return hit;
         }
         m.omega_interval_fallbacks_total.add(1);
         let (hits_before, _) = self.cache.stats();
-        let matched = undecided.iter().any(|&i| {
-            let closure = self.cache.closure(&taxonomy, rhs[i]);
-            lhs.iter().any(|s| closure.contains(s))
-        });
+        let matched =
+            Self::probe_closures(&idx, rhs, lhs, |root| self.cache.closure(taxonomy, root));
         self.publish_cache_hits(hits_before);
         matched
     }
@@ -219,63 +315,48 @@ impl SemState {
     /// Batch Ω: `lefts[i] Ω r` for a whole batch against one constant RHS,
     /// over borrowed operands (the engine's batch hook).
     ///
-    /// Result-identical to [`Self::omega_matches`] on every element, but
-    /// one taxonomy read guard covers the batch, the RHS synsets are
-    /// resolved once and each distinct LHS value is probed once —
-    /// repeated hierarchy values, the common case in a scan, hit a
-    /// batch-local memo.  A distinct LHS value costs one range comparison
-    /// per RHS synset; the shared closure cache is touched only for
-    /// probes the index defers, each needed closure is fetched from it
-    /// **once** per batch, and interval hit/fallback counters are
-    /// accumulated locally and published once per batch.
+    /// Result-identical to [`Self::omega_matches_ref`] on every element,
+    /// but one taxonomy read guard covers the batch and the RHS synsets
+    /// are resolved once.  A row costs its [`Self::resolve`] — a stored
+    /// row's ids are read off its payload — and one range comparison per
+    /// (RHS, LHS) synset pair, with no allocation.  The shared closure
+    /// cache is touched only for probes the index defers, each needed
+    /// closure is fetched from it **once** per batch, and the interval
+    /// hit/fallback counters (one per probed row) are published once per
+    /// batch.
     pub fn omega_matches_refs(
         &self,
         lefts: &[DatumRef<'_>],
         r: &Datum,
     ) -> mlql_kernel::Result<Vec<Datum>> {
-        use std::collections::{HashMap, HashSet};
-        let rv = unitext_of_datum(r)?;
         let taxonomy = self.taxonomy.read();
-        let rhs = Self::synsets_in(&taxonomy, &rv);
+        let rhs = self.resolve(&taxonomy, r.as_ref())?;
         let idx = Arc::clone(&self.intervals.read());
         let (hits_before, _) = self.cache.stats();
-        // Closures resolve lazily (scalar Ω short-circuits across RHS
-        // synsets, so an always-matching first root never pays for the
-        // second root's closure) but at most once per batch.
-        let mut closures: Vec<Option<Arc<HashSet<SynsetId>>>> = vec![None; rhs.len()];
-        let mut memo: HashMap<DatumRef<'_>, bool> = HashMap::new();
+        // Closures resolve lazily (Ω short-circuits across RHS synsets, so
+        // an always-matching first root never pays for the second root's
+        // closure) but at most once per batch.
+        let mut closures: Vec<(SynsetId, Arc<HashSet<SynsetId>>)> = Vec::new();
         let mut interval_hits = 0u64;
         let mut interval_fallbacks = 0u64;
         let mut out = Vec::with_capacity(lefts.len());
         for &l in lefts {
-            let verdict = match memo.get(&l) {
-                Some(&v) => v,
-                None => {
-                    let lv = unitext_of_ref(l)?;
-                    let lhs = if rhs.is_empty() {
-                        Vec::new()
-                    } else {
-                        Self::synsets_in(&taxonomy, &lv)
-                    };
-                    let v = if lhs.is_empty() {
-                        false
-                    } else {
-                        let (hit, undecided) = Self::probe_intervals(&idx, &rhs, &lhs);
-                        if hit || undecided.is_empty() {
-                            interval_hits += 1;
-                            hit
-                        } else {
-                            interval_fallbacks += 1;
-                            undecided.iter().any(|&i| {
-                                let closure = closures[i]
-                                    .get_or_insert_with(|| self.cache.closure(&taxonomy, rhs[i]));
-                                lhs.iter().any(|s| closure.contains(s))
-                            })
-                        }
-                    };
-                    memo.insert(l, v);
-                    v
-                }
+            let lhs = self.resolve(&taxonomy, l)?;
+            let verdict = if lhs.is_empty() || rhs.is_empty() {
+                false
+            } else if let Some(hit) = Self::probe_intervals(&idx, &rhs, &lhs) {
+                interval_hits += 1;
+                hit
+            } else {
+                interval_fallbacks += 1;
+                Self::probe_closures(&idx, &rhs, &lhs, |root| {
+                    if let Some((_, c)) = closures.iter().find(|(r, _)| *r == root) {
+                        return Arc::clone(c);
+                    }
+                    let c = self.cache.closure(&taxonomy, root);
+                    closures.push((root, Arc::clone(&c)));
+                    c
+                })
             };
             out.push(Datum::Bool(verdict));
         }
@@ -308,30 +389,25 @@ impl SemState {
     /// tree-shaped taxonomy costs no closure computation at all.
     pub fn closure_size_of(&self, v: &UniText) -> Option<usize> {
         let taxonomy = self.taxonomy.read();
-        let roots = Self::synsets_in(&taxonomy, v);
-        if roots.is_empty() {
-            return None;
-        }
         let idx = self.intervals.read();
-        Some(
-            roots
-                .iter()
-                .map(|&r| {
-                    idx.subtree_size(r)
-                        .unwrap_or_else(|| self.cache.closure_size(&taxonomy, r))
-                })
-                .max()
-                .expect("non-empty roots"),
-        )
+        Self::lookup(&taxonomy, v.lang(), v.text())
+            .to_vec()
+            .into_iter()
+            .map(|r| {
+                idx.subtree_size(r)
+                    .unwrap_or_else(|| self.cache.closure_size(&taxonomy, r))
+            })
+            .max()
     }
 }
 
 /// Per-pair CPU cost of Ω, in operator units (~1 ns each).  The interval
-/// compare itself is one range comparison; what a pair costs is decoding
-/// the UniText and resolving its word to synsets.  Measured as the
+/// compare itself is one range comparison; a stored row's synset ids are
+/// read off its payload, so what is left of a pair is resolving both
+/// operands and the join around it.  Measured as the
 /// `fig6_cost_prediction` Ω joins' time per pair (5k-synset taxonomy,
-/// 2-vCPU host, 2026-10-17): 720–810 ns.
-pub const OMEGA_INTERVAL_TUPLE_COST: f64 = 700.0;
+/// 2-vCPU host, 2026-10-18, five runs): 84–152 ns, median 99.
+pub const OMEGA_INTERVAL_TUPLE_COST: f64 = 100.0;
 
 /// Build the Ω [`ExtOperator`].
 pub fn semequal_operator(
@@ -346,9 +422,9 @@ pub fn semequal_operator(
         name: "semequal".into(),
         operand_type: DataType::Ext(unitext_type),
         eval: Arc::new(move |l, r, _| {
-            let lv = unitext_of_datum(l)?;
-            let rv = unitext_of_datum(r)?;
-            Ok(Datum::Bool(eval_state.omega_matches(&lv, &rv)))
+            Ok(Datum::Bool(
+                eval_state.omega_matches_ref(l.as_ref(), r.as_ref())?,
+            ))
         }),
         eval_batch: Some(Arc::new(move |lefts, r, _| {
             batch_state.omega_matches_refs(lefts, r)
@@ -359,8 +435,8 @@ pub fn semequal_operator(
             commutative: false,
             distributes_over_union: true,
         },
-        // Per evaluated pair: no shard lock; one synset lookup and one
-        // range comparison.
+        // Per evaluated pair: no shard lock; the stored synset ids and
+        // one range comparison.
         per_tuple_cost: Arc::new(|_, _| OMEGA_INTERVAL_TUPLE_COST),
         // §3.4.2.
         selectivity: Arc::new(move |input| {
@@ -390,7 +466,7 @@ pub fn semequal_operator(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::types::unitext_datum;
+    use crate::types::{push_concepts, unitext_datum, unitext_to_bytes};
     use mlql_kernel::catalog::SessionVars;
     use mlql_taxonomy::books_fragment;
 
@@ -542,6 +618,17 @@ mod tests {
                         want,
                         "{lt}({ll}) Ω {rt}({rl}) diverged from the closure oracle (graft={graft})"
                     );
+                    // Every payload form of each side: looked up, stored
+                    // ids, stale ids (which must be ignored).
+                    for lp in forms(&state, &l) {
+                        for rp in forms(&state, &r) {
+                            assert_eq!(
+                                state.omega_matches_ref(lp.as_ref(), rp.as_ref()).unwrap(),
+                                want,
+                                "{lt}({ll}) Ω {rt}({rl}) over {lp:?} Ω {rp:?} (graft={graft})"
+                            );
+                        }
+                    }
                 }
             }
         }
@@ -601,18 +688,41 @@ mod tests {
         assert!((op.eval)(&fiction, &history, &session).unwrap().is_true());
     }
 
+    /// The payloads one value can reach Ω as: without a concept field,
+    /// with the ids `on_insert` stores, and with a stale stamp over the
+    /// ids of another word (Fiction's), which the resolver must ignore.
+    fn forms(state: &SemState, v: &UniText) -> Vec<Datum> {
+        let plain = unitext_to_bytes(v);
+        let fiction = UniText::compose("Fiction", v.lang());
+        let mut stored = plain.clone();
+        push_concepts(&mut stored, state.vocabulary_stamp(), &state.synsets_of(v));
+        let mut stale = plain.clone();
+        push_concepts(
+            &mut stale,
+            !state.vocabulary_stamp(),
+            &state.synsets_of(&fiction),
+        );
+        [plain, stored, stale]
+            .into_iter()
+            .map(|b| Datum::ext(ExtTypeId(0), b))
+            .collect()
+    }
+
     #[test]
     fn batch_eval_matches_scalar_on_every_element() {
         let (langs, state, op) = setup();
         let session = SessionVars::new();
-        let lefts_owned: Vec<Datum> = vec![
-            ut(&langs, "Historiography", "English"),
-            ut(&langs, "Fiction", "English"),
-            ut(&langs, "Histoire", "French"),
-            ut(&langs, "Astrogation", "English"), // unknown concept
-            ut(&langs, "Historiography", "English"), // duplicate → memo hit
-            ut(&langs, "சரித்திரம்", "Tamil"),
-        ];
+        let lefts_owned: Vec<Datum> = [
+            ("Historiography", "English"),
+            ("Fiction", "English"),
+            ("Histoire", "French"),
+            ("Astrogation", "English"),    // unknown concept
+            ("Historiography", "English"), // duplicate
+            ("சரித்திரம்", "Tamil"),
+        ]
+        .iter()
+        .flat_map(|&(t, l)| forms(&state, &UniText::compose(t, langs.id_of(l))))
+        .collect();
         let lefts: Vec<&Datum> = lefts_owned.iter().collect();
         for rhs in [
             ut(&langs, "History", "English"),
@@ -651,10 +761,7 @@ mod tests {
         state.omega_matches_batch(&lefts, &history).unwrap();
         let (hits, misses) = state.cache.stats();
         assert_eq!(misses, 1, "one closure for the whole batch");
-        assert_eq!(
-            hits, 0,
-            "distinct LHS values hit the batch memo, not the shards"
-        );
+        assert_eq!(hits, 0, "later fallbacks reuse the batch's closure");
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! The in-memory taxonomy structure ("pinned WordNet", §4.3).
 
-use mlql_unitext::{LangId, UniText};
+use mlql_unitext::LangId;
 use std::collections::HashMap;
 
 /// Identifier of a synset within one [`Taxonomy`].
@@ -165,19 +165,43 @@ impl Taxonomy {
     }
 
     /// Synsets matching the word in *any* language (used when the query
-    /// does not constrain the concept's language).
+    /// does not constrain the concept's language), ascending: one probe
+    /// per language partition of the word index.
     pub fn lookup_any_lang(&self, word: &str) -> Vec<SynsetId> {
-        self.synsets
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.words.iter().any(|w| w == word))
-            .map(|(i, _)| SynsetId(i as u32))
-            .collect()
+        let mut ids: Vec<SynsetId> = self
+            .word_index
+            .values()
+            .filter_map(|words| words.get(word))
+            .flatten()
+            .copied()
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
     }
 
-    /// Look up the synsets for a `UniText` value.
-    pub fn lookup_unitext(&self, value: &UniText) -> &[SynsetId] {
-        self.lookup(value.text(), value.lang())
+    /// Content fingerprint of the vocabulary: FNV-1a over every
+    /// `(synset id, lang, word)` in id order.  Stable across processes
+    /// (no `DefaultHasher`) and blind to edges, so two taxonomies that
+    /// name the same words with the same synsets share it whatever their
+    /// hierarchy.
+    pub fn vocabulary_fingerprint(&self) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for (i, s) in self.synsets.iter().enumerate() {
+            for w in &s.words {
+                eat(&(i as u32).to_le_bytes());
+                eat(&s.lang.raw().to_le_bytes());
+                eat(&(w.len() as u32).to_le_bytes());
+                eat(w.as_bytes());
+            }
+        }
+        h
     }
 
     /// Root synsets (no parents) of the given language.
@@ -418,6 +442,66 @@ mod tests {
                 .count()
                 == 2
         );
+    }
+
+    /// The linear scan `lookup_any_lang` used to be: every synset whose
+    /// word forms include `word`, ascending.
+    fn scan_any_lang(t: &Taxonomy, word: &str) -> Vec<SynsetId> {
+        t.ids()
+            .filter(|&s| t.words(s).iter().any(|w| w == word))
+            .collect()
+    }
+
+    #[test]
+    fn lookup_any_lang_equals_the_synset_scan() {
+        let reg = LanguageRegistry::new();
+        let (books, _) = crate::books_fragment(&reg);
+        let mut generated = crate::generate(
+            reg.id_of("English"),
+            &crate::GeneratorConfig {
+                synsets: 5000,
+                ..crate::GeneratorConfig::default()
+            },
+        );
+        // A word shared across languages and repeated within one synset.
+        let fr = generated.add_synset(reg.id_of("French"), &["entity0", "x", "x"]);
+        generated.add_word(fr, "entity0");
+        for t in [&books, &generated] {
+            let mut words: Vec<&str> = t
+                .ids()
+                .flat_map(|s| t.words(s).iter().map(String::as_str))
+                .collect();
+            words.extend(["", "absent", "Entity0"]);
+            for w in words {
+                assert_eq!(t.lookup_any_lang(w), scan_any_lang(t, w), "word {w:?}");
+            }
+        }
+        assert_eq!(generated.lookup_any_lang("entity0").len(), 2);
+    }
+
+    #[test]
+    fn vocabulary_fingerprint_sees_words_not_edges() {
+        let build = |extra: Option<&str>| {
+            let mut t = Taxonomy::new();
+            let a = t.add_synset(en(), &["a"]);
+            let b = t.add_synset(en(), &["b"]);
+            if let Some(w) = extra {
+                t.add_word(b, w);
+            }
+            (t, a, b)
+        };
+        let (mut t, a, b) = build(None);
+        let before = t.vocabulary_fingerprint();
+        t.add_hyponym(a, b);
+        t.add_equivalence(a, b);
+        assert_eq!(t.vocabulary_fingerprint(), before, "edges keep it");
+        assert_eq!(build(None).0.vocabulary_fingerprint(), before, "stable");
+        assert_ne!(build(Some("c")).0.vocabulary_fingerprint(), before);
+        // Moving a word to another synset changes it too.
+        let mut moved = Taxonomy::new();
+        moved.add_synset(en(), &["b"]);
+        moved.add_synset(en(), &["a"]);
+        assert_ne!(moved.vocabulary_fingerprint(), before);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use mlql::kernel::exec::ExecStats;
 use mlql::kernel::expr::{CmpOp, EvalCtx, Expr};
 use mlql::kernel::{DataType, Datum, Session};
 use mlql::mural::install;
-use mlql::mural::types::unitext_datum;
+use mlql::mural::types::unitext_to_bytes;
 use mlql::unitext::{LangId, UniText};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -84,6 +84,9 @@ const CAT: usize = 2;
 const MAX_ID: i64 = 60;
 
 type Row = Vec<Datum>;
+
+/// An extension type's insertion-time transform.
+type InsertHook = dyn Fn(&[u8]) -> Vec<u8> + Send + Sync;
 
 fn col(index: usize, ty: DataType) -> Box<Expr> {
     Box::new(Expr::ColRef {
@@ -230,14 +233,13 @@ fn oracle(db: &Session, model: &[Row], pred: &Expr) -> Oracle {
     }
 }
 
-/// A random row of `t`.  Names and categories are stored the way the
-/// type's insert hook stores them, phonemes materialized where a
-/// converter exists.
-fn random_row(mural: &mlql::mural::Mural, rng: &mut StdRng) -> Row {
+/// A random row of `t`, holding the bytes the table stores: each value
+/// goes through the registered type's insert hook (phonemes where a
+/// converter exists, synset ids for a vocabulary word).
+fn random_row(mural: &mlql::mural::Mural, on_insert: &InsertHook, rng: &mut StdRng) -> Row {
     let datum = |text: &str, lang: LangId| {
-        let mut v = UniText::compose(text, lang);
-        mural.converters.materialize(&mut v);
-        unitext_datum(mural.unitext_type, &v)
+        let raw = unitext_to_bytes(&UniText::compose(text, lang));
+        Datum::ext(mural.unitext_type, on_insert(&raw))
     };
     let id = if rng.gen_bool(0.1) {
         Datum::Null
@@ -367,13 +369,19 @@ fn scans_equal_their_per_row_definition() {
         let mut db = Session::new_in_memory();
         let mural = install(&mut db).unwrap();
         let unitext = DataType::Ext(mural.unitext_type);
+        let on_insert = (db.engine().catalog())
+            .type_by_id(mural.unitext_type)
+            .and_then(|def| def.on_insert.clone())
+            .unwrap();
         let n = rng.gen_range(50..2_500);
         let threshold = rng.gen_range(0..4);
         let at = format!("seed {seed}, {n} rows, threshold {threshold}");
 
         db.execute("CREATE TABLE t (id INT, name UNITEXT, cat UNITEXT)")
             .unwrap();
-        let mut model: Vec<Row> = (0..n).map(|_| random_row(&mural, &mut rng)).collect();
+        let mut model: Vec<Row> = (0..n)
+            .map(|_| random_row(&mural, &*on_insert, &mut rng))
+            .collect();
         for row in &model {
             db.insert_row("t", row.clone()).unwrap();
         }
@@ -402,7 +410,7 @@ fn scans_equal_their_per_row_definition() {
         writer.execute("DELETE FROM t WHERE id = 21").unwrap();
         own.retain(|row| id_of(row) != Some(21));
         for _ in 0..rng.gen_range(0..20) {
-            let row = random_row(&mural, &mut rng);
+            let row = random_row(&mural, &*on_insert, &mut rng);
             writer.insert_row("t", row.clone()).unwrap();
             own.push(row);
         }
