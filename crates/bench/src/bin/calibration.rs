@@ -573,15 +573,14 @@ fn count_work(db: &Session, vars: &SessionVars, plan: &PhysNode, op_units: f64) 
     let table_rows = |table: &str| catalog.table(table).unwrap().stats.lock().rows as f64;
     if let PhysOp::NlJoin { .. } = scan_of(plan) {
         // A join evaluates its predicate once per pair and builds a row
-        // per pair that passes; every scan under it decodes its table once
-        // per loop.
+        // per pair that passes; every scan under it decodes its table once.
         let root = &instr.per_node[0];
         let mut rows_decoded = 0.0;
         let mut out_rows = 0.0;
         for (node, actuals) in preorder(plan).into_iter().zip(&instr.per_node) {
             match &node.op {
                 PhysOp::SeqScan { table, .. } => {
-                    rows_decoded += table_rows(table) * actuals.loops.get() as f64;
+                    rows_decoded += table_rows(table);
                 }
                 PhysOp::NlJoin { .. } => out_rows = actuals.rows.get() as f64,
                 _ => {}

@@ -793,8 +793,7 @@ impl Session {
                 let mut scans = Vec::new();
                 let mut worst = 1.0f64;
                 for (node, a) in phys.preorder().into_iter().zip(actuals) {
-                    let per_loop = a.rows as f64 / a.loops.max(1) as f64;
-                    let q = obs::planstore::q_error(node.est_rows, per_loop);
+                    let q = obs::planstore::q_error(node.est_rows, a.rows as f64);
                     worst = worst.max(q);
                     if let Some(table) = node.leaf_scan_table() {
                         scans.push(obs::planstore::ScanObservation {

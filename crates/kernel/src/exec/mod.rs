@@ -6,9 +6,7 @@
 //! [`MAX_BATCH_ROWS`]), and row-at-a-time execution is simply the
 //! degenerate `batch_size = 1`.  Scans and filters evaluate predicates
 //! through [`Expr::eval_batch`], which dispatches ψ/Ω once per batch
-//! instead of once per row.  Rescans (`rescan`) support non-materialized
-//! nested-loops joins, whose repeated inner-side page traffic is exactly
-//! what makes the paper's Plan 2 of Example 5 expensive.
+//! instead of once per row.
 
 use crate::catalog::{Catalog, SessionVars, TableMeta};
 use crate::error::{Error, Result};
@@ -99,10 +97,8 @@ impl<'a> ExecCtx<'a> {
 /// `Send` like their uninstrumented counterparts.
 #[derive(Debug, Default)]
 pub struct OpStats {
-    /// Rows this node produced (across all loops).
+    /// Rows this node produced.
     pub rows: StatCell,
-    /// Times this node was started (1 + rescans that were actually pulled).
-    pub loops: StatCell,
     /// Wall-clock nanoseconds spent inside this node and its children.
     pub time_ns: StatCell,
     /// Buffer-pool page requests attributed to this subtree.
@@ -136,7 +132,6 @@ impl Instrumentation {
             .map(|s| NodeActuals {
                 rows: s.rows.get(),
                 batches: s.batches.get(),
-                loops: s.loops.get(),
                 time: Duration::from_nanos(s.time_ns.get()),
                 pages: s.logical_reads.get(),
                 pages_read: s.physical_reads.get(),
@@ -279,12 +274,10 @@ fn drain_input(
     Ok(())
 }
 
-/// Emit up to `max` rows of a materialized result, advancing `pos`
-/// (aggregate and sort output; the buffer survives rescans, hence clones).
-fn emit_buffered(buf: &[Row], pos: &mut usize, max: usize) -> Option<Batch> {
-    let end = (*pos + max).min(buf.len());
-    let rows = buf[*pos..end].to_vec();
-    *pos = end;
+/// Hand out up to `max` rows of a materialized result by move
+/// (aggregate and sort output).
+fn emit_buffered(buf: &mut std::vec::IntoIter<Row>, max: usize) -> Option<Batch> {
+    let rows: Vec<Row> = buf.by_ref().take(max).collect();
     (!rows.is_empty()).then(|| Batch::new(rows))
 }
 
@@ -332,8 +325,6 @@ fn join_rows(
 struct InstrumentedExec {
     inner: Box<dyn Executor>,
     stats: Arc<OpStats>,
-    /// True before the first pull of each loop (start or post-rescan).
-    fresh: bool,
 }
 
 impl Executor for InstrumentedExec {
@@ -342,10 +333,6 @@ impl Executor for InstrumentedExec {
     }
 
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
-        if self.fresh {
-            self.fresh = false;
-            self.stats.loops.add(1);
-        }
         let io_before = ctx.pool.stats();
         let inv_before = ctx.stats.index_node_visits.get();
         let ext_before = ctx.stats.ext_op_calls.get();
@@ -367,11 +354,6 @@ impl Executor for InstrumentedExec {
         }
         out
     }
-
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.fresh = true;
-        self.inner.rescan(ctx)
-    }
 }
 
 /// A pull-based operator.
@@ -388,10 +370,8 @@ pub trait Executor: Send {
     /// `max`, and rows arrive in the operator's one production order
     /// whatever sequence of `max` values the consumer asks with — which
     /// is what lets LIMIT and `max_rows` stay exact.  Once `None` is
-    /// returned, further calls keep returning `None` until `rescan`.
+    /// returned, further calls keep returning `None`.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>>;
-    /// Reset to the start of the stream (for nested-loops rescans).
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()>;
 }
 
 /// Build an executor tree from a physical plan.
@@ -400,7 +380,7 @@ pub fn build_executor(node: &PhysNode, ctx: &ExecCtx<'_>) -> Result<Box<dyn Exec
 }
 
 /// Build an executor tree where every node is wrapped for per-operator
-/// actuals (rows / loops / time / pages).  The returned
+/// actuals (rows / time / pages).  The returned
 /// [`Instrumentation`] holds one [`OpStats`] per plan node, in the same
 /// pre-order as `EXPLAIN` output lines.
 pub fn build_instrumented(
@@ -474,17 +454,15 @@ fn build_executor_impl(
             outer,
             inner,
             predicate,
-            materialize_inner,
         } => Box::new(NlJoinExec {
             outer: build_executor_impl(outer, ctx, instr.as_deref_mut())?,
             inner: build_executor_impl(inner, ctx, instr.as_deref_mut())?,
             predicate: predicate.clone(),
-            materialize: *materialize_inner,
             schema: node.schema.clone(),
+            inner_rows: None,
             outer_rows: Vec::new(),
             outer_pos: 0,
             bound: None,
-            inner_buf: None,
             inner_pos: 0,
         }),
         PhysOp::HashJoin {
@@ -516,17 +494,14 @@ fn build_executor_impl(
             aggs: aggs.clone(),
             schema: node.schema.clone(),
             output: None,
-            pos: 0,
         }),
         PhysOp::Sort { input, keys } => Box::new(SortExec {
             input: build_executor_impl(input, ctx, instr.as_deref_mut())?,
             keys: keys.clone(),
             buffered: None,
-            pos: 0,
         }),
         PhysOp::Limit { input, n } => Box::new(LimitExec {
             input: build_executor_impl(input, ctx, instr)?,
-            n: *n,
             remaining: *n,
         }),
         PhysOp::Values { rows } => Box::new(ValuesExec {
@@ -536,11 +511,7 @@ fn build_executor_impl(
         }),
     };
     Ok(match op_stats {
-        Some(stats) => Box::new(InstrumentedExec {
-            inner: exec,
-            stats,
-            fresh: true,
-        }),
+        Some(stats) => Box::new(InstrumentedExec { inner: exec, stats }),
         None => exec,
     })
 }
@@ -785,7 +756,7 @@ struct SeqScanExec {
     filter: Option<Expr>,
     workers: usize,
     actuals: Option<Arc<ParallelScanActuals>>,
-    /// Next unclaimed page: survives pulls, reset by `rescan`.
+    /// Next unclaimed page: survives pulls.
     cursor: AtomicU32,
     n_pages: Option<u32>,
     /// The page a serial scan is filtering.
@@ -924,14 +895,6 @@ impl Executor for SeqScanExec {
         }
         let take = self.buffer.len().min(max);
         Ok((take > 0).then(|| Batch::new(self.buffer.drain(..take).collect())))
-    }
-
-    fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.cursor.store(0, Ordering::Relaxed);
-        self.page.visible.clear();
-        self.page.next = 0;
-        self.buffer.clear();
-        Ok(())
     }
 }
 
@@ -1085,11 +1048,6 @@ impl Executor for IndexScanExec {
             out.extend(hits.into_iter().map(|v| v.row));
         }
         Ok((!out.is_empty()).then(|| Batch::new(out)))
-    }
-
-    fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pos = 0;
-        Ok(())
     }
 }
 
@@ -1256,10 +1214,6 @@ impl Executor for FilterExec {
         }
         Ok(None)
     }
-
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.input.rescan(ctx)
-    }
 }
 
 // ---------------------------------------------------------------- Project
@@ -1299,10 +1253,6 @@ impl Executor for ProjectExec {
             None => Ok(None),
         }
     }
-
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.input.rescan(ctx)
-    }
 }
 
 // ----------------------------------------------------------------- NlJoin
@@ -1311,31 +1261,26 @@ struct NlJoinExec {
     outer: Box<dyn Executor>,
     inner: Box<dyn Executor>,
     predicate: Option<Expr>,
-    materialize: bool,
     schema: Schema,
-    /// The outer batch being joined, the row within it the inner side is
-    /// currently positioned under, and the predicate bound to that row.
+    /// The inner side's rows, drained when the first outer batch arrives,
+    /// so an empty outer reads none of the inner.
+    inner_rows: Option<Vec<Row>>,
+    /// The outer batch being joined, the row within it, the predicate
+    /// bound to that row, and the next inner row to pair it with.
     outer_rows: Vec<Row>,
     outer_pos: usize,
     bound: Option<Expr>,
-    /// Materialized inner rows (when `materialize`).
-    inner_buf: Option<Vec<Row>>,
     inner_pos: usize,
 }
 
 impl NlJoinExec {
-    /// Position the inner side at its first row for the outer row at
-    /// `outer_pos`, and bind the predicate to that row.
-    fn restart_inner(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
+    /// Pair the outer row at `outer_pos` from the first inner row on,
+    /// with the predicate bound to it.
+    fn start_outer_row(&mut self) {
         if let Some(p) = &self.predicate {
             p.bind_outer_into(&self.outer_rows[self.outer_pos], &mut self.bound);
         }
-        if self.materialize {
-            self.inner_pos = 0;
-            Ok(())
-        } else {
-            self.inner.rescan(ctx)
-        }
+        self.inner_pos = 0;
     }
 }
 
@@ -1345,68 +1290,48 @@ impl Executor for NlJoinExec {
     }
 
     /// The outer side is pulled a batch at a time (so a ψ-filtered outer
-    /// scan runs the vectorized kernel); under each outer row the inner
-    /// side yields at most as many rows as the output batch has room for,
-    /// and the predicate, bound once per outer row, judges them as one
-    /// batch.
+    /// scan runs the vectorized kernel); under each outer row the
+    /// materialized inner yields at most as many rows as the output batch
+    /// has room for, and the predicate, bound once per outer row, judges
+    /// them as one batch.
     fn next_batch(&mut self, ctx: &ExecCtx<'_>, max: usize) -> Result<Option<Batch>> {
         let eval = ctx.eval_ctx();
-        // Materialize once; the buffer survives rescans.
-        if self.materialize && self.inner_buf.is_none() {
-            let mut buf = Vec::new();
-            drain_input(self.inner.as_mut(), ctx, |r| {
-                buf.push(r);
-                Ok(())
-            })?;
-            self.inner_buf = Some(buf);
-        }
         let mut out = Vec::new();
         while out.len() < max {
             if self.outer_pos == self.outer_rows.len() {
-                match self.outer.next_batch(ctx, max)? {
-                    Some(batch) => {
-                        self.outer_rows = batch.rows;
-                        self.outer_pos = 0;
-                        self.restart_inner(ctx)?;
-                    }
-                    None => break,
+                let Some(batch) = self.outer.next_batch(ctx, max)? else {
+                    break;
+                };
+                if self.inner_rows.is_none() {
+                    let mut rows = Vec::new();
+                    drain_input(self.inner.as_mut(), ctx, |r| {
+                        rows.push(r);
+                        Ok(())
+                    })?;
+                    self.inner_rows = Some(rows);
                 }
+                self.outer_rows = batch.rows;
+                self.outer_pos = 0;
+                self.start_outer_row();
             }
-            let outer = &self.outer_rows[self.outer_pos];
-            let bound = self.bound.as_ref();
-            let want = max - out.len();
-            let inner_exhausted = match &self.inner_buf {
-                Some(buf) => {
-                    let end = (self.inner_pos + want).min(buf.len());
-                    join_rows(outer, &buf[self.inner_pos..end], bound, &eval, &mut out)?;
-                    self.inner_pos = end;
-                    end == buf.len()
-                }
-                None => match self.inner.next_batch(ctx, want)? {
-                    Some(batch) => {
-                        join_rows(outer, &batch.rows, bound, &eval, &mut out)?;
-                        false
-                    }
-                    None => true,
-                },
-            };
-            if inner_exhausted {
+            let inner = self.inner_rows.as_deref().expect("drained above");
+            let end = (self.inner_pos + max - out.len()).min(inner.len());
+            join_rows(
+                &self.outer_rows[self.outer_pos],
+                &inner[self.inner_pos..end],
+                self.bound.as_ref(),
+                &eval,
+                &mut out,
+            )?;
+            self.inner_pos = end;
+            if end == inner.len() {
                 self.outer_pos += 1;
                 if self.outer_pos < self.outer_rows.len() {
-                    self.restart_inner(ctx)?;
+                    self.start_outer_row();
                 }
             }
         }
         Ok((!out.is_empty()).then(|| Batch::new(out)))
-    }
-
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.outer.rescan(ctx)?;
-        // The materialized buffer (if any) stays valid across rescans; a
-        // rescanning inner is repositioned with the first outer row.
-        self.outer_rows.clear();
-        self.outer_pos = 0;
-        Ok(())
     }
 }
 
@@ -1484,15 +1409,6 @@ impl Executor for HashJoinExec {
         }
         Ok((!out.is_empty()).then(|| Batch::new(out)))
     }
-
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.left.rescan(ctx)?;
-        self.probe_rows.clear();
-        self.probe_pos = 0;
-        self.match_pos = 0;
-        // Build table is kept.
-        Ok(())
-    }
 }
 
 // --------------------------------------------------------------- Aggregate
@@ -1502,8 +1418,7 @@ struct AggregateExec {
     group_by: Vec<Expr>,
     aggs: Vec<crate::plan::AggExpr>,
     schema: Schema,
-    output: Option<Vec<Row>>,
-    pos: usize,
+    output: Option<std::vec::IntoIter<Row>>,
 }
 
 #[derive(Clone)]
@@ -1633,16 +1548,10 @@ impl Executor for AggregateExec {
                 }
                 out.push(row);
             }
-            self.output = Some(out);
-            self.pos = 0;
+            self.output = Some(out.into_iter());
         }
-        let out = self.output.as_ref().expect("computed above");
-        Ok(emit_buffered(out, &mut self.pos, max))
-    }
-
-    fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pos = 0;
-        Ok(())
+        let out = self.output.as_mut().expect("computed above");
+        Ok(emit_buffered(out, max))
     }
 }
 
@@ -1651,8 +1560,7 @@ impl Executor for AggregateExec {
 struct SortExec {
     input: Box<dyn Executor>,
     keys: Vec<(Expr, bool)>,
-    buffered: Option<Vec<Row>>,
-    pos: usize,
+    buffered: Option<std::vec::IntoIter<Row>>,
 }
 
 impl Executor for SortExec {
@@ -1700,16 +1608,11 @@ impl Executor for SortExec {
                 }
                 std::cmp::Ordering::Equal
             });
-            self.buffered = Some(decorated.into_iter().map(|(_, r)| r).collect());
-            self.pos = 0;
+            let sorted: Vec<Row> = decorated.into_iter().map(|(_, r)| r).collect();
+            self.buffered = Some(sorted.into_iter());
         }
-        let buf = self.buffered.as_ref().expect("sorted above");
-        Ok(emit_buffered(buf, &mut self.pos, max))
-    }
-
-    fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pos = 0;
-        Ok(())
+        let buf = self.buffered.as_mut().expect("sorted above");
+        Ok(emit_buffered(buf, max))
     }
 }
 
@@ -1717,7 +1620,6 @@ impl Executor for SortExec {
 
 struct LimitExec {
     input: Box<dyn Executor>,
-    n: u64,
     remaining: u64,
 }
 
@@ -1740,11 +1642,6 @@ impl Executor for LimitExec {
             }
             None => Ok(None),
         }
-    }
-
-    fn rescan(&mut self, ctx: &ExecCtx<'_>) -> Result<()> {
-        self.remaining = self.n;
-        self.input.rescan(ctx)
     }
 }
 
@@ -1774,11 +1671,6 @@ impl Executor for ValuesExec {
         }
         self.pos = end;
         Ok((!out.is_empty()).then(|| Batch::new(out)))
-    }
-
-    fn rescan(&mut self, _ctx: &ExecCtx<'_>) -> Result<()> {
-        self.pos = 0;
-        Ok(())
     }
 }
 
@@ -1836,53 +1728,6 @@ mod tests {
                 let got = with_ctx(batch_size, |ctx| run_to_vec(&plan, ctx)).unwrap();
                 assert_eq!(got, all[..n.min(7)], "batch_size={batch_size} LIMIT {n}");
             }
-        }
-    }
-
-    #[test]
-    fn limit_rescan_restores_the_full_quota() {
-        let input = Box::new(values(7));
-        let schema = input.schema.clone();
-        let plan = node(PhysOp::Limit { input, n: 3 }, schema);
-        with_ctx(2, |ctx| {
-            let mut exec = build_executor(&plan, ctx).unwrap();
-            let first = drain_to_vec(exec.as_mut(), ctx).unwrap();
-            assert_eq!(first.len(), 3);
-            exec.rescan(ctx).unwrap();
-            assert_eq!(drain_to_vec(exec.as_mut(), ctx).unwrap(), first);
-            // Also from the middle of the quota.
-            exec.rescan(ctx).unwrap();
-            assert_eq!(exec.next_batch(ctx, 2).unwrap().unwrap().len(), 2);
-            exec.rescan(ctx).unwrap();
-            assert_eq!(drain_to_vec(exec.as_mut(), ctx).unwrap(), first);
-        });
-    }
-
-    #[test]
-    fn nl_join_rescan_after_partially_consumed_outer_batch() {
-        for materialize_inner in [false, true] {
-            let (outer, inner) = (values(5), values(2));
-            let schema = outer.schema.join(&inner.schema);
-            let join = node(
-                PhysOp::NlJoin {
-                    outer: Box::new(outer),
-                    inner: Box::new(inner),
-                    predicate: None,
-                    materialize_inner,
-                },
-                schema,
-            );
-            with_ctx(1024, |ctx| {
-                let all = run_to_vec(&join, ctx).unwrap();
-                assert_eq!(all.len(), 10);
-                let mut exec = build_executor(&join, ctx).unwrap();
-                // Three of the ten pairs: the join now holds a three-row
-                // outer batch and sits in the middle of its second row.
-                let head = exec.next_batch(ctx, 3).unwrap().expect("rows");
-                assert_eq!(head.rows, all[..3]);
-                exec.rescan(ctx).unwrap();
-                assert_eq!(drain_to_vec(exec.as_mut(), ctx).unwrap(), all);
-            });
         }
     }
 }

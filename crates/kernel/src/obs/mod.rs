@@ -18,7 +18,7 @@
 //! 5. **Flight recorder** ([`flight`]): bounded ring of completed-query
 //!    records gated by `SET slow_query_ms`, exported as JSON.
 //! 6. **Per-operator actuals**: `exec::build_instrumented` wraps each
-//!    plan node so EXPLAIN ANALYZE prints actual rows / loops / time /
+//!    plan node so EXPLAIN ANALYZE prints actual rows / batches / time /
 //!    pages per node (see `exec::OpStats`).
 //! 7. **Plan store** ([`planstore`]): per-plan-digest estimate-vs-actual
 //!    aggregates (calls, elapsed, q-error) and the stale-statistics

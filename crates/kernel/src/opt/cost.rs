@@ -172,10 +172,11 @@ impl CostParams {
         traversal_cpu + matched * (self.heap_fetch_cost + per_row_pred)
     }
 
-    /// Nested-loops join with a materialized inner.  The predicate runs
-    /// over every pair (bound to the outer row, one batch of inner rows at
-    /// a time); a joined row is built only for a pair that passes.
-    pub fn nl_join_materialized(
+    /// Nested-loops join: the inner side runs once and is materialized.
+    /// The predicate runs over every pair (bound to the outer row, one
+    /// batch of inner rows at a time); a joined row is built only for a
+    /// pair that passes.
+    pub fn nl_join(
         &self,
         outer_cost: f64,
         inner_cost: f64,
@@ -187,22 +188,6 @@ impl CostParams {
         outer_cost
             + inner_cost
             + inner_rows * self.cpu_tuple_cost // materialization write
-            + outer_rows * inner_rows * per_pair_pred
-            + out_rows * self.cpu_tuple_cost
-    }
-
-    /// Nested-loops join re-scanning the inner plan per outer row.
-    pub fn nl_join_rescan(
-        &self,
-        outer_cost: f64,
-        inner_cost: f64,
-        outer_rows: f64,
-        inner_rows: f64,
-        out_rows: f64,
-        per_pair_pred: f64,
-    ) -> f64 {
-        outer_cost
-            + outer_rows.max(1.0) * inner_cost
             + outer_rows * inner_rows * per_pair_pred
             + out_rows * self.cpu_tuple_cost
     }
@@ -285,26 +270,19 @@ mod tests {
     }
 
     #[test]
-    fn rescan_nl_join_dominates_materialized() {
-        let p = CostParams::default();
-        let mat = p.nl_join_materialized(100.0, 100.0, 1000.0, 1000.0, 50.0, 0.01);
-        let rescan = p.nl_join_rescan(100.0, 100.0, 1000.0, 1000.0, 50.0, 0.01);
-        assert!(rescan > mat, "rescan {rescan} vs materialized {mat}");
-    }
-
-    #[test]
     fn join_pairs_pay_the_predicate_and_built_rows_the_tuple_cost() {
         let p = CostParams::default();
         let close = |a: f64, b: f64| (a - b).abs() < 1e-9;
-        for nl in [CostParams::nl_join_materialized, CostParams::nl_join_rescan] {
-            let base = nl(&p, 0.0, 0.0, 10.0, 20.0, 0.0, 0.0);
-            // 200 pairs pay the predicate; only the 5 built rows pay a tuple.
-            assert!(close(nl(&p, 0.0, 0.0, 10.0, 20.0, 0.0, 0.5), base + 100.0));
-            assert!(close(
-                nl(&p, 0.0, 0.0, 10.0, 20.0, 5.0, 0.0),
-                base + 5.0 * p.cpu_tuple_cost
-            ));
-        }
+        let base = p.nl_join(0.0, 0.0, 10.0, 20.0, 0.0, 0.0);
+        // 200 pairs pay the predicate; only the 5 built rows pay a tuple.
+        assert!(close(
+            p.nl_join(0.0, 0.0, 10.0, 20.0, 0.0, 0.5),
+            base + 100.0
+        ));
+        assert!(close(
+            p.nl_join(0.0, 0.0, 10.0, 20.0, 5.0, 0.0),
+            base + 5.0 * p.cpu_tuple_cost
+        ));
         let base = p.hash_join(0.0, 0.0, 10.0, 20.0, 30.0, 0.0, 0.0);
         assert!(close(
             p.hash_join(0.0, 0.0, 10.0, 20.0, 30.0, 0.0, 0.5),

@@ -1,8 +1,8 @@
 //! Plan enumeration: access-path selection and left-deep join ordering.
 //!
 //! PostgreSQL-style `enable_*` session flags (`enable_seqscan`,
-//! `enable_indexscan`, `enable_hashjoin`, `enable_nestloop`,
-//! `enable_material`) let experiments force plans the way the paper did in
+//! `enable_indexscan`, `enable_hashjoin`, `enable_nestloop`) let
+//! experiments force plans the way the paper did in
 //! §5.2.1; a disabled path is penalized with a huge constant rather than
 //! removed, so a plan always exists.
 
@@ -609,42 +609,9 @@ impl Planner<'_> {
             });
         }
 
-        // Nested loops, materialized inner.
+        // Nested loops: the inner side is materialized once.
         {
-            let mut cost = params.nl_join_materialized(
-                left.est_cost,
-                right.est_cost,
-                left.est_rows,
-                right.est_rows,
-                out_rows,
-                per_pair,
-            );
-            if !flag(self.session, "enable_nestloop") {
-                cost += DISABLED_COST;
-            }
-            if !flag(self.session, "enable_material") {
-                cost += DISABLED_COST;
-            }
-            consider(PhysNode {
-                op: PhysOp::NlJoin {
-                    outer: Box::new(left.clone()),
-                    inner: Box::new(right.clone()),
-                    predicate: if remapped.is_empty() {
-                        None
-                    } else {
-                        Some(and_all(remapped.clone()))
-                    },
-                    materialize_inner: true,
-                },
-                est_rows: out_rows,
-                est_cost: cost,
-                schema: schema.clone(),
-            });
-        }
-
-        // Nested loops, rescanned inner.
-        {
-            let mut cost = params.nl_join_rescan(
+            let mut cost = params.nl_join(
                 left.est_cost,
                 right.est_cost,
                 left.est_rows,
@@ -664,7 +631,6 @@ impl Planner<'_> {
                     } else {
                         Some(and_all(remapped))
                     },
-                    materialize_inner: false,
                 },
                 est_rows: out_rows,
                 est_cost: cost,

@@ -151,12 +151,11 @@ pub enum PhysOp {
         input: Box<PhysNode>,
         exprs: Vec<Expr>,
     },
-    /// Nested-loops join (inner side optionally materialized).
+    /// Nested-loops join; the inner side runs once, materialized.
     NlJoin {
         outer: Box<PhysNode>,
         inner: Box<PhysNode>,
         predicate: Option<Expr>,
-        materialize_inner: bool,
     },
     /// Hash join on a single equi-key pair; `residual` re-checked on matches.
     HashJoin {
@@ -189,12 +188,10 @@ pub enum PhysOp {
 /// node's children (PostgreSQL `ANALYZE, BUFFERS` convention).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeActuals {
-    /// Rows the node produced across all loops.
+    /// Rows the node produced.
     pub rows: u64,
-    /// Batches the node produced across all loops.
+    /// Batches the node produced.
     pub batches: u64,
-    /// Times the node was started (1 + pulled rescans).
-    pub loops: u64,
     /// Wall-clock time in the node's subtree.
     pub time: std::time::Duration,
     /// Buffer-pool page requests in the subtree.
@@ -239,10 +236,7 @@ impl PhysNode {
         let pad = "  ".repeat(depth);
         let a = actuals.get(*idx).copied().unwrap_or_default();
         *idx += 1;
-        // q-error compares the per-loop estimate against the measured
-        // per-loop rows (actuals accumulate across rescans).
-        let per_loop = a.rows as f64 / a.loops.max(1) as f64;
-        let q = crate::obs::planstore::q_error(self.est_rows, per_loop);
+        let q = crate::obs::planstore::q_error(self.est_rows, a.rows as f64);
         let marker = if q > qerror_warn {
             " [MISESTIMATE]"
         } else {
@@ -250,13 +244,12 @@ impl PhysNode {
         };
         let _ = writeln!(
             out,
-            "{pad}{}  (cost={:.2} rows={}) (actual rows={} batches={} loops={} time={:.3}ms pages={} q={:.1}){marker}",
+            "{pad}{}  (cost={:.2} rows={}) (actual rows={} batches={} time={:.3}ms pages={} q={:.1}){marker}",
             self.op_line(),
             self.est_cost,
             fmt_est_rows(self.est_rows),
             a.rows,
             a.batches,
-            a.loops,
             a.time.as_secs_f64() * 1e3,
             a.pages,
             q,
@@ -473,21 +466,12 @@ impl PhysNode {
                 let cols: Vec<String> = exprs.iter().map(|e| e.to_string()).collect();
                 format!("Project: {}", cols.join(", "))
             }
-            PhysOp::NlJoin {
-                predicate,
-                materialize_inner,
-                ..
-            } => {
-                let mat = if *materialize_inner {
-                    " (materialized inner)"
-                } else {
-                    ""
-                };
-                match predicate {
-                    Some(p) => format!("Nested Loop{mat}  Join Filter: {p}"),
-                    None => format!("Nested Loop{mat}"),
-                }
-            }
+            // Every nested loop materializes its inner; plan digests hash
+            // the label.
+            PhysOp::NlJoin { predicate, .. } => match predicate {
+                Some(p) => format!("Nested Loop (materialized inner)  Join Filter: {p}"),
+                None => "Nested Loop (materialized inner)".to_string(),
+            },
             PhysOp::HashJoin {
                 left_key,
                 right_key,
@@ -659,7 +643,6 @@ mod tests {
                 outer: Box::new(seq_scan("a", None)),
                 inner: Box::new(seq_scan("b", None)),
                 predicate: None,
-                materialize_inner: false,
             },
             est_rows: 10.0,
             est_cost: 50.0,
@@ -668,7 +651,6 @@ mod tests {
         let actuals = [
             NodeActuals {
                 rows: 10,
-                loops: 1,
                 time: std::time::Duration::from_micros(300),
                 ..Default::default()
             },

@@ -9,13 +9,9 @@
 //! subtree when the triangle inequality proves that no key inside the
 //! covering ball can lie within the query radius.
 //!
-//! Two node-split policies are provided:
-//!
-//! * [`SplitPolicy::Random`] — the paper's choice: "we specifically chose
-//!   the random-split alternative ... since it offers the best index
-//!   modification time".
-//! * [`SplitPolicy::MinMaxRadius`] — the computationally heavier mM_RAD
-//!   policy from the original M-Tree paper, kept for the ablation bench.
+//! A node splits by promoting two entries drawn at random — the paper's
+//! choice: "we specifically chose the random-split alternative ... since
+//! it offers the best index modification time".
 //!
 //! Search statistics ([`QueryStats`]) expose distance-computation and
 //! node-visit counts, which is how the evaluation explains *why* the M-Tree
@@ -26,7 +22,7 @@
 
 mod tree;
 
-pub use tree::{MTree, Metric, QueryStats, SplitPolicy};
+pub use tree::{MTree, Metric, QueryStats};
 
 /// Default maximum number of entries per node.  Chosen so a node of phoneme
 /// strings (~16 bytes each plus radii) is roughly one 8 KiB disk page — the

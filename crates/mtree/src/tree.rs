@@ -2,7 +2,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A distance function making the key type a metric space.
 ///
@@ -19,19 +18,6 @@ impl<K, F: Fn(&K, &K) -> f64> Metric<K> for F {
     fn distance(&self, a: &K, b: &K) -> f64 {
         self(a, b)
     }
-}
-
-/// Node-split policy (promotion of the two new routing objects).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SplitPolicy {
-    /// Promote two distinct entries chosen uniformly at random — the
-    /// paper's pick for its superior index-build time.
-    #[default]
-    Random,
-    /// mM_RAD: consider a sample of promotion pairs and keep the pair
-    /// minimizing the larger covering radius.  Better pruning, much more
-    /// expensive to build (quadratic distance computations per split).
-    MinMaxRadius,
 }
 
 /// Statistics gathered during one query or accumulated across queries.
@@ -75,42 +61,31 @@ pub struct MTree<K, V, M: Metric<K>> {
     metric: M,
     root: Box<Node<K, V>>,
     node_capacity: usize,
-    policy: SplitPolicy,
     len: usize,
     /// Nodes in the tree, kept current by the split paths so the
     /// optimizer can ask for the index size without walking it.
     nodes: usize,
+    /// Draws the two entries a split promotes.
     rng: StdRng,
-    /// Distance computations spent on inserts (build cost; ablation
-    /// bench).  Atomic (not `Cell`) so a built tree is `Sync` and
-    /// concurrent searches can share it behind a read lock.
-    build_distances: AtomicU64,
 }
 
 impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     /// Create an empty tree with the default capacity and random split.
     pub fn new(metric: M) -> Self {
-        Self::with_options(
-            metric,
-            crate::DEFAULT_NODE_CAPACITY,
-            SplitPolicy::Random,
-            0x5eed,
-        )
+        Self::with_options(metric, crate::DEFAULT_NODE_CAPACITY, 0x5eed)
     }
 
-    /// Create an empty tree with explicit node capacity, split policy and
-    /// RNG seed (seeded so index builds are reproducible).
-    pub fn with_options(metric: M, node_capacity: usize, policy: SplitPolicy, seed: u64) -> Self {
+    /// Create an empty tree with explicit node capacity and split RNG seed
+    /// (seeded so index builds are reproducible).
+    pub fn with_options(metric: M, node_capacity: usize, seed: u64) -> Self {
         assert!(node_capacity >= 4, "node capacity must be at least 4");
         MTree {
             metric,
             root: Box::new(Node::Leaf(Vec::new())),
             node_capacity,
-            policy,
             len: 0,
             nodes: 1,
             rng: StdRng::seed_from_u64(seed),
-            build_distances: AtomicU64::new(0),
         }
     }
 
@@ -122,11 +97,6 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     /// True when the tree holds no keys.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Total distance computations spent building the tree so far.
-    pub fn build_distance_computations(&self) -> u64 {
-        self.build_distances.load(Ordering::Relaxed)
     }
 
     /// Height of the tree (leaf = 1).
@@ -147,7 +117,6 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
 
     #[inline]
     fn dist(&self, a: &K, b: &K) -> f64 {
-        self.build_distances.fetch_add(1, Ordering::Relaxed);
         self.metric.distance(a, b)
     }
 
@@ -522,7 +491,7 @@ struct RootRef;
 /// Recursive insertion.  Returns promoted keys when the **root** overflows.
 ///
 /// Implemented as a free function to keep borrow scopes simple: we take the
-/// tree (for metric/rng/policy access) and walk `tree.root` by raw recursion
+/// tree (for metric/rng access) and walk `tree.root` by raw recursion
 /// on owned boxes via `take`/`replace`.
 fn descend<K: Clone, V: Clone, M: Metric<K>>(
     tree: &mut MTree<K, V, M>,
@@ -624,53 +593,20 @@ fn insert_rec<K: Clone, V: Clone, M: Metric<K>>(
     }
 }
 
-/// Choose two promotion keys according to the split policy.
+/// Choose two distinct promotion keys uniformly at random: the paper's
+/// split, "since it offers the best index modification time" (§4.2.1).
 fn promote<'a, K: Clone + 'a, V, M: Metric<K>>(
     tree: &mut MTree<K, V, M>,
     keys: impl Iterator<Item = &'a K>,
 ) -> (K, K) {
     let keys: Vec<&K> = keys.collect();
     debug_assert!(keys.len() >= 2);
-    match tree.policy {
-        SplitPolicy::Random => {
-            let i = tree.rng.gen_range(0..keys.len());
-            let mut j = tree.rng.gen_range(0..keys.len() - 1);
-            if j >= i {
-                j += 1;
-            }
-            (keys[i].clone(), keys[j].clone())
-        }
-        SplitPolicy::MinMaxRadius => {
-            // Sample up to 32 candidate pairs; pick the pair minimizing the
-            // larger of the two resulting covering radii.
-            let mut best: Option<(usize, usize, f64)> = None;
-            let samples = 32.min(keys.len() * (keys.len() - 1) / 2);
-            for _ in 0..samples {
-                let i = tree.rng.gen_range(0..keys.len());
-                let mut j = tree.rng.gen_range(0..keys.len() - 1);
-                if j >= i {
-                    j += 1;
-                }
-                let (mut r1, mut r2) = (0.0f64, 0.0f64);
-                for k in &keys {
-                    let d1 = tree.metric.distance(k, keys[i]);
-                    let d2 = tree.metric.distance(k, keys[j]);
-                    tree.build_distances.fetch_add(2, Ordering::Relaxed);
-                    if d1 <= d2 {
-                        r1 = r1.max(d1);
-                    } else {
-                        r2 = r2.max(d2);
-                    }
-                }
-                let rmax = r1.max(r2);
-                if best.map(|(_, _, b)| rmax < b).unwrap_or(true) {
-                    best = Some((i, j, rmax));
-                }
-            }
-            let (i, j, _) = best.expect("at least one sample");
-            (keys[i].clone(), keys[j].clone())
-        }
+    let i = tree.rng.gen_range(0..keys.len());
+    let mut j = tree.rng.gen_range(0..keys.len() - 1);
+    if j >= i {
+        j += 1;
     }
+    (keys[i].clone(), keys[j].clone())
 }
 
 #[cfg(test)]
@@ -681,9 +617,9 @@ mod tests {
         (a - b).abs() as f64
     }
 
-    fn build(values: &[i64], policy: SplitPolicy) -> MTree<i64, usize, fn(&i64, &i64) -> f64> {
+    fn build(values: &[i64]) -> MTree<i64, usize, fn(&i64, &i64) -> f64> {
         let mut t: MTree<i64, usize, fn(&i64, &i64) -> f64> =
-            MTree::with_options(abs_metric, 8, policy, 42);
+            MTree::with_options(abs_metric, 8, 42);
         for (i, &v) in values.iter().enumerate() {
             t.insert(v, i);
         }
@@ -702,7 +638,7 @@ mod tests {
     #[test]
     fn range_matches_linear_scan() {
         let values: Vec<i64> = (0..500).map(|i| (i * 37) % 1000).collect();
-        let t = build(&values, SplitPolicy::Random);
+        let t = build(&values);
         assert_eq!(t.len(), 500);
         for q in [0i64, 123, 999, 500] {
             for r in [0.0, 3.0, 10.0, 50.0] {
@@ -723,7 +659,7 @@ mod tests {
 
     #[test]
     fn distances_reported_are_exact() {
-        let t = build(&[1, 5, 9, 13, 2, 8], SplitPolicy::Random);
+        let t = build(&[1, 5, 9, 13, 2, 8]);
         let (hits, _) = t.range(&5, 4.0);
         for (k, _, d) in hits {
             assert_eq!(d, abs_metric(&k, &5));
@@ -733,7 +669,7 @@ mod tests {
     #[test]
     fn tree_grows_in_height_and_stays_balanced() {
         let values: Vec<i64> = (0..2000).collect();
-        let t = build(&values, SplitPolicy::Random);
+        let t = build(&values);
         assert!(t.height() >= 2, "2000 values with capacity 8 must split");
         // All leaves at the same depth (height-balance).
         fn depths<K, V>(n: &Node<K, V>, d: usize, out: &mut Vec<usize>) {
@@ -753,7 +689,7 @@ mod tests {
     }
 
     /// `node_count` is a counter kept by the split paths; it must equal
-    /// what a walk of the tree finds, at every policy and capacity.
+    /// what a walk of the tree finds, at every capacity.
     #[test]
     fn node_counter_equals_recursive_count() {
         fn walk<K, V>(n: &Node<K, V>) -> usize {
@@ -763,13 +699,9 @@ mod tests {
             }
         }
         let mut rng = StdRng::seed_from_u64(7);
-        for (capacity, policy) in [
-            (4, SplitPolicy::Random),
-            (8, SplitPolicy::MinMaxRadius),
-            (64, SplitPolicy::Random),
-        ] {
+        for capacity in [4, 8, 64] {
             let mut t: MTree<i64, usize, fn(&i64, &i64) -> f64> =
-                MTree::with_options(abs_metric, capacity, policy, 42);
+                MTree::with_options(abs_metric, capacity, 42);
             assert_eq!(t.node_count(), 1);
             for i in 0..10_000 {
                 // A narrow key range keeps duplicates (tie splits) frequent.
@@ -789,7 +721,7 @@ mod tests {
     #[test]
     fn pruning_happens_for_selective_queries() {
         let values: Vec<i64> = (0..5000).map(|i| i * 10).collect();
-        let t = build(&values, SplitPolicy::Random);
+        let t = build(&values);
         let (_, stats) = t.range(&25000, 5.0);
         assert!(
             stats.dist_computations < 5000,
@@ -799,18 +731,9 @@ mod tests {
     }
 
     #[test]
-    fn minmax_policy_also_correct() {
-        let values: Vec<i64> = (0..300).map(|i| (i * 7919) % 5000).collect();
-        let t = build(&values, SplitPolicy::MinMaxRadius);
-        let (hits, _) = t.range(&2500, 30.0);
-        let expect = values.iter().filter(|&&v| (v - 2500).abs() <= 30).count();
-        assert_eq!(hits.len(), expect);
-    }
-
-    #[test]
     fn knn_returns_the_k_closest() {
         let values: Vec<i64> = (0..1000).map(|i| i * 3).collect();
-        let t = build(&values, SplitPolicy::Random);
+        let t = build(&values);
         let (hits, stats) = t.nearest(&500, 5);
         assert_eq!(hits.len(), 5);
         // Closest multiples of 3 to 500: 501(d=1), 498(d=2), 504(d=4), 495(d=5), 507(d=7)
@@ -834,7 +757,7 @@ mod tests {
 
     #[test]
     fn knn_edge_cases() {
-        let t = build(&[10, 20, 30], SplitPolicy::Random);
+        let t = build(&[10, 20, 30]);
         let (zero, _) = t.nearest(&15, 0);
         assert!(zero.is_empty());
         let (all, _) = t.nearest(&15, 99);
@@ -847,7 +770,7 @@ mod tests {
     #[test]
     fn iter_all_returns_everything() {
         let values: Vec<i64> = (0..100).collect();
-        let t = build(&values, SplitPolicy::Random);
+        let t = build(&values);
         let mut all: Vec<i64> = t.iter_all().into_iter().map(|(k, _)| k).collect();
         all.sort();
         assert_eq!(all, values);
@@ -855,7 +778,7 @@ mod tests {
 
     #[test]
     fn duplicate_keys_are_kept() {
-        let t = build(&[7, 7, 7, 7], SplitPolicy::Random);
+        let t = build(&[7, 7, 7, 7]);
         let (hits, _) = t.range(&7, 0.0);
         assert_eq!(hits.len(), 4);
     }
@@ -896,7 +819,7 @@ mod proptests {
             k in 1usize..8,
         ) {
             let mut t: MTree<Vec<u8>, usize, ByteMetric> =
-                MTree::with_options(lev, 6, SplitPolicy::Random, 3);
+                MTree::with_options(lev, 6, 3);
             for (i, key) in keys.iter().enumerate() {
                 t.insert(key.clone(), i);
             }
@@ -926,7 +849,7 @@ mod proptests {
             radius in 0u8..4,
         ) {
             let mut t: MTree<Vec<u8>, usize, ByteMetric> =
-                MTree::with_options(lev, 6, SplitPolicy::Random, 7);
+                MTree::with_options(lev, 6, 7);
             for (i, k) in keys.iter().enumerate() {
                 t.insert(k.clone(), i);
             }

@@ -20,7 +20,7 @@ use crate::types::unitext_of_datum;
 use mlql_kernel::index::{AccessMethod, IndexInstance, IndexSearch};
 use mlql_kernel::storage::TupleId;
 use mlql_kernel::{Datum, Error, Result};
-use mlql_mtree::{MTree, QueryStats, SplitPolicy};
+use mlql_mtree::{MTree, QueryStats};
 use mlql_phonetics::distance::{edit_distance, DistanceBuffer, MyersMatcher};
 use mlql_phonetics::ConverterRegistry;
 use std::collections::HashSet;
@@ -42,12 +42,11 @@ pub struct MTreeIndex {
 }
 
 impl MTreeIndex {
-    fn new(converters: Arc<ConverterRegistry>, policy: SplitPolicy) -> Self {
+    fn new(converters: Arc<ConverterRegistry>) -> Self {
         MTreeIndex {
             tree: MTree::with_options(
                 phoneme_metric as Metric,
                 mlql_mtree::DEFAULT_NODE_CAPACITY,
-                policy,
                 0x3713,
             ),
             deleted: HashSet::new(),
@@ -168,21 +167,13 @@ impl IndexInstance for MTreeIndex {
 /// paper registered the M-Tree through GiST.
 pub struct MTreeAm {
     converters: Arc<ConverterRegistry>,
-    policy: SplitPolicy,
 }
 
 impl MTreeAm {
-    /// Random split — the paper's choice ("best index modification time").
+    /// The M-tree access method; its trees split at random, the paper's
+    /// choice ("best index modification time").
     pub fn new(converters: Arc<ConverterRegistry>) -> Self {
-        MTreeAm {
-            converters,
-            policy: SplitPolicy::Random,
-        }
-    }
-
-    /// Alternative split policy (the mM_RAD ablation).
-    pub fn with_policy(converters: Arc<ConverterRegistry>, policy: SplitPolicy) -> Self {
-        MTreeAm { converters, policy }
+        MTreeAm { converters }
     }
 }
 
@@ -196,10 +187,7 @@ impl AccessMethod for MTreeAm {
     }
 
     fn create(&self) -> Result<Box<dyn IndexInstance>> {
-        Ok(Box::new(MTreeIndex::new(
-            Arc::clone(&self.converters),
-            self.policy,
-        )))
+        Ok(Box::new(MTreeIndex::new(Arc::clone(&self.converters))))
     }
 }
 
@@ -359,7 +347,7 @@ mod proptests {
     fn index(keys: &[Vec<u8>], dead: &[bool]) -> MTreeIndex {
         let langs = LanguageRegistry::new();
         let convs = Arc::new(ConverterRegistry::with_builtins(&langs));
-        let mut idx = MTreeIndex::new(convs, SplitPolicy::Random);
+        let mut idx = MTreeIndex::new(convs);
         for (i, (k, &dead)) in keys.iter().zip(dead).enumerate() {
             idx.tree.insert(k.clone(), tid(i));
             if dead {

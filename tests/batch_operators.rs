@@ -1,9 +1,9 @@
 //! Batch-contract tests for the operators that emit from their own state
 //! rather than passing a child's batch through: serial heap scan, index
-//! scan, both nested-loops joins, hash join, aggregate and sort.  Under
+//! scan, nested-loops join, hash join, aggregate and sort.  Under
 //! `LIMIT n` each must hand out exactly the first `n` rows of its
 //! unlimited result at every batch size, and do no more ψ work at one
-//! batch size than at another.  (`VALUES` has no SQL surface; it and the NL-join rescan are
+//! batch size than at another.  (`VALUES` has no SQL surface; it is
 //! covered by the unit tests next to the operators.)
 
 use mlql::kernel::{Datum, Session};
@@ -54,7 +54,7 @@ fn limit_returns_the_unlimited_prefix_at_every_batch_size() {
     let psi_join = "SELECT a.id, b.id FROM a, b WHERE a.name LEXEQUAL b.name";
     // (operator the plan must contain, session setup, query)
     let psi_probe = "SELECT id FROM a WHERE name LEXEQUAL unitext('Nehru','English')";
-    let cases: [(&str, &[&str], &str); 7] = [
+    let cases: [(&str, &[&str], &str); 6] = [
         (
             "Index Scan using a_mt",
             &["SET enable_seqscan = 0"],
@@ -66,7 +66,6 @@ fn limit_returns_the_unlimited_prefix_at_every_batch_size() {
             psi_probe,
         ),
         ("Nested Loop (materialized inner)", &[], psi_join),
-        ("Nested Loop  Join", &["SET enable_material = 0"], psi_join),
         (
             "Hash Join",
             &[],

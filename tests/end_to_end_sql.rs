@@ -613,8 +613,8 @@ fn execute_script_runs_statements_in_order() {
     assert_eq!(v[0][0].as_text(), Some("a;b"));
 }
 
-/// All join strategies (hash, NL materialized, NL rescanning) must
-/// return identical results; force each with the enable flags.
+/// Both join strategies (hash, nested loops) must return identical
+/// results; force each with the enable flags.
 #[test]
 fn join_strategies_agree() {
     let mut db = Session::new_in_memory();
@@ -636,13 +636,8 @@ fn join_strategies_agree() {
     db.execute("SET enable_hashjoin = 0").unwrap();
     let plan = db.plan_select(q).unwrap().explain();
     assert!(plan.contains("Nested Loop"), "{plan}");
-    let nl_mat = db.query(q).unwrap()[0][0].clone();
-    db.execute("SET enable_material = 0").unwrap();
-    let plan = db.plan_select(q).unwrap().explain();
-    assert!(!plan.contains("materialized"), "{plan}");
-    let nl_rescan = db.query(q).unwrap()[0][0].clone();
-    assert!(hash.eq_sql(&nl_mat), "{hash} vs {nl_mat}");
-    assert!(hash.eq_sql(&nl_rescan), "{hash} vs {nl_rescan}");
+    let nl = db.query(q).unwrap()[0][0].clone();
+    assert!(hash.eq_sql(&nl), "{hash} vs {nl}");
     // Sanity: the count is the expected 200*80/50 ≈ join on mod-50 keys.
     assert!(hash.eq_sql(&Datum::Int(320)));
 }

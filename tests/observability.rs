@@ -68,7 +68,7 @@ fn explain_analyze_lexequal_index_scan_actuals() {
     assert!(nodes.len() >= 2, "at least aggregate + scan nodes:\n{text}");
     // Every annotated node prints the full actuals quadruple.
     for (_, line) in &nodes {
-        assert!(line.contains("loops="), "{line}");
+        assert!(line.contains("batches="), "{line}");
         assert!(line.contains("time="), "{line}");
         assert!(line.contains("pages="), "{line}");
     }
@@ -79,7 +79,7 @@ fn explain_analyze_lexequal_index_scan_actuals() {
         "root is the count(*):\n{text}"
     );
     assert_eq!(*agg_rows, 1, "{text}");
-    assert!(agg_line.contains("loops=1"), "{agg_line}");
+    assert!(agg_line.contains("batches=1"), "{agg_line}");
     // ...and the index scan leaf yields the three cross-script homophones.
     let (scan_rows, scan_line) = nodes.last().unwrap();
     assert!(
@@ -204,26 +204,66 @@ fn explain_analyze_semequal_interval_strategy() {
     );
 }
 
-/// Acceptance: a three-operator plan (aggregate over join over scans)
-/// prints actuals on every node.
+/// The number after `key` in `text` (e.g. `pages=` on an EXPLAIN line).
+fn field(text: &str, key: &str) -> u64 {
+    text.split(key)
+        .nth(1)
+        .unwrap_or_else(|| panic!("no {key} in {text:?}"))
+        .chars()
+        .take_while(|c| c.is_ascii_digit())
+        .collect::<String>()
+        .parse()
+        .unwrap()
+}
+
+const PSI_JOIN: &str = "SELECT count(*) FROM o, names \
+                        WHERE names.name LEXEQUAL unitext('Nehru','English')";
+
+/// `o (id INT)` holding `analyzed` rows when it is analyzed and `rows`
+/// after, and a 400-row `names (name UNITEXT)` that [`PSI_JOIN`] filters
+/// with ψ and joins to every row of `o`.  Returns the session and the
+/// heap pages of `names`, as a full scan of it reads them.
+fn stale_join_fixture(analyzed: usize, rows: usize) -> (Session, u64) {
+    let mut db = db();
+    db.execute("CREATE TABLE o (id INT)").unwrap();
+    db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
+    let tuples: Vec<String> = (0..400)
+        .map(|i| format!("(unitext('Name{i}','English'))"))
+        .collect();
+    db.execute(&format!("INSERT INTO names VALUES {}", tuples.join(", ")))
+        .unwrap();
+    let insert_o = |db: &mut Session, ids: std::ops::Range<usize>| {
+        for id in ids {
+            db.execute(&format!("INSERT INTO o VALUES ({id})")).unwrap();
+        }
+    };
+    insert_o(&mut db, 0..analyzed);
+    db.execute("ANALYZE o").unwrap();
+    db.execute("ANALYZE names").unwrap();
+    insert_o(&mut db, analyzed..rows);
+    db.execute("SET lexequal.threshold = 2").unwrap();
+    let scan = db
+        .execute("EXPLAIN ANALYZE SELECT count(*) FROM names")
+        .unwrap()
+        .explain
+        .expect("explain text");
+    let pages = field(
+        scan.lines()
+            .find(|l| l.contains("Seq Scan on names"))
+            .unwrap(),
+        "pages=",
+    );
+    (db, pages)
+}
+
+/// A three-operator plan (aggregate over join over scans) prints actuals
+/// on every node, and a join whose outer was analyzed at 1 row but holds
+/// 61 runs its ψ-filtered scan once: ψ is evaluated once per `names` row
+/// and each of its heap pages is read once.
 #[test]
 fn explain_analyze_annotates_every_node_of_a_join_plan() {
-    let mut db = db();
-    db.execute("CREATE TABLE a (n UNITEXT)").unwrap();
-    db.execute("CREATE TABLE b (n UNITEXT)").unwrap();
-    db.execute("INSERT INTO a VALUES (unitext('Nehru','English')), (unitext('Patel','English'))")
-        .unwrap();
-    db.execute("INSERT INTO b VALUES (unitext('நேரு','Tamil')), (unitext('Meyer','German'))")
-        .unwrap();
-    db.execute("ANALYZE a").unwrap();
-    db.execute("ANALYZE b").unwrap();
-    db.execute("SET lexequal.threshold = 2").unwrap();
-    // Force the rescanned nested loop so per-node loop counts are visible.
-    db.execute("SET enable_material = 0").unwrap();
-
-    let r = db
-        .execute("EXPLAIN ANALYZE SELECT count(*) FROM a, b WHERE a.n LEXEQUAL b.n")
-        .unwrap();
+    let (mut db, names_pages) = stale_join_fixture(1, 61);
+    let r = db.execute(&format!("EXPLAIN ANALYZE {PSI_JOIN}")).unwrap();
     let text = r.explain.expect("explain text");
     let plan_lines: Vec<&str> = text
         .lines()
@@ -236,15 +276,38 @@ fn explain_analyze_annotates_every_node_of_a_join_plan() {
             line.contains("(actual rows="),
             "unannotated node {line:?}:\n{text}"
         );
-        assert!(line.contains("loops="), "{line}");
+        assert!(line.contains("batches="), "{line}");
         assert!(line.contains("time="), "{line}");
         assert!(line.contains("pages="), "{line}");
     }
-    // The inner side of the nested loop rescans once per outer row.
-    assert!(
-        text.lines().any(|l| l.contains("loops=2")),
-        "inner scan must report 2 loops:\n{text}"
-    );
+    let trailer = text.lines().find(|l| l.starts_with("Actual:")).unwrap();
+    assert_eq!(field(trailer, "ext_op_calls="), 400, "{text}");
+    let psi_scan = plan_lines
+        .iter()
+        .find(|l| l.contains("Seq Scan on names"))
+        .unwrap_or_else(|| panic!("a ψ scan of names:\n{text}"));
+    assert_eq!(field(psi_scan, "pages="), names_pages, "{text}");
+    assert_eq!(field(plan_lines[0], "actual rows="), 1, "{text}");
+}
+
+/// A nested loop whose outer is empty never runs its inner side: no ψ
+/// call, no page of `names` read.
+#[test]
+fn an_empty_outer_scans_no_inner() {
+    let (mut db, _) = stale_join_fixture(61, 61);
+    db.execute("DELETE FROM o").unwrap();
+    let r = db.execute(&format!("EXPLAIN ANALYZE {PSI_JOIN}")).unwrap();
+    let text = r.explain.expect("explain text");
+    assert!(text.contains("Nested Loop"), "{text}");
+    let trailer = text.lines().find(|l| l.starts_with("Actual:")).unwrap();
+    assert_eq!(field(trailer, "ext_op_calls="), 0, "{text}");
+    let psi_scan = text
+        .lines()
+        .find(|l| l.contains("Seq Scan on names"))
+        .unwrap_or_else(|| panic!("a ψ scan of names:\n{text}"));
+    assert_eq!(field(psi_scan, "pages="), 0, "{text}");
+    let r = db.execute(PSI_JOIN).unwrap();
+    assert_eq!(r.rows[0][0], mlql::kernel::Datum::Int(0));
 }
 
 /// Acceptance: SHOW STATS returns ≥10 distinct engine metrics, and the
@@ -741,16 +804,7 @@ fn explain_analyze_batch_counters_reconcile_with_rows() {
     db.execute("SET batch_size = 128").unwrap();
     db.execute("SET parallel_workers = 1").unwrap();
 
-    let batches_of = |line: &str| -> u64 {
-        line.split("batches=")
-            .nth(1)
-            .unwrap_or_else(|| panic!("no batches= in {line:?}"))
-            .chars()
-            .take_while(|c| c.is_ascii_digit())
-            .collect::<String>()
-            .parse()
-            .unwrap()
-    };
+    let batches_of = |line: &str| field(line, "batches=");
 
     let sql = "EXPLAIN ANALYZE SELECT name FROM names \
                WHERE name LEXEQUAL unitext('Nehru7','English')";
@@ -879,7 +933,7 @@ fn explain_renders_sub_one_row_estimates() {
     assert!(text.contains("rows=20"), "{text}");
 }
 
-/// Golden test: EXPLAIN ANALYZE annotates every node with its per-loop
+/// Golden test: EXPLAIN ANALYZE annotates every node with its
 /// q-error, and flags nodes whose q-error exceeds `qerror_warn` with a
 /// `[MISESTIMATE]` marker once statistics go stale.
 #[test]
