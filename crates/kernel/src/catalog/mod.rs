@@ -11,7 +11,10 @@
 mod registry;
 mod stats;
 
-pub use registry::{ExtOperator, ExtTypeDef, FuncDef, OperatorKind, SelectivityInput, SessionVars};
+pub use registry::{
+    ExtOperator, ExtTypeDef, FuncDef, OperatorKind, PrepareBatch, PreparedOperands,
+    SelectivityInput, SessionVars,
+};
 pub use stats::{ColumnStats, TableStats, MCV_TARGET};
 
 use crate::error::{Error, Result};

@@ -4,6 +4,7 @@ use crate::catalog::stats::ColumnStats;
 use crate::error::Result;
 use crate::value::{DataType, Datum, DatumRef, ExtTypeId};
 use std::collections::HashMap;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Session-settable variables (`SET name = value`).
@@ -155,6 +156,26 @@ pub struct SelectivityInput<'a> {
     pub session: &'a SessionVars,
 }
 
+/// Operands an [`ExtOperator::prepare_batch`] hook prepared once, to be
+/// matched against many constants.  Owned, so a join keeps it beside the
+/// rows it was prepared from.
+pub trait PreparedOperands: Send {
+    /// `operands[i] OP constant` for each `i` in `range`, in order, where
+    /// `operands` are those the hook prepared: result-identical to
+    /// `eval_batch(&operands[range], constant, session)`, and moving the
+    /// operator's own counters as that call would.
+    fn verdicts(
+        &self,
+        range: Range<usize>,
+        constant: &Datum,
+        session: &SessionVars,
+    ) -> Result<Vec<Datum>>;
+}
+
+/// The signature of [`ExtOperator::prepare_batch`].
+pub type PrepareBatch =
+    dyn Fn(&[DatumRef<'_>], &SessionVars) -> Result<Box<dyn PreparedOperands>> + Send + Sync;
+
 /// An extension operator: evaluation, typing, costing, selectivity, and
 /// index pairing.  This is the unit of the paper's "first-class operator"
 /// integration: registering one of these gives the operator the same
@@ -171,10 +192,11 @@ pub struct ExtOperator {
     pub eval: Arc<dyn Fn(&Datum, &Datum, &SessionVars) -> Result<Datum> + Send + Sync>,
     /// Vectorized evaluation of `lefts[i] OP right` for a whole batch of
     /// left operands against one constant right operand, returning one
-    /// verdict per input in order.  This is the operator's only batch
-    /// hook, and it sees borrowed operands: the batch executor passes
-    /// values of decoded rows, and a heap scan passes fields read straight
-    /// off the page image, before any row is decoded.  So per-pair setup
+    /// verdict per input in order.  This is the hook for one-shot
+    /// operands, each of which meets one constant: a heap scan passes
+    /// fields read straight off the page image, before any row is
+    /// decoded, and the batch executor passes values of decoded rows
+    /// (filters, index rechecks, hash-join residuals).  So per-pair setup
     /// (phoneme conversion of the constant, closure-cache probes, DP
     /// buffer borrows) is hoisted out of the inner loop, and rows the
     /// operator rejects are never copied.  The executor never passes a
@@ -185,6 +207,16 @@ pub struct ExtOperator {
     pub eval_batch: Option<
         Arc<dyn Fn(&[DatumRef<'_>], &Datum, &SessionVars) -> Result<Vec<Datum>> + Send + Sync>,
     >,
+    /// The hook for operands reused across constants: a nested loop
+    /// prepares its inner side's operands once per execution and matches
+    /// every outer row's value against them
+    /// ([`PreparedOperands::verdicts`]).  So work that depends on the
+    /// operand alone (ψ's phonemes and phone sets) is done once per
+    /// operand, not once per pair.  Like `eval_batch` it never sees a
+    /// NULL operand, and it is used only by an operator that also has
+    /// `eval_batch`; `None` means a join calls `eval_batch` per outer row.
+    /// Preparing may fail on an operand that `eval_batch` would fail on.
+    pub prepare_batch: Option<Arc<PrepareBatch>>,
     /// Algebraic properties (Table 1).
     pub kind: OperatorKind,
     /// CPU cost per evaluated pair, in units of `cpu_operator_cost` — ψ's
@@ -334,6 +366,7 @@ mod tests {
             operand_type: DataType::Text,
             eval: Arc::new(|_, _, _| Ok(Datum::Bool(true))),
             eval_batch: None,
+            prepare_batch: None,
             kind: OperatorKind {
                 commutative: true,
                 distributes_over_union: true,

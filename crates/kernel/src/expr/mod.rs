@@ -1,6 +1,6 @@
 //! Typed expression trees and evaluation.
 
-use crate::catalog::{Catalog, ExtOperator, SessionVars};
+use crate::catalog::{Catalog, ExtOperator, PrepareBatch, SessionVars};
 use crate::error::{Error, Result};
 use crate::value::{DataType, Datum, DatumRef};
 use std::cmp::Ordering;
@@ -650,7 +650,7 @@ pub(crate) struct BatchExtOp<'e> {
     modifiers: &'e [String],
 }
 
-impl BatchExtOp<'_> {
+impl<'e> BatchExtOp<'e> {
     /// The column the varying operand reads, when it is a plain column.
     pub(crate) fn column(&self) -> Option<usize> {
         match self.varying {
@@ -659,12 +659,33 @@ impl BatchExtOp<'_> {
         }
     }
 
+    /// The operator's hook for operands reused across constants
+    /// ([`ExtOperator::prepare_batch`]), if it has one.
+    pub(crate) fn prepare_hook(&self) -> Option<&'e PrepareBatch> {
+        self.op.prepare_batch.as_deref()
+    }
+
     /// One verdict per operand, in order, equal to what [`Expr::eval`]
-    /// returns row by row.  NULL operands (and a NULL constant) yield NULL
-    /// without being dispatched or counted; `ext_op_calls` is charged once
-    /// per operand the hook sees; the `IN (…)` modifier filters the
-    /// written LEFT operand.
+    /// returns row by row, through the operator's `eval_batch` hook.
     pub(crate) fn verdicts(&self, vals: &[DatumRef<'_>], ctx: &EvalCtx<'_>) -> Result<Vec<Datum>> {
+        let hook = self.op.eval_batch.as_ref().expect("batch_ext_op checked");
+        self.verdicts_by(vals, ctx, |operands, constant| {
+            hook(operands, constant, ctx.session)
+        })
+    }
+
+    /// [`BatchExtOp::verdicts`], with `eval` judging the non-NULL operands
+    /// against the constant: the `eval_batch` hook, or operands a join
+    /// prepared once ([`crate::catalog::PreparedOperands`]).  NULL operands
+    /// (and a NULL constant) yield NULL without being dispatched or
+    /// counted; `ext_op_calls` is charged once per operand `eval` sees;
+    /// the `IN (…)` modifier filters the written LEFT operand.
+    pub(crate) fn verdicts_by(
+        &self,
+        vals: &[DatumRef<'_>],
+        ctx: &EvalCtx<'_>,
+        eval: impl FnOnce(&[DatumRef<'_>], &Datum) -> Result<Vec<Datum>>,
+    ) -> Result<Vec<Datum>> {
         if self.constant.is_null() {
             return Ok(vec![Datum::Null; vals.len()]);
         }
@@ -681,8 +702,7 @@ impl BatchExtOp<'_> {
         crate::obs::metrics()
             .ext_op_calls_total
             .add(operands.len() as u64);
-        let hook = self.op.eval_batch.as_ref().expect("batch_ext_op checked");
-        let verdicts = hook(operands, &self.constant, ctx.session)?;
+        let verdicts = eval(operands, &self.constant)?;
         if verdicts.len() != operands.len() {
             return Err(Error::Execution(format!(
                 "operator {:?} batch eval returned {} verdicts for {} inputs",
@@ -938,6 +958,7 @@ mod tests {
                 ))
             }),
             eval_batch: None,
+            prepare_batch: None,
             kind: OperatorKind {
                 commutative: true,
                 distributes_over_union: true,
@@ -974,6 +995,7 @@ mod tests {
             operand_type: DataType::Text,
             eval: Arc::new(|_, _, _| Ok(Datum::Bool(true))),
             eval_batch: None,
+            prepare_batch: None,
             kind: OperatorKind {
                 commutative: true,
                 distributes_over_union: true,
@@ -1088,6 +1110,7 @@ mod tests {
                     .map(|l| Datum::Bool((l.to_datum().as_int().unwrap_or(0) - rv).abs() <= 2))
                     .collect())
             })),
+            prepare_batch: None,
             kind: OperatorKind {
                 commutative: true,
                 distributes_over_union: true,
@@ -1157,6 +1180,7 @@ mod tests {
                         .map(|l| Datum::Bool((l.to_datum().as_int().unwrap_or(0) - rv).abs() <= 2))
                         .collect())
                 })),
+                prepare_batch: None,
                 kind: OperatorKind {
                     commutative,
                     distributes_over_union: true,

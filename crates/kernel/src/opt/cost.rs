@@ -302,6 +302,7 @@ mod tests {
             operand_type: DataType::Text,
             eval: Arc::new(|_, _, _| Ok(Datum::Bool(true))),
             eval_batch: None,
+            prepare_batch: None,
             kind: OperatorKind {
                 commutative: true,
                 distributes_over_union: true,

@@ -146,6 +146,7 @@ fn install_inner(
             Ok(Datum::Bool(lv.identical(&rv)))
         }),
         eval_batch: None,
+        prepare_batch: None,
         kind: mlql_kernel::catalog::OperatorKind {
             commutative: true,
             distributes_over_union: true,

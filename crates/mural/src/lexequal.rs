@@ -10,13 +10,14 @@
 
 use crate::selectivity::{psi_default_selectivity, psi_join_selectivity, psi_scan_selectivity};
 use crate::types::{language_filter, unitext_of_datum, unitext_of_ref};
-use mlql_kernel::catalog::{ExtOperator, OperatorKind, SessionVars};
+use mlql_kernel::catalog::{ExtOperator, OperatorKind, PreparedOperands, SessionVars};
 use mlql_kernel::{DataType, Datum, DatumRef, ExtTypeId};
-use mlql_phonetics::distance::{DistanceBuffer, MyersMatcher};
+use mlql_phonetics::distance::{distance_lower_bound, phone_set, DistanceBuffer, MyersMatcher};
 use mlql_phonetics::{ConverterRegistry, PhonemeString};
 use mlql_unitext::LanguageRegistry;
-use std::cell::RefCell;
+use std::cell::{OnceCell, RefCell};
 use std::collections::hash_map::{Entry, HashMap};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Session variable holding ψ's error threshold.
@@ -89,6 +90,90 @@ pub fn psi_matches_batch(
     psi_matches_refs(&lefts, r, k, converters, use_myers)
 }
 
+/// The phonemes a UniText payload stores, if it stores any.
+fn slice_of(d: DatumRef<'_>) -> Option<&[u8]> {
+    match d {
+        DatumRef::Ext { bytes, .. } => crate::types::phoneme_slice(bytes),
+        _ => None,
+    }
+}
+
+/// A value's text and its phonemes, decoded and converted.
+fn decode(
+    d: DatumRef<'_>,
+    converters: &ConverterRegistry,
+) -> mlql_kernel::Result<(String, PhonemeString)> {
+    let v = unitext_of_ref(d)?;
+    let p = converters.phonemes_of(&v);
+    Ok((v.text().to_string(), p))
+}
+
+/// The constant side of a batch ψ, resolved once per batch: its
+/// phonemes (the materialized slice, or one conversion) and the Myers
+/// kernel compiled for them.
+struct PsiConstant<'r> {
+    datum: &'r Datum,
+    /// The phonemes the payload stores.
+    slice: Option<&'r [u8]>,
+    /// The decoded value: up front when there is no slice, else on the
+    /// first operand without one (only the slow path reads it).
+    decoded: OnceCell<(String, PhonemeString)>,
+    myers: Option<MyersMatcher>,
+}
+
+impl<'r> PsiConstant<'r> {
+    fn new(
+        r: &'r Datum,
+        converters: &ConverterRegistry,
+        use_myers: bool,
+    ) -> mlql_kernel::Result<Self> {
+        let c = PsiConstant {
+            datum: r,
+            slice: slice_of(r.as_ref()),
+            decoded: OnceCell::new(),
+            myers: None,
+        };
+        if c.slice.is_none() {
+            c.decoded(converters)?;
+        }
+        let myers = if use_myers {
+            MyersMatcher::new(c.phonemes())
+        } else {
+            None
+        };
+        Ok(PsiConstant { myers, ..c })
+    }
+
+    /// The constant's phonemes.  The materialized slice and a fresh
+    /// conversion yield the same bytes (the cache is authoritative), so
+    /// one kernel serves the fast and the slow path.
+    fn phonemes(&self) -> &[u8] {
+        match self.slice {
+            Some(s) => s,
+            None => self.decoded.get().expect("decoded in new").1.as_bytes(),
+        }
+    }
+
+    /// The constant's text and phonemes, decoded on first use.
+    fn decoded(
+        &self,
+        converters: &ConverterRegistry,
+    ) -> mlql_kernel::Result<&(String, PhonemeString)> {
+        if self.decoded.get().is_none() {
+            let _ = self.decoded.set(decode(self.datum.as_ref(), converters)?);
+        }
+        Ok(self.decoded.get().expect("set above"))
+    }
+
+    /// Is `lp` within edit distance `k` of the constant's phonemes?
+    fn within(&self, lp: &[u8], k: usize, dp: &mut DistanceBuffer) -> bool {
+        match &self.myers {
+            Some(mm) => mm.distance_within(lp, k).is_some(),
+            None => dp.distance_within(lp, self.phonemes(), k).is_some(),
+        }
+    }
+}
+
 /// Batch ψ: `lefts[i] ψ r` for a whole batch against one constant RHS,
 /// over borrowed operands — values of decoded rows, or UniText fields
 /// read straight off a heap page image.
@@ -98,8 +183,8 @@ pub fn psi_matches_batch(
 ///
 /// * the RHS phonemes are resolved **once** (materialized slice or one
 ///   grapheme→phoneme conversion),
-/// * slow-path LHS conversions are memoized per distinct value across
-///   the batch,
+/// * each LHS payload is parsed once, and slow-path LHS conversions are
+///   memoized per distinct value across the batch,
 /// * the inner loop runs the bit-parallel Myers (1999) kernel when the
 ///   RHS phoneme string fits one machine word (≤64 symbols, see
 ///   [`MyersMatcher`]), falling back to the banded DP above that — both
@@ -119,63 +204,26 @@ pub fn psi_matches_refs(
     if lefts.is_empty() {
         return Ok(Vec::new());
     }
-    let m = mlql_kernel::obs::metrics();
-    fn slice_of(d: DatumRef<'_>) -> Option<&[u8]> {
-        match d {
-            DatumRef::Ext { bytes, .. } => crate::types::phoneme_slice(bytes),
-            _ => None,
-        }
-    }
-    let rhs_slice: Option<&[u8]> = slice_of(r.as_ref());
-    // Decode the RHS once iff some pair will take the slow path (exactly
-    // the pairs where scalar `psi_matches` would convert it per row).
-    let need_slow = rhs_slice.is_none() || lefts.iter().any(|&l| slice_of(l).is_none());
-    let rhs_decoded: Option<(String, PhonemeString)> = if need_slow {
-        let rv = unitext_of_datum(r)?;
-        let rp = converters.phonemes_of(&rv);
-        Some((rv.text().to_string(), rp))
-    } else {
-        None
-    };
-    // The materialized slice and a fresh conversion yield the same bytes
-    // (the cache is authoritative), so one kernel serves both paths.
-    let rp_bytes: &[u8] = match (rhs_slice, &rhs_decoded) {
-        (Some(s), _) => s,
-        (None, Some((_, p))) => p.as_bytes(),
-        (None, None) => unreachable!("need_slow when no slice"),
-    };
-    let myers = if use_myers {
-        MyersMatcher::new(rp_bytes)
-    } else {
-        None
-    };
+    let rhs = PsiConstant::new(r, converters, use_myers)?;
     let mut memo: HashMap<DatumRef<'_>, (String, PhonemeString)> = HashMap::new();
     let mut dist_calls = 0u64;
     let mut out = Vec::with_capacity(lefts.len());
     DP.with(|dp| -> mlql_kernel::Result<()> {
         let dp = &mut *dp.borrow_mut();
-        let within = |lp: &[u8], dp: &mut DistanceBuffer| match &myers {
-            Some(mm) => mm.distance_within(lp, k).is_some(),
-            None => dp.distance_within(lp, rp_bytes, k).is_some(),
-        };
         for &l in lefts {
             // Fast path: both sides carry materialized phonemes.
-            if rhs_slice.is_some() {
+            if rhs.slice.is_some() {
                 if let Some(lp) = slice_of(l) {
                     dist_calls += 1;
-                    out.push(Datum::Bool(within(lp, dp)));
+                    out.push(Datum::Bool(rhs.within(lp, k, dp)));
                     continue;
                 }
             }
             // Slow path: decode + convert, memoized per distinct value.
-            let (r_text, rp) = rhs_decoded.as_ref().expect("decoded above");
+            let (r_text, rp) = rhs.decoded(converters)?;
             let (l_text, lp) = match memo.entry(l) {
                 Entry::Occupied(hit) => hit.into_mut(),
-                Entry::Vacant(slot) => {
-                    let lv = unitext_of_ref(l)?;
-                    let lp = converters.phonemes_of(&lv);
-                    slot.insert((lv.text().to_string(), lp))
-                }
+                Entry::Vacant(slot) => slot.insert(decode(l, converters)?),
             };
             if lp.is_empty() && rp.is_empty() {
                 // Same graceful degradation as `psi_matches`.
@@ -183,12 +231,125 @@ pub fn psi_matches_refs(
                 continue;
             }
             dist_calls += 1;
-            out.push(Datum::Bool(within(lp.as_bytes(), dp)));
+            out.push(Datum::Bool(rhs.within(lp.as_bytes(), k, dp)));
         }
         Ok(())
     })?;
-    m.psi_distance_calls_total.add(dist_calls);
+    mlql_kernel::obs::metrics()
+        .psi_distance_calls_total
+        .add(dist_calls);
     Ok(out)
+}
+
+/// What the phone-set bound reads of one prepared name.
+#[derive(Clone, Copy)]
+struct Signature {
+    /// [`phone_set`] of its phonemes.
+    set: u64,
+    /// How many phonemes it has.
+    len: usize,
+}
+
+/// ψ's operands prepared once for many constants
+/// ([`ExtOperator::prepare_batch`]): a nested loop's inner names, each
+/// parsed (and, without a stored cache, converted) once per join.  Their
+/// phonemes sit back to back in one arena, each with its length and
+/// phone set, so that per constant the Myers kernel is compiled once and
+/// run only on pairs whose [`distance_lower_bound`] is at most `k`.
+struct PreparedNames {
+    converters: Arc<ConverterRegistry>,
+    arena: Vec<u8>,
+    /// Where each name's phonemes start in the arena.
+    starts: Vec<usize>,
+    signatures: Vec<Signature>,
+    /// The text of each name that has no phonemes (and so stores none):
+    /// the one case in which ψ compares texts.
+    texts: Vec<Option<Box<str>>>,
+}
+
+impl PreparedNames {
+    fn new(
+        lefts: &[DatumRef<'_>],
+        converters: Arc<ConverterRegistry>,
+    ) -> mlql_kernel::Result<PreparedNames> {
+        let mut arena = Vec::new();
+        let mut starts = Vec::with_capacity(lefts.len());
+        let mut signatures = Vec::with_capacity(lefts.len());
+        let mut texts = Vec::with_capacity(lefts.len());
+        for &l in lefts {
+            let start = arena.len();
+            let text = match slice_of(l) {
+                Some(p) => {
+                    arena.extend_from_slice(p);
+                    None
+                }
+                None => {
+                    let (text, p) = decode(l, &converters)?;
+                    arena.extend_from_slice(p.as_bytes());
+                    p.is_empty().then(|| text.into())
+                }
+            };
+            let phonemes = &arena[start..];
+            starts.push(start);
+            signatures.push(Signature {
+                set: phone_set(phonemes),
+                len: phonemes.len(),
+            });
+            texts.push(text);
+        }
+        Ok(PreparedNames {
+            converters,
+            arena,
+            starts,
+            signatures,
+            texts,
+        })
+    }
+}
+
+impl PreparedOperands for PreparedNames {
+    /// [`psi_matches_refs`] over the prepared names in `range`, with the
+    /// phone-set bound in front of the kernel.  A pair the bound rejects
+    /// was still decided on phonemes, so it counts as a
+    /// `psi_distance_calls_total` call, as it does on the batch path.
+    fn verdicts(
+        &self,
+        range: Range<usize>,
+        r: &Datum,
+        session: &SessionVars,
+    ) -> mlql_kernel::Result<Vec<Datum>> {
+        let k = threshold(session);
+        let rhs = PsiConstant::new(r, &self.converters, true)?;
+        let rp = rhs.phonemes();
+        let (r_len, r_set) = (rp.len(), phone_set(rp));
+        let mut dist_calls = 0u64;
+        let mut out = Vec::with_capacity(range.len());
+        DP.with(|dp| -> mlql_kernel::Result<()> {
+            let dp = &mut *dp.borrow_mut();
+            for (i, sig) in range.clone().zip(&self.signatures[range]) {
+                // Neither side has phonemes: ψ compares texts, as
+                // `psi_matches_refs` does.
+                if sig.len == 0 && r_len == 0 {
+                    let (r_text, _) = rhs.decoded(&self.converters)?;
+                    out.push(Datum::Bool(
+                        self.texts[i].as_deref() == Some(r_text.as_str()),
+                    ));
+                    continue;
+                }
+                dist_calls += 1;
+                let pass = distance_lower_bound(sig.len, sig.set, r_len, r_set) <= k && {
+                    let start = self.starts[i];
+                    rhs.within(&self.arena[start..start + sig.len], k, dp)
+                };
+                out.push(Datum::Bool(pass));
+            }
+            Ok(())
+        })?;
+        mlql_kernel::obs::metrics()
+            .psi_distance_calls_total
+            .add(dist_calls);
+        Ok(out)
+    }
 }
 
 /// Build the ψ [`ExtOperator`] for registration in the catalog.
@@ -199,6 +360,7 @@ pub fn lexequal_operator(
 ) -> ExtOperator {
     let eval_convs = Arc::clone(&converters);
     let batch_convs = Arc::clone(&converters);
+    let prepare_convs = Arc::clone(&converters);
     let sel_convs = Arc::clone(&converters);
     ExtOperator {
         name: "lexequal".into(),
@@ -210,6 +372,10 @@ pub fn lexequal_operator(
         eval_batch: Some(Arc::new(move |lefts, r, session| {
             let k = threshold(session);
             psi_matches_refs(lefts, r, k, &batch_convs, true)
+        })),
+        prepare_batch: Some(Arc::new(move |lefts, _| {
+            let prepared = PreparedNames::new(lefts, Arc::clone(&prepare_convs))?;
+            Ok(Box::new(prepared) as Box<dyn PreparedOperands>)
         })),
         // Table 1: ψ commutes, associates, and distributes over ∪.
         kind: OperatorKind {
@@ -419,6 +585,19 @@ mod tests {
         let direct = psi_matches_batch(&lefts, &rhs, 2, &convs, true).unwrap();
         for (a, b) in via_hook.iter().zip(&direct) {
             assert!(a.is_true() == b.is_true());
+        }
+        // Prepared once, the same operands give the hook's verdicts over
+        // any range, for every constant and threshold.
+        let prepared = (op.prepare_batch.as_ref().unwrap())(&refs, &session).unwrap();
+        for rhs in [ut(&langs, "Neru", "English"), Datum::text("exact")] {
+            for k in [0i64, 1, 2, 3] {
+                session.set(THRESHOLD_VAR, Datum::Int(k));
+                for range in [0..refs.len(), 2..5, 3..3] {
+                    let want = hook(&refs[range.clone()], &rhs, &session).unwrap();
+                    let got = prepared.verdicts(range.clone(), &rhs, &session).unwrap();
+                    assert_eq!(format!("{got:?}"), format!("{want:?}"), "{rhs:?} k={k}");
+                }
+            }
         }
     }
 

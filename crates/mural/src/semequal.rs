@@ -429,6 +429,7 @@ pub fn semequal_operator(
         eval_batch: Some(Arc::new(move |lefts, r, _| {
             batch_state.omega_matches_refs(lefts, r)
         })),
+        prepare_batch: None,
         // Table 1: Ω does NOT commute (subsumption is directional) but
         // distributes over ∪.
         kind: OperatorKind {

@@ -13,6 +13,10 @@
 //! * [`within_distance`] — the predicate the ψ operator actually evaluates;
 //!   adds the cheap length-difference pre-filter before the banded DP.
 //!
+//! [`MyersMatcher`] is the bit-parallel kernel batch ψ runs, and
+//! [`distance_lower_bound`] over [`phone_set`]s the filter a ψ join puts
+//! in front of it.
+//!
 //! [`DistanceBuffer`] lets hot loops (joins, index probes) reuse the DP rows
 //! across millions of calls without re-allocating — per the Rust Performance
 //! Book guidance on buffer reuse.  The one-shot functions borrow a
@@ -221,6 +225,31 @@ impl MyersMatcher {
     }
 }
 
+/// The phones of `s` as a set: bit `c & 63` for each symbol `c`.
+///
+/// Folding 256 symbols onto 64 bits only merges symbols, which can lower
+/// [`distance_lower_bound`] but never raise it, so the bound stays exact.
+pub fn phone_set(s: &[u8]) -> u64 {
+    s.iter().fold(0, |set, &c| set | 1 << (c & 63))
+}
+
+/// A lower bound on the edit distance between a string of length `len_a`
+/// with phone set `set_a` ([`phone_set`]) and one of length `len_b` with
+/// phone set `set_b`: `max(|Δlen|, |A∖B|, |B∖A|)`.
+///
+/// This is the length and count filter of filter-and-verify string joins
+/// (Gravano et al., "Approximate String Joins in a Database (Almost) for
+/// Free", VLDB 2001), applied to phones.  It holds because one edit
+/// changes the length by at most one, and removes at most one phone on
+/// the `a` side and adds at most one on the `b` side.  A pair whose bound
+/// exceeds `k` is not within `k`, so a caller can skip the kernel for it.
+#[inline]
+pub fn distance_lower_bound(len_a: usize, set_a: u64, len_b: usize, set_b: u64) -> usize {
+    let only_a = (set_a & !set_b).count_ones() as usize;
+    let only_b = (set_b & !set_a).count_ones() as usize;
+    len_a.abs_diff(len_b).max(only_a).max(only_b)
+}
+
 thread_local! {
     /// DP rows the one-shot functions reuse: M-tree inserts and splits,
     /// plan-time selectivity over MCVs and the MDI call them per pair.
@@ -387,6 +416,15 @@ mod proptests {
     use super::*;
     use proptest::prelude::*;
 
+    /// Symbols that `phone_set` folds together in pairs and fours
+    /// (1, 65, 129, 193 share bit 1; 2, 66, 130 share bit 2).
+    const ALPHABET: [u8; 8] = [1, 65, 129, 193, 2, 66, 130, 3];
+
+    /// Strings of up to `max_len - 1` aliasing symbols.
+    fn aliasing(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
+        proptest::collection::vec((0..ALPHABET.len()).prop_map(|i| ALPHABET[i]), 0..max_len)
+    }
+
     proptest! {
         #[test]
         fn banded_matches_full(a in proptest::collection::vec(0u8..8, 0..24),
@@ -459,6 +497,35 @@ mod proptests {
                 } else {
                     prop_assert_eq!(got, None, "len={}", a.len());
                 }
+            }
+        }
+
+        /// The phone-set bound never exceeds the edit distance, over any
+        /// bytes, including the ≥ 64 and ≥ 128 ones that `phone_set`
+        /// folds onto the same bit.
+        #[test]
+        fn phone_bound_is_a_lower_bound(a in proptest::collection::vec(any::<u8>(), 0..24),
+                                        b in proptest::collection::vec(any::<u8>(), 0..24),
+                                        x in aliasing(16),
+                                        y in aliasing(16)) {
+            for (a, b) in [(&a, &b), (&x, &y), (&a, &x)] {
+                let bound = distance_lower_bound(a.len(), phone_set(a), b.len(), phone_set(b));
+                prop_assert!(bound <= edit_distance(a, b), "a={:?} b={:?} bound={}", a, b, bound);
+            }
+        }
+
+        /// The bound in front of the kernel, as ψ's join path runs them,
+        /// decides exactly `edit_distance ≤ k`.
+        #[test]
+        fn bound_then_kernel_is_within_k(a in aliasing(12), b in aliasing(12)) {
+            let full = edit_distance(&a, &b);
+            let bound = distance_lower_bound(a.len(), phone_set(&a), b.len(), phone_set(&b));
+            for k in 0..=4 {
+                let kernel = match MyersMatcher::new(&a) {
+                    Some(m) => m.distance_within(&b, k).is_some(),
+                    None => edit_distance_banded(&a, &b, k).is_some(),
+                };
+                prop_assert_eq!(bound <= k && kernel, full <= k, "a={:?} b={:?} k={}", a, b, k);
             }
         }
 

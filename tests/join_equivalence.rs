@@ -16,17 +16,23 @@
 //! NULL) and taxonomy categories.  The vendored proptest shim does not
 //! shrink, so this is a seeded loop and every failure names its seed.
 //!
-//! One `#[test]` only: the ψ distance counter is process-wide, and a
-//! second test running beside it would move it.
+//! One `#[test]` runs ψ: the ψ distance counter is process-wide, and a
+//! second ψ test running beside it would move it.  The other test joins
+//! on an INT operator of its own, to count how often a nested loop
+//! prepares its inner side.
 
+use mlql::kernel::catalog::{ExtOperator, OperatorKind, PreparedOperands, SessionVars};
 use mlql::kernel::exec::ExecStats;
 use mlql::kernel::expr::{CmpOp, EvalCtx, Expr};
-use mlql::kernel::{DataType, Datum, Session};
+use mlql::kernel::{DataType, Datum, DatumRef, Session};
 use mlql::mural::install;
 use mlql::mural::types::unitext_datum;
 use mlql::unitext::{LangId, UniText};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 /// Seeds tried.
 const CASES: u64 = 32;
@@ -148,6 +154,12 @@ fn predicates(unitext: DataType) -> Vec<Case> {
             Expr::Or(Box::new(psi()), Box::new(keys(CmpOp::Lt))),
         ),
         case("NOT (a.name LEXEQUAL b.name)", Expr::Not(Box::new(psi()))),
+        // ψ leads, so the nested loop runs it over the prepared inner
+        // names, and AND-s the key comparison onto its verdicts.
+        case(
+            "a.name LEXEQUAL b.name AND a.k < b.k",
+            Expr::And(Box::new(psi()), Box::new(keys(CmpOp::Lt))),
+        ),
     ]
 }
 
@@ -282,6 +294,9 @@ fn joins_equal_their_per_pair_definition() {
                         Some(h) if plan.contains("Hash Join") => h,
                         _ => &nested,
                     };
+                    if hashed.is_none() {
+                        assert!(plan.contains("Nested Loop"), "{at}\n{plan}");
+                    }
                     assert_eq!(sorted(got.rows), want.rows, "rows differ at {at}");
                     assert_eq!(
                         got.stats.ext_op_calls, want.ext_op_calls,
@@ -302,5 +317,129 @@ fn joins_equal_their_per_pair_definition() {
             plans_seen.iter().any(|p| p.contains(op)),
             "no plan used {op}"
         );
+    }
+}
+
+/// INT operands prepared by the counting operator: the values themselves.
+struct PreparedInts(Vec<i64>);
+
+impl PreparedOperands for PreparedInts {
+    fn verdicts(
+        &self,
+        range: Range<usize>,
+        constant: &Datum,
+        _: &SessionVars,
+    ) -> mlql::kernel::Result<Vec<Datum>> {
+        let c = constant.as_int();
+        Ok(self.0[range]
+            .iter()
+            .map(|&v| Datum::Bool(Some(v) == c))
+            .collect())
+    }
+}
+
+/// Register `name` as INT equality, an extension operator with a batch
+/// hook, so that a join on it has no equi-key and plans a nested loop.
+/// With `prepares`, it also has a `prepare_batch` hook, which counts its
+/// calls there.
+fn register_int_equality(db: &Session, name: &str, prepares: Option<Arc<AtomicUsize>>) {
+    let int = |v: DatumRef<'_>| match v {
+        DatumRef::Int(i) => i,
+        other => panic!("an INT operand, got {other:?}"),
+    };
+    let prepare_batch = prepares.map(|calls| {
+        Arc::new(move |operands: &[DatumRef<'_>], _: &SessionVars| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            let ints = operands.iter().map(|&v| int(v)).collect();
+            Ok(Box::new(PreparedInts(ints)) as Box<dyn PreparedOperands>)
+        }) as Arc<_>
+    });
+    db.engine().catalog_mut().register_operator(ExtOperator {
+        name: name.into(),
+        operand_type: DataType::Int,
+        eval: Arc::new(|l, r, _| Ok(Datum::Bool(l.as_int() == r.as_int()))),
+        eval_batch: Some(Arc::new(move |lefts, r, _| {
+            Ok(lefts
+                .iter()
+                .map(|&l| Datum::Bool(Some(int(l)) == r.as_int()))
+                .collect())
+        })),
+        prepare_batch,
+        kind: OperatorKind {
+            commutative: true,
+            distributes_over_union: true,
+        },
+        per_tuple_cost: Arc::new(|_, _| 1.0),
+        selectivity: Arc::new(|_| 0.01),
+        index_strategy: None,
+        index_extra: None,
+        modifier_filter: None,
+        index_scan_fraction: None,
+        strategy_label: None,
+    });
+}
+
+/// A nested loop prepares its inner side once per execution, however many
+/// outer batches arrive and however many output batches each outer row's
+/// inner pass fills, and the prepared path returns the rows, and charges
+/// the `ext_op_calls`, of the plain batch hook.  An empty side prepares
+/// nothing.
+#[test]
+fn a_nested_loop_prepares_its_inner_side_once() {
+    for batch in BATCH_SIZES {
+        let mut db = Session::new_in_memory();
+        let calls = Arc::new(AtomicUsize::new(0));
+        register_int_equality(&db, "same", None);
+        register_int_equality(&db, "same_prepared", Some(Arc::clone(&calls)));
+        // Each side spans three batches, so either one, as the outer,
+        // arrives in three, and as the inner fills more than one.
+        let rows = 2 * batch + 1;
+        for table in ["o", "i", "e"] {
+            db.execute(&format!("CREATE TABLE {table} (k INT, v INT)"))
+                .unwrap();
+        }
+        for n in 0..rows as i64 {
+            for table in ["o", "i"] {
+                let k = if n % 7 == 3 {
+                    Datum::Null
+                } else {
+                    Datum::Int(n / 2)
+                };
+                db.insert_row(table, vec![k, Datum::Int(n % 5)]).unwrap();
+            }
+        }
+        for table in ["o", "i", "e"] {
+            db.execute(&format!("ANALYZE {table}")).unwrap();
+        }
+        db.execute(&format!("SET batch_size = {batch}")).unwrap();
+        for rest in ["", " AND o.v < i.v"] {
+            let mut run = |op: &str| {
+                let sql = format!("SELECT * FROM o, i WHERE o.k {op} i.k{rest}");
+                let before = calls.load(Ordering::Relaxed);
+                let got = db.execute(&sql).unwrap();
+                let plan = got.explain.clone().unwrap_or_default();
+                assert!(plan.contains("Nested Loop"), "{sql}\n{plan}");
+                (got, calls.load(Ordering::Relaxed) - before)
+            };
+            let (plain, no_calls) = run("SAME");
+            let (prepared, one_call) = run("SAME_PREPARED");
+            let at = format!("batch_size {batch}, {rows} rows a side, rest {rest:?}");
+            assert_eq!(no_calls, 0, "{at}");
+            assert_eq!(one_call, 1, "{at}");
+            assert!(!plain.rows.is_empty(), "{at}");
+            assert_eq!(sorted(prepared.rows), sorted(plain.rows), "{at}");
+            assert_eq!(
+                prepared.stats.ext_op_calls, plain.stats.ext_op_calls,
+                "{at}"
+            );
+        }
+        for sql in [
+            "SELECT * FROM e, i WHERE e.k SAME_PREPARED i.k",
+            "SELECT * FROM i, e WHERE i.k SAME_PREPARED e.k",
+        ] {
+            let before = calls.load(Ordering::Relaxed);
+            assert!(db.query(sql).unwrap().is_empty());
+            assert_eq!(calls.load(Ordering::Relaxed), before, "{sql}");
+        }
     }
 }

@@ -324,6 +324,7 @@ fn register_pricey_operator(
         operand_type: DataType::Int,
         eval: Arc::new(move |l, _, _| Ok(Datum::Bool(eval(l.as_int())))),
         eval_batch: None,
+        prepare_batch: None,
         kind: OperatorKind {
             commutative: false,
             distributes_over_union: true,
