@@ -8,9 +8,10 @@
 //! * core, B+Tree on parent              (≳2 orders faster; tens of ms at
 //!   the typical closure size)
 //!
-//! Plus, as a footnote, the §4.3 pinned-and-memoized implementation the Ω
-//! operator actually uses at query time — faster still, since the
-//! hierarchy lives in main memory.
+//! Plus, as a footnote, the §4.3 pinned-memory closure walk (the
+//! `pinned_memo` column: one cold `compute_closure` per point) — faster
+//! still, since the hierarchy lives in main memory.  The Ω operator itself
+//! no longer walks closures at query time; it reads interval-set labels.
 //!
 //! Run: `cargo run --release -p mlql-bench --bin fig8_semequal`
 //! (`MLQL_SCALE` grows the taxonomy; `MLQL_FIG8_MAX` raises the largest
@@ -127,8 +128,7 @@ fn main() {
         let (n4, t_core_btree) =
             timed(|| core_closure_via_tables(&db, "edges", Some("edges_parent"), root).unwrap());
         assert_eq!(n4, actual);
-        // Pinned, un-memoized computation (the operator's §4.3 path with a
-        // cold cache; warm-cache probes are O(1)).
+        // Pinned, un-memoized computation (§4.3's closure walk, cold).
         let (n5, t_pinned) =
             timed(|| mlql_taxonomy::closure::compute_closure(&taxonomy, synset).len());
         assert_eq!(n5, actual);

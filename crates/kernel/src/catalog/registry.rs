@@ -197,7 +197,7 @@ pub struct ExtOperator {
     /// fields read straight off the page image, before any row is
     /// decoded, and the batch executor passes values of decoded rows
     /// (filters, index rechecks, hash-join residuals).  So per-pair setup
-    /// (phoneme conversion of the constant, closure-cache probes, DP
+    /// (phoneme conversion of the constant, synset lookup, DP
     /// buffer borrows) is hoisted out of the inner loop, and rows the
     /// operator rejects are never copied.  The executor never passes a
     /// NULL operand.  `None` means the operator only supports scalar

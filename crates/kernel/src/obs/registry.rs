@@ -447,11 +447,10 @@ pub struct EngineMetrics {
     pub psi_distance_calls_total: Arc<Counter>,
     /// M-Tree metric-distance computations.
     pub mtree_distance_computations_total: Arc<Counter>,
-    /// Taxonomy closure-cache hits (Ω memoization, §4.3).
-    pub taxonomy_closure_cache_hits_total: Arc<Counter>,
-    /// Ω probes decided by the interval index alone (no closure, no lock).
+    /// Ω-probed rows (the interval index decides every one).
     pub omega_interval_hits_total: Arc<Counter>,
-    /// Ω probes the interval index deferred to the closure-cache path.
+    /// Always 0: the interval index defers no probe.  Still registered
+    /// because the benchmark crate (`crates/workload`) reads it.
     pub omega_interval_fallbacks_total: Arc<Counter>,
     /// Plan-cache lookups that reused a cached physical plan.
     pub plan_cache_hits_total: Arc<Counter>,
@@ -513,17 +512,13 @@ pub fn metrics() -> &'static EngineMetrics {
                 "mlql_mtree_distance_computations_total",
                 "M-Tree metric-distance computations",
             ),
-            taxonomy_closure_cache_hits_total: r.counter(
-                "mlql_taxonomy_closure_cache_hits_total",
-                "Omega closure-cache hits",
-            ),
             omega_interval_hits_total: r.counter(
                 "mlql_omega_interval_hits_total",
                 "Omega probes decided by interval containment alone",
             ),
             omega_interval_fallbacks_total: r.counter(
                 "mlql_omega_interval_fallbacks_total",
-                "Omega probes deferred from intervals to the closure cache",
+                "Omega probes deferred from intervals (always 0)",
             ),
             plan_cache_hits_total: r.counter("mlql_plan_cache_hits_total", "Plan-cache hits"),
             plan_cache_misses_total: r.counter("mlql_plan_cache_misses_total", "Plan-cache misses"),

@@ -35,19 +35,15 @@ pub enum WaitClass {
     WalCommit = 2,
     /// Per-index instance read guards (level 4).
     IndexRead = 3,
-    /// Ω closure-cache shard mutexes (taxonomy crate, reported through
-    /// the observer hook installed by `mural`).
-    OmegaCache = 4,
 }
 
 impl WaitClass {
     /// Every class, in declaration order (indexable by `as usize`).
-    pub const ALL: [WaitClass; 5] = [
+    pub const ALL: [WaitClass; 4] = [
         WaitClass::Catalog,
         WaitClass::BufferPool,
         WaitClass::WalCommit,
         WaitClass::IndexRead,
-        WaitClass::OmegaCache,
     ];
 
     /// Stable snake_case name used in metric names and JSON keys.
@@ -57,7 +53,6 @@ impl WaitClass {
             WaitClass::BufferPool => "buffer_pool",
             WaitClass::WalCommit => "wal_commit",
             WaitClass::IndexRead => "index_read",
-            WaitClass::OmegaCache => "omega_cache",
         }
     }
 }
@@ -67,8 +62,8 @@ impl WaitClass {
 /// profile without coordination.
 #[derive(Debug, Default)]
 pub struct WaitProfile {
-    counts: [AtomicU64; 5],
-    nanos: [AtomicU64; 5],
+    counts: [AtomicU64; 4],
+    nanos: [AtomicU64; 4],
 }
 
 impl WaitProfile {
@@ -141,8 +136,8 @@ const WAIT_BOUNDS: [f64; 10] = [
     10e-6, 50e-6, 100e-6, 500e-6, 1e-3, 5e-3, 25e-3, 100e-3, 500e-3, 2.0,
 ];
 
-fn histograms() -> &'static [Arc<Histogram>; 5] {
-    static HISTS: OnceLock<[Arc<Histogram>; 5]> = OnceLock::new();
+fn histograms() -> &'static [Arc<Histogram>; 4] {
+    static HISTS: OnceLock<[Arc<Histogram>; 4]> = OnceLock::new();
     HISTS.get_or_init(|| {
         let r = global();
         WaitClass::ALL.map(|c| {
@@ -230,12 +225,12 @@ mod tests {
 
     #[test]
     fn observe_registers_global_histograms() {
-        observe(WaitClass::OmegaCache, Duration::from_micros(50));
+        observe(WaitClass::IndexRead, Duration::from_micros(50));
         let samples = global().samples();
         assert!(samples
             .iter()
-            .any(|(n, v)| n == "mlql_wait_omega_cache_seconds_count" && *v >= 1.0));
-        // All five class histograms exist after first use.
+            .any(|(n, v)| n == "mlql_wait_index_read_seconds_count" && *v >= 1.0));
+        // All four class histograms exist after first use.
         for c in WaitClass::ALL {
             let name = format!("mlql_wait_{}_seconds_count", c.name());
             assert!(samples.iter().any(|(n, _)| *n == name), "missing {name}");

@@ -27,7 +27,7 @@ pub struct Mural {
     pub converters: Arc<ConverterRegistry>,
     /// The registered UniText type id.
     pub unitext_type: ExtTypeId,
-    /// Ω's pinned taxonomy + closure cache.
+    /// Ω's pinned taxonomy + interval index.
     pub sem: Arc<SemState>,
 }
 

@@ -2,20 +2,19 @@
 //!
 //! Ω(LHS, RHS) is true when the LHS concept lies in the transitive closure
 //! of the RHS concept within the interlinked multilingual taxonomy
-//! (Figure 5 of the paper).  The core implementation follows §4.3: the
-//! hierarchy is *pinned in main memory* and closures are *materialized as
-//! hash tables* keyed by the RHS synset, so a join evaluating many LHS
-//! values against few RHS values amortizes closure computation — exactly
-//! the paper's nested-loops-with-RHS-outer optimization.
+//! (Figure 5 of the paper).  As in §4.3 the hierarchy is *pinned in main
+//! memory*, but no closure is materialized: the containment test reads the
+//! interval-set labels of [`IntervalIndex`] (the §4.3.1 connection index),
+//! which decide every (RHS, LHS) synset pair, and the selectivity
+//! estimator reads exact closure sizes off the same labels.
 
 use crate::selectivity::{omega_join_selectivity, omega_scan_selectivity};
 use crate::types::{language_filter, payload_fields, unitext_of_datum, StoredConcepts};
 use mlql_kernel::catalog::{ExtOperator, OperatorKind};
 use mlql_kernel::{DataType, Datum, DatumRef, Error, ExtTypeId};
-use mlql_taxonomy::{IntervalIndex, SharedClosureCache, SynsetId, Taxonomy};
+use mlql_taxonomy::{IntervalIndex, SynsetId, Taxonomy};
 use mlql_unitext::{LangId, LanguageRegistry, UniText};
 use parking_lot::RwLock;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// The synsets one Ω operand names, as [`SemState::resolve`] found them.
@@ -55,32 +54,32 @@ impl Synsets<'_> {
     }
 }
 
-/// Shared Ω state: the pinned taxonomy and its closure cache.
+/// One consistent view of the hierarchy: the taxonomy and the index built
+/// from it, swapped together.
+struct Snapshot {
+    taxonomy: Arc<Taxonomy>,
+    intervals: Arc<IntervalIndex>,
+}
+
+impl Snapshot {
+    fn new(taxonomy: Arc<Taxonomy>) -> Arc<Snapshot> {
+        let intervals = Arc::new(IntervalIndex::build(&taxonomy));
+        Arc::new(Snapshot {
+            taxonomy,
+            intervals,
+        })
+    }
+}
+
+/// Shared Ω state: the pinned taxonomy and its interval index.
 ///
-/// The cache is *sharded* ([`SharedClosureCache`]) so parallel scan
-/// workers evaluating Ω concurrently share transitive-closure work without
-/// serializing on one mutex.  The taxonomy itself is clone-on-write: the
-/// mutation API swaps in a modified copy under the write lock and
-/// invalidates every memoized closure before any reader can see the new
-/// hierarchy — a query never observes a closure computed against a
-/// different taxonomy than the one it reads.
+/// Both live in one clone-on-write snapshot.  A reader clones the
+/// snapshot's `Arc` and releases the lock, so a query reads one hierarchy
+/// and the index built from it however long it runs; the mutation API
+/// builds a modified copy and its index under the write lock and swaps
+/// them in together.
 pub struct SemState {
-    /// The interlinked multilingual hierarchy.  Readers hold the guard
-    /// across closure computation + memoization, which is what makes
-    /// invalidation race-free (see `add_hyponym`).
-    taxonomy: RwLock<Arc<Taxonomy>>,
-    /// Interval-labeled reachability index over the same hierarchy — the
-    /// Ω fast path.  Swapped (never mutated in place) while the taxonomy
-    /// write guard is held, so any reader holding the taxonomy read guard
-    /// sees an index consistent with its snapshot.  The common Ω probe is
-    /// one interval comparison with no shard lock at all; only probes the
-    /// index defers (exception-edge regions) touch the closure cache.
-    intervals: RwLock<Arc<IntervalIndex>>,
-    /// Generation counter: how many times the index has been rebuilt by
-    /// the mutation API since install.
-    interval_version: std::sync::atomic::AtomicU64,
-    /// Memoized closures (§4.3), shared by all sessions and workers.
-    pub cache: SharedClosureCache,
+    snapshot: RwLock<Arc<Snapshot>>,
     /// Structural statistics captured at install time (drive §3.4.2).
     /// Deliberately *not* refreshed by the mutation API: cost-model
     /// parameters stay stable across small taxonomy edits, like ANALYZE
@@ -95,20 +94,10 @@ pub struct SemState {
 impl SemState {
     /// Wrap a taxonomy.
     pub fn new(taxonomy: Arc<Taxonomy>) -> Arc<SemState> {
-        // Contended closure-cache shard acquisitions count as
-        // `omega_cache` waits on whichever query is running on the
-        // blocked thread (idempotent; first install wins).
-        mlql_taxonomy::set_shard_wait_observer(|d| {
-            mlql_kernel::obs::waits::observe(mlql_kernel::obs::WaitClass::OmegaCache, d)
-        });
         let stats = taxonomy.stats();
         let stamp = taxonomy.vocabulary_fingerprint();
-        let intervals = Arc::new(IntervalIndex::build(&taxonomy));
         Arc::new(SemState {
-            taxonomy: RwLock::new(taxonomy),
-            intervals: RwLock::new(intervals),
-            interval_version: std::sync::atomic::AtomicU64::new(0),
-            cache: SharedClosureCache::new(),
+            snapshot: RwLock::new(Snapshot::new(taxonomy)),
             stats,
             stamp,
         })
@@ -119,67 +108,43 @@ impl SemState {
         self.stamp
     }
 
+    fn snapshot(&self) -> Arc<Snapshot> {
+        Arc::clone(&self.snapshot.read())
+    }
+
     /// Current taxonomy snapshot (an `Arc` clone; cheap).
     pub fn taxonomy(&self) -> Arc<Taxonomy> {
-        Arc::clone(&self.taxonomy.read())
+        Arc::clone(&self.snapshot().taxonomy)
     }
 
-    /// Current interval-index snapshot (an `Arc` clone; cheap).
+    /// The interval index of [`Self::taxonomy`]'s snapshot.
     pub fn intervals(&self) -> Arc<IntervalIndex> {
-        Arc::clone(&self.intervals.read())
+        Arc::clone(&self.snapshot().intervals)
     }
 
-    /// Interval-index rebuild generation (0 at install).
-    pub fn interval_version(&self) -> u64 {
-        self.interval_version
-            .load(std::sync::atomic::Ordering::Relaxed)
+    /// Apply `edit` to a copy of the taxonomy and publish the copy with a
+    /// rebuilt index.  The write lock serializes edits, so none is lost.
+    fn edit<R>(&self, edit: impl FnOnce(&mut Taxonomy) -> R) -> R {
+        let mut guard = self.snapshot.write();
+        let mut t = Taxonomy::clone(&guard.taxonomy);
+        let out = edit(&mut t);
+        *guard = Snapshot::new(Arc::new(t));
+        out
     }
 
-    /// Rebuild the interval index against `t` and publish the new
-    /// generation.  MUST be called while the taxonomy *write* guard is
-    /// held: readers take the taxonomy read guard before reading the
-    /// index, so the swap is invisible until the mutation commits.
-    fn rebuild_intervals(&self, t: &Taxonomy) {
-        *self.intervals.write() = Arc::new(IntervalIndex::build(t));
-        self.interval_version
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Add a hyponym edge (clone-on-write), invalidate all memoized
-    /// closures and rebuild the interval index.  Both happen while the
-    /// write guard is held, so no in-flight query can re-memoize a closure
-    /// (or read an interval label) of the old hierarchy after the swap —
-    /// readers hold the read guard across memoization.
+    /// Add a hyponym edge.
     pub fn add_hyponym(&self, parent: SynsetId, child: SynsetId) {
-        let mut guard = self.taxonomy.write();
-        let mut t = Taxonomy::clone(&guard);
-        t.add_hyponym(parent, child);
-        self.rebuild_intervals(&t);
-        *guard = Arc::new(t);
-        self.cache.invalidate();
+        self.edit(|t| t.add_hyponym(parent, child))
     }
 
-    /// Remove a hyponym edge (clone-on-write) with the same invalidation
-    /// protocol as [`Self::add_hyponym`]; returns whether the edge existed.
+    /// Remove a hyponym edge; returns whether the edge existed.
     pub fn remove_hyponym(&self, parent: SynsetId, child: SynsetId) -> bool {
-        let mut guard = self.taxonomy.write();
-        let mut t = Taxonomy::clone(&guard);
-        let removed = t.remove_hyponym(parent, child);
-        self.rebuild_intervals(&t);
-        *guard = Arc::new(t);
-        self.cache.invalidate();
-        removed
+        self.edit(|t| t.remove_hyponym(parent, child))
     }
 
-    /// Link two synsets as cross-lingual equivalents (clone-on-write),
-    /// with the same invalidation protocol as [`Self::add_hyponym`].
+    /// Link two synsets as cross-lingual equivalents.
     pub fn add_equivalence(&self, a: SynsetId, b: SynsetId) {
-        let mut guard = self.taxonomy.write();
-        let mut t = Taxonomy::clone(&guard);
-        t.add_equivalence(a, b);
-        self.rebuild_intervals(&t);
-        *guard = Arc::new(t);
-        self.cache.invalidate();
+        self.edit(|t| t.add_equivalence(a, b))
     }
 
     /// Synsets `(lang, word)` names within `taxonomy`: exact (word, lang)
@@ -222,83 +187,39 @@ impl SemState {
     /// Synsets a UniText value names in the current taxonomy, ascending
     /// for untagged values and in word-index order otherwise.
     pub fn synsets_of(&self, v: &UniText) -> Vec<SynsetId> {
-        Self::lookup(&self.taxonomy.read(), v.lang(), v.text()).to_vec()
+        Self::lookup(&self.snapshot.read().taxonomy, v.lang(), v.text()).to_vec()
     }
 
-    /// Interval verdict for one LHS value against the RHS roots:
-    /// `Some(hit)` when the index decides every `(root, s)` pair, `None`
-    /// when no pair hits and some root's miss is deferred (a dirty
-    /// subtree).
-    fn probe_intervals(idx: &IntervalIndex, rhs: &Synsets<'_>, lhs: &Synsets<'_>) -> Option<bool> {
-        let mut deferred = false;
-        let hit = rhs.any(|root| {
-            lhs.any(|s| match idx.contains(root, s) {
-                Some(hit) => hit,
-                None => {
-                    deferred = true;
-                    false
-                }
-            })
-        });
-        (hit || !deferred).then_some(hit)
+    /// The Ω verdict for one probed row: some LHS synset lies in the
+    /// closure of some RHS synset.  One interval test per pair, in RHS
+    /// order, stopping at the first hit.
+    fn probe(idx: &IntervalIndex, lhs: &Synsets<'_>, rhs: &Synsets<'_>) -> bool {
+        rhs.any(|root| lhs.any(|s| idx.contains(root, s) == Some(true)))
     }
 
-    /// The closure fallback for a value [`Self::probe_intervals`] left
-    /// undecided: whether it lies in the closure of a root whose interval
-    /// miss was deferred.  Roots the index decided (exact negatives) fetch
-    /// no closure; `closure` fetches the others, in RHS order, until one
-    /// matches.
-    fn probe_closures(
-        idx: &IntervalIndex,
-        rhs: &Synsets<'_>,
-        lhs: &Synsets<'_>,
-        mut closure: impl FnMut(SynsetId) -> Arc<HashSet<SynsetId>>,
-    ) -> bool {
-        rhs.any(|root| {
-            lhs.any(|s| idx.contains(root, s).is_none()) && {
-                let closure = closure(root);
-                lhs.any(|s| closure.contains(&s))
-            }
-        })
-    }
-
-    /// The Ω membership test of Figure 5.  The probe is decided by
-    /// interval containment — one range comparison per (RHS, LHS) synset
-    /// pair, no shard lock — and falls back to the memoized hash closure
-    /// only for the roots the index defers (interval miss under an
-    /// exception-edge subtree).
+    /// The Ω membership test of Figure 5.
     pub fn omega_matches(&self, l: &UniText, r: &UniText) -> bool {
-        let taxonomy = self.taxonomy.read();
-        let lhs = Self::lookup(&taxonomy, l.lang(), l.text());
-        let rhs = Self::lookup(&taxonomy, r.lang(), r.text());
-        self.omega_resolved(&taxonomy, &lhs, &rhs)
+        let snap = self.snapshot();
+        let lhs = Self::lookup(&snap.taxonomy, l.lang(), l.text());
+        let rhs = Self::lookup(&snap.taxonomy, r.lang(), r.text());
+        Self::omega_resolved(&snap.intervals, &lhs, &rhs)
     }
 
     /// [`Self::omega_matches`] over borrowed operands (Ω's scalar hook):
     /// each side's synsets come from [`Self::resolve`].
     pub fn omega_matches_ref(&self, l: DatumRef<'_>, r: DatumRef<'_>) -> mlql_kernel::Result<bool> {
-        let taxonomy = self.taxonomy.read();
-        let lhs = self.resolve(&taxonomy, l)?;
-        let rhs = self.resolve(&taxonomy, r)?;
-        Ok(self.omega_resolved(&taxonomy, &lhs, &rhs))
+        let snap = self.snapshot();
+        let lhs = self.resolve(&snap.taxonomy, l)?;
+        let rhs = self.resolve(&snap.taxonomy, r)?;
+        Ok(Self::omega_resolved(&snap.intervals, &lhs, &rhs))
     }
 
-    fn omega_resolved(&self, taxonomy: &Taxonomy, lhs: &Synsets<'_>, rhs: &Synsets<'_>) -> bool {
+    fn omega_resolved(idx: &IntervalIndex, lhs: &Synsets<'_>, rhs: &Synsets<'_>) -> bool {
         if lhs.is_empty() || rhs.is_empty() {
             return false;
         }
-        let idx = self.intervals.read();
-        let m = mlql_kernel::obs::metrics();
-        if let Some(hit) = Self::probe_intervals(&idx, rhs, lhs) {
-            m.omega_interval_hits_total.add(1);
-            return hit;
-        }
-        m.omega_interval_fallbacks_total.add(1);
-        let (hits_before, _) = self.cache.stats();
-        let matched =
-            Self::probe_closures(&idx, rhs, lhs, |root| self.cache.closure(taxonomy, root));
-        self.publish_cache_hits(hits_before);
-        matched
+        mlql_kernel::obs::metrics().omega_interval_hits_total.add(1);
+        Self::probe(idx, lhs, rhs)
     }
 
     /// [`Self::omega_matches_refs`] over owned values, for callers that
@@ -316,87 +237,45 @@ impl SemState {
     /// over borrowed operands (the engine's batch hook).
     ///
     /// Result-identical to [`Self::omega_matches_ref`] on every element,
-    /// but one taxonomy read guard covers the batch and the RHS synsets
-    /// are resolved once.  A row costs its [`Self::resolve`] — a stored
-    /// row's ids are read off its payload — and one range comparison per
-    /// (RHS, LHS) synset pair, with no allocation.  The shared closure
-    /// cache is touched only for probes the index defers, each needed
-    /// closure is fetched from it **once** per batch, and the interval
-    /// hit/fallback counters (one per probed row) are published once per
-    /// batch.
+    /// but one snapshot covers the batch and the RHS synsets are resolved
+    /// once.  A row costs its [`Self::resolve`] — a stored row's ids are
+    /// read off its payload — and one interval test per (RHS, LHS) synset
+    /// pair, with no allocation.  The interval-hit counter (one per probed
+    /// row) is published once per batch.
     pub fn omega_matches_refs(
         &self,
         lefts: &[DatumRef<'_>],
         r: &Datum,
     ) -> mlql_kernel::Result<Vec<Datum>> {
-        let taxonomy = self.taxonomy.read();
-        let rhs = self.resolve(&taxonomy, r.as_ref())?;
-        let idx = Arc::clone(&self.intervals.read());
-        let (hits_before, _) = self.cache.stats();
-        // Closures resolve lazily (Ω short-circuits across RHS synsets, so
-        // an always-matching first root never pays for the second root's
-        // closure) but at most once per batch.
-        let mut closures: Vec<(SynsetId, Arc<HashSet<SynsetId>>)> = Vec::new();
-        let mut interval_hits = 0u64;
-        let mut interval_fallbacks = 0u64;
+        let snap = self.snapshot();
+        let rhs = self.resolve(&snap.taxonomy, r.as_ref())?;
+        let mut probed = 0u64;
         let mut out = Vec::with_capacity(lefts.len());
         for &l in lefts {
-            let lhs = self.resolve(&taxonomy, l)?;
-            let verdict = if lhs.is_empty() || rhs.is_empty() {
-                false
-            } else if let Some(hit) = Self::probe_intervals(&idx, &rhs, &lhs) {
-                interval_hits += 1;
-                hit
-            } else {
-                interval_fallbacks += 1;
-                Self::probe_closures(&idx, &rhs, &lhs, |root| {
-                    if let Some((_, c)) = closures.iter().find(|(r, _)| *r == root) {
-                        return Arc::clone(c);
-                    }
-                    let c = self.cache.closure(&taxonomy, root);
-                    closures.push((root, Arc::clone(&c)));
-                    c
-                })
+            let lhs = self.resolve(&snap.taxonomy, l)?;
+            let verdict = !lhs.is_empty() && !rhs.is_empty() && {
+                probed += 1;
+                Self::probe(&snap.intervals, &lhs, &rhs)
             };
             out.push(Datum::Bool(verdict));
         }
-        let m = mlql_kernel::obs::metrics();
-        if interval_hits > 0 {
-            m.omega_interval_hits_total.add(interval_hits);
+        if probed > 0 {
+            mlql_kernel::obs::metrics()
+                .omega_interval_hits_total
+                .add(probed);
         }
-        if interval_fallbacks > 0 {
-            m.omega_interval_fallbacks_total.add(interval_fallbacks);
-        }
-        self.publish_cache_hits(hits_before);
         Ok(out)
     }
 
-    /// Push the closure-cache hit delta of one operation into the engine
-    /// metrics (the cache's own counters are cumulative).
-    fn publish_cache_hits(&self, hits_before: u64) {
-        let (hits, _) = self.cache.stats();
-        mlql_kernel::obs::metrics()
-            .taxonomy_closure_cache_hits_total
-            .add(hits.saturating_sub(hits_before));
-    }
-
     /// Exact closure size of the concept a constant names, if resolvable —
-    /// the §3.4.2 "closures pre-computed and stored" selectivity variant.
-    ///
-    /// The interval index answers this in O(1) per root (`subtree_size`)
-    /// wherever the subtree is exception-free; only roots in dirty
-    /// regions materialize a closure, so planning a query over a
-    /// tree-shaped taxonomy costs no closure computation at all.
+    /// the §3.4.2 "closures pre-computed and stored" selectivity variant,
+    /// read off the interval labels: no closure is materialized.
     pub fn closure_size_of(&self, v: &UniText) -> Option<usize> {
-        let taxonomy = self.taxonomy.read();
-        let idx = self.intervals.read();
-        Self::lookup(&taxonomy, v.lang(), v.text())
+        let snap = self.snapshot();
+        Self::lookup(&snap.taxonomy, v.lang(), v.text())
             .to_vec()
             .into_iter()
-            .map(|r| {
-                idx.subtree_size(r)
-                    .unwrap_or_else(|| self.cache.closure_size(&taxonomy, r))
-            })
+            .map(|r| snap.intervals.closure_size(r))
             .max()
     }
 }
@@ -436,8 +315,7 @@ pub fn semequal_operator(
             commutative: false,
             distributes_over_union: true,
         },
-        // Per evaluated pair: no shard lock; the stored synset ids and
-        // one range comparison.
+        // Per evaluated pair: the stored synset ids and one interval test.
         per_tuple_cost: Arc::new(|_, _| OMEGA_INTERVAL_TUPLE_COST),
         // §3.4.2.
         selectivity: Arc::new(move |input| {
@@ -531,62 +409,18 @@ mod tests {
     }
 
     /// Give Autobiography a second parent (History, next to Biography):
-    /// History's closure is unchanged, but its subtree now emits an
-    /// exception edge, so interval misses under it defer to the closure
-    /// walk — the only way to reach that path.
-    fn make_history_dirty(langs: &LanguageRegistry, state: &SemState) {
+    /// History's closure is unchanged, but the hierarchy is no longer a
+    /// tree, so the spanning tree leaves one of the two edges out.
+    fn graft_autobiography_under_history(langs: &LanguageRegistry, state: &SemState) {
         let en = langs.id_of("English");
         let h = state.synsets_of(&UniText::compose("History", en))[0];
         let a = state.synsets_of(&UniText::compose("Autobiography", en))[0];
         state.add_hyponym(h, a);
-        assert!(state.intervals().has_exceptions());
-    }
-
-    #[test]
-    fn closure_cache_amortizes_repeated_rhs() {
-        let (langs, state, op) = setup();
-        make_history_dirty(&langs, &state);
-        let session = SessionVars::new();
-        let history = ut(&langs, "History", "English");
-        let fallbacks = || {
-            mlql_kernel::obs::metrics()
-                .omega_interval_fallbacks_total
-                .get()
-        };
-        let fallbacks_before = fallbacks();
-        let verdicts: Vec<bool> = ["Historiography", "Autobiography", "Fiction", "Novel"]
-            .iter()
-            .map(|cat| {
-                let lhs = ut(&langs, cat, "English");
-                (op.eval)(&lhs, &history, &session).unwrap().is_true()
-            })
-            .collect();
-        assert_eq!(verdicts, [true, true, false, false]);
-        // The two members are interval hits; the two non-members miss
-        // under a dirty root and share one memoized closure.
-        assert!(fallbacks() - fallbacks_before >= 2);
-        let (hits, misses) = state.cache.stats();
-        assert_eq!(misses, 1, "one closure for the repeated RHS");
-        assert_eq!(hits, 1);
-    }
-
-    #[test]
-    fn tree_taxonomy_skips_closure_cache_entirely() {
-        let (langs, state, op) = setup();
-        let session = SessionVars::new();
-        let history = ut(&langs, "History", "English");
-        for cat in ["Historiography", "Biography", "Fiction", "Novel"] {
-            let lhs = ut(&langs, cat, "English");
-            let _ = (op.eval)(&lhs, &history, &session).unwrap();
-        }
-        let (hits, misses) = state.cache.stats();
-        assert_eq!((hits, misses), (0, 0), "no shard lock on the fast path");
-        assert!(state.cache.is_empty(), "no closure materialized");
     }
 
     /// Ω against the independent oracle — `compute_closure` membership —
-    /// on the tree-shaped fixture and again once a multi-parent graft
-    /// forces part of the probes through the closure fallback.
+    /// on the tree-shaped fixture and again once a multi-parent graft puts
+    /// an edge outside the spanning tree.
     #[test]
     fn omega_agrees_with_closure_oracle_everywhere() {
         let (langs, state, _op) = setup();
@@ -603,7 +437,7 @@ mod tests {
         ];
         for graft in [false, true] {
             if graft {
-                make_history_dirty(&langs, &state);
+                graft_autobiography_under_history(&langs, &state);
             }
             let taxonomy = state.taxonomy();
             for (lt, ll) in cats {
@@ -635,58 +469,39 @@ mod tests {
         }
     }
 
-    #[test]
-    fn taxonomy_mutation_invalidates_memoized_closures() {
-        let (langs, state, op) = setup();
-        // Exercise the closure fallback; interval-path mutation visibility
-        // is covered by `taxonomy_mutation_rebuilds_interval_index`.
-        make_history_dirty(&langs, &state);
-        let session = SessionVars::new();
-        let history = ut(&langs, "History", "English");
-        let fiction = ut(&langs, "Fiction", "English");
-        // Fiction is not under History; the probe memoizes History's closure.
-        assert!(!(op.eval)(&fiction, &history, &session).unwrap().is_true());
-        assert!(!state.cache.is_empty());
-        // Graft Fiction under History — the memoized closure is now wrong.
-        let h = state.synsets_of(&UniText::compose("History", langs.id_of("English")))[0];
-        let f = state.synsets_of(&UniText::compose("Fiction", langs.id_of("English")))[0];
-        state.add_hyponym(h, f);
-        assert!(state.cache.is_empty(), "mutation must clear the cache");
-        assert!(
-            (op.eval)(&fiction, &history, &session).unwrap().is_true(),
-            "fresh closure must see the new edge"
-        );
-        // Prune it again: the match disappears just as promptly.
-        assert!(state.remove_hyponym(h, f));
-        assert!(!(op.eval)(&fiction, &history, &session).unwrap().is_true());
-    }
-
+    /// Every edit swaps in a rebuilt index that sees it, on the tree
+    /// fixture and on the grafted one.
     #[test]
     fn taxonomy_mutation_rebuilds_interval_index() {
-        let (langs, state, op) = setup();
-        let session = SessionVars::new();
-        let history = ut(&langs, "History", "English");
-        let fiction = ut(&langs, "Fiction", "English");
-        let v0 = state.interval_version();
-        assert!(!(op.eval)(&fiction, &history, &session).unwrap().is_true());
-        // Graft Fiction under History: the swapped-in index must see it.
-        let h = state.synsets_of(&UniText::compose("History", langs.id_of("English")))[0];
-        let f = state.synsets_of(&UniText::compose("Fiction", langs.id_of("English")))[0];
-        state.add_hyponym(h, f);
-        assert_eq!(state.interval_version(), v0 + 1);
-        assert!(
-            (op.eval)(&fiction, &history, &session).unwrap().is_true(),
-            "rebuilt index must see the new edge"
-        );
-        assert!(state.remove_hyponym(h, f));
-        assert_eq!(state.interval_version(), v0 + 2);
-        assert!(!(op.eval)(&fiction, &history, &session).unwrap().is_true());
-        // Equivalence linking goes through the same protocol: linking
-        // Fiction to Histoire pulls it into History's closure.
-        let hf = state.synsets_of(&UniText::compose("Histoire", langs.id_of("French")))[0];
-        state.add_equivalence(hf, f);
-        assert_eq!(state.interval_version(), v0 + 3);
-        assert!((op.eval)(&fiction, &history, &session).unwrap().is_true());
+        for graft in [false, true] {
+            let (langs, state, op) = setup();
+            if graft {
+                graft_autobiography_under_history(&langs, &state);
+            }
+            let session = SessionVars::new();
+            let history = ut(&langs, "History", "English");
+            let fiction = ut(&langs, "Fiction", "English");
+            let verdict = || (op.eval)(&fiction, &history, &session).unwrap().is_true();
+            let before = state.intervals();
+            assert!(!verdict());
+            // Graft Fiction under History: the swapped-in index must see it.
+            let h = state.synsets_of(&UniText::compose("History", langs.id_of("English")))[0];
+            let f = state.synsets_of(&UniText::compose("Fiction", langs.id_of("English")))[0];
+            state.add_hyponym(h, f);
+            assert!(!Arc::ptr_eq(&before, &state.intervals()), "index rebuilt");
+            assert!(
+                verdict(),
+                "rebuilt index must see the new edge (graft={graft})"
+            );
+            // Prune it again: the match disappears just as promptly.
+            assert!(state.remove_hyponym(h, f));
+            assert!(!verdict(), "graft={graft}");
+            // Equivalence linking goes through the same protocol: linking
+            // Fiction to Histoire pulls it into History's closure.
+            let hf = state.synsets_of(&UniText::compose("Histoire", langs.id_of("French")))[0];
+            state.add_equivalence(hf, f);
+            assert!(verdict(), "graft={graft}");
+        }
     }
 
     /// The payloads one value can reach Ω as: without a concept field,
@@ -749,23 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_eval_resolves_each_closure_once() {
-        let (langs, state, _op) = setup();
-        // Dirty root: Fiction and Novel miss the interval and fall back.
-        make_history_dirty(&langs, &state);
-        let history = ut(&langs, "History", "English");
-        let lefts_owned: Vec<Datum> = ["Historiography", "Biography", "Fiction", "Novel"]
-            .iter()
-            .map(|c| ut(&langs, c, "English"))
-            .collect();
-        let lefts: Vec<&Datum> = lefts_owned.iter().collect();
-        state.omega_matches_batch(&lefts, &history).unwrap();
-        let (hits, misses) = state.cache.stats();
-        assert_eq!(misses, 1, "one closure for the whole batch");
-        assert_eq!(hits, 0, "later fallbacks reuse the batch's closure");
-    }
-
-    #[test]
     fn exact_selectivity_for_known_concepts() {
         use mlql_kernel::catalog::SelectivityInput;
         let (langs, state, op) = setup();
@@ -786,6 +584,23 @@ mod tests {
             (sel - expected).abs() < 1e-9,
             "sel {sel} expected {expected}"
         );
+        // The size is the exact closure's, on a grafted hierarchy too.
+        graft_autobiography_under_history(&langs, &state);
+        let en = langs.id_of("English");
+        let fiction = state.synsets_of(&UniText::compose("Fiction", en))[0];
+        let biography = state.synsets_of(&UniText::compose("Biography", en))[0];
+        state.add_hyponym(fiction, biography);
+        let taxonomy = state.taxonomy();
+        for root in taxonomy.ids() {
+            let word = taxonomy.words(root)[0].as_str();
+            let v = UniText::compose(word, taxonomy.lang(root));
+            let want = state
+                .synsets_of(&v)
+                .iter()
+                .map(|&r| mlql_taxonomy::closure::compute_closure(&taxonomy, r).len())
+                .max();
+            assert_eq!(state.closure_size_of(&v), want, "{word}");
+        }
     }
 
     #[test]

@@ -1,200 +1,23 @@
-//! Transitive-closure computation with hash-table memoization (§4.3).
+//! Transitive-closure computation by graph walk (§4.3).
 //!
-//! The paper's core Ω implementation:
+//! The paper's core Ω implementation pins the hierarchy in main memory and
+//! materializes each RHS closure as a hash table:
 //!
 //! > "Every time a closure for a RHS attribute value is computed, it is
 //! > materialized as a hash table in the main memory ... the hash table is
 //! > checked for possible reuse for several RHS values."
 //!
-//! [`ClosureCache`] is exactly that: closure of a synset = the set of the
-//! synset itself, all its hyponym descendants, their cross-lingual
-//! equivalents, and the descendants of those equivalents — i.e. reachability
-//! over `children ∪ equivalents` edges.  Computed once per RHS synset, kept
-//! as an `Arc<HashSet>` so membership probes for a stream of LHS values are
-//! O(1) and allocation-free.
+//! The closure of a synset is the synset itself, all its hyponym
+//! descendants, their cross-lingual equivalents, and the descendants of
+//! those equivalents — reachability over `children ∪ equivalents` edges.
+//! [`compute_closure`] is that walk.  It is no longer on Ω's query path,
+//! which reads [`crate::IntervalIndex`] labels instead: it is the oracle the
+//! index is tested against, and Figure 8's pinned-memory curve.
 
 use crate::hierarchy::{SynsetId, Taxonomy};
-use std::collections::{HashMap, HashSet};
-use std::sync::Arc;
+use std::collections::HashSet;
 
-/// Memoized transitive closures over a pinned [`Taxonomy`].
-#[derive(Debug, Default)]
-pub struct ClosureCache {
-    cache: HashMap<SynsetId, Arc<HashSet<SynsetId>>>,
-    /// Cache hits (reused closures) — exposed for the §4.3 ablation bench.
-    hits: u64,
-    /// Cache misses (closures actually computed).
-    misses: u64,
-}
-
-impl ClosureCache {
-    /// Fresh, empty cache.
-    pub fn new() -> Self {
-        ClosureCache::default()
-    }
-
-    /// The transitive closure of `root`: all synsets reachable over hyponym
-    /// and equivalence edges, including `root` itself.  Memoized.
-    pub fn closure(&mut self, taxonomy: &Taxonomy, root: SynsetId) -> Arc<HashSet<SynsetId>> {
-        if let Some(c) = self.cache.get(&root) {
-            self.hits += 1;
-            return Arc::clone(c);
-        }
-        self.misses += 1;
-        let c = Arc::new(compute_closure(taxonomy, root));
-        self.cache.insert(root, Arc::clone(&c));
-        c
-    }
-
-    /// Does `candidate` lie in the transitive closure of `root`?
-    /// This is the Ω membership test of Figure 5.
-    pub fn contains(&mut self, taxonomy: &Taxonomy, root: SynsetId, candidate: SynsetId) -> bool {
-        self.closure(taxonomy, root).contains(&candidate)
-    }
-
-    /// Size of the closure of `root` (used by the selectivity estimator's
-    /// exact-closure variant, §3.4.2).
-    pub fn closure_size(&mut self, taxonomy: &Taxonomy, root: SynsetId) -> usize {
-        self.closure(taxonomy, root).len()
-    }
-
-    /// (hits, misses) counters.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of memoized closures.
-    pub fn len(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// True when nothing is memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.cache.is_empty()
-    }
-
-    /// Drop all memoized closures (e.g. after taxonomy updates).
-    pub fn invalidate(&mut self) {
-        self.cache.clear();
-    }
-}
-
-/// Hook for reporting contended shard acquisitions to an embedding
-/// engine's wait-event instrumentation.  The taxonomy crate has no
-/// dependency on the kernel, so the kernel injects a callback instead.
-static SHARD_WAIT_OBSERVER: std::sync::OnceLock<fn(std::time::Duration)> =
-    std::sync::OnceLock::new();
-
-/// Install the process-wide shard-wait observer.  First caller wins;
-/// later calls are no-ops (the callback is a plain `fn`, so there is
-/// nothing to tear down).
-pub fn set_shard_wait_observer(f: fn(std::time::Duration)) {
-    let _ = SHARD_WAIT_OBSERVER.set(f);
-}
-
-/// Thread-safe, sharded wrapper around [`ClosureCache`] so parallel scan
-/// workers share memoized closures instead of each paying the BFS.
-///
-/// Closures are keyed by the RHS synset; sharding by synset id means
-/// workers probing *different* RHS concepts never contend, and workers
-/// probing the *same* concept serialize only on its shard (the second
-/// arrival gets the memoized `Arc` immediately).  A single global mutex —
-/// the previous design — made the cache the serialization point of every
-/// parallel Ω scan.
-#[derive(Debug)]
-pub struct SharedClosureCache {
-    shards: Vec<std::sync::Mutex<ClosureCache>>,
-}
-
-impl Default for SharedClosureCache {
-    fn default() -> Self {
-        SharedClosureCache::new()
-    }
-}
-
-impl SharedClosureCache {
-    /// Shard count: enough to make same-shard collisions rare at the
-    /// engine's worker-count ceiling, small enough that `invalidate` and
-    /// `stats` stay trivial.
-    pub const SHARDS: usize = 16;
-
-    /// Fresh, empty cache.
-    pub fn new() -> Self {
-        SharedClosureCache {
-            shards: (0..Self::SHARDS)
-                .map(|_| std::sync::Mutex::new(ClosureCache::new()))
-                .collect(),
-        }
-    }
-
-    fn shard(&self, root: SynsetId) -> std::sync::MutexGuard<'_, ClosureCache> {
-        let idx = root.0 as usize % self.shards.len();
-        // Closure computation never panics while holding the guard; treat
-        // a poisoned shard as usable rather than propagating the panic.
-        // Uncontended probes take the try_lock fast path; contended ones
-        // time the block and report it to the registered wait observer
-        // (the kernel charges it to the running query as an
-        // `omega_cache` wait).
-        match self.shards[idx].try_lock() {
-            Ok(g) => g,
-            Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-            Err(std::sync::TryLockError::WouldBlock) => {
-                let start = std::time::Instant::now();
-                let g = self.shards[idx].lock().unwrap_or_else(|p| p.into_inner());
-                if let Some(observer) = SHARD_WAIT_OBSERVER.get() {
-                    observer(start.elapsed());
-                }
-                g
-            }
-        }
-    }
-
-    /// Memoized transitive closure of `root` (see [`ClosureCache::closure`]).
-    pub fn closure(&self, taxonomy: &Taxonomy, root: SynsetId) -> Arc<HashSet<SynsetId>> {
-        self.shard(root).closure(taxonomy, root)
-    }
-
-    /// Ω membership test (see [`ClosureCache::contains`]).
-    pub fn contains(&self, taxonomy: &Taxonomy, root: SynsetId, candidate: SynsetId) -> bool {
-        self.shard(root).contains(taxonomy, root, candidate)
-    }
-
-    /// Closure cardinality (see [`ClosureCache::closure_size`]).
-    pub fn closure_size(&self, taxonomy: &Taxonomy, root: SynsetId) -> usize {
-        self.shard(root).closure_size(taxonomy, root)
-    }
-
-    /// (hits, misses), summed across shards.
-    pub fn stats(&self) -> (u64, u64) {
-        self.shards.iter().fold((0, 0), |(h, m), s| {
-            let (sh, sm) = s.lock().unwrap_or_else(|p| p.into_inner()).stats();
-            (h + sh, m + sm)
-        })
-    }
-
-    /// Number of memoized closures across all shards.
-    pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|p| p.into_inner()).len())
-            .sum()
-    }
-
-    /// True when nothing is memoized.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Drop every memoized closure — required after any taxonomy change,
-    /// or closures computed against the old hierarchy would keep matching.
-    pub fn invalidate(&self) {
-        for s in &self.shards {
-            s.lock().unwrap_or_else(|p| p.into_inner()).invalidate();
-        }
-    }
-}
-
-/// Uncached closure computation: BFS over `children ∪ equivalents`.
+/// The closure of `root`: DFS over `children ∪ equivalents`.
 pub fn compute_closure(taxonomy: &Taxonomy, root: SynsetId) -> HashSet<SynsetId> {
     let mut seen: HashSet<SynsetId> = HashSet::new();
     let mut stack = vec![root];
@@ -234,27 +57,17 @@ mod tests {
     #[test]
     fn closure_includes_self_and_descendants() {
         let (t, [r, a, b, c]) = small();
-        let mut cache = ClosureCache::new();
-        let cl = cache.closure(&t, r);
+        let cl = compute_closure(&t, r);
         assert_eq!(cl.len(), 4);
         for id in [r, a, b, c] {
             assert!(cl.contains(&id));
         }
-        let cl_a = cache.closure(&t, a);
+        let cl_a = compute_closure(&t, a);
         assert_eq!(cl_a.len(), 2);
         assert!(cl_a.contains(&c) && cl_a.contains(&a));
         assert!(!cl_a.contains(&b));
-    }
-
-    #[test]
-    fn memoization_counts_hits() {
-        let (t, [r, ..]) = small();
-        let mut cache = ClosureCache::new();
-        cache.closure(&t, r);
-        cache.closure(&t, r);
-        cache.closure(&t, r);
-        assert_eq!(cache.stats(), (2, 1));
-        assert_eq!(cache.len(), 1);
+        assert!(!compute_closure(&t, b).contains(&c));
+        assert!(compute_closure(&t, c).contains(&c), "closure is reflexive");
     }
 
     #[test]
@@ -262,80 +75,10 @@ mod tests {
         let reg = LanguageRegistry::new();
         let (mut t, [r, a, _b, _c]) = small();
         t.replicate_linked(&[reg.id_of("French")], |w, _| format!("{w}_fr"));
-        let mut cache = ClosureCache::new();
         // Closure of the English root now spans both language copies.
-        assert_eq!(cache.closure_size(&t, r), 8);
+        assert_eq!(compute_closure(&t, r).len(), 8);
         // Closure of a mid-level synset spans its subtree in both languages.
-        assert_eq!(cache.closure_size(&t, a), 4);
-    }
-
-    #[test]
-    fn contains_is_membership() {
-        let (t, [r, _a, b, c]) = small();
-        let mut cache = ClosureCache::new();
-        assert!(cache.contains(&t, r, c));
-        assert!(!cache.contains(&t, b, c));
-        assert!(cache.contains(&t, c, c), "closure is reflexive");
-    }
-
-    #[test]
-    fn invalidate_clears() {
-        let (t, [r, ..]) = small();
-        let mut cache = ClosureCache::new();
-        cache.closure(&t, r);
-        cache.invalidate();
-        assert!(cache.is_empty());
-        cache.closure(&t, r);
-        assert_eq!(cache.stats(), (0, 2));
-    }
-
-    #[test]
-    fn sharded_cache_matches_plain_cache() {
-        let (t, ids) = small();
-        let shared = SharedClosureCache::new();
-        let mut plain = ClosureCache::new();
-        for &root in &ids {
-            assert_eq!(
-                *shared.closure(&t, root),
-                *plain.closure(&t, root),
-                "root {root:?}"
-            );
-        }
-        // Second pass is all hits; miss count equals distinct roots.
-        for &root in &ids {
-            shared.closure(&t, root);
-        }
-        assert_eq!(shared.stats(), (4, 4));
-        assert_eq!(shared.len(), 4);
-    }
-
-    #[test]
-    fn sharded_cache_is_shared_across_threads() {
-        let (t, [r, ..]) = small();
-        let shared = SharedClosureCache::new();
-        shared.closure(&t, r); // warm: 1 miss
-        std::thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    assert!(shared.contains(&t, r, r));
-                });
-            }
-        });
-        let (hits, misses) = shared.stats();
-        assert_eq!(misses, 1, "threads must reuse the memoized closure");
-        assert_eq!(hits, 4);
-    }
-
-    #[test]
-    fn sharded_invalidate_clears_every_shard() {
-        let (t, ids) = small();
-        let shared = SharedClosureCache::new();
-        for &root in &ids {
-            shared.closure(&t, root);
-        }
-        assert!(!shared.is_empty());
-        shared.invalidate();
-        assert!(shared.is_empty());
+        assert_eq!(compute_closure(&t, a).len(), 4);
     }
 
     #[test]

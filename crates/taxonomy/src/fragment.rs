@@ -99,7 +99,7 @@ pub fn books_fragment(reg: &LanguageRegistry) -> (Taxonomy, BooksFragment) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::closure::ClosureCache;
+    use crate::closure::compute_closure;
 
     #[test]
     fn figure4_semantics() {
@@ -107,8 +107,7 @@ mod tests {
         // Histoire, Charitram — and must NOT cover Fiction.
         let reg = LanguageRegistry::new();
         let (t, f) = books_fragment(&reg);
-        let mut cache = ClosureCache::new();
-        let cl = cache.closure(&t, f.history_en);
+        let cl = compute_closure(&t, f.history_en);
         assert!(cl.contains(&f.historiography_en));
         assert!(cl.contains(&f.autobiography_en));
         assert!(cl.contains(&f.histoire_fr));
@@ -132,8 +131,7 @@ mod tests {
         // equivalence edge.
         let reg = LanguageRegistry::new();
         let (t, f) = books_fragment(&reg);
-        let mut cache = ClosureCache::new();
-        let cl = cache.closure(&t, f.history_en);
+        let cl = compute_closure(&t, f.history_en);
         let fr = reg.id_of("French");
         let biographie = t.lookup("Biographie", fr)[0];
         assert!(cl.contains(&biographie));

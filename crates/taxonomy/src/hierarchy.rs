@@ -99,7 +99,7 @@ impl Taxonomy {
 
     /// Remove the hyponym edge `parent → child` if present (the inverse of
     /// [`Taxonomy::add_hyponym`]).  Returns whether an edge was removed.
-    /// Callers holding memoized closures must invalidate them.
+    /// An [`crate::IntervalIndex`] built before the edit must be rebuilt.
     pub fn remove_hyponym(&mut self, parent: SynsetId, child: SynsetId) -> bool {
         let children = &mut self.synsets[parent.0 as usize].children;
         let before = children.len();

@@ -12,10 +12,11 @@
 //! tailed fan-out), and [`Taxonomy::replicate_linked`] produces the linked
 //! multilingual copies.
 //!
-//! [`closure`] implements the transitive-closure engine with the paper's
-//! two optimizations (§4.3): hierarchies *pinned in main memory*, and
-//! closures *materialized as hash tables* that are reused across LHS values
-//! and across repeated RHS values.
+//! Ω's containment test reads [`intervals`]: interval-set labels that
+//! decide every (root, synset) pair and every closure size exactly, with
+//! no closure materialized.  [`closure`] keeps the paper's §4.3 walk — the
+//! hierarchy *pinned in main memory*, a closure computed by graph search —
+//! as the index's test oracle and Figure 8's pinned-memory curve.
 
 pub mod closure;
 pub mod fragment;
@@ -23,8 +24,7 @@ pub mod generator;
 pub mod hierarchy;
 pub mod intervals;
 
-pub use closure::{set_shard_wait_observer, ClosureCache, SharedClosureCache};
 pub use fragment::books_fragment;
 pub use generator::{generate, synsets_near_closure_sizes, GeneratorConfig};
 pub use hierarchy::{SynsetId, Taxonomy, TaxonomyStats};
-pub use intervals::{IntervalIndex, IntervalStats};
+pub use intervals::IntervalIndex;

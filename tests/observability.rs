@@ -95,10 +95,10 @@ fn explain_analyze_lexequal_index_scan_actuals() {
 }
 
 /// Golden test: a SemEQUAL plan over a DAG-shaped taxonomy attributes
-/// rows and ext-op calls to the scan node evaluating Ω, and the probes the
-/// interval index defers reach the memoized closure walk.
+/// rows and ext-op calls to the scan node evaluating Ω, and the interval
+/// index decides every probe, off the spanning tree too.
 #[test]
-fn explain_analyze_semequal_closure_fallback_actuals() {
+fn explain_analyze_semequal_grafted_taxonomy_actuals() {
     let mut db = Session::new_in_memory();
     let mural = install(&mut db).unwrap();
     db.execute("CREATE TABLE book (id INT, category UNITEXT)")
@@ -118,23 +118,14 @@ fn explain_analyze_semequal_closure_fallback_actuals() {
         .unwrap();
     }
     db.execute("ANALYZE book").unwrap();
-    // The only way onto the closure walk: a second parent for
-    // Autobiography makes History's subtree emit an exception edge, so
-    // interval misses under History (Fiction, Novel) are undecidable.
+    // A second parent for Autobiography puts an edge outside the
+    // spanning tree under History.
     let en = mural.langs.id_of("English");
     let synset = |w: &str| mural.sem.synsets_of(&UniText::compose(w, en))[0];
     mural
         .sem
         .add_hyponym(synset("History"), synset("Autobiography"));
-    // Warm the shared closure cache (batch eval resolves each closure at
-    // most once per query, so hits only show up on a repeated RHS root).
-    db.execute(
-        "SELECT count(*) FROM book \
-         WHERE category SEMEQUAL unitext('History','English')",
-    )
-    .unwrap();
-
-    let hits_before = obs::metrics().taxonomy_closure_cache_hits_total.get();
+    let hits_before = obs::metrics().omega_interval_hits_total.get();
     let fallbacks_before = obs::metrics().omega_interval_fallbacks_total.get();
     let r = db
         .execute(
@@ -152,20 +143,20 @@ fn explain_analyze_semequal_closure_fallback_actuals() {
     // Ω evaluated once per scanned row — the reconciliation the cost
     // model's per-tuple charge assumes.
     assert!(text.contains("ext_op_calls=5"), "{text}");
-    // The two non-members fell back, and the repeated RHS root hit the
-    // memoized closure.
+    // Every probed row is counted, and none fell back.
     assert!(
-        obs::metrics().omega_interval_fallbacks_total.get() >= fallbacks_before + 2,
-        "deferred probes must be counted"
+        obs::metrics().omega_interval_hits_total.get() >= hits_before + 5,
+        "probed rows must be counted"
     );
-    assert!(
-        obs::metrics().taxonomy_closure_cache_hits_total.get() > hits_before,
-        "closure cache hits must be counted"
+    assert_eq!(
+        obs::metrics().omega_interval_fallbacks_total.get(),
+        fallbacks_before,
+        "the interval index decides every probe"
     );
 }
 
-/// The default interval-labeled Ω path is surfaced by EXPLAIN and never
-/// touches the closure cache for a tree-shaped taxonomy.
+/// The interval-labeled Ω path is surfaced by EXPLAIN on a tree-shaped
+/// taxonomy.
 #[test]
 fn explain_analyze_semequal_interval_strategy() {
     let mut db = db();
@@ -895,7 +886,7 @@ fn wait_events_are_charged_to_global_histograms() {
     db.execute("CREATE TABLE t (a INT)").unwrap();
     db.execute("INSERT INTO t VALUES (1)").unwrap();
     db.query("SELECT count(*) FROM t").unwrap();
-    // All five wait classes are registered up front, so the Prometheus
+    // All four wait classes are registered up front, so the Prometheus
     // surface always shows them (count may be 0 on an idle engine).
     let prom = obs::global().render_prometheus();
     for class in [
@@ -903,7 +894,6 @@ fn wait_events_are_charged_to_global_histograms() {
         "mlql_wait_buffer_pool_seconds",
         "mlql_wait_wal_commit_seconds",
         "mlql_wait_index_read_seconds",
-        "mlql_wait_omega_cache_seconds",
     ] {
         assert!(prom.contains(class), "missing {class}");
     }
