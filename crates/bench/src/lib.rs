@@ -73,7 +73,7 @@ fn line_fit(points: &[(f64, f64)]) -> LineFit {
     }
 }
 
-/// [`line_fit`] in log10–log10 space (both axes floored at 1e-9): the
+/// `line_fit` in log10–log10 space (both axes floored at 1e-9): the
 /// slope is the exponent of a power law `y ∝ x^slope`.
 pub fn loglog_fit(points: &[(f64, f64)]) -> LineFit {
     let logs: Vec<(f64, f64)> = points
@@ -242,16 +242,6 @@ pub fn core_closure_via_tables(
         }
     }
     Ok(seen.len())
-}
-
-/// Render a markdown-ish results table row.
-pub fn print_row(cols: &[&str], widths: &[usize]) {
-    let cells: Vec<String> = cols
-        .iter()
-        .zip(widths)
-        .map(|(c, w)| format!("{c:<w$}", w = w))
-        .collect();
-    println!("| {} |", cells.join(" | "));
 }
 
 #[cfg(test)]

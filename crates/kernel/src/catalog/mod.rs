@@ -78,11 +78,11 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// A catalog with the built-in access methods and functions registered.
+    /// A catalog with the built-in B-tree access method registered.
     pub fn new() -> Self {
         let mut access_methods: HashMap<String, Arc<dyn AccessMethod>> = HashMap::new();
         access_methods.insert("btree".into(), Arc::new(BTreeAm));
-        let mut catalog = Catalog {
+        Catalog {
             tables: Vec::new(),
             by_name: HashMap::new(),
             indexes: Vec::new(),
@@ -90,78 +90,7 @@ impl Catalog {
             operators: registry::OperatorRegistry::new(),
             functions: registry::FunctionRegistry::new(),
             access_methods,
-        };
-        // Built-in observability functions: engine metrics as JSON /
-        // Prometheus text (`SELECT mlql_stats()`); the SQL analogue of
-        // pg_stat_* views without needing system tables.
-        catalog.register_function(FuncDef {
-            name: "mlql_stats".into(),
-            arity: 0,
-            ret: Some(crate::value::DataType::Text),
-            eval: Arc::new(|_, _| {
-                let _ = crate::obs::metrics();
-                Ok(crate::value::Datum::text(
-                    crate::obs::global().render_json(),
-                ))
-            }),
-        });
-        catalog.register_function(FuncDef {
-            name: "mlql_stats_prometheus".into(),
-            arity: 0,
-            ret: Some(crate::value::DataType::Text),
-            eval: Arc::new(|_, _| {
-                let _ = crate::obs::metrics();
-                Ok(crate::value::Datum::text(
-                    crate::obs::global().render_prometheus(),
-                ))
-            }),
-        });
-        // Live activity across every session in the process, as a JSON
-        // array (the function analogue of `SHOW ACTIVITY`, which filters
-        // to the issuing engine).
-        catalog.register_function(FuncDef {
-            name: "mlql_activity".into(),
-            arity: 0,
-            ret: Some(crate::value::DataType::Text),
-            eval: Arc::new(|_, _| {
-                Ok(crate::value::Datum::text(
-                    crate::obs::activity::render_json(),
-                ))
-            }),
-        });
-        // The completed-query flight recorder, as a JSON array.
-        catalog.register_function(FuncDef {
-            name: "mlql_flight_recorder".into(),
-            arity: 0,
-            ret: Some(crate::value::DataType::Text),
-            eval: Arc::new(|_, _| Ok(crate::value::Datum::text(crate::obs::flight::render_json()))),
-        });
-        // Per-plan-digest estimate-vs-actual aggregates plus the fitted
-        // cost calibration, across every engine in the process (the
-        // function analogue of `SHOW PLAN STATS`, which filters to the
-        // issuing engine).
-        catalog.register_function(FuncDef {
-            name: "mlql_plan_stats".into(),
-            arity: 0,
-            ret: Some(crate::value::DataType::Text),
-            eval: Arc::new(|_, _| {
-                Ok(crate::value::Datum::text(
-                    crate::obs::planstore::render_json(None),
-                ))
-            }),
-        });
-        // Stale-statistics advisories across every engine, as a JSON array.
-        catalog.register_function(FuncDef {
-            name: "mlql_advisories".into(),
-            arity: 0,
-            ret: Some(crate::value::DataType::Text),
-            eval: Arc::new(|_, _| {
-                Ok(crate::value::Datum::text(
-                    crate::obs::planstore::render_advisories_json(None),
-                ))
-            }),
-        });
-        catalog
+        }
     }
 
     // ---------------- tables ----------------
@@ -362,11 +291,6 @@ impl Catalog {
     /// Look up an operator by name (case-insensitive).
     pub fn operator(&self, name: &str) -> Option<&ExtOperator> {
         self.operators.get(name)
-    }
-
-    /// Names of all registered extension operators.
-    pub fn operator_names(&self) -> Vec<&str> {
-        self.operators.names()
     }
 
     /// Register a scalar function (e.g. `unitext(text, text)`).

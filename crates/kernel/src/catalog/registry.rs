@@ -278,13 +278,19 @@ impl OperatorRegistry {
     pub(crate) fn get(&self, name: &str) -> Option<&ExtOperator> {
         self.ops.get(&name.to_lowercase())
     }
-
-    pub(crate) fn names(&self) -> Vec<&str> {
-        self.ops.keys().map(String::as_str).collect()
-    }
 }
 
 /// A scalar function (constructor or helper callable from SQL and PL).
+///
+/// `eval` must be a pure function of its arguments (and of the session
+/// variables, which key the plan cache).  The planner folds every call
+/// whose arguments are constant into a literal, zero-argument calls
+/// included, and the plan cache replays that literal on every later run
+/// of the same statement; a function that reads engine state (metrics,
+/// activity, the clock) would answer with its value at plan time.  Every
+/// registered function (`unitext`, `text_of`, `lang_of`, `phoneme_of`,
+/// `editdistance`) is pure; engine state is read with `SHOW`, which is
+/// never cached.
 #[derive(Clone)]
 pub struct FuncDef {
     /// Function name (lower-cased on registration).
@@ -380,8 +386,7 @@ mod tests {
             strategy_label: None,
         });
         assert!(r.get("lexequal").is_some());
-        assert!(r.get("LEXEQUAL").is_some());
-        assert_eq!(r.names(), vec!["lexequal"]);
+        assert_eq!(r.get("LEXEQUAL").unwrap().name, "lexequal");
     }
 
     #[test]

@@ -681,7 +681,7 @@ impl Session {
 
     /// Execute one SQL statement.
     ///
-    /// Wraps [`Session::execute_tracked`] with the query lifecycle: a
+    /// Wraps `execute_tracked` with the query lifecycle: a
     /// fresh query id, the activity-slot begin/finish, a [`QueryContext`]
     /// installed on this thread (and propagated into scan workers and
     /// the WAL rendezvous) so waits land on this statement, the

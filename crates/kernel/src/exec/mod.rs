@@ -89,7 +89,7 @@ impl<'a> ExecCtx<'a> {
     }
 }
 
-/// Per-operator runtime actuals, filled in by [`InstrumentedExec`].
+/// Per-operator runtime actuals, filled in by `InstrumentedExec`.
 ///
 /// All figures are **inclusive of children** (like PostgreSQL's
 /// `EXPLAIN (ANALYZE, BUFFERS)`): a node's time and page counts cover
@@ -688,7 +688,7 @@ fn default_workers() -> usize {
 }
 
 /// The worker count a session's parallel plans run with: the
-/// `parallel_workers` variable if set, else [`default_workers`],
+/// `parallel_workers` variable if set, else `default_workers`,
 /// clamped to `[1, MAX_WORKERS]`.
 pub fn effective_workers(session: &SessionVars) -> usize {
     let n = session

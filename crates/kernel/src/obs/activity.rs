@@ -2,10 +2,10 @@
 //!
 //! Each session owns one [`ActivitySlot`].  The query hot path touches
 //! only atomics on its own slot (stage, rows, workers, start time), so
-//! observers polling `SHOW ACTIVITY` / `mlql_activity()` never block
-//! the queries they observe: a snapshot reads the same atomics and the
-//! SQL string, which is written once per statement under a mutex that
-//! the per-row path never takes.
+//! observers polling `SHOW ACTIVITY` never block the queries they
+//! observe: a snapshot reads the same atomics and the SQL string, which
+//! is written once per statement under a mutex that the per-row path
+//! never takes.
 //!
 //! Slots are registered process-wide as `Weak` references — dropped
 //! sessions vanish from the view at the next snapshot — and each slot
@@ -247,32 +247,6 @@ pub fn snapshot() -> Vec<ActivityRow> {
         .collect()
 }
 
-/// JSON array rendering of [`snapshot`] (every engine in the process).
-pub fn render_json() -> String {
-    let mut out = String::from("[");
-    for (i, r) in snapshot().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"engine_id\":{},\"session_id\":{},\"query_id\":{},\"txn_id\":{},\
-             \"stage\":\"{}\",\"rows\":{},\"workers\":{},\"elapsed_ms\":{:.3},\"sql\":\"",
-            r.engine_id,
-            r.session_id,
-            r.query_id,
-            r.txn_id,
-            r.stage.name(),
-            r.rows,
-            r.workers,
-            r.elapsed_ms
-        ));
-        super::trace::json_escape_into(&r.sql, &mut out);
-        out.push_str("\"}");
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -320,15 +294,5 @@ mod tests {
         assert_eq!(s.chars().count(), SQL_SNIPPET_MAX);
         assert!(long.is_char_boundary(s.len()));
         assert_eq!(snippet("short"), "short");
-    }
-
-    #[test]
-    fn render_json_escapes_sql() {
-        let slot = Arc::new(ActivitySlot::new(900_003, 2));
-        register(&slot);
-        slot.begin(1, "SELECT '\"quoted\"'");
-        let json = render_json();
-        assert!(json.contains("\\\"quoted\\\""), "{json}");
-        assert!(json.contains("\"stage\":\"parse\""), "{json}");
     }
 }

@@ -6,9 +6,8 @@
 //! the fact: SQL snippet, plan digest, span tree, wait profile and
 //! buffer-pool I/O delta.  The ring is process-wide and bounded
 //! ([`CAPACITY`] records, oldest evicted first), exported as JSON by
-//! `mlql_flight_recorder()` / `SHOW FLIGHT_RECORDER`, and dumped to
-//! disk by the fault-injection harness (and CI on test failure) via
-//! [`dump_to_dir`].
+//! `SHOW FLIGHT_RECORDER` (one record a row), and dumped to disk by the
+//! fault-injection harness (and CI on test failure) via [`dump_to_dir`].
 //!
 //! Threshold semantics (`SET slow_query_ms = n`):
 //! * `0` (default) — record every statement,

@@ -6,24 +6,24 @@
 //! 1. **Process-wide metrics** ([`registry`]): named counters, gauges
 //!    and histograms accumulated across every query and session, with
 //!    Prometheus-text and JSON exposition (`SHOW STATS_PROMETHEUS`,
-//!    `SHOW STATS_JSON`, `mlql_stats()`).
+//!    `SHOW STATS_JSON`).
 //! 2. **Wait events** ([`waits`]): contended acquisitions on the
 //!    5-level lock hierarchy, timed and classified, charged both to
 //!    global per-class histograms and to the owning query.
 //! 3. **Live activity** ([`activity`]): lock-free per-session slots
-//!    surfaced as `SHOW ACTIVITY` / `mlql_activity()`.
+//!    surfaced as `SHOW ACTIVITY`.
 //! 4. **Per-query traces** ([`trace`]): a span *tree* per statement
 //!    (parse/bind/plan/execute, with per-operator and per-worker
 //!    children under EXPLAIN ANALYZE) attached to `RunStats`.
 //! 5. **Flight recorder** ([`flight`]): bounded ring of completed-query
-//!    records gated by `SET slow_query_ms`, exported as JSON.
+//!    records gated by `SET slow_query_ms`, exported as JSON
+//!    (`SHOW FLIGHT_RECORDER`).
 //! 6. **Per-operator actuals**: `exec::build_instrumented` wraps each
 //!    plan node so EXPLAIN ANALYZE prints actual rows / batches / time /
 //!    pages per node (see `exec::OpStats`).
 //! 7. **Plan store** ([`planstore`]): per-plan-digest estimate-vs-actual
 //!    aggregates (calls, elapsed, q-error) and the stale-statistics
-//!    advisor (`SHOW PLAN STATS`, `SHOW ADVISORIES`, `mlql_plan_stats()`,
-//!    `mlql_advisories()`).
+//!    advisor (`SHOW PLAN STATS`, `SHOW ADVISORIES`).
 //!
 //! Every exported signal has a named consumer; `docs/observability.md`
 //! §"Metric catalogue" lists them and `tests/obs_signals.rs` holds the

@@ -12,16 +12,15 @@
 //!
 //! Two consumers sit on top:
 //!
-//! * `SHOW PLAN STATS` / `mlql_plan_stats()` — per-digest aggregates.
+//! * `SHOW PLAN STATS` — per-digest aggregates.
 //!   The `calibration` bench fits its est_cost→elapsed line over
 //!   [`snapshot`].
 //! * The stale-statistics advisor: when a table's scans exceed the
 //!   session's `qerror_warn` threshold over [`ADVISOR_WINDOW`]
 //!   consecutive executions, an advisory naming the table (and
-//!   recommending `ANALYZE`) is raised — surfaced by
-//!   `SHOW ADVISORIES` / `mlql_advisories()` and counted by
-//!   `mlql_stats_advisories_total`.  `ANALYZE t` (or bare `ANALYZE`)
-//!   clears the table's advisory state.
+//!   recommending `ANALYZE`) is raised — surfaced by `SHOW ADVISORIES`
+//!   and counted by `mlql_stats_advisories_total`.  `ANALYZE t` (or bare
+//!   `ANALYZE`) clears the table's advisory state.
 //!
 //! Everything is process-wide (like the flight recorder) and tagged
 //! with the engine id, so one process can host many engines without
@@ -297,77 +296,6 @@ pub fn clear_engine(engine_id: u64) {
     tracker().lock().retain(|(eid, _), _| *eid != engine_id);
 }
 
-// ---------------------------------------------------------- rendering
-
-fn push_num(out: &mut String, v: f64) {
-    if v.is_finite() {
-        out.push_str(&format!("{v}"));
-    } else {
-        out.push_str("null");
-    }
-}
-
-/// JSON object: `{"plans":[...]}`, optionally filtered to one engine
-/// (`mlql_plan_stats()` passes `None`).
-pub fn render_json(engine_id: Option<u64>) -> String {
-    let entries = snapshot(engine_id);
-    let mut out = String::from("{\"plans\":[");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "{{\"engine_id\":{},\"plan_digest\":\"{:016x}\",\"root\":\"",
-            e.engine_id, e.digest
-        ));
-        super::trace::json_escape_into(&e.root, &mut out);
-        out.push_str(&format!(
-            "\",\"calls\":{},\"mean_ms\":{},\"max_ms\":{},\"total_ms\":{},",
-            e.calls,
-            e.mean().as_secs_f64() * 1e3,
-            e.max.as_secs_f64() * 1e3,
-            e.total.as_secs_f64() * 1e3,
-        ));
-        out.push_str("\"est_rows\":");
-        push_num(&mut out, e.est_rows);
-        out.push_str(",\"est_cost\":");
-        push_num(&mut out, e.est_cost);
-        out.push_str(&format!(",\"last_actual_rows\":{},", e.last_actual_rows));
-        out.push_str("\"qerror_last\":");
-        push_num(&mut out, e.qerror_last);
-        out.push_str(",\"qerror_max\":");
-        push_num(&mut out, e.qerror_max);
-        out.push_str(",\"node_qerror_max\":");
-        match e.node_qerror_max {
-            Some(v) => push_num(&mut out, v),
-            None => out.push_str("null"),
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
-}
-
-/// JSON array of the currently-raised advisories (`mlql_advisories()`
-/// passes `None`).
-pub fn render_advisories_json(engine_id: Option<u64>) -> String {
-    let mut out = String::from("[");
-    for (i, a) in advisories(engine_id).iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("{{\"engine_id\":{},\"table\":\"", a.engine_id));
-        super::trace::json_escape_into(&a.table, &mut out);
-        out.push_str("\",\"qerror\":");
-        push_num(&mut out, a.qerror);
-        out.push_str(&format!(",\"window\":{},\"recommendation\":\"", a.window));
-        super::trace::json_escape_into(&a.recommendation, &mut out);
-        out.push_str("\"}");
-    }
-    out.push(']');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -513,26 +441,6 @@ mod tests {
         assert_eq!(hot.calls, 10, "aggregates survive intact");
         // The store stayed bounded while churning.
         assert!(store().lock().len() <= CAPACITY);
-        clear_engine(eng);
-    }
-
-    #[test]
-    fn json_surfaces_render() {
-        let _guard = test_lock();
-        let eng = ENG + 4;
-        clear_engine(eng);
-        record(ob(eng, 0xabc, 5.0, 50, 2));
-        let json = render_json(Some(eng));
-        assert!(json.starts_with("{\"plans\":["), "{json}");
-        assert!(
-            json.contains("\"plan_digest\":\"0000000000000abc\""),
-            "{json}"
-        );
-        assert!(json.contains("\"calls\":1"), "{json}");
-        assert!(json.contains("\"qerror_last\":10"), "{json}");
-        assert!(json.contains("\"node_qerror_max\":null"), "{json}");
-        let adv = render_advisories_json(Some(eng));
-        assert_eq!(adv, "[]");
         clear_engine(eng);
     }
 }

@@ -163,14 +163,6 @@ impl QueryTrace {
         &self.spans
     }
 
-    /// Attach `children` to the most recent span named `name`
-    /// (used to hang per-operator spans under `execute` after the fact).
-    pub fn attach_children(&mut self, name: &str, children: Vec<Span>) {
-        if let Some(s) = self.spans.iter_mut().rev().find(|s| s.name == name) {
-            s.children = children;
-        }
-    }
-
     /// Duration of the named top-level stage, if recorded (sums repeats).
     pub fn stage(&self, name: &str) -> Option<Duration> {
         let mut total = Duration::ZERO;
@@ -292,16 +284,6 @@ mod tests {
         let tree = t.render_tree();
         assert!(tree.contains("\n  Seq Scan on t=0.080ms\n"), "{tree}");
         assert!(tree.contains("\n    worker 0=0.040ms\n"), "{tree}");
-    }
-
-    #[test]
-    fn attach_children_targets_latest_matching_span() {
-        let mut t = QueryTrace::new();
-        t.record("execute", Duration::from_micros(50));
-        t.attach_children("execute", vec![Span::new("op", Duration::from_micros(20))]);
-        assert_eq!(t.spans()[0].children.len(), 1);
-        t.attach_children("missing", vec![Span::new("x", Duration::ZERO)]);
-        assert_eq!(t.tree_len(), 2, "no-op on unknown stage");
     }
 
     #[test]

@@ -741,15 +741,14 @@ impl Planner<'_> {
 
         // Index scans: one candidate per (conjunct, matching index).
         for idx in self.catalog.indexes_of(rel.meta.id) {
-            for (ci, c) in local.iter().enumerate() {
+            for c in local {
                 let candidate = self.index_candidate(c, rel, &idx, sel_of(c), avg_w);
                 if let Some((strategy, probe, extra, matched, traversal_cpu)) = candidate {
-                    let residual: Vec<Expr> = local
-                        .iter()
-                        .enumerate()
-                        .filter(|&(j, _)| j != ci || needs_recheck(c))
-                        .map(|(_, e)| e.clone())
-                        .collect();
+                    // The indexed conjunct is always re-checked too: a probe
+                    // may ignore the operator's modifiers (ψ's `IN (langs)`)
+                    // or return approximate entries, and the re-check is
+                    // cheap next to the probe and uniformly safe.
+                    let residual = local.to_vec();
                     let residual_cost: f64 = residual
                         .iter()
                         .map(|e| params.predicate_cost(e, self.catalog, self.session, avg_w))
@@ -765,11 +764,7 @@ impl Planner<'_> {
                             strategy,
                             probe,
                             extra,
-                            residual: if residual.is_empty() {
-                                None
-                            } else {
-                                Some(and_all(residual))
-                            },
+                            residual: Some(and_all(residual)),
                         },
                         est_rows: out_rows,
                         est_cost: cost,
@@ -888,6 +883,10 @@ impl Planner<'_> {
     /// query constant like `unitext('Nehru','English')` — which runs a
     /// grapheme-to-phoneme conversion — would be re-evaluated per row
     /// inside scan filters and join predicates.
+    ///
+    /// A function call with constant arguments is folded too, and the
+    /// plan cache replays the folded value, so this is correct only
+    /// because every registered function is pure (see `FuncDef`).
     fn fold_constants(&self, e: &Expr) -> Expr {
         if let Some(d) = self.fold(e) {
             return Expr::Literal(d);
@@ -943,14 +942,6 @@ fn avg_pred_width(rel: &Rel) -> f64 {
     } else {
         widths.iter().sum::<f64>() / widths.len() as f64
     }
-}
-
-/// An index-accelerated conjunct still needing a residual re-check (e.g.
-/// ψ with an `IN (langs)` modifier, or any strategy that may return
-/// stale/approximate entries).  We always re-check — cheap relative to I/O
-/// and uniformly safe.
-fn needs_recheck(_conjunct: &Expr) -> bool {
-    true
 }
 
 /// Split nested ANDs into conjuncts.

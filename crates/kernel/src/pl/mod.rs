@@ -13,10 +13,6 @@
 //! claim about UDF-based implementations ("overheads due to the UDF
 //! invocations and execution in a separate process space", §5.3).
 
-pub mod parser;
-
-pub use parser::parse_function;
-
 use crate::engine::Session;
 use crate::error::{Error, Result};
 use crate::expr::{ArithOp, CmpOp};
@@ -52,18 +48,10 @@ pub enum PlExpr {
     Cmp(CmpOp, Box<PlExpr>, Box<PlExpr>),
     /// Arithmetic.
     Arith(ArithOp, Box<PlExpr>, Box<PlExpr>),
-    /// Conjunction.
-    And(Box<PlExpr>, Box<PlExpr>),
-    /// Disjunction.
-    Or(Box<PlExpr>, Box<PlExpr>),
-    /// Negation.
-    Not(Box<PlExpr>),
     /// String concatenation (dynamic SQL assembly).
     Concat(Vec<PlExpr>),
     /// List element access: `list[idx]` (0-based).
     ListGet(String, Box<PlExpr>),
-    /// List length.
-    ListLen(String),
     /// `length(string)` of a text value.
     StrLen(Box<PlExpr>),
     /// Character (single-char text) at a 0-based position of a text value.
@@ -92,17 +80,12 @@ pub enum PlStmt {
     },
     /// `RETURN NEXT (exprs...)` — append a row to the function's result set.
     ReturnNext(Vec<PlExpr>),
-    /// `RETURN` — finish.
-    Return,
     /// `PERFORM sql` — execute a statement, discarding rows.
     Perform(PlExpr),
     /// `var := ARRAY[]` — create an empty list (PL/SQL collections).
     ListNew(String),
     /// `var := var || expr` — append to a list.
     ListPush(String, PlExpr),
-    /// `var[idx] := expr` — update a list element (0-based; the list grows
-    /// with NULLs when `idx` is past the end, PL/pgSQL-style).
-    ListSet(String, PlExpr, PlExpr),
     /// `dst := src` for list variables.
     ListCopy(String, String),
 }
@@ -124,11 +107,6 @@ enum PlValue {
     Scalar(Datum),
     Row(Vec<(String, Datum)>),
     List(Vec<Datum>),
-}
-
-enum Flow {
-    Normal,
-    Returned,
 }
 
 /// The PL interpreter.  Borrows a session mutably: SPI statements are
@@ -200,7 +178,7 @@ impl<'a> PlRuntime<'a> {
         stmts: &[PlStmt],
         env: &mut HashMap<String, PlValue>,
         out: &mut Vec<Row>,
-    ) -> Result<Flow> {
+    ) -> Result<()> {
         for stmt in stmts {
             match stmt {
                 PlStmt::Assign(name, expr) => {
@@ -217,15 +195,11 @@ impl<'a> PlRuntime<'a> {
                     } else {
                         else_branch
                     };
-                    if let Flow::Returned = self.run_block(branch, env, out)? {
-                        return Ok(Flow::Returned);
-                    }
+                    self.run_block(branch, env, out)?;
                 }
                 PlStmt::While { cond, body } => {
                     while self.eval(cond, env)?.is_true() {
-                        if let Flow::Returned = self.run_block(body, env, out)? {
-                            return Ok(Flow::Returned);
-                        }
+                        self.run_block(body, env, out)?;
                     }
                 }
                 PlStmt::ForQuery { var, sql, body } => {
@@ -249,9 +223,7 @@ impl<'a> PlRuntime<'a> {
                             var.clone(),
                             PlValue::Row(names.iter().cloned().zip(row).collect()),
                         );
-                        if let Flow::Returned = self.run_block(body, env, out)? {
-                            return Ok(Flow::Returned);
-                        }
+                        self.run_block(body, env, out)?;
                     }
                 }
                 PlStmt::ReturnNext(exprs) => {
@@ -261,7 +233,6 @@ impl<'a> PlRuntime<'a> {
                     }
                     out.push(row);
                 }
-                PlStmt::Return => return Ok(Flow::Returned),
                 PlStmt::Perform(sql) => {
                     let sql_text = match self.eval(sql, env)? {
                         Datum::Text(s) => s.to_string(),
@@ -287,29 +258,9 @@ impl<'a> PlRuntime<'a> {
                     };
                     env.insert(dst.clone(), PlValue::List(items));
                 }
-                PlStmt::ListSet(name, idx, expr) => {
-                    let i = self
-                        .eval(idx, env)?
-                        .as_int()
-                        .ok_or_else(|| Error::Pl("list index must be int".into()))?;
-                    if i < 0 {
-                        return Err(Error::Pl(format!("negative list index {i}")));
-                    }
-                    let v = self.eval(expr, env)?;
-                    match env.get_mut(name) {
-                        Some(PlValue::List(items)) => {
-                            let i = i as usize;
-                            if i >= items.len() {
-                                items.resize(i + 1, Datum::Null);
-                            }
-                            items[i] = v;
-                        }
-                        _ => return Err(Error::Pl(format!("{name:?} is not a list"))),
-                    }
-                }
             }
         }
-        Ok(Flow::Normal)
+        Ok(())
     }
 
     fn eval(&mut self, expr: &PlExpr, env: &HashMap<String, PlValue>) -> Result<Datum> {
@@ -406,19 +357,6 @@ impl<'a> PlRuntime<'a> {
                     Ok(Datum::Float(result))
                 }
             }
-            PlExpr::And(l, r) => {
-                if !self.eval(l, env)?.is_true() {
-                    return Ok(Datum::Bool(false));
-                }
-                Ok(Datum::Bool(self.eval(r, env)?.is_true()))
-            }
-            PlExpr::Or(l, r) => {
-                if self.eval(l, env)?.is_true() {
-                    return Ok(Datum::Bool(true));
-                }
-                Ok(Datum::Bool(self.eval(r, env)?.is_true()))
-            }
-            PlExpr::Not(e) => Ok(Datum::Bool(!self.eval(e, env)?.is_true())),
             PlExpr::Concat(parts) => {
                 let mut s = String::new();
                 for p in parts {
@@ -443,10 +381,6 @@ impl<'a> PlRuntime<'a> {
                     _ => Err(Error::Pl(format!("{name:?} is not a list"))),
                 }
             }
-            PlExpr::ListLen(name) => match env.get(name) {
-                Some(PlValue::List(items)) => Ok(Datum::Int(items.len() as i64)),
-                _ => Err(Error::Pl(format!("{name:?} is not a list"))),
-            },
             PlExpr::StrLen(e) => {
                 let v = self.eval(e, env)?;
                 match v {
@@ -618,27 +552,6 @@ mod tests {
         let rows = rt.call(&func, &[Datum::Int(4)]).unwrap();
         assert_eq!(rows.len(), 4);
         assert!(rows[3][0].eq_sql(&Datum::Int(3)));
-    }
-
-    #[test]
-    fn early_return_stops_iteration() {
-        let mut db = setup();
-        let func = PlFunction {
-            name: "first".into(),
-            params: vec![],
-            body: vec![
-                PlStmt::ForQuery {
-                    var: "r".into(),
-                    sql: text("SELECT id FROM t ORDER BY id"),
-                    body: vec![PlStmt::ReturnNext(vec![field("r", "id")]), PlStmt::Return],
-                },
-                PlStmt::ReturnNext(vec![int(-1)]),
-            ],
-        };
-        let mut rt = PlRuntime::new(&mut db);
-        let rows = rt.call(&func, &[]).unwrap();
-        assert_eq!(rows.len(), 1);
-        assert!(rows[0][0].eq_sql(&Datum::Int(1)));
     }
 
     #[test]

@@ -352,6 +352,15 @@ impl PreparedOperands for PreparedNames {
     }
 }
 
+/// Fraction of an approximate (metric) index traversed at threshold `k` —
+/// "the fraction of the database scanned was approximated by a linear
+/// function on the error threshold" (§3.3).  Slope and intercept are the
+/// `calibration` grid's fit of M-tree distance computations per indexed
+/// row over thresholds 0–3 (the run `opt::CostParams` cites).
+fn approx_index_fraction(k: usize) -> f64 {
+    (0.229 + 0.244 * k as f64).clamp(0.05, 1.0)
+}
+
 /// Build the ψ [`ExtOperator`] for registration in the catalog.
 pub fn lexequal_operator(
     unitext_type: ExtTypeId,
@@ -424,7 +433,7 @@ pub fn lexequal_operator(
         modifier_filter: Some(language_filter(langs)),
         // §3.3: approximate-index traversal is linear in the threshold.
         index_scan_fraction: Some(Arc::new(|session| {
-            crate::cost::approx_index_fraction(threshold(session))
+            approx_index_fraction(threshold(session))
         })),
         strategy_label: None,
     }
@@ -599,6 +608,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn approx_index_fraction_is_linear_then_saturates() {
+        assert!(approx_index_fraction(1) < approx_index_fraction(2));
+        assert_eq!(approx_index_fraction(4), 1.0);
+        assert_eq!(approx_index_fraction(10), 1.0);
+        assert!(approx_index_fraction(0) > 0.0, "never free");
     }
 
     #[test]

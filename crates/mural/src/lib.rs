@@ -3,9 +3,10 @@
 //! This crate is the paper's primary contribution: the **UniText** datatype
 //! and the **LexEQUAL (ψ)** / **SemEQUAL (Ω)** operators implemented as
 //! *first-class operators* of the `mlql-kernel` relational engine, plus
-//! their cost models (Table 3), selectivity estimators (§3.4), composition
-//! rules (Table 1), the M-Tree access method integration (§4.2.1), and the
-//! outside-the-server baseline implementations (§5.3, §5.4).
+//! their per-tuple costs (Table 3), selectivity estimators (§3.4),
+//! composition rules (Table 1), the M-Tree access method integration
+//! (§4.2.1), and the outside-the-server baseline implementations (§5.3,
+//! §5.4).
 //!
 //! ## Quick start
 //!
@@ -29,7 +30,6 @@
 #![forbid(unsafe_code)]
 
 pub mod algebra;
-pub mod cost;
 pub mod functions;
 pub mod install;
 pub mod lexequal;

@@ -9,7 +9,7 @@
 //! pruning bound, and at what distance", so it visits, computes and
 //! prunes exactly what the generic metric would, at the kernel's price
 //! per key.  The planner prices a probe per visited key (the fitted
-//! visit fraction of `cost::approx_index_fraction`), not per page: the
+//! visit fraction of `lexequal::approx_index_fraction`), not per page: the
 //! tree is memory-resident.  Deletion uses tombstones — the
 //! underlying M-Tree, like PostgreSQL-era GiST, does not reclaim entries
 //! online.  Checkpoint vacuum tombstones one entry per dead version and

@@ -206,7 +206,7 @@ impl SemState {
     }
 
     /// [`Self::omega_matches`] over borrowed operands (Ω's scalar hook):
-    /// each side's synsets come from [`Self::resolve`].
+    /// each side's synsets come from `Self::resolve`.
     pub fn omega_matches_ref(&self, l: DatumRef<'_>, r: DatumRef<'_>) -> mlql_kernel::Result<bool> {
         let snap = self.snapshot();
         let lhs = self.resolve(&snap.taxonomy, l)?;
@@ -238,7 +238,7 @@ impl SemState {
     ///
     /// Result-identical to [`Self::omega_matches_ref`] on every element,
     /// but one snapshot covers the batch and the RHS synsets are resolved
-    /// once.  A row costs its [`Self::resolve`] — a stored row's ids are
+    /// once.  A row costs its `Self::resolve` — a stored row's ids are
     /// read off its payload — and one interval test per (RHS, LHS) synset
     /// pair, with no allocation.  The interval-hit counter (one per probed
     /// row) is published once per batch.

@@ -264,11 +264,6 @@ impl PhonemeString {
         self.0.push(p.byte());
     }
 
-    /// Append all phones of another phoneme string.
-    pub fn extend_from(&mut self, other: &PhonemeString) {
-        self.0.extend_from_slice(&other.0);
-    }
-
     /// The raw byte view (for storage, hashing, distance computation).
     #[inline]
     pub fn as_bytes(&self) -> &[u8] {

@@ -300,49 +300,6 @@ impl Taxonomy {
             }
         }
     }
-
-    /// Export rows `(synset_id, parent_id, word, lang)` for storage in an
-    /// engine table: one row per (synset, parent, word) combination, with
-    /// `parent_id = None` for roots.  This is the representation the
-    /// outside-the-server Ω implementation queries with SQL, and the one
-    /// the B+Tree-on-parent index is built over (§5.4).
-    pub fn export_rows(&self) -> Vec<TaxonomyRow> {
-        let mut rows = Vec::new();
-        for (i, s) in self.synsets.iter().enumerate() {
-            let parents: Vec<Option<SynsetId>> = if s.parents.is_empty() {
-                vec![None]
-            } else {
-                s.parents.iter().map(|&p| Some(p)).collect()
-            };
-            for p in &parents {
-                for w in &s.words {
-                    rows.push(TaxonomyRow {
-                        synset: SynsetId(i as u32),
-                        parent: *p,
-                        word: w.clone(),
-                        lang: s.lang,
-                        equivalents: s.equivalents.clone(),
-                    });
-                }
-            }
-        }
-        rows
-    }
-}
-
-/// One exported taxonomy table row (see [`Taxonomy::export_rows`]).
-#[derive(Debug, Clone)]
-pub struct TaxonomyRow {
-    /// The synset this row describes.
-    pub synset: SynsetId,
-    /// One hypernym of the synset (`None` for roots).
-    pub parent: Option<SynsetId>,
-    /// One word form of the synset.
-    pub word: String,
-    /// Language of the synset.
-    pub lang: LangId,
-    /// Cross-lingual equivalents (denormalized for the outside-server path).
-    pub equivalents: Vec<SynsetId>,
 }
 
 #[cfg(test)]
@@ -426,24 +383,6 @@ mod tests {
         assert_eq!(t.lookup(&format!("root_{}", fr.raw()), fr).len(), 1);
     }
 
-    #[test]
-    fn export_rows_cover_all_synsets() {
-        let mut t = Taxonomy::new();
-        let r = t.add_synset(en(), &["root"]);
-        let c = t.add_synset(en(), &["child", "kid"]);
-        t.add_hyponym(r, c);
-        let rows = t.export_rows();
-        // root: 1 row (None parent); child: 2 words × 1 parent = 2 rows.
-        assert_eq!(rows.len(), 3);
-        assert!(rows.iter().any(|r| r.parent.is_none()));
-        assert!(
-            rows.iter()
-                .filter(|r| r.word == "child" || r.word == "kid")
-                .count()
-                == 2
-        );
-    }
-
     /// The linear scan `lookup_any_lang` used to be: every synset whose
     /// word forms include `word`, ascending.
     fn scan_any_lang(t: &Taxonomy, word: &str) -> Vec<SynsetId> {
@@ -502,17 +441,5 @@ mod tests {
         moved.add_synset(en(), &["b"]);
         moved.add_synset(en(), &["a"]);
         assert_ne!(moved.vocabulary_fingerprint(), before);
-    }
-
-    #[test]
-    fn multi_parent_dag_exports_one_row_per_parent() {
-        let mut t = Taxonomy::new();
-        let a = t.add_synset(en(), &["a"]);
-        let b = t.add_synset(en(), &["b"]);
-        let c = t.add_synset(en(), &["c"]);
-        t.add_hyponym(a, c);
-        t.add_hyponym(b, c);
-        let rows = t.export_rows();
-        assert_eq!(rows.iter().filter(|r| r.synset == c).count(), 2);
     }
 }

@@ -156,6 +156,48 @@ fn explain_shows_extension_operator_and_costs() {
     assert!(text.contains("cost="), "{text}");
 }
 
+/// Under an M-tree `Index Scan` the `within` probe ignores ψ's
+/// `IN (langs)` modifier; only the residual re-check of the indexed
+/// conjunct enforces it, so both plans must count the same rows.
+#[test]
+fn psi_language_filter_is_rechecked_under_an_index_probe() {
+    let mut db = db();
+    db.execute("CREATE TABLE names (name UNITEXT)").unwrap();
+    db.execute(
+        "INSERT INTO names VALUES (unitext('Nehru','English')), (unitext('நேரு','Tamil')), \
+         (unitext('नेहरू','Hindi')), (unitext('Gandhi','English'))",
+    )
+    .unwrap();
+    db.execute("CREATE INDEX names_mt ON names (name) USING mtree")
+        .unwrap();
+    db.execute("ANALYZE names").unwrap();
+    let sql =
+        "SELECT count(*) FROM names WHERE name LEXEQUAL unitext('Nehru','English') IN (Tamil)";
+    let run = |db: &mut Session| {
+        let plan = db
+            .execute(&format!("EXPLAIN {sql}"))
+            .unwrap()
+            .explain
+            .unwrap();
+        (plan, db.query(sql).unwrap()[0][0].as_int())
+    };
+
+    db.execute("SET enable_seqscan = 0").unwrap();
+    let (plan, probed) = run(&mut db);
+    assert!(plan.contains("Index Scan using names_mt"), "{plan}");
+    assert!(
+        plan.contains("Recheck: (name LEXEQUAL ") && plan.contains(" IN (Tamil))"),
+        "{plan}"
+    );
+
+    db.execute("SET enable_seqscan = 1").unwrap();
+    db.execute("SET enable_indexscan = 0").unwrap();
+    let (plan, scanned) = run(&mut db);
+    assert!(plan.contains("Seq Scan on names"), "{plan}");
+    assert_eq!(scanned, Some(1));
+    assert_eq!(probed, scanned);
+}
+
 #[test]
 fn aggregates_group_by_language() {
     let mut db = db();

@@ -1,6 +1,6 @@
 //! Observability-layer integration tests: per-operator EXPLAIN ANALYZE
-//! actuals for the paper's ψ and Ω plans, the SHOW STATS / mlql_stats()
-//! SQL surface, and the engine metric counters behind Figures 6–8.
+//! actuals for the paper's ψ and Ω plans, the SHOW STATS SQL surface,
+//! and the engine metric counters behind Figures 6–8.
 
 use mlql::kernel::{obs, Session};
 use mlql::mural::install;
@@ -309,10 +309,6 @@ fn show_stats_exposes_at_least_ten_metrics_in_both_formats() {
     db.execute("CREATE TABLE t (id INT)").unwrap();
     db.execute("INSERT INTO t VALUES (1), (2), (3)").unwrap();
     db.execute("SELECT count(*) FROM t").unwrap();
-    // One-row table to drive the scalar stats functions (the SQL dialect
-    // has no FROM-less SELECT).
-    db.execute("CREATE TABLE dual (x INT)").unwrap();
-    db.execute("INSERT INTO dual VALUES (1)").unwrap();
 
     // Tabular form: one row per sample, metric names distinct.
     let rows = db.query("SHOW STATS").unwrap();
@@ -325,22 +321,15 @@ fn show_stats_exposes_at_least_ten_metrics_in_both_formats() {
     assert!(names.contains("mlql_queries_total"));
     assert!(names.contains("mlql_bufferpool_logical_reads_total"));
 
-    // JSON form (both the SHOW alias and the SQL function).
+    // JSON form.
     let json = db.query("SHOW STATS_JSON").unwrap()[0][0]
         .as_text()
         .unwrap()
         .to_string();
     assert!(json.matches("\"type\":").count() >= 10, "{json}");
-    let via_fn = db.query("SELECT mlql_stats() FROM dual").unwrap()[0][0]
-        .as_text()
-        .unwrap()
-        .to_string();
-    assert!(via_fn.matches("\"type\":").count() >= 10);
 
     // Prometheus text form.
-    let prom = db
-        .query("SELECT mlql_stats_prometheus() FROM dual")
-        .unwrap()[0][0]
+    let prom = db.query("SHOW STATS_PROMETHEUS").unwrap()[0][0]
         .as_text()
         .unwrap()
         .to_string();
@@ -353,11 +342,6 @@ fn show_stats_exposes_at_least_ten_metrics_in_both_formats() {
         prom.contains("mlql_query_latency_seconds_bucket{le=\"+Inf\"}"),
         "{prom}"
     );
-    let show_prom = db.query("SHOW STATS_PROMETHEUS").unwrap()[0][0]
-        .as_text()
-        .unwrap()
-        .to_string();
-    assert!(show_prom.matches("# TYPE mlql_").count() >= 10);
 }
 
 /// The ψ hot-path counters move with the work actually done (Figure 6's
@@ -701,8 +685,7 @@ fn explain_analyze_span_tree_reconciles_with_worker_actuals() {
 }
 
 /// The flight recorder captures completed statements according to
-/// `slow_query_ms`, and both SQL surfaces (`SHOW FLIGHT_RECORDER` /
-/// `mlql_flight_recorder()`) expose them.
+/// `slow_query_ms`, and `SHOW FLIGHT_RECORDER` exposes them.
 #[test]
 fn flight_recorder_respects_slow_query_ms_threshold() {
     let mut db = db();
@@ -750,27 +733,6 @@ fn flight_recorder_respects_slow_query_ms_threshold() {
             .any(|r| r[0].as_text().unwrap().contains("WHERE a = 1")),
         "sub-threshold statements are not recorded"
     );
-
-    // The SQL function sees the process-wide ring (ours included).
-    db.execute("SET slow_query_ms = 0").unwrap();
-    db.execute("CREATE TABLE dual (x INT)").unwrap();
-    db.execute("INSERT INTO dual VALUES (1)").unwrap();
-    let json = db.query("SELECT mlql_flight_recorder() FROM dual").unwrap()[0][0]
-        .as_text()
-        .unwrap()
-        .to_string();
-    assert!(json.starts_with('['), "{json}");
-    assert!(json.contains("WHERE a = 2"), "{json}");
-
-    // mlql_activity() renders the live view as JSON: the issuing
-    // statement observes itself mid-lifecycle (the exact stage depends
-    // on where expression evaluation happens, e.g. plan-time folding).
-    let act = db.query("SELECT mlql_activity() FROM dual").unwrap()[0][0]
-        .as_text()
-        .unwrap()
-        .to_string();
-    assert!(act.contains("mlql_activity"), "{act}");
-    assert!(act.contains("\"stage\":\""), "{act}");
 }
 
 /// Golden test for the batch execution spine: every annotated node prints
@@ -1022,8 +984,7 @@ fn flight_records_carry_estimates_and_qerror() {
 }
 
 /// Acceptance: a mixed ψ/Ω workload populates the per-digest plan store;
-/// `SHOW PLAN STATS` lists calls / mean elapsed / root q-error per plan,
-/// and `mlql_plan_stats()` renders the same store.
+/// `SHOW PLAN STATS` lists calls / mean elapsed / root q-error per plan.
 #[test]
 fn plan_store_aggregates_mixed_psi_omega_workload() {
     let mut db = db();
@@ -1094,16 +1055,6 @@ fn plan_store_aggregates_mixed_psi_omega_workload() {
         assert!(row[8].as_float().unwrap() >= 1.0, "qerror_last >= 1");
         assert!(row[9].as_float().unwrap() >= row[8].as_float().unwrap() - 1e-9);
     }
-
-    // The SQL function renders the process-wide store.
-    db.execute("CREATE TABLE dual (x INT)").unwrap();
-    db.execute("INSERT INTO dual VALUES (1)").unwrap();
-    let json = db.query("SELECT mlql_plan_stats() FROM dual").unwrap()[0][0]
-        .as_text()
-        .unwrap()
-        .to_string();
-    assert!(json.contains("\"plans\":["), "{json}");
-    assert!(json.contains("\"plan_digest\":\""), "{json}");
 }
 
 /// Acceptance: repeated scans whose realized q-error stays above
@@ -1166,16 +1117,6 @@ fn stale_statistics_advisory_raises_and_analyze_clears_it() {
         obs::metrics().stats_advisories_total.get(),
         raised_before + 1
     );
-
-    // The function surface sees it too.
-    db.execute("CREATE TABLE dual (x INT)").unwrap();
-    db.execute("INSERT INTO dual VALUES (1)").unwrap();
-    let json = db.query("SELECT mlql_advisories() FROM dual").unwrap()[0][0]
-        .as_text()
-        .unwrap()
-        .to_string();
-    assert!(json.contains("\"table\":\"skew\""), "{json}");
-    assert!(json.contains("ANALYZE skew"), "{json}");
 
     // The recommended remediation — a bare ANALYZE — clears it.
     db.execute("ANALYZE").unwrap();
