@@ -6,8 +6,7 @@
 //! then with an M-tree; an INT table at 60k rows with a B-tree; a 6k-row
 //! Ω table shaped like the standing benchmark's `book`; and a table of
 //! deleted rows, whose scan reads pages and produces nothing.  Query
-//! classes: ψ selects at thresholds 0–3, unfiltered `count(*)` (also at
-//! the largest batch size, for fewer rounds over the same rows), an
+//! classes: ψ selects at thresholds 0–3, unfiltered `count(*)`, an
 //! 80 %-selective range, a B-tree point lookup, an Ω select, a ψ join of
 //! 300 × 600 names, and the same two tables cross-joined, which builds a
 //! row for every pair and evaluates nothing.
@@ -37,10 +36,7 @@ use mlql_bench::report::{obj, Report, Value};
 use mlql_bench::{loglog_fit, mural_db};
 use mlql_datagen::{names_dataset, NamesConfig};
 use mlql_kernel::catalog::{Catalog, SessionVars};
-use mlql_kernel::exec::{
-    build_instrumented, default_batch_size, drain_to_vec, run_to_vec, ExecCtx, ExecStats,
-    MAX_BATCH_ROWS,
-};
+use mlql_kernel::exec::{build_instrumented, drain_to_vec, run_to_vec, ExecCtx, ExecStats};
 use mlql_kernel::obs::planstore;
 use mlql_kernel::opt::CostParams;
 use mlql_kernel::plan::{PhysNode, PhysOp};
@@ -149,19 +145,6 @@ fn main() {
             format!("SELECT count(*) FROM {table}"),
             0.0,
         ));
-    }
-    // The same counts in 4× larger batches: a parallel scan then runs
-    // fewer, larger rounds over the same rows, which is what tells the
-    // cost of a round from the cost of a row gathered.
-    for table in ["ints", "names50k"] {
-        classes.push(Class {
-            setup: vec![format!("SET batch_size = {}", MAX_BATCH_ROWS)],
-            ..plain(
-                &format!("count {table} b{MAX_BATCH_ROWS}"),
-                format!("SELECT count(*) FROM {table}"),
-                0.0,
-            )
-        });
     }
     classes.push(plain(
         "range 80% ints",
@@ -419,10 +402,9 @@ fn load_books(db: &mut Session, mural: &Mural) {
 }
 
 /// Session settings for planning at `workers` with the two scan paths
-/// enabled or not, at the default batch size.
-fn flags(workers: usize, seq: bool, index: bool) -> [String; 4] {
+/// enabled or not.
+fn flags(workers: usize, seq: bool, index: bool) -> [String; 3] {
     [
-        format!("SET batch_size = {}", default_batch_size()),
         format!("SET parallel_workers = {workers}"),
         format!("SET enable_seqscan = {}", seq as u8),
         format!("SET enable_indexscan = {}", index as u8),

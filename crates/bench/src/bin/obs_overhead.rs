@@ -3,8 +3,8 @@
 //! within noise of the uninstrumented engine on the Figure 6 ψ scan.
 //!
 //! Method: run the same CPU-heavy LexEQUAL sequential scan with
-//! observability enabled (the default, `slow_query_ms = 0` so every
-//! statement is flight-recorded — the worst case) and disabled
+//! observability enabled (the default; every statement is
+//! flight-recorded) and disabled
 //! (`obs::set_enabled(false)`), min-of-N each, interleaved A/B so slow
 //! drift hits both arms equally.  The report records the ratio; the
 //! committed baseline plus `scripts/bench_check.sh` gate regressions.
@@ -56,8 +56,6 @@ fn main() {
     // Serial scan: the per-row hot path is where instrumentation
     // overhead would show, not in worker scheduling noise.
     db.execute("SET parallel_workers = 1").unwrap();
-    // Record every statement — the flight recorder's worst case.
-    db.execute("SET slow_query_ms = 0").unwrap();
     load_names_table(&mut db, &mural, "names", n_names, 1).unwrap();
 
     // Warm both paths (plan cache, buffer pool, phoneme cache).

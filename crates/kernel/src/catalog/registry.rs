@@ -133,15 +133,14 @@ impl TypeRegistry {
     }
 }
 
-/// How an operator composes (the paper's Table 1): drives optimizer
-/// rewrites such as operand swapping and pushdown through unions.
+/// How an operator composes (the paper's Table 1).  The optimizer reads
+/// `commutative` to swap a constant left operand; Table 1's other law,
+/// distribution over ∪, holds for ψ and Ω alike and is property-tested on
+/// the reference algebra (`mural::algebra`), not declared here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OperatorKind {
     /// `a OP b ≡ b OP a` (ψ commutes; Ω does not).
     pub commutative: bool,
-    /// OP distributes over set union (both ψ and Ω do), legitimizing
-    /// predicate pushdown below unions and joins.
-    pub distributes_over_union: bool,
 }
 
 /// Everything the optimizer needs to know about one predicate's selectivity.
@@ -373,10 +372,7 @@ mod tests {
             eval: Arc::new(|_, _, _| Ok(Datum::Bool(true))),
             eval_batch: None,
             prepare_batch: None,
-            kind: OperatorKind {
-                commutative: true,
-                distributes_over_union: true,
-            },
+            kind: OperatorKind { commutative: true },
             per_tuple_cost: Arc::new(|_, _| 1.0),
             selectivity: Arc::new(|_| 0.1),
             index_strategy: None,

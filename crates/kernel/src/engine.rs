@@ -83,7 +83,7 @@ pub struct RunStats {
     /// Extension-operator (ψ/Ω) evaluations during the statement.
     pub ext_op_calls: u64,
     /// Batches emitted by the plan root (0 for statements that pull no
-    /// batches, e.g. DML; equals the row count at `batch_size = 1`).
+    /// batches, e.g. DML).
     pub batches: u64,
     /// Wall-clock execution time (excludes parse/plan).
     pub exec_time: Duration,
@@ -118,23 +118,6 @@ pub struct QueryResult {
     /// Runtime statistics.
     pub stats: RunStats,
 }
-
-/// Session variable gating the flight recorder (`SET slow_query_ms`):
-/// `0` records every statement, `n > 0` only statements ≥ `n` ms,
-/// negative disables recording.
-pub const SLOW_QUERY_MS_VAR: &str = "slow_query_ms";
-
-/// Session variable (`SET qerror_warn`) bounding the tolerated q-error
-/// of row estimates: EXPLAIN ANALYZE marks nodes above it with
-/// `[MISESTIMATE]`, and scans of a table exceeding it over
-/// [`obs::planstore::ADVISOR_WINDOW`] consecutive executions raise a
-/// stale-statistics advisory (`SHOW ADVISORIES`).
-pub const QERROR_WARN_VAR: &str = "qerror_warn";
-
-/// Default `qerror_warn`: two orders of magnitude off before the engine
-/// complains (q-error is ≥ 1 by construction; ordinary estimates land
-/// well under 10).
-pub const QERROR_WARN_DEFAULT: i64 = 100;
 
 /// How `run_select` should report.
 enum ExplainMode {
@@ -686,8 +669,7 @@ impl Session {
     /// installed on this thread (and propagated into scan workers and
     /// the WAL rendezvous) so waits land on this statement, the
     /// statement count and latency (every call, failed ones included)
-    /// and — when the statement meets `SET slow_query_ms` — a
-    /// flight-recorder entry.
+    /// and a flight-recorder entry.
     ///
     /// [`QueryContext`]: obs::QueryContext
     pub fn execute(&mut self, sql_text: &str) -> Result<QueryResult> {
@@ -727,8 +709,7 @@ impl Session {
         Ok(result)
     }
 
-    /// Deposit a flight-recorder entry if the statement meets the
-    /// session's `slow_query_ms` threshold (0 = everything, <0 = never).
+    /// Deposit the statement's flight-recorder entry.
     fn record_flight(
         &self,
         query_id: u64,
@@ -738,10 +719,6 @@ impl Session {
         qctx: &Arc<obs::QueryContext>,
         io_before: &IoStats,
     ) {
-        let threshold = self.vars.get_int(SLOW_QUERY_MS_VAR, 0);
-        if threshold < 0 || (threshold > 0 && (elapsed.as_millis() as i64) < threshold) {
-            return;
-        }
         let io = self.engine.pool.stats().since(io_before);
         let rows = result.rows.len() as u64 + result.affected;
         obs::flight::record(obs::FlightRecord {
@@ -766,13 +743,6 @@ impl Session {
         });
     }
 
-    /// The session's `qerror_warn` threshold (≥ 1).
-    fn qerror_warn(&self) -> f64 {
-        self.vars
-            .get_int(QERROR_WARN_VAR, QERROR_WARN_DEFAULT)
-            .max(1) as f64
-    }
-
     /// Deposit one executed SELECT into the plan store: root
     /// estimate-vs-actual on every path, per-node and per-scan q-errors
     /// when the instrumented executor ran (`EXPLAIN ANALYZE`), and a
@@ -787,7 +757,6 @@ impl Session {
         actuals: Option<&[NodeActuals]>,
     ) {
         let Some(digest) = digest else { return };
-        let warn = self.qerror_warn();
         let (node_qerror_max, scans) = match actuals {
             Some(actuals) => {
                 let mut scans = Vec::new();
@@ -825,7 +794,6 @@ impl Session {
             est_cost: phys.est_cost,
             actual_rows,
             elapsed,
-            qerror_warn: warn,
             node_qerror_max,
             scans,
         });
@@ -1642,7 +1610,7 @@ impl Session {
             stats.exec_time,
             exec_children,
         ));
-        let mut text = phys.explain_with_actuals(&actuals, self.qerror_warn());
+        let mut text = phys.explain_with_actuals(&actuals);
         text.push_str(&format!(
             "Actual: rows={} batches={} time={:.3}ms logical_reads={} physical_reads={} index_node_visits={} ext_op_calls={}\n",
             rows.len(),

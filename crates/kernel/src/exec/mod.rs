@@ -1,10 +1,9 @@
 //! Batch-pull executors.
 //!
 //! Every operator is a pull-based iterator with one method,
-//! [`Executor::next_batch`]: operators exchange [`Batch`]es of up to
-//! `batch_size` rows (default 1024, `SET batch_size`, max
-//! [`MAX_BATCH_ROWS`]), and row-at-a-time execution is simply the
-//! degenerate `batch_size = 1`.  Scans and filters evaluate predicates
+//! [`Executor::next_batch`]: operators exchange [`Batch`]es of up to the
+//! `max` rows their consumer asks for — [`BATCH_ROWS`] from the plan
+//! root and the bulk drains.  Scans and filters evaluate predicates
 //! through [`Expr::eval_batch`], which dispatches ψ/Ω once per batch
 //! instead of once per row.
 
@@ -14,7 +13,7 @@ use crate::expr::{and_batch, EvalCtx, Expr};
 use crate::plan::{AggFunc, NodeActuals, PhysNode, PhysOp};
 use crate::schema::{Row, Schema};
 use crate::storage::{
-    decode_row, read_field, read_tuple, split_version, BufferPool, HeapFile, TupleId,
+    decode_row, page_tuple_ranges, read_field, read_tuple, split_version, BufferPool, TupleId,
     VERSION_HEADER_LEN,
 };
 use crate::txn::TxnVisibility;
@@ -22,7 +21,7 @@ use crate::value::{Datum, DatumRef};
 use std::collections::{HashMap, VecDeque};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// A relaxed atomic counter: the statistics cells are written from
@@ -59,8 +58,7 @@ pub struct ExecStats {
     /// model's per-tuple charge no matter which operator evaluates the
     /// predicate.
     pub ext_op_calls: StatCell,
-    /// Batches produced by the plan root (equals the row count at
-    /// `batch_size = 1`).
+    /// Batches produced by the plan root.
     pub batches_out: StatCell,
 }
 
@@ -177,35 +175,17 @@ impl ParallelScanActuals {
 
 // ------------------------------------------------------------------ Batch
 
-/// Session variable naming the per-batch row capacity (`SET batch_size`,
-/// clamped to `[1, MAX_BATCH_ROWS]`; `batch_size = 1` degenerates to
-/// row-at-a-time pulls through the batch ABI).
-pub const BATCH_SIZE_VAR: &str = "batch_size";
+/// Rows per batch: what the plan root and the bulk drains ask for, and
+/// what the planner prices a pull round at.  Batches stay cache-friendly
+/// slabs, never unbounded materializations; an operator still honours any
+/// smaller `max` its consumer passes ([`Executor::next_batch`]).
+pub const BATCH_ROWS: usize = 1024;
 
-/// Hard upper bound on rows per batch: batches stay cache-friendly slabs
-/// of a few thousand rows, never unbounded materializations.
-pub const MAX_BATCH_ROWS: usize = 4096;
-
-/// The process default batch size: `$MLQL_BATCH_SIZE` if set (clamped to
-/// `[1, MAX_BATCH_ROWS]`), else 1024.
-pub fn default_batch_size() -> usize {
-    static DEFAULT: OnceLock<usize> = OnceLock::new();
-    *DEFAULT.get_or_init(|| {
-        std::env::var("MLQL_BATCH_SIZE")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .map(|n| n.clamp(1, MAX_BATCH_ROWS))
-            .unwrap_or(1024)
-    })
-}
-
-/// The batch size a session's queries run with: `batch_size` if set, else
-/// [`default_batch_size`], clamped to `[1, MAX_BATCH_ROWS]`.
-pub fn effective_batch_size(session: &SessionVars) -> usize {
-    (session
-        .get_int(BATCH_SIZE_VAR, default_batch_size() as i64)
-        .max(1) as usize)
-        .min(MAX_BATCH_ROWS)
+/// [`BATCH_ROWS`], for callers written when the batch size was a session
+/// setting.
+#[doc(hidden)]
+pub fn effective_batch_size(_session: &SessionVars) -> usize {
+    BATCH_ROWS
 }
 
 /// A slab of rows flowing between operators.
@@ -265,8 +245,7 @@ fn drain_input(
     ctx: &ExecCtx<'_>,
     mut sink: impl FnMut(Row) -> Result<()>,
 ) -> Result<()> {
-    let max = effective_batch_size(ctx.session);
-    while let Some(batch) = input.next_batch(ctx, max)? {
+    while let Some(batch) = input.next_batch(ctx, BATCH_ROWS)? {
         for row in batch.rows {
             sink(row)?;
         }
@@ -639,7 +618,7 @@ pub fn drain_to_vec(exec: &mut dyn Executor, ctx: &ExecCtx<'_>) -> Result<Vec<Ro
     // Resolve the activity slot once; the per-batch cost is then a single
     // relaxed fetch_add on the owning session's slot.
     let slot = crate::obs::current().and_then(|c| c.slot.clone());
-    let max = effective_batch_size(ctx.session);
+    let max = BATCH_ROWS;
     let mut out = Vec::new();
     let mut batches = 0u64;
     while let Some(batch) = exec.next_batch(ctx, max)? {
@@ -729,7 +708,7 @@ impl HeapPage {
             img.clear();
             img.extend_from_slice(buf);
         })?;
-        for (slot, at) in HeapFile::page_tuple_ranges(img) {
+        for (slot, at) in page_tuple_ranges(img) {
             let (xmin, xmax, _) = split_version(&img[at.clone()])?;
             if ctx.vis.sees(xmin, xmax) {
                 let row = at.start + VERSION_HEADER_LEN..at.end;
@@ -1772,63 +1751,5 @@ impl Executor for ValuesExec {
         }
         self.pos = end;
         Ok((!out.is_empty()).then(|| Batch::new(out)))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::storage::MemBackend;
-    use crate::txn::TransactionManager;
-    use crate::{Column, DataType};
-
-    fn node(op: PhysOp, schema: Schema) -> PhysNode {
-        PhysNode {
-            op,
-            est_rows: 0.0,
-            est_cost: 0.0,
-            schema,
-        }
-    }
-
-    /// `n` one-column rows `0..n` — a leaf that touches no storage.
-    fn values(n: i64) -> PhysNode {
-        let rows = (0..n).map(|i| vec![Expr::Literal(Datum::Int(i))]).collect();
-        let schema = Schema::new(vec![Column::new("v", DataType::Int)]);
-        node(PhysOp::Values { rows }, schema)
-    }
-
-    /// Run `f` under a context with an empty catalog and `batch_size`.
-    fn with_ctx<T>(batch_size: i64, f: impl FnOnce(&ExecCtx<'_>) -> T) -> T {
-        let catalog = Catalog::new();
-        let pool = BufferPool::new(Box::new(MemBackend::new()), 4);
-        let mut session = SessionVars::new();
-        session.set(BATCH_SIZE_VAR, Datum::Int(batch_size));
-        let stats = ExecStats::default();
-        f(&ExecCtx {
-            catalog: &catalog,
-            pool: &pool,
-            session: &session,
-            stats: &stats,
-            vis: TxnVisibility {
-                txn: 0,
-                snap: TransactionManager::new().snapshot(),
-            },
-        })
-    }
-
-    #[test]
-    fn limit_over_values_is_a_prefix_at_every_batch_size() {
-        let all = with_ctx(1024, |ctx| run_to_vec(&values(7), ctx)).unwrap();
-        assert_eq!(all.len(), 7);
-        for batch_size in [1, 3, 1024] {
-            for n in [1usize, 3, 50] {
-                let input = Box::new(values(7));
-                let schema = input.schema.clone();
-                let plan = node(PhysOp::Limit { input, n: n as u64 }, schema);
-                let got = with_ctx(batch_size, |ctx| run_to_vec(&plan, ctx)).unwrap();
-                assert_eq!(got, all[..n.min(7)], "batch_size={batch_size} LIMIT {n}");
-            }
-        }
     }
 }

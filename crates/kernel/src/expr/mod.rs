@@ -959,10 +959,7 @@ mod tests {
             }),
             eval_batch: None,
             prepare_batch: None,
-            kind: OperatorKind {
-                commutative: true,
-                distributes_over_union: true,
-            },
+            kind: OperatorKind { commutative: true },
             per_tuple_cost: Arc::new(|_, _| 1.0),
             selectivity: Arc::new(|_| 0.1),
             index_strategy: None,
@@ -996,10 +993,7 @@ mod tests {
             eval: Arc::new(|_, _, _| Ok(Datum::Bool(true))),
             eval_batch: None,
             prepare_batch: None,
-            kind: OperatorKind {
-                commutative: true,
-                distributes_over_union: true,
-            },
+            kind: OperatorKind { commutative: true },
             per_tuple_cost: Arc::new(|_, _| 1.0),
             selectivity: Arc::new(|_| 1.0),
             index_strategy: None,
@@ -1111,10 +1105,7 @@ mod tests {
                     .collect())
             })),
             prepare_batch: None,
-            kind: OperatorKind {
-                commutative: true,
-                distributes_over_union: true,
-            },
+            kind: OperatorKind { commutative: true },
             per_tuple_cost: Arc::new(|_, _| 1.0),
             selectivity: Arc::new(|_| 0.1),
             index_strategy: None,
@@ -1181,10 +1172,7 @@ mod tests {
                         .collect())
                 })),
                 prepare_batch: None,
-                kind: OperatorKind {
-                    commutative,
-                    distributes_over_union: true,
-                },
+                kind: OperatorKind { commutative },
                 per_tuple_cost: Arc::new(|_, _| 1.0),
                 selectivity: Arc::new(|_| 0.1),
                 index_strategy: None,

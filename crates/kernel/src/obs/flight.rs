@@ -1,18 +1,12 @@
 //! Flight recorder: a bounded ring of completed-query records.
 //!
-//! Every statement that finishes (successfully) and meets the
-//! session's `slow_query_ms` threshold deposits a [`FlightRecord`]
-//! carrying everything needed to reconstruct what the query did after
+//! Every statement that finishes (successfully) while observability is
+//! enabled deposits a [`FlightRecord`] carrying everything needed to reconstruct what the query did after
 //! the fact: SQL snippet, plan digest, span tree, wait profile and
 //! buffer-pool I/O delta.  The ring is process-wide and bounded
 //! ([`CAPACITY`] records, oldest evicted first), exported as JSON by
 //! `SHOW FLIGHT_RECORDER` (one record a row), and dumped to disk by the
 //! fault-injection harness (and CI on test failure) via [`dump_to_dir`].
-//!
-//! Threshold semantics (`SET slow_query_ms = n`):
-//! * `0` (default) — record every statement,
-//! * `n > 0` — record statements that took ≥ `n` ms,
-//! * `n < 0` — record nothing.
 
 use super::trace::{json_escape_into, QueryTrace};
 use super::waits::WaitProfile;

@@ -16,7 +16,7 @@
 //!    (parse/bind/plan/execute, with per-operator and per-worker
 //!    children under EXPLAIN ANALYZE) attached to `RunStats`.
 //! 5. **Flight recorder** ([`flight`]): bounded ring of completed-query
-//!    records gated by `SET slow_query_ms`, exported as JSON
+//!    records, one per statement, exported as JSON
 //!    (`SHOW FLIGHT_RECORDER`).
 //! 6. **Per-operator actuals**: `exec::build_instrumented` wraps each
 //!    plan node so EXPLAIN ANALYZE prints actual rows / batches / time /

@@ -15,8 +15,8 @@
 //! * `SHOW PLAN STATS` — per-digest aggregates.
 //!   The `calibration` bench fits its est_cost→elapsed line over
 //!   [`snapshot`].
-//! * The stale-statistics advisor: when a table's scans exceed the
-//!   session's `qerror_warn` threshold over [`ADVISOR_WINDOW`]
+//! * The stale-statistics advisor: when a table's scans exceed
+//!   [`QERROR_WARN`] over [`ADVISOR_WINDOW`]
 //!   consecutive executions, an advisory naming the table (and
 //!   recommending `ANALYZE`) is raised — surfaced by `SHOW ADVISORIES`
 //!   and counted by `mlql_stats_advisories_total`.  `ANALYZE t` (or bare
@@ -42,6 +42,14 @@ pub const CAPACITY: usize = 512;
 /// Consecutive over-threshold scans of one table before an advisory is
 /// raised (the "N recent executions" window).
 pub const ADVISOR_WINDOW: usize = 3;
+
+/// The tolerated q-error of a row estimate: two orders of magnitude off
+/// before the engine complains (q-error is ≥ 1 by construction; ordinary
+/// estimates land well under 10).  EXPLAIN ANALYZE marks nodes above it
+/// with `[MISESTIMATE]`, and scans of a table above it over
+/// [`ADVISOR_WINDOW`] consecutive executions raise a stale-statistics
+/// advisory (`SHOW ADVISORIES`).
+pub const QERROR_WARN: f64 = 100.0;
 
 /// The q-error of an estimate against a measured actual:
 /// `max(est, act) / max(min(est, act), 1)`, clamped to ≥ 1 so a perfect
@@ -83,8 +91,6 @@ pub struct Observation {
     pub actual_rows: u64,
     /// Wall-clock execution time.
     pub elapsed: Duration,
-    /// Session `qerror_warn` threshold in force (advisor trigger).
-    pub qerror_warn: f64,
     /// Worst per-node q-error, when the instrumented executor ran
     /// (`EXPLAIN ANALYZE`); `None` on the plain path.
     pub node_qerror_max: Option<f64>,
@@ -233,8 +239,7 @@ pub fn record(obs: Observation) {
         if t.recent.len() == ADVISOR_WINDOW {
             t.recent.pop_front();
         }
-        t.recent
-            .push_back((scan.qerror, scan.qerror > obs.qerror_warn));
+        t.recent.push_back((scan.qerror, scan.qerror > QERROR_WARN));
         let raised = t.recent.len() == ADVISOR_WINDOW && t.recent.iter().all(|(_, ex)| *ex);
         if raised && !t.active {
             m.stats_advisories_total.inc();
@@ -321,7 +326,6 @@ mod tests {
             est_cost: 100.0,
             actual_rows: act,
             elapsed: Duration::from_millis(ms),
-            qerror_warn: 100.0,
             node_qerror_max: None,
             scans: Vec::new(),
         }
@@ -375,7 +379,6 @@ mod tests {
         let eng = ENG + 2;
         clear_engine(eng);
         let scan = |q: f64| Observation {
-            qerror_warn: 4.0,
             scans: vec![ScanObservation {
                 table: "names".into(),
                 qerror: q,
@@ -385,17 +388,17 @@ mod tests {
         let before = super::super::registry::metrics()
             .stats_advisories_total
             .get();
-        record(scan(50.0));
-        record(scan(60.0));
+        record(scan(500.0));
+        record(scan(600.0));
         assert!(
             advisories(Some(eng)).is_empty(),
             "needs {ADVISOR_WINDOW} consecutive misses"
         );
-        record(scan(70.0));
+        record(scan(700.0));
         let adv = advisories(Some(eng));
         assert_eq!(adv.len(), 1);
         assert_eq!(adv[0].table, "names");
-        assert_eq!(adv[0].qerror, 70.0);
+        assert_eq!(adv[0].qerror, 700.0);
         assert_eq!(adv[0].recommendation, "ANALYZE names");
         assert!(
             super::super::registry::metrics()
@@ -408,9 +411,9 @@ mod tests {
         record(scan(1.0));
         assert!(advisories(Some(eng)).is_empty());
         // ...and an ANALYZE clears the tracker outright.
-        record(scan(50.0));
-        record(scan(60.0));
-        record(scan(70.0));
+        record(scan(500.0));
+        record(scan(600.0));
+        record(scan(700.0));
         assert_eq!(advisories(Some(eng)).len(), 1);
         note_analyze(eng, Some("names"));
         assert!(advisories(Some(eng)).is_empty());

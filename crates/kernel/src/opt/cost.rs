@@ -1,7 +1,7 @@
 //! Cost parameters and formulas.
 
 use crate::catalog::{Catalog, SessionVars};
-use crate::exec::MORSEL_PAGES;
+use crate::exec::{BATCH_ROWS, MORSEL_PAGES};
 use crate::expr::Expr;
 
 /// Cost parameters, in units where reading one sequential page costs 1.0.
@@ -23,8 +23,8 @@ pub struct CostParams {
     /// an extension operator's registered `per_tuple_cost`.  Grid:
     /// operator units of serial ψ, Ω and range scans.
     pub cpu_operator_cost: f64,
-    /// Per row a scan decodes and hands on inside the scan, at the default
-    /// batch size.  Grid: rows of serial scans.
+    /// Per row a scan decodes and hands on inside the scan, at
+    /// [`BATCH_ROWS`]-row batches.  Grid: rows of serial scans.
     pub cpu_decode_cost: f64,
     /// Per heap page a scan decodes, on top of reading it: the share of
     /// decoding that grows with row width (a page holds a page's worth of
@@ -128,9 +128,9 @@ impl CostParams {
     /// cost serially, the decode and filter work divides across
     /// `workers`, every round spawns and joins `workers` threads, and
     /// every output row is gathered.  A round runs when a pull finds the
-    /// buffer empty, claims morsels until its workers hold `pull_rows`
+    /// buffer empty, claims morsels until its workers hold [`BATCH_ROWS`]
     /// rows, and keeps every row they found; each worker claims at least
-    /// one morsel.  So there is a round per `pull_rows` output rows, but
+    /// one morsel.  So there is a round per [`BATCH_ROWS`] output rows, but
     /// never more than one per `workers × MORSEL_PAGES` pages.  A
     /// selective ψ filter makes the divided term dominate; an unfiltered
     /// scan pays a round per batch and gains little.
@@ -141,14 +141,13 @@ impl CostParams {
         out_rows: f64,
         per_row_pred: f64,
         workers: usize,
-        pull_rows: usize,
     ) -> f64 {
         let work = self.scan_work(pages, rows, per_row_pred);
         if workers <= 1 {
             return pages * self.seq_page_cost + work;
         }
         let workers = workers as f64;
-        let rounds = (out_rows / pull_rows.max(1) as f64)
+        let rounds = (out_rows / BATCH_ROWS as f64)
             .ceil()
             .min((pages / (workers * MORSEL_PAGES as f64)).ceil())
             .max(1.0);
@@ -236,12 +235,12 @@ mod tests {
     #[test]
     fn seq_scan_scales_with_pages_and_rows() {
         let p = CostParams::default();
-        let serial = |pages, rows| p.seq_scan(pages, rows, rows, 0.0, 1, 1024);
+        let serial = |pages, rows| p.seq_scan(pages, rows, rows, 0.0, 1);
         assert!(serial(100.0, 1000.0) > serial(10.0, 100.0));
         assert_eq!(serial(1.0, 0.0), p.seq_page_cost + p.cpu_page_decode_cost);
-        // One worker pays no spawn or gather term, whatever its batch.
+        // One worker pays no spawn or gather term.
         assert_eq!(
-            p.seq_scan(80.0, 60_000.0, 10.0, 0.25, 1, 1),
+            p.seq_scan(80.0, 60_000.0, 10.0, 0.25, 1),
             80.0 * p.seq_page_cost + p.scan_work(80.0, 60_000.0, 0.25)
         );
     }
@@ -250,7 +249,7 @@ mod tests {
     fn index_scan_cheaper_than_seq_for_selective_probe() {
         let p = CostParams::default();
         // 1000-page table, 100k rows; index probe touching 3 pages, 10 rows.
-        let seq = p.seq_scan(1000.0, 100_000.0, 100_000.0, p.cpu_operator_cost, 1, 1024);
+        let seq = p.seq_scan(1000.0, 100_000.0, 100_000.0, p.cpu_operator_cost, 1);
         let idx = p.index_scan(0.1, 10.0, p.cpu_operator_cost);
         assert!(idx < seq / 10.0);
     }
@@ -258,15 +257,18 @@ mod tests {
     #[test]
     fn parallel_rounds_are_capped_by_morsels() {
         let p = CostParams::default();
+        let close = |a: f64, b: f64| (a - b).abs() < 1e-6;
         // 80 pages at 2 workers hold 10 rounds of one morsel per worker:
-        // a one-row batch cannot run more rounds than that.
-        let by_row = p.seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 1);
-        let by_morsel = p.seq_scan(80.0, 60_000.0, 60_000.0, 0.0, 2, 6_000);
-        assert_eq!(by_row, by_morsel);
+        // 60,000 output rows (59 batches) run no more rounds than 10
+        // batches of rows do.
+        let rounds =
+            |out: f64| p.seq_scan(80.0, 60_000.0, out, 0.0, 2) - out * p.parallel_gather_cost;
+        assert!(close(rounds(60_000.0), rounds(10.0 * BATCH_ROWS as f64)));
+        assert!(rounds(60_000.0) > rounds(9.0 * BATCH_ROWS as f64));
         // Fewer output rows than a batch: one round.
-        let one = p.seq_scan(80.0, 60_000.0, 10.0, 0.0, 2, 1024);
-        let base = p.seq_scan(80.0, 60_000.0, 0.0, 0.0, 2, 1024);
-        assert!((one - base - 10.0 * p.parallel_gather_cost).abs() < 1e-9);
+        let one = p.seq_scan(80.0, 60_000.0, 10.0, 0.0, 2);
+        let base = p.seq_scan(80.0, 60_000.0, 0.0, 0.0, 2);
+        assert!(close(one - base, 10.0 * p.parallel_gather_cost));
     }
 
     #[test]
@@ -303,10 +305,7 @@ mod tests {
             eval: Arc::new(|_, _, _| Ok(Datum::Bool(true))),
             eval_batch: None,
             prepare_batch: None,
-            kind: OperatorKind {
-                commutative: true,
-                distributes_over_union: true,
-            },
+            kind: OperatorKind { commutative: true },
             per_tuple_cost: Arc::new(|_, w| 50.0 * w),
             selectivity: Arc::new(|_| 0.1),
             index_strategy: None,

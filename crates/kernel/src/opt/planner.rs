@@ -1,7 +1,7 @@
 //! Plan enumeration: access-path selection and left-deep join ordering.
 //!
 //! PostgreSQL-style `enable_*` session flags (`enable_seqscan`,
-//! `enable_indexscan`, `enable_hashjoin`, `enable_nestloop`) let
+//! `enable_indexscan`, `enable_hashjoin`) let
 //! experiments force plans the way the paper did in
 //! §5.2.1; a disabled path is penalized with a huge constant rather than
 //! removed, so a plan always exists.
@@ -610,33 +610,28 @@ impl Planner<'_> {
         }
 
         // Nested loops: the inner side is materialized once.
-        {
-            let mut cost = params.nl_join(
-                left.est_cost,
-                right.est_cost,
-                left.est_rows,
-                right.est_rows,
-                out_rows,
-                per_pair,
-            );
-            if !flag(self.session, "enable_nestloop") {
-                cost += DISABLED_COST;
-            }
-            consider(PhysNode {
-                op: PhysOp::NlJoin {
-                    outer: Box::new(left),
-                    inner: Box::new(right),
-                    predicate: if remapped.is_empty() {
-                        None
-                    } else {
-                        Some(and_all(remapped))
-                    },
+        let cost = params.nl_join(
+            left.est_cost,
+            right.est_cost,
+            left.est_rows,
+            right.est_rows,
+            out_rows,
+            per_pair,
+        );
+        consider(PhysNode {
+            op: PhysOp::NlJoin {
+                outer: Box::new(left),
+                inner: Box::new(right),
+                predicate: if remapped.is_empty() {
+                    None
+                } else {
+                    Some(and_all(remapped))
                 },
-                est_rows: out_rows,
-                est_cost: cost,
-                schema,
-            });
-        }
+            },
+            est_rows: out_rows,
+            est_cost: cost,
+            schema,
+        });
 
         Ok(best.expect("at least one join strategy"))
     }
@@ -711,14 +706,7 @@ impl Planner<'_> {
         let parallel =
             Some(crate::exec::effective_workers(self.session)).filter(|&w| w >= 2 && !self.serial);
         for workers in std::iter::once(1).chain(parallel) {
-            let mut cost = params.seq_scan(
-                rel.pages,
-                rel.rows,
-                out_rows,
-                per_row,
-                workers,
-                crate::exec::effective_batch_size(self.session),
-            );
+            let mut cost = params.seq_scan(rel.pages, rel.rows, out_rows, per_row, workers);
             if !flag(self.session, "enable_seqscan") {
                 cost += DISABLED_COST;
             }

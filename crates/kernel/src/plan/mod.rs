@@ -215,13 +215,13 @@ impl PhysNode {
     /// Render an `EXPLAIN ANALYZE` tree: each node line is followed by
     /// its measured actuals — including the per-node q-error of the row
     /// estimate, with a `[MISESTIMATE]` marker when it exceeds
-    /// `qerror_warn` (the `SET qerror_warn` session threshold).
+    /// [`QERROR_WARN`](crate::obs::planstore::QERROR_WARN).
     /// `actuals` must be in the same pre-order as `explain` lines (as
     /// produced by `exec::build_instrumented`).
-    pub fn explain_with_actuals(&self, actuals: &[NodeActuals], qerror_warn: f64) -> String {
+    pub fn explain_with_actuals(&self, actuals: &[NodeActuals]) -> String {
         let mut out = String::new();
         let mut idx = 0;
-        self.explain_actuals_into(&mut out, 0, actuals, &mut idx, qerror_warn);
+        self.explain_actuals_into(&mut out, 0, actuals, &mut idx);
         out
     }
 
@@ -231,13 +231,12 @@ impl PhysNode {
         depth: usize,
         actuals: &[NodeActuals],
         idx: &mut usize,
-        qerror_warn: f64,
     ) {
         let pad = "  ".repeat(depth);
         let a = actuals.get(*idx).copied().unwrap_or_default();
         *idx += 1;
         let q = crate::obs::planstore::q_error(self.est_rows, a.rows as f64);
-        let marker = if q > qerror_warn {
+        let marker = if q > crate::obs::planstore::QERROR_WARN {
             " [MISESTIMATE]"
         } else {
             ""
@@ -260,15 +259,15 @@ impl PhysNode {
             | PhysOp::Aggregate { input, .. }
             | PhysOp::Sort { input, .. }
             | PhysOp::Limit { input, .. } => {
-                input.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn)
+                input.explain_actuals_into(out, depth + 1, actuals, idx)
             }
             PhysOp::NlJoin { outer, inner, .. } => {
-                outer.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn);
-                inner.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn);
+                outer.explain_actuals_into(out, depth + 1, actuals, idx);
+                inner.explain_actuals_into(out, depth + 1, actuals, idx);
             }
             PhysOp::HashJoin { left, right, .. } => {
-                left.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn);
-                right.explain_actuals_into(out, depth + 1, actuals, idx, qerror_warn);
+                left.explain_actuals_into(out, depth + 1, actuals, idx);
+                right.explain_actuals_into(out, depth + 1, actuals, idx);
             }
             PhysOp::SeqScan { .. } | PhysOp::IndexScan { .. } | PhysOp::Values { .. } => {}
         }

@@ -1,8 +1,8 @@
 //! Heap files: unordered tuple storage over the buffer pool.
 
 use crate::error::Result;
+use crate::storage::page::{page_tuple_ranges, read_tuple, tuple_range};
 use crate::storage::{BufferPool, FileId, Page, PageNo};
-use std::ops::Range;
 
 /// Physical address of a tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,9 +81,7 @@ impl HeapFile {
     /// Fetch a tuple by id; `None` when deleted.
     pub fn get(&self, pool: &BufferPool, tid: TupleId) -> Result<Option<Vec<u8>>> {
         pool.with_page(self.file, tid.page, |buf| {
-            let mut copy = buf.to_vec();
-            let page = Page::new(&mut copy);
-            page.get(tid.slot).map(|t| t.to_vec())
+            read_tuple(buf, tid.slot).map(<[u8]>::to_vec)
         })
     }
 
@@ -102,29 +100,17 @@ impl HeapFile {
         pool: &BufferPool,
         mut visit: impl FnMut(TupleId, &[u8]) -> bool,
     ) -> Result<()> {
-        let n = pool.page_count(self.file)?;
-        for page_no in 0..n {
-            let keep_going = pool.with_page(self.file, page_no, |buf| {
-                let mut copy = buf.to_vec();
-                let page = Page::new(&mut copy);
-                for (slot, tuple) in page.iter() {
-                    if !visit(
-                        TupleId {
-                            page: page_no,
-                            slot,
-                        },
-                        tuple,
-                    ) {
-                        return false;
-                    }
-                }
-                true
-            })?;
-            if !keep_going {
-                break;
-            }
-        }
-        Ok(())
+        self.scan_pages(pool, |page_no, buf| {
+            page_tuple_ranges(buf).all(|(slot, r)| {
+                visit(
+                    TupleId {
+                        page: page_no,
+                        slot,
+                    },
+                    &buf[r],
+                )
+            })
+        })
     }
 
     /// Overwrite `bytes` at offset `at` *inside* an existing tuple,
@@ -134,18 +120,14 @@ impl HeapFile {
     /// is dead or the write would run past the tuple's end.
     pub fn patch(&self, pool: &BufferPool, tid: TupleId, at: usize, bytes: &[u8]) -> Result<bool> {
         pool.with_page_mut(self.file, tid.page, |buf| {
-            let slot_count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-            if tid.slot as usize >= slot_count {
-                return false;
+            match tuple_range(buf, tid.slot) {
+                Some(r) if at + bytes.len() <= r.len() => {
+                    let start = r.start + at;
+                    buf[start..start + bytes.len()].copy_from_slice(bytes);
+                    true
+                }
+                _ => false,
             }
-            let off = 8 + tid.slot as usize * 4;
-            let data_off = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
-            let len = u16::from_le_bytes([buf[off + 2], buf[off + 3]]) as usize;
-            if len == 0 || at + bytes.len() > len {
-                return false;
-            }
-            buf[data_off + at..data_off + at + bytes.len()].copy_from_slice(bytes);
-            true
         })
     }
 
@@ -158,35 +140,9 @@ impl HeapFile {
         })?;
         Ok(n)
     }
-}
 
-/// `Page::get` needs `&mut [u8]` only because `Page` unifies read/write
-/// views; expose a read-only helper to avoid copying whole pages on the
-/// hot scan path.
-pub(crate) fn read_tuple(buf: &[u8], slot: u16) -> Option<&[u8]> {
-    tuple_range(buf, slot).map(|r| &buf[r])
-}
-
-/// Where the tuple at `slot` lies in the page buffer `buf`; `None` for a
-/// slot that is out of range or empty.
-fn tuple_range(buf: &[u8], slot: u16) -> Option<Range<usize>> {
-    // Reimplements the slot lookup against an immutable buffer.
-    let slot_count = u16::from_le_bytes([buf[0], buf[1]]) as usize;
-    if slot as usize >= slot_count {
-        return None;
-    }
-    let off = 8 + slot as usize * 4;
-    let data_off = u16::from_le_bytes([buf[off], buf[off + 1]]) as usize;
-    let len = u16::from_le_bytes([buf[off + 2], buf[off + 3]]) as usize;
-    if len == 0 {
-        return None;
-    }
-    Some(data_off..data_off + len)
-}
-
-impl HeapFile {
-    /// Copy-free scan: like [`HeapFile::scan`] but without duplicating each
-    /// page.  Used by the executor's sequential scan.
+    /// Visit every page image in file order, borrowed from the buffer
+    /// pool; returning `false` stops the scan early.
     pub fn scan_pages(
         &self,
         pool: &BufferPool,
@@ -204,14 +160,7 @@ impl HeapFile {
 
     /// Enumerate live `(slot, tuple)` pairs of one page buffer.
     pub fn page_tuples(buf: &[u8]) -> impl Iterator<Item = (u16, &[u8])> {
-        Self::page_tuple_ranges(buf).map(move |(s, r)| (s, &buf[r]))
-    }
-
-    /// [`HeapFile::page_tuples`] as `(slot, range of buf)` pairs, for a
-    /// reader that keeps the page image and borrows from it later.
-    pub(crate) fn page_tuple_ranges(buf: &[u8]) -> impl Iterator<Item = (u16, Range<usize>)> + '_ {
-        let slot_count = u16::from_le_bytes([buf[0], buf[1]]);
-        (0..slot_count).filter_map(move |s| tuple_range(buf, s).map(|r| (s, r)))
+        page_tuple_ranges(buf).map(move |(s, r)| (s, &buf[r]))
     }
 }
 

@@ -16,8 +16,8 @@ mod wal;
 
 pub use backend::{FaultInjector, FaultyBackend, FileBackend, MemBackend, StorageBackend};
 pub use bufferpool::{BufferPool, IoStats};
-pub(crate) use heapfile::read_tuple;
 pub use heapfile::{HeapFile, TupleId};
+pub(crate) use page::{page_tuple_ranges, read_tuple};
 pub use page::{Page, PAGE_SIZE};
 pub use tuple::{
     decode_row, encode_row, encode_version, read_field, split_version, FROZEN_TXN_ID,

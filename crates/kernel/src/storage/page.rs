@@ -10,8 +10,13 @@
 //! ...     free space
 //! ...     tuple data (packed at the end of the page)
 //! ```
+//!
+//! [`Page`] writes a page; the read side — [`read_tuple`],
+//! [`page_tuple_ranges`] — works over a borrowed `&[u8]`, so a reader
+//! never copies a page to look into it.
 
 use crate::error::{Error, Result};
+use std::ops::Range;
 
 /// Size of every page, matching PostgreSQL's default.
 pub const PAGE_SIZE: usize = 8192;
@@ -40,7 +45,7 @@ impl<'a> Page<'a> {
     }
 
     fn u16_at(&self, off: usize) -> u16 {
-        u16::from_le_bytes([self.buf[off], self.buf[off + 1]])
+        u16_at(self.buf, off)
     }
 
     fn set_u16(&mut self, off: usize, v: u16) {
@@ -96,20 +101,6 @@ impl<'a> Page<'a> {
         Ok(slot)
     }
 
-    /// Read the tuple in `slot`; `None` when the slot is dead or absent.
-    pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        if slot as usize >= self.slot_count() {
-            return None;
-        }
-        let slot_off = HEADER + slot as usize * SLOT;
-        let off = self.u16_at(slot_off) as usize;
-        let len = self.u16_at(slot_off + 2) as usize;
-        if len == 0 {
-            return None; // dead
-        }
-        Some(&self.buf[off..off + len])
-    }
-
     /// Mark a slot dead.  Space is not compacted (VACUUM is out of scope);
     /// dead slots are skipped by scans.
     pub fn delete(&mut self, slot: u16) -> Result<()> {
@@ -120,11 +111,34 @@ impl<'a> Page<'a> {
         self.set_u16(slot_off + 2, 0);
         Ok(())
     }
+}
 
-    /// Iterate `(slot, tuple)` over live tuples.
-    pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> {
-        (0..self.slot_count() as u16).filter_map(move |s| self.get(s).map(|t| (s, t)))
+fn u16_at(buf: &[u8], off: usize) -> u16 {
+    u16::from_le_bytes([buf[off], buf[off + 1]])
+}
+
+/// Where the tuple in `slot` lies in the page image `buf`; `None` when
+/// the slot is dead or absent.
+pub(crate) fn tuple_range(buf: &[u8], slot: u16) -> Option<Range<usize>> {
+    if slot >= u16_at(buf, 0) {
+        return None;
     }
+    let slot_off = HEADER + slot as usize * SLOT;
+    let off = u16_at(buf, slot_off) as usize;
+    let len = u16_at(buf, slot_off + 2) as usize;
+    (len > 0).then(|| off..off + len)
+}
+
+/// The tuple in `slot` of the page image `buf`; `None` when the slot is
+/// dead or absent.
+pub(crate) fn read_tuple(buf: &[u8], slot: u16) -> Option<&[u8]> {
+    tuple_range(buf, slot).map(|r| &buf[r])
+}
+
+/// `(slot, range of buf)` of every live tuple of the page image `buf`, in
+/// slot order.
+pub(crate) fn page_tuple_ranges(buf: &[u8]) -> impl Iterator<Item = (u16, Range<usize>)> + '_ {
+    (0..u16_at(buf, 0)).filter_map(move |s| tuple_range(buf, s).map(|r| (s, r)))
 }
 
 #[cfg(test)]
@@ -137,15 +151,19 @@ mod tests {
         buf
     }
 
+    fn live(buf: &[u8]) -> Vec<&[u8]> {
+        page_tuple_ranges(buf).map(|(_, r)| &buf[r]).collect()
+    }
+
     #[test]
     fn insert_and_get() {
         let mut buf = fresh();
         let mut p = Page::new(&mut buf);
         let s0 = p.insert(b"hello").unwrap();
         let s1 = p.insert(b"world!").unwrap();
-        assert_eq!(p.get(s0), Some(&b"hello"[..]));
-        assert_eq!(p.get(s1), Some(&b"world!"[..]));
-        assert_eq!(p.get(99), None);
+        assert_eq!(read_tuple(&buf, s0), Some(&b"hello"[..]));
+        assert_eq!(read_tuple(&buf, s1), Some(&b"world!"[..]));
+        assert_eq!(read_tuple(&buf, 99), None);
     }
 
     #[test]
@@ -154,9 +172,9 @@ mod tests {
         let mut p = Page::new(&mut buf);
         let s = p.insert(b"gone").unwrap();
         p.delete(s).unwrap();
-        assert_eq!(p.get(s), None);
-        assert_eq!(p.iter().count(), 0);
         assert!(p.delete(42).is_err());
+        assert_eq!(read_tuple(&buf, s), None);
+        assert!(live(&buf).is_empty());
     }
 
     #[test]
@@ -183,8 +201,9 @@ mod tests {
             p.insert(&b[..]).unwrap();
         }
         p.delete(1).unwrap();
-        let live: Vec<&[u8]> = p.iter().map(|(_, t)| t).collect();
-        assert_eq!(live, vec![&b"a"[..], &b"c"[..]]);
+        assert_eq!(live(&buf), vec![&b"a"[..], &b"c"[..]]);
+        let slots: Vec<u16> = page_tuple_ranges(&buf).map(|(s, _)| s).collect();
+        assert_eq!(slots, vec![0, 2]);
     }
 
     #[test]
@@ -198,12 +217,8 @@ mod tests {
     #[test]
     fn persists_across_reinterpretation() {
         let mut buf = fresh();
-        {
-            let mut p = Page::new(&mut buf);
-            p.insert(b"durable").unwrap();
-        }
-        let mut copy = buf.clone();
-        let p = Page::new(&mut copy);
-        assert_eq!(p.get(0), Some(&b"durable"[..]));
+        Page::new(&mut buf).insert(b"durable").unwrap();
+        let copy = buf.clone();
+        assert_eq!(read_tuple(&copy, 0), Some(&b"durable"[..]));
     }
 }

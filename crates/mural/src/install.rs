@@ -147,10 +147,7 @@ fn install_inner(
         }),
         eval_batch: None,
         prepare_batch: None,
-        kind: mlql_kernel::catalog::OperatorKind {
-            commutative: true,
-            distributes_over_union: true,
-        },
+        kind: mlql_kernel::catalog::OperatorKind { commutative: true },
         per_tuple_cost: Arc::new(|_, _| 1.0),
         selectivity: Arc::new(|input| match (input.column, input.constant) {
             (Some(stats), Some(c)) => stats.eq_selectivity(c),

@@ -386,11 +386,8 @@ pub fn lexequal_operator(
             let prepared = PreparedNames::new(lefts, Arc::clone(&prepare_convs))?;
             Ok(Box::new(prepared) as Box<dyn PreparedOperands>)
         })),
-        // Table 1: ψ commutes, associates, and distributes over ∪.
-        kind: OperatorKind {
-            commutative: true,
-            distributes_over_union: true,
-        },
+        // Table 1: ψ commutes.
+        kind: OperatorKind { commutative: true },
         // Table 3: the banded edit distance costs O(k·l) elementary
         // comparisons per evaluated pair.
         per_tuple_cost: Arc::new(|session, avg_width| {

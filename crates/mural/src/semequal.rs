@@ -309,12 +309,8 @@ pub fn semequal_operator(
             batch_state.omega_matches_refs(lefts, r)
         })),
         prepare_batch: None,
-        // Table 1: Ω does NOT commute (subsumption is directional) but
-        // distributes over ∪.
-        kind: OperatorKind {
-            commutative: false,
-            distributes_over_union: true,
-        },
+        // Table 1: Ω does NOT commute (subsumption is directional).
+        kind: OperatorKind { commutative: false },
         // Per evaluated pair: the stored synset ids and one interval test.
         per_tuple_cost: Arc::new(|_, _| OMEGA_INTERVAL_TUPLE_COST),
         // §3.4.2.

@@ -1,5 +1,5 @@
 //! Join-predicate equivalence: a ψ or Ω join returns exactly the pairs
-//! its predicate accepts, whatever the batch size and worker count.
+//! its predicate accepts, whatever the worker count.
 //!
 //! The executor binds a join predicate to each outer row and runs it over
 //! a whole batch of inner rows (`Expr::bind_outer` + `Expr::eval_batch`),
@@ -22,7 +22,7 @@
 //! prepares its inner side.
 
 use mlql::kernel::catalog::{ExtOperator, OperatorKind, PreparedOperands, SessionVars};
-use mlql::kernel::exec::ExecStats;
+use mlql::kernel::exec::{ExecStats, BATCH_ROWS};
 use mlql::kernel::expr::{CmpOp, EvalCtx, Expr};
 use mlql::kernel::{DataType, Datum, DatumRef, Session};
 use mlql::mural::install;
@@ -36,11 +36,6 @@ use std::sync::Arc;
 
 /// Seeds tried.
 const CASES: u64 = 32;
-
-/// Batch sizes every predicate runs at: one-row batches (every inner
-/// batch a single pair), a size that splits the inner side unevenly, and
-/// the default.
-const BATCH_SIZES: [usize; 3] = [1, 3, 1024];
 
 /// Worker counts every predicate runs at.
 const WORKERS: [usize; 2] = [1, 4];
@@ -277,37 +272,34 @@ fn joins_equal_their_per_pair_definition() {
                 .map(|key| oracle(&db, &a_rows, &b_rows, &case.pred, Some(key)));
             let sql = format!("SELECT * FROM a, b WHERE {}", case.sql);
             for workers in WORKERS {
-                for batch in BATCH_SIZES {
-                    let at = format!(
-                        "seed {seed}, threshold {threshold}, {na}×{nb} rows, \
-                         workers {workers}, batch_size {batch}: {sql}"
-                    );
-                    let mut s = db.connect();
-                    s.execute(&format!("SET parallel_workers = {workers}"))
-                        .unwrap();
-                    s.execute(&format!("SET batch_size = {batch}")).unwrap();
-                    let psi_before = psi_distance_calls();
-                    let got = s.execute(&sql).unwrap();
-                    let got_psi = psi_distance_calls() - psi_before;
-                    let plan = got.explain.unwrap_or_default();
-                    let want = match &hashed {
-                        Some(h) if plan.contains("Hash Join") => h,
-                        _ => &nested,
-                    };
-                    if hashed.is_none() {
-                        assert!(plan.contains("Nested Loop"), "{at}\n{plan}");
-                    }
-                    assert_eq!(sorted(got.rows), want.rows, "rows differ at {at}");
-                    assert_eq!(
-                        got.stats.ext_op_calls, want.ext_op_calls,
-                        "ext_op_calls differ at {at}\n{plan}"
-                    );
-                    assert_eq!(
-                        got_psi, want.psi_distance_calls,
-                        "ψ distance calls differ at {at}\n{plan}"
-                    );
-                    plans_seen.push(plan);
+                let at = format!(
+                    "seed {seed}, threshold {threshold}, {na}×{nb} rows, \
+                     workers {workers}: {sql}"
+                );
+                let mut s = db.connect();
+                s.execute(&format!("SET parallel_workers = {workers}"))
+                    .unwrap();
+                let psi_before = psi_distance_calls();
+                let got = s.execute(&sql).unwrap();
+                let got_psi = psi_distance_calls() - psi_before;
+                let plan = got.explain.unwrap_or_default();
+                let want = match &hashed {
+                    Some(h) if plan.contains("Hash Join") => h,
+                    _ => &nested,
+                };
+                if hashed.is_none() {
+                    assert!(plan.contains("Nested Loop"), "{at}\n{plan}");
                 }
+                assert_eq!(sorted(got.rows), want.rows, "rows differ at {at}");
+                assert_eq!(
+                    got.stats.ext_op_calls, want.ext_op_calls,
+                    "ext_op_calls differ at {at}\n{plan}"
+                );
+                assert_eq!(
+                    got_psi, want.psi_distance_calls,
+                    "ψ distance calls differ at {at}\n{plan}"
+                );
+                plans_seen.push(plan);
             }
         }
     }
@@ -365,10 +357,7 @@ fn register_int_equality(db: &Session, name: &str, prepares: Option<Arc<AtomicUs
                 .collect())
         })),
         prepare_batch,
-        kind: OperatorKind {
-            commutative: true,
-            distributes_over_union: true,
-        },
+        kind: OperatorKind { commutative: true },
         per_tuple_cost: Arc::new(|_, _| 1.0),
         selectivity: Arc::new(|_| 0.01),
         index_strategy: None,
@@ -386,60 +375,58 @@ fn register_int_equality(db: &Session, name: &str, prepares: Option<Arc<AtomicUs
 /// nothing.
 #[test]
 fn a_nested_loop_prepares_its_inner_side_once() {
-    for batch in BATCH_SIZES {
-        let mut db = Session::new_in_memory();
-        let calls = Arc::new(AtomicUsize::new(0));
-        register_int_equality(&db, "same", None);
-        register_int_equality(&db, "same_prepared", Some(Arc::clone(&calls)));
-        // Each side spans three batches, so either one, as the outer,
-        // arrives in three, and as the inner fills more than one.
-        let rows = 2 * batch + 1;
-        for table in ["o", "i", "e"] {
-            db.execute(&format!("CREATE TABLE {table} (k INT, v INT)"))
-                .unwrap();
-        }
-        for n in 0..rows as i64 {
-            for table in ["o", "i"] {
-                let k = if n % 7 == 3 {
-                    Datum::Null
-                } else {
-                    Datum::Int(n / 2)
-                };
-                db.insert_row(table, vec![k, Datum::Int(n % 5)]).unwrap();
-            }
-        }
-        for table in ["o", "i", "e"] {
-            db.execute(&format!("ANALYZE {table}")).unwrap();
-        }
-        db.execute(&format!("SET batch_size = {batch}")).unwrap();
-        for rest in ["", " AND o.v < i.v"] {
-            let mut run = |op: &str| {
-                let sql = format!("SELECT * FROM o, i WHERE o.k {op} i.k{rest}");
-                let before = calls.load(Ordering::Relaxed);
-                let got = db.execute(&sql).unwrap();
-                let plan = got.explain.clone().unwrap_or_default();
-                assert!(plan.contains("Nested Loop"), "{sql}\n{plan}");
-                (got, calls.load(Ordering::Relaxed) - before)
+    let mut db = Session::new_in_memory();
+    let calls = Arc::new(AtomicUsize::new(0));
+    register_int_equality(&db, "same", None);
+    register_int_equality(&db, "same_prepared", Some(Arc::clone(&calls)));
+    // Each side spans three batches, so either one, as the outer, arrives
+    // in three, and as the inner is cut across output batches under
+    // every outer row.
+    let rows = 2 * BATCH_ROWS + 1;
+    for table in ["o", "i", "e"] {
+        db.execute(&format!("CREATE TABLE {table} (k INT, v INT)"))
+            .unwrap();
+    }
+    for n in 0..rows as i64 {
+        for table in ["o", "i"] {
+            let k = if n % 7 == 3 {
+                Datum::Null
+            } else {
+                Datum::Int(n / 2)
             };
-            let (plain, no_calls) = run("SAME");
-            let (prepared, one_call) = run("SAME_PREPARED");
-            let at = format!("batch_size {batch}, {rows} rows a side, rest {rest:?}");
-            assert_eq!(no_calls, 0, "{at}");
-            assert_eq!(one_call, 1, "{at}");
-            assert!(!plain.rows.is_empty(), "{at}");
-            assert_eq!(sorted(prepared.rows), sorted(plain.rows), "{at}");
-            assert_eq!(
-                prepared.stats.ext_op_calls, plain.stats.ext_op_calls,
-                "{at}"
-            );
+            db.insert_row(table, vec![k, Datum::Int(n % 5)]).unwrap();
         }
-        for sql in [
-            "SELECT * FROM e, i WHERE e.k SAME_PREPARED i.k",
-            "SELECT * FROM i, e WHERE i.k SAME_PREPARED e.k",
-        ] {
+    }
+    for table in ["o", "i", "e"] {
+        db.execute(&format!("ANALYZE {table}")).unwrap();
+    }
+    for rest in ["", " AND o.v < i.v"] {
+        let mut run = |op: &str| {
+            let sql = format!("SELECT * FROM o, i WHERE o.k {op} i.k{rest}");
             let before = calls.load(Ordering::Relaxed);
-            assert!(db.query(sql).unwrap().is_empty());
-            assert_eq!(calls.load(Ordering::Relaxed), before, "{sql}");
-        }
+            let got = db.execute(&sql).unwrap();
+            let plan = got.explain.clone().unwrap_or_default();
+            assert!(plan.contains("Nested Loop"), "{sql}\n{plan}");
+            (got, calls.load(Ordering::Relaxed) - before)
+        };
+        let (plain, no_calls) = run("SAME");
+        let (prepared, one_call) = run("SAME_PREPARED");
+        let at = format!("{rows} rows a side, rest {rest:?}");
+        assert_eq!(no_calls, 0, "{at}");
+        assert_eq!(one_call, 1, "{at}");
+        assert!(!plain.rows.is_empty(), "{at}");
+        assert_eq!(sorted(prepared.rows), sorted(plain.rows), "{at}");
+        assert_eq!(
+            prepared.stats.ext_op_calls, plain.stats.ext_op_calls,
+            "{at}"
+        );
+    }
+    for sql in [
+        "SELECT * FROM e, i WHERE e.k SAME_PREPARED i.k",
+        "SELECT * FROM i, e WHERE i.k SAME_PREPARED e.k",
+    ] {
+        let before = calls.load(Ordering::Relaxed);
+        assert!(db.query(sql).unwrap().is_empty());
+        assert_eq!(calls.load(Ordering::Relaxed), before, "{sql}");
     }
 }

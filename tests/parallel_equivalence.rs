@@ -4,8 +4,8 @@
 //! must return the *identical* result set at `parallel_workers = 1` and
 //! `parallel_workers = N` — workers hand back rows in nondeterministic
 //! order, so comparisons are over sorted row sets.  ψ
-//! and Ω results are additionally pinned, at every worker count × batch
-//! size, to oracles computed outside the executor.  A property test then
+//! and Ω results are additionally pinned, at every worker count, to
+//! oracles computed outside the executor.  A property test then
 //! fuzzes random multilingual tables and thresholds across the
 //! serial/parallel planner boundary (the cost model's break-even).
 
@@ -21,8 +21,7 @@ const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
 /// Rows of the ψ fixtures: well above the 1,000–2,000 names at which a
 /// parallel ψ scan starts to repay its rounds of thread spawns (see
-/// [`FUZZ_ROWS`]), so their plans are parallel at 2 and 4 workers and
-/// every batch size.
+/// [`FUZZ_ROWS`]), so their plans are parallel at 2 and 4 workers.
 const NAMES: usize = 6_000;
 
 fn db() -> (Session, mlql::mural::Mural) {
@@ -325,10 +324,7 @@ fn register_pricey_operator(
         eval: Arc::new(move |l, _, _| Ok(Datum::Bool(eval(l.as_int())))),
         eval_batch: None,
         prepare_batch: None,
-        kind: OperatorKind {
-            commutative: false,
-            distributes_over_union: true,
-        },
+        kind: OperatorKind { commutative: false },
         per_tuple_cost: Arc::new(|_, _| 2000.0),
         selectivity: Arc::new(move |_| selectivity),
         index_strategy: None,
@@ -372,10 +368,6 @@ fn worker_panic_is_an_error_not_a_short_answer() {
     }
 }
 
-/// Batch sizes every query shape is checked at: the degenerate one-row
-/// batch, a small batch, the default, and the cap.
-const BATCH_SIZES: [usize; 4] = [1, 64, 1024, 4096];
-
 /// Stringified sorted ids, the shape [`sorted_rows`] returns for
 /// `SELECT id ...`.
 fn sorted_ids(ids: impl Iterator<Item = usize>) -> Vec<String> {
@@ -384,9 +376,8 @@ fn sorted_ids(ids: impl Iterator<Item = usize>) -> Vec<String> {
     out
 }
 
-/// Batch and worker boundaries must be invisible in the results: for ψ
-/// scans, aggregates and plain projections, every (workers × batch_size)
-/// combination returns exactly what scalar `psi_matches` — evaluated here,
+/// Worker boundaries must be invisible in the results: for ψ scans,
+/// aggregates and plain projections, every worker count returns exactly what scalar `psi_matches` — evaluated here,
 /// outside the executor, over the rows as loaded — says it should.
 #[test]
 fn psi_results_pinned_to_scalar_oracle() {
@@ -414,18 +405,15 @@ fn psi_results_pinned_to_scalar_oracle() {
     ];
     for (sql, want) in &cases {
         for &w in &WORKER_COUNTS {
-            for &b in &BATCH_SIZES {
-                let setup = format!("SET batch_size = {b}");
-                let got = sorted_rows(&db, w, &["SET lexequal.threshold = 2", &setup], sql);
-                assert_eq!(&got, want, "workers={w} batch_size={b}: {sql}");
-            }
+            let got = sorted_rows(&db, w, &["SET lexequal.threshold = 2"], sql);
+            assert_eq!(&got, want, "workers={w}: {sql}");
         }
     }
 }
 
 /// Ω containment against an oracle computed outside the executor —
 /// `compute_closure` membership over the rows as loaded — at every
-/// (workers × batch_size), on the tree-shaped taxonomy and again after a
+/// worker count, on the tree-shaped taxonomy and again after a
 /// taxonomy mutation grafts a multi-parent edge, which the interval index
 /// must decide off its spanning tree.
 #[test]
@@ -451,11 +439,8 @@ fn omega_results_pinned_to_closure_oracle() {
             let sql =
                 format!("SELECT id FROM docs WHERE category SEMEQUAL unitext('{rhs}','English')");
             for &w in &WORKER_COUNTS {
-                for &b in &BATCH_SIZES {
-                    let setup = format!("SET batch_size = {b}");
-                    let got = sorted_rows(db, w, &[&setup], &sql);
-                    assert_eq!(got, want, "Ω diverged at workers={w} batch_size={b}: {sql}");
-                }
+                let got = sorted_rows(db, w, &[], &sql);
+                assert_eq!(got, want, "Ω diverged at workers={w}: {sql}");
             }
         }
     };
@@ -478,52 +463,6 @@ fn omega_results_pinned_to_closure_oracle() {
         fallbacks(),
         fallbacks_before,
         "the interval index decides every probe"
-    );
-}
-
-/// The `batch_size` session knob: settable, visible through SHOW, and
-/// `batch_size = 1` degenerates cleanly to one-row batches (same
-/// results, LIMIT and max_rows semantics intact).
-#[test]
-fn batch_size_session_knob() {
-    let (mut db, mural) = db();
-    load_names(&mut db, &mural, "names", NAMES, 13);
-    let mut s = db.connect();
-    s.execute("SET batch_size = 1").unwrap();
-    let shown = s.query("SHOW batch_size").unwrap();
-    assert_eq!(shown[0][0].as_text(), Some("1"));
-    // Same rows as the default batch size.
-    let n = s.query("SELECT count(*) FROM names").unwrap()[0][0]
-        .as_int()
-        .unwrap();
-    assert_eq!(n, NAMES as i64);
-    let limited = s.query("SELECT name FROM names LIMIT 37").unwrap();
-    assert_eq!(limited.len(), 37);
-    // max_rows still raises the typed error mid-stream.
-    s.execute("SET max_rows = 10").unwrap();
-    let err = s.query("SELECT name FROM names").unwrap_err();
-    assert!(matches!(err, Error::MaxRows { limit: 10 }), "{err}");
-    s.execute("SET max_rows = 0").unwrap();
-    // The ψ path at batch_size = 1 equals the default-batch result.
-    s.execute("SET lexequal.threshold = 2").unwrap();
-    let sql = "SELECT name FROM names WHERE name LEXEQUAL unitext('Nehru','English')";
-    let tiny: Vec<String> = {
-        let mut rows: Vec<String> = s
-            .query(sql)
-            .unwrap()
-            .iter()
-            .map(|row| row[0].to_string())
-            .collect();
-        rows.sort();
-        rows
-    };
-    let dflt = sorted_rows(&db, 1, &["SET lexequal.threshold = 2"], sql);
-    assert_eq!(tiny, dflt, "batch_size=1 must degenerate cleanly");
-    // Out-of-range sizes clamp rather than break execution.
-    s.execute("SET batch_size = 999999").unwrap();
-    assert_eq!(
-        s.query("SELECT count(*) FROM names").unwrap()[0][0].as_int(),
-        Some(NAMES as i64)
     );
 }
 

@@ -1,5 +1,5 @@
 //! Scan-filter equivalence: a heap scan returns exactly the visible rows
-//! its filter accepts, whatever the batch size and worker count.
+//! its filter accepts, whatever the worker count.
 //!
 //! The scan's page step runs a leading `col OP const` extension conjunct
 //! on fields read straight off the page image and decodes only the rows
@@ -34,10 +34,6 @@ use rand::{Rng, SeedableRng};
 
 /// Seeds tried.
 const CASES: u64 = 8;
-
-/// Batch sizes every filter runs at: one-row batches, a size that splits
-/// pages unevenly, and the default.
-const BATCH_SIZES: [usize; 3] = [1, 3, 1024];
 
 /// Worker counts every filter runs at.
 const WORKERS: [usize; 3] = [1, 2, 4];
@@ -285,7 +281,7 @@ fn psi_distance_calls() -> u64 {
     mlql::kernel::obs::metrics().psi_distance_calls_total.get()
 }
 
-/// Run every case in `session` at every worker count × batch size and
+/// Run every case in `session` at every worker count and
 /// hold rows and counters to the oracle over `model`.
 fn check_cases(
     session: &mut Session,
@@ -298,29 +294,24 @@ fn check_cases(
         let want = oracle(session, model, &case.pred);
         let sql = format!("SELECT * FROM t WHERE {}", case.sql);
         for workers in WORKERS {
-            for batch in BATCH_SIZES {
-                let at = format!("{at}, workers {workers}, batch_size {batch}: {sql}");
-                session
-                    .execute(&format!("SET parallel_workers = {workers}"))
-                    .unwrap();
-                session
-                    .execute(&format!("SET batch_size = {batch}"))
-                    .unwrap();
-                let psi_before = psi_distance_calls();
-                let got = session.execute(&sql).unwrap();
-                let got_psi = psi_distance_calls() - psi_before;
-                let plan = got.explain.unwrap_or_default();
-                assert_eq!(sorted(got.rows), want.rows, "rows differ at {at}\n{plan}");
-                assert_eq!(
-                    got.stats.ext_op_calls, want.ext_op_calls,
-                    "ext_op_calls differ at {at}\n{plan}"
-                );
-                assert_eq!(
-                    got_psi, want.psi_distance_calls,
-                    "ψ distance calls differ at {at}\n{plan}"
-                );
-                plans_seen.push(plan);
-            }
+            let at = format!("{at}, workers {workers}: {sql}");
+            session
+                .execute(&format!("SET parallel_workers = {workers}"))
+                .unwrap();
+            let psi_before = psi_distance_calls();
+            let got = session.execute(&sql).unwrap();
+            let got_psi = psi_distance_calls() - psi_before;
+            let plan = got.explain.unwrap_or_default();
+            assert_eq!(sorted(got.rows), want.rows, "rows differ at {at}\n{plan}");
+            assert_eq!(
+                got.stats.ext_op_calls, want.ext_op_calls,
+                "ext_op_calls differ at {at}\n{plan}"
+            );
+            assert_eq!(
+                got_psi, want.psi_distance_calls,
+                "ψ distance calls differ at {at}\n{plan}"
+            );
+            plans_seen.push(plan);
         }
     }
 }
