@@ -23,7 +23,11 @@ use mlql_bench::report::Report;
 use mlql_bench::{load_names_outside, load_names_table, mural_db, scale, timed};
 use mlql_kernel::pl::PlRuntime;
 use mlql_kernel::{Datum, Session};
-use mlql_mural::{mdi, outside};
+use mlql_mtree::{MTree, DEFAULT_NODE_CAPACITY};
+use mlql_mural::mtree_am::SPLIT_SEED;
+use mlql_mural::types::unitext_of_datum;
+use mlql_mural::{mdi, outside, Mural};
+use mlql_phonetics::distance::edit_distance;
 
 /// Probe names used for the scan measurements (averaged).
 const PROBES: &[(&str, &str)] = &[
@@ -32,6 +36,12 @@ const PROBES: &[(&str, &str)] = &[
     ("Miller", "English"),
     ("Krishnan", "English"),
 ];
+
+/// The phoneme key an M-tree stores for a UniText datum.
+fn phonemes(mural: &Mural, d: &Datum) -> Vec<u8> {
+    let v = unitext_of_datum(d).unwrap();
+    mural.converters.phonemes_of(&v).as_bytes().to_vec()
+}
 
 fn core_scan(db: &mut Session, use_index: bool) -> f64 {
     db.execute(&format!(
@@ -75,7 +85,7 @@ fn core_join(db: &mut Session, use_index: bool) -> f64 {
     secs
 }
 
-fn outside_scan(db: &mut Session, with_mdi: bool, mural: &mlql_mural::Mural) -> f64 {
+fn outside_scan(db: &mut Session, with_mdi: bool, mural: &Mural) -> f64 {
     let full = outside::lexequal_scan_fn("names_out", "name", "ph");
     let mdi_fn = outside::lexequal_scan_mdi_fn("names_out", "name", "ph", "mdi");
     let (_, secs) = timed(|| {
@@ -168,8 +178,31 @@ fn main() {
     println!("(paper: marginal — 5.20/4.24 = 1.23x, due to poor pruning efficiency)");
 
     // Pruning efficiency: fraction of stored keys the M-Tree compared per
-    // probe (§5.3 attributes the marginal gains to poor pruning).
-    let pruning_frac = {
+    // probe (§5.3 attributes the marginal gains to poor pruning), for the
+    // paper's triangle-only tree and for the engine's, which also skips
+    // keys by the length/phone-set bound.
+    let paper_frac = {
+        let keys: Vec<Vec<u8>> = db
+            .query("SELECT name FROM names")
+            .unwrap()
+            .iter()
+            .map(|row| phonemes(&mural, &row[0]))
+            .collect();
+        // Same keys, insertion order, capacity and split seed as
+        // `names_mt`, so the two trees differ only in the bound.
+        let metric = |a: &[u8], b: &[u8]| edit_distance(a, b) as f64;
+        let mut tree = MTree::with_options(metric, DEFAULT_NODE_CAPACITY, SPLIT_SEED);
+        for (i, key) in keys.iter().enumerate() {
+            tree.insert(key, i);
+        }
+        let mut total_cmp = 0u64;
+        for (name, lang) in PROBES {
+            let probe = phonemes(&mural, &mural.unitext(name, lang).unwrap());
+            total_cmp += tree.range(&probe, 3.0).1.dist_computations;
+        }
+        total_cmp as f64 / (PROBES.len() * n_names) as f64
+    };
+    let engine_frac = {
         let meta = db.engine().catalog().table("names").unwrap();
         let idx = db
             .engine()
@@ -188,13 +221,14 @@ fn main() {
                 .unwrap();
             total_cmp += search.comparisons;
         }
-        let frac = total_cmp as f64 / (PROBES.len() * n_names) as f64;
-        println!(
-            "M-Tree pruning: {:.0}% of keys distance-compared per probe at k=3",
-            frac * 100.0
-        );
-        frac
+        total_cmp as f64 / (PROBES.len() * n_names) as f64
     };
+    println!(
+        "M-Tree pruning: {:.0}% of keys distance-compared per probe at k=3 by the paper's \
+         triangle-only tree, {:.1}% by the engine's (length/phone-set bound)",
+        paper_frac * 100.0,
+        engine_frac * 100.0
+    );
 
     let mut rep = Report::new("table4_lexequal");
     rep.int("names_rows", n_names as i64)
@@ -210,6 +244,7 @@ fn main() {
         .num("scan_speedup", scan_speedup)
         .num("join_speedup", join_speedup)
         .num("mtree_gain", mtree_gain)
-        .num("mtree_pruning_fraction", pruning_frac);
+        .num("mtree_pruning_fraction", paper_frac)
+        .num("mtree_pruning_fraction_bounded", engine_frac);
     rep.write_and_note();
 }

@@ -3,19 +3,34 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A distance function making the key type a metric space.
+/// A distance function making byte-string keys a metric space.
 ///
-/// Implementations must satisfy the metric axioms (identity, symmetry,
+/// `distance` must satisfy the metric axioms (identity, symmetry,
 /// triangle inequality); range-search correctness depends on them.  The
 /// crate's property tests verify pruning never drops results for
 /// Levenshtein-style metrics.
-pub trait Metric<K> {
+pub trait Metric {
     /// Distance between two keys.
-    fn distance(&self, a: &K, b: &K) -> f64;
+    fn distance(&self, a: &[u8], b: &[u8]) -> f64;
+
+    /// The key's symbols as a set folded onto 64 bits, or `None` (the
+    /// default) when the metric offers no lower bound.
+    ///
+    /// A metric that sketches does so for every key, and promises that
+    /// `distance(a, b) >= max(|len a − len b|, |A∖B|, |B∖A|)` for the
+    /// sketches `A` and `B` of `a` and `b` — true of an edit distance over
+    /// the keys' symbols, since one edit changes the length by at most one
+    /// and removes at most one symbol from each side.  Folding symbols
+    /// together only merges them, which can lower the bound but never
+    /// raise it.  The tree then skips every entry and subtree whose bound
+    /// exceeds the search radius without computing a distance.
+    fn sketch(&self, _key: &[u8]) -> Option<u64> {
+        None
+    }
 }
 
-impl<K, F: Fn(&K, &K) -> f64> Metric<K> for F {
-    fn distance(&self, a: &K, b: &K) -> f64 {
+impl<F: Fn(&[u8], &[u8]) -> f64> Metric for F {
+    fn distance(&self, a: &[u8], b: &[u8]) -> f64 {
         self(a, b)
     }
 }
@@ -27,39 +42,203 @@ pub struct QueryStats {
     pub dist_computations: u64,
     /// Number of tree nodes visited (≈ page reads in the engine adapter).
     pub nodes_visited: u64,
-    /// Number of subtrees pruned by the triangle inequality.
+    /// Number of entries and subtrees pruned by the triangle inequality.
     pub subtrees_pruned: u64,
+    /// Number of entries and subtrees skipped by the metric's length and
+    /// sketch bound, before any distance to them ([`Metric::sketch`]).
+    pub bound_pruned: u64,
 }
 
-/// Entry in a leaf node: a key plus its distance to the parent routing key.
-#[derive(Debug, Clone)]
-struct LeafEntry<K, V> {
-    key: K,
-    value: V,
-    dist_to_parent: f64,
+/// A query key's side of the length/sketch bound.
+#[derive(Clone, Copy)]
+struct Sketch {
+    len: usize,
+    set: u64,
 }
 
-/// Entry in an internal node: a routing key, its covering radius, distance
-/// to its own parent, and the child node.
+impl Sketch {
+    /// `max(|Δlen|, |Q∖K|, |K∖Q|)` against a key of length `len` and
+    /// sketch `set`.
+    #[inline]
+    fn bound(self, len: usize, set: u64) -> f64 {
+        let only_q = (self.set & !set).count_ones() as usize;
+        let only_k = (set & !self.set).count_ones() as usize;
+        self.len.abs_diff(len).max(only_q).max(only_k) as f64
+    }
+}
+
+/// What a routing entry knows of the keys below it: their length range
+/// and the union and intersection of their sketches.
+#[derive(Debug, Clone, Copy)]
+struct Summary {
+    lo: usize,
+    hi: usize,
+    union: u64,
+    inter: u64,
+}
+
+impl Summary {
+    const EMPTY: Summary = Summary {
+        lo: usize::MAX,
+        hi: 0,
+        union: 0,
+        inter: !0,
+    };
+
+    fn add(&mut self, len: usize, set: u64) {
+        self.lo = self.lo.min(len);
+        self.hi = self.hi.max(len);
+        self.union |= set;
+        self.inter &= set;
+    }
+
+    fn merge(&mut self, other: &Summary) {
+        self.lo = self.lo.min(other.lo);
+        self.hi = self.hi.max(other.hi);
+        self.union |= other.union;
+        self.inter &= other.inter;
+    }
+
+    /// `max(gap(|q|, [lo, hi]), |Q∖U|, |I∖Q|)`, a lower bound on the
+    /// distance from `q` to every key below: each key `K` has
+    /// `K ⊆ U`, so `|Q∖K| ≥ |Q∖U|`, and `I ⊆ K`, so `|K∖Q| ≥ |I∖Q|`.
+    #[inline]
+    fn bound(&self, q: Sketch) -> f64 {
+        let gap = if q.len < self.lo {
+            self.lo - q.len
+        } else {
+            q.len.saturating_sub(self.hi)
+        };
+        let only_q = (q.set & !self.union).count_ones() as usize;
+        let only_i = (self.inter & !q.set).count_ones() as usize;
+        gap.max(only_q).max(only_i) as f64
+    }
+}
+
+/// A node's keys, back to back in one byte arena.
+#[derive(Debug, Default)]
+struct Keys {
+    bytes: Vec<u8>,
+    /// End offset of each key in `bytes`.
+    ends: Vec<u32>,
+}
+
+impl Keys {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn start(&self, i: usize) -> usize {
+        i.checked_sub(1).map_or(0, |p| self.ends[p] as usize)
+    }
+
+    fn get(&self, i: usize) -> &[u8] {
+        &self.bytes[self.start(i)..self.ends[i] as usize]
+    }
+
+    fn push(&mut self, key: &[u8]) {
+        self.bytes.extend_from_slice(key);
+        let end = u32::try_from(self.bytes.len()).expect("a node's keys fit in 4 GiB");
+        self.ends.push(end);
+    }
+
+    fn remove(&mut self, i: usize) {
+        let (start, end) = (self.start(i), self.ends[i] as usize);
+        self.bytes.drain(start..end);
+        self.ends.remove(i);
+        for e in &mut self.ends[i..] {
+            *e -= (end - start) as u32;
+        }
+    }
+}
+
+/// A leaf: its keys' sketches in one dense array, which a search sweeps
+/// before it reads any entry, then the keys and their payloads.
 #[derive(Debug)]
-struct RoutingEntry<K, V> {
-    key: K,
+struct Leaf<V> {
+    sets: Vec<u64>,
+    keys: Keys,
+    /// Each key's distance to the routing key above this leaf.
+    parent_dist: Vec<f64>,
+    values: Vec<V>,
+}
+
+impl<V> Leaf<V> {
+    fn new() -> Self {
+        Leaf {
+            sets: Vec::new(),
+            keys: Keys::default(),
+            parent_dist: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, key: &[u8], set: u64, parent_dist: f64, value: V) {
+        self.sets.push(set);
+        self.keys.push(key);
+        self.parent_dist.push(parent_dist);
+        self.values.push(value);
+    }
+}
+
+/// An internal node: its routing keys in one arena, and beside each the
+/// covering radius, summary and child of its subtree.
+#[derive(Debug)]
+struct Internal<V> {
+    keys: Keys,
+    entries: Vec<Routing<V>>,
+}
+
+impl<V> Internal<V> {
+    fn new() -> Self {
+        Internal {
+            keys: Keys::default(),
+            entries: Vec::new(),
+        }
+    }
+
+    fn push(&mut self, key: &[u8], entry: Routing<V>) {
+        self.keys.push(key);
+        self.entries.push(entry);
+    }
+}
+
+/// A routing key with its entry, as a split hands them to the parent.
+type Routed<V> = (Vec<u8>, Routing<V>);
+
+/// A routing entry: its subtree's covering radius and summary, its
+/// distance to its own parent routing key, and the child node.
+#[derive(Debug)]
+struct Routing<V> {
     radius: f64,
-    dist_to_parent: f64,
-    child: Box<Node<K, V>>,
+    parent_dist: f64,
+    summary: Summary,
+    child: Box<Node<V>>,
 }
 
 #[derive(Debug)]
-enum Node<K, V> {
-    Leaf(Vec<LeafEntry<K, V>>),
-    Internal(Vec<RoutingEntry<K, V>>),
+enum Node<V> {
+    Leaf(Leaf<V>),
+    Internal(Internal<V>),
 }
 
-/// The M-Tree.  `K` is the key type, `V` an opaque payload (the engine
-/// stores heap tuple ids).
-pub struct MTree<K, V, M: Metric<K>> {
+impl<V> Node<V> {
+    fn keys(&self) -> &Keys {
+        match self {
+            Node::Leaf(l) => &l.keys,
+            Node::Internal(n) => &n.keys,
+        }
+    }
+}
+
+/// One hit: the stored key, its payload and its distance to the query.
+pub type Hit<'a, V> = (&'a [u8], V, f64);
+
+/// The M-Tree over byte-string keys.  `V` is an opaque payload (the
+/// engine stores heap tuple ids).
+pub struct MTree<V, M: Metric> {
     metric: M,
-    root: Box<Node<K, V>>,
+    root: Box<Node<V>>,
     node_capacity: usize,
     len: usize,
     /// Nodes in the tree, kept current by the split paths so the
@@ -69,7 +248,7 @@ pub struct MTree<K, V, M: Metric<K>> {
     rng: StdRng,
 }
 
-impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
+impl<V: Clone, M: Metric> MTree<V, M> {
     /// Create an empty tree with the default capacity and random split.
     pub fn new(metric: M) -> Self {
         Self::with_options(metric, crate::DEFAULT_NODE_CAPACITY, 0x5eed)
@@ -81,7 +260,7 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
         assert!(node_capacity >= 4, "node capacity must be at least 4");
         MTree {
             metric,
-            root: Box::new(Node::Leaf(Vec::new())),
+            root: Box::new(Node::Leaf(Leaf::new())),
             node_capacity,
             len: 0,
             nodes: 1,
@@ -102,10 +281,10 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     /// Height of the tree (leaf = 1).
     pub fn height(&self) -> usize {
         let mut h = 1;
-        let mut node: &Node<K, V> = &self.root;
-        while let Node::Internal(entries) = node {
+        let mut node: &Node<V> = &self.root;
+        while let Node::Internal(n) = node {
             h += 1;
-            node = &entries[0].child;
+            node = &n.entries[0].child;
         }
         h
     }
@@ -116,246 +295,199 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     }
 
     #[inline]
-    fn dist(&self, a: &K, b: &K) -> f64 {
+    fn dist(&self, a: &[u8], b: &[u8]) -> f64 {
         self.metric.distance(a, b)
     }
 
+    /// The query side of the bound, when the metric sketches.
+    fn sketch(&self, query: &[u8]) -> Option<Sketch> {
+        self.metric.sketch(query).map(|set| Sketch {
+            len: query.len(),
+            set,
+        })
+    }
+
     /// Insert a key/value pair.
-    pub fn insert(&mut self, key: K, value: V) {
-        // `dist_to_parent` of entries in the root is meaningless; use NAN-free 0.
-        if let Some((k1, k2)) = self.insert_into(key, value, None) {
+    pub fn insert(&mut self, key: &[u8], value: V) {
+        let set = self.metric.sketch(key).unwrap_or(0);
+        let mut root = std::mem::replace(&mut self.root, Box::new(Node::Leaf(Leaf::new())));
+        if let Some((k1, k2)) = self.insert_rec(&mut root, key, set, value, None) {
             // Root split: grow the tree by one level.
-            let old_root = std::mem::replace(&mut self.root, Box::new(Node::Leaf(Vec::new())));
-            let (left, right) = match *old_root {
-                Node::Leaf(entries) => self.split_leaf(entries, &k1, &k2),
-                Node::Internal(entries) => self.split_internal(entries, &k1, &k2),
-            };
-            *self.root = Node::Internal(vec![left, right]);
+            let mut new_root = Internal::new();
+            let (left, right) = self.split(*root, &k1, &k2);
+            new_root.push(&left.0, left.1);
+            new_root.push(&right.0, right.1);
+            root = Box::new(Node::Internal(new_root));
             self.nodes += 1;
         }
+        self.root = root;
         self.len += 1;
     }
 
-    /// Recursive insert helper.  Returns `Some((k1, k2))` when the *current
-    /// root* must be split with promoted keys `k1`, `k2` — splits below the
-    /// root are handled inline.  (The actual split of the root happens in
-    /// `insert`, because it needs to own the node.)
-    fn insert_into(&mut self, key: K, value: V, _parent: Option<&K>) -> Option<(K, K)> {
-        // Iterative descent, collecting the path, then split upward.
-        // For simplicity and safety (no aliasing games), we implement the
-        // descent recursively over raw subtree pointers via a helper.
-        let capacity = self.node_capacity;
-        let mut promoted = descend(self, &mut RootRef, key, value);
-        if let Some(p) = promoted.take() {
-            return Some(p);
-        }
-        let _ = capacity;
-        None
-    }
-
-    fn split_leaf(
+    /// Insert below `node`, whose routing key is `parent` (`None` at the
+    /// root).  Returns the two keys to promote when `node` overflows; the
+    /// caller splits it, because the caller owns it.
+    fn insert_rec(
         &mut self,
-        entries: Vec<LeafEntry<K, V>>,
-        k1: &K,
-        k2: &K,
-    ) -> (RoutingEntry<K, V>, RoutingEntry<K, V>) {
-        self.nodes += 1; // one node becomes two
-        let mut left: Vec<LeafEntry<K, V>> = Vec::new();
-        let mut right: Vec<LeafEntry<K, V>> = Vec::new();
-        // Ties alternate sides so duplicate-heavy data (or equal promoted
-        // keys) still yields two non-empty partitions.
-        let mut tie_left = true;
-        for e in entries {
-            let d1 = self.dist(&e.key, k1);
-            let d2 = self.dist(&e.key, k2);
-            let go_left = if d1 == d2 {
-                tie_left = !tie_left;
-                !tie_left
-            } else {
-                d1 < d2
-            };
-            if go_left {
-                left.push(LeafEntry {
-                    dist_to_parent: d1,
-                    ..e
-                });
-            } else {
-                right.push(LeafEntry {
-                    dist_to_parent: d2,
-                    ..e
-                });
+        node: &mut Node<V>,
+        key: &[u8],
+        set: u64,
+        value: V,
+        parent: Option<&[u8]>,
+    ) -> Option<(Vec<u8>, Vec<u8>)> {
+        match node {
+            Node::Leaf(leaf) => {
+                // The distance to the parent routing key feeds the
+                // search-time pre-filter; a root leaf has no parent and
+                // the value is never read.
+                let dtp = parent.map_or(0.0, |p| self.dist(key, p));
+                leaf.push(key, set, dtp, value);
+                (leaf.values.len() > self.node_capacity).then(|| self.promote(&leaf.keys))
+            }
+            Node::Internal(n) => {
+                // Choose the subtree: minimal radius enlargement, ties
+                // broken by closest routing key (the classic heuristic).
+                let mut best = 0usize;
+                let mut best_enlarge = f64::INFINITY;
+                let mut best_dist = f64::INFINITY;
+                for i in 0..n.keys.len() {
+                    let d = self.dist(key, n.keys.get(i));
+                    let enlarge = (d - n.entries[i].radius).max(0.0);
+                    if enlarge < best_enlarge || (enlarge == best_enlarge && d < best_dist) {
+                        best = i;
+                        best_enlarge = enlarge;
+                        best_dist = d;
+                    }
+                }
+                // Widen the covering radius and the summary, and descend.
+                let e = &mut n.entries[best];
+                e.radius = e.radius.max(best_dist);
+                e.summary.add(key.len(), set);
+                let (k1, k2) =
+                    self.insert_rec(&mut e.child, key, set, value, Some(n.keys.get(best)))?;
+                // The child overflowed: split it in place.
+                let child = std::mem::replace(&mut *n.entries[best].child, Node::Leaf(Leaf::new()));
+                let (mut left, mut right) = self.split(child, &k1, &k2);
+                // The two new entries live in THIS node, so their
+                // distances to the parent are to this node's own routing
+                // key.  A wrong value here would make the search-time
+                // pre-filter prune real matches, so compute it exactly;
+                // at the root the value is never read.
+                left.1.parent_dist = parent.map_or(0.0, |p| self.dist(&left.0, p));
+                right.1.parent_dist = parent.map_or(0.0, |p| self.dist(&right.0, p));
+                n.keys.remove(best);
+                n.entries.remove(best);
+                n.push(&left.0, left.1);
+                n.push(&right.0, right.1);
+                (n.entries.len() > self.node_capacity).then(|| self.promote(&n.keys))
             }
         }
-        // Never produce an empty node: a node with zero entries breaks the
-        // insertion descent invariant (internal nodes choose among entries).
-        if left.is_empty() {
-            let mut e = right.pop().expect("split of >=2 entries");
-            e.dist_to_parent = self.dist(&e.key, k1);
-            left.push(e);
-        } else if right.is_empty() {
-            let mut e = left.pop().expect("split of >=2 entries");
-            e.dist_to_parent = self.dist(&e.key, k2);
-            right.push(e);
-        }
-        let r1 = left.iter().map(|e| e.dist_to_parent).fold(0.0f64, f64::max);
-        let r2 = right
-            .iter()
-            .map(|e| e.dist_to_parent)
-            .fold(0.0f64, f64::max);
-        (
-            RoutingEntry {
-                key: k1.clone(),
-                radius: r1,
-                dist_to_parent: 0.0,
-                child: Box::new(Node::Leaf(left)),
-            },
-            RoutingEntry {
-                key: k2.clone(),
-                radius: r2,
-                dist_to_parent: 0.0,
-                child: Box::new(Node::Leaf(right)),
-            },
-        )
     }
 
-    fn split_internal(
-        &mut self,
-        entries: Vec<RoutingEntry<K, V>>,
-        k1: &K,
-        k2: &K,
-    ) -> (RoutingEntry<K, V>, RoutingEntry<K, V>) {
+    /// Split `node` around the promoted keys `k1` and `k2`: each entry
+    /// goes to the closer one.  Returns the two routing entries, with
+    /// covering radii and summaries recomputed from their contents.
+    fn split(&mut self, node: Node<V>, k1: &[u8], k2: &[u8]) -> (Routed<V>, Routed<V>) {
         self.nodes += 1; // one node becomes two
-        let mut left: Vec<RoutingEntry<K, V>> = Vec::new();
-        let mut right: Vec<RoutingEntry<K, V>> = Vec::new();
+        let sides = self.partition(node.keys(), k1, k2);
+        let (left, right) = match node {
+            Node::Leaf(leaf) => {
+                let mut halves = [Leaf::new(), Leaf::new()];
+                for (i, (value, &(side, d))) in leaf.values.into_iter().zip(&sides).enumerate() {
+                    halves[side].push(leaf.keys.get(i), leaf.sets[i], d, value);
+                }
+                let [l, r] = halves;
+                (Node::Leaf(l), Node::Leaf(r))
+            }
+            Node::Internal(n) => {
+                let mut halves = [Internal::new(), Internal::new()];
+                for (i, (mut e, &(side, d))) in n.entries.into_iter().zip(&sides).enumerate() {
+                    e.parent_dist = d;
+                    halves[side].push(n.keys.get(i), e);
+                }
+                let [l, r] = halves;
+                (Node::Internal(l), Node::Internal(r))
+            }
+        };
+        (routing(k1, left), routing(k2, right))
+    }
+
+    /// For each key, its side of a split (0 for `k1`, 1 for `k2`) and its
+    /// distance to that side's key.  Ties alternate sides so
+    /// duplicate-heavy data (or equal promoted keys) still yields two
+    /// non-empty halves; if one side is still empty, the other's last
+    /// entry moves over, since a node with zero entries breaks the
+    /// insertion descent (internal nodes choose among entries).
+    fn partition(&self, keys: &Keys, k1: &[u8], k2: &[u8]) -> Vec<(usize, f64)> {
         let mut tie_left = true;
-        for e in entries {
-            let d1 = self.dist(&e.key, k1);
-            let d2 = self.dist(&e.key, k2);
-            let go_left = if d1 == d2 {
-                tie_left = !tie_left;
-                !tie_left
-            } else {
-                d1 < d2
-            };
-            if go_left {
-                left.push(RoutingEntry {
-                    dist_to_parent: d1,
-                    ..e
-                });
-            } else {
-                right.push(RoutingEntry {
-                    dist_to_parent: d2,
-                    ..e
-                });
+        let mut sides: Vec<(usize, f64)> = (0..keys.len())
+            .map(|i| {
+                let (d1, d2) = (self.dist(keys.get(i), k1), self.dist(keys.get(i), k2));
+                let go_left = if d1 == d2 {
+                    tie_left = !tie_left;
+                    !tie_left
+                } else {
+                    d1 < d2
+                };
+                if go_left {
+                    (0, d1)
+                } else {
+                    (1, d2)
+                }
+            })
+            .collect();
+        for (empty, promoted) in [(0, k1), (1, k2)] {
+            if sides.iter().all(|&(s, _)| s != empty) {
+                let last = sides.len() - 1;
+                sides[last] = (empty, self.dist(keys.get(last), promoted));
             }
         }
-        if left.is_empty() {
-            let mut e = right.pop().expect("split of >=2 entries");
-            e.dist_to_parent = self.dist(&e.key, k1);
-            left.push(e);
-        } else if right.is_empty() {
-            let mut e = left.pop().expect("split of >=2 entries");
-            e.dist_to_parent = self.dist(&e.key, k2);
-            right.push(e);
-        }
-        let r1 = left
-            .iter()
-            .map(|e| e.dist_to_parent + e.radius)
-            .fold(0.0f64, f64::max);
-        let r2 = right
-            .iter()
-            .map(|e| e.dist_to_parent + e.radius)
-            .fold(0.0f64, f64::max);
-        (
-            RoutingEntry {
-                key: k1.clone(),
-                radius: r1,
-                dist_to_parent: 0.0,
-                child: Box::new(Node::Internal(left)),
-            },
-            RoutingEntry {
-                key: k2.clone(),
-                radius: r2,
-                dist_to_parent: 0.0,
-                child: Box::new(Node::Internal(right)),
-            },
-        )
+        sides
     }
 
     /// Range query: every (key, value) within `radius` of `query`.
     /// Returns matches with their exact distances, plus the query stats.
-    pub fn range(&self, query: &K, radius: f64) -> (Vec<(K, V, f64)>, QueryStats) {
-        self.range_with(|key, cap| self.capped(query, key, cap), radius)
+    pub fn range(&self, query: &[u8], radius: f64) -> (Vec<Hit<'_, V>>, QueryStats) {
+        self.range_with(
+            query,
+            |key, cap| self.capped(query, key, cap),
+            radius,
+            |_, _| true,
+        )
     }
 
-    /// [`Self::range`] with the query side supplied as `dq(key, cap)`: the
-    /// exact distance from the query to `key` when it is at most `cap`,
-    /// `None` otherwise.  The caps are the bounds the pruning tests use —
-    /// `radius` at leaf entries, `radius` plus the covering radius at
-    /// routing entries — so a caller that compiles its query once (a
-    /// bit-parallel matcher, say) visits, computes and prunes exactly what
-    /// the generic-metric search does.
+    /// [`Self::range`] with the query's distances supplied as
+    /// `dq(key, cap)`: the exact distance from `query` to `key` when it is
+    /// at most `cap`, `None` otherwise.  The caps are the bounds the
+    /// pruning tests use — `radius` at leaf entries, `radius` plus the
+    /// covering radius at routing entries — so a caller that compiles its
+    /// query once (a bit-parallel matcher, say) visits, computes and prunes
+    /// exactly what the generic-metric search does.  Only hits for which
+    /// `live(key, value)` holds are returned; it is asked after the
+    /// distance, so a caller's tombstone lookup costs nothing on the keys
+    /// that miss.
     pub fn range_with(
         &self,
-        mut dq: impl FnMut(&K, f64) -> Option<f64>,
+        query: &[u8],
+        dq: impl FnMut(&[u8], f64) -> Option<f64>,
         radius: f64,
-    ) -> (Vec<(K, V, f64)>, QueryStats) {
-        let mut stats = QueryStats::default();
-        let mut out = Vec::new();
-        self.range_node(&self.root, &mut dq, radius, None, &mut out, &mut stats);
-        (out, stats)
+        live: impl FnMut(&[u8], &V) -> bool,
+    ) -> (Vec<Hit<'_, V>>, QueryStats) {
+        let mut search = Search {
+            sketch: self.sketch(query),
+            dq,
+            live,
+            stats: QueryStats::default(),
+            out: Vec::new(),
+        };
+        search.range(&self.root, radius, None);
+        (search.out, search.stats)
     }
 
     /// The generic metric as a capped query-side distance.
-    fn capped(&self, query: &K, key: &K, cap: f64) -> Option<f64> {
+    fn capped(&self, query: &[u8], key: &[u8], cap: f64) -> Option<f64> {
         let d = self.metric.distance(query, key);
         (d <= cap).then_some(d)
-    }
-
-    fn range_node<F: FnMut(&K, f64) -> Option<f64>>(
-        &self,
-        node: &Node<K, V>,
-        dq: &mut F,
-        radius: f64,
-        dist_query_parent: Option<f64>,
-        out: &mut Vec<(K, V, f64)>,
-        stats: &mut QueryStats,
-    ) {
-        stats.nodes_visited += 1;
-        match node {
-            Node::Leaf(entries) => {
-                for e in entries {
-                    // Pre-filter: |d(q,parent) - d(key,parent)| > r ⇒ skip
-                    // without computing d(q,key).
-                    if let Some(dqp) = dist_query_parent {
-                        if (dqp - e.dist_to_parent).abs() > radius {
-                            stats.subtrees_pruned += 1;
-                            continue;
-                        }
-                    }
-                    stats.dist_computations += 1;
-                    if let Some(d) = dq(&e.key, radius) {
-                        out.push((e.key.clone(), e.value.clone(), d));
-                    }
-                }
-            }
-            Node::Internal(entries) => {
-                for e in entries {
-                    if let Some(dqp) = dist_query_parent {
-                        if (dqp - e.dist_to_parent).abs() > radius + e.radius {
-                            stats.subtrees_pruned += 1;
-                            continue;
-                        }
-                    }
-                    stats.dist_computations += 1;
-                    let Some(d) = dq(&e.key, radius + e.radius) else {
-                        stats.subtrees_pruned += 1;
-                        continue;
-                    };
-                    self.range_node(&e.child, dq, radius, Some(d), out, stats);
-                }
-            }
-        }
     }
 
     /// k-nearest-neighbour search (best-first branch and bound).
@@ -365,27 +497,36 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
     /// This is the classic M-Tree kNN of Ciaccia et al. — a min-heap over
     /// subtrees ordered by `d_min = max(0, d(q, routing) − radius)`, pruned
     /// against the current k-th best distance.
-    pub fn nearest(&self, query: &K, k: usize) -> (Vec<(K, V, f64)>, QueryStats) {
-        self.nearest_with(|key, cap| self.capped(query, key, cap), k)
+    pub fn nearest(&self, query: &[u8], k: usize) -> (Vec<Hit<'_, V>>, QueryStats) {
+        self.nearest_with(
+            query,
+            |key, cap| self.capped(query, key, cap),
+            k,
+            |_, _| true,
+        )
     }
 
-    /// [`Self::nearest`] with the query side supplied as `dq(key, cap)`, as
-    /// in [`Self::range_with`].  The caps are the current k-th best
-    /// distance at leaf entries (infinite until k candidates are held) and
-    /// that distance plus the covering radius at routing entries.
+    /// [`Self::nearest`] with the query's distances supplied as
+    /// `dq(key, cap)`, as in [`Self::range_with`].  The caps are the current
+    /// k-th best distance at leaf entries (infinite until k candidates are
+    /// held) and that distance plus the covering radius at routing
+    /// entries.  An entry for which `live(key, value)` fails never enters
+    /// the best k, so it neither shortens the result nor widens the search.
     pub fn nearest_with(
         &self,
-        mut dq: impl FnMut(&K, f64) -> Option<f64>,
+        query: &[u8],
+        mut dq: impl FnMut(&[u8], f64) -> Option<f64>,
         k: usize,
-    ) -> (Vec<(K, V, f64)>, QueryStats) {
+        mut live: impl FnMut(&[u8], &V) -> bool,
+    ) -> (Vec<Hit<'_, V>>, QueryStats) {
         use std::cmp::Reverse;
         use std::collections::BinaryHeap;
 
         let mut stats = QueryStats::default();
         if k == 0 || self.len == 0 {
-            stats.nodes_visited = 0;
             return (Vec::new(), stats);
         }
+        let sketch = self.sketch(query);
 
         /// f64 ordered wrapper (distances are finite by metric contract).
         #[derive(PartialEq)]
@@ -406,11 +547,11 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
 
         // Candidate subtrees: min-heap by d_min.
         let mut pending: BinaryHeap<(Reverse<Ord64>, usize)> = BinaryHeap::new();
-        let mut nodes: Vec<&Node<K, V>> = vec![&self.root];
+        let mut nodes: Vec<&Node<V>> = vec![&self.root];
         pending.push((Reverse(Ord64(0.0)), 0));
         // Results: max-heap by distance so the worst of the best k pops.
         let mut best: BinaryHeap<(Ord64, usize)> = BinaryHeap::new();
-        let mut found: Vec<(K, V, f64)> = Vec::new();
+        let mut found: Vec<Hit<'_, V>> = Vec::new();
 
         let kth = |best: &BinaryHeap<(Ord64, usize)>| -> f64 {
             if best.len() < k {
@@ -426,14 +567,22 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
             }
             stats.nodes_visited += 1;
             match nodes[ni] {
-                Node::Leaf(entries) => {
-                    for e in entries {
+                Node::Leaf(leaf) => {
+                    let mut start = 0;
+                    for (i, (&end, &set)) in leaf.keys.ends.iter().zip(&leaf.sets).enumerate() {
+                        let (s, end) = (start, end as usize);
+                        start = end;
+                        if sketch.is_some_and(|q| q.bound(end - s, set) > kth(&best)) {
+                            stats.bound_pruned += 1;
+                            continue;
+                        }
                         stats.dist_computations += 1;
-                        let Some(d) = dq(&e.key, kth(&best)) else {
+                        let key = &leaf.keys.bytes[s..end];
+                        let Some(d) = dq(key, kth(&best)) else {
                             continue;
                         };
-                        if d < kth(&best) || best.len() < k {
-                            found.push((e.key.clone(), e.value.clone(), d));
+                        if (d < kth(&best) || best.len() < k) && live(key, &leaf.values[i]) {
+                            found.push((key, leaf.values[i].clone(), d));
                             best.push((Ord64(d), found.len() - 1));
                             if best.len() > k {
                                 best.pop();
@@ -441,13 +590,18 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
                         }
                     }
                 }
-                Node::Internal(entries) => {
-                    for e in entries {
+                Node::Internal(n) => {
+                    for (i, e) in n.entries.iter().enumerate() {
+                        let bound = sketch.map_or(0.0, |q| e.summary.bound(q));
+                        if bound > kth(&best) {
+                            stats.bound_pruned += 1;
+                            continue;
+                        }
                         stats.dist_computations += 1;
                         // `max(0, d - radius) <= kth` ⇔ `d <= kth + radius`.
-                        match dq(&e.key, kth(&best) + e.radius) {
+                        match dq(n.keys.get(i), kth(&best) + e.radius) {
                             Some(d) => {
-                                let child_min = (d - e.radius).max(0.0);
+                                let child_min = (d - e.radius).max(bound);
                                 nodes.push(&e.child);
                                 pending.push((Reverse(Ord64(child_min)), nodes.len() - 1));
                             }
@@ -461,19 +615,25 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
         // Materialize the best k in ascending order.
         let mut picked: Vec<usize> = best.into_sorted_vec().into_iter().map(|(_, i)| i).collect();
         picked.dedup();
-        let mut out: Vec<(K, V, f64)> = picked.into_iter().map(|i| found[i].clone()).collect();
+        let mut out: Vec<Hit<'_, V>> = picked.into_iter().map(|i| found[i].clone()).collect();
         out.sort_by(|a, b| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal));
         out.truncate(k);
         (out, stats)
     }
 
-    /// Exhaustively iterate all keys (test / verification helper).
-    pub fn iter_all(&self) -> Vec<(K, V)> {
-        fn walk<K: Clone, V: Clone>(n: &Node<K, V>, out: &mut Vec<(K, V)>) {
+    /// Exhaustively iterate all keys.
+    #[cfg(test)]
+    fn iter_all(&self) -> Vec<(Vec<u8>, V)> {
+        fn walk<V: Clone>(n: &Node<V>, out: &mut Vec<(Vec<u8>, V)>) {
             match n {
-                Node::Leaf(es) => out.extend(es.iter().map(|e| (e.key.clone(), e.value.clone()))),
-                Node::Internal(es) => {
-                    for e in es {
+                Node::Leaf(l) => out.extend(
+                    l.values
+                        .iter()
+                        .enumerate()
+                        .map(|(i, v)| (l.keys.get(i).to_vec(), v.clone())),
+                ),
+                Node::Internal(n) => {
+                    for e in &n.entries {
                         walk(&e.child, out);
                     }
                 }
@@ -483,154 +643,149 @@ impl<K: Clone, V: Clone, M: Metric<K>> MTree<K, V, M> {
         walk(&self.root, &mut out);
         out
     }
-}
 
-/// Marker for the root reference in `descend` (placeholder — see below).
-struct RootRef;
-
-/// Recursive insertion.  Returns promoted keys when the **root** overflows.
-///
-/// Implemented as a free function to keep borrow scopes simple: we take the
-/// tree (for metric/rng access) and walk `tree.root` by raw recursion
-/// on owned boxes via `take`/`replace`.
-fn descend<K: Clone, V: Clone, M: Metric<K>>(
-    tree: &mut MTree<K, V, M>,
-    _root: &mut RootRef,
-    key: K,
-    value: V,
-) -> Option<(K, K)> {
-    // Detach the root so we can walk it mutably alongside &tree.metric.
-    let mut root = std::mem::replace(&mut tree.root, Box::new(Node::Leaf(Vec::new())));
-    let overflow = insert_rec(tree, &mut root, key, value, None);
-    tree.root = root;
-    match overflow {
-        Overflow::None => None,
-        Overflow::SplitRoot(k1, k2) => Some((k1, k2)),
+    /// Choose two distinct promotion keys uniformly at random: the paper's
+    /// split, "since it offers the best index modification time" (§4.2.1).
+    fn promote(&mut self, keys: &Keys) -> (Vec<u8>, Vec<u8>) {
+        debug_assert!(keys.len() >= 2);
+        let i = self.rng.gen_range(0..keys.len());
+        let mut j = self.rng.gen_range(0..keys.len() - 1);
+        if j >= i {
+            j += 1;
+        }
+        (keys.get(i).to_vec(), keys.get(j).to_vec())
     }
 }
 
-enum Overflow<K> {
-    None,
-    /// The node passed in has overflowed; the caller must split it using the
-    /// two promoted keys.
-    SplitRoot(K, K),
+/// The routing entry for `child` under the promoted `key`: its covering
+/// radius and summary computed from what `child` holds.
+fn routing<V>(key: &[u8], child: Node<V>) -> Routed<V> {
+    let mut summary = Summary::EMPTY;
+    let radius = match &child {
+        Node::Leaf(l) => {
+            for (i, &set) in l.sets.iter().enumerate() {
+                summary.add(l.keys.get(i).len(), set);
+            }
+            l.parent_dist.iter().copied().fold(0.0f64, f64::max)
+        }
+        Node::Internal(n) => {
+            for e in &n.entries {
+                summary.merge(&e.summary);
+            }
+            n.entries
+                .iter()
+                .map(|e| e.parent_dist + e.radius)
+                .fold(0.0f64, f64::max)
+        }
+    };
+    let entry = Routing {
+        radius,
+        parent_dist: 0.0,
+        summary,
+        child: Box::new(child),
+    };
+    (key.to_vec(), entry)
 }
 
-fn insert_rec<K: Clone, V: Clone, M: Metric<K>>(
-    tree: &mut MTree<K, V, M>,
-    node: &mut Node<K, V>,
-    key: K,
-    value: V,
-    _parent: Option<&K>,
-) -> Overflow<K> {
-    match node {
-        Node::Leaf(entries) => {
-            // dist_to_parent enables the search-time pre-filter; for root
-            // leaves there is no parent and the value is never read.
-            let dtp = _parent.map(|p| tree.dist(&key, p)).unwrap_or(0.0);
-            entries.push(LeafEntry {
-                key,
-                value,
-                dist_to_parent: dtp,
-            });
-            if entries.len() > tree.node_capacity {
-                let (k1, k2) = promote(tree, entries.iter().map(|e| &e.key));
-                Overflow::SplitRoot(k1, k2)
-            } else {
-                Overflow::None
-            }
-        }
-        Node::Internal(entries) => {
-            // Choose the subtree: minimal radius enlargement, ties broken by
-            // closest routing key (the classic M-Tree heuristic).
-            let mut best = 0usize;
-            let mut best_enlarge = f64::INFINITY;
-            let mut best_dist = f64::INFINITY;
-            let mut dists = Vec::with_capacity(entries.len());
-            for (i, e) in entries.iter().enumerate() {
-                let d = tree.dist(&key, &e.key);
-                dists.push(d);
-                let enlarge = (d - e.radius).max(0.0);
-                if enlarge < best_enlarge || (enlarge == best_enlarge && d < best_dist) {
-                    best = i;
-                    best_enlarge = enlarge;
-                    best_dist = d;
-                }
-            }
-            // Update the covering radius and descend.
-            let e = &mut entries[best];
-            e.radius = e.radius.max(dists[best]);
-            let parent_key = e.key.clone();
-            match insert_rec(tree, &mut e.child, key, value, Some(&parent_key)) {
-                Overflow::None => Overflow::None,
-                Overflow::SplitRoot(k1, k2) => {
-                    // Split the overflowed child in place.
-                    let child = std::mem::replace(&mut *e.child, Node::Leaf(Vec::new()));
-                    let (mut left, mut right) = match child {
-                        Node::Leaf(es) => tree.split_leaf(es, &k1, &k2),
-                        Node::Internal(es) => tree.split_internal(es, &k1, &k2),
-                    };
-                    // The two new entries live in THIS node, so their
-                    // dist_to_parent must be the distance to this node's own
-                    // routing key (held by our parent).  A wrong value here
-                    // would make the search-time pre-filter prune real
-                    // matches, so compute it exactly; for the root (no
-                    // parent) the value is never read.
-                    left.dist_to_parent = _parent.map(|p| tree.dist(&left.key, p)).unwrap_or(0.0);
-                    right.dist_to_parent = _parent.map(|p| tree.dist(&right.key, p)).unwrap_or(0.0);
-                    entries.remove(best);
-                    entries.push(left);
-                    entries.push(right);
-                    if entries.len() > tree.node_capacity {
-                        let (k1, k2) = promote(tree, entries.iter().map(|e| &e.key));
-                        Overflow::SplitRoot(k1, k2)
-                    } else {
-                        Overflow::None
+/// One range search's state: the query's sketch and distances, the
+/// caller's liveness test, and what the walk has found and counted.
+struct Search<'a, V, D, L> {
+    sketch: Option<Sketch>,
+    dq: D,
+    live: L,
+    stats: QueryStats,
+    out: Vec<Hit<'a, V>>,
+}
+
+impl<'a, V, D, L> Search<'a, V, D, L>
+where
+    V: Clone,
+    D: FnMut(&[u8], f64) -> Option<f64>,
+    L: FnMut(&[u8], &V) -> bool,
+{
+    /// Search `node`, whose routing key is `dqp` from the query (`None` at
+    /// the root).  Each entry meets the sketch bound first, then the
+    /// triangle pre-filter `|d(q,parent) − d(key,parent)| > r`, and only
+    /// then a distance.
+    fn range(&mut self, node: &'a Node<V>, radius: f64, dqp: Option<f64>) {
+        self.stats.nodes_visited += 1;
+        match node {
+            Node::Leaf(leaf) => {
+                let mut start = 0;
+                for (i, (&end, &set)) in leaf.keys.ends.iter().zip(&leaf.sets).enumerate() {
+                    let (s, end) = (start, end as usize);
+                    start = end;
+                    if self.sketch.is_some_and(|q| q.bound(end - s, set) > radius) {
+                        self.stats.bound_pruned += 1;
+                        continue;
+                    }
+                    if dqp.is_some_and(|dqp| (dqp - leaf.parent_dist[i]).abs() > radius) {
+                        self.stats.subtrees_pruned += 1;
+                        continue;
+                    }
+                    self.stats.dist_computations += 1;
+                    let key = &leaf.keys.bytes[s..end];
+                    if let Some(d) = (self.dq)(key, radius) {
+                        if (self.live)(key, &leaf.values[i]) {
+                            self.out.push((key, leaf.values[i].clone(), d));
+                        }
                     }
                 }
             }
+            Node::Internal(n) => {
+                for (i, e) in n.entries.iter().enumerate() {
+                    if self.sketch.is_some_and(|q| e.summary.bound(q) > radius) {
+                        self.stats.bound_pruned += 1;
+                        continue;
+                    }
+                    if dqp.is_some_and(|dqp| (dqp - e.parent_dist).abs() > radius + e.radius) {
+                        self.stats.subtrees_pruned += 1;
+                        continue;
+                    }
+                    self.stats.dist_computations += 1;
+                    let Some(d) = (self.dq)(n.keys.get(i), radius + e.radius) else {
+                        self.stats.subtrees_pruned += 1;
+                        continue;
+                    };
+                    self.range(&e.child, radius, Some(d));
+                }
+            }
         }
     }
-}
-
-/// Choose two distinct promotion keys uniformly at random: the paper's
-/// split, "since it offers the best index modification time" (§4.2.1).
-fn promote<'a, K: Clone + 'a, V, M: Metric<K>>(
-    tree: &mut MTree<K, V, M>,
-    keys: impl Iterator<Item = &'a K>,
-) -> (K, K) {
-    let keys: Vec<&K> = keys.collect();
-    debug_assert!(keys.len() >= 2);
-    let i = tree.rng.gen_range(0..keys.len());
-    let mut j = tree.rng.gen_range(0..keys.len() - 1);
-    if j >= i {
-        j += 1;
-    }
-    (keys[i].clone(), keys[j].clone())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn abs_metric(a: &i64, b: &i64) -> f64 {
-        (a - b).abs() as f64
+    /// `i64` keys as big-endian bytes, under `|a − b|`.
+    fn key(v: i64) -> [u8; 8] {
+        v.to_be_bytes()
     }
 
-    fn build(values: &[i64]) -> MTree<i64, usize, fn(&i64, &i64) -> f64> {
-        let mut t: MTree<i64, usize, fn(&i64, &i64) -> f64> =
-            MTree::with_options(abs_metric, 8, 42);
+    fn val(k: &[u8]) -> i64 {
+        i64::from_be_bytes(k.try_into().expect("8-byte key"))
+    }
+
+    fn abs_metric(a: &[u8], b: &[u8]) -> f64 {
+        (val(a) - val(b)).abs() as f64
+    }
+
+    type AbsTree = MTree<usize, fn(&[u8], &[u8]) -> f64>;
+
+    fn build(values: &[i64]) -> AbsTree {
+        let mut t: AbsTree = MTree::with_options(abs_metric, 8, 42);
         for (i, &v) in values.iter().enumerate() {
-            t.insert(v, i);
+            t.insert(&key(v), i);
         }
         t
     }
 
     #[test]
     fn empty_tree() {
-        let t: MTree<i64, usize, fn(&i64, &i64) -> f64> = MTree::new(abs_metric);
+        let t: AbsTree = MTree::new(abs_metric);
         assert!(t.is_empty());
-        let (hits, stats) = t.range(&5, 100.0);
+        let (hits, stats) = t.range(&key(5), 100.0);
         assert!(hits.is_empty());
         assert_eq!(stats.nodes_visited, 1);
     }
@@ -642,16 +797,18 @@ mod tests {
         assert_eq!(t.len(), 500);
         for q in [0i64, 123, 999, 500] {
             for r in [0.0, 3.0, 10.0, 50.0] {
-                let (mut hits, _) = t.range(&q, r);
-                hits.sort_by_key(|&(k, v, _)| (k, v));
+                let (hits, stats) = t.range(&key(q), r);
+                assert_eq!(stats.bound_pruned, 0, "a closure metric bounds nothing");
+                let mut got: Vec<(i64, usize)> =
+                    hits.iter().map(|&(k, v, _)| (val(k), v)).collect();
+                got.sort();
                 let mut expect: Vec<(i64, usize)> = values
                     .iter()
                     .enumerate()
-                    .filter(|&(_, &v)| abs_metric(&v, &q) <= r)
+                    .filter(|&(_, &v)| (v - q).abs() as f64 <= r)
                     .map(|(i, &v)| (v, i))
                     .collect();
                 expect.sort();
-                let got: Vec<(i64, usize)> = hits.iter().map(|&(k, v, _)| (k, v)).collect();
                 assert_eq!(got, expect, "q={q} r={r}");
             }
         }
@@ -660,9 +817,9 @@ mod tests {
     #[test]
     fn distances_reported_are_exact() {
         let t = build(&[1, 5, 9, 13, 2, 8]);
-        let (hits, _) = t.range(&5, 4.0);
+        let (hits, _) = t.range(&key(5), 4.0);
         for (k, _, d) in hits {
-            assert_eq!(d, abs_metric(&k, &5));
+            assert_eq!(d, (val(k) - 5).abs() as f64);
         }
     }
 
@@ -672,11 +829,11 @@ mod tests {
         let t = build(&values);
         assert!(t.height() >= 2, "2000 values with capacity 8 must split");
         // All leaves at the same depth (height-balance).
-        fn depths<K, V>(n: &Node<K, V>, d: usize, out: &mut Vec<usize>) {
+        fn depths<V>(n: &Node<V>, d: usize, out: &mut Vec<usize>) {
             match n {
                 Node::Leaf(_) => out.push(d),
-                Node::Internal(es) => {
-                    for e in es {
+                Node::Internal(n) => {
+                    for e in &n.entries {
                         depths(&e.child, d + 1, out);
                     }
                 }
@@ -692,20 +849,19 @@ mod tests {
     /// what a walk of the tree finds, at every capacity.
     #[test]
     fn node_counter_equals_recursive_count() {
-        fn walk<K, V>(n: &Node<K, V>) -> usize {
+        fn walk<V>(n: &Node<V>) -> usize {
             match n {
                 Node::Leaf(_) => 1,
-                Node::Internal(es) => 1 + es.iter().map(|e| walk(&e.child)).sum::<usize>(),
+                Node::Internal(n) => 1 + n.entries.iter().map(|e| walk(&e.child)).sum::<usize>(),
             }
         }
         let mut rng = StdRng::seed_from_u64(7);
         for capacity in [4, 8, 64] {
-            let mut t: MTree<i64, usize, fn(&i64, &i64) -> f64> =
-                MTree::with_options(abs_metric, capacity, 42);
+            let mut t: AbsTree = MTree::with_options(abs_metric, capacity, 42);
             assert_eq!(t.node_count(), 1);
             for i in 0..10_000 {
                 // A narrow key range keeps duplicates (tie splits) frequent.
-                t.insert(rng.gen_range(0..3_000), i);
+                t.insert(&key(rng.gen_range(0..3_000)), i);
                 if i % 997 == 0 {
                     assert_eq!(t.node_count(), walk(&t.root), "after {i} inserts");
                 }
@@ -722,7 +878,7 @@ mod tests {
     fn pruning_happens_for_selective_queries() {
         let values: Vec<i64> = (0..5000).map(|i| i * 10).collect();
         let t = build(&values);
-        let (_, stats) = t.range(&25000, 5.0);
+        let (_, stats) = t.range(&key(25000), 5.0);
         assert!(
             stats.dist_computations < 5000,
             "selective range query should not compare against every key: {stats:?}"
@@ -734,10 +890,10 @@ mod tests {
     fn knn_returns_the_k_closest() {
         let values: Vec<i64> = (0..1000).map(|i| i * 3).collect();
         let t = build(&values);
-        let (hits, stats) = t.nearest(&500, 5);
+        let (hits, stats) = t.nearest(&key(500), 5);
         assert_eq!(hits.len(), 5);
         // Closest multiples of 3 to 500: 501(d=1), 498(d=2), 504(d=4), 495(d=5), 507(d=7)
-        assert_eq!(hits[0].0, 501);
+        assert_eq!(val(hits[0].0), 501);
         assert!(
             hits.windows(2).all(|w| w[0].2 <= w[1].2),
             "ascending distances"
@@ -746,7 +902,7 @@ mod tests {
         // Exhaustive check: nothing closer was missed.
         let better = values
             .iter()
-            .filter(|&&v| abs_metric(&v, &500) < max_d)
+            .filter(|&&v| ((v - 500).abs() as f64) < max_d)
             .count();
         assert!(better <= 5);
         assert!(
@@ -758,20 +914,39 @@ mod tests {
     #[test]
     fn knn_edge_cases() {
         let t = build(&[10, 20, 30]);
-        let (zero, _) = t.nearest(&15, 0);
+        let (zero, _) = t.nearest(&key(15), 0);
         assert!(zero.is_empty());
-        let (all, _) = t.nearest(&15, 99);
+        let (all, _) = t.nearest(&key(15), 99);
         assert_eq!(all.len(), 3);
-        let empty: MTree<i64, usize, fn(&i64, &i64) -> f64> = MTree::new(abs_metric);
-        let (none, _) = empty.nearest(&15, 3);
+        let empty: AbsTree = MTree::new(abs_metric);
+        let (none, _) = empty.nearest(&key(15), 3);
         assert!(none.is_empty());
+    }
+
+    /// Entries `live` rejects never enter the best k: the result is the k
+    /// nearest of the others.
+    #[test]
+    fn knn_skips_entries_that_are_not_live() {
+        let values: Vec<i64> = (0..1000).collect();
+        let t = build(&values);
+        let (hits, _) = t.nearest_with(
+            &key(500),
+            |k, cap| Some((val(k) - 500).abs() as f64).filter(|&d| d <= cap),
+            3,
+            |k, _| val(k) % 2 == 1,
+        );
+        let got: Vec<(i64, f64)> = hits.iter().map(|&(k, _, d)| (val(k), d)).collect();
+        assert_eq!(got.len(), 3);
+        assert!(got.iter().all(|&(v, _)| v % 2 == 1), "{got:?}");
+        let dists: Vec<f64> = got.iter().map(|&(_, d)| d).collect();
+        assert_eq!(dists, vec![1.0, 1.0, 3.0]);
     }
 
     #[test]
     fn iter_all_returns_everything() {
         let values: Vec<i64> = (0..100).collect();
         let t = build(&values);
-        let mut all: Vec<i64> = t.iter_all().into_iter().map(|(k, _)| k).collect();
+        let mut all: Vec<i64> = t.iter_all().into_iter().map(|(k, _)| val(&k)).collect();
         all.sort();
         assert_eq!(all, values);
     }
@@ -779,7 +954,7 @@ mod tests {
     #[test]
     fn duplicate_keys_are_kept() {
         let t = build(&[7, 7, 7, 7]);
-        let (hits, _) = t.range(&7, 0.0);
+        let (hits, _) = t.range(&key(7), 0.0);
         assert_eq!(hits.len(), 4);
     }
 }
@@ -787,12 +962,10 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use proptest::collection::vec;
     use proptest::prelude::*;
 
-    type ByteMetric = fn(&Vec<u8>, &Vec<u8>) -> f64;
-
-    #[allow(clippy::ptr_arg)]
-    fn lev(a: &Vec<u8>, b: &Vec<u8>) -> f64 {
+    fn lev(a: &[u8], b: &[u8]) -> f64 {
         // Minimal reference Levenshtein for the property test (the real
         // implementation lives in mlql-phonetics; duplicating here keeps the
         // crate dependency-free).
@@ -810,33 +983,64 @@ mod proptests {
         prev[n] as f64
     }
 
+    /// Levenshtein alone: the paper's triangle-only tree.
+    type PlainTree = MTree<usize, fn(&[u8], &[u8]) -> f64>;
+
+    /// Levenshtein with the length/symbol-set bound: symbols fold onto
+    /// bit `c & 63`, as `mlql_phonetics::distance::phone_set` folds them.
+    struct Sketched;
+
+    impl Metric for Sketched {
+        fn distance(&self, a: &[u8], b: &[u8]) -> f64 {
+            lev(a, b)
+        }
+
+        fn sketch(&self, key: &[u8]) -> Option<u64> {
+            Some(key.iter().fold(0, |set, &c| set | 1 << (c & 63)))
+        }
+    }
+
+    /// Keys over six symbols, three pairs of which (0 and 64, 1 and 65,
+    /// 2 and 130) fold onto one sketch bit.
+    fn key() -> impl Strategy<Value = Vec<u8>> {
+        vec((0usize..6).prop_map(|s| [0u8, 1, 2, 64, 65, 130][s]), 0..8)
+    }
+
+    /// The same keys in a triangle-only tree and in a sketching one.
+    fn trees(keys: &[Vec<u8>], seed: u64) -> (PlainTree, MTree<usize, Sketched>) {
+        let mut plain: PlainTree = MTree::with_options(lev, 6, seed);
+        let mut sketched = MTree::with_options(Sketched, 6, seed);
+        for (i, k) in keys.iter().enumerate() {
+            plain.insert(k, i);
+            sketched.insert(k, i);
+        }
+        (plain, sketched)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
         #[test]
         fn knn_matches_linear_scan(
-            keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..8), 1..100),
-            query in proptest::collection::vec(0u8..4, 0..8),
+            keys in vec(key(), 1..100),
+            query in key(),
             k in 1usize..8,
         ) {
-            let mut t: MTree<Vec<u8>, usize, ByteMetric> =
-                MTree::with_options(lev, 6, 3);
-            for (i, key) in keys.iter().enumerate() {
-                t.insert(key.clone(), i);
-            }
-            let (hits, _) = t.nearest(&query, k);
-            prop_assert_eq!(hits.len(), k.min(keys.len()));
-            // Distances ascend and every reported distance is exact.
-            for w in hits.windows(2) {
-                prop_assert!(w[0].2 <= w[1].2);
-            }
-            for (key, _, d) in &hits {
-                prop_assert_eq!(*d, lev(key, &query));
-            }
-            // The k-th best distance must match the linear scan's k-th best.
+            let (plain, sketched) = trees(&keys, 3);
             let mut all: Vec<f64> = keys.iter().map(|key| lev(key, &query)).collect();
             all.sort_by(|a, b| a.partial_cmp(b).unwrap());
-            let expect_kth = all[hits.len() - 1];
-            prop_assert_eq!(hits.last().unwrap().2, expect_kth);
+            for hits in [plain.nearest(&query, k).0, sketched.nearest(&query, k).0] {
+                prop_assert_eq!(hits.len(), k.min(keys.len()));
+                // Distances ascend and every reported distance is exact.
+                for w in hits.windows(2) {
+                    prop_assert!(w[0].2 <= w[1].2);
+                }
+                for (key, _, d) in &hits {
+                    prop_assert_eq!(*d, lev(key, &query));
+                }
+                // The k-th best distance must match the linear scan's k-th best.
+                let expect_kth = all[hits.len() - 1];
+                prop_assert_eq!(hits.last().unwrap().2, expect_kth);
+            }
         }
     }
 
@@ -844,25 +1048,27 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn range_query_is_exhaustive_for_string_metric(
-            keys in proptest::collection::vec(proptest::collection::vec(0u8..4, 0..8), 1..120),
-            query in proptest::collection::vec(0u8..4, 0..8),
+            keys in vec(key(), 1..120),
+            query in key(),
             radius in 0u8..4,
         ) {
-            let mut t: MTree<Vec<u8>, usize, ByteMetric> =
-                MTree::with_options(lev, 6, 7);
-            for (i, k) in keys.iter().enumerate() {
-                t.insert(k.clone(), i);
-            }
+            let (plain, sketched) = trees(&keys, 7);
             let r = radius as f64;
-            let (hits, _) = t.range(&query, r);
-            let mut got: Vec<usize> = hits.iter().map(|&(_, v, _)| v).collect();
-            got.sort_unstable();
             let mut expect: Vec<usize> = keys.iter().enumerate()
                 .filter(|(_, k)| lev(k, &query) <= r)
                 .map(|(i, _)| i)
                 .collect();
             expect.sort_unstable();
-            prop_assert_eq!(got, expect);
+            let (plain_hits, plain_stats) = plain.range(&query, r);
+            let (hits, stats) = sketched.range(&query, r);
+            for hits in [plain_hits, hits] {
+                let mut got: Vec<usize> = hits.iter().map(|&(_, v, _)| v).collect();
+                got.sort_unstable();
+                prop_assert_eq!(got, expect.clone());
+            }
+            // The bound only ever removes distances from the walk.
+            prop_assert_eq!(plain_stats.bound_pruned, 0);
+            prop_assert!(stats.dist_computations <= plain_stats.dist_computations);
         }
     }
 }

@@ -356,7 +356,11 @@ impl PreparedOperands for PreparedNames {
 /// "the fraction of the database scanned was approximated by a linear
 /// function on the error threshold" (§3.3).  Slope and intercept are the
 /// `calibration` grid's fit of M-tree distance computations per indexed
-/// row over thresholds 0–3 (the run `opt::CostParams` cites).
+/// row over thresholds 0–3 (the run `opt::CostParams` cites).  The fit
+/// predates the length/phone-set bound by which the tree now skips
+/// entries and subtrees, so it prices far more keys than a probe visits;
+/// it moves only with a full refit of the grid, whose spawn and gather
+/// classes do not yet separate the two parallel constants.
 fn approx_index_fraction(k: usize) -> f64 {
     (0.229 + 0.244 * k as f64).clamp(0.05, 1.0)
 }

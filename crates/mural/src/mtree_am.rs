@@ -3,39 +3,53 @@
 //!
 //! Keys are the *materialized phoneme strings* of UniText values ("indexes
 //! being created on the materialized phoneme strings", §3.3); the metric is
-//! the Levenshtein edit distance.  Inserts and splits use the one-shot
-//! distance; a probe compiles its phonemes once into the ψ scan's
-//! bit-parallel Myers matcher and asks only "is this key within the
-//! pruning bound, and at what distance", so it visits, computes and
-//! prunes exactly what the generic metric would, at the kernel's price
-//! per key.  The planner prices a probe per visited key (the fitted
-//! visit fraction of `lexequal::approx_index_fraction`), not per page: the
-//! tree is memory-resident.  Deletion uses tombstones — the
-//! underlying M-Tree, like PostgreSQL-era GiST, does not reclaim entries
-//! online.  Checkpoint vacuum tombstones one entry per dead version and
-//! nothing compacts the set before the index is rebuilt, so a `nearest`
-//! probe's over-fetch grows with the table's lifetime updates.
+//! the Levenshtein edit distance, and its sketch is the key's
+//! [`phone_set`].  So besides the paper's triangle-inequality pruning, a
+//! probe skips every entry and subtree whose length/phone-set lower bound
+//! exceeds its radius before computing any distance — a deviation from the
+//! paper, whose M-tree pruned "poorly" on short phoneme strings (§5.3).
+//! Inserts and splits use the one-shot distance; a probe compiles its
+//! phonemes once into the ψ scan's bit-parallel Myers matcher and asks
+//! only "is this key within the pruning bound, and at what distance", so
+//! it visits, computes and prunes exactly what the generic metric would,
+//! at the kernel's price per key.  The planner prices a probe per visited
+//! key (the fitted visit fraction of `lexequal::approx_index_fraction`),
+//! not per page: the tree is memory-resident.  Deletion uses tombstones —
+//! the underlying M-Tree, like PostgreSQL-era GiST, does not reclaim
+//! entries online.  Checkpoint vacuum tombstones one entry per dead version
+//! and nothing compacts the set before the index is rebuilt; a probe skips
+//! tombstoned entries inside the walk, so they never take a place among a
+//! `nearest` probe's k best.
 
 use crate::types::unitext_of_datum;
 use mlql_kernel::index::{AccessMethod, IndexInstance, IndexSearch};
 use mlql_kernel::storage::TupleId;
 use mlql_kernel::{Datum, Error, Result};
-use mlql_mtree::{MTree, QueryStats};
-use mlql_phonetics::distance::{edit_distance, DistanceBuffer, MyersMatcher};
+use mlql_mtree::{MTree, Metric, QueryStats};
+use mlql_phonetics::distance::{edit_distance, phone_set, DistanceBuffer, MyersMatcher};
 use mlql_phonetics::ConverterRegistry;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-#[allow(clippy::ptr_arg)]
-fn phoneme_metric(a: &Vec<u8>, b: &Vec<u8>) -> f64 {
-    edit_distance(a, b) as f64
-}
+/// The seed of every index's random split, so builds are reproducible.
+pub const SPLIT_SEED: u64 = 0x3713;
 
-type Metric = fn(&Vec<u8>, &Vec<u8>) -> f64;
+/// Edit distance over phonemes, sketched by the phone set.
+struct PhonemeMetric;
+
+impl Metric for PhonemeMetric {
+    fn distance(&self, a: &[u8], b: &[u8]) -> f64 {
+        edit_distance(a, b) as f64
+    }
+
+    fn sketch(&self, key: &[u8]) -> Option<u64> {
+        Some(phone_set(key))
+    }
+}
 
 /// One live M-Tree index instance.
 pub struct MTreeIndex {
-    tree: MTree<Vec<u8>, TupleId, Metric>,
+    tree: MTree<TupleId, PhonemeMetric>,
     deleted: HashSet<(Vec<u8>, TupleId)>,
     converters: Arc<ConverterRegistry>,
     live: usize,
@@ -44,11 +58,7 @@ pub struct MTreeIndex {
 impl MTreeIndex {
     fn new(converters: Arc<ConverterRegistry>) -> Self {
         MTreeIndex {
-            tree: MTree::with_options(
-                phoneme_metric as Metric,
-                mlql_mtree::DEFAULT_NODE_CAPACITY,
-                0x3713,
-            ),
+            tree: MTree::with_options(PhonemeMetric, mlql_mtree::DEFAULT_NODE_CAPACITY, SPLIT_SEED),
             deleted: HashSet::new(),
             converters,
             live: 0,
@@ -61,15 +71,20 @@ impl MTreeIndex {
         Ok(self.converters.phonemes_of(&v).as_bytes().to_vec())
     }
 
+    /// Whether the entry `(key, tid)` is not tombstoned.
+    fn is_live(&self, key: &[u8], tid: TupleId) -> bool {
+        self.deleted.is_empty() || !self.deleted.contains(&(key.to_vec(), tid))
+    }
+
     /// Serve `strategy` for the phoneme key `key`: the live tuple ids and
     /// the tree's query stats.
     ///
     /// The query side is compiled once per probe — one [`MyersMatcher`]
-    /// over `key` — and each visited entry costs one capped bit-parallel
-    /// distance.  Keys the matcher cannot hold (empty, or longer than a
-    /// machine word) take the banded DP in one reused buffer.  Either way
-    /// the tree visits, computes and prunes exactly what the generic
-    /// [`phoneme_metric`] search does.
+    /// over `key` — and each entry that passes the phone-set bound costs
+    /// one capped bit-parallel distance.  Keys the matcher cannot hold
+    /// (empty, or longer than a machine word) take the banded DP in one
+    /// reused buffer.  Either way the tree visits, computes and prunes
+    /// exactly what the generic [`PhonemeMetric`] search does.
     fn probe(
         &self,
         key: &[u8],
@@ -78,7 +93,7 @@ impl MTreeIndex {
     ) -> Result<(Vec<TupleId>, QueryStats)> {
         let matcher = MyersMatcher::new(key);
         let mut buf = DistanceBuffer::new();
-        let dq = |entry: &Vec<u8>, cap: f64| {
+        let dq = |entry: &[u8], cap: f64| {
             // Edit distances are integers no larger than the longer
             // string, so clamping there and truncating the cap is exact.
             let cap = cap.min(key.len().max(entry.len()) as f64) as usize;
@@ -88,19 +103,17 @@ impl MTreeIndex {
             }
             .map(|d| d as f64)
         };
-        let (hits, stats, limit) = match strategy {
+        let live = |entry: &[u8], tid: &TupleId| self.is_live(entry, *tid);
+        let (hits, stats) = match strategy {
             "within" => {
                 let radius = extra.as_int().unwrap_or(0).max(0) as f64;
-                let (hits, stats) = self.tree.range_with(dq, radius);
-                (hits, stats, usize::MAX)
+                self.tree.range_with(key, dq, radius, live)
             }
             // k-nearest phonemic neighbours — the "best match" LexEQUAL
-            // variation the companion papers describe; over-fetch to absorb
-            // tombstoned entries, then trim.
+            // variation the companion papers describe.
             "nearest" => {
                 let k = extra.as_int().unwrap_or(1).max(1) as usize;
-                let (hits, stats) = self.tree.nearest_with(dq, k + self.deleted.len());
-                (hits, stats, k)
+                self.tree.nearest_with(key, dq, k, live)
             }
             other => {
                 return Err(Error::Execution(format!(
@@ -108,16 +121,7 @@ impl MTreeIndex {
                 )))
             }
         };
-        Ok((self.live(hits, limit), stats))
-    }
-
-    /// The first `limit` hits whose entries are not tombstoned.
-    fn live(&self, hits: Vec<(Vec<u8>, TupleId, f64)>, limit: usize) -> Vec<TupleId> {
-        hits.into_iter()
-            .filter(|(k, tid, _)| !self.deleted.contains(&(k.clone(), *tid)))
-            .take(limit)
-            .map(|(_, tid, _)| tid)
-            .collect()
+        Ok((hits.into_iter().map(|(_, tid, _)| tid).collect(), stats))
     }
 }
 
@@ -128,7 +132,7 @@ impl IndexInstance for MTreeIndex {
         // tree: clearing the tombstone resurrects it; inserting again
         // would duplicate it.
         if !self.deleted.remove(&(ph.clone(), tid)) {
-            self.tree.insert(ph, tid);
+            self.tree.insert(&ph, tid);
         }
         self.live += 1;
         Ok(())
@@ -325,13 +329,16 @@ mod proptests {
     use proptest::collection::vec;
     use proptest::prelude::*;
 
-    /// A phoneme key over a three-symbol alphabet: short (empty included)
-    /// or, in one case of four, a 60-symbol stem plus a short tail, so
-    /// keys and queries straddle the 64-symbol word of the Myers matcher.
+    /// A phoneme key over a five-symbol alphabet in which `A` and `0xC1`,
+    /// and `k` and `+`, fold onto one [`phone_set`] bit: short (empty
+    /// included) or, in one case of four, a 60-symbol stem plus a short
+    /// tail, so keys and queries straddle the 64-symbol word of the Myers
+    /// matcher.
     fn key() -> impl Strategy<Value = Vec<u8>> {
-        (vec(0u8..3, 0..10), 0u8..4).prop_map(|(tail, long)| {
+        const SYMBOLS: [u8; 5] = [b'A', 0xC1, b'k', b'+', b'n'];
+        (vec((0usize..5).prop_map(|s| SYMBOLS[s]), 0..10), 0u8..4).prop_map(|(tail, long)| {
             let stem = if long == 0 { 60 } else { 0 };
-            (0..stem).map(|i| (i % 3) as u8).chain(tail).collect()
+            (0..stem).map(|i| SYMBOLS[i % 3]).chain(tail).collect()
         })
     }
 
@@ -349,7 +356,7 @@ mod proptests {
         let convs = Arc::new(ConverterRegistry::with_builtins(&langs));
         let mut idx = MTreeIndex::new(convs);
         for (i, (k, &dead)) in keys.iter().zip(dead).enumerate() {
-            idx.tree.insert(k.clone(), tid(i));
+            idx.tree.insert(k, tid(i));
             if dead {
                 idx.deleted.insert((k.clone(), tid(i)));
             }
@@ -362,10 +369,32 @@ mod proptests {
         tids
     }
 
+    /// The edit distance from `query` to each live key, by tuple id: the
+    /// linear scan a probe must agree with.
+    fn linear(keys: &[Vec<u8>], dead: &[bool], query: &[u8]) -> Vec<(TupleId, usize)> {
+        keys.iter()
+            .zip(dead)
+            .enumerate()
+            .filter(|(_, (_, &dead))| !dead)
+            .map(|(i, (k, _))| (tid(i), edit_distance(query, k)))
+            .collect()
+    }
+
+    /// The distances of a nearest probe's tids, ascending.
+    fn distances(keys: &[Vec<u8>], query: &[u8], tids: &[TupleId]) -> Vec<usize> {
+        let mut d: Vec<usize> = tids
+            .iter()
+            .map(|t| edit_distance(query, &keys[t.page as usize]))
+            .collect();
+        d.sort_unstable();
+        d
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
-        /// The compiled probe returns what the generic-metric search
-        /// returns, with identical visit, distance and prune counts.
+        /// The compiled probe returns what a linear scan of the live keys
+        /// returns, and visits, computes and prunes what the generic-metric
+        /// search does.
         #[test]
         fn compiled_probe_equals_generic_metric(
             entries in vec((key(), 0u8..5), 1..160),
@@ -375,16 +404,77 @@ mod proptests {
             let keys: Vec<Vec<u8>> = entries.iter().map(|(k, _)| k.clone()).collect();
             let dead: Vec<bool> = entries.iter().map(|&(_, d)| d == 0).collect();
             let idx = index(&keys, &dead);
+            let scan = linear(&keys, &dead, &query);
             for radius in 0..=4i64 {
                 let (tids, stats) = idx.probe(&query, "within", &Datum::Int(radius)).unwrap();
-                let (hits, want) = idx.tree.range(&query, radius as f64);
+                let (_, want) = idx.tree.range(&query, radius as f64);
                 prop_assert_eq!(stats, want, "within {}", radius);
-                prop_assert_eq!(sorted(tids), sorted(idx.live(hits, usize::MAX)));
+                let expect: Vec<TupleId> = scan.iter()
+                    .filter(|&&(_, d)| d as i64 <= radius)
+                    .map(|&(t, _)| t)
+                    .collect();
+                prop_assert_eq!(sorted(tids), sorted(expect), "within {}", radius);
             }
             let (tids, stats) = idx.probe(&query, "nearest", &Datum::Int(k as i64)).unwrap();
-            let (hits, want) = idx.tree.nearest(&query, k + idx.deleted.len());
+            let generic = |key: &[u8], cap: f64| {
+                let d = edit_distance(&query, key) as f64;
+                (d <= cap).then_some(d)
+            };
+            let (_, want) = idx.tree.nearest_with(&query, generic, k, |key, t| idx.is_live(key, *t));
             prop_assert_eq!(stats, want, "nearest {}", k);
-            prop_assert_eq!(sorted(tids), sorted(idx.live(hits, k)));
+            prop_assert!(tids.iter().all(|t| !dead[t.page as usize]));
+            let mut expect: Vec<usize> = scan.iter().map(|&(_, d)| d).collect();
+            expect.sort_unstable();
+            expect.truncate(k);
+            prop_assert_eq!(distances(&keys, &query, &tids), expect, "nearest {}", k);
         }
+    }
+
+    /// Tombstones far from the query neither change a `nearest` result nor
+    /// cost it distances: they never enter the best k, and the phone-set
+    /// bound skips them.
+    #[test]
+    fn far_tombstones_do_not_widen_nearest() {
+        let mut keys: Vec<Vec<u8>> = Vec::new();
+        for i in 0..300usize {
+            keys.push(
+                (0..4 + i % 5)
+                    .map(|j| b"abcde"[(i * 7 + j * 3) % 5])
+                    .collect(),
+            );
+        }
+        let far = 3_000;
+        for i in 0..far {
+            keys.push(
+                (0..16 + i % 4)
+                    .map(|j| b"pqrstuvwxyz"[(i * 5 + j) % 11])
+                    .collect(),
+            );
+        }
+        let query = b"abcd".to_vec();
+        let mut comps = Vec::new();
+        for dead_far in [0, 1_000, far] {
+            let dead: Vec<bool> = (0..keys.len())
+                .map(|i| i >= keys.len() - dead_far)
+                .collect();
+            let idx = index(&keys, &dead);
+            let (tids, stats) = idx.probe(&query, "nearest", &Datum::Int(5)).unwrap();
+            let mut expect: Vec<usize> = linear(&keys, &dead, &query)
+                .iter()
+                .map(|&(_, d)| d)
+                .collect();
+            expect.sort_unstable();
+            expect.truncate(5);
+            assert_eq!(
+                distances(&keys, &query, &tids),
+                expect,
+                "{dead_far} tombstones"
+            );
+            comps.push(stats.dist_computations);
+        }
+        assert!(
+            comps.iter().all(|&c| c == comps[0]),
+            "distances by tombstone count: {comps:?}"
+        );
     }
 }

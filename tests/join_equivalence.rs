@@ -387,20 +387,26 @@ fn a_nested_loop_prepares_its_inner_side_once() {
         db.execute(&format!("CREATE TABLE {table} (k INT, v INT)"))
             .unwrap();
     }
-    for n in 0..rows as i64 {
+    // Both sides hold the same `(k, v)` rows.
+    let keys: Vec<(Option<i64>, i64)> = (0..rows as i64)
+        .map(|n| ((n % 7 != 3).then_some(n / 2), n % 5))
+        .collect();
+    for &(k, v) in &keys {
         for table in ["o", "i"] {
-            let k = if n % 7 == 3 {
-                Datum::Null
-            } else {
-                Datum::Int(n / 2)
-            };
-            db.insert_row(table, vec![k, Datum::Int(n % 5)]).unwrap();
+            let k = k.map_or(Datum::Null, Datum::Int);
+            db.insert_row(table, vec![k, Datum::Int(v)]).unwrap();
         }
     }
     for table in ["o", "i", "e"] {
         db.execute(&format!("ANALYZE {table}")).unwrap();
     }
-    for rest in ["", " AND o.v < i.v"] {
+    for (rest, keep) in [("", false), (" AND o.v < i.v", true)] {
+        // The join's row count, by the same predicate over the keys.
+        let expect = keys
+            .iter()
+            .flat_map(|o| keys.iter().map(move |i| (o, i)))
+            .filter(|(o, i)| o.0.is_some() && o.0 == i.0 && (!keep || o.1 < i.1))
+            .count();
         let mut run = |op: &str| {
             let sql = format!("SELECT * FROM o, i WHERE o.k {op} i.k{rest}");
             let before = calls.load(Ordering::Relaxed);
@@ -414,7 +420,7 @@ fn a_nested_loop_prepares_its_inner_side_once() {
         let at = format!("{rows} rows a side, rest {rest:?}");
         assert_eq!(no_calls, 0, "{at}");
         assert_eq!(one_call, 1, "{at}");
-        assert!(!plain.rows.is_empty(), "{at}");
+        assert_eq!(plain.rows.len(), expect, "{at}");
         assert_eq!(sorted(prepared.rows), sorted(plain.rows), "{at}");
         assert_eq!(
             prepared.stats.ext_op_calls, plain.stats.ext_op_calls,
@@ -428,5 +434,48 @@ fn a_nested_loop_prepares_its_inner_side_once() {
         let before = calls.load(Ordering::Relaxed);
         assert!(db.query(sql).unwrap().is_empty());
         assert_eq!(calls.load(Ordering::Relaxed), before, "{sql}");
+    }
+}
+
+/// A hash join whose one bucket holds more inner rows than two output
+/// batches cuts that bucket across batches under every probe row that
+/// hits it, and still emits each pair exactly once.
+#[test]
+fn a_hash_join_cuts_a_large_bucket_across_batches() {
+    let mut db = Session::new_in_memory();
+    let bucket = 2 * BATCH_ROWS + 1;
+    for table in ["p", "h"] {
+        db.execute(&format!("CREATE TABLE {table} (k INT, v INT)"))
+            .unwrap();
+    }
+    // Every build row has key 0; three probe rows do, the rest miss.
+    let hits = 3;
+    for n in 0..bucket as i64 {
+        db.insert_row("h", vec![Datum::Int(0), Datum::Int(n % 5)])
+            .unwrap();
+        let k = if n % 700 == 0 { 0 } else { n };
+        db.insert_row("p", vec![Datum::Int(k), Datum::Int(n % 5)])
+            .unwrap();
+    }
+    for table in ["p", "h"] {
+        db.execute(&format!("ANALYZE {table}")).unwrap();
+    }
+    // The probe hits (n = 0, 700, 1400) all have `v` = 0, which 410 of
+    // the 2,049 build rows share; the others pass `p.v < h.v`.
+    let above = hits * (bucket - 410);
+    for (rest, expect) in [("", hits * bucket), (" AND p.v < h.v", above)] {
+        // The limit stops a join that re-emits its bucket forever.
+        let sql = format!(
+            "SELECT * FROM p, h WHERE p.k = h.k{rest} LIMIT {}",
+            expect + 1
+        );
+        let got = db.execute(&sql).unwrap();
+        let plan = got.explain.clone().unwrap_or_default();
+        let (probe, build) = (plan.find("Seq Scan on p"), plan.find("Seq Scan on h"));
+        assert!(
+            plan.contains("Hash Join") && probe < build,
+            "h must be the build side\n{plan}"
+        );
+        assert_eq!(got.rows.len(), expect, "{sql}");
     }
 }
