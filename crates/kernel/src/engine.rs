@@ -1115,32 +1115,16 @@ impl Session {
                 let idx = catalog.create_index(&table, &name, col, &using)?;
                 // Back-fill from the heap (still under the write guard, so
                 // no insert can slip between scan and index visibility).
-                let arity = meta.schema.len();
-                let mut instance = idx.instance.write();
-                let mut scan_err = None;
-                // Every version is indexed regardless of visibility: an
-                // in-flight insert may commit later, and scans filter
-                // stale entries through their snapshot anyway.
-                let scan_result = meta.heap.scan(&self.engine.pool, |tid, bytes| {
-                    match split_version(bytes).and_then(|(_, _, rest)| decode_row(rest, arity)) {
-                        Ok(row) => {
-                            if let Err(e) = instance.insert(&row[col], tid) {
-                                scan_err = Some(e);
-                                return false;
-                            }
-                        }
-                        Err(e) => {
-                            scan_err = Some(e);
-                            return false;
-                        }
-                    }
-                    true
-                });
-                drop(instance);
+                let filled = crate::recovery::backfill_index(
+                    &self.engine.pool,
+                    &meta,
+                    col,
+                    &mut **idx.instance.write(),
+                );
                 // A failed back-fill must unregister the index before the
                 // guard drops, or later queries would use a partial index
                 // and silently miss rows.
-                if let Some(e) = scan_result.err().or(scan_err) {
+                if let Err(e) = filled {
                     let _ = catalog.drop_index(&name);
                     return Err(e);
                 }

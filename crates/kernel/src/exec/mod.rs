@@ -808,7 +808,7 @@ fn leading_conjunct(filter: &Expr) -> (&Expr, Vec<&Expr>) {
 /// as the batch still has room for, so every batch but the last is full
 /// and a `LIMIT` above pays the filter for no row it does not take.  The
 /// filter runs per batch via `eval_batch`: this is where ψ's per-batch
-/// memoization (constant phoneme conversion, Myers mask) kicks in.
+/// setup (the constant's phonemes compiled into one probe) kicks in.
 ///
 /// At two or more, a pull that finds the buffer empty runs one round of
 /// `workers` scoped threads that borrow the query's [`ExecCtx`].

@@ -3,10 +3,10 @@
 //!
 //! Layers, coarsest to finest:
 //!
-//! 1. **Process-wide metrics** ([`registry`]): named counters, gauges
-//!    and histograms accumulated across every query and session, with
-//!    Prometheus-text and JSON exposition (`SHOW STATS_PROMETHEUS`,
-//!    `SHOW STATS_JSON`).
+//! 1. **Process-wide metrics** ([`registry`]): named counters,
+//!    histograms and derived gauges accumulated across every query and
+//!    session, with Prometheus-text and JSON exposition
+//!    (`SHOW STATS_PROMETHEUS`, `SHOW STATS_JSON`).
 //! 2. **Wait events** ([`waits`]): contended acquisitions on the
 //!    5-level lock hierarchy, timed and classified, charged both to
 //!    global per-class histograms and to the owning query.
@@ -45,7 +45,7 @@ pub mod waits;
 
 pub use activity::{ActivityRow, ActivitySlot, Stage};
 pub use flight::FlightRecord;
-pub use registry::{global, metrics, Counter, EngineMetrics, Gauge, Histogram, Registry};
+pub use registry::{global, metrics, Counter, EngineMetrics, Histogram, Registry};
 pub use trace::{QueryTrace, Span};
 pub use waits::{WaitClass, WaitProfile};
 

@@ -1,8 +1,8 @@
 //! Process-wide metrics registry.
 //!
-//! Dependency-free (std atomics + `parking_lot`): counters, gauges and
-//! fixed-bucket histograms registered by name, with Prometheus-text and
-//! JSON exposition.  Handles are `Arc`s onto atomics, so recording on a
+//! Dependency-free (std atomics + `parking_lot`): counters, fixed-bucket
+//! histograms and gauges derived at render time, registered by name, with
+//! Prometheus-text and JSON exposition.  Handles are `Arc`s onto atomics, so recording on a
 //! hot path is a single `fetch_add` — no locks, no allocation.  The
 //! registry lock is only taken at registration and render time.
 
@@ -31,24 +31,6 @@ impl Counter {
     /// Current value.
     pub fn get(&self) -> u64 {
         self.value.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge holding one `f64` (stored as bits in an atomic).
-#[derive(Debug, Default)]
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    /// Set the value.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
     }
 }
 
@@ -136,7 +118,6 @@ type DerivedFn = Arc<dyn Fn() -> f64 + Send + Sync>;
 
 enum Handle {
     Counter(Arc<Counter>),
-    Gauge(Arc<Gauge>),
     Histogram(Arc<Histogram>),
     Derived(DerivedFn),
 }
@@ -188,24 +169,6 @@ impl Registry {
         c
     }
 
-    /// Register (or fetch the existing) gauge named `name`.
-    pub fn gauge(&self, name: &str, help: &str) -> Arc<Gauge> {
-        let mut entries = self.entries.lock();
-        if let Some(i) = Self::position(&entries, name) {
-            if let Handle::Gauge(g) = &entries[i].handle {
-                return Arc::clone(g);
-            }
-            panic!("metric {name:?} already registered with a different kind");
-        }
-        let g = Arc::new(Gauge::default());
-        entries.push(Entry {
-            name: name.into(),
-            help: help.into(),
-            handle: Handle::Gauge(Arc::clone(&g)),
-        });
-        g
-    }
-
     /// Register (or fetch the existing) histogram named `name` with the
     /// given ascending bucket upper bounds.
     pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
@@ -252,7 +215,6 @@ impl Registry {
         for e in entries.iter() {
             match &e.handle {
                 Handle::Counter(c) => out.push((e.name.clone(), c.get() as f64)),
-                Handle::Gauge(g) => out.push((e.name.clone(), g.get())),
                 Handle::Derived(f) => out.push((e.name.clone(), f())),
                 Handle::Histogram(h) => {
                     out.push((format!("{}_count", e.name), h.count() as f64));
@@ -274,10 +236,6 @@ impl Registry {
                 Handle::Counter(c) => {
                     let _ = writeln!(out, "# TYPE {} counter", e.name);
                     let _ = writeln!(out, "{} {}", e.name, c.get());
-                }
-                Handle::Gauge(g) => {
-                    let _ = writeln!(out, "# TYPE {} gauge", e.name);
-                    let _ = writeln!(out, "{} {}", e.name, fmt_f64(g.get()));
                 }
                 Handle::Derived(f) => {
                     let _ = writeln!(out, "# TYPE {} gauge", e.name);
@@ -323,14 +281,6 @@ impl Registry {
                         "\"{}\":{{\"type\":\"counter\",\"value\":{}}}",
                         e.name,
                         c.get()
-                    );
-                }
-                Handle::Gauge(g) => {
-                    let _ = write!(
-                        out,
-                        "\"{}\":{{\"type\":\"gauge\",\"value\":{}}}",
-                        e.name,
-                        fmt_f64(g.get())
                     );
                 }
                 Handle::Derived(f) => {
@@ -558,7 +508,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_and_gauge_roundtrip() {
+    fn counter_roundtrip() {
         let r = Registry::new();
         let c = r.counter("c_total", "a counter");
         c.inc();
@@ -568,9 +518,6 @@ mod tests {
         let c2 = r.counter("c_total", "a counter");
         c2.inc();
         assert_eq!(c.get(), 6);
-        let g = r.gauge("g", "a gauge");
-        g.set(0.25);
-        assert_eq!(g.get(), 0.25);
     }
 
     #[test]
@@ -678,7 +625,7 @@ mod tests {
     fn json_exposition_is_parseable_shape() {
         let r = Registry::new();
         r.counter("a_total", "a").add(3);
-        r.gauge("b", "b").set(1.5);
+        r.derived_gauge("b", "b", || 1.5);
         let h = r.histogram("c", "c", &[2.0]);
         h.observe(1.0);
         let json = r.render_json();

@@ -9,13 +9,14 @@
 //! adds a hook that may wrap the storage backend (the fault-injection
 //! harness interposes a `FaultyBackend` there).
 
-use crate::catalog::TableId;
+use crate::catalog::{TableId, TableMeta};
 use crate::engine::{Engine, Session};
 use crate::error::{Error, Result};
+use crate::index::IndexInstance;
 use crate::snapshot::{self, Snapshot};
 use crate::storage::{
-    decode_row, split_version, FileBackend, FileId, HeapFile, SharedWal, StorageBackend, SyncMode,
-    Wal, WalReader, WalRecord,
+    decode_row, split_version, BufferPool, FileBackend, FileId, HeapFile, SharedWal,
+    StorageBackend, SyncMode, Wal, WalReader, WalRecord,
 };
 use std::collections::{HashMap, HashSet};
 use std::path::Path;
@@ -225,41 +226,41 @@ fn apply_record(
 /// consistency).
 pub fn rebuild_indexes(engine: &Engine) -> Result<()> {
     let catalog = engine.catalog();
-    let pool = engine.pool();
     for meta in catalog.tables() {
-        let arity = meta.schema.len();
         for idx in catalog.indexes_of(meta.id) {
             let am = catalog
                 .access_method(&idx.am)
                 .ok_or_else(|| Error::Catalog(format!("no access method {:?}", idx.am)))?;
             let mut fresh = am.create()?;
-            let mut scan_err = None;
-            // Index every version regardless of visibility (same policy
-            // as CREATE INDEX back-fill): scans filter through their
-            // snapshot, and a version invisible now may be the one a
-            // later snapshot needs to reach.
-            meta.heap.scan(pool, |tid, bytes| {
-                match split_version(bytes).and_then(|(_, _, rest)| decode_row(rest, arity)) {
-                    Ok(row) => {
-                        if let Err(e) = fresh.insert(&row[idx.column], tid) {
-                            scan_err = Some(e);
-                            return false;
-                        }
-                    }
-                    Err(e) => {
-                        scan_err = Some(e);
-                        return false;
-                    }
-                }
-                true
-            })?;
-            if let Some(e) = scan_err {
-                return Err(e);
-            }
+            backfill_index(engine.pool(), meta, idx.column, &mut *fresh)?;
             *idx.instance.write() = fresh;
         }
     }
     Ok(())
+}
+
+/// Insert every version in `meta`'s heap into `index` under its column
+/// `column`: the one back-fill that `CREATE INDEX` and
+/// [`rebuild_indexes`] run.  Every version is indexed regardless of
+/// visibility: an in-flight insert may commit later, a version invisible
+/// now may be the one a later snapshot needs to reach, and scans filter
+/// stale entries through their snapshot anyway.
+pub(crate) fn backfill_index(
+    pool: &BufferPool,
+    meta: &TableMeta,
+    column: usize,
+    index: &mut dyn IndexInstance,
+) -> Result<()> {
+    let arity = meta.schema.len();
+    let mut failed = None;
+    meta.heap.scan(pool, |tid, bytes| {
+        let inserted = split_version(bytes)
+            .and_then(|(_, _, rest)| decode_row(rest, arity))
+            .and_then(|row| index.insert(&row[column], tid));
+        failed = inserted.err();
+        failed.is_none()
+    })?;
+    failed.map_or(Ok(()), Err)
 }
 
 #[cfg(test)]

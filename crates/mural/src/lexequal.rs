@@ -9,14 +9,13 @@
 //! variable store: `SET lexequal.threshold = 3`.
 
 use crate::selectivity::{psi_default_selectivity, psi_join_selectivity, psi_scan_selectivity};
-use crate::types::{language_filter, unitext_of_datum, unitext_of_ref};
+use crate::types::{language_filter, phoneme_slice, unitext_of_datum, unitext_of_ref};
 use mlql_kernel::catalog::{ExtOperator, OperatorKind, PreparedOperands, SessionVars};
 use mlql_kernel::{DataType, Datum, DatumRef, ExtTypeId};
-use mlql_phonetics::distance::{distance_lower_bound, phone_set, DistanceBuffer, MyersMatcher};
-use mlql_phonetics::{ConverterRegistry, PhonemeString};
+use mlql_phonetics::distance::{phone_set, within_distance, PhonemeProbe};
+use mlql_phonetics::ConverterRegistry;
 use mlql_unitext::LanguageRegistry;
-use std::cell::{OnceCell, RefCell};
-use std::collections::hash_map::{Entry, HashMap};
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -27,58 +26,65 @@ pub const THRESHOLD_VAR: &str = "lexequal.threshold";
 /// example of the paper's Figure 2 uses 2).
 pub const DEFAULT_THRESHOLD: i64 = 2;
 
-thread_local! {
-    /// Reused DP rows for the banded edit distance — ψ joins evaluate
-    /// millions of pairs and must not allocate per pair.
-    static DP: RefCell<DistanceBuffer> = RefCell::new(DistanceBuffer::new());
-}
-
 /// Read the threshold from the session.
 pub fn threshold(session: &SessionVars) -> usize {
     session.get_int(THRESHOLD_VAR, DEFAULT_THRESHOLD).max(0) as usize
 }
 
-/// The ψ predicate over two datums.
-///
-/// Fast path: both sides are UniText payloads with *materialized* phoneme
-/// strings — compare the cached byte slices directly, no decode, no
-/// allocation (this is what §4.2's insertion-time materialization buys).
+/// One ψ operand: its phonemes — the slice a UniText payload stores
+/// (§4.2's insertion-time materialization: no decode, no copy), else
+/// decoded and converted — and, when it has none, its text.
+struct Operand<'a> {
+    phonemes: Cow<'a, [u8]>,
+    /// The text of a value without phonemes: with no phonemic information
+    /// on either side, ψ degrades gracefully to exact text equality.
+    text: Option<Box<str>>,
+}
+
+fn operand<'a>(
+    d: DatumRef<'a>,
+    converters: &ConverterRegistry,
+) -> mlql_kernel::Result<Operand<'a>> {
+    if let DatumRef::Ext { bytes, .. } = d {
+        if let Some(p) = phoneme_slice(bytes) {
+            return Ok(Operand {
+                phonemes: Cow::Borrowed(p),
+                text: None,
+            });
+        }
+    }
+    let v = unitext_of_ref(d)?;
+    let p = converters.phonemes_of(&v);
+    Ok(Operand {
+        text: p.is_empty().then(|| v.text().into()),
+        phonemes: Cow::Owned(p.as_bytes().to_vec()),
+    })
+}
+
+/// The ψ predicate over two datums: the scalar path, and the oracle the
+/// batch paths are tested against — the banded DP on every pair, no
+/// phone-set bound.
 pub fn psi_matches(
     l: &Datum,
     r: &Datum,
     k: usize,
     converters: &ConverterRegistry,
 ) -> mlql_kernel::Result<bool> {
-    if let (Datum::Ext { bytes: lb, .. }, Datum::Ext { bytes: rb, .. }) = (l, r) {
-        if let (Some(lp), Some(rp)) = (
-            crate::types::phoneme_slice(lb),
-            crate::types::phoneme_slice(rb),
-        ) {
-            mlql_kernel::obs::metrics().psi_distance_calls_total.inc();
-            return Ok(DP.with(|dp| dp.borrow_mut().distance_within(lp, rp, k).is_some()));
-        }
-    }
-    // Slow path: decode and convert on demand.
-    let lv = unitext_of_datum(l)?;
-    let rv = unitext_of_datum(r)?;
-    let lp = converters.phonemes_of(&lv);
-    let rp = converters.phonemes_of(&rv);
-    if lp.is_empty() && rp.is_empty() {
-        // No phonemic information on either side: fall back to exact text
-        // equality so ψ degrades gracefully for unknown languages.
-        return Ok(lv.text() == rv.text());
+    let (l, r) = (
+        operand(l.as_ref(), converters)?,
+        operand(r.as_ref(), converters)?,
+    );
+    if let (Some(lt), Some(rt)) = (&l.text, &r.text) {
+        return Ok(lt == rt);
     }
     mlql_kernel::obs::metrics().psi_distance_calls_total.inc();
-    Ok(DP.with(|dp| {
-        dp.borrow_mut()
-            .distance_within(lp.as_bytes(), rp.as_bytes(), k)
-            .is_some()
-    }))
+    Ok(within_distance(&l.phonemes, &r.phonemes, k))
 }
 
 /// [`psi_matches_refs`] over owned values, for callers that hold
-/// `Datum`s (the benchmark's layer replay).  The engine's batch hook calls
-/// `psi_matches_refs` directly.
+/// `Datum`s (the benchmark's layer replay).  The flag no longer picks a
+/// kernel: `use_myers = false` answers from [`psi_matches`] element by
+/// element.
 pub fn psi_matches_batch(
     lefts: &[&Datum],
     r: &Datum,
@@ -86,184 +92,96 @@ pub fn psi_matches_batch(
     converters: &ConverterRegistry,
     use_myers: bool,
 ) -> mlql_kernel::Result<Vec<Datum>> {
+    if !use_myers {
+        return lefts
+            .iter()
+            .map(|l| psi_matches(l, r, k, converters).map(Datum::Bool))
+            .collect();
+    }
     let lefts: Vec<DatumRef<'_>> = lefts.iter().map(|d| d.as_ref()).collect();
-    psi_matches_refs(&lefts, r, k, converters, use_myers)
+    psi_matches_refs(&lefts, r, k, converters)
 }
 
-/// The phonemes a UniText payload stores, if it stores any.
-fn slice_of(d: DatumRef<'_>) -> Option<&[u8]> {
-    match d {
-        DatumRef::Ext { bytes, .. } => crate::types::phoneme_slice(bytes),
-        _ => None,
-    }
+/// The constant side of ψ, resolved once per batch or per outer row:
+/// its phonemes compiled into one [`PhonemeProbe`], and its text when it
+/// has no phonemes.
+struct Constant {
+    probe: PhonemeProbe,
+    text: Option<Box<str>>,
+    /// Pairs decided on phonemes, for `psi_distance_calls_total`.
+    calls: u64,
 }
 
-/// A value's text and its phonemes, decoded and converted.
-fn decode(
-    d: DatumRef<'_>,
-    converters: &ConverterRegistry,
-) -> mlql_kernel::Result<(String, PhonemeString)> {
-    let v = unitext_of_ref(d)?;
-    let p = converters.phonemes_of(&v);
-    Ok((v.text().to_string(), p))
-}
-
-/// The constant side of a batch ψ, resolved once per batch: its
-/// phonemes (the materialized slice, or one conversion) and the Myers
-/// kernel compiled for them.
-struct PsiConstant<'r> {
-    datum: &'r Datum,
-    /// The phonemes the payload stores.
-    slice: Option<&'r [u8]>,
-    /// The decoded value: up front when there is no slice, else on the
-    /// first operand without one (only the slow path reads it).
-    decoded: OnceCell<(String, PhonemeString)>,
-    myers: Option<MyersMatcher>,
-}
-
-impl<'r> PsiConstant<'r> {
-    fn new(
-        r: &'r Datum,
-        converters: &ConverterRegistry,
-        use_myers: bool,
-    ) -> mlql_kernel::Result<Self> {
-        let c = PsiConstant {
-            datum: r,
-            slice: slice_of(r.as_ref()),
-            decoded: OnceCell::new(),
-            myers: None,
-        };
-        if c.slice.is_none() {
-            c.decoded(converters)?;
-        }
-        let myers = if use_myers {
-            MyersMatcher::new(c.phonemes())
-        } else {
-            None
-        };
-        Ok(PsiConstant { myers, ..c })
+impl Constant {
+    fn new(r: &Datum, converters: &ConverterRegistry) -> mlql_kernel::Result<Constant> {
+        let Operand { phonemes, text } = operand(r.as_ref(), converters)?;
+        Ok(Constant {
+            probe: PhonemeProbe::new(&phonemes),
+            text,
+            calls: 0,
+        })
     }
 
-    /// The constant's phonemes.  The materialized slice and a fresh
-    /// conversion yield the same bytes (the cache is authoritative), so
-    /// one kernel serves the fast and the slow path.
-    fn phonemes(&self) -> &[u8] {
-        match self.slice {
-            Some(s) => s,
-            None => self.decoded.get().expect("decoded in new").1.as_bytes(),
+    /// ψ's verdict on the constant and an operand with phonemes `lp`,
+    /// whose phone set is `set`, and text `text`: texts decide when
+    /// neither side has phonemes, else the probe, bound first.  A pair
+    /// the bound rejects was still decided on phonemes, so it counts as a
+    /// distance call, as it does on the scalar path.
+    fn verdict(&mut self, lp: &[u8], set: u64, text: Option<&str>, k: usize) -> Datum {
+        if let (Some(lt), Some(rt)) = (text, &self.text) {
+            return Datum::Bool(lt == &**rt);
         }
+        self.calls += 1;
+        Datum::Bool(self.probe.within(lp, set, k))
     }
 
-    /// The constant's text and phonemes, decoded on first use.
-    fn decoded(
-        &self,
-        converters: &ConverterRegistry,
-    ) -> mlql_kernel::Result<&(String, PhonemeString)> {
-        if self.decoded.get().is_none() {
-            let _ = self.decoded.set(decode(self.datum.as_ref(), converters)?);
-        }
-        Ok(self.decoded.get().expect("set above"))
-    }
-
-    /// Is `lp` within edit distance `k` of the constant's phonemes?
-    fn within(&self, lp: &[u8], k: usize, dp: &mut DistanceBuffer) -> bool {
-        match &self.myers {
-            Some(mm) => mm.distance_within(lp, k).is_some(),
-            None => dp.distance_within(lp, self.phonemes(), k).is_some(),
-        }
+    fn count_calls(&self) {
+        mlql_kernel::obs::metrics()
+            .psi_distance_calls_total
+            .add(self.calls);
     }
 }
 
 /// Batch ψ: `lefts[i] ψ r` for a whole batch against one constant RHS,
 /// over borrowed operands — values of decoded rows, or UniText fields
-/// read straight off a heap page image.
+/// read straight off a heap page image (the scan's hook: one pass, no
+/// copy of the page's fields).
 ///
-/// Result-identical to [`psi_matches`] on every element, but the batch
-/// shape amortizes everything that does not depend on the LHS row:
-///
-/// * the RHS phonemes are resolved **once** (materialized slice or one
-///   grapheme→phoneme conversion),
-/// * each LHS payload is parsed once, and slow-path LHS conversions are
-///   memoized per distinct value across the batch,
-/// * the inner loop runs the bit-parallel Myers (1999) kernel when the
-///   RHS phoneme string fits one machine word (≤64 symbols, see
-///   [`MyersMatcher`]), falling back to the banded DP above that — both
-///   reuse one thread-local [`DistanceBuffer`], borrowed once per batch
-///   instead of once per row.
-///
-/// The engine always passes `use_myers = true`; `false` forces the banded
-/// DP for every length and exists only as the reference the unit tests
-/// and the layer benchmark compare the kernel against.
+/// Result-identical to [`psi_matches`] on every element; the constant is
+/// resolved and compiled once, and each operand meets the phone-set
+/// bound before the kernel.
 pub fn psi_matches_refs(
     lefts: &[DatumRef<'_>],
     r: &Datum,
     k: usize,
     converters: &ConverterRegistry,
-    use_myers: bool,
 ) -> mlql_kernel::Result<Vec<Datum>> {
     if lefts.is_empty() {
         return Ok(Vec::new());
     }
-    let rhs = PsiConstant::new(r, converters, use_myers)?;
-    let mut memo: HashMap<DatumRef<'_>, (String, PhonemeString)> = HashMap::new();
-    let mut dist_calls = 0u64;
+    let mut rhs = Constant::new(r, converters)?;
+    // A loop, not a `collect::<Result<_>>()`, which cost `psi_scan` 15 %.
     let mut out = Vec::with_capacity(lefts.len());
-    DP.with(|dp| -> mlql_kernel::Result<()> {
-        let dp = &mut *dp.borrow_mut();
-        for &l in lefts {
-            // Fast path: both sides carry materialized phonemes.
-            if rhs.slice.is_some() {
-                if let Some(lp) = slice_of(l) {
-                    dist_calls += 1;
-                    out.push(Datum::Bool(rhs.within(lp, k, dp)));
-                    continue;
-                }
-            }
-            // Slow path: decode + convert, memoized per distinct value.
-            let (r_text, rp) = rhs.decoded(converters)?;
-            let (l_text, lp) = match memo.entry(l) {
-                Entry::Occupied(hit) => hit.into_mut(),
-                Entry::Vacant(slot) => slot.insert(decode(l, converters)?),
-            };
-            if lp.is_empty() && rp.is_empty() {
-                // Same graceful degradation as `psi_matches`.
-                out.push(Datum::Bool(l_text == r_text));
-                continue;
-            }
-            dist_calls += 1;
-            out.push(Datum::Bool(rhs.within(lp.as_bytes(), k, dp)));
-        }
-        Ok(())
-    })?;
-    mlql_kernel::obs::metrics()
-        .psi_distance_calls_total
-        .add(dist_calls);
+    for &l in lefts {
+        let Operand { phonemes, text } = operand(l, converters)?;
+        out.push(rhs.verdict(&phonemes, phone_set(&phonemes), text.as_deref(), k));
+    }
+    rhs.count_calls();
     Ok(out)
-}
-
-/// What the phone-set bound reads of one prepared name.
-#[derive(Clone, Copy)]
-struct Signature {
-    /// [`phone_set`] of its phonemes.
-    set: u64,
-    /// How many phonemes it has.
-    len: usize,
 }
 
 /// ψ's operands prepared once for many constants
 /// ([`ExtOperator::prepare_batch`]): a nested loop's inner names, each
 /// parsed (and, without a stored cache, converted) once per join.  Their
-/// phonemes sit back to back in one arena, each with its length and
-/// phone set, so that per constant the Myers kernel is compiled once and
-/// run only on pairs whose [`distance_lower_bound`] is at most `k`.
+/// phonemes sit back to back in one arena, each with its phone set, so
+/// that per constant the probe is compiled once and each pair costs the
+/// bound, and the kernel only when the bound lets it through.
 struct PreparedNames {
     converters: Arc<ConverterRegistry>,
     arena: Vec<u8>,
-    /// Where each name's phonemes start in the arena.
-    starts: Vec<usize>,
-    signatures: Vec<Signature>,
-    /// The text of each name that has no phonemes (and so stores none):
-    /// the one case in which ψ compares texts.
+    /// Where each name's phonemes end in the arena.
+    ends: Vec<usize>,
+    sets: Vec<u64>,
     texts: Vec<Option<Box<str>>>,
 }
 
@@ -272,46 +190,26 @@ impl PreparedNames {
         lefts: &[DatumRef<'_>],
         converters: Arc<ConverterRegistry>,
     ) -> mlql_kernel::Result<PreparedNames> {
-        let mut arena = Vec::new();
-        let mut starts = Vec::with_capacity(lefts.len());
-        let mut signatures = Vec::with_capacity(lefts.len());
-        let mut texts = Vec::with_capacity(lefts.len());
-        for &l in lefts {
-            let start = arena.len();
-            let text = match slice_of(l) {
-                Some(p) => {
-                    arena.extend_from_slice(p);
-                    None
-                }
-                None => {
-                    let (text, p) = decode(l, &converters)?;
-                    arena.extend_from_slice(p.as_bytes());
-                    p.is_empty().then(|| text.into())
-                }
-            };
-            let phonemes = &arena[start..];
-            starts.push(start);
-            signatures.push(Signature {
-                set: phone_set(phonemes),
-                len: phonemes.len(),
-            });
-            texts.push(text);
-        }
-        Ok(PreparedNames {
+        let mut names = PreparedNames {
             converters,
-            arena,
-            starts,
-            signatures,
-            texts,
-        })
+            arena: Vec::new(),
+            ends: Vec::with_capacity(lefts.len()),
+            sets: Vec::with_capacity(lefts.len()),
+            texts: Vec::with_capacity(lefts.len()),
+        };
+        for &l in lefts {
+            let Operand { phonemes, text } = operand(l, &names.converters)?;
+            names.arena.extend_from_slice(&phonemes);
+            names.ends.push(names.arena.len());
+            names.sets.push(phone_set(&phonemes));
+            names.texts.push(text);
+        }
+        Ok(names)
     }
 }
 
 impl PreparedOperands for PreparedNames {
-    /// [`psi_matches_refs`] over the prepared names in `range`, with the
-    /// phone-set bound in front of the kernel.  A pair the bound rejects
-    /// was still decided on phonemes, so it counts as a
-    /// `psi_distance_calls_total` call, as it does on the batch path.
+    /// [`psi_matches_refs`] over the prepared names in `range`.
     fn verdicts(
         &self,
         range: Range<usize>,
@@ -319,35 +217,15 @@ impl PreparedOperands for PreparedNames {
         session: &SessionVars,
     ) -> mlql_kernel::Result<Vec<Datum>> {
         let k = threshold(session);
-        let rhs = PsiConstant::new(r, &self.converters, true)?;
-        let rp = rhs.phonemes();
-        let (r_len, r_set) = (rp.len(), phone_set(rp));
-        let mut dist_calls = 0u64;
-        let mut out = Vec::with_capacity(range.len());
-        DP.with(|dp| -> mlql_kernel::Result<()> {
-            let dp = &mut *dp.borrow_mut();
-            for (i, sig) in range.clone().zip(&self.signatures[range]) {
-                // Neither side has phonemes: ψ compares texts, as
-                // `psi_matches_refs` does.
-                if sig.len == 0 && r_len == 0 {
-                    let (r_text, _) = rhs.decoded(&self.converters)?;
-                    out.push(Datum::Bool(
-                        self.texts[i].as_deref() == Some(r_text.as_str()),
-                    ));
-                    continue;
-                }
-                dist_calls += 1;
-                let pass = distance_lower_bound(sig.len, sig.set, r_len, r_set) <= k && {
-                    let start = self.starts[i];
-                    rhs.within(&self.arena[start..start + sig.len], k, dp)
-                };
-                out.push(Datum::Bool(pass));
-            }
-            Ok(())
-        })?;
-        mlql_kernel::obs::metrics()
-            .psi_distance_calls_total
-            .add(dist_calls);
+        let mut rhs = Constant::new(r, &self.converters)?;
+        let out = range
+            .map(|i| {
+                let start = if i == 0 { 0 } else { self.ends[i - 1] };
+                let lp = &self.arena[start..self.ends[i]];
+                rhs.verdict(lp, self.sets[i], self.texts[i].as_deref(), k)
+            })
+            .collect();
+        rhs.count_calls();
         Ok(out)
     }
 }
@@ -384,7 +262,7 @@ pub fn lexequal_operator(
         }),
         eval_batch: Some(Arc::new(move |lefts, r, session| {
             let k = threshold(session);
-            psi_matches_refs(lefts, r, k, &batch_convs, true)
+            psi_matches_refs(lefts, r, k, &batch_convs)
         })),
         prepare_batch: Some(Arc::new(move |lefts, _| {
             let prepared = PreparedNames::new(lefts, Arc::clone(&prepare_convs))?;
@@ -445,6 +323,8 @@ mod tests {
     use super::*;
     use crate::types::{unitext_datum, unitext_to_bytes};
     use mlql_unitext::UniText;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn setup() -> (Arc<LanguageRegistry>, Arc<ConverterRegistry>, ExtOperator) {
         let langs = Arc::new(LanguageRegistry::new());
@@ -608,6 +488,85 @@ mod tests {
                     assert_eq!(format!("{got:?}"), format!("{want:?}"), "{rhs:?} k={k}");
                 }
             }
+        }
+    }
+
+    /// A ψ operand from one seeded generator: a stored phoneme key shaped
+    /// like the M-tree tests' (`A` and `\x01`, `k` and `+` fold onto one
+    /// `phone_set` bit; empty, short, or a 60-symbol stem plus a tail, so
+    /// constants straddle the Myers kernel's 64-symbol word), a name left
+    /// to conversion, short or long, or plain text, which has no phonemes.
+    fn random_operand(rng: &mut StdRng, langs: &LanguageRegistry) -> Datum {
+        const SYMBOLS: [char; 5] = ['A', '\x01', 'k', '+', 'n'];
+        let stem = if rng.gen_range(0..4) == 0 { 60 } else { 0 };
+        let len = stem + rng.gen_range(0..10);
+        let name: String = (0..len)
+            .map(|i| ['k', 'a', 'n'][(i + rng.gen_range(0..2)) % 3])
+            .collect();
+        match rng.gen_range(0..5) {
+            0 => Datum::text(["exact", "other", ""][rng.gen_range(0..3)]),
+            1 | 2 => ut(langs, &name, "English"),
+            _ => {
+                let key: String = (0..len)
+                    .map(|i| SYMBOLS[if i < stem { i % 3 } else { rng.gen_range(0..5) }])
+                    .collect();
+                let v = UniText::compose(&name, langs.id_of("English")).with_phoneme(key);
+                unitext_datum(ExtTypeId(0), &v)
+            }
+        }
+    }
+
+    /// The `eval_batch` hook and `PreparedNames::verdicts` over a random
+    /// range agree with scalar `psi_matches` on every pair of one seeded
+    /// case, at k = 0–3.
+    fn batch_paths_agree_with_scalar(
+        seed: u64,
+        langs: &LanguageRegistry,
+        convs: &ConverterRegistry,
+        op: &ExtOperator,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let lefts: Vec<Datum> = (0..rng.gen_range(1..24))
+            .map(|_| random_operand(&mut rng, langs))
+            .collect();
+        let refs: Vec<DatumRef<'_>> = lefts.iter().map(|d| d.as_ref()).collect();
+        let mut session = SessionVars::new();
+        let prepared = (op.prepare_batch.as_ref().unwrap())(&refs, &session).unwrap();
+        let bools = |v: Vec<Datum>| v.iter().map(Datum::is_true).collect::<Vec<_>>();
+        for _ in 0..4 {
+            let r = random_operand(&mut rng, langs);
+            for k in 0..=3 {
+                session.set(THRESHOLD_VAR, Datum::Int(k as i64));
+                let want: Vec<bool> = lefts
+                    .iter()
+                    .map(|l| psi_matches(l, &r, k, convs).unwrap())
+                    .collect();
+                let hook = (op.eval_batch.as_ref().unwrap())(&refs, &r, &session).unwrap();
+                assert_eq!(bools(hook), want, "seed {seed:#x}: hook, {r:?} k={k}");
+                let lo = rng.gen_range(0..lefts.len() + 1);
+                let range = lo..rng.gen_range(lo..lefts.len() + 1);
+                let got = prepared.verdicts(range.clone(), &r, &session).unwrap();
+                assert_eq!(
+                    bools(got),
+                    want[range.clone()],
+                    "seed {seed:#x}: {range:?}, {r:?} k={k}"
+                );
+            }
+        }
+    }
+
+    /// [`batch_paths_agree_with_scalar`] over 64 cases from a fresh seed.
+    /// The vendored proptest shim does not shrink, so a failure names the
+    /// case's seed, which `batch_paths_agree_with_scalar` replays.
+    #[test]
+    fn batch_paths_agree_with_scalar_on_random_operands() {
+        let (langs, convs, op) = setup();
+        let base = std::time::SystemTime::now()
+            .duration_since(std::time::UNIX_EPOCH)
+            .map_or(0, |d| d.as_nanos() as u64);
+        println!("seed base {base:#x}");
+        for case in 0..64 {
+            batch_paths_agree_with_scalar(base.wrapping_add(case), &langs, &convs, &op);
         }
     }
 

@@ -9,24 +9,25 @@
 //! exceeds its radius before computing any distance — a deviation from the
 //! paper, whose M-tree pruned "poorly" on short phoneme strings (§5.3).
 //! Inserts and splits use the one-shot distance; a probe compiles its
-//! phonemes once into the ψ scan's bit-parallel Myers matcher and asks
-//! only "is this key within the pruning bound, and at what distance", so
-//! it visits, computes and prunes exactly what the generic metric would,
-//! at the kernel's price per key.  The planner prices a probe per visited
-//! key (the fitted visit fraction of `lexequal::approx_index_fraction`),
-//! not per page: the tree is memory-resident.  Deletion uses tombstones —
-//! the underlying M-Tree, like PostgreSQL-era GiST, does not reclaim
-//! entries online.  Checkpoint vacuum tombstones one entry per dead version
-//! and nothing compacts the set before the index is rebuilt; a probe skips
-//! tombstoned entries inside the walk, so they never take a place among a
-//! `nearest` probe's k best.
+//! phonemes once into the [`PhonemeProbe`] ψ's scans and joins run and
+//! asks only "is this key within the pruning bound, and at what distance",
+//! so it visits, computes and prunes exactly what the generic metric
+//! would, at the kernel's price per key.  The planner prices a probe per
+//! visited key (the fitted visit fraction of
+//! `lexequal::approx_index_fraction`), not per page: the tree is
+//! memory-resident.  Deletion uses tombstones — the underlying M-Tree,
+//! like PostgreSQL-era GiST, does not reclaim entries online.  Checkpoint
+//! vacuum tombstones one entry per dead version and nothing compacts the
+//! set before the index is rebuilt; a probe skips tombstoned entries
+//! inside the walk, so they never take a place among a `nearest` probe's
+//! k best.
 
 use crate::types::unitext_of_datum;
 use mlql_kernel::index::{AccessMethod, IndexInstance, IndexSearch};
 use mlql_kernel::storage::TupleId;
 use mlql_kernel::{Datum, Error, Result};
 use mlql_mtree::{MTree, Metric, QueryStats};
-use mlql_phonetics::distance::{edit_distance, phone_set, DistanceBuffer, MyersMatcher};
+use mlql_phonetics::distance::{edit_distance, phone_set, PhonemeProbe};
 use mlql_phonetics::ConverterRegistry;
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -79,30 +80,20 @@ impl MTreeIndex {
     /// Serve `strategy` for the phoneme key `key`: the live tuple ids and
     /// the tree's query stats.
     ///
-    /// The query side is compiled once per probe — one [`MyersMatcher`]
-    /// over `key` — and each entry that passes the phone-set bound costs
-    /// one capped bit-parallel distance.  Keys the matcher cannot hold
-    /// (empty, or longer than a machine word) take the banded DP in one
-    /// reused buffer.  Either way the tree visits, computes and prunes
-    /// exactly what the generic [`PhonemeMetric`] search does.
+    /// The query side is compiled once per probe into one
+    /// [`PhonemeProbe`], and each entry that passes the tree's phone-set
+    /// bound costs one capped kernel run, so the tree visits, computes and
+    /// prunes exactly what the generic [`PhonemeMetric`] search does.
     fn probe(
         &self,
         key: &[u8],
         strategy: &str,
         extra: &Datum,
     ) -> Result<(Vec<TupleId>, QueryStats)> {
-        let matcher = MyersMatcher::new(key);
-        let mut buf = DistanceBuffer::new();
-        let dq = |entry: &[u8], cap: f64| {
-            // Edit distances are integers no larger than the longer
-            // string, so clamping there and truncating the cap is exact.
-            let cap = cap.min(key.len().max(entry.len()) as f64) as usize;
-            match &matcher {
-                Some(m) => m.distance_within(entry, cap),
-                None => buf.distance_within(key, entry, cap),
-            }
-            .map(|d| d as f64)
-        };
+        let mut probe = PhonemeProbe::new(key);
+        // Edit distances are integers, so truncating the cap is exact.
+        let dq =
+            |entry: &[u8], cap: f64| probe.distance_within(entry, cap as usize).map(|d| d as f64);
         let live = |entry: &[u8], tid: &TupleId| self.is_live(entry, *tid);
         let (hits, stats) = match strategy {
             "within" => {

@@ -10,17 +10,18 @@
 //! * [`edit_distance_banded`] — threshold-bounded banded computation
 //!   (Ukkonen's cut-off, the practical form of diagonal transition):
 //!   O(k·min(|a|,|b|)) time.  Returns `None` when the distance exceeds `k`.
-//! * [`within_distance`] — the predicate the ψ operator actually evaluates;
-//!   adds the cheap length-difference pre-filter before the banded DP.
+//! * [`within_distance`] — the scalar ψ predicate over the banded DP.
 //!
-//! [`MyersMatcher`] is the bit-parallel kernel batch ψ runs, and
-//! [`distance_lower_bound`] over [`phone_set`]s the filter a ψ join puts
-//! in front of it.
+//! [`PhonemeProbe`] is what every many-pair caller runs — ψ's batch scans
+//! and joins, M-tree probes: one pattern compiled once, the
+//! [`distance_lower_bound`] over [`phone_set`]s in front of the
+//! bit-parallel [`MyersMatcher`], or of the banded DP for a pattern longer
+//! than a machine word.
 //!
-//! [`DistanceBuffer`] lets hot loops (joins, index probes) reuse the DP rows
-//! across millions of calls without re-allocating — per the Rust Performance
-//! Book guidance on buffer reuse.  The one-shot functions borrow a
-//! thread-local buffer, so they do not allocate either.
+//! [`DistanceBuffer`] lets hot loops reuse the DP rows across millions of
+//! calls without re-allocating — per the Rust Performance Book guidance on
+//! buffer reuse.  The one-shot functions borrow a thread-local buffer, so
+//! they do not allocate either.
 
 use std::cell::RefCell;
 
@@ -156,7 +157,8 @@ pub struct MyersMatcher {
 
 impl MyersMatcher {
     /// Compile `pattern`; `None` when it is empty or longer than
-    /// [`MYERS_MAX_PATTERN`] symbols (callers fall back to the banded DP).
+    /// [`MYERS_MAX_PATTERN`] symbols ([`PhonemeProbe`] then runs the banded
+    /// DP).
     pub fn new(pattern: &[u8]) -> Option<MyersMatcher> {
         if pattern.is_empty() || pattern.len() > MYERS_MAX_PATTERN {
             return None;
@@ -169,11 +171,6 @@ impl MyersMatcher {
             peq,
             m: pattern.len(),
         })
-    }
-
-    /// Pattern length.
-    pub fn pattern_len(&self) -> usize {
-        self.m
     }
 
     /// Full Levenshtein distance between the compiled pattern and `text`.
@@ -250,9 +247,71 @@ pub fn distance_lower_bound(len_a: usize, set_a: u64, len_b: usize, set_b: u64) 
     len_a.abs_diff(len_b).max(only_a).max(only_b)
 }
 
+/// A phoneme pattern compiled once to be compared with many strings: ψ's
+/// constant against a scan batch or a join's inner names, an M-tree
+/// probe's query key against the tree's keys.
+///
+/// It makes the one kernel choice — [`MyersMatcher`] for a pattern of 1 to
+/// [`MYERS_MAX_PATTERN`] symbols, the banded DP in the probe's own rows for
+/// an empty or longer one — and holds the pattern's length and
+/// [`phone_set`] for the [`distance_lower_bound`].
+#[derive(Debug)]
+pub struct PhonemeProbe {
+    kernel: Kernel,
+    len: usize,
+    set: u64,
+}
+
+/// A probe is built once and used in place, so the Myers tables stay
+/// inline rather than cost an allocation per probe.
+#[derive(Debug)]
+#[allow(clippy::large_enum_variant)]
+enum Kernel {
+    Myers(MyersMatcher),
+    Banded(Vec<u8>, DistanceBuffer),
+}
+
+impl PhonemeProbe {
+    /// Compile `pattern`.
+    pub fn new(pattern: &[u8]) -> PhonemeProbe {
+        let kernel = match MyersMatcher::new(pattern) {
+            Some(m) => Kernel::Myers(m),
+            None => Kernel::Banded(pattern.to_vec(), DistanceBuffer::new()),
+        };
+        PhonemeProbe {
+            kernel,
+            len: pattern.len(),
+            set: phone_set(pattern),
+        }
+    }
+
+    /// Is `text`, whose [`phone_set`] is `set`, within edit distance `k`
+    /// of the pattern?  The length/phone-set bound answers first; only a
+    /// pair it lets through reaches the kernel.
+    #[inline]
+    pub fn within(&mut self, text: &[u8], set: u64, k: usize) -> bool {
+        distance_lower_bound(self.len, self.set, text.len(), set) <= k
+            && self.distance_within(text, k).is_some()
+    }
+
+    /// The distance from the pattern to `text` when it is at most `cap`,
+    /// `None` otherwise: the kernel alone, for a caller that has run its
+    /// own bounds (an M-tree search).
+    pub fn distance_within(&mut self, text: &[u8], cap: usize) -> Option<usize> {
+        // No distance exceeds the longer string, so a larger cap (an
+        // unbounded kNN search's) answers the same, and keeps the banded
+        // DP's band from overflowing.
+        let cap = cap.min(self.len.max(text.len()));
+        match &mut self.kernel {
+            Kernel::Myers(m) => m.distance_within(text, cap),
+            Kernel::Banded(pattern, buf) => buf.distance_within(pattern, text, cap),
+        }
+    }
+}
+
 thread_local! {
     /// DP rows the one-shot functions reuse: M-tree inserts and splits,
-    /// plan-time selectivity over MCVs and the MDI call them per pair.
+    /// scalar ψ, plan-time selectivity and the MDI call them per pair.
     static ONE_SHOT: RefCell<DistanceBuffer> = RefCell::new(DistanceBuffer::new());
 }
 
@@ -267,11 +326,7 @@ pub fn edit_distance_banded(a: &[u8], b: &[u8], k: usize) -> Option<usize> {
 }
 
 /// The ψ predicate: are `a` and `b` within edit distance `k`?
-#[inline]
 pub fn within_distance(a: &[u8], b: &[u8], k: usize) -> bool {
-    if a.len().abs_diff(b.len()) > k {
-        return false;
-    }
     edit_distance_banded(a, b, k).is_some()
 }
 
@@ -364,7 +419,6 @@ mod tests {
         assert!(MyersMatcher::new(b"").is_none());
         let just_fits = vec![7u8; MYERS_MAX_PATTERN];
         let matcher = MyersMatcher::new(&just_fits).expect("64 symbols fit one word");
-        assert_eq!(matcher.pattern_len(), 64);
         assert_eq!(matcher.distance(&just_fits), 0);
         let too_long = vec![7u8; MYERS_MAX_PATTERN + 1];
         assert!(MyersMatcher::new(&too_long).is_none());
@@ -479,7 +533,8 @@ mod proptests {
         }
 
         /// Pin the fallback boundary itself: identical inputs either side
-        /// of 64 symbols take different kernels but produce equal answers.
+        /// of 64 symbols take different kernels in a [`PhonemeProbe`] but
+        /// produce equal answers, an unbounded cap included.
         #[test]
         fn myers_fallback_boundary(tail in proptest::collection::vec(0u8..8, 0..6),
                                    b in proptest::collection::vec(0u8..8, 56..72),
@@ -488,15 +543,11 @@ mod proptests {
                 let mut a: Vec<u8> = (0..base).map(|i| (i % 8) as u8).collect();
                 a.extend_from_slice(&tail);
                 let full = edit_distance(&a, &b);
-                let got = match MyersMatcher::new(&a) {
-                    Some(m) => m.distance_within(&b, k),
-                    None => edit_distance_banded(&a, &b, k),
-                };
-                if full <= k {
-                    prop_assert_eq!(got, Some(full), "len={}", a.len());
-                } else {
-                    prop_assert_eq!(got, None, "len={}", a.len());
-                }
+                let mut probe = PhonemeProbe::new(&a);
+                let want = (full <= k).then_some(full);
+                prop_assert_eq!(probe.distance_within(&b, k), want, "len={}", a.len());
+                prop_assert_eq!(probe.within(&b, phone_set(&b), k), full <= k, "len={}", a.len());
+                prop_assert_eq!(probe.distance_within(&b, usize::MAX), Some(full));
             }
         }
 
@@ -514,18 +565,14 @@ mod proptests {
             }
         }
 
-        /// The bound in front of the kernel, as ψ's join path runs them,
-        /// decides exactly `edit_distance ≤ k`.
+        /// A [`PhonemeProbe`], the bound in front of the kernel, decides
+        /// exactly `edit_distance ≤ k`.
         #[test]
         fn bound_then_kernel_is_within_k(a in aliasing(12), b in aliasing(12)) {
             let full = edit_distance(&a, &b);
-            let bound = distance_lower_bound(a.len(), phone_set(&a), b.len(), phone_set(&b));
+            let mut probe = PhonemeProbe::new(&a);
             for k in 0..=4 {
-                let kernel = match MyersMatcher::new(&a) {
-                    Some(m) => m.distance_within(&b, k).is_some(),
-                    None => edit_distance_banded(&a, &b, k).is_some(),
-                };
-                prop_assert_eq!(bound <= k && kernel, full <= k, "a={:?} b={:?} k={}", a, b, k);
+                prop_assert_eq!(probe.within(&b, phone_set(&b), k), full <= k, "a={:?} b={:?} k={}", a, b, k);
             }
         }
 
